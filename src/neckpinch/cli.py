@@ -6,7 +6,7 @@ Subcommands:
   curvature    one-shot curvature table for a preset at t = 0
   convergence  grid/step refinement study printing measured orders
 
-Exit codes: 0 success, 1 usage error, 2 run aborted on non-finite data,
+Exit codes: 0 success, 1 usage error, 2 run aborted after exhausted step halvings,
 3 monitor hard-violation under --strict.
 """
 
@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
         margin = "" if rep.worst_margin is None else f" margin={rep.worst_margin:.3e}"
         print(f"  monitor {name}: {status}{margin}")
 
-    if traj.stop_reason == flow.STOP_NONFINITE:
+    if traj.stop_reason == flow.STOP_HALVINGS:
         return 2
     if args.strict and any(rep.passed is False for rep in reports.values()):
         return 3

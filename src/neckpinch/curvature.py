@@ -26,7 +26,6 @@ from itertools import permutations
 import numpy as np
 
 from .grid import (
-    STENCIL_ORDER,
     DegenerateFiberError,
     MetricState,
     ScalarField,
@@ -47,7 +46,27 @@ def _levi_civita(i: int, j: int, k: int) -> float:
     return float(_EPS[i - 1, j - 1, k - 1])
 
 
-def _check_resolvable(state: MetricState) -> None:
+# Fiber index triples (i, j, k) of the planes 12, 13, 23 and their complements.
+_PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
+
+
+def jet(phi: np.ndarray, x: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second arclength derivatives (x', x'') of the rows of x.
+
+    x is a stacked (..., n) array, usually the radii (a, b, c). The second
+    derivative is nested, (1/phi) d/dz ((1/phi) dx/dz), exactly as in
+    s_second_derivative, so each row matches it bitwise.
+    """
+    xp = dz_values(x, dz) / phi
+    return xp, dz_values(xp, dz) / phi
+
+
+def radii(state: MetricState) -> np.ndarray:
+    """The fiber radii (a, b, c) stacked into one (3, n) array."""
+    return np.stack((state.a.values, state.b.values, state.c.values))
+
+
+def check_resolvable(state: MetricState) -> None:
     smallest = min(
         np.min(state.a.values), np.min(state.b.values), np.min(state.c.values)
     )
@@ -127,7 +146,7 @@ def _khat(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def fiber_sectional(state: MetricState) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Intrinsic sectional curvatures (Khat12, Khat13, Khat23) of the SU(2) fiber."""
-    _check_resolvable(state)
+    check_resolvable(state)
     a, b, c = state.a.values, state.b.values, state.c.values
     grid = state.grid
     return (
@@ -137,76 +156,61 @@ def fiber_sectional(state: MetricState) -> tuple[ScalarField, ScalarField, Scala
     )
 
 
-def sectional_curvatures(state: MetricState, order: int = STENCIL_ORDER) -> CurvatureField:
+def sectional_rows(
+    x: np.ndarray, xp: np.ndarray, xpp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sectional curvatures (K01, K02, K03, K12, K13, K23) stacked (6, n) and
+    fiber curvatures (Khat12, Khat13, Khat23) stacked (3, n), from the radii
+    x = (a, b, c) and their jet."""
+    i, j, k = _PLANES
+    khat = _khat(x[i], x[j], x[k])
+    return np.concatenate((-xpp / x, -xp[i] * xp[j] / (x[i] * x[j]) + khat)), khat
+
+
+def trace_invariants(k: np.ndarray) -> np.ndarray:
+    """(scal, |Rm|^2) stacked (2, n) from the six sectional curvature rows by
+    the trace identities scal = 2 sum K and |Rm|^2 = 2 sum K^2."""
+    k2 = k**2
+    return 2.0 * np.stack(
+        (k[0] + k[1] + k[2] + k[3] + k[4] + k[5], k2[0] + k2[1] + k2[2] + k2[3] + k2[4] + k2[5])
+    )
+
+
+def sectional_curvatures(state: MetricState) -> CurvatureField:
     """All curvature data via the arclength-gauge closed forms.
 
     Primes are s-derivatives computed by the chain rule (1/phi) d/dz on the
     fixed z-grid.
     """
-    _check_resolvable(state)
-    grid = state.grid
-    dz = grid.dz
-    phi = state.phi.values
-    a, b, c = state.a.values, state.b.values, state.c.values
+    check_resolvable(state)
+    x = radii(state)
+    xp, xpp = jet(state.phi.values, x, state.grid.dz)
+    k, khat = sectional_rows(x, xp, xpp)
+    scal, rm_norm_sq = trace_invariants(k)
 
-    ap = dz_values(a, dz, order) / phi
-    bp = dz_values(b, dz, order) / phi
-    cp = dz_values(c, dz, order) / phi
-    app = dz_values(ap, dz, order) / phi
-    bpp = dz_values(bp, dz, order) / phi
-    cpp = dz_values(cp, dz, order) / phi
+    q = xpp / x
+    ric00 = -(q[0] + q[1] + q[2])
+    # Row x of the radii pairs with the other two rows (y, z).
+    r = xp / x
+    y, z = [1, 0, 0], [2, 2, 1]
+    ric = -x * xpp - x * xp * (r[y] + r[z]) + x**2 * (khat[[0, 0, 1]] + khat[[1, 2, 2]])
 
-    khat12 = _khat(a, b, c)
-    khat13 = _khat(a, c, b)
-    khat23 = _khat(b, c, a)
-
-    k01 = -app / a
-    k02 = -bpp / b
-    k03 = -cpp / c
-    k12 = -ap * bp / (a * b) + khat12
-    k13 = -ap * cp / (a * c) + khat13
-    k23 = -bp * cp / (b * c) + khat23
-
-    ric00 = -(app / a + bpp / b + cpp / c)
-    ric11 = -a * app - a * ap * (bp / b + cp / c) + a**2 * (khat12 + khat13)
-    ric22 = -b * bpp - b * bp * (ap / a + cp / c) + b**2 * (khat12 + khat23)
-    ric33 = -c * cpp - c * cp * (ap / a + bp / b) + c**2 * (khat13 + khat23)
-
-    scal = 2.0 * (k01 + k02 + k03 + k12 + k13 + k23)
-    rm_norm_sq = 2.0 * (k01**2 + k02**2 + k03**2 + k12**2 + k13**2 + k23**2)
-
-    wrap = lambda v: ScalarField(grid, v)
+    wrap = lambda v: ScalarField(state.grid, v)
     return CurvatureField(
-        k01=wrap(k01),
-        k02=wrap(k02),
-        k03=wrap(k03),
-        k12=wrap(k12),
-        k13=wrap(k13),
-        k23=wrap(k23),
-        khat12=wrap(khat12),
-        khat13=wrap(khat13),
-        khat23=wrap(khat23),
-        ric00=wrap(ric00),
-        ric11=wrap(ric11),
-        ric22=wrap(ric22),
-        ric33=wrap(ric33),
+        *map(wrap, k),
+        *map(wrap, khat),
+        wrap(ric00),
+        *map(wrap, ric),
         scal=wrap(scal),
         rm_norm_sq=wrap(rm_norm_sq),
     )
 
 
-def scalar_curvature(state: MetricState, order: int = STENCIL_ORDER) -> ScalarField:
+def scalar_curvature(state: MetricState) -> ScalarField:
     """Scalar curvature from its displayed closed form (not the trace assembly)."""
-    _check_resolvable(state)
-    dz = state.grid.dz
-    phi = state.phi.values
-    a, b, c = state.a.values, state.b.values, state.c.values
-    ap = dz_values(a, dz, order) / phi
-    bp = dz_values(b, dz, order) / phi
-    cp = dz_values(c, dz, order) / phi
-    app = dz_values(ap, dz, order) / phi
-    bpp = dz_values(bp, dz, order) / phi
-    cpp = dz_values(cp, dz, order) / phi
+    check_resolvable(state)
+    a, b, c = x = radii(state)
+    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi.values, x, state.grid.dz)
     a2, b2, c2 = a**2, b**2, c**2
     algebraic = (2 * a2 * b2 + 2 * a2 * c2 + 2 * b2 * c2 - a2**2 - b2**2 - c2**2) / (
         a2 * b2 * c2
@@ -223,7 +227,7 @@ def scalar_curvature(state: MetricState, order: int = STENCIL_ORDER) -> ScalarFi
     return ScalarField(state.grid, s)
 
 
-def frame_symbol_oracle(state: MetricState, order: int = STENCIL_ORDER) -> FrameSymbols:
+def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
     """z-gauge frame symbols Sigma^gamma_{alpha beta} from the Koszul formula.
 
     Nonzero entries: Sigma^0_00 = g^00 dz(g00)/2, Sigma^i_{i0} = Sigma^i_{0i}
@@ -231,7 +235,7 @@ def frame_symbol_oracle(state: MetricState, order: int = STENCIL_ORDER) -> Frame
     indices Sigma^k_{ij} = eps_ijk g^kk (g_ii - g_jj - g_kk). Everything with
     exactly two zero indices vanishes.
     """
-    _check_resolvable(state)
+    check_resolvable(state)
     n = state.grid.n
     dz = state.grid.dz
     g = np.stack(
@@ -242,7 +246,7 @@ def frame_symbol_oracle(state: MetricState, order: int = STENCIL_ORDER) -> Frame
             state.c.values**2,
         ]
     )
-    dg = dz_values(g, dz, order)
+    dg = dz_values(g, dz)
     sigma = np.zeros((4, 4, 4, n))
     sigma[0, 0, 0] = 0.5 * dg[0] / g[0]
     for i in (1, 2, 3):
@@ -254,7 +258,7 @@ def frame_symbol_oracle(state: MetricState, order: int = STENCIL_ORDER) -> Frame
     return FrameSymbols(grid_n=n, sigma=sigma)
 
 
-def riemann_oracle(state: MetricState, order: int = STENCIL_ORDER) -> RiemannOracle:
+def riemann_oracle(state: MetricState) -> RiemannOracle:
     """z-gauge Riemann components Rm_0ii0 and Rm_ijji, and their sectional norms.
 
     Rm_0ii0 = (g^00 dz(g00) dz(gii) + g^ii (dz gii)^2 - 2 dzz(gii)) / 4 and
@@ -266,7 +270,7 @@ def riemann_oracle(state: MetricState, order: int = STENCIL_ORDER) -> RiemannOra
     quantities (g_ii rather than the radii), so the two discretizations agree
     only in the refinement limit.
     """
-    _check_resolvable(state)
+    check_resolvable(state)
     grid = state.grid
     dz = grid.dz
     g = np.stack(
@@ -277,8 +281,8 @@ def riemann_oracle(state: MetricState, order: int = STENCIL_ORDER) -> RiemannOra
             state.c.values**2,
         ]
     )
-    dg = dz_values(g, dz, order)
-    ddg = dz_values(dg, dz, order)
+    dg = dz_values(g, dz)
+    ddg = dz_values(dg, dz)
 
     rm0 = {}
     k0 = {}
@@ -316,9 +320,7 @@ def riemann_oracle(state: MetricState, order: int = STENCIL_ORDER) -> RiemannOra
     )
 
 
-def riemann_tensor_from_frame_symbols(
-    state: MetricState, order: int = STENCIL_ORDER
-) -> np.ndarray:
+def riemann_tensor_from_frame_symbols(state: MetricState) -> np.ndarray:
     """Full Rm_{alpha beta gamma delta} assembled numerically from frame symbols.
 
     R(E_a, E_b) E_c = grad_a grad_b E_c - grad_b grad_a E_c - grad_[E_a,E_b] E_c
@@ -327,11 +329,11 @@ def riemann_tensor_from_frame_symbols(
     array of shape (4, 4, 4, 4, n). This is a third, formula-free evaluation
     path used to arbitrate between the closed forms and the z-gauge oracle.
     """
-    syms = frame_symbol_oracle(state, order)
+    syms = frame_symbol_oracle(state)
     sigma = syms.sigma
     n = state.grid.n
     dz = state.grid.dz
-    dsigma = dz_values(sigma, dz, order)
+    dsigma = dz_values(sigma, dz)
 
     # structure[alpha, beta, u] = C^u_{alpha beta} of the frame bracket
     structure = np.zeros((4, 4, 4))

@@ -17,26 +17,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .grid import (
-    STENCIL_ORDER,
     DegenerateFiberError,
-    GaugeDegeneracyError,
     MetricState,
+    NonFiniteFieldError,
     PeriodicGrid,
     ScalarField,
-    dz_values,
     metric_state,
 )
-from .curvature import sectional_curvatures
+from .curvature import (
+    check_resolvable,
+    jet,
+    radii,
+    sectional_rows,
+    trace_invariants,
+)
 
 STOP_AMIN = "a_min_reached"
 STOP_TMAX = "t_max_reached"
-STOP_NONFINITE = "nonfinite_detected"
+STOP_HALVINGS = "step_halvings_exhausted"
 
 #: Attempts to halve dt after a rejected step before giving up.
 MAX_STEP_HALVINGS = 20
@@ -113,7 +116,6 @@ class Trajectory:
     """Recorded summaries, sparse full snapshots, and the stop condition."""
 
     grid: PeriodicGrid
-    stencil_order: int = STENCIL_ORDER
     samples: list[SummarySample] = dc_field(default_factory=list)
     snapshots: list[MetricState] = dc_field(default_factory=list)
     stop_reason: str = ""
@@ -142,104 +144,64 @@ class SingularityReport:
     a_min_final: float
 
 
-def _flow_rhs(
-    phi: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    dz: float,
-    order: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if min(a.min(), b.min(), c.min()) <= 0.0 or phi.min() <= 0.0:
+def _flow_rhs(phi: np.ndarray, x: np.ndarray, dz: float) -> np.ndarray:
+    """(dt a, dt b, dt c, dt log phi) stacked (4, n) for the radii x = (a, b, c).
+
+    Each row x couples to the next two rows cyclically, (y, z) = (b, c),
+    (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
+    order gives the same floating-point values as the written pairs.
+    """
+    if x.min() <= 0.0 or phi.min() <= 0.0:
         raise StepRejected("profiles left the positive cone")
-    ap = dz_values(a, dz, order) / phi
-    bp = dz_values(b, dz, order) / phi
-    cp = dz_values(c, dz, order) / phi
-    app = dz_values(ap, dz, order) / phi
-    bpp = dz_values(bp, dz, order) / phi
-    cpp = dz_values(cp, dz, order) / phi
-    denom = (a * b * c) ** 2
-    da = app + ap * (bp / b + cp / c) - 2.0 * a * (a**4 - (b * b - c * c) ** 2) / denom
-    db = bpp + bp * (ap / a + cp / c) - 2.0 * b * (b**4 - (a * a - c * c) ** 2) / denom
-    dc = cpp + cp * (ap / a + bp / b) - 2.0 * c * (c**4 - (a * a - b * b) ** 2) / denom
-    dlogphi = app / a + bpp / b + cpp / c
-    out = (da, db, dc, dlogphi)
-    if not all(np.all(np.isfinite(v)) for v in out):
+    xp, xpp = jet(phi, x, dz)
+    # Rows repeated twice, so rows 1:4 and 2:5 are each row's (y, z).
+    r = np.concatenate((xp / x,) * 2)
+    sq = np.concatenate((x * x,) * 2)
+    denom = (x[0] * x[1] * x[2]) ** 2
+    out = np.empty((4, x.shape[-1]))
+    out[:3] = (
+        xpp
+        + xp * (r[1:4] + r[2:5])
+        - 2.0 * x * (x**4 - (sq[1:4] - sq[2:5]) ** 2) / denom
+    )
+    q = xpp / x
+    out[3] = q[0] + q[1] + q[2]
+    if not np.isfinite(out).all():
         raise StepRejected("non-finite flow derivatives")
     return out
 
 
-def time_derivatives(
-    state: MetricState, order: int = STENCIL_ORDER
-) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField]:
+def time_derivatives(state: MetricState) -> tuple[ScalarField, ...]:
     """Pointwise right-hand sides (dt a, dt b, dt c, dt log phi)."""
-    da, db, dc, dlogphi = _flow_rhs(
-        state.phi.values,
-        state.a.values,
-        state.b.values,
-        state.c.values,
-        state.grid.dz,
-        order,
-    )
-    grid = state.grid
-    return (
-        ScalarField(grid, da),
-        ScalarField(grid, db),
-        ScalarField(grid, dc),
-        ScalarField(grid, dlogphi),
-    )
+    out = _flow_rhs(state.phi.values, radii(state), state.grid.dz)
+    return tuple(ScalarField(state.grid, v) for v in out)
 
 
-RhsFunction = Callable[[MetricState], tuple[ScalarField, ScalarField, ScalarField, ScalarField]]
-
-
-def rk4_step(
-    state: MetricState,
-    dt: float,
-    rhs: RhsFunction | None = None,
-    order: int = STENCIL_ORDER,
-) -> MetricState:
+def rk4_step(state: MetricState, dt: float) -> MetricState:
     """One classical RK4 step; raises StepRejected if positivity is lost.
 
-    phi advances through exp of the accumulated log-derivative increment, so
-    the gauge cannot change sign no matter the step size.
+    The stages work on one stacked (4, n) array (a, b, c, log phi); phi
+    advances through exp of the accumulated log-derivative increment, so the
+    gauge cannot change sign no matter the step size.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    dz = grid.dz
-    if rhs is None:
-        def eval_rhs(phi, a, b, c):
-            return _flow_rhs(phi, a, b, c, dz, order)
-    else:
-        def eval_rhs(phi, a, b, c):
-            out = rhs(metric_state(grid, state.t, phi, a, b, c))
-            return tuple(f.values for f in out)
+    dz = state.grid.dz
+    y0 = np.stack((state.a.values, state.b.values, state.c.values, np.log(state.phi.values)))
 
-    a0, b0, c0 = state.a.values, state.b.values, state.c.values
-    u0 = np.log(state.phi.values)
+    def stage(y):
+        return _flow_rhs(np.exp(y[3]), y[:3], dz)
 
-    def stage(a, b, c, u):
-        return eval_rhs(np.exp(u), a, b, c)
-
-    try:
-        k1 = stage(a0, b0, c0, u0)
-        k2 = stage(*(y + 0.5 * dt * k for y, k in zip((a0, b0, c0, u0), k1)))
-        k3 = stage(*(y + 0.5 * dt * k for y, k in zip((a0, b0, c0, u0), k2)))
-        k4 = stage(*(y + dt * k for y, k in zip((a0, b0, c0, u0), k3)))
-    except (DegenerateFiberError, GaugeDegeneracyError, FloatingPointError) as exc:
-        raise StepRejected(str(exc)) from exc
-
-    new = [
-        y + dt / 6.0 * (p + 2.0 * q + 2.0 * r + s)
-        for y, p, q, r, s in zip((a0, b0, c0, u0), k1, k2, k3, k4)
-    ]
-    a1, b1, c1, u1 = new
-    if not all(np.all(np.isfinite(v)) for v in new):
+    k1 = stage(y0)
+    k2 = stage(y0 + 0.5 * dt * k1)
+    k3 = stage(y0 + 0.5 * dt * k2)
+    k4 = stage(y0 + dt * k3)
+    y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(y1).all():
         raise StepRejected("non-finite state after step")
-    if min(a1.min(), b1.min(), c1.min()) <= 0.0:
+    if y1[:3].min() <= 0.0:
         raise StepRejected("positivity lost after step")
-    return metric_state(grid, state.t + dt, np.exp(u1), a1, b1, c1)
+    return metric_state(state.grid, state.t + dt, np.exp(y1[3]), *y1[:3])
 
 
 def adaptive_dt(state: MetricState, cfg: FlowConfig) -> float:
@@ -258,86 +220,68 @@ def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x - y) / np.minimum(x, y)
 
 
-def summarize_state(state: MetricState, dt: float, order: int = STENCIL_ORDER) -> SummarySample:
+def summarize_state(state: MetricState, dt: float) -> SummarySample:
     """All scalar reductions the monitors need, taken at one state."""
-    dz = state.grid.dz
-    phi = state.phi.values
-    a, b, c = state.a.values, state.b.values, state.c.values
+    check_resolvable(state)
+    x = radii(state)
+    a, b, c = x
+    xp, xpp = jet(state.phi.values, x, state.grid.dz)
+    scal, rm_norm_sq = curv = trace_invariants(sectional_rows(x, xp, xpp)[0])
+    if not np.isfinite(curv).all():
+        raise NonFiniteFieldError("curvature is not finite everywhere")
 
-    curv = sectional_curvatures(state, order)
-    rm = np.sqrt(curv.rm_norm_sq.values)
-    scal = curv.scal.values
-
-    ratio = c / a
-    ecc_bc = _eccentricity(b, c)
-    ecc_ac = _eccentricity(a, c)
-    ord_ba = b - a
-    ord_cb = c - b
-    sup_ap = np.abs(dz_values(a, dz, order) / phi)
-    sup_bp = np.abs(dz_values(b, dz, order) / phi)
-    sup_cp = np.abs(dz_values(c, dz, order) / phi)
-
-    def amin(v):
-        i = int(np.argmin(v))
-        return float(v[i]), i
-
-    def amax(v):
-        i = int(np.argmax(v))
-        return float(v[i]), i
-
-    a_min, a_min_idx = amin(a)
-    c_max, c_max_idx = amax(c)
-    ord_ba_min, ord_ba_idx = amin(ord_ba)
-    ord_cb_min, ord_cb_idx = amin(ord_cb)
-    ratio_max, ratio_max_idx = amax(ratio)
-    ecc_bc_max, ecc_bc_idx = amax(ecc_bc)
-    ecc_ac_max, ecc_ac_idx = amax(ecc_ac)
-    s_min, s_min_idx = amin(scal)
-    rm_max, rm_max_idx = amax(rm)
-    sup_ap_max, sup_ap_idx = amax(sup_ap)
-    sup_bp_max, sup_bp_idx = amax(sup_bp)
-    sup_cp_max, sup_cp_idx = amax(sup_cp)
-
+    # Rows reduced by min, then rows reduced by max; each with its first argument.
+    lows = np.stack((a, b, b - a, c - b, scal))
+    highs = np.concatenate((
+        np.stack((c, c / a, _eccentricity(b, c), _eccentricity(a, c), np.sqrt(rm_norm_sq))),
+        np.abs(xp),
+    ))
+    lo, hi = lows.argmin(axis=1), highs.argmax(axis=1)
+    a_min, b_min, ord_ba, ord_cb, s_min = lows[range(5), lo].tolist()
+    c_max, ratio, ecc_bc, ecc_ac, rm_max, sup_ap, sup_bp, sup_cp = highs[range(8), hi].tolist()
+    a_i, _, ba_i, cb_i, s_i = lo.tolist()
+    c_i, ratio_i, bc_i, ac_i, rm_i, ap_i, bp_i, cp_i = hi.tolist()
     return SummarySample(
         t=state.t,
         dt=dt,
         a_min=a_min,
-        a_min_idx=a_min_idx,
-        b_min=float(np.min(b)),
+        a_min_idx=a_i,
+        b_min=b_min,
         c_max=c_max,
-        c_max_idx=c_max_idx,
-        ord_ba_min=ord_ba_min,
-        ord_ba_idx=ord_ba_idx,
-        ord_cb_min=ord_cb_min,
-        ord_cb_idx=ord_cb_idx,
-        ratio_max=ratio_max,
-        ratio_max_idx=ratio_max_idx,
-        ecc_bc=ecc_bc_max,
-        ecc_bc_idx=ecc_bc_idx,
-        ecc_ac=ecc_ac_max,
-        ecc_ac_idx=ecc_ac_idx,
+        c_max_idx=c_i,
+        ord_ba_min=ord_ba,
+        ord_ba_idx=ba_i,
+        ord_cb_min=ord_cb,
+        ord_cb_idx=cb_i,
+        ratio_max=ratio,
+        ratio_max_idx=ratio_i,
+        ecc_bc=ecc_bc,
+        ecc_bc_idx=bc_i,
+        ecc_ac=ecc_ac,
+        ecc_ac_idx=ac_i,
         s_min=s_min,
-        s_min_idx=s_min_idx,
+        s_min_idx=s_i,
         rm_max=rm_max,
-        rm_max_idx=rm_max_idx,
-        sup_ap=sup_ap_max,
-        sup_ap_idx=sup_ap_idx,
-        sup_bp=sup_bp_max,
-        sup_bp_idx=sup_bp_idx,
-        sup_cp=sup_cp_max,
-        sup_cp_idx=sup_cp_idx,
+        rm_max_idx=rm_i,
+        sup_ap=sup_ap,
+        sup_ap_idx=ap_i,
+        sup_bp=sup_bp,
+        sup_bp_idx=bp_i,
+        sup_cp=sup_cp,
+        sup_cp_idx=cp_i,
     )
 
 
 def evolve(
     initial: MetricState, cfg: FlowConfig
 ) -> tuple[Trajectory, SingularityReport | None]:
-    """Step until the pinch threshold, the time cap, or loss of finiteness.
+    """Step until the pinch threshold, the time cap, or exhausted step halvings.
 
     Summaries are recorded every monitor_stride steps (plus the first and last
-    state); full snapshots every snapshot_stride steps. A rejected step is
-    retried with halved dt up to MAX_STEP_HALVINGS times; exhaustion stops the
-    run with the last good state preserved.
+    state); full snapshots every snapshot_stride steps. A rejected step (one
+    that leaves the positive cone or turns non-finite) is retried with halved
+    dt up to MAX_STEP_HALVINGS times; exhaustion stops the run with the last
+    good state preserved and stop reason STOP_HALVINGS.
     """
     traj = Trajectory(grid=initial.grid)
     state = initial
@@ -366,7 +310,7 @@ def evolve(
             except StepRejected:
                 dt *= 0.5
         if advanced is None:
-            stop = STOP_NONFINITE
+            stop = STOP_HALVINGS
             break
 
         state = advanced

@@ -2,10 +2,11 @@
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
 points. Metric profiles phi, a, b, c live on this grid as immutable scalar
-fields. Derivatives with respect to the base coordinate z use periodic central
-finite differences (4th order by default). Derivatives with respect to the
-arclength coordinate s, defined by ds = phi dz, are obtained through the chain
-rule d/ds = (1/phi) d/dz; the grid itself never moves while phi evolves.
+fields. Derivatives with respect to the base coordinate z use one 4th-order
+periodic central-difference stencil, applied row-wise to stacked arrays.
+Derivatives with respect to the arclength coordinate s, defined by ds = phi dz,
+are obtained through the chain rule d/ds = (1/phi) d/dz; the grid itself never
+moves while phi evolves.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ class DegenerateFiberError(ValueError):
     """A fiber radius is zero, negative, or below the resolvable floor."""
 
 
-#: Order of the default central-difference stencil.
+#: Order of the central-difference stencil.
 STENCIL_ORDER = 4
 
-# Antisymmetric one-sided halves of the central stencils, highest offset first.
+# Antisymmetric one-sided half of the central stencil, highest offset first.
 # Full stencil: sum_m w_m * (f_{k+m} - f_{k-m}) / dz.
-_STENCIL_WEIGHTS = {
-    2: (1.0 / 2.0,),
-    4: (-1.0 / 12.0, 8.0 / 12.0),
-    6: (1.0 / 60.0, -9.0 / 60.0, 45.0 / 60.0),
-}
+_STENCIL_WEIGHTS = (-1.0 / 12.0, 8.0 / 12.0)
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,10 @@ class ScalarField:
 
 def field(grid: PeriodicGrid, values) -> ScalarField:
     """Build a ScalarField, broadcasting scalars to the grid."""
-    values = np.broadcast_to(np.asarray(values, dtype=float), (grid.n,))
-    return ScalarField(grid, np.array(values))
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n,):
+        values = np.broadcast_to(values, (grid.n,))
+    return ScalarField(grid, values)
 
 
 @dataclass(frozen=True)
@@ -128,39 +127,42 @@ def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
     )
 
 
-def dz_values(values: np.ndarray, dz: float, order: int = STENCIL_ORDER) -> np.ndarray:
-    """Periodic central difference along the last axis; exact zero on constants."""
-    weights = _STENCIL_WEIGHTS[order]
-    half = len(weights)
+def dz_values(values: np.ndarray, dz: float) -> np.ndarray:
+    """Periodic central difference along the last axis; exact zero on constants.
+
+    Any leading axes are independent rows. The last axis is padded periodically
+    once and each stencil offset is a slice of the padded array.
+    """
+    half = len(_STENCIL_WEIGHTS)
+    n = values.shape[-1]
+    padded = np.concatenate((values[..., -half:], values, values[..., :half]), axis=-1)
     out = np.zeros_like(values)
-    for m, w in zip(range(half, 0, -1), weights):
-        out += w * (np.roll(values, -m, axis=-1) - np.roll(values, m, axis=-1))
+    for m, w in zip(range(half, 0, -1), _STENCIL_WEIGHTS):
+        out += w * (padded[..., half + m : half + m + n] - padded[..., half - m : half - m + n])
     return out / dz
 
 
-def d_z(f: ScalarField, order: int = STENCIL_ORDER) -> ScalarField:
+def d_z(f: ScalarField) -> ScalarField:
     """Derivative with respect to the base coordinate z."""
-    return ScalarField(f.grid, dz_values(f.values, f.grid.dz, order))
+    return ScalarField(f.grid, dz_values(f.values, f.grid.dz))
 
 
-def s_derivative(f: ScalarField, phi: ScalarField, order: int = STENCIL_ORDER) -> ScalarField:
+def s_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
     """Arclength derivative f' = (1/phi) df/dz."""
     if f.grid != phi.grid:
         raise ValueError("f and phi must share one grid")
     if np.min(phi.values) <= 0.0:
         raise GaugeDegeneracyError("phi must be strictly positive")
-    return ScalarField(f.grid, dz_values(f.values, f.grid.dz, order) / phi.values)
+    return ScalarField(f.grid, dz_values(f.values, f.grid.dz) / phi.values)
 
 
-def s_second_derivative(
-    f: ScalarField, phi: ScalarField, order: int = STENCIL_ORDER
-) -> ScalarField:
+def s_second_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
     """Second arclength derivative as two nested first derivatives.
 
     The nested form (1/phi) d/dz ((1/phi) df/dz) keeps the discrete product
     rule exact instead of expanding into df*dphi cross terms.
     """
-    return s_derivative(s_derivative(f, phi, order), phi, order)
+    return s_derivative(s_derivative(f, phi), phi)
 
 
 def arclength(phi: ScalarField) -> tuple[ScalarField, float]:

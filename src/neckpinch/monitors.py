@@ -5,7 +5,7 @@ bound (ordering preservation, eccentricity decay, ratio bounds, the two-sided
 pinch-rate estimates, derivative bounds, scalar-curvature positivity), records
 the worst signed margin together with where it occurred, and never aborts a
 run. Tolerances scale with the measured discretization error,
-tol = kappa * (dz^order + mean dt), so refinement strictly tightens every
+tol = kappa * (dz^4 + mean dt), so refinement strictly tightens every
 assertion. A violated bound is reported, not raised: it is the interesting
 output.
 """
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import sectional_curvatures
+from .curvature import jet, radii, sectional_curvatures
 from .flow import SingularityReport, Trajectory
-from .grid import MetricState, dz_values
+from .grid import STENCIL_ORDER, MetricState
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
 # sup|a'| <= 280 sqrt(3)/9, sup|b'| <= 4 sqrt(57)/3, sup|c'| <= 10 sqrt(93)/9
@@ -105,8 +105,8 @@ def constants(lam: float) -> TheoremConstants:
 
 
 def tolerance(traj: Trajectory, kappa: float = 1.0) -> float:
-    """Discretization-scaled slack: kappa * (dz^order + mean dt)."""
-    return kappa * (traj.grid.dz**traj.stencil_order + traj.dt_mean)
+    """Discretization-scaled slack: kappa * (dz^4 + mean dt), 4 the stencil order."""
+    return kappa * (traj.grid.dz**STENCIL_ORDER + traj.dt_mean)
 
 
 def _not_applicable(name: str, why: str) -> MonitorReport:
@@ -431,40 +431,28 @@ def concavity_check(
 # Curvature-evolution residuals
 
 
-def _k0i_evolution_rhs(state: MetricState, which: str, order: int) -> np.ndarray:
+def _k0i_evolution_rhs(state: MetricState, which: str) -> np.ndarray:
     """Right-hand side of the evolution equation for K_0i at one state.
 
     Written once for K_01 in the variables (x; y, z) = (a; b, c); the other two
     follow by relabeling x to b or c (the same symmetry the flow system has).
     """
+    rows = {"k01": (0, 1, 2), "k02": (1, 0, 2), "k03": (2, 0, 1)}
+    if which not in rows:
+        raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
+    i, j, l = rows[which]
     dz = state.grid.dz
     phi = state.phi.values
-    a, b, c = state.a.values, state.b.values, state.c.values
+    r = radii(state)
+    rp, rpp = jet(phi, r, dz)
+    k0 = -rpp / r
+    a, b, c = r
+    ap, bp, cp = rp
+    x, y, z = r[i], r[j], r[l]
+    xp, yp, zp = rp[i], rp[j], rp[l]
+    k_self, k_y, k_z = k0[i], k0[j], k0[l]
 
-    def sd(v):
-        return dz_values(v, dz, order) / phi
-
-    ap, bp, cp = sd(a), sd(b), sd(c)
-    curv = sectional_curvatures(state, order)
-    ks = {"k01": curv.k01.values, "k02": curv.k02.values, "k03": curv.k03.values}
-
-    if which == "k01":
-        x, y, z = a, b, c
-        xp, yp, zp = ap, bp, cp
-        k_self, k_y, k_z = ks["k01"], ks["k02"], ks["k03"]
-    elif which == "k02":
-        x, y, z = b, a, c
-        xp, yp, zp = bp, ap, cp
-        k_self, k_y, k_z = ks["k02"], ks["k01"], ks["k03"]
-    elif which == "k03":
-        x, y, z = c, a, b
-        xp, yp, zp = cp, ap, bp
-        k_self, k_y, k_z = ks["k03"], ks["k01"], ks["k02"]
-    else:
-        raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
-
-    kp = sd(k_self)
-    kpp = sd(kp)
+    kp, kpp = jet(phi, k_self, dz)
     laplacian = kpp + (ap / a + bp / b + cp / c) * kp
 
     x2, y2, z2 = x * x, y * y, z * z
@@ -520,17 +508,16 @@ def k0i_evolution_residual(traj: Trajectory, which: str = "k01") -> tuple[float,
         raise ValueError("need at least 3 snapshots for the residual check")
     mid = len(traj.snapshots) // 2
     s0, s1, s2 = traj.snapshots[mid - 1 : mid + 2]
-    order = traj.stencil_order
 
     def k_field(state):
-        return getattr(sectional_curvatures(state, order), which).values
+        return getattr(sectional_curvatures(state), which).values
 
     h0 = s1.t - s0.t
     h1 = s2.t - s1.t
     k0, k1, k2 = k_field(s0), k_field(s1), k_field(s2)
     dk_dt = (h0**2 * k2 + (h1**2 - h0**2) * k1 - h1**2 * k0) / (h0 * h1 * (h0 + h1))
 
-    rhs = _k0i_evolution_rhs(s1, which, order)
+    rhs = _k0i_evolution_rhs(s1, which)
     defect = np.abs(dk_dt - rhs)
     idx = int(np.argmax(defect))
     return float(defect[idx]), float(s1.t), idx

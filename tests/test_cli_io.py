@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -354,3 +355,36 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
             == 0
         )
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+
+
+# fig-a at n=64 with the default flow; the hash was recorded with the np.roll
+# stencil and per-profile RK4 stages that the stacked derivative path replaced.
+FIG_A_64_SERIES_SHA256 = "51b3f4298aa4862d4706cde3d58de60eec7c9b98bd9ce97ff3f699fd9e63c2d4"
+
+
+def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"preset": "fig-a", "grid_n": 64, "out_dir": str(tmp_path / "out")})
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    series = (tmp_path / "out" / "series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == FIG_A_64_SERIES_SHA256
+
+
+def test_cli_exhausted_halvings_exit_code(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "preset": "sphere",
+                "grid_n": 32,
+                "flow": {"fixed_dt": 1e9},
+                "out_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert doc["stop_reason"] == "step_halvings_exhausted"
+    assert doc["samples"] == 1

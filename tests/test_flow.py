@@ -4,6 +4,7 @@ import pytest
 from neckpinch.curvature import sectional_curvatures
 from neckpinch.flow import (
     STOP_AMIN,
+    STOP_HALVINGS,
     STOP_TMAX,
     FlowConfig,
     InsufficientSamplesError,
@@ -16,7 +17,7 @@ from neckpinch.flow import (
     rk4_step,
     time_derivatives,
 )
-from neckpinch.grid import PeriodicGrid, field, metric_state
+from neckpinch.grid import PeriodicGrid, metric_state
 from neckpinch.presets import get_preset
 
 from conftest import make_trajectory
@@ -63,20 +64,6 @@ def test_rk4_step_sphere_one_step():
     assert out.t == pytest.approx(dt)
     # exact solution a^2 = 4 - 4t; RK4's one-step defect is far below fp noise
     assert np.max(np.abs(out.a.values**2 - (4.0 - 4.0 * dt))) <= 1e-13
-
-
-def test_rk4_zero_rhs_keeps_state():
-    g = PeriodicGrid(32)
-    st = metric_state(g, 0.0, 1.3, np.cos(g.z) + 1.5, 2.5, 3.5)
-
-    def zero_rhs(state):
-        z = field(state.grid, 0.0)
-        return z, z, z, z
-
-    out = rk4_step(st, 0.1, rhs=zero_rhs)
-    assert out.t == pytest.approx(0.1)
-    for name in ("phi", "a", "b", "c"):
-        assert np.array_equal(getattr(out, name).values, getattr(st, name).values)
 
 
 def test_rk4_preserves_biaxial_closure():
@@ -170,6 +157,16 @@ def test_evolve_halves_rejected_steps():
     traj, _ = evolve(st, FlowConfig(fixed_dt=0.2, a_min_stop=0.35))
     assert traj.stop_reason == STOP_AMIN
     assert traj.samples[-1].a_min < 0.35
+
+
+def test_evolve_names_exhausted_halvings():
+    # finite data whose step stays too large after every halving
+    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
+    traj, report = evolve(st, FlowConfig(fixed_dt=1e9))
+    assert traj.stop_reason == STOP_HALVINGS == "step_halvings_exhausted"
+    assert len(traj.samples) == 1
+    assert traj.snapshots[-1] is st
+    assert report is None
 
 
 def test_evolve_ordering_slack_on_neck_data():

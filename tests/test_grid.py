@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neckpinch.curvature import jet
 from neckpinch.grid import (
     GaugeDegeneracyError,
     NonFiniteFieldError,
@@ -10,6 +11,7 @@ from neckpinch.grid import (
     ScalarField,
     arclength,
     d_z,
+    dz_values,
     extremum,
     field,
     metric_state,
@@ -99,6 +101,37 @@ def test_dz_linearity(alpha, beta):
     lhs = d_z(field(g, alpha * f + beta * h)).values
     rhs = alpha * d_z(field(g, f)).values + beta * d_z(field(g, h)).values
     assert np.allclose(lhs, rhs, atol=1e-11 * (1 + abs(alpha) + abs(beta)))
+
+
+def _roll_stencil(row, dz):
+    """The 5-point stencil on one 1-D row with np.roll, in the same order."""
+    out = np.zeros_like(row)
+    out += -1.0 / 12.0 * (np.roll(row, -2) - np.roll(row, 2))
+    out += 8.0 / 12.0 * (np.roll(row, -1) - np.roll(row, 1))
+    return out / dz
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (4, 4, 4)])
+def test_dz_values_stacked_rows_bitwise(lead):
+    g = PeriodicGrid(32)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=lead + (g.n,)) + np.cos(g.z)
+    got = dz_values(values, g.dz)
+    assert got.shape == values.shape
+    rows = values.reshape(-1, g.n)
+    want = np.stack([_roll_stencil(row, g.dz) for row in rows]).reshape(values.shape)
+    assert np.array_equal(got, want)
+
+
+def test_jet_matches_nested_s_derivative_bitwise():
+    g = PeriodicGrid(64)
+    phi = field(g, 1.3 + 0.4 * np.sin(g.z))
+    x = np.stack([np.cos(g.z) + 1.5, np.sin(2 * g.z) + 2.5, np.cos(3 * g.z) + 3.5])
+    xp, xpp = jet(phi.values, x, g.dz)
+    for row, d1, d2 in zip(x, xp, xpp):
+        f = field(g, row)
+        assert np.array_equal(d1, s_derivative(f, phi).values)
+        assert np.array_equal(d2, s_second_derivative(f, phi).values)
 
 
 def test_s_derivative_identity_gauge_is_bitwise_dz():
