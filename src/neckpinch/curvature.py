@@ -53,12 +53,16 @@ _PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
 def jet(phi: np.ndarray, x: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
     """First and second arclength derivatives (x', x'') of the rows of x.
 
-    x is a stacked (..., n) array, usually the radii (a, b, c). The second
-    derivative is nested, (1/phi) d/dz ((1/phi) dx/dz), exactly as in
-    s_second_derivative, so each row matches it bitwise.
+    x is a stacked (..., n) array, usually the radii (a, b, c); phi must
+    broadcast against it. The second derivative is nested,
+    (1/phi) d/dz ((1/phi) dx/dz), exactly as in s_second_derivative, so each
+    row matches it bitwise.
     """
-    xp = dz_values(x, dz) / phi
-    return xp, dz_values(xp, dz) / phi
+    xp = dz_values(x, dz)
+    xp /= phi
+    xpp = dz_values(xp, dz)
+    xpp /= phi
+    return xp, xpp
 
 
 def radii(state: MetricState) -> np.ndarray:
@@ -159,17 +163,21 @@ def fiber_sectional(state: MetricState) -> tuple[ScalarField, ScalarField, Scala
 def sectional_rows(
     x: np.ndarray, xp: np.ndarray, xpp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sectional curvatures (K01, K02, K03, K12, K13, K23) stacked (6, n) and
-    fiber curvatures (Khat12, Khat13, Khat23) stacked (3, n), from the radii
-    x = (a, b, c) and their jet."""
+    """Sectional curvatures (K01, K02, K03, K12, K13, K23) stacked (..., 6, n)
+    and fiber curvatures (Khat12, Khat13, Khat23) stacked (..., 3, n), from
+    the radii x = (a, b, c), stacked (..., 3, n), and their jet."""
     i, j, k = _PLANES
-    khat = _khat(x[i], x[j], x[k])
-    return np.concatenate((-xpp / x, -xp[i] * xp[j] / (x[i] * x[j]) + khat)), khat
+    xi, xj = x[..., i, :], x[..., j, :]
+    khat = _khat(xi, xj, x[..., k, :])
+    cross = -xp[..., i, :] * xp[..., j, :] / (xi * xj) + khat
+    return np.concatenate((-xpp / x, cross), axis=-2), khat
 
 
 def trace_invariants(k: np.ndarray) -> np.ndarray:
-    """(scal, |Rm|^2) stacked (2, n) from the six sectional curvature rows by
-    the trace identities scal = 2 sum K and |Rm|^2 = 2 sum K^2."""
+    """(scal, |Rm|^2) stacked (2, ..., n) from the six sectional curvature rows
+    k, stacked (..., 6, n), by the trace identities scal = 2 sum K and
+    |Rm|^2 = 2 sum K^2."""
+    k = np.moveaxis(k, -2, 0)
     k2 = k**2
     return 2.0 * np.stack(
         (k[0] + k[1] + k[2] + k[3] + k[4] + k[5], k2[0] + k2[1] + k2[2] + k2[3] + k2[4] + k2[5])

@@ -131,15 +131,21 @@ def dz_values(values: np.ndarray, dz: float) -> np.ndarray:
     """Periodic central difference along the last axis; exact zero on constants.
 
     Any leading axes are independent rows. The last axis is padded periodically
-    once and each stencil offset is a slice of the padded array.
+    once and each stencil offset is a slice of the padded array. The outermost
+    offset's term starts the sum, the others are added to it in place.
     """
     half = len(_STENCIL_WEIGHTS)
     n = values.shape[-1]
     padded = np.concatenate((values[..., -half:], values, values[..., :half]), axis=-1)
-    out = np.zeros_like(values)
-    for m, w in zip(range(half, 0, -1), _STENCIL_WEIGHTS):
-        out += w * (padded[..., half + m : half + m + n] - padded[..., half - m : half - m + n])
-    return out / dz
+    terms = (
+        w * (padded[..., half + m : half + m + n] - padded[..., half - m : half - m + n])
+        for m, w in zip(range(half, 0, -1), _STENCIL_WEIGHTS)
+    )
+    out = next(terms)
+    for term in terms:
+        out += term
+    out /= dz
+    return out
 
 
 def d_z(f: ScalarField) -> ScalarField:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neckpinch
 from neckpinch.cli import main
 from neckpinch.config import ConfigError, RunConfig, config_from_dict, load_config
 from neckpinch.flow import FlowConfig, evolve
@@ -103,6 +108,13 @@ def test_config_flow_override():
     cfg = config_from_dict({"preset": "fig-a", "flow": {"a_min_stop": 0.01}})
     assert cfg.flow.a_min_stop == 0.01
     assert cfg.flow.cfl_safety == FlowConfig().cfl_safety
+
+
+def test_config_rejects_a_min_stop_at_or_below_resolvable_floor():
+    for a_min_stop in (1e-9, 1e-8):
+        with pytest.raises(ConfigError, match="floor 1e-08"):
+            config_from_dict({"flow": {"a_min_stop": a_min_stop}})
+    assert config_from_dict({"flow": {"a_min_stop": 2e-8}}).flow.a_min_stop == 2e-8
 
 
 def test_config_round_trip(tmp_path):
@@ -211,6 +223,36 @@ def test_cli_run_sphere(tmp_path, capsys):
     assert (tmp_path / "summary.json").exists()
     captured = capsys.readouterr()
     assert "stop=a_min_reached" in captured.out
+
+
+def test_cli_series_fields_parse_as_floats(tmp_path):
+    # both dt branches occur here: the diffusion limit early, the reaction
+    # limit near the pinch
+    assert main(["run", "--preset", "sphere", "--grid-n", "32", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "series.csv").read_text().splitlines()
+    assert len(lines) > 2
+    for line in lines[1:]:
+        for value in line.split(","):
+            float(value)
+
+
+def test_cli_a_min_stop_below_floor_is_one_line_error(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": 1e-9}})
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "neckpinch.cli", "run", "--config", str(cfg_path)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "1e-08" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_cli_presets(capsys):
@@ -357,9 +399,11 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
-# fig-a at n=64 with the default flow; the hash was recorded with the np.roll
-# stencil and per-profile RK4 stages that the stacked derivative path replaced.
-FIG_A_64_SERIES_SHA256 = "51b3f4298aa4862d4706cde3d58de60eec7c9b98bd9ce97ff3f699fd9e63c2d4"
+# fig-a at n=64 with the default flow. The values were first recorded with the
+# np.roll stencil and per-profile RK4 stages that the stacked derivative path
+# replaced. The hash was re-pinned when the dt column stopped printing as
+# np.float64(...): every value parsed from the file stayed bitwise the same.
+FIG_A_64_SERIES_SHA256 = "3d313be5ac4ba26f9cf39deb9171f17ee8d3ee8cab8720cadb11606020ded868"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):

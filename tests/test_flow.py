@@ -1,23 +1,41 @@
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import neckpinch
+from neckpinch import flow
 from neckpinch.curvature import sectional_curvatures
 from neckpinch.flow import (
     STOP_AMIN,
     STOP_HALVINGS,
     STOP_TMAX,
+    SUMMARY_BLOCK,
     FlowConfig,
     InsufficientSamplesError,
     NoSingularityDetected,
     StepRejected,
+    SummarySample,
     adaptive_dt,
     estimate_singular_time,
     evolve,
     homogeneous_ode_oracle,
     rk4_step,
+    summarize_state,
     time_derivatives,
 )
-from neckpinch.grid import PeriodicGrid, metric_state
+from neckpinch.grid import (
+    DegenerateFiberError,
+    GaugeDegeneracyError,
+    NonFiniteFieldError,
+    PeriodicGrid,
+    metric_state,
+    s_derivative,
+)
 from neckpinch.presets import get_preset
 
 from conftest import make_trajectory
@@ -57,33 +75,38 @@ def test_biaxial_rhs_symmetry_bitwise():
 # --- stepping ----------------------------------------------------------------
 
 
+def stacked(state):
+    """The (4, n) stepping state (a, b, c, log phi) of a MetricState."""
+    return np.stack((state.a.values, state.b.values, state.c.values, np.log(state.phi.values)))
+
+
 def test_rk4_step_sphere_one_step():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
     dt = 1e-4
-    out = rk4_step(st, dt)
-    assert out.t == pytest.approx(dt)
+    out = rk4_step(stacked(st), dt, st.grid.dz)
+    assert out.shape == (4, 32)
     # exact solution a^2 = 4 - 4t; RK4's one-step defect is far below fp noise
-    assert np.max(np.abs(out.a.values**2 - (4.0 - 4.0 * dt))) <= 1e-13
+    assert np.max(np.abs(out[0] ** 2 - (4.0 - 4.0 * dt))) <= 1e-13
 
 
 def test_rk4_preserves_biaxial_closure():
     g = PeriodicGrid(64)
     b = np.cos(g.z) + 2.5
     st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
-    out = rk4_step(st, 1e-4)
-    assert np.max(np.abs(out.b.values - out.c.values)) == 0.0
+    out = rk4_step(stacked(st), 1e-4, g.dz)
+    assert np.max(np.abs(out[1] - out[2])) == 0.0
 
 
 def test_rk4_rejects_positivity_loss():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5)
     with pytest.raises(StepRejected):
-        rk4_step(st, 0.2)  # an internal stage drives a through zero
+        rk4_step(stacked(st), 0.2, st.grid.dz)  # an internal stage drives a through zero
 
 
 def test_rk4_rejects_nonpositive_dt():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        rk4_step(st, 0.0)
+        rk4_step(stacked(st), 0.0, st.grid.dz)
 
 
 def test_adaptive_dt_diffusion_branch():
@@ -91,6 +114,7 @@ def test_adaptive_dt_diffusion_branch():
     st = metric_state(g, 0.0, 1.0, 10.0, 10.0, 10.0)
     cfg = FlowConfig(cfl_safety=0.2)
     assert adaptive_dt(st, cfg) == pytest.approx(0.2 * g.dz**2)
+    assert type(adaptive_dt(st, cfg)) is float  # series.csv prints it with repr
 
 
 def test_adaptive_dt_reaction_branch():
@@ -98,6 +122,7 @@ def test_adaptive_dt_reaction_branch():
     st = metric_state(g, 0.0, 1.0, 0.01, 0.01, 0.01)
     cfg = FlowConfig(cfl_safety=0.3)
     assert adaptive_dt(st, cfg) == pytest.approx(0.3 * 1.25e-5)
+    assert type(adaptive_dt(st, cfg)) is float
 
 
 def test_adaptive_dt_quarters_when_dz_halves():
@@ -107,7 +132,133 @@ def test_adaptive_dt_quarters_when_dz_halves():
     assert dt_coarse / dt_fine == pytest.approx(4.0)
 
 
+# --- summaries ---------------------------------------------------------------
+
+
+def reference_sample(state, dt):
+    """The summary of one state from the ScalarField API, reduction by reduction."""
+    a, b, c = state.a.values, state.b.values, state.c.values
+    curv = sectional_curvatures(state)
+
+    def lowest(v):
+        i = int(np.argmin(v))
+        return float(v[i]), i
+
+    def highest(v):
+        i = int(np.argmax(v))
+        return float(v[i]), i
+
+    def ecc(x, y):
+        return np.abs(x - y) / np.minimum(x, y)
+
+    sup = [highest(np.abs(s_derivative(f, state.phi).values)) for f in (state.a, state.b, state.c)]
+    return SummarySample(
+        state.t,
+        dt,
+        *lowest(a),
+        lowest(b)[0],
+        *highest(c),
+        *lowest(b - a),
+        *lowest(c - b),
+        *highest(c / a),
+        *highest(ecc(b, c)),
+        *highest(ecc(a, c)),
+        *lowest(curv.scal.values),
+        *highest(np.sqrt(curv.rm_norm_sq.values)),
+        *sup[0],
+        *sup[1],
+        *sup[2],
+    )
+
+
+def bits(sample):
+    # repr is the shortest round trip, so equal strings mean equal bits
+    return [repr(v) for v in astuple(sample)]
+
+
+@pytest.fixture(scope="module")
+def fig_a_states():
+    st = get_preset("fig-a").build(PeriodicGrid(64))
+    traj, _ = evolve(st, FlowConfig(t_max=0.3, snapshot_stride=7))
+    assert len(traj.snapshots) >= 8
+    return traj.snapshots[:8]
+
+
+@pytest.mark.parametrize("size", [1, 3, SUMMARY_BLOCK])
+def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
+    states = fig_a_states[-size:]
+    dts = [1e-3 * (k + 1) for k in range(size)]
+    got = summarize_state(
+        [s.t for s in states],
+        dts,
+        np.stack([np.stack((s.a.values, s.b.values, s.c.values)) for s in states]),
+        np.stack([s.phi.values for s in states]),
+        states[0].grid.dz,
+    )
+    assert len(got) == size
+    for state, dt, sample in zip(states, dts, got):
+        assert bits(sample) == bits(reference_sample(state, dt))
+
+
+def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
+    x = np.stack([np.stack((s.a.values, s.b.values, s.c.values)) for s in fig_a_states[:3]])
+    phi = np.stack([s.phi.values for s in fig_a_states[:3]])
+    x[2, 1, 5] = 1e-9
+    with pytest.raises(DegenerateFiberError, match="1.000e-09"):
+        summarize_state([0.0, 0.1, 0.2], [0.0] * 3, x, phi, fig_a_states[0].grid.dz)
+
+
 # --- evolve ------------------------------------------------------------------
+
+
+RK4_STEP = flow.rk4_step
+
+
+def _reject_after(monkeypatch, steps):
+    """Make every step attempt after the first `steps` fail."""
+    attempts = []
+
+    def rk4_step(y, dt, dz):
+        attempts.append(dt)
+        if len(attempts) > steps:
+            raise StepRejected("forced")
+        return RK4_STEP(y, dt, dz)
+
+    monkeypatch.setattr(flow, "rk4_step", rk4_step)
+
+
+@pytest.mark.parametrize(
+    "stop, flow_kwargs",
+    [
+        (STOP_AMIN, {"a_min_stop": 0.3}),
+        (STOP_TMAX, {"t_max": 0.07}),
+        (STOP_HALVINGS, {}),
+    ],
+)
+def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, flow_kwargs):
+    st = get_preset("fig-a").build(PeriodicGrid(32))
+
+    def run(monitor_stride):
+        if stop == STOP_HALVINGS:
+            _reject_after(monkeypatch, 38)
+        cfg = FlowConfig(monitor_stride=monitor_stride, snapshot_stride=5, **flow_kwargs)
+        traj, _ = evolve(st, cfg)
+        assert traj.stop_reason == stop
+        return traj
+
+    every = run(1)
+    strided = run(3)
+    steps = len(every.samples) - 1
+    assert len(strided.samples) % SUMMARY_BLOCK != 0
+    assert steps % 3 != 0  # the last state is recorded although off the stride
+    expected = every.samples[::3] + every.samples[-1:]
+    assert [bits(s) for s in strided.samples] == [bits(s) for s in expected]
+    snapshot_ts = [s.t for s in every.samples[::5]]
+    if steps % 5:
+        snapshot_ts.append(every.samples[-1].t)
+    for traj in (every, strided):
+        assert traj.snapshots[0] is st
+        assert [s.t for s in traj.snapshots] == snapshot_ts
 
 
 def test_evolve_sphere_tracks_exact_solution():
@@ -167,6 +318,23 @@ def test_evolve_names_exhausted_halvings():
     assert len(traj.samples) == 1
     assert traj.snapshots[-1] is st
     assert report is None
+
+
+@pytest.mark.parametrize(
+    "log_phi, error", [(710.0, NonFiniteFieldError), (-746.0, GaugeDegeneracyError)]
+)
+def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_phi, error):
+    # exp(710) overflows to inf and exp(-746) underflows to 0 although the
+    # stepped log phi itself is finite
+    def rk4_step(y, dt, dz):
+        y1 = RK4_STEP(y, dt, dz)
+        y1[3, 5] = log_phi
+        return y1
+
+    monkeypatch.setattr(flow, "rk4_step", rk4_step)
+    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
+    with pytest.raises(error), np.errstate(over="ignore"):
+        evolve(st, FlowConfig())
 
 
 def test_evolve_ordering_slack_on_neck_data():
@@ -252,6 +420,15 @@ def test_estimate_rejects_insufficient_samples():
 
 
 # --- homogeneous ODE oracle ----------------------------------------------------
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])}
+    code = "import sys, neckpinch; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_oracle_sphere_exact():
