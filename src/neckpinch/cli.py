@@ -93,7 +93,7 @@ def _cmd_run(args) -> int:
 
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled, cfg.kappa)
     type1 = monitors.type1_classifier(traj, report)
-    lam = traj.samples[0].ratio_max
+    lam = traj.series("ratio_max")[0].item()
     consts = monitors.constants(lam) if lam >= 1.0 else None
 
     out_dir = Path(cfg.out_dir)
@@ -105,9 +105,9 @@ def _cmd_run(args) -> int:
             traj, report, reports, type1, consts, cfg.as_dict(), out_dir / "summary.json"
         )
 
-    last = traj.samples[-1]
+    t_final, a_min, c_max = (traj.series(name)[-1] for name in ("t", "a_min", "c_max"))
     print(f"run: preset={preset.name} n={cfg.grid_n} stop={traj.stop_reason}")
-    print(f"  t_final={last.t:.6g} a_min={last.a_min:.6g} c_max={last.c_max:.6g}")
+    print(f"  t_final={t_final:.6g} a_min={a_min:.6g} c_max={c_max:.6g}")
     if report:
         print(f"  T_estimate={report.t_estimate:.6g} fit_residual={report.fit_residual:.3e}")
     print(f"  type1: {type1.classification} sup(T-t)|Rm|={type1.sup_tml_rm:.4g}")

@@ -12,15 +12,10 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .flow import FlowConfig
-from .monitors import DEFAULT_MONITORS
+from .monitors import DEFAULT_MONITORS, MONITORS
 from .presets import Preset, Profile, get_preset
 
 _KNOWN_FORMATS = ("csv", "json")
-_KNOWN_MONITORS = DEFAULT_MONITORS + (
-    "evolution_residual_k01",
-    "evolution_residual_k02",
-    "evolution_residual_k03",
-)
 
 _FLOW_KEYS = {
     "cfl_safety",
@@ -69,7 +64,7 @@ class RunConfig:
             if fmt not in _KNOWN_FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
         for name in self.monitors_enabled:
-            if name not in _KNOWN_MONITORS:
+            if name not in MONITORS:
                 raise ConfigError(f"unknown monitor {name!r}")
         if self.kappa <= 0.0:
             raise ConfigError("kappa must be positive")

@@ -15,13 +15,17 @@ cannot decrease faster than rate 4.
 Between steps, evolve holds the state as the stacked (4, n) array
 (a, b, c, log phi) and phi, with t and dt as Python floats; a MetricState is
 built only for the snapshots and the final state. The per-sample summaries
-are computed SUMMARY_BLOCK states at a time on stacked arrays.
+are computed SUMMARY_BLOCK states at a time on stacked arrays and kept as
+columns of one float table and one index table.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,50 +98,157 @@ class FlowConfig:
             raise ValueError("fixed_dt must be positive when set")
 
 
-@dataclass(frozen=True)
-class SummarySample:
-    """Scalar reductions of one state, with the grid index attaining each."""
+class SummarySample(NamedTuple):
+    """Scalar reductions of one state, with the grid index attaining each.
+
+    A row of a Trajectory, built on demand from its columns: the value
+    fields first, then the index fields.
+    """
 
     t: float
     dt: float
     a_min: float
-    a_min_idx: int
     b_min: float
-    c_max: float
-    c_max_idx: int
     ord_ba_min: float
-    ord_ba_idx: int
     ord_cb_min: float
-    ord_cb_idx: int
-    ratio_max: float
-    ratio_max_idx: int
-    ecc_bc: float
-    ecc_bc_idx: int
-    ecc_ac: float
-    ecc_ac_idx: int
     s_min: float
-    s_min_idx: int
+    c_max: float
+    ratio_max: float
+    ecc_bc: float
+    ecc_ac: float
     rm_max: float
-    rm_max_idx: int
     sup_ap: float
-    sup_ap_idx: int
     sup_bp: float
-    sup_bp_idx: int
     sup_cp: float
+    a_min_idx: int
+    ord_ba_idx: int
+    ord_cb_idx: int
+    s_min_idx: int
+    c_max_idx: int
+    ratio_max_idx: int
+    ecc_bc_idx: int
+    ecc_ac_idx: int
+    rm_max_idx: int
+    sup_ap_idx: int
+    sup_bp_idx: int
     sup_cp_idx: int
 
 
+#: Rows of a Trajectory's float table and of its index table, in order.
+VALUE_FIELDS = SummarySample._fields[:15]
+INDEX_FIELDS = SummarySample._fields[15:]
+_COLUMN = {name: (0, k) for k, name in enumerate(VALUE_FIELDS)} | {
+    name: (1, k) for k, name in enumerate(INDEX_FIELDS)
+}
+
+
 @dataclass
+class RunStats:
+    """Counters of one evolve call.
+
+    steps: accepted steps. rejected: step attempts rejected and retried with
+    halved dt (an exhausted run adds MAX_STEP_HALVINGS + 1). diffusion_limited:
+    accepted steps whose adaptive dt came from the explicit-diffusion limit
+    rather than the reaction limit.
+    """
+
+    steps: int = 0
+    rejected: int = 0
+    diffusion_limited: int = 0
+
+    def as_dict(self) -> dict:
+        return {
+            "steps": self.steps,
+            "rejected": self.rejected,
+            "diffusion_limited": self.diffusion_limited,
+        }
+
+
+#: Blocks joined into one chunk of a Trajectory (about 512 samples in blocks
+#: of SUMMARY_BLOCK): few arrays per run, and each join copies little.
+_BLOCKS_PER_CHUNK = 64
+
+
+class _Rows(Sequence):
+    """Row view of a Trajectory: len() and [k], k possibly negative."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return sum(values.shape[1] for values, _ in self._traj._chunks())
+
+    def __getitem__(self, k) -> SummarySample:
+        k = range(len(self))[operator.index(k)]
+        for values, indices in self._traj._chunks():
+            if k < values.shape[1]:
+                return SummarySample(*values[:, k].tolist(), *indices[:, k].tolist())
+            k -= values.shape[1]
+
+
+@dataclass(eq=False)
 class Trajectory:
-    """Recorded summaries, sparse full snapshots, and the stop condition."""
+    """Recorded summaries as columns, sparse full snapshots, the stop
+    condition and the run counters.
+
+    The summaries are a float64 table with a row per VALUE_FIELDS name and
+    an integer table with a row per INDEX_FIELDS name, a column per sample,
+    held as a list of chunks. extend() appends a block of columns and joins
+    every _BLOCKS_PER_CHUNK blocks into one chunk, so the tables grow by
+    amortized chunks, hold no column beyond the samples recorded, and are
+    never copied whole. series(name) joins one row across the chunks into a
+    new array, column_blocks() streams columns a bounded block at a time,
+    and samples gives len() and rows built on demand.
+    """
 
     grid: PeriodicGrid
-    samples: list[SummarySample] = dc_field(default_factory=list)
     snapshots: list[MetricState] = dc_field(default_factory=list)
     stop_reason: str = ""
+    run_stats: RunStats = dc_field(default_factory=RunStats)
+    _sealed: list[tuple[np.ndarray, np.ndarray]] = dc_field(init=False, repr=False)
+    _open: list[tuple[np.ndarray, np.ndarray]] = dc_field(
+        init=False, repr=False, default_factory=list
+    )
+
+    def __post_init__(self):
+        # An empty first chunk gives every column its dtype.
+        self._sealed = [
+            (np.empty((len(VALUE_FIELDS), 0)), np.empty((len(INDEX_FIELDS), 0), dtype=np.intp))
+        ]
+
+    def extend(self, values: np.ndarray, indices: np.ndarray) -> None:
+        """Append samples: values (len(VALUE_FIELDS), B), indices (len(INDEX_FIELDS), B)."""
+        b = values.shape[-1]
+        if values.shape != (len(VALUE_FIELDS), b) or indices.shape != (len(INDEX_FIELDS), b):
+            raise ValueError(f"mismatched blocks {values.shape} and {indices.shape}")
+        self._open.append((values, indices))
+        if len(self._open) == _BLOCKS_PER_CHUNK:
+            self._seal()
+
+    def _seal(self) -> None:
+        values, indices = zip(*self._open)
+        self._sealed.append((np.concatenate(values, axis=1), np.concatenate(indices, axis=1)))
+        self._open.clear()
+
+    def _chunks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._open:
+            self._seal()
+        return self._sealed
+
+    @property
+    def samples(self) -> Sequence[SummarySample]:
+        return _Rows(self)
 
     def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.samples])
+        table, row = _COLUMN[name]
+        return np.concatenate([chunk[table][row] for chunk in self._chunks()])
+
+    def column_blocks(self, names: Sequence[str], size: int) -> Iterator[np.ndarray]:
+        """The named columns stacked (len(names), m), m <= size, in sample order."""
+        rows = [_COLUMN[name] for name in names]
+        for chunk in self._chunks():
+            for lo in range(0, chunk[0].shape[1], size):
+                yield np.stack([chunk[table][row, lo : lo + size] for table, row in rows])
 
     @property
     def ts(self) -> np.ndarray:
@@ -232,10 +343,11 @@ def rk4_step(y0: np.ndarray, dt: float, dz: float) -> np.ndarray:
     return y1
 
 
-def _step_limit(phi_min: float, a_min: float, dz: float, cfl_safety: float) -> float:
-    """adaptive_dt from the minima of phi and a, as a Python float."""
+def _step_limits(phi_min: float, a_min: float, dz: float) -> tuple[float, float]:
+    """The (diffusion, reaction) limits of adaptive_dt before the cfl factor,
+    from the minima of phi and a, as Python floats."""
     mesh = phi_min * dz
-    return cfl_safety * min(mesh * mesh, a_min * a_min / 8.0)
+    return mesh * mesh, a_min * a_min / 8.0
 
 
 def adaptive_dt(state: MetricState, cfg: FlowConfig) -> float:
@@ -246,7 +358,7 @@ def adaptive_dt(state: MetricState, cfg: FlowConfig) -> float:
     pinch.
     """
     phi_min, a_min = float(np.min(state.phi.values)), float(np.min(state.a.values))
-    return _step_limit(phi_min, a_min, state.grid.dz, cfg.cfl_safety)
+    return cfg.cfl_safety * min(_step_limits(phi_min, a_min, state.grid.dz))
 
 
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -255,12 +367,15 @@ def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def summarize_state(
     ts: list[float], dts: list[float], x: np.ndarray, phi: np.ndarray, dz: float
-) -> list[SummarySample]:
+) -> tuple[np.ndarray, np.ndarray]:
     """All scalar reductions the monitors need, for a block of B states.
 
     ts and dts hold the B times and steps, x the radii stacked (B, 3, n) and
-    phi the gauges stacked (B, n). Every reduction runs along the last axis,
-    so each sample is bitwise the one a block of that state alone gives.
+    phi the gauges stacked (B, n). Returns the block's columns for
+    Trajectory.extend: values (len(VALUE_FIELDS), B) and argmin/argmax
+    indices (len(INDEX_FIELDS), B), each index the first attaining its value.
+    Every reduction runs along the last axis, so each sample is bitwise the
+    one a block of that state alone gives.
     """
     smallest = x.min()
     if smallest < MIN_RADIUS:
@@ -272,54 +387,20 @@ def summarize_state(
     if not np.isfinite(curv).all():
         raise NonFiniteFieldError("curvature is not finite everywhere")
 
-    # Rows reduced by min, then rows reduced by max; each with its first argument.
+    # Rows reduced by min, then rows reduced by max, in VALUE_FIELDS order;
+    # b_min is the one value without an index.
     a, b, c = x[:, 0], x[:, 1], x[:, 2]
-    lows = np.stack((a, b, b - a, c - b, scal), axis=1)
+    lows = np.stack((a, b, b - a, c - b, scal))
     ratios = (c, c / a, _eccentricity(b, c), _eccentricity(a, c), np.sqrt(rm_norm_sq))
-    highs = np.concatenate((np.stack(ratios, axis=1), np.abs(xp)), axis=1)
+    highs = np.concatenate((np.stack(ratios), np.moveaxis(np.abs(xp), 1, 0)))
     lo, hi = lows.argmin(axis=-1), highs.argmax(axis=-1)
-    lo_values = np.take_along_axis(lows, lo[..., np.newaxis], axis=-1)[..., 0]
-    hi_values = np.take_along_axis(highs, hi[..., np.newaxis], axis=-1)[..., 0]
-    samples = []
-    for t, dt, lows_b, lo_b, highs_b, hi_b in zip(
-        ts, dts, lo_values.tolist(), lo.tolist(), hi_values.tolist(), hi.tolist()
-    ):
-        a_min, b_min, ord_ba, ord_cb, s_min = lows_b
-        c_max, ratio, ecc_bc, ecc_ac, rm_max, sup_ap, sup_bp, sup_cp = highs_b
-        a_i, _, ba_i, cb_i, s_i = lo_b
-        c_i, ratio_i, bc_i, ac_i, rm_i, ap_i, bp_i, cp_i = hi_b
-        samples.append(
-            SummarySample(
-                t=t,
-                dt=dt,
-                a_min=a_min,
-                a_min_idx=a_i,
-                b_min=b_min,
-                c_max=c_max,
-                c_max_idx=c_i,
-                ord_ba_min=ord_ba,
-                ord_ba_idx=ba_i,
-                ord_cb_min=ord_cb,
-                ord_cb_idx=cb_i,
-                ratio_max=ratio,
-                ratio_max_idx=ratio_i,
-                ecc_bc=ecc_bc,
-                ecc_bc_idx=bc_i,
-                ecc_ac=ecc_ac,
-                ecc_ac_idx=ac_i,
-                s_min=s_min,
-                s_min_idx=s_i,
-                rm_max=rm_max,
-                rm_max_idx=rm_i,
-                sup_ap=sup_ap,
-                sup_ap_idx=ap_i,
-                sup_bp=sup_bp,
-                sup_bp_idx=bp_i,
-                sup_cp=sup_cp,
-                sup_cp_idx=cp_i,
-            )
-        )
-    return samples
+    values = np.concatenate((
+        [ts, dts],
+        np.take_along_axis(lows, lo[..., np.newaxis], axis=-1)[..., 0],
+        np.take_along_axis(highs, hi[..., np.newaxis], axis=-1)[..., 0],
+    ))
+    indices = np.concatenate((lo[[0, 2, 3, 4]], hi))
+    return values, indices
 
 
 def _accepted_gauge(y: np.ndarray) -> np.ndarray:
@@ -349,6 +430,8 @@ def evolve(
     step (one that leaves the positive cone or turns non-finite) is retried
     with halved dt up to MAX_STEP_HALVINGS times; exhaustion stops the run
     with the last good state preserved and stop reason STOP_HALVINGS.
+    traj.run_stats counts the accepted steps, the rejected attempts and the
+    steps whose dt the diffusion limit set.
     """
     grid = initial.grid
     dz = grid.dz
@@ -361,7 +444,7 @@ def evolve(
 
     def flush():
         k = len(block_t)
-        traj.samples.extend(summarize_state(block_t, block_dt, block_x[:k], block_phi[:k], dz))
+        traj.extend(*summarize_state(block_t, block_dt, block_x[:k], block_phi[:k], dz))
         block_t.clear()
         block_dt.clear()
 
@@ -381,7 +464,7 @@ def evolve(
     flush()
     recorded_t = t
 
-    step = 0
+    stats = traj.run_stats
     last_dt = 0.0
     while True:
         a_min = float(y[0].min())
@@ -392,8 +475,11 @@ def evolve(
             stop = STOP_TMAX
             break
 
+        diffusion_limited = False
         if cfg.fixed_dt is None:
-            dt = _step_limit(float(phi.min()), a_min, dz, cfg.cfl_safety)
+            diffusion, reaction = _step_limits(float(phi.min()), a_min, dz)
+            diffusion_limited = diffusion <= reaction
+            dt = cfg.cfl_safety * min(diffusion, reaction)
         else:
             dt = cfg.fixed_dt
         dt = min(dt, cfg.t_max - t)
@@ -403,6 +489,7 @@ def evolve(
                 advanced = rk4_step(y, dt, dz)
                 break
             except StepRejected:
+                stats.rejected += 1
                 dt *= 0.5
         if advanced is None:
             stop = STOP_HALVINGS
@@ -411,12 +498,13 @@ def evolve(
         phi = _accepted_gauge(advanced)
         y = advanced
         t += dt
-        step += 1
+        stats.steps += 1
+        stats.diffusion_limited += diffusion_limited
         last_dt = dt
-        if step % cfg.monitor_stride == 0:
+        if stats.steps % cfg.monitor_stride == 0:
             record(t, dt, y, phi)
             recorded_t = t
-        if step % cfg.snapshot_stride == 0:
+        if stats.steps % cfg.snapshot_stride == 0:
             traj.snapshots.append(metric_state(grid, t, phi, *y[:3]))
 
     if recorded_t < t:

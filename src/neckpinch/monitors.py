@@ -7,7 +7,8 @@ the worst signed margin together with where it occurred, and never aborts a
 run. Tolerances scale with the measured discretization error,
 tol = kappa * (dz^4 + mean dt), so refinement strictly tightens every
 assertion. A violated bound is reported, not raised: it is the interesting
-output.
+output. Monitors read the trajectory's columns, and MONITORS maps every
+monitor name to its function for run_monitors and the config check.
 """
 
 from __future__ import annotations
@@ -119,9 +120,27 @@ def _not_applicable(name: str, why: str) -> MonitorReport:
     )
 
 
+def _first(traj: Trajectory, name: str) -> float:
+    # A Python float, as the first sample's fields were: its callers square
+    # it with float powers, and libm's pow and NumPy's squaring round about
+    # 1 value in 1000 differently.
+    return traj.series(name)[0].item()
+
+
+def _first_min(columns: list[np.ndarray]) -> tuple[float, int, int]:
+    """(value, sample, column) of the smallest entry of equal-length columns,
+    scanned sample by sample and, within a sample, in column order: the first
+    occurrence wins, as in a running strict minimum."""
+    flat = np.stack(columns, axis=1).ravel()
+    k = int(np.argmin(flat))
+    sample, column = divmod(k, len(columns))
+    return flat[k].item(), sample, column
+
+
 def _initially_ordered(traj: Trajectory) -> bool:
-    first = traj.samples[0]
-    return min(first.ord_ba_min, first.ord_cb_min) >= -_PRECONDITION_SLACK
+    return (
+        min(_first(traj, "ord_ba_min"), _first(traj, "ord_cb_min")) >= -_PRECONDITION_SLACK
+    )
 
 
 def ordering_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
@@ -130,13 +149,9 @@ def ordering_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     if not _initially_ordered(traj):
         return _not_applicable(name, "initial data is not ordered a <= b <= c")
     tol = tolerance(traj, kappa)
-    worst = math.inf
-    where = None
-    for s in traj.samples:
-        if s.ord_ba_min < worst:
-            worst, where = s.ord_ba_min, (s.t, s.ord_ba_idx)
-        if s.ord_cb_min < worst:
-            worst, where = s.ord_cb_min, (s.t, s.ord_cb_idx)
+    worst, k, col = _first_min([traj.series("ord_ba_min"), traj.series("ord_cb_min")])
+    idx = traj.series(("ord_ba_idx", "ord_cb_idx")[col])[k]
+    where = (traj.ts[k].item(), int(idx))
     return MonitorReport(
         name=name,
         passed=worst >= -tol,
@@ -151,16 +166,14 @@ def eccentricity_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     name = "eccentricity"
     if not _initially_ordered(traj):
         return _not_applicable(name, "initial data is not ordered a <= b <= c")
-    tol = tolerance(traj, kappa)
-    worst = math.inf
-    where = None
-    for prev, cur in zip(traj.samples, traj.samples[1:]):
-        for attr in ("ecc_bc", "ecc_ac"):
-            drop = getattr(prev, attr) - getattr(cur, attr)
-            if drop < worst:
-                worst, where = drop, (cur.t, getattr(cur, f"{attr}_idx"))
-    if where is None:
+    if traj.ts.size < 2:
         return _not_applicable(name, "need at least two samples")
+    tol = tolerance(traj, kappa)
+    attrs = ("ecc_bc", "ecc_ac")
+    drops = [col[:-1] - col[1:] for col in map(traj.series, attrs)]
+    worst, k, col = _first_min(drops)
+    idx = traj.series(f"{attrs[col]}_idx")[k + 1]
+    where = (traj.ts[k + 1].item(), int(idx))
     return MonitorReport(
         name=name,
         passed=worst >= -tol,
@@ -177,21 +190,18 @@ def ratio_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     if not _initially_ordered(traj):
         return _not_applicable(name, "initial data is not ordered a <= b <= c")
     tol = tolerance(traj, kappa)
-    lam = traj.samples[0].ratio_max
-    c0_sq = traj.samples[0].c_max ** 2
+    lam = _first(traj, "ratio_max")
+    c0_sq = _first(traj, "c_max") ** 2
+    ratio = traj.series("ratio_max")
 
-    plain = math.inf
-    refined = math.inf
-    where = None
-    for s in traj.samples:
-        margin = lam - s.ratio_max
-        if margin < plain:
-            plain, where = margin, (s.t, s.ratio_max_idx)
-        envelope = (
-            math.exp(lam**2 - 1.0) * (lam**2 - 1.0) * (1.0 - 4.0 * s.t / c0_sq) ** 2
-            + 1.0
-        )
-        refined = min(refined, envelope - s.ratio_max**2)
+    plain, k, _ = _first_min([lam - ratio])
+    where = (traj.ts[k].item(), int(traj.series("ratio_max_idx")[k]))
+    # Float powers of Python floats, as libm rounds them (see _first).
+    growth = math.exp(lam**2 - 1.0) * (lam**2 - 1.0)
+    refined = min(
+        growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
+        for t, r in zip(traj.ts.tolist(), ratio.tolist())
+    )
     worst = min(plain, refined)
     return MonitorReport(
         name=name,
@@ -218,13 +228,14 @@ def amin_bound_monitor(
     upper = 4.0 * (T - ts) - amin_sq
     k_up = int(np.argmin(upper))
     upper_margin = float(upper[k_up])
-    where = (float(ts[k_up]), traj.samples[k_up].a_min_idx)
+    a_min_idx = traj.series("a_min_idx")
+    where = (float(ts[k_up]), int(a_min_idx[k_up]))
 
     slopes = np.diff(amin_sq) / np.diff(ts)
     slope_margin = float(np.min(slopes + 4.0)) if slopes.size else math.inf
 
-    lam = traj.samples[0].ratio_max
-    s_min0 = traj.samples[0].s_min
+    lam = _first(traj, "ratio_max")
+    s_min0 = _first(traj, "s_min")
     lower_margin = None
     if lam < 2.0 and s_min0 >= -tol:
         d_lower = constants(max(lam, 1.0)).d_lower
@@ -232,7 +243,7 @@ def amin_bound_monitor(
         k_lo = int(np.argmin(lower))
         lower_margin = float(lower[k_lo])
         if lower_margin < upper_margin:
-            where = (float(ts[k_lo]), traj.samples[k_lo].a_min_idx)
+            where = (float(ts[k_lo]), int(a_min_idx[k_lo]))
 
     margins = [upper_margin] + ([lower_margin] if lower_margin is not None else [])
     worst = min(margins)
@@ -261,7 +272,7 @@ def cmax_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     bound = c0_sq - 4.0 * ts - cmax_sq
     k = int(np.argmin(bound))
     bound_margin = float(bound[k])
-    where = (float(ts[k]), traj.samples[k].c_max_idx)
+    where = (float(ts[k]), int(traj.series("c_max_idx")[k]))
 
     slopes = np.diff(cmax_sq) / np.diff(ts)
     slope_margin = float(np.min(-4.0 - slopes)) if slopes.size else math.inf
@@ -290,23 +301,18 @@ def derivative_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorRep
     name = "derivative_bound"
     if not _initially_ordered(traj):
         return _not_applicable(name, "initial data is not ordered a <= b <= c")
-    lam = traj.samples[0].ratio_max
+    lam = _first(traj, "ratio_max")
     if lam >= 2.0:
         return _not_applicable(name, f"max(c/a) = {lam:.4g} >= 2; bound not claimed")
     tol = tolerance(traj, kappa)
-    first = traj.samples[0]
-    bounds = {
-        "sup_ap": max(DERIV_BOUND_A, first.sup_ap),
-        "sup_bp": max(DERIV_BOUND_B, first.sup_bp),
-        "sup_cp": max(DERIV_BOUND_C, first.sup_cp),
-    }
-    worst = math.inf
-    where = None
-    for s in traj.samples:
-        for attr, bound in bounds.items():
-            margin = bound - getattr(s, attr)
-            if margin < worst:
-                worst, where = margin, (s.t, getattr(s, f"{attr}_idx"))
+    attrs = ("sup_ap", "sup_bp", "sup_cp")
+    universal = (DERIV_BOUND_A, DERIV_BOUND_B, DERIV_BOUND_C)
+    margins = [
+        max(bound, _first(traj, attr)) - traj.series(attr)
+        for attr, bound in zip(attrs, universal)
+    ]
+    worst, k, col = _first_min(margins)
+    where = (traj.ts[k].item(), int(traj.series(f"{attrs[col]}_idx")[k]))
     return MonitorReport(
         name=name,
         passed=worst >= -tol,
@@ -320,14 +326,11 @@ def scalar_min_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     """min_z S stays nonnegative whenever it starts nonnegative."""
     name = "scalar_min"
     tol = tolerance(traj, kappa)
-    s0 = traj.samples[0].s_min
+    s0 = _first(traj, "s_min")
     if s0 < -tol:
         return _not_applicable(name, f"initial min S = {s0:.4g} < 0")
-    worst = math.inf
-    where = None
-    for s in traj.samples:
-        if s.s_min < worst:
-            worst, where = s.s_min, (s.t, s.s_min_idx)
+    worst, k, _ = _first_min([traj.series("s_min")])
+    where = (traj.ts[k].item(), int(traj.series("s_min_idx")[k]))
     return MonitorReport(
         name=name,
         passed=worst >= -tol,
@@ -379,8 +382,8 @@ def type1_classifier(
     y_d = (T - t_d) * rm_max[decade]
     slope = float(np.polyfit(np.log(T - t_d), np.log(y_d), 1)[0])
 
-    lam = traj.samples[0].ratio_max
-    s_min0 = traj.samples[0].s_min
+    lam = _first(traj, "ratio_max")
+    s_min0 = _first(traj, "s_min")
     lower_edge = 0.0
     if lam < 2.0 and s_min0 >= 0.0:
         d_lower = constants(max(lam, 1.0)).d_lower
@@ -409,7 +412,7 @@ def concavity_check(
     Evidence only: concavity of the pinch profile is observed, not proved.
     """
     name = "concavity"
-    if len(traj.samples) < 20:
+    if traj.ts.size < 20:
         return _not_applicable(name, "need at least 20 samples")
     tol = tolerance(traj, kappa)
     ts = traj.ts
@@ -543,17 +546,25 @@ def evolution_residual(traj: Trajectory, which: str = "k01") -> MonitorReport:
     )
 
 
-#: Monitors that run against a finished trajectory by default.
-DEFAULT_MONITORS = (
-    "ordering",
-    "eccentricity",
-    "ratio",
-    "amin_bound",
-    "cmax_bound",
-    "derivative_bound",
-    "scalar_min",
-    "concavity",
-)
+#: Every monitor by name, each called as fn(traj, report, kappa).
+MONITORS = {
+    "ordering": lambda traj, report, kappa: ordering_monitor(traj, kappa),
+    "eccentricity": lambda traj, report, kappa: eccentricity_monitor(traj, kappa),
+    "ratio": lambda traj, report, kappa: ratio_monitor(traj, kappa),
+    "amin_bound": amin_bound_monitor,
+    "cmax_bound": lambda traj, report, kappa: cmax_bound_monitor(traj, kappa),
+    "derivative_bound": lambda traj, report, kappa: derivative_bound_monitor(traj, kappa),
+    "scalar_min": lambda traj, report, kappa: scalar_min_monitor(traj, kappa),
+    "concavity": lambda traj, report, kappa: concavity_check(traj, kappa),
+    "evolution_residual_k01": lambda traj, report, kappa: evolution_residual(traj, "k01"),
+    "evolution_residual_k02": lambda traj, report, kappa: evolution_residual(traj, "k02"),
+    "evolution_residual_k03": lambda traj, report, kappa: evolution_residual(traj, "k03"),
+}
+
+#: Monitors that run against a finished trajectory by default: all but the
+#: K_0i evolution residuals, which record a discretization defect rather
+#: than check a bound.
+DEFAULT_MONITORS = tuple(name for name in MONITORS if not name.startswith("evolution_residual"))
 
 
 def run_monitors(
@@ -562,23 +573,10 @@ def run_monitors(
     names: tuple[str, ...] | list[str] = DEFAULT_MONITORS,
     kappa: float = 1.0,
 ) -> dict[str, MonitorReport]:
-    """Evaluate the named monitors; unknown names raise."""
-    table = {
-        "ordering": lambda: ordering_monitor(traj, kappa),
-        "eccentricity": lambda: eccentricity_monitor(traj, kappa),
-        "ratio": lambda: ratio_monitor(traj, kappa),
-        "amin_bound": lambda: amin_bound_monitor(traj, report, kappa),
-        "cmax_bound": lambda: cmax_bound_monitor(traj, kappa),
-        "derivative_bound": lambda: derivative_bound_monitor(traj, kappa),
-        "scalar_min": lambda: scalar_min_monitor(traj, kappa),
-        "concavity": lambda: concavity_check(traj, kappa),
-        "evolution_residual_k01": lambda: evolution_residual(traj, "k01"),
-        "evolution_residual_k02": lambda: evolution_residual(traj, "k02"),
-        "evolution_residual_k03": lambda: evolution_residual(traj, "k03"),
-    }
+    """Evaluate the named monitors of MONITORS; unknown names raise."""
     out = {}
     for name in names:
-        if name not in table:
+        if name not in MONITORS:
             raise ValueError(f"unknown monitor {name!r}")
-        out[name] = table[name]()
+        out[name] = MONITORS[name](traj, report, kappa)
     return out

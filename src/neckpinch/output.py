@@ -29,12 +29,22 @@ _CSV_FIELDS = (
 )
 
 
+#: Rows formatted per write; bounds the text held in memory at once.
+_ROWS_PER_WRITE = 512
+
+
 def write_series(traj: Trajectory, path: str | Path) -> None:
-    """One CSV row per summary sample; shortest round-trip float formatting."""
-    lines = [CSV_HEADER]
-    for sample in traj.samples:
-        lines.append(",".join(repr(getattr(sample, f)) for f in _CSV_FIELDS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One CSV row per summary sample; shortest round-trip float formatting.
+
+    Streams the trajectory's columns to the file _ROWS_PER_WRITE rows at a
+    time, each value the repr of its Python float, so the memory it takes
+    does not grow with the number of samples.
+    """
+    row = ",".join(["%r"] * len(_CSV_FIELDS)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for block in traj.column_blocks(_CSV_FIELDS, _ROWS_PER_WRITE):
+            fh.write("".join([row % tuple(r) for r in block.T.tolist()]))
 
 
 def write_summary(
@@ -46,15 +56,17 @@ def write_summary(
     config_echo: dict,
     path: str | Path,
 ) -> None:
-    """JSON run summary: config echo, stop condition, fit, monitors, Type I."""
+    """JSON run summary: config echo, stop condition, run counters, fit,
+    monitors, Type I."""
     doc = {
         "config": config_echo,
         "stop_reason": traj.stop_reason,
         "t_estimate": report.t_estimate if report else None,
         "fit_residual": report.fit_residual if report else None,
         "fit_window": list(report.fit_window) if report else None,
-        "a_min_final": traj.samples[-1].a_min,
-        "samples": len(traj.samples),
+        "a_min_final": traj.series("a_min")[-1].item(),
+        "samples": traj.ts.size,
+        "run_stats": traj.run_stats.as_dict(),
         "monitors": {name: rep.as_dict() for name, rep in monitor_reports.items()},
         "type1": type1.as_dict() if type1 else None,
         "theorem_constants": theorem_constants.as_dict() if theorem_constants else None,

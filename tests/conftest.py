@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from neckpinch.flow import SummarySample, Trajectory
+from neckpinch.flow import INDEX_FIELDS, VALUE_FIELDS, Trajectory
 from neckpinch.grid import PeriodicGrid
 
 
@@ -50,55 +50,29 @@ def make_trajectory(
             v = default
         return np.broadcast_to(np.asarray(v, dtype=float), (n,))
 
-    b_min = col(b_min, a_min)
-    c_max = col(c_max, a_min)
-    ratio_max = col(ratio_max, 1.0)
-    ecc_bc = col(ecc_bc, 0.0)
-    ecc_ac = col(ecc_ac, 0.0)
-    ord_ba = col(ord_ba, 0.0)
-    ord_cb = col(ord_cb, 0.0)
-    s_min = col(s_min, 1.0)
-    rm_max = col(rm_max, 1.0)
-    sup_ap = col(sup_ap, 0.0)
-    sup_bp = col(sup_bp, 0.0)
-    sup_cp = col(sup_cp, 0.0)
-    dts = np.concatenate(([0.0], np.diff(ts)))
-
-    samples = [
-        SummarySample(
-            t=float(ts[k]),
-            dt=float(dts[k]),
-            a_min=float(a_min[k]),
-            a_min_idx=0,
-            b_min=float(b_min[k]),
-            c_max=float(c_max[k]),
-            c_max_idx=0,
-            ord_ba_min=float(ord_ba[k]),
-            ord_ba_idx=0,
-            ord_cb_min=float(ord_cb[k]),
-            ord_cb_idx=0,
-            ratio_max=float(ratio_max[k]),
-            ratio_max_idx=0,
-            ecc_bc=float(ecc_bc[k]),
-            ecc_bc_idx=0,
-            ecc_ac=float(ecc_ac[k]),
-            ecc_ac_idx=0,
-            s_min=float(s_min[k]),
-            s_min_idx=0,
-            rm_max=float(rm_max[k]),
-            rm_max_idx=0,
-            sup_ap=float(sup_ap[k]),
-            sup_ap_idx=0,
-            sup_bp=float(sup_bp[k]),
-            sup_bp_idx=0,
-            sup_cp=float(sup_cp[k]),
-            sup_cp_idx=0,
-        )
-        for k in range(n)
-    ]
-    return Trajectory(
-        grid=PeriodicGrid(grid_n), samples=samples, snapshots=[], stop_reason=stop_reason
+    columns = {
+        "t": ts,
+        "dt": np.concatenate(([0.0], np.diff(ts))),
+        "a_min": a_min,
+        "b_min": col(b_min, a_min),
+        "c_max": col(c_max, a_min),
+        "ratio_max": col(ratio_max, 1.0),
+        "ecc_bc": col(ecc_bc, 0.0),
+        "ecc_ac": col(ecc_ac, 0.0),
+        "ord_ba_min": col(ord_ba, 0.0),
+        "ord_cb_min": col(ord_cb, 0.0),
+        "s_min": col(s_min, 1.0),
+        "rm_max": col(rm_max, 1.0),
+        "sup_ap": col(sup_ap, 0.0),
+        "sup_bp": col(sup_bp, 0.0),
+        "sup_cp": col(sup_cp, 0.0),
+    }
+    traj = Trajectory(grid=PeriodicGrid(grid_n), stop_reason=stop_reason)
+    traj.extend(
+        np.stack([columns[name] for name in VALUE_FIELDS]),
+        np.zeros((len(INDEX_FIELDS), n), dtype=np.intp),
     )
+    return traj
 
 
 @pytest.fixture

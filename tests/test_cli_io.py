@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,34 @@ def test_write_series_deterministic(sphere_outputs, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_write_series_streams_rows(synthetic_trajectory, tmp_path):
+    # 20k rows of 17-digit floats are over 3 MB of text; the writer holds
+    # one batch of rows at a time.
+    rng = np.random.default_rng(5)
+    n = 20_000
+    traj = synthetic_trajectory(
+        np.cumsum(rng.uniform(1e-5, 2e-5, n)),
+        rng.uniform(0.5, 1.0, n),
+        c_max=rng.uniform(3.0, 4.0, n),
+        ratio_max=rng.uniform(1.0, 2.0, n),
+        s_min=rng.uniform(0.1, 1.0, n),
+        rm_max=rng.uniform(1.0, 9.0, n),
+    )
+    traj.ts  # seal the open block before measuring, as every run's monitors do
+    path = tmp_path / "series.csv"
+    tracemalloc.start()
+    try:
+        write_series(traj, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1
+    assert lines[1].split(",")[0] == repr(traj.ts[0].item())
+    assert path.stat().st_size > 3_000_000
+    assert peak < 1_000_000
+
+
 def test_write_summary_keys(sphere_outputs, tmp_path):
     _, traj, report = sphere_outputs
     reports = run_monitors(traj, report)
@@ -198,6 +227,8 @@ def test_write_summary_keys(sphere_outputs, tmp_path):
     assert doc["theorem_constants"]["lambda"] == 1.0
     assert set(doc["monitors"]) == set(reports)
     assert doc["monitors"]["ordering"]["passed"] is True
+    assert doc["run_stats"] == traj.run_stats.as_dict()
+    assert doc["run_stats"]["steps"] == doc["samples"] - 1
 
 
 def test_write_summary_null_estimate_on_t_max_stop(tmp_path):
@@ -432,3 +463,4 @@ def test_cli_exhausted_halvings_exit_code(tmp_path):
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert doc["stop_reason"] == "step_halvings_exhausted"
     assert doc["samples"] == 1
+    assert doc["run_stats"] == {"steps": 0, "rejected": 21, "diffusion_limited": 0}

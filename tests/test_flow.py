@@ -1,7 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,15 @@ from neckpinch.flow import (
     STOP_HALVINGS,
     STOP_TMAX,
     SUMMARY_BLOCK,
+    INDEX_FIELDS,
+    MAX_STEP_HALVINGS,
+    VALUE_FIELDS,
     FlowConfig,
     InsufficientSamplesError,
     NoSingularityDetected,
     StepRejected,
     SummarySample,
+    Trajectory,
     adaptive_dt,
     estimate_singular_time,
     evolve,
@@ -152,28 +157,33 @@ def reference_sample(state, dt):
         return np.abs(x - y) / np.minimum(x, y)
 
     sup = [highest(np.abs(s_derivative(f, state.phi).values)) for f in (state.a, state.b, state.c)]
-    return SummarySample(
-        state.t,
-        dt,
-        *lowest(a),
-        lowest(b)[0],
-        *highest(c),
-        *lowest(b - a),
-        *lowest(c - b),
-        *highest(c / a),
-        *highest(ecc(b, c)),
-        *highest(ecc(a, c)),
-        *lowest(curv.scal.values),
-        *highest(np.sqrt(curv.rm_norm_sq.values)),
-        *sup[0],
-        *sup[1],
-        *sup[2],
-    )
+    pairs = [
+        ("a_min", "a_min_idx", lowest(a)),
+        ("c_max", "c_max_idx", highest(c)),
+        ("ord_ba_min", "ord_ba_idx", lowest(b - a)),
+        ("ord_cb_min", "ord_cb_idx", lowest(c - b)),
+        ("ratio_max", "ratio_max_idx", highest(c / a)),
+        ("ecc_bc", "ecc_bc_idx", highest(ecc(b, c))),
+        ("ecc_ac", "ecc_ac_idx", highest(ecc(a, c))),
+        ("s_min", "s_min_idx", lowest(curv.scal.values)),
+        ("rm_max", "rm_max_idx", highest(np.sqrt(curv.rm_norm_sq.values))),
+        ("sup_ap", "sup_ap_idx", sup[0]),
+        ("sup_bp", "sup_bp_idx", sup[1]),
+        ("sup_cp", "sup_cp_idx", sup[2]),
+    ]
+    fields = {"t": state.t, "dt": dt, "b_min": lowest(b)[0]}
+    for value_name, index_name, (value, idx) in pairs:
+        fields[value_name], fields[index_name] = value, idx
+    return SummarySample(**fields)
 
 
 def bits(sample):
     # repr is the shortest round trip, so equal strings mean equal bits
-    return [repr(v) for v in astuple(sample)]
+    return [repr(v) for v in sample]
+
+
+def column_bits(traj, name):
+    return traj.series(name).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -188,16 +198,19 @@ def fig_a_states():
 def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
     states = fig_a_states[-size:]
     dts = [1e-3 * (k + 1) for k in range(size)]
-    got = summarize_state(
-        [s.t for s in states],
-        dts,
-        np.stack([np.stack((s.a.values, s.b.values, s.c.values)) for s in states]),
-        np.stack([s.phi.values for s in states]),
-        states[0].grid.dz,
+    traj = Trajectory(grid=states[0].grid)
+    traj.extend(
+        *summarize_state(
+            [s.t for s in states],
+            dts,
+            np.stack([np.stack((s.a.values, s.b.values, s.c.values)) for s in states]),
+            np.stack([s.phi.values for s in states]),
+            states[0].grid.dz,
+        )
     )
-    assert len(got) == size
-    for state, dt, sample in zip(states, dts, got):
-        assert bits(sample) == bits(reference_sample(state, dt))
+    assert len(traj.samples) == size
+    for k, (state, dt) in enumerate(zip(states, dts)):
+        assert bits(traj.samples[k]) == bits(reference_sample(state, dt))
 
 
 def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
@@ -251,11 +264,13 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
     steps = len(every.samples) - 1
     assert len(strided.samples) % SUMMARY_BLOCK != 0
     assert steps % 3 != 0  # the last state is recorded although off the stride
-    expected = every.samples[::3] + every.samples[-1:]
-    assert [bits(s) for s in strided.samples] == [bits(s) for s in expected]
-    snapshot_ts = [s.t for s in every.samples[::5]]
+    for name in VALUE_FIELDS + INDEX_FIELDS:
+        column = every.series(name)
+        expected = np.append(column[::3], column[-1:])
+        assert column_bits(strided, name) == expected.tobytes()
+    snapshot_ts = every.ts[::5].tolist()
     if steps % 5:
-        snapshot_ts.append(every.samples[-1].t)
+        snapshot_ts.append(every.ts[-1].item())
     for traj in (every, strided):
         assert traj.snapshots[0] is st
         assert [s.t for s in traj.snapshots] == snapshot_ts
@@ -318,6 +333,65 @@ def test_evolve_names_exhausted_halvings():
     assert len(traj.samples) == 1
     assert traj.snapshots[-1] is st
     assert report is None
+    assert traj.run_stats.as_dict() == {
+        "steps": 0,
+        "rejected": MAX_STEP_HALVINGS + 1,
+        "diffusion_limited": 0,
+    }
+
+
+def test_evolve_counts_steps_and_diffusion_limited_steps():
+    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
+    traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
+    stats = traj.run_stats
+    assert stats.steps == len(traj.samples) - 1 > 0
+    assert stats.rejected == 0
+    # phi stays 1 on z-constant data, so the diffusion limit before a step
+    # is dz^2 and the reaction limit a_min^2 / 8
+    a_min = traj.series("a_min")[:-1]
+    dz = st.grid.dz
+    assert stats.diffusion_limited == int(np.sum(dz * dz <= a_min * a_min / 8.0))
+    assert 0 < stats.diffusion_limited < stats.steps
+
+
+def test_trajectory_rows_and_columns():
+    traj = Trajectory(grid=PeriodicGrid(32))
+    values = np.arange(2.0 * len(VALUE_FIELDS)).reshape(len(VALUE_FIELDS), 2)
+    indices = np.arange(2 * len(INDEX_FIELDS)).reshape(len(INDEX_FIELDS), 2)
+    traj.extend(values, indices)
+    traj.extend(values[:, :1], indices[:, :1])
+    last = traj.samples[-1]
+    assert len(traj.samples) == 3
+    assert isinstance(last, SummarySample)
+    assert tuple(last) == (*values[:, 0].tolist(), *indices[:, 0].tolist())
+    assert type(last.t) is float and type(last.a_min_idx) is int
+    np.testing.assert_array_equal(traj.series("sup_cp_idx"), indices[-1, [0, 1, 0]])
+    traj.ts[0] = -1.0  # a column is a new array
+    assert traj.samples[0].t == 0.0
+    with pytest.raises(IndexError):
+        traj.samples[3]
+    with pytest.raises(ValueError, match="mismatched"):
+        traj.extend(values, indices[:, :1])
+
+
+def test_trajectory_bytes_per_sample():
+    # The columns hold 15 float64 values and 12 integer indices per sample,
+    # 216 bytes; a sample object per state took about 680.
+    st = get_preset("fig-a").build(PeriodicGrid(64))
+    cfg = FlowConfig(snapshot_stride=10**6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj, report = evolve(st, cfg)
+        traj.snapshots.clear()
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.samples) > 1000
+    assert held / len(traj.samples) < 300
 
 
 @pytest.mark.parametrize(
@@ -340,9 +414,8 @@ def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_phi, er
 def test_evolve_ordering_slack_on_neck_data():
     st = get_preset("fig-a").build(PeriodicGrid(64))
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
-    for s in traj.samples:
-        assert s.ord_ba_min >= -1e-8
-        assert s.ord_cb_min >= -1e-8
+    assert traj.series("ord_ba_min").min() >= -1e-8
+    assert traj.series("ord_cb_min").min() >= -1e-8
 
 
 def test_evolve_biaxial_closure_whole_run():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from neckpinch.config import ConfigError, config_from_dict
 from neckpinch.flow import FlowConfig, evolve
 from neckpinch.grid import PeriodicGrid, d_z, field, metric_state
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
     DERIV_BOUND_C,
+    MONITORS,
     amin_bound_monitor,
     cmax_bound_monitor,
     concavity_check,
@@ -114,7 +116,7 @@ def test_eccentricity_sphere_identically_zero(sphere_run):
 def test_eccentricity_biaxial_first_quantity_zero():
     st = biaxial(1.0, 1.5).build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.02))
-    assert all(s.ecc_bc == 0.0 for s in traj.samples)
+    assert np.all(traj.series("ecc_bc") == 0.0)
     assert eccentricity_monitor(traj).passed is True
 
 
@@ -425,8 +427,20 @@ def test_run_monitors_dispatch(sphere_run):
 
 def test_run_monitors_rejects_unknown(sphere_run):
     traj, report = sphere_run
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown monitor 'no_such_monitor'"):
         run_monitors(traj, report, names=("no_such_monitor",))
+    with pytest.raises(ConfigError, match="unknown monitor 'no_such_monitor'"):
+        config_from_dict({"monitors_enabled": ["no_such_monitor"]})
+
+
+@pytest.mark.parametrize("name", list(MONITORS))
+def test_every_registered_monitor_is_configurable_and_runs(sphere_run, name):
+    traj, report = sphere_run
+    assert config_from_dict({"monitors_enabled": [name]}).monitors_enabled == (name,)
+    reports = run_monitors(traj, report, [name])
+    assert list(reports) == [name]
+    assert reports[name].name == name
+    assert reports[name].passed is True
 
 
 def test_monitors_are_deterministic(sphere_run):
