@@ -29,12 +29,10 @@ from .flow import (
     FlowConfig,
     SingularityReport,
     Trajectory,
-    adaptive_dt,
     estimate_singular_time,
     evolve,
     homogeneous_ode_oracle,
     rk4_step,
-    time_derivatives,
 )
 from .monitors import (
     MonitorReport,

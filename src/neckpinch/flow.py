@@ -1,26 +1,36 @@
 """Time evolution of the metric profiles under Ricci flow.
 
-In the arclength gauge the radii satisfy the semilinear parabolic system
+The flow is Ricci flow plus the Lie derivative along a tangential vector
+field V = (W/phi) dz (DeTurck's freedom), with W chosen so that the gauge
+keeps its shape: the radii satisfy
 
-    dt a = a'' + a'(b'/b + c'/c) - 2a (a^4 - (b^2-c^2)^2) / (abc)^2
+    dt a = a'' + a'(b'/b + c'/c) - 2a (a^4 - (b^2-c^2)^2) / (abc)^2 + W a'
 
-(and its b, c relabelings), while the gauge factor evolves by
-dt log(phi) = a''/a + b''/b + c''/c. Primes are arclength derivatives taken
-by the chain rule on the fixed z-grid. Stepping is classical explicit RK4 on
-(a, b, c, log phi); evolving log phi keeps the gauge positive structurally.
-The time step tracks both the explicit-diffusion limit on the arclength mesh
-and the reaction timescale of the shrinking minimum radius, whose square
-cannot decrease faster than rate 4.
+(and its b, c relabelings) with dz W = phi (c - q), q = a''/a + b''/b + c''/c
+and c = int phi q dz / int phi dz. The gauge then obeys dt log(phi) = c(t),
+uniform in z, so phi = lambda(t) phi0(z) for all time and the state is the
+radii plus the one scalar log(lambda), with dt log(lambda) = c. With phi0 = 1
+this is the constant-speed (tangential redistribution) parametrization of
+curve-shortening flow: the grid points keep equal arclength spacing, so a
+neck keeps its grid points while it narrows. W is the mean-free periodic
+antiderivative, one rfft/irfft per stage, and vanishes identically on
+z-constant data, where the transform is skipped. Primes are arclength
+derivatives taken by the chain rule on the fixed z-grid. Stepping is
+classical explicit RK4 on (a, b, c) and log(lambda). The time step tracks
+both the explicit-diffusion limit (lambda min phi0 dz)^2 on the arclength
+mesh and the reaction timescale of the shrinking minimum radius, whose
+square cannot decrease faster than rate 4.
 
-Between steps, evolve holds the state as the stacked (4, n) array
-(a, b, c, log phi) and phi, with t and dt as Python floats; a MetricState is
-built only for the snapshots and the final state. The per-sample summaries
-are computed SUMMARY_BLOCK states at a time on stacked arrays and kept as
+Between steps, evolve holds the radii as one (3, n) array and log(lambda)
+as a Python float, with t and dt as Python floats; a MetricState is built
+only for the snapshots and the final state. The per-sample summaries are
+computed SUMMARY_BLOCK states at a time on stacked arrays and kept as
 columns of one float table and one index table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterator, Sequence
@@ -35,13 +45,11 @@ from .grid import (
     MetricState,
     NonFiniteFieldError,
     PeriodicGrid,
-    ScalarField,
     metric_state,
 )
 from .curvature import (
     MIN_RADIUS,
     jet,
-    radii,
     sectional_rows,
     trace_invariants,
 )
@@ -149,18 +157,22 @@ class RunStats:
     steps: accepted steps. rejected: step attempts rejected and retried with
     halved dt (an exhausted run adds MAX_STEP_HALVINGS + 1). diffusion_limited:
     accepted steps whose adaptive dt came from the explicit-diffusion limit
-    rather than the reaction limit.
+    rather than the reaction limit. neck_resolution: a / (phi dz) at the
+    argmin of a in the final state, the neck's width in arclength grid
+    cells; None until a run sets it.
     """
 
     steps: int = 0
     rejected: int = 0
     diffusion_limited: int = 0
+    neck_resolution: float | None = None
 
     def as_dict(self) -> dict:
         return {
             "steps": self.steps,
             "rejected": self.rejected,
             "diffusion_limited": self.diffusion_limited,
+            "neck_resolution": self.neck_resolution,
         }
 
 
@@ -271,8 +283,41 @@ class SingularityReport:
     a_min_final: float
 
 
-def _flow_rhs(phi: np.ndarray, x: np.ndarray, dz: float) -> np.ndarray:
-    """(dt a, dt b, dt c, dt log phi) stacked (4, n) for the radii x = (a, b, c).
+@functools.cache
+def _antiderivative_multiplier(n: int) -> np.ndarray:
+    """rfft multiplier of the mean-free periodic antiderivative on n points of
+    [0, 2 pi): 1/(ik) for 0 < k < n/2, 0 at k = 0 and at the Nyquist mode."""
+    mult = np.zeros(n // 2 + 1, dtype=complex)
+    mult[1:-1] = 1.0 / (1j * np.arange(1, n // 2))
+    mult.setflags(write=False)
+    return mult
+
+
+def tangential_speed(
+    phi: np.ndarray, q: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray | None, float]:
+    """The constant-speed gauge's tangential speed W and rate c at one state.
+
+    q = a''/a + b''/b + c''/c, and weights = phi0 / sum(phi0) for any phi0
+    proportional to phi. c = int phi q dz / int phi dz is one dot product
+    with the weights, and W is the mean-free periodic antiderivative of
+    dz W = phi (c - q): one rfft, the multiplier 1/(ik), one irfft. W is
+    None when phi (c - q) has no nonzero entry, as on z-constant data, so
+    callers skip the transform and the advection term W x'.
+    """
+    c = float(weights @ q)
+    dw = phi * (c - q)
+    if not dw.any():
+        return None, c
+    n = q.shape[-1]
+    return np.fft.irfft(np.fft.rfft(dw) * _antiderivative_multiplier(n), n), c
+
+
+def _flow_rhs(
+    x: np.ndarray, phi: np.ndarray, weights: np.ndarray, dz: float
+) -> tuple[np.ndarray, float]:
+    """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c), and
+    dt log lambda = c, under the gauge phi (see tangential_speed).
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
@@ -281,16 +326,14 @@ def _flow_rhs(phi: np.ndarray, x: np.ndarray, dz: float) -> np.ndarray:
     place where that order allows, so the values equal those of the plain
     expressions.
     """
-    if x.min() <= 0.0 or phi.min() <= 0.0:
+    if x.min() <= 0.0:
         raise StepRejected("profiles left the positive cone")
     xp, xpp = jet(phi, x, dz)
     # Rows repeated twice, so rows 1:4 and 2:5 are each row's (y, z).
     r = np.concatenate((xp / x,) * 2)
     sq = np.concatenate((x * x,) * 2)
-    out = np.empty((4, x.shape[-1]))
-    dx = out[:3]
     # xpp + xp * (r_y + r_z)
-    np.add(r[1:4], r[2:5], out=dx)
+    dx = np.add(r[1:4], r[2:5])
     dx *= xp
     dx += xpp
     # - 2x (x^4 - (y^2 - z^2)^2) / (xyz)^2
@@ -304,61 +347,69 @@ def _flow_rhs(phi: np.ndarray, x: np.ndarray, dz: float) -> np.ndarray:
     term /= denom
     dx -= term
     q = xpp / x
-    np.add(q[0], q[1], out=out[3])
-    out[3] += q[2]
-    if not np.isfinite(out).all():
+    w, c = tangential_speed(phi, q[0] + q[1] + q[2], weights)
+    # + W x'
+    if w is not None:
+        xp *= w
+        dx += xp
+    if not (np.isfinite(dx).all() and math.isfinite(c)):
         raise StepRejected("non-finite flow derivatives")
-    return out
+    return dx, c
 
 
-def time_derivatives(state: MetricState) -> tuple[ScalarField, ...]:
-    """Pointwise right-hand sides (dt a, dt b, dt c, dt log phi)."""
-    out = _flow_rhs(state.phi.values, radii(state), state.grid.dz)
-    return tuple(ScalarField(state.grid, v) for v in out)
+def _gauge_scale(log_lam: float) -> float:
+    """lambda = exp(log lambda), as a Python float.
+
+    Raises NonFiniteFieldError when it overflows and GaugeDegeneracyError
+    when it underflows to 0: the errors a gauge row phi gets.
+    """
+    try:
+        lam = math.exp(log_lam)
+    except OverflowError:
+        raise NonFiniteFieldError("gauge scale lambda overflowed") from None
+    if lam == 0.0:
+        raise GaugeDegeneracyError("gauge scale lambda underflowed to 0")
+    return lam
 
 
-def rk4_step(y0: np.ndarray, dt: float, dz: float) -> np.ndarray:
-    """One classical RK4 step of the stacked (4, n) state (a, b, c, log phi).
+def rk4_step(
+    x0: np.ndarray, log_lam0: float, dt: float, phi0: np.ndarray, weights: np.ndarray, dz: float
+) -> tuple[np.ndarray, float]:
+    """One classical RK4 step of the radii x0, stacked (3, n), and log lambda.
 
+    The gauge of a stage is lambda * phi0; weights = phi0 / sum(phi0).
     Raises StepRejected if a stage or the result leaves the positive cone or
-    turns non-finite. phi advances through exp of the accumulated
-    log-derivative increment, so the gauge cannot change sign no matter the
-    step size.
+    turns non-finite.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    def stage(y):
-        return _flow_rhs(np.exp(y[3]), y[:3], dz)
+    def stage(x, log_lam):
+        return _flow_rhs(x, _gauge_scale(log_lam) * phi0, weights, dz)
 
-    k1 = stage(y0)
-    k2 = stage(y0 + 0.5 * dt * k1)
-    k3 = stage(y0 + 0.5 * dt * k2)
-    k4 = stage(y0 + dt * k3)
-    y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(y1).all():
+    k1, c1 = stage(x0, log_lam0)
+    k2, c2 = stage(x0 + 0.5 * dt * k1, log_lam0 + 0.5 * dt * c1)
+    k3, c3 = stage(x0 + 0.5 * dt * k2, log_lam0 + 0.5 * dt * c2)
+    k4, c4 = stage(x0 + dt * k3, log_lam0 + dt * c3)
+    x1 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    if not (np.isfinite(x1).all() and math.isfinite(log_lam1)):
         raise StepRejected("non-finite state after step")
-    if y1[:3].min() <= 0.0:
+    if x1.min() <= 0.0:
         raise StepRejected("positivity lost after step")
-    return y1
+    return x1, log_lam1
 
 
 def _step_limits(phi_min: float, a_min: float, dz: float) -> tuple[float, float]:
-    """The (diffusion, reaction) limits of adaptive_dt before the cfl factor,
-    from the minima of phi and a, as Python floats."""
-    mesh = phi_min * dz
-    return mesh * mesh, a_min * a_min / 8.0
-
-
-def adaptive_dt(state: MetricState, cfg: FlowConfig) -> float:
-    """cfl_safety * min(explicit-diffusion limit, reaction timescale).
+    """The (diffusion, reaction) limits of the adaptive dt before the cfl
+    factor, from the minima of phi and a, as Python floats.
 
     The diffusion limit is (min phi*dz)^2, the squared arclength mesh width;
     the reaction limit a_min^2 / 8 resolves d(a_min^2)/dt in [-4, 0) near the
     pinch.
     """
-    phi_min, a_min = float(np.min(state.phi.values)), float(np.min(state.a.values))
-    return cfg.cfl_safety * min(_step_limits(phi_min, a_min, state.grid.dz))
+    mesh = phi_min * dz
+    return mesh * mesh, a_min * a_min / 8.0
 
 
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -403,26 +454,14 @@ def summarize_state(
     return values, indices
 
 
-def _accepted_gauge(y: np.ndarray) -> np.ndarray:
-    """phi = exp(log phi) of an accepted step, checked as a MetricState checks
-    it. The log row of y is rebuilt in place as log(phi): the same round trip
-    a state stored as a MetricState makes, so the next step sees equal bits."""
-    phi = np.exp(y[3])
-    if not np.isfinite(phi).all():
-        raise NonFiniteFieldError("field values must be finite everywhere")
-    if phi.min() <= 0.0:
-        raise GaugeDegeneracyError("phi must be strictly positive")
-    np.log(phi, out=y[3])
-    return phi
-
-
 def evolve(
     initial: MetricState, cfg: FlowConfig
 ) -> tuple[Trajectory, SingularityReport | None]:
     """Step until the pinch threshold, the time cap, or exhausted step halvings.
 
-    Between steps the state is the stacked (4, n) array (a, b, c, log phi)
-    with phi beside it; a MetricState is built only for the snapshots, every
+    Between steps the state is the (3, n) radii and the Python float
+    log lambda, the gauge being phi = lambda * phi0 with phi0 the initial
+    phi; a MetricState is built only for the snapshots, every
     snapshot_stride steps and at the end. Summaries are recorded every
     monitor_stride steps plus the first and last state, and computed
     SUMMARY_BLOCK states at a time; the initial state is summarized alone,
@@ -431,12 +470,16 @@ def evolve(
     with halved dt up to MAX_STEP_HALVINGS times; exhaustion stops the run
     with the last good state preserved and stop reason STOP_HALVINGS.
     traj.run_stats counts the accepted steps, the rejected attempts and the
-    steps whose dt the diffusion limit set.
+    steps whose dt the diffusion limit set, and records the neck resolution
+    of the final state.
     """
     grid = initial.grid
     dz = grid.dz
     traj = Trajectory(grid=grid)
     traj.snapshots.append(initial)
+    phi0 = initial.phi.values
+    phi0_min = float(phi0.min())
+    weights = phi0 / phi0.sum()
     block_x = np.empty((SUMMARY_BLOCK, 3, grid.n))
     block_phi = np.empty((SUMMARY_BLOCK, grid.n))
     block_t: list[float] = []
@@ -448,26 +491,26 @@ def evolve(
         block_t.clear()
         block_dt.clear()
 
-    def record(t, dt, y, phi):
+    def record(t, dt, x, lam):
         k = len(block_t)
-        block_x[k] = y[:3]
-        block_phi[k] = phi
+        block_x[k] = x
+        np.multiply(phi0, lam, out=block_phi[k])
         block_t.append(t)
         block_dt.append(dt)
         if k + 1 == SUMMARY_BLOCK:
             flush()
 
     t = initial.t
-    phi = initial.phi.values
-    y = np.stack((initial.a.values, initial.b.values, initial.c.values, np.log(phi)))
-    record(t, 0.0, y, phi)
+    x = np.stack((initial.a.values, initial.b.values, initial.c.values))
+    log_lam, lam = 0.0, 1.0
+    record(t, 0.0, x, lam)
     flush()
     recorded_t = t
 
     stats = traj.run_stats
     last_dt = 0.0
     while True:
-        a_min = float(y[0].min())
+        a_min = float(x[0].min())
         if a_min < cfg.a_min_stop:
             stop = STOP_AMIN
             break
@@ -477,7 +520,7 @@ def evolve(
 
         diffusion_limited = False
         if cfg.fixed_dt is None:
-            diffusion, reaction = _step_limits(float(phi.min()), a_min, dz)
+            diffusion, reaction = _step_limits(lam * phi0_min, a_min, dz)
             diffusion_limited = diffusion <= reaction
             dt = cfg.cfl_safety * min(diffusion, reaction)
         else:
@@ -486,7 +529,7 @@ def evolve(
         advanced = None
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
-                advanced = rk4_step(y, dt, dz)
+                advanced = rk4_step(x, log_lam, dt, phi0, weights, dz)
                 break
             except StepRejected:
                 stats.rejected += 1
@@ -495,25 +538,27 @@ def evolve(
             stop = STOP_HALVINGS
             break
 
-        phi = _accepted_gauge(advanced)
-        y = advanced
+        x, log_lam = advanced
+        lam = _gauge_scale(log_lam)
         t += dt
         stats.steps += 1
         stats.diffusion_limited += diffusion_limited
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
-            record(t, dt, y, phi)
+            record(t, dt, x, lam)
             recorded_t = t
         if stats.steps % cfg.snapshot_stride == 0:
-            traj.snapshots.append(metric_state(grid, t, phi, *y[:3]))
+            traj.snapshots.append(metric_state(grid, t, lam * phi0, *x))
 
     if recorded_t < t:
-        record(t, last_dt, y, phi)
+        record(t, last_dt, x, lam)
     if block_t:
         flush()
     if traj.snapshots[-1].t < t:
-        traj.snapshots.append(metric_state(grid, t, phi, *y[:3]))
+        traj.snapshots.append(metric_state(grid, t, lam * phi0, *x))
     traj.stop_reason = stop
+    neck = int(x[0].argmin())
+    stats.neck_resolution = float(x[0, neck] / (lam * phi0[neck] * dz))
 
     try:
         report = estimate_singular_time(traj)

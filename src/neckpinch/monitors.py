@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import jet, radii, sectional_curvatures
-from .flow import SingularityReport, Trajectory
+from .flow import SingularityReport, Trajectory, tangential_speed
 from .grid import STENCIL_ORDER, MetricState
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
@@ -439,6 +439,9 @@ def _k0i_evolution_rhs(state: MetricState, which: str) -> np.ndarray:
 
     Written once for K_01 in the variables (x; y, z) = (a; b, c); the other two
     follow by relabeling x to b or c (the same symmetry the flow system has).
+    The flow's tangential field V = (W/phi) dz moves the grid along the
+    manifold, so K at fixed z also gains the Lie derivative V(K) = W K', with
+    W computed from this state (see flow.tangential_speed).
     """
     rows = {"k01": (0, 1, 2), "k02": (1, 0, 2), "k03": (2, 0, 1)}
     if which not in rows:
@@ -498,6 +501,10 @@ def _k0i_evolution_rhs(state: MetricState, which: str) -> np.ndarray:
             - 4.0 * y * yp * zp / (x * z**3)
         )
     )
+    q = rpp / r
+    w, _ = tangential_speed(phi, q[0] + q[1] + q[2], phi / phi.sum())
+    if w is not None:
+        rhs += w * kp
     return rhs
 
 

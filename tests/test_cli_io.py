@@ -430,11 +430,10 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
-# fig-a at n=64 with the default flow. The values were first recorded with the
-# np.roll stencil and per-profile RK4 stages that the stacked derivative path
-# replaced. The hash was re-pinned when the dt column stopped printing as
-# np.float64(...): every value parsed from the file stayed bitwise the same.
-FIG_A_64_SERIES_SHA256 = "3d313be5ac4ba26f9cf39deb9171f17ee8d3ee8cab8720cadb11606020ded868"
+# fig-a at n=64 with the default flow. Re-pinned when the constant-speed
+# gauge replaced the arclength gauge: 1,107 steps became 451 and T moved
+# from 0.8505440 to 0.8532746, toward the converged 0.85333.
+FIG_A_64_SERIES_SHA256 = "fe73a5a504b0ba4df4491e2e5fd2289ba3690ceb0562ecba6089d5b0d85e9626"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
@@ -445,6 +444,30 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 0
     series = (tmp_path / "out" / "series.csv").read_bytes()
     assert hashlib.sha256(series).hexdigest() == FIG_A_64_SERIES_SHA256
+
+
+# The round sphere r=2 at n=64, cfl 0.05, stopped at a_min 1e-2: the
+# benchmark's sphere-exact case. Recorded with the arclength-gauge flow; the
+# constant-speed gauge adds nothing on z-constant data, so the bytes stay.
+SPHERE_64_SERIES_SHA256 = "53b4bc1cf83237b83a3792e144c821e8ca49be23e86cd61bda4b02b65dc454cd"
+
+
+def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "preset": "sphere",
+                "preset_params": {"r": 2.0},
+                "grid_n": 64,
+                "flow": {"cfl_safety": 0.05, "a_min_stop": 0.01},
+                "out_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    series = (tmp_path / "out" / "series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == SPHERE_64_SERIES_SHA256
 
 
 def test_cli_exhausted_halvings_exit_code(tmp_path):
@@ -463,4 +486,9 @@ def test_cli_exhausted_halvings_exit_code(tmp_path):
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert doc["stop_reason"] == "step_halvings_exhausted"
     assert doc["samples"] == 1
-    assert doc["run_stats"] == {"steps": 0, "rejected": 21, "diffusion_limited": 0}
+    assert doc["run_stats"] == {
+        "steps": 0,
+        "rejected": 21,
+        "diffusion_limited": 0,
+        "neck_resolution": 2.0 / PeriodicGrid(32).dz,
+    }

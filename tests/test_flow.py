@@ -10,7 +10,7 @@ import pytest
 
 import neckpinch
 from neckpinch import flow
-from neckpinch.curvature import sectional_curvatures
+from neckpinch.curvature import jet, sectional_curvatures
 from neckpinch.flow import (
     STOP_AMIN,
     STOP_HALVINGS,
@@ -25,19 +25,21 @@ from neckpinch.flow import (
     StepRejected,
     SummarySample,
     Trajectory,
-    adaptive_dt,
+    _flow_rhs,
+    _step_limits,
     estimate_singular_time,
     evolve,
     homogeneous_ode_oracle,
     rk4_step,
     summarize_state,
-    time_derivatives,
+    tangential_speed,
 )
 from neckpinch.grid import (
     DegenerateFiberError,
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
+    dz_values,
     metric_state,
     s_derivative,
 )
@@ -49,47 +51,132 @@ from conftest import make_trajectory
 # --- right-hand sides --------------------------------------------------------
 
 
+def rhs(state):
+    """_flow_rhs at a MetricState: the radii rates (3, n) and dt log lambda."""
+    phi = state.phi.values
+    return _flow_rhs(stacked(state), phi, phi / phi.sum(), state.grid.dz)
+
+
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_round_state_derivatives(r):
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, r, r, r)
-    da, db, dc, dlogphi = time_derivatives(st)
-    for d in (da, db, dc):
-        assert np.allclose(d.values, -2.0 / r, rtol=1e-14)
-    assert np.all(dlogphi.values == 0.0)
+    dx, dlog_lam = rhs(st)
+    assert np.allclose(dx, -2.0 / r, rtol=1e-14)
+    assert dlog_lam == 0.0 and type(dlog_lam) is float
 
 
 def test_triaxial_hand_slopes():
     # (a, b, c) = (1, 2, 3): da = -2*1*(1-25)/36 = 4/3, db = -2*2*(16-64)/36
     # = 16/3, dc = -2*3*(81-9)/36 = -12
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 2.0, 3.0)
-    da, db, dc, dlogphi = time_derivatives(st)
-    assert np.allclose(da.values, 4.0 / 3.0, rtol=1e-14)
-    assert np.allclose(db.values, 16.0 / 3.0, rtol=1e-14)
-    assert np.allclose(dc.values, -12.0, rtol=1e-14)
-    assert np.all(dlogphi.values == 0.0)
+    (da, db, dc), dlog_lam = rhs(st)
+    assert np.allclose(da, 4.0 / 3.0, rtol=1e-14)
+    assert np.allclose(db, 16.0 / 3.0, rtol=1e-14)
+    assert np.allclose(dc, -12.0, rtol=1e-14)
+    assert dlog_lam == 0.0
 
 
 def test_biaxial_rhs_symmetry_bitwise():
     g = PeriodicGrid(64)
     b = np.cos(g.z) + 2.5
     st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
-    _, db, dc, _ = time_derivatives(st)
-    assert np.array_equal(db.values, dc.values)
+    (_, db, dc), _ = rhs(st)
+    assert np.array_equal(db, dc)
+
+
+# --- the constant-speed gauge --------------------------------------------------
+
+
+def speed(phi, x, dz):
+    """tangential_speed of the radii x under the gauge phi, and q."""
+    _, xpp = jet(phi, x, dz)
+    q = (xpp / x).sum(axis=0)
+    return (*tangential_speed(phi, q, phi / phi.sum()), q)
+
+
+def test_tangential_speed_is_zero_on_z_constant_data():
+    g = PeriodicGrid(32)
+    w, c, q = speed(np.full(g.n, 1.7), np.full((3, g.n), 2.0), g.dz)
+    assert w is None and c == 0.0 and not q.any()
+
+
+def test_tangential_speed_is_mean_free_and_integrates_its_density():
+    # dz W = phi (c - q) at the order of the stencil: the spectral W is
+    # differentiated by the 4th-order D1, so the defect falls by 16 per halving
+    errors = []
+    for n in (32, 64, 128):
+        g = PeriodicGrid(n)
+        z = g.z
+        phi = 1.0 + 0.3 * np.sin(z)
+        x = np.stack((np.cos(z) + 1.5, np.cos(z) + 2.5, 0.5 * np.sin(2 * z) + 3.5))
+        w, c, q = speed(phi, x, g.dz)
+        assert abs(np.mean(w)) <= 1e-15 * np.max(np.abs(w))
+        density = phi * (c - q)
+        assert abs(np.sum(density)) <= 1e-13 * np.sum(np.abs(density))
+        errors.append(np.max(np.abs(dz_values(w, g.dz) - density)))
+    for e0, e1 in zip(errors, errors[1:]):
+        assert np.log2(e0 / e1) >= 3.5
+
+
+@pytest.fixture(scope="module")
+def fig_a_64_run():
+    traj, _ = evolve(get_preset("fig-a").build(PeriodicGrid(64)), FlowConfig())
+    assert traj.stop_reason == STOP_AMIN
+    return traj
+
+
+def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
+    traj, n = fig_a_64_run, 64
+    assert np.all(traj.series("a_min_idx") == n // 2)
+    last = traj.snapshots[-1]
+    w, _, _ = speed(last.phi.values, stacked(last), last.grid.dz)
+    assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
+    # the gauge keeps its shape: phi = lambda(t) * phi0, here uniform
+    assert np.ptp(last.phi.values) == 0.0
+
+
+def test_nonuniform_gauge_keeps_its_shape():
+    # phi0 from a samples profile: phi stays lambda(t) * phi0
+    g = PeriodicGrid(32)
+    phi0 = 1.0 + 0.3 * np.sin(g.z)
+    st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, np.cos(g.z) + 3.5)
+    traj, _ = evolve(st, FlowConfig(t_max=0.05, snapshot_stride=10))
+    assert traj.stop_reason == STOP_TMAX
+    ratio = traj.snapshots[-1].phi.values / phi0
+    assert ratio[0] != 1.0
+    assert np.ptp(ratio) <= 1e-15 * ratio[0]
+
+
+def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
+    traj = fig_a_64_run
+    last = traj.snapshots[-1]
+    a = last.a.values
+    k = int(np.argmin(a))
+    hand = a[k] / (last.phi.values[k] * last.grid.dz)
+    assert traj.run_stats.neck_resolution == pytest.approx(hand, rel=1e-14)
+    assert a[k] == traj.samples[-1].a_min
 
 
 # --- stepping ----------------------------------------------------------------
 
 
 def stacked(state):
-    """The (4, n) stepping state (a, b, c, log phi) of a MetricState."""
-    return np.stack((state.a.values, state.b.values, state.c.values, np.log(state.phi.values)))
+    """The radii (a, b, c) of a MetricState stacked (3, n)."""
+    return np.stack((state.a.values, state.b.values, state.c.values))
+
+
+def step(state, dt):
+    """rk4_step from a MetricState, its phi taken as phi0 (log lambda = 0)."""
+    phi = state.phi.values
+    return rk4_step(stacked(state), 0.0, dt, phi, phi / phi.sum(), state.grid.dz)
 
 
 def test_rk4_step_sphere_one_step():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
     dt = 1e-4
-    out = rk4_step(stacked(st), dt, st.grid.dz)
-    assert out.shape == (4, 32)
+    out, log_lam = step(st, dt)
+    assert out.shape == (3, 32)
+    assert log_lam == 0.0 and type(log_lam) is float
     # exact solution a^2 = 4 - 4t; RK4's one-step defect is far below fp noise
     assert np.max(np.abs(out[0] ** 2 - (4.0 - 4.0 * dt))) <= 1e-13
 
@@ -98,43 +185,42 @@ def test_rk4_preserves_biaxial_closure():
     g = PeriodicGrid(64)
     b = np.cos(g.z) + 2.5
     st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
-    out = rk4_step(stacked(st), 1e-4, g.dz)
+    out, _ = step(st, 1e-4)
     assert np.max(np.abs(out[1] - out[2])) == 0.0
 
 
 def test_rk4_rejects_positivity_loss():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5)
     with pytest.raises(StepRejected):
-        rk4_step(stacked(st), 0.2, st.grid.dz)  # an internal stage drives a through zero
+        step(st, 0.2)  # an internal stage drives a through zero
 
 
 def test_rk4_rejects_nonpositive_dt():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        rk4_step(stacked(st), 0.0, st.grid.dz)
+        step(st, 0.0)
 
 
 def test_adaptive_dt_diffusion_branch():
     g = PeriodicGrid(256)
-    st = metric_state(g, 0.0, 1.0, 10.0, 10.0, 10.0)
-    cfg = FlowConfig(cfl_safety=0.2)
-    assert adaptive_dt(st, cfg) == pytest.approx(0.2 * g.dz**2)
-    assert type(adaptive_dt(st, cfg)) is float  # series.csv prints it with repr
+    diffusion, reaction = _step_limits(1.0, 10.0, g.dz)
+    assert diffusion < reaction
+    assert diffusion == pytest.approx(g.dz**2)
+    # series.csv prints dt with repr
+    assert type(diffusion) is float and type(reaction) is float
 
 
 def test_adaptive_dt_reaction_branch():
-    g = PeriodicGrid(32)
-    st = metric_state(g, 0.0, 1.0, 0.01, 0.01, 0.01)
-    cfg = FlowConfig(cfl_safety=0.3)
-    assert adaptive_dt(st, cfg) == pytest.approx(0.3 * 1.25e-5)
-    assert type(adaptive_dt(st, cfg)) is float
+    diffusion, reaction = _step_limits(1.0, 0.01, PeriodicGrid(32).dz)
+    assert reaction < diffusion
+    assert reaction == pytest.approx(1.25e-5)
+    assert type(reaction) is float
 
 
 def test_adaptive_dt_quarters_when_dz_halves():
-    cfg = FlowConfig(cfl_safety=0.2)
-    dt_coarse = adaptive_dt(metric_state(PeriodicGrid(64), 0.0, 1.0, 9, 9, 9), cfg)
-    dt_fine = adaptive_dt(metric_state(PeriodicGrid(128), 0.0, 1.0, 9, 9, 9), cfg)
-    assert dt_coarse / dt_fine == pytest.approx(4.0)
+    coarse, _ = _step_limits(1.0, 9.0, PeriodicGrid(64).dz)
+    fine, _ = _step_limits(1.0, 9.0, PeriodicGrid(128).dz)
+    assert coarse / fine == pytest.approx(4.0)
 
 
 # --- summaries ---------------------------------------------------------------
@@ -231,11 +317,11 @@ def _reject_after(monkeypatch, steps):
     """Make every step attempt after the first `steps` fail."""
     attempts = []
 
-    def rk4_step(y, dt, dz):
+    def rk4_step(x, log_lam, dt, *args):
         attempts.append(dt)
         if len(attempts) > steps:
             raise StepRejected("forced")
-        return RK4_STEP(y, dt, dz)
+        return RK4_STEP(x, log_lam, dt, *args)
 
     monkeypatch.setattr(flow, "rk4_step", rk4_step)
 
@@ -243,7 +329,7 @@ def _reject_after(monkeypatch, steps):
 @pytest.mark.parametrize(
     "stop, flow_kwargs",
     [
-        (STOP_AMIN, {"a_min_stop": 0.3}),
+        (STOP_AMIN, {"a_min_stop": 0.25}),
         (STOP_TMAX, {"t_max": 0.07}),
         (STOP_HALVINGS, {}),
     ],
@@ -337,6 +423,7 @@ def test_evolve_names_exhausted_halvings():
         "steps": 0,
         "rejected": MAX_STEP_HALVINGS + 1,
         "diffusion_limited": 0,
+        "neck_resolution": 2.0 / st.grid.dz,
     }
 
 
@@ -377,7 +464,7 @@ def test_trajectory_rows_and_columns():
 def test_trajectory_bytes_per_sample():
     # The columns hold 15 float64 values and 12 integer indices per sample,
     # 216 bytes; a sample object per state took about 680.
-    st = get_preset("fig-a").build(PeriodicGrid(64))
+    st = get_preset("fig-a").build(PeriodicGrid(128))
     cfg = FlowConfig(snapshot_stride=10**6)
     gc.collect()
     tracemalloc.start()
@@ -395,19 +482,18 @@ def test_trajectory_bytes_per_sample():
 
 
 @pytest.mark.parametrize(
-    "log_phi, error", [(710.0, NonFiniteFieldError), (-746.0, GaugeDegeneracyError)]
+    "log_lam, error", [(710.0, NonFiniteFieldError), (-746.0, GaugeDegeneracyError)]
 )
-def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_phi, error):
-    # exp(710) overflows to inf and exp(-746) underflows to 0 although the
-    # stepped log phi itself is finite
-    def rk4_step(y, dt, dz):
-        y1 = RK4_STEP(y, dt, dz)
-        y1[3, 5] = log_phi
-        return y1
+def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_lam, error):
+    # exp(710) overflows and exp(-746) underflows to 0 although the stepped
+    # log lambda itself is finite
+    def rk4_step(*args):
+        x1, _ = RK4_STEP(*args)
+        return x1, log_lam
 
     monkeypatch.setattr(flow, "rk4_step", rk4_step)
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
-    with pytest.raises(error), np.errstate(over="ignore"):
+    with pytest.raises(error):
         evolve(st, FlowConfig())
 
 
@@ -427,7 +513,9 @@ def test_evolve_biaxial_closure_whole_run():
 
 
 def test_ricci_flow_residual_shrinks_under_refinement():
-    # dt g + 2 Ric -> 0 on the diagonal, checked at the middle snapshot triple
+    # dt g + 2 Ric - L_V g -> 0 on the diagonal, checked at the middle
+    # snapshot triple; the gauge's field V = (W/phi) dz adds the Lie
+    # derivative 2x W x' to each radius squared and 2 phi dz W to phi^2
     def residual(n, dt):
         st = get_preset("fig-a").build(PeriodicGrid(n))
         cfg = FlowConfig(fixed_dt=dt, t_max=20 * dt, snapshot_stride=1)
@@ -436,13 +524,17 @@ def test_ricci_flow_residual_shrinks_under_refinement():
         s0, s1, s2 = traj.snapshots[mid - 1 : mid + 2]
         span = s2.t - s0.t
         curv = sectional_curvatures(s1)
+        phi, dz, x = s1.phi.values, s1.grid.dz, stacked(s1)
+        w, _, _ = speed(phi, x, dz)
+        lies = 2.0 * x * w * jet(phi, x, dz)[0]
         worst = 0.0
-        for name, ric in (("a", curv.ric11), ("b", curv.ric22), ("c", curv.ric33)):
+        for name, ric, lie in zip("abc", (curv.ric11, curv.ric22, curv.ric33), lies):
             g2_dot = (getattr(s2, name).values ** 2 - getattr(s0, name).values ** 2) / span
-            worst = max(worst, float(np.max(np.abs(g2_dot + 2.0 * ric.values))))
+            worst = max(worst, float(np.max(np.abs(g2_dot + 2.0 * ric.values - lie))))
         phi2_dot = (s2.phi.values**2 - s0.phi.values**2) / span
+        lie = 2.0 * phi * dz_values(w, dz)
         worst = max(
-            worst, float(np.max(np.abs(phi2_dot + 2.0 * s1.phi.values**2 * curv.ric00.values)))
+            worst, float(np.max(np.abs(phi2_dot + 2.0 * phi**2 * curv.ric00.values - lie)))
         )
         return worst
 
