@@ -7,22 +7,13 @@ from .grid import (
     NonFiniteFieldError,
     PeriodicGrid,
     ScalarField,
-    arclength,
-    d_z,
-    extremum,
     field,
     metric_state,
-    s_derivative,
-    s_second_derivative,
 )
 from .curvature import (
     CurvatureField,
-    FrameSymbols,
     RiemannOracle,
-    fiber_sectional,
-    frame_symbol_oracle,
     riemann_oracle,
-    scalar_curvature,
     sectional_curvatures,
 )
 from .flow import (
@@ -31,7 +22,6 @@ from .flow import (
     Trajectory,
     estimate_singular_time,
     evolve,
-    homogeneous_ode_oracle,
     rk4_step,
 )
 from .monitors import (

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import flow, monitors
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import RunConfig, config_from_dict, load_config
 from .curvature import riemann_oracle, sectional_curvatures
-from .grid import PeriodicGrid, metric_state
+from .grid import PeriodicGrid, dz_values, metric_state
 from .output import write_series, write_summary
 from .presets import get_preset, presets
 
@@ -80,15 +80,17 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
+    # ConfigError and the data errors of building the state (DegenerateFiberError,
+    # a samples profile of the wrong length) are all ValueErrors.
     try:
         cfg = _resolve_config(args)
         preset = cfg.build_preset()
-    except (ConfigError, KeyError, TypeError) as exc:
+        grid = PeriodicGrid(cfg.grid_n)
+        state = preset.build(grid)
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    grid = PeriodicGrid(cfg.grid_n)
-    state = preset.build(grid)
     traj, report = flow.evolve(state, cfg.flow)
 
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled, cfg.kappa)
@@ -175,13 +177,11 @@ def _cmd_convergence(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    from .grid import d_z, field
-
     print("derivative stencil on sin(z):")
     errs = []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n)
-        err = np.max(np.abs(d_z(field(grid, np.sin(grid.z))).values - np.cos(grid.z)))
+        err = np.max(np.abs(dz_values(np.sin(grid.z), grid.dz) - np.cos(grid.z)))
         errs.append(err)
         print(f"  n={n:4d} max_err={err:.3e}")
     print(f"  measured orders: {[f'{o:.2f}' for o in _measured_orders(errs)]}")

@@ -9,19 +9,17 @@ Two independent evaluation paths are provided:
 * the production path evaluates the closed arclength-gauge expressions
   (K_0i = -x''/x, K_ij = -x'y'/(xy) + Khat_ij, the Ricci diagonal, the
   scalar curvature, |Rm|^2) using chain-rule s-derivatives;
-* the oracle path evaluates the z-gauge frame symbols Sigma^gamma_{alpha beta}
-  and the z-gauge Riemann components Rm_0ii0 / Rm_ijji directly, including the
-  g^00 terms that vanish in the arclength gauge.
+* the oracle path evaluates the z-gauge Riemann components Rm_0ii0 / Rm_ijji
+  directly, including the g^00 terms that vanish in the arclength gauge.
 
 The two paths discretize genuinely different formulas and must agree under
 grid refinement at the stencil order; that comparison is the module's main
-self-check.
+self-check (criterion 2 and ``neckpinch convergence``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -36,16 +34,6 @@ from .grid import (
 #: overflow silently rather than fail loudly.
 MIN_RADIUS = 1e-8
 
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in permutations(range(3)):
-    _EPS[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2.0
-
-
-def _levi_civita(i: int, j: int, k: int) -> float:
-    """eps_ijk for fiber indices in {1, 2, 3}."""
-    return float(_EPS[i - 1, j - 1, k - 1])
-
-
 # Fiber index triples (i, j, k) of the planes 12, 13, 23 and their complements.
 _PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
 
@@ -55,8 +43,8 @@ def jet(phi: np.ndarray, x: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarr
 
     x is a stacked (..., n) array, usually the radii (a, b, c); phi must
     broadcast against it. The second derivative is nested,
-    (1/phi) d/dz ((1/phi) dx/dz), exactly as in s_second_derivative, so each
-    row matches it bitwise.
+    (1/phi) d/dz ((1/phi) dx/dz), which keeps the discrete product rule exact
+    instead of expanding into dx*dphi cross terms.
     """
     xp = dz_values(x, dz)
     xp /= phi
@@ -111,18 +99,6 @@ class CurvatureField:
 
 
 @dataclass(frozen=True)
-class FrameSymbols:
-    """z-gauge frame symbols; sigma[alpha, beta, gamma, :] is Sigma^gamma_{alpha beta}."""
-
-    grid_n: int
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        if self.sigma.shape != (4, 4, 4, self.grid_n):
-            raise ValueError("sigma must have shape (4, 4, 4, n)")
-
-
-@dataclass(frozen=True)
 class RiemannOracle:
     """z-gauge Riemann components and the sectional curvatures they normalize to."""
 
@@ -146,18 +122,6 @@ class RiemannOracle:
 def _khat(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Fiber sectional curvature of the plane spanned by the x- and y-directions."""
     return ((x**2 - y**2) ** 2 - 3.0 * z**4) / (x * y * z) ** 2 + 2.0 / x**2 + 2.0 / y**2
-
-
-def fiber_sectional(state: MetricState) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Intrinsic sectional curvatures (Khat12, Khat13, Khat23) of the SU(2) fiber."""
-    check_resolvable(state)
-    a, b, c = state.a.values, state.b.values, state.c.values
-    grid = state.grid
-    return (
-        ScalarField(grid, _khat(a, b, c)),
-        ScalarField(grid, _khat(a, c, b)),
-        ScalarField(grid, _khat(b, c, a)),
-    )
 
 
 def sectional_rows(
@@ -212,58 +176,6 @@ def sectional_curvatures(state: MetricState) -> CurvatureField:
         scal=wrap(scal),
         rm_norm_sq=wrap(rm_norm_sq),
     )
-
-
-def scalar_curvature(state: MetricState) -> ScalarField:
-    """Scalar curvature from its displayed closed form (not the trace assembly)."""
-    check_resolvable(state)
-    a, b, c = x = radii(state)
-    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi.values, x, state.grid.dz)
-    a2, b2, c2 = a**2, b**2, c**2
-    algebraic = (2 * a2 * b2 + 2 * a2 * c2 + 2 * b2 * c2 - a2**2 - b2**2 - c2**2) / (
-        a2 * b2 * c2
-    )
-    s = 2.0 * (
-        -app / a
-        - bpp / b
-        - cpp / c
-        - ap * bp / (a * b)
-        - ap * cp / (a * c)
-        - bp * cp / (b * c)
-        + algebraic
-    )
-    return ScalarField(state.grid, s)
-
-
-def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
-    """z-gauge frame symbols Sigma^gamma_{alpha beta} from the Koszul formula.
-
-    Nonzero entries: Sigma^0_00 = g^00 dz(g00)/2, Sigma^i_{i0} = Sigma^i_{0i}
-    = g^ii dz(gii)/2, Sigma^0_{ii} = -g^00 dz(gii)/2, and for distinct fiber
-    indices Sigma^k_{ij} = eps_ijk g^kk (g_ii - g_jj - g_kk). Everything with
-    exactly two zero indices vanishes.
-    """
-    check_resolvable(state)
-    n = state.grid.n
-    dz = state.grid.dz
-    g = np.stack(
-        [
-            state.phi.values**2,
-            state.a.values**2,
-            state.b.values**2,
-            state.c.values**2,
-        ]
-    )
-    dg = dz_values(g, dz)
-    sigma = np.zeros((4, 4, 4, n))
-    sigma[0, 0, 0] = 0.5 * dg[0] / g[0]
-    for i in (1, 2, 3):
-        sigma[i, 0, i] = 0.5 * dg[i] / g[i]
-        sigma[0, i, i] = sigma[i, 0, i]
-        sigma[i, i, 0] = -0.5 * dg[i] / g[0]
-    for i, j, k in permutations((1, 2, 3)):
-        sigma[i, j, k] = _levi_civita(i, j, k) * (g[i] - g[j] - g[k]) / g[k]
-    return FrameSymbols(grid_n=n, sigma=sigma)
 
 
 def riemann_oracle(state: MetricState) -> RiemannOracle:
@@ -326,43 +238,3 @@ def riemann_oracle(state: MetricState) -> RiemannOracle:
         k13=wrap(kf[(1, 3)]),
         k23=wrap(kf[(2, 3)]),
     )
-
-
-def riemann_tensor_from_frame_symbols(state: MetricState) -> np.ndarray:
-    """Full Rm_{alpha beta gamma delta} assembled numerically from frame symbols.
-
-    R(E_a, E_b) E_c = grad_a grad_b E_c - grad_b grad_a E_c - grad_[E_a,E_b] E_c
-    expanded through Sigma, with E_0 = d/dz acting on the z-dependent symbol
-    coefficients and the fiber brackets [E_i, E_j] = -2 eps_ijk E_k. Returns an
-    array of shape (4, 4, 4, 4, n). This is a third, formula-free evaluation
-    path used to arbitrate between the closed forms and the z-gauge oracle.
-    """
-    syms = frame_symbol_oracle(state)
-    sigma = syms.sigma
-    n = state.grid.n
-    dz = state.grid.dz
-    dsigma = dz_values(sigma, dz)
-
-    # structure[alpha, beta, u] = C^u_{alpha beta} of the frame bracket
-    structure = np.zeros((4, 4, 4))
-    for i, j, k in permutations((1, 2, 3)):
-        structure[i, j, k] = -2.0 * _levi_civita(i, j, k)
-
-    # coef[a, b, c, d] is the E_d component of R(E_a, E_b) E_c; only E_0 = d/dz
-    # differentiates the z-dependent symbol coefficients.
-    coef = np.zeros((4, 4, 4, 4, n))
-    coef[0] += dsigma
-    coef[:, 0] -= dsigma
-    coef += np.einsum("bcun,audn->abcdn", sigma, sigma)
-    coef -= np.einsum("acun,budn->abcdn", sigma, sigma)
-    coef -= np.einsum("abu,ucdn->abcdn", structure, sigma)
-
-    g = np.stack(
-        [
-            state.phi.values**2,
-            state.a.values**2,
-            state.b.values**2,
-            state.c.values**2,
-        ]
-    )
-    return coef * g[np.newaxis, np.newaxis, np.newaxis, :, :]

@@ -67,6 +67,9 @@ MAX_STEP_HALVINGS = 20
 #: outgrow the cache.
 SUMMARY_BLOCK = 8
 
+#: Samples the singular-time fit needs inside the final decade of a_min.
+MIN_FIT_SAMPLES = 10
+
 
 class StepRejected(RuntimeError):
     """A step left the positive cone; the caller should halve dt and retry."""
@@ -567,7 +570,7 @@ def evolve(
     return traj, report
 
 
-def estimate_singular_time(traj: Trajectory, min_samples: int = 10) -> SingularityReport:
+def estimate_singular_time(traj: Trajectory) -> SingularityReport:
     """Least-squares linear fit of a_min^2 over the final decade of a_min.
 
     The window is every sample with a_min <= 10 * (final a_min); the estimate
@@ -577,9 +580,9 @@ def estimate_singular_time(traj: Trajectory, min_samples: int = 10) -> Singulari
     ts = traj.ts
     a_min = traj.series("a_min")
     window = a_min <= 10.0 * a_min[-1]
-    if int(np.sum(window)) < min_samples:
+    if int(np.sum(window)) < MIN_FIT_SAMPLES:
         raise InsufficientSamplesError(
-            f"need >= {min_samples} samples in the final decade, have {int(np.sum(window))}"
+            f"need >= {MIN_FIT_SAMPLES} samples in the final decade, have {int(np.sum(window))}"
         )
     t_fit = ts[window]
     y_fit = a_min[window] ** 2
@@ -594,53 +597,3 @@ def estimate_singular_time(traj: Trajectory, min_samples: int = 10) -> Singulari
         fit_residual=residual,
         a_min_final=float(a_min[-1]),
     )
-
-
-def homogeneous_ode_oracle(
-    a0: float,
-    b0: float,
-    c0: float,
-    t_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    radius_floor: float = 1e-8,
-):
-    """High-accuracy integration of the z-constant reduction of the flow.
-
-    With all spatial derivatives zero the system collapses to the classical
-    homogeneous ODE da/dt = -2a (a^4 - (b^2-c^2)^2)/(abc)^2 and relabelings.
-    Returns the scipy solution object (dense output enabled); integration
-    stops when any radius falls below radius_floor. scipy.integrate is
-    imported here, its only use, so importing the package does not load it.
-    """
-    from scipy.integrate import solve_ivp
-
-    if min(a0, b0, c0) <= 0.0:
-        raise DegenerateFiberError("initial radii must be positive")
-
-    def rhs(_t, y):
-        a, b, c = y
-        denom = (a * b * c) ** 2
-        return [
-            -2.0 * a * (a**4 - (b * b - c * c) ** 2) / denom,
-            -2.0 * b * (b**4 - (a * a - c * c) ** 2) / denom,
-            -2.0 * c * (c**4 - (a * a - b * b) ** 2) / denom,
-        ]
-
-    def blow_down(_t, y):
-        return min(y) - radius_floor
-
-    blow_down.terminal = True
-    blow_down.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [a0, b0, c0],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=blow_down,
-    )
-    return sol

@@ -1,12 +1,11 @@
-"""Periodic grid, scalar fields, and differentiation in the z and arclength gauges.
+"""Periodic grid, scalar fields, and the z-derivative stencil.
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
 points. Metric profiles phi, a, b, c live on this grid as immutable scalar
 fields. Derivatives with respect to the base coordinate z use one 4th-order
 periodic central-difference stencil, applied row-wise to stacked arrays.
-Derivatives with respect to the arclength coordinate s, defined by ds = phi dz,
-are obtained through the chain rule d/ds = (1/phi) d/dz; the grid itself never
-moves while phi evolves.
+Arclength derivatives (ds = phi dz) follow by the chain rule d/ds = (1/phi) d/dz
+in curvature.jet; the grid itself never moves while phi evolves.
 """
 
 from __future__ import annotations
@@ -146,53 +145,3 @@ def dz_values(values: np.ndarray, dz: float) -> np.ndarray:
         out += term
     out /= dz
     return out
-
-
-def d_z(f: ScalarField) -> ScalarField:
-    """Derivative with respect to the base coordinate z."""
-    return ScalarField(f.grid, dz_values(f.values, f.grid.dz))
-
-
-def s_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
-    """Arclength derivative f' = (1/phi) df/dz."""
-    if f.grid != phi.grid:
-        raise ValueError("f and phi must share one grid")
-    if np.min(phi.values) <= 0.0:
-        raise GaugeDegeneracyError("phi must be strictly positive")
-    return ScalarField(f.grid, dz_values(f.values, f.grid.dz) / phi.values)
-
-
-def s_second_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
-    """Second arclength derivative as two nested first derivatives.
-
-    The nested form (1/phi) d/dz ((1/phi) df/dz) keeps the discrete product
-    rule exact instead of expanding into df*dphi cross terms.
-    """
-    return s_derivative(s_derivative(f, phi), phi)
-
-
-def arclength(phi: ScalarField) -> tuple[ScalarField, float]:
-    """Cumulative arclength s(z_k) = int_0^{z_k} phi dz and the total length.
-
-    Trapezoidal quadrature with s(0) = 0; the total circumference
-    L = closed-loop integral of phi uses the periodic closing panel as well.
-    """
-    if np.min(phi.values) <= 0.0:
-        raise GaugeDegeneracyError("phi must be strictly positive")
-    dz = phi.grid.dz
-    v = phi.values
-    panels = 0.5 * (v[:-1] + v[1:]) * dz
-    s = np.concatenate(([0.0], np.cumsum(panels)))
-    total = s[-1] + 0.5 * (v[-1] + v[0]) * dz
-    return ScalarField(phi.grid, s), float(total)
-
-
-def extremum(f: ScalarField, kind: str) -> tuple[float, int]:
-    """Global extremum over the grid and the first index attaining it."""
-    if kind == "min":
-        idx = int(np.argmin(f.values))
-    elif kind == "max":
-        idx = int(np.argmax(f.values))
-    else:
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    return float(f.values[idx]), idx

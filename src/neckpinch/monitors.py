@@ -4,11 +4,13 @@ Each monitor is a pure function of trajectory data: it checks one proved
 bound (ordering preservation, eccentricity decay, ratio bounds, the two-sided
 pinch-rate estimates, derivative bounds, scalar-curvature positivity), records
 the worst signed margin together with where it occurred, and never aborts a
-run. Tolerances scale with the measured discretization error,
-tol = kappa * (dz^4 + mean dt), so refinement strictly tightens every
-assertion. A violated bound is reported, not raised: it is the interesting
-output. Monitors read the trajectory's columns, and MONITORS maps every
-monitor name to its function for run_monitors and the config check.
+run. Tolerances follow the step sizes, tol = kappa * (dz^4 + mean dt), so
+refining the grid and the time step tightens every assertion. They do not
+measure the discretization error: a scheme that takes longer steps gets a
+wider tolerance even where its error is smaller. A violated bound is
+reported, not raised: it is the interesting output. Monitors read the
+trajectory's columns, and MONITORS maps every monitor name to its function
+for run_monitors and the config check.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ DERIV_BOUND_C = 10.0 * math.sqrt(93.0) / 9.0
 
 #: Ordering is considered satisfied at t=0 down to this slack.
 _PRECONDITION_SLACK = 1e-12
+
+#: Type I test: the largest |slope| of log((T-t) max|Rm|) against log(T-t)
+#: over the final decade that still counts as trend-free.
+TYPE1_SLOPE_THRESHOLD = 0.1
+#: Relative slack on both edges of the a_min/sqrt(T-t) pinch-rate band.
+TYPE1_BAND_SLACK = 0.2
+#: Uniform time samples of a_min^2 whose second differences concavity_check tests.
+CONCAVITY_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,7 @@ def constants(lam: float) -> TheoremConstants:
 
 
 def tolerance(traj: Trajectory, kappa: float = 1.0) -> float:
-    """Discretization-scaled slack: kappa * (dz^4 + mean dt), 4 the stencil order."""
+    """Step-size slack: kappa * (dz^4 + mean dt), 4 the stencil order."""
     return kappa * (traj.grid.dz**STENCIL_ORDER + traj.dt_mean)
 
 
@@ -340,12 +350,7 @@ def scalar_min_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     )
 
 
-def type1_classifier(
-    traj: Trajectory,
-    report: SingularityReport | None,
-    slope_threshold: float = 0.1,
-    band_slack: float = 0.2,
-) -> TypeIReport:
+def type1_classifier(traj: Trajectory, report: SingularityReport | None) -> TypeIReport:
     """Type I test: (T-t) max|Rm| stays trend-free over the final decade and
     a_min/sqrt(T-t) sits inside the two-sided pinch-rate band.
 
@@ -388,11 +393,11 @@ def type1_classifier(
     if lam < 2.0 and s_min0 >= 0.0:
         d_lower = constants(max(lam, 1.0)).d_lower
         if d_lower > 0.0:
-            lower_edge = math.sqrt(d_lower) * (1.0 - band_slack)
-    upper_edge = 2.0 * (1.0 + band_slack)
+            lower_edge = math.sqrt(d_lower) * (1.0 - TYPE1_BAND_SLACK)
+    upper_edge = 2.0 * (1.0 + TYPE1_BAND_SLACK)
 
     band_ok = band[0] >= lower_edge and band[1] <= upper_edge
-    trend_free = abs(slope) <= slope_threshold
+    trend_free = abs(slope) <= TYPE1_SLOPE_THRESHOLD
     classification = (
         "TypeI" if (math.isfinite(sup_tml) and trend_free and band_ok) else "Inconclusive"
     )
@@ -404,9 +409,7 @@ def type1_classifier(
     )
 
 
-def concavity_check(
-    traj: Trajectory, kappa: float = 1.0, resample_points: int = 21
-) -> MonitorReport:
+def concavity_check(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     """Second differences of a_min^2 on a uniform time resampling stay <= 0.
 
     Evidence only: concavity of the pinch profile is observed, not proved.
@@ -417,7 +420,7 @@ def concavity_check(
     tol = tolerance(traj, kappa)
     ts = traj.ts
     y = traj.series("a_min") ** 2
-    t_u = np.linspace(ts[0], ts[-1], resample_points)
+    t_u = np.linspace(ts[0], ts[-1], CONCAVITY_POINTS)
     y_u = np.interp(t_u, ts, y)
     d2 = y_u[2:] - 2.0 * y_u[1:-1] + y_u[:-2]
     k = int(np.argmax(d2))

@@ -1,0 +1,211 @@
+"""Reference implementations that only the tests compare against.
+
+* the nested arclength derivatives s_derivative / s_second_derivative, the
+  bitwise reference for curvature.jet;
+* the displayed closed form of the scalar curvature, against the package's
+  trace assembly;
+* the frame-symbol path: the z-gauge frame symbols Sigma^gamma_{alpha beta}
+  and the full Riemann tensor assembled numerically from them, a third,
+  formula-free evaluation path;
+* the homogeneous ODE oracle, a scipy integration of the z-constant flow.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import permutations
+
+import numpy as np
+
+from neckpinch.curvature import check_resolvable, jet, radii
+from neckpinch.grid import (
+    DegenerateFiberError,
+    GaugeDegeneracyError,
+    MetricState,
+    ScalarField,
+    dz_values,
+)
+
+# ---------------------------------------------------------------------------
+# Nested arclength derivatives
+
+
+def s_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
+    """Arclength derivative f' = (1/phi) df/dz."""
+    if f.grid != phi.grid:
+        raise ValueError("f and phi must share one grid")
+    if np.min(phi.values) <= 0.0:
+        raise GaugeDegeneracyError("phi must be strictly positive")
+    return ScalarField(f.grid, dz_values(f.values, f.grid.dz) / phi.values)
+
+
+def s_second_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
+    """Second arclength derivative as two nested first derivatives.
+
+    The nested form (1/phi) d/dz ((1/phi) df/dz) keeps the discrete product
+    rule exact instead of expanding into df*dphi cross terms.
+    """
+    return s_derivative(s_derivative(f, phi), phi)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form scalar curvature
+
+
+def scalar_curvature(state: MetricState) -> ScalarField:
+    """Scalar curvature from its displayed closed form (not the trace assembly)."""
+    check_resolvable(state)
+    a, b, c = x = radii(state)
+    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi.values, x, state.grid.dz)
+    a2, b2, c2 = a**2, b**2, c**2
+    algebraic = (2 * a2 * b2 + 2 * a2 * c2 + 2 * b2 * c2 - a2**2 - b2**2 - c2**2) / (
+        a2 * b2 * c2
+    )
+    s = 2.0 * (
+        -app / a
+        - bpp / b
+        - cpp / c
+        - ap * bp / (a * b)
+        - ap * cp / (a * c)
+        - bp * cp / (b * c)
+        + algebraic
+    )
+    return ScalarField(state.grid, s)
+
+
+# ---------------------------------------------------------------------------
+# Frame-symbol path
+
+_EPS = np.zeros((3, 3, 3))
+for _i, _j, _k in permutations(range(3)):
+    _EPS[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2.0
+
+
+def _levi_civita(i: int, j: int, k: int) -> float:
+    """eps_ijk for fiber indices in {1, 2, 3}."""
+    return float(_EPS[i - 1, j - 1, k - 1])
+
+
+@dataclass(frozen=True)
+class FrameSymbols:
+    """z-gauge frame symbols; sigma[alpha, beta, gamma, :] is Sigma^gamma_{alpha beta}."""
+
+    grid_n: int
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        if self.sigma.shape != (4, 4, 4, self.grid_n):
+            raise ValueError("sigma must have shape (4, 4, 4, n)")
+
+
+def _metric_diagonal(state: MetricState) -> np.ndarray:
+    """(g00, g11, g22, g33) = (phi^2, a^2, b^2, c^2) stacked (4, n)."""
+    return np.stack(
+        [state.phi.values**2, state.a.values**2, state.b.values**2, state.c.values**2]
+    )
+
+
+def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
+    """z-gauge frame symbols Sigma^gamma_{alpha beta} from the Koszul formula.
+
+    Nonzero entries: Sigma^0_00 = g^00 dz(g00)/2, Sigma^i_{i0} = Sigma^i_{0i}
+    = g^ii dz(gii)/2, Sigma^0_{ii} = -g^00 dz(gii)/2, and for distinct fiber
+    indices Sigma^k_{ij} = eps_ijk g^kk (g_ii - g_jj - g_kk). Everything with
+    exactly two zero indices vanishes.
+    """
+    check_resolvable(state)
+    n = state.grid.n
+    g = _metric_diagonal(state)
+    dg = dz_values(g, state.grid.dz)
+    sigma = np.zeros((4, 4, 4, n))
+    sigma[0, 0, 0] = 0.5 * dg[0] / g[0]
+    for i in (1, 2, 3):
+        sigma[i, 0, i] = 0.5 * dg[i] / g[i]
+        sigma[0, i, i] = sigma[i, 0, i]
+        sigma[i, i, 0] = -0.5 * dg[i] / g[0]
+    for i, j, k in permutations((1, 2, 3)):
+        sigma[i, j, k] = _levi_civita(i, j, k) * (g[i] - g[j] - g[k]) / g[k]
+    return FrameSymbols(grid_n=n, sigma=sigma)
+
+
+def riemann_tensor_from_frame_symbols(state: MetricState) -> np.ndarray:
+    """Full Rm_{alpha beta gamma delta} assembled numerically from frame symbols.
+
+    R(E_a, E_b) E_c = grad_a grad_b E_c - grad_b grad_a E_c - grad_[E_a,E_b] E_c
+    expanded through Sigma, with E_0 = d/dz acting on the z-dependent symbol
+    coefficients and the fiber brackets [E_i, E_j] = -2 eps_ijk E_k. Returns an
+    array of shape (4, 4, 4, 4, n). This is a third, formula-free evaluation
+    path used to arbitrate between the closed forms and the z-gauge oracle.
+    """
+    sigma = frame_symbol_oracle(state).sigma
+    n = state.grid.n
+    dsigma = dz_values(sigma, state.grid.dz)
+
+    # structure[alpha, beta, u] = C^u_{alpha beta} of the frame bracket
+    structure = np.zeros((4, 4, 4))
+    for i, j, k in permutations((1, 2, 3)):
+        structure[i, j, k] = -2.0 * _levi_civita(i, j, k)
+
+    # coef[a, b, c, d] is the E_d component of R(E_a, E_b) E_c; only E_0 = d/dz
+    # differentiates the z-dependent symbol coefficients.
+    coef = np.zeros((4, 4, 4, 4, n))
+    coef[0] += dsigma
+    coef[:, 0] -= dsigma
+    coef += np.einsum("bcun,audn->abcdn", sigma, sigma)
+    coef -= np.einsum("acun,budn->abcdn", sigma, sigma)
+    coef -= np.einsum("abu,ucdn->abcdn", structure, sigma)
+
+    g = _metric_diagonal(state)
+    return coef * g[np.newaxis, np.newaxis, np.newaxis, :, :]
+
+
+# ---------------------------------------------------------------------------
+# Homogeneous ODE oracle
+
+
+def homogeneous_ode_oracle(
+    a0: float,
+    b0: float,
+    c0: float,
+    t_end: float,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    radius_floor: float = 1e-8,
+):
+    """High-accuracy integration of the z-constant reduction of the flow.
+
+    With all spatial derivatives zero the system collapses to the classical
+    homogeneous ODE da/dt = -2a (a^4 - (b^2-c^2)^2)/(abc)^2 and relabelings.
+    Returns the scipy solution object (dense output enabled); integration
+    stops when any radius falls below radius_floor.
+    """
+    from scipy.integrate import solve_ivp
+
+    if min(a0, b0, c0) <= 0.0:
+        raise DegenerateFiberError("initial radii must be positive")
+
+    def rhs(_t, y):
+        a, b, c = y
+        denom = (a * b * c) ** 2
+        return [
+            -2.0 * a * (a**4 - (b * b - c * c) ** 2) / denom,
+            -2.0 * b * (b**4 - (a * a - c * c) ** 2) / denom,
+            -2.0 * c * (c**4 - (a * a - b * b) ** 2) / denom,
+        ]
+
+    def blow_down(_t, y):
+        return min(y) - radius_floor
+
+    blow_down.terminal = True
+    blow_down.direction = -1
+
+    return solve_ivp(
+        rhs,
+        (0.0, t_end),
+        [a0, b0, c0],
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+        events=blow_down,
+    )

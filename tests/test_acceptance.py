@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from neckpinch.curvature import riemann_oracle, sectional_curvatures
-from neckpinch.flow import (
-    FlowConfig,
-    evolve,
-    homogeneous_ode_oracle,
-)
+from neckpinch.flow import FlowConfig, evolve
 from neckpinch.grid import PeriodicGrid, metric_state
 from neckpinch.monitors import (
     DERIV_BOUND_A,
@@ -28,6 +24,7 @@ from neckpinch.monitors import (
 from neckpinch.presets import get_preset, sphere
 
 from conftest import make_trajectory
+from reference import homogeneous_ode_oracle
 
 
 def _report(criterion: int, message: str) -> None:

