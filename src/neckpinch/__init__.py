@@ -6,13 +6,10 @@ from .grid import (
     MetricState,
     NonFiniteFieldError,
     PeriodicGrid,
-    ScalarField,
-    field,
     metric_state,
 )
 from .curvature import (
     CurvatureField,
-    RiemannOracle,
     riemann_oracle,
     sectional_curvatures,
 )

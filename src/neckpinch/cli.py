@@ -66,7 +66,7 @@ def _resolve_config(args) -> RunConfig:
         overrides["preset"] = args.preset
         overrides["preset_params"] = {}
         overrides["profiles"] = None
-    if args.grid_n:
+    if args.grid_n is not None:
         overrides["grid_n"] = args.grid_n
     if args.out:
         overrides["out_dir"] = args.out
@@ -143,24 +143,15 @@ def _cmd_curvature(args) -> int:
         return 1
     state = preset.build(grid)
     curv = sectional_curvatures(state)
-    names = (
-        "k01", "k02", "k03", "k12", "k13", "k23",
-        "khat12", "khat13", "khat23",
-        "ric00", "ric11", "ric22", "ric33", "scal", "rm_norm_sq",
-    )
     print(f"curvature of preset {preset.name} at t=0, n={args.grid_n}")
-    for name in names:
-        v = getattr(curv, name).values
+    for name, v in zip(curv._fields, curv):
         print(f"  {name:10s} min={v.min():+.6e} max={v.max():+.6e}")
     if args.out:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
-        rows = ["z," + ",".join(names)]
+        rows = ["z," + ",".join(curv._fields)]
         for k, z in enumerate(grid.z):
-            rows.append(
-                repr(float(z)) + ","
-                + ",".join(repr(float(getattr(curv, n).values[k])) for n in names)
-            )
+            rows.append(repr(float(z)) + "," + ",".join(repr(float(v[k])) for v in curv))
         (path / "curvature.csv").write_text("\n".join(rows) + "\n")
         print(f"wrote {path / 'curvature.csv'}")
     return 0
@@ -193,10 +184,7 @@ def _cmd_convergence(args) -> int:
         state = preset.build(grid)
         cf = sectional_curvatures(state)
         orc = riemann_oracle(state)
-        err = max(
-            float(np.max(np.abs(a.values - b.values)))
-            for a, b in zip(cf.sectional(), orc.sectional())
-        )
+        err = max(float(np.max(np.abs(a - b))) for a, b in zip(cf.sectional(), orc))
         errs.append(err)
         print(f"  n={n:4d} max_mismatch={err:.3e}")
     print(f"  measured orders: {[f'{o:.2f}' for o in _measured_orders(errs)]}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .flow import FlowConfig
@@ -17,25 +17,6 @@ from .presets import Preset, Profile, get_preset
 
 _KNOWN_FORMATS = ("csv", "json")
 
-_FLOW_KEYS = {
-    "cfl_safety",
-    "a_min_stop",
-    "t_max",
-    "snapshot_stride",
-    "monitor_stride",
-    "fixed_dt",
-}
-_TOP_KEYS = {
-    "preset",
-    "preset_params",
-    "profiles",
-    "grid_n",
-    "flow",
-    "monitors_enabled",
-    "out_dir",
-    "formats",
-    "kappa",
-}
 _PROFILE_KEYS = {"kind", "amplitude", "frequency", "offset", "samples"}
 
 
@@ -66,6 +47,8 @@ class RunConfig:
         for name in self.monitors_enabled:
             if name not in MONITORS:
                 raise ConfigError(f"unknown monitor {name!r}")
+        if not math.isfinite(self.kappa):
+            raise ConfigError(f"kappa must be finite, got {self.kappa!r}")
         if self.kappa <= 0.0:
             raise ConfigError("kappa must be positive")
 
@@ -91,25 +74,19 @@ class RunConfig:
         return get_preset(self.preset, self.preset_params)
 
     def as_dict(self) -> dict:
-        flow = {
-            "cfl_safety": self.flow.cfl_safety,
-            "a_min_stop": self.flow.a_min_stop,
-            "t_max": None if math.isinf(self.flow.t_max) else self.flow.t_max,
-            "snapshot_stride": self.flow.snapshot_stride,
-            "monitor_stride": self.flow.monitor_stride,
-            "fixed_dt": self.flow.fixed_dt,
-        }
-        return {
-            "preset": self.preset,
-            "preset_params": dict(self.preset_params),
-            "profiles": self.profiles,
-            "grid_n": self.grid_n,
-            "flow": flow,
-            "monitors_enabled": list(self.monitors_enabled),
-            "out_dir": self.out_dir,
-            "formats": list(self.formats),
-            "kappa": self.kappa,
-        }
+        """The config as a JSON document: tuples as lists, an infinite t_max
+        as null."""
+        doc = {k: list(v) if k in _TUPLE_KEYS else v for k, v in asdict(self).items()}
+        if math.isinf(self.flow.t_max):
+            doc["flow"]["t_max"] = None
+        return doc
+
+
+# The config document's schema: the fields of RunConfig, with "flow" holding
+# the fields of FlowConfig. Fields with a tuple default arrive as JSON lists.
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
+_FLOW_KEYS = {f.name for f in fields(FlowConfig)}
+_TUPLE_KEYS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -119,14 +96,11 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    kwargs = {}
-    for key in ("preset", "preset_params", "profiles", "grid_n", "out_dir", "kappa"):
-        if key in data and data[key] is not None:
-            kwargs[key] = data[key]
-    if "monitors_enabled" in data and data["monitors_enabled"] is not None:
-        kwargs["monitors_enabled"] = tuple(data["monitors_enabled"])
-    if "formats" in data and data["formats"] is not None:
-        kwargs["formats"] = tuple(data["formats"])
+    kwargs = {
+        k: tuple(v) if k in _TUPLE_KEYS else v
+        for k, v in data.items()
+        if k != "flow" and v is not None
+    }
 
     flow_data = data.get("flow") or {}
     bad = set(flow_data) - _FLOW_KEYS

@@ -19,14 +19,14 @@ self-check (criterion 2 and ``neckpinch convergence``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     DegenerateFiberError,
     MetricState,
-    ScalarField,
+    NonFiniteFieldError,
     dz_values,
 )
 
@@ -55,22 +55,21 @@ def jet(phi: np.ndarray, x: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarr
 
 def radii(state: MetricState) -> np.ndarray:
     """The fiber radii (a, b, c) stacked into one (3, n) array."""
-    return np.stack((state.a.values, state.b.values, state.c.values))
+    return np.stack((state.a, state.b, state.c))
 
 
-def check_resolvable(state: MetricState) -> None:
-    smallest = min(
-        np.min(state.a.values), np.min(state.b.values), np.min(state.c.values)
-    )
+def check_resolvable(x: np.ndarray) -> None:
+    """Raise DegenerateFiberError if any of the stacked radii x lies below
+    MIN_RADIUS."""
+    smallest = x.min()
     if smallest < MIN_RADIUS:
         raise DegenerateFiberError(
             f"fiber radius {smallest:.3e} below resolvable floor {MIN_RADIUS:.0e}"
         )
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """Pointwise curvature data of one metric state.
+class CurvatureField(NamedTuple):
+    """Pointwise curvature data of one metric state, one (n,) array per field.
 
     Sectional curvatures k01..k23 span the frame 2-planes; khat12..khat23 are
     the intrinsic sectional curvatures of the SU(2) fiber; ric00..ric33 are
@@ -78,45 +77,24 @@ class CurvatureField:
     are assembled from the sectional curvatures by their trace identities.
     """
 
-    k01: ScalarField
-    k02: ScalarField
-    k03: ScalarField
-    k12: ScalarField
-    k13: ScalarField
-    k23: ScalarField
-    khat12: ScalarField
-    khat13: ScalarField
-    khat23: ScalarField
-    ric00: ScalarField
-    ric11: ScalarField
-    ric22: ScalarField
-    ric33: ScalarField
-    scal: ScalarField
-    rm_norm_sq: ScalarField
+    k01: np.ndarray
+    k02: np.ndarray
+    k03: np.ndarray
+    k12: np.ndarray
+    k13: np.ndarray
+    k23: np.ndarray
+    khat12: np.ndarray
+    khat13: np.ndarray
+    khat23: np.ndarray
+    ric00: np.ndarray
+    ric11: np.ndarray
+    ric22: np.ndarray
+    ric33: np.ndarray
+    scal: np.ndarray
+    rm_norm_sq: np.ndarray
 
-    def sectional(self) -> tuple[ScalarField, ...]:
-        return (self.k01, self.k02, self.k03, self.k12, self.k13, self.k23)
-
-
-@dataclass(frozen=True)
-class RiemannOracle:
-    """z-gauge Riemann components and the sectional curvatures they normalize to."""
-
-    rm0110: ScalarField
-    rm0220: ScalarField
-    rm0330: ScalarField
-    rm1221: ScalarField
-    rm1331: ScalarField
-    rm2332: ScalarField
-    k01: ScalarField
-    k02: ScalarField
-    k03: ScalarField
-    k12: ScalarField
-    k13: ScalarField
-    k23: ScalarField
-
-    def sectional(self) -> tuple[ScalarField, ...]:
-        return (self.k01, self.k02, self.k03, self.k12, self.k13, self.k23)
+    def sectional(self) -> tuple[np.ndarray, ...]:
+        return self[:6]
 
 
 def _khat(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -154,9 +132,9 @@ def sectional_curvatures(state: MetricState) -> CurvatureField:
     Primes are s-derivatives computed by the chain rule (1/phi) d/dz on the
     fixed z-grid.
     """
-    check_resolvable(state)
     x = radii(state)
-    xp, xpp = jet(state.phi.values, x, state.grid.dz)
+    check_resolvable(x)
+    xp, xpp = jet(state.phi, x, state.grid.dz)
     k, khat = sectional_rows(x, xp, xpp)
     scal, rm_norm_sq = trace_invariants(k)
 
@@ -167,19 +145,15 @@ def sectional_curvatures(state: MetricState) -> CurvatureField:
     y, z = [1, 0, 0], [2, 2, 1]
     ric = -x * xpp - x * xp * (r[y] + r[z]) + x**2 * (khat[[0, 0, 1]] + khat[[1, 2, 2]])
 
-    wrap = lambda v: ScalarField(state.grid, v)
-    return CurvatureField(
-        *map(wrap, k),
-        *map(wrap, khat),
-        wrap(ric00),
-        *map(wrap, ric),
-        scal=wrap(scal),
-        rm_norm_sq=wrap(rm_norm_sq),
-    )
+    curv = CurvatureField(*k, *khat, ric00, *ric, scal, rm_norm_sq)
+    if not np.isfinite(curv).all():
+        raise NonFiniteFieldError("curvature is not finite everywhere")
+    return curv
 
 
-def riemann_oracle(state: MetricState) -> RiemannOracle:
-    """z-gauge Riemann components Rm_0ii0 and Rm_ijji, and their sectional norms.
+def riemann_oracle(state: MetricState) -> np.ndarray:
+    """Sectional curvatures (K01, K02, K03, K12, K13, K23) stacked (6, n),
+    normalized from the z-gauge Riemann components Rm_0ii0 and Rm_ijji.
 
     Rm_0ii0 = (g^00 dz(g00) dz(gii) + g^ii (dz gii)^2 - 2 dzz(gii)) / 4 and
     Rm_ijji = -g^00 dz(gjj) dz(gii) / 4 - g^kk (g_kk^2 - (g_ii - g_jj)^2)
@@ -190,51 +164,25 @@ def riemann_oracle(state: MetricState) -> RiemannOracle:
     quantities (g_ii rather than the radii), so the two discretizations agree
     only in the refinement limit.
     """
-    check_resolvable(state)
-    grid = state.grid
-    dz = grid.dz
-    g = np.stack(
-        [
-            state.phi.values**2,
-            state.a.values**2,
-            state.b.values**2,
-            state.c.values**2,
-        ]
-    )
-    dg = dz_values(g, dz)
-    ddg = dz_values(dg, dz)
+    check_resolvable(radii(state))
+    g = np.stack((state.phi**2, state.a**2, state.b**2, state.c**2))
+    dg = dz_values(g, state.grid.dz)
+    ddg = dz_values(dg, state.grid.dz)
 
-    rm0 = {}
-    k0 = {}
-    for i in (1, 2, 3):
-        rm = 0.25 * (dg[0] * dg[i] / g[0] + dg[i] ** 2 / g[i] - 2.0 * ddg[i])
-        rm0[i] = rm
-        k0[i] = rm / (g[0] * g[i])
-
-    rmf = {}
-    kf = {}
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        k = 6 - i - j
-        rm = (
+    k0 = [
+        0.25 * (dg[0] * dg[i] / g[0] + dg[i] ** 2 / g[i] - 2.0 * ddg[i]) / (g[0] * g[i])
+        for i in (1, 2, 3)
+    ]
+    kf = [
+        (
             -0.25 * dg[j] * dg[i] / g[0]
             - (g[k] ** 2 - (g[i] - g[j]) ** 2) / g[k]
             - 2.0 * (g[k] - g[j] - g[i])
         )
-        rmf[(i, j)] = rm
-        kf[(i, j)] = rm / (g[i] * g[j])
-
-    wrap = lambda v: ScalarField(grid, v)
-    return RiemannOracle(
-        rm0110=wrap(rm0[1]),
-        rm0220=wrap(rm0[2]),
-        rm0330=wrap(rm0[3]),
-        rm1221=wrap(rmf[(1, 2)]),
-        rm1331=wrap(rmf[(1, 3)]),
-        rm2332=wrap(rmf[(2, 3)]),
-        k01=wrap(k0[1]),
-        k02=wrap(k0[2]),
-        k03=wrap(k0[3]),
-        k12=wrap(kf[(1, 2)]),
-        k13=wrap(kf[(1, 3)]),
-        k23=wrap(kf[(2, 3)]),
-    )
+        / (g[i] * g[j])
+        for i, j, k in ((1, 2, 3), (1, 3, 2), (2, 3, 1))
+    ]
+    sectional = np.stack(k0 + kf)
+    if not np.isfinite(sectional).all():
+        raise NonFiniteFieldError("oracle curvature is not finite everywhere")
+    return sectional

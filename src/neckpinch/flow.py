@@ -40,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (
-    DegenerateFiberError,
     GaugeDegeneracyError,
     MetricState,
     NonFiniteFieldError,
@@ -49,7 +48,9 @@ from .grid import (
 )
 from .curvature import (
     MIN_RADIUS,
+    check_resolvable,
     jet,
+    radii,
     sectional_rows,
     trace_invariants,
 )
@@ -103,8 +104,15 @@ class FlowConfig:
                 f"a_min_stop must exceed the resolvable radius floor {MIN_RADIUS:.0e}, "
                 f"got {self.a_min_stop!r}"
             )
-        if self.snapshot_stride < 1 or self.monitor_stride < 1:
+        strides = (self.snapshot_stride, self.monitor_stride)
+        if any(isinstance(s, bool) or not isinstance(s, int) for s in strides):
+            raise ValueError(f"strides must be integers, got {strides!r}")
+        if min(strides) < 1:
             raise ValueError("strides must be >= 1")
+        if math.isnan(self.t_max):
+            raise ValueError("t_max must be a number, got NaN")
+        if self.fixed_dt is not None and not math.isfinite(self.fixed_dt):
+            raise ValueError(f"fixed_dt must be finite, got {self.fixed_dt!r}")
         if self.fixed_dt is not None and self.fixed_dt <= 0.0:
             raise ValueError("fixed_dt must be positive when set")
 
@@ -431,11 +439,7 @@ def summarize_state(
     Every reduction runs along the last axis, so each sample is bitwise the
     one a block of that state alone gives.
     """
-    smallest = x.min()
-    if smallest < MIN_RADIUS:
-        raise DegenerateFiberError(
-            f"fiber radius {smallest:.3e} below resolvable floor {MIN_RADIUS:.0e}"
-        )
+    check_resolvable(x)
     xp, xpp = jet(phi[:, np.newaxis], x, dz)
     scal, rm_norm_sq = curv = trace_invariants(sectional_rows(x, xp, xpp)[0])
     if not np.isfinite(curv).all():
@@ -480,7 +484,7 @@ def evolve(
     dz = grid.dz
     traj = Trajectory(grid=grid)
     traj.snapshots.append(initial)
-    phi0 = initial.phi.values
+    phi0 = initial.phi
     phi0_min = float(phi0.min())
     weights = phi0 / phi0.sum()
     block_x = np.empty((SUMMARY_BLOCK, 3, grid.n))
@@ -504,7 +508,7 @@ def evolve(
             flush()
 
     t = initial.t
-    x = np.stack((initial.a.values, initial.b.values, initial.c.values))
+    x = radii(initial)
     log_lam, lam = 0.0, 1.0
     record(t, 0.0, x, lam)
     flush()

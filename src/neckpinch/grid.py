@@ -1,11 +1,11 @@
-"""Periodic grid, scalar fields, and the z-derivative stencil.
+"""Periodic grid, metric state, and the z-derivative stencil.
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
-points. Metric profiles phi, a, b, c live on this grid as immutable scalar
-fields. Derivatives with respect to the base coordinate z use one 4th-order
-periodic central-difference stencil, applied row-wise to stacked arrays.
-Arclength derivatives (ds = phi dz) follow by the chain rule d/ds = (1/phi) d/dz
-in curvature.jet; the grid itself never moves while phi evolves.
+points. Metric profiles phi, a, b, c live on this grid as read-only arrays.
+Derivatives with respect to the base coordinate z use one 4th-order periodic
+central-difference stencil, applied row-wise to stacked arrays. Arclength
+derivatives (ds = phi dz) follow by the chain rule d/ds = (1/phi) d/dz in
+curvature.jet; the grid itself never moves while phi evolves.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 
 class NonFiniteFieldError(ValueError):
-    """A field contains NaN or infinite entries."""
+    """A profile or curvature array contains NaN or infinite entries."""
 
 
 class GaugeDegeneracyError(ValueError):
@@ -55,75 +55,46 @@ class PeriodicGrid:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Immutable real-valued field over a periodic grid."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n,):
-            raise ValueError(
-                f"field length {values.shape} does not match grid n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteFieldError("field values must be finite everywhere")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.grid.n
-
-
-def field(grid: PeriodicGrid, values) -> ScalarField:
-    """Build a ScalarField, broadcasting scalars to the grid."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n,):
-        values = np.broadcast_to(values, (grid.n,))
-    return ScalarField(grid, values)
-
-
-@dataclass(frozen=True)
 class MetricState:
-    """The four metric profiles (phi, a, b, c) on a shared grid at one time.
+    """The four metric profiles (phi, a, b, c) on one grid at one time.
 
     phi is the dimensionless gauge factor multiplying dz^2; a, b, c are the
-    three fiber radii. All four must be strictly positive pointwise.
+    three fiber radii. Each profile is stored as a read-only float64 copy of
+    length grid.n, a scalar being broadcast to it; all four must be finite
+    and strictly positive pointwise.
     """
 
+    grid: PeriodicGrid
     t: float
-    phi: ScalarField
-    a: ScalarField
-    b: ScalarField
-    c: ScalarField
+    phi: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
 
     def __post_init__(self):
-        grid = self.phi.grid
-        for name in ("a", "b", "c"):
-            if getattr(self, name).grid != grid:
-                raise ValueError("all profiles must share one grid")
-        if np.min(self.phi.values) <= 0.0:
+        n = self.grid.n
+        for name in ("phi", "a", "b", "c"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.ndim == 0:
+                values = np.full(n, values)
+            if values.shape != (n,):
+                raise ValueError(
+                    f"profile {name} has shape {values.shape}, grid needs ({n},)"
+                )
+            if not np.isfinite(values).all():
+                raise NonFiniteFieldError(f"profile {name} must be finite everywhere")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if np.min(self.phi) <= 0.0:
             raise GaugeDegeneracyError("phi must be strictly positive")
         for name in ("a", "b", "c"):
-            if np.min(getattr(self, name).values) <= 0.0:
+            if np.min(getattr(self, name)) <= 0.0:
                 raise DegenerateFiberError(f"profile {name} must be strictly positive")
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.phi.grid
 
 
 def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
     """Convenience constructor accepting arrays or scalars for each profile."""
-    return MetricState(
-        t=float(t),
-        phi=field(grid, phi),
-        a=field(grid, a),
-        b=field(grid, b),
-        c=field(grid, c),
-    )
+    return MetricState(grid, float(t), phi, a, b, c)
 
 
 def dz_values(values: np.ndarray, dz: float) -> np.ndarray:

@@ -451,7 +451,7 @@ def _k0i_evolution_rhs(state: MetricState, which: str) -> np.ndarray:
         raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
     i, j, l = rows[which]
     dz = state.grid.dz
-    phi = state.phi.values
+    phi = state.phi
     r = radii(state)
     rp, rpp = jet(phi, r, dz)
     k0 = -rpp / r
@@ -523,7 +523,7 @@ def k0i_evolution_residual(traj: Trajectory, which: str = "k01") -> tuple[float,
     s0, s1, s2 = traj.snapshots[mid - 1 : mid + 2]
 
     def k_field(state):
-        return getattr(sectional_curvatures(state), which).values
+        return getattr(sectional_curvatures(state), which)
 
     h0 = s1.t - s0.t
     h1 = s2.t - s1.t

@@ -22,7 +22,6 @@ from neckpinch.grid import (
     DegenerateFiberError,
     GaugeDegeneracyError,
     MetricState,
-    ScalarField,
     dz_values,
 )
 
@@ -30,33 +29,31 @@ from neckpinch.grid import (
 # Nested arclength derivatives
 
 
-def s_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
-    """Arclength derivative f' = (1/phi) df/dz."""
-    if f.grid != phi.grid:
-        raise ValueError("f and phi must share one grid")
-    if np.min(phi.values) <= 0.0:
+def s_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
+    """Arclength derivative f' = (1/phi) df/dz of the (n,) array f."""
+    if np.min(phi) <= 0.0:
         raise GaugeDegeneracyError("phi must be strictly positive")
-    return ScalarField(f.grid, dz_values(f.values, f.grid.dz) / phi.values)
+    return dz_values(f, dz) / phi
 
 
-def s_second_derivative(f: ScalarField, phi: ScalarField) -> ScalarField:
+def s_second_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
     """Second arclength derivative as two nested first derivatives.
 
     The nested form (1/phi) d/dz ((1/phi) df/dz) keeps the discrete product
     rule exact instead of expanding into df*dphi cross terms.
     """
-    return s_derivative(s_derivative(f, phi), phi)
+    return s_derivative(s_derivative(f, phi, dz), phi, dz)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form scalar curvature
 
 
-def scalar_curvature(state: MetricState) -> ScalarField:
+def scalar_curvature(state: MetricState) -> np.ndarray:
     """Scalar curvature from its displayed closed form (not the trace assembly)."""
-    check_resolvable(state)
     a, b, c = x = radii(state)
-    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi.values, x, state.grid.dz)
+    check_resolvable(x)
+    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi, x, state.grid.dz)
     a2, b2, c2 = a**2, b**2, c**2
     algebraic = (2 * a2 * b2 + 2 * a2 * c2 + 2 * b2 * c2 - a2**2 - b2**2 - c2**2) / (
         a2 * b2 * c2
@@ -70,7 +67,7 @@ def scalar_curvature(state: MetricState) -> ScalarField:
         - bp * cp / (b * c)
         + algebraic
     )
-    return ScalarField(state.grid, s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +97,7 @@ class FrameSymbols:
 
 def _metric_diagonal(state: MetricState) -> np.ndarray:
     """(g00, g11, g22, g33) = (phi^2, a^2, b^2, c^2) stacked (4, n)."""
-    return np.stack(
-        [state.phi.values**2, state.a.values**2, state.b.values**2, state.c.values**2]
-    )
+    return np.stack((state.phi**2, state.a**2, state.b**2, state.c**2))
 
 
 def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
@@ -113,7 +108,7 @@ def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
     indices Sigma^k_{ij} = eps_ijk g^kk (g_ii - g_jj - g_kk). Everything with
     exactly two zero indices vanishes.
     """
-    check_resolvable(state)
+    check_resolvable(radii(state))
     n = state.grid.n
     g = _metric_diagonal(state)
     dg = dz_values(g, state.grid.dz)

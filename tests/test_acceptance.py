@@ -96,8 +96,8 @@ def test_criterion_2_curvature_oracle_equivalence():
             orc = riemann_oracle(state)
             errs.append(
                 max(
-                    float(np.max(np.abs(a.values - b.values)))
-                    for a, b in zip(cf.sectional(), orc.sectional())
+                    float(np.max(np.abs(a - b)))
+                    for a, b in zip(cf.sectional(), orc)
                 )
             )
         for e0, e1 in zip(errs, errs[1:]):

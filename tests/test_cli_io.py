@@ -31,41 +31,41 @@ def test_presets_contains_canonical_names():
 def test_fig_a_profiles():
     g = PeriodicGrid(64)
     st = get_preset("fig-a").build(g)
-    assert np.allclose(st.phi.values, 1.0)
-    assert np.allclose(st.a.values, np.cos(g.z) + 1.5)
-    assert np.allclose(st.b.values, np.cos(g.z) + 2.5)
-    assert np.allclose(st.c.values, np.cos(g.z) + 3.5)
+    assert np.allclose(st.phi, 1.0)
+    assert np.allclose(st.a, np.cos(g.z) + 1.5)
+    assert np.allclose(st.b, np.cos(g.z) + 2.5)
+    assert np.allclose(st.c, np.cos(g.z) + 3.5)
 
 
 def test_fig_b_profiles():
     g = PeriodicGrid(64)
     st = get_preset("fig-b").build(g)
-    assert np.allclose(st.a.values, np.cos(2 * g.z) + 1.5)
-    assert np.allclose(st.b.values, np.sin(g.z) + 4.0)
-    assert np.allclose(st.c.values, 6.0)
+    assert np.allclose(st.a, np.cos(2 * g.z) + 1.5)
+    assert np.allclose(st.b, np.sin(g.z) + 4.0)
+    assert np.allclose(st.c, 6.0)
 
 
 def test_fig_c_profiles():
     g = PeriodicGrid(64)
     st = get_preset("fig-c").build(g)
-    assert np.allclose(st.a.values, 0.5 * np.cos(g.z) + 1.0)
-    assert np.allclose(st.b.values, np.cos(g.z) + 2.0)
-    assert np.allclose(st.c.values, 2.0 * np.cos(g.z) + 4.0)
+    assert np.allclose(st.a, 0.5 * np.cos(g.z) + 1.0)
+    assert np.allclose(st.b, np.cos(g.z) + 2.0)
+    assert np.allclose(st.c, 2.0 * np.cos(g.z) + 4.0)
 
 
 def test_sphere_preset_parameterized():
     g = PeriodicGrid(32)
     st = sphere(3.0).build(g)
     for f in (st.a, st.b, st.c):
-        assert np.allclose(f.values, 3.0)
+        assert np.allclose(f, 3.0)
     st = get_preset("sphere", {"r": 2.0}).build(g)
-    assert np.allclose(st.a.values, 2.0)
+    assert np.allclose(st.a, 2.0)
 
 
 def test_biaxial_preset():
     st = biaxial(1.0, 2.0).build(PeriodicGrid(32))
-    assert np.allclose(st.a.values, 1.0)
-    assert np.array_equal(st.b.values, st.c.values)
+    assert np.allclose(st.a, 1.0)
+    assert np.array_equal(st.b, st.c)
 
 
 def test_profile_samples_kind():
@@ -139,7 +139,7 @@ def test_config_inline_profiles():
     )
     st = cfg.build_preset().build(PeriodicGrid(cfg.grid_n))
     g = PeriodicGrid(32)
-    assert np.allclose(st.a.values, np.cos(g.z) + 1.5)
+    assert np.allclose(st.a, np.cos(g.z) + 1.5)
 
 
 def test_config_rejects_bad_json(tmp_path):
@@ -267,11 +267,11 @@ def test_cli_series_fields_parse_as_floats(tmp_path):
             float(value)
 
 
-def _assert_run_config_is_one_line_error(tmp_path, cfg, message):
+def _assert_run_config_is_one_line_error(tmp_path, cfg, message, args=()):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     proc = subprocess.run(
-        [sys.executable, "-m", "neckpinch.cli", "run", "--config", str(cfg_path)],
+        [sys.executable, "-m", "neckpinch.cli", "run", "--config", str(cfg_path), *args],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])},
         capture_output=True,
@@ -287,6 +287,12 @@ def _assert_run_config_is_one_line_error(tmp_path, cfg, message):
 def test_cli_a_min_stop_below_floor_is_one_line_error(tmp_path):
     _assert_run_config_is_one_line_error(
         tmp_path, {"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": 1e-9}}, "1e-08"
+    )
+
+
+def test_cli_grid_n_zero_is_one_line_error(tmp_path):
+    _assert_run_config_is_one_line_error(
+        tmp_path, {"preset": "sphere"}, "grid_n must be >= 32", args=["--grid-n", "0"]
     )
 
 
@@ -308,8 +314,26 @@ _CONST = {"kind": "const", "offset": 1.0}
             "samples profile has 16 points, grid needs 32",
         ),
         ({"preset": "sphere", "preset_params": {"r": -2.0}}, "profile a must be strictly positive"),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                                        "c0": {"kind": "samples",
+                                               "samples": [1.0] * 31 + [float("nan")]}}},
+            "profile c must be finite everywhere",
+        ),
+        ({"preset": "sphere", "grid_n": 32, "kappa": float("inf")}, "kappa must be finite"),
+        ({"preset": "sphere", "grid_n": 32, "kappa": float("nan")}, "kappa must be finite"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"fixed_dt": float("nan")}},
+         "fixed_dt must be finite"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"t_max": float("nan")}},
+         "t_max must be a number"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"monitor_stride": 1.5}},
+         "strides must be integers"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"snapshot_stride": True}},
+         "strides must be integers"),
     ],
-    ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere"],
+    ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
+         "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
+         "fractional-stride", "bool-stride"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)

@@ -8,7 +8,7 @@ from neckpinch.curvature import (
     sectional_curvatures,
     sectional_rows,
 )
-from neckpinch.grid import DegenerateFiberError, PeriodicGrid, metric_state
+from neckpinch.grid import DegenerateFiberError, NonFiniteFieldError, PeriodicGrid, metric_state
 
 from reference import (
     _levi_civita,
@@ -37,7 +37,7 @@ def wavy_state(n=64):
 def fiber_rows(state):
     """The (Khat12, Khat13, Khat23) rows that sectional_rows returns."""
     x = radii(state)
-    return sectional_rows(x, *jet(state.phi.values, x, state.grid.dz))[1]
+    return sectional_rows(x, *jet(state.phi, x, state.grid.dz))[1]
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -81,6 +81,15 @@ def test_degenerate_fiber_raises():
         sectional_curvatures(st)
 
 
+def test_overflowing_curvature_raises_nonfinite():
+    # b^2 and (a^2 - b^2)^2 overflow, so both paths produce inf or NaN
+    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 1.0, 1e200, 1.0)
+    for curvature in (sectional_curvatures, riemann_oracle):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteFieldError):
+                curvature(st)
+
+
 # --- closed-form sectional curvatures --------------------------------------
 
 
@@ -88,14 +97,14 @@ def test_degenerate_fiber_raises():
 def test_round_state_curvature(r):
     curv = sectional_curvatures(round_state(r))
     for k0 in (curv.k01, curv.k02, curv.k03):
-        assert np.all(k0.values == 0.0)
+        assert np.all(k0 == 0.0)
     for kf in (curv.k12, curv.k13, curv.k23):
-        assert np.allclose(kf.values, 1.0 / r**2, rtol=1e-13)
-    assert np.allclose(curv.scal.values, 6.0 / r**2, rtol=1e-13)
-    assert np.allclose(curv.rm_norm_sq.values, 6.0 / r**4, rtol=1e-13)
-    assert np.all(curv.ric00.values == 0.0)
+        assert np.allclose(kf, 1.0 / r**2, rtol=1e-13)
+    assert np.allclose(curv.scal, 6.0 / r**2, rtol=1e-13)
+    assert np.allclose(curv.rm_norm_sq, 6.0 / r**4, rtol=1e-13)
+    assert np.all(curv.ric00 == 0.0)
     for ric in (curv.ric11, curv.ric22, curv.ric33):
-        assert np.allclose(ric.values, 2.0, rtol=1e-13)
+        assert np.allclose(ric, 2.0, rtol=1e-13)
 
 
 def test_k01_matches_analytic_neck():
@@ -103,21 +112,21 @@ def test_k01_matches_analytic_neck():
     st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, 2.5, 3.5)
     curv = sectional_curvatures(st)
     expected = np.cos(g.z) / (np.cos(g.z) + 1.5)
-    assert np.max(np.abs(curv.k01.values - expected)) <= 1e-4
+    assert np.max(np.abs(curv.k01 - expected)) <= 1e-4
 
 
 def test_constant_state_curvature_is_homogeneous():
     curv = sectional_curvatures(metric_state(PeriodicGrid(32), 0.0, 2.0, 1.0, 2.0, 3.0))
     for f in curv.sectional():
-        assert np.ptp(f.values) == 0.0
+        assert np.ptp(f) == 0.0
 
 
 def test_trace_identities_bitwise():
     curv = sectional_curvatures(wavy_state())
-    ks = [f.values for f in curv.sectional()]
-    assert np.array_equal(curv.scal.values, 2.0 * (ks[0] + ks[1] + ks[2] + ks[3] + ks[4] + ks[5]))
+    ks = curv.sectional()
+    assert np.array_equal(curv.scal, 2.0 * (ks[0] + ks[1] + ks[2] + ks[3] + ks[4] + ks[5]))
     assert np.array_equal(
-        curv.rm_norm_sq.values,
+        curv.rm_norm_sq,
         2.0 * (ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2 + ks[3] ** 2 + ks[4] ** 2 + ks[5] ** 2),
     )
 
@@ -125,8 +134,8 @@ def test_trace_identities_bitwise():
 def test_ric00_equals_sum_of_k0i():
     curv = sectional_curvatures(wavy_state())
     assert np.allclose(
-        curv.ric00.values,
-        curv.k01.values + curv.k02.values + curv.k03.values,
+        curv.ric00,
+        curv.k01 + curv.k02 + curv.k03,
         rtol=1e-13,
         atol=1e-13,
     )
@@ -137,8 +146,8 @@ def test_biaxial_symmetry_is_exact():
     b = np.cos(g.z) + 2.5
     st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
     curv = sectional_curvatures(st)
-    assert np.array_equal(curv.k02.values, curv.k03.values)
-    assert np.array_equal(curv.k12.values, curv.k13.values)
+    assert np.array_equal(curv.k02, curv.k03)
+    assert np.array_equal(curv.k12, curv.k13)
 
 
 # --- scalar curvature -------------------------------------------------------
@@ -147,7 +156,7 @@ def test_biaxial_symmetry_is_exact():
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_scalar_curvature_round(r):
     s = scalar_curvature(round_state(r))
-    assert np.allclose(s.values, 6.0 / r**2, rtol=1e-13)
+    assert np.allclose(s, 6.0 / r**2, rtol=1e-13)
 
 
 def test_scalar_curvature_equal_radii_reduction():
@@ -157,13 +166,13 @@ def test_scalar_curvature_equal_radii_reduction():
     s = scalar_curvature(st)
     # with a = b = c: S = 2(-3a''/a - 3(a')^2/a^2 + 3/a^2), a'' = -cos z
     expected = 2.0 * (3 * np.cos(g.z) / a - 3 * np.sin(g.z) ** 2 / a**2 + 3.0 / a**2)
-    assert np.max(np.abs(s.values - expected)) <= 1e-4
+    assert np.max(np.abs(s - expected)) <= 1e-4
 
 
 def test_scalar_curvature_agrees_with_trace_assembly():
     st = wavy_state()
-    direct = scalar_curvature(st).values
-    traced = sectional_curvatures(st).scal.values
+    direct = scalar_curvature(st)
+    traced = sectional_curvatures(st).scal
     assert np.allclose(direct, traced, rtol=1e-12, atol=1e-12)
 
 
@@ -215,10 +224,11 @@ def test_frame_symbols_biaxial_round_value():
 
 def test_riemann_oracle_round():
     orc = riemann_oracle(round_state(2.0))
-    for k0 in (orc.k01, orc.k02, orc.k03):
-        assert np.all(k0.values == 0.0)
-    for kf in (orc.k12, orc.k13, orc.k23):
-        assert np.allclose(kf.values, 0.25, rtol=1e-13)
+    assert orc.shape == (6, 32)
+    for k0 in orc[:3]:
+        assert np.all(k0 == 0.0)
+    for kf in orc[3:]:
+        assert np.allclose(kf, 0.25, rtol=1e-13)
 
 
 def test_oracle_matches_closed_form_under_refinement():
@@ -229,8 +239,8 @@ def test_oracle_matches_closed_form_under_refinement():
         orc = riemann_oracle(st)
         errs.append(
             max(
-                float(np.max(np.abs(a.values - b.values)))
-                for a, b in zip(cf.sectional(), orc.sectional())
+                float(np.max(np.abs(a - b)))
+                for a, b in zip(cf.sectional(), orc)
             )
         )
     for e0, e1 in zip(errs, errs[1:]):
@@ -240,9 +250,7 @@ def test_oracle_matches_closed_form_under_refinement():
 def test_full_frame_symbol_assembly_agrees():
     st = wavy_state(128)
     rm = riemann_tensor_from_frame_symbols(st)
-    g = np.stack(
-        [st.phi.values**2, st.a.values**2, st.b.values**2, st.c.values**2]
-    )
+    g = np.stack([st.phi**2, st.a**2, st.b**2, st.c**2])
     cf = sectional_curvatures(st)
     for (al, be), name in [
         ((0, 1), "k01"),
@@ -253,7 +261,7 @@ def test_full_frame_symbol_assembly_agrees():
         ((2, 3), "k23"),
     ]:
         assembled = rm[be, al, al, be] / (g[al] * g[be])
-        assert np.max(np.abs(assembled - getattr(cf, name).values)) <= 2e-3
+        assert np.max(np.abs(assembled - getattr(cf, name))) <= 2e-3
 
 
 def test_assembly_structural_zeros():
@@ -283,7 +291,5 @@ def test_oracle_homogeneity():
     scaled = metric_state(g, 0.0, 1.5, lam, 2 * lam, 3 * lam)
     kb = riemann_oracle(base)
     ks = riemann_oracle(scaled)
-    for name in ("k01", "k02", "k03", "k12", "k13", "k23"):
-        assert np.allclose(
-            getattr(ks, name).values, getattr(kb, name).values / lam**2, atol=1e-13
-        )
+    for row in range(6):
+        assert np.allclose(ks[row], kb[row] / lam**2, atol=1e-13)

@@ -52,7 +52,7 @@ from reference import homogeneous_ode_oracle, s_derivative
 
 def rhs(state):
     """_flow_rhs at a MetricState: the radii rates (3, n) and dt log lambda."""
-    phi = state.phi.values
+    phi = state.phi
     return _flow_rhs(stacked(state), phi, phi / phi.sum(), state.grid.dz)
 
 
@@ -128,10 +128,10 @@ def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
     traj, n = fig_a_64_run, 64
     assert np.all(traj.series("a_min_idx") == n // 2)
     last = traj.snapshots[-1]
-    w, _, _ = speed(last.phi.values, stacked(last), last.grid.dz)
+    w, _, _ = speed(last.phi, stacked(last), last.grid.dz)
     assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
     # the gauge keeps its shape: phi = lambda(t) * phi0, here uniform
-    assert np.ptp(last.phi.values) == 0.0
+    assert np.ptp(last.phi) == 0.0
 
 
 def test_nonuniform_gauge_keeps_its_shape():
@@ -141,7 +141,7 @@ def test_nonuniform_gauge_keeps_its_shape():
     st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, np.cos(g.z) + 3.5)
     traj, _ = evolve(st, FlowConfig(t_max=0.05, snapshot_stride=10))
     assert traj.stop_reason == STOP_TMAX
-    ratio = traj.snapshots[-1].phi.values / phi0
+    ratio = traj.snapshots[-1].phi / phi0
     assert ratio[0] != 1.0
     assert np.ptp(ratio) <= 1e-15 * ratio[0]
 
@@ -149,9 +149,9 @@ def test_nonuniform_gauge_keeps_its_shape():
 def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
     traj = fig_a_64_run
     last = traj.snapshots[-1]
-    a = last.a.values
+    a = last.a
     k = int(np.argmin(a))
-    hand = a[k] / (last.phi.values[k] * last.grid.dz)
+    hand = a[k] / (last.phi[k] * last.grid.dz)
     assert traj.run_stats.neck_resolution == pytest.approx(hand, rel=1e-14)
     assert a[k] == traj.samples[-1].a_min
 
@@ -161,12 +161,12 @@ def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
 
 def stacked(state):
     """The radii (a, b, c) of a MetricState stacked (3, n)."""
-    return np.stack((state.a.values, state.b.values, state.c.values))
+    return np.stack((state.a, state.b, state.c))
 
 
 def step(state, dt):
     """rk4_step from a MetricState, its phi taken as phi0 (log lambda = 0)."""
-    phi = state.phi.values
+    phi = state.phi
     return rk4_step(stacked(state), 0.0, dt, phi, phi / phi.sum(), state.grid.dz)
 
 
@@ -226,8 +226,8 @@ def test_adaptive_dt_quarters_when_dz_halves():
 
 
 def reference_sample(state, dt):
-    """The summary of one state from the ScalarField API, reduction by reduction."""
-    a, b, c = state.a.values, state.b.values, state.c.values
+    """The summary of one state from the MetricState arrays, reduction by reduction."""
+    a, b, c = state.a, state.b, state.c
     curv = sectional_curvatures(state)
 
     def lowest(v):
@@ -241,7 +241,10 @@ def reference_sample(state, dt):
     def ecc(x, y):
         return np.abs(x - y) / np.minimum(x, y)
 
-    sup = [highest(np.abs(s_derivative(f, state.phi).values)) for f in (state.a, state.b, state.c)]
+    sup = [
+        highest(np.abs(s_derivative(f, state.phi, state.grid.dz)))
+        for f in (state.a, state.b, state.c)
+    ]
     pairs = [
         ("a_min", "a_min_idx", lowest(a)),
         ("c_max", "c_max_idx", highest(c)),
@@ -250,8 +253,8 @@ def reference_sample(state, dt):
         ("ratio_max", "ratio_max_idx", highest(c / a)),
         ("ecc_bc", "ecc_bc_idx", highest(ecc(b, c))),
         ("ecc_ac", "ecc_ac_idx", highest(ecc(a, c))),
-        ("s_min", "s_min_idx", lowest(curv.scal.values)),
-        ("rm_max", "rm_max_idx", highest(np.sqrt(curv.rm_norm_sq.values))),
+        ("s_min", "s_min_idx", lowest(curv.scal)),
+        ("rm_max", "rm_max_idx", highest(np.sqrt(curv.rm_norm_sq))),
         ("sup_ap", "sup_ap_idx", sup[0]),
         ("sup_bp", "sup_bp_idx", sup[1]),
         ("sup_cp", "sup_cp_idx", sup[2]),
@@ -288,8 +291,8 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
         *summarize_state(
             [s.t for s in states],
             dts,
-            np.stack([np.stack((s.a.values, s.b.values, s.c.values)) for s in states]),
-            np.stack([s.phi.values for s in states]),
+            np.stack([np.stack((s.a, s.b, s.c)) for s in states]),
+            np.stack([s.phi for s in states]),
             states[0].grid.dz,
         )
     )
@@ -299,8 +302,8 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
 
 
 def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
-    x = np.stack([np.stack((s.a.values, s.b.values, s.c.values)) for s in fig_a_states[:3]])
-    phi = np.stack([s.phi.values for s in fig_a_states[:3]])
+    x = np.stack([np.stack((s.a, s.b, s.c)) for s in fig_a_states[:3]])
+    phi = np.stack([s.phi for s in fig_a_states[:3]])
     x[2, 1, 5] = 1e-9
     with pytest.raises(DegenerateFiberError, match="1.000e-09"):
         summarize_state([0.0, 0.1, 0.2], [0.0] * 3, x, phi, fig_a_states[0].grid.dz)
@@ -508,7 +511,7 @@ def test_evolve_biaxial_closure_whole_run():
     st = get_preset("biaxial").build(g)
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
     for snap in traj.snapshots:
-        assert np.max(np.abs(snap.b.values - snap.c.values)) <= 1e-10
+        assert np.max(np.abs(snap.b - snap.c)) <= 1e-10
 
 
 def test_ricci_flow_residual_shrinks_under_refinement():
@@ -523,17 +526,17 @@ def test_ricci_flow_residual_shrinks_under_refinement():
         s0, s1, s2 = traj.snapshots[mid - 1 : mid + 2]
         span = s2.t - s0.t
         curv = sectional_curvatures(s1)
-        phi, dz, x = s1.phi.values, s1.grid.dz, stacked(s1)
+        phi, dz, x = s1.phi, s1.grid.dz, stacked(s1)
         w, _, _ = speed(phi, x, dz)
         lies = 2.0 * x * w * jet(phi, x, dz)[0]
         worst = 0.0
         for name, ric, lie in zip("abc", (curv.ric11, curv.ric22, curv.ric33), lies):
-            g2_dot = (getattr(s2, name).values ** 2 - getattr(s0, name).values ** 2) / span
-            worst = max(worst, float(np.max(np.abs(g2_dot + 2.0 * ric.values - lie))))
-        phi2_dot = (s2.phi.values**2 - s0.phi.values**2) / span
+            g2_dot = (getattr(s2, name) ** 2 - getattr(s0, name) ** 2) / span
+            worst = max(worst, float(np.max(np.abs(g2_dot + 2.0 * ric - lie))))
+        phi2_dot = (s2.phi**2 - s0.phi**2) / span
         lie = 2.0 * phi * dz_values(w, dz)
         worst = max(
-            worst, float(np.max(np.abs(phi2_dot + 2.0 * phi**2 * curv.ric00.values - lie)))
+            worst, float(np.max(np.abs(phi2_dot + 2.0 * phi**2 * curv.ric00 - lie)))
         )
         return worst
 

@@ -8,9 +8,7 @@ from neckpinch.grid import (
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
-    ScalarField,
     dz_values,
-    field,
     metric_state,
 )
 
@@ -30,48 +28,58 @@ def test_grid_spacing_and_points():
     assert g.z[-1] == pytest.approx(2 * np.pi - g.dz)
 
 
-def test_field_rejects_nonfinite():
+def test_metric_state_rejects_nonfinite():
     g = PeriodicGrid(8)
     values = np.ones(8)
-    values[3] = np.nan
-    with pytest.raises(NonFiniteFieldError):
-        ScalarField(g, values)
-    values[3] = np.inf
-    with pytest.raises(NonFiniteFieldError):
-        ScalarField(g, values)
+    for bad in (np.nan, np.inf, -np.inf):
+        values[3] = bad
+        for k in range(4):
+            profiles = [1.0] * 4
+            profiles[k] = values
+            with pytest.raises(NonFiniteFieldError):
+                metric_state(g, 0.0, *profiles)
+            profiles[k] = bad
+            with pytest.raises(NonFiniteFieldError):
+                metric_state(g, 0.0, *profiles)
 
 
-def test_field_is_immutable():
-    f = field(PeriodicGrid(8), 1.0)
+def test_metric_state_profiles_are_readonly_copies():
+    g = PeriodicGrid(8)
+    a = np.full(8, 2.0)
+    st = metric_state(g, 0.0, 1.0, a, 3, 4.0)
+    a[0] = 5.0
+    assert st.a[0] == 2.0
+    for values in (st.phi, st.a, st.b, st.c):
+        assert values.dtype == np.float64 and values.shape == (8,)
+        with pytest.raises(ValueError):
+            values[0] = 2.0
+    assert np.array_equal(st.b, np.full(8, 3.0))
+    assert np.array_equal(st.phi, np.ones(8))
+
+
+def test_metric_state_rejects_wrong_length():
+    g = PeriodicGrid(8)
     with pytest.raises(ValueError):
-        f.values[0] = 2.0
-
-
-def test_metric_state_requires_shared_grid():
-    g1, g2 = PeriodicGrid(8), PeriodicGrid(16)
+        metric_state(g, 0.0, 1.0, np.ones(16), 1.0, 1.0)
     with pytest.raises(ValueError):
-        from neckpinch.grid import MetricState
-
-        MetricState(0.0, field(g1, 1.0), field(g2, 1.0), field(g2, 1.0), field(g2, 1.0))
+        metric_state(g, 0.0, np.ones((2, 8)), 1.0, 1.0, 1.0)
 
 
 def test_dz_annihilates_constants_exactly():
-    f = field(PeriodicGrid(32), 3.7)
-    assert np.all(dz_values(f.values, f.grid.dz) == 0.0)
+    g = PeriodicGrid(32)
+    assert np.all(dz_values(np.full(g.n, 3.7), g.dz) == 0.0)
 
 
 def test_dz_sin_fourth_order():
     g = PeriodicGrid(64)
-    f = field(g, np.sin(g.z))
-    err = np.max(np.abs(dz_values(f.values, g.dz) - np.cos(g.z)))
+    err = np.max(np.abs(dz_values(np.sin(g.z), g.dz) - np.cos(g.z)))
     # truncation constant for the 5-point stencil on sin is 1/30
     assert err <= g.dz**4 / 20.0
 
 
 def test_dz_cos_2z_fourth_order():
     g = PeriodicGrid(64)
-    f = field(g, np.cos(2 * g.z))
-    err = np.max(np.abs(dz_values(f.values, g.dz) - (-2.0 * np.sin(2 * g.z))))
+    err = np.max(np.abs(dz_values(np.cos(2 * g.z), g.dz) - (-2.0 * np.sin(2 * g.z))))
     assert err <= 1.5 * g.dz**4  # constant 2^5/30 for the k=2 mode
 
 
@@ -80,8 +88,7 @@ def test_dz_convergence_order(k):
     errs = []
     for n in (32, 64, 128):
         g = PeriodicGrid(n)
-        f = field(g, np.sin(k * g.z))
-        errs.append(np.max(np.abs(dz_values(f.values, g.dz) - k * np.cos(k * g.z))))
+        errs.append(np.max(np.abs(dz_values(np.sin(k * g.z), g.dz) - k * np.cos(k * g.z))))
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 >= 2 ** (4 - 0.5)
 
@@ -122,61 +129,57 @@ def test_dz_values_stacked_rows_bitwise(lead):
 
 def test_jet_matches_nested_s_derivative_bitwise():
     g = PeriodicGrid(64)
-    phi = field(g, 1.3 + 0.4 * np.sin(g.z))
+    phi = 1.3 + 0.4 * np.sin(g.z)
     x = np.stack([np.cos(g.z) + 1.5, np.sin(2 * g.z) + 2.5, np.cos(3 * g.z) + 3.5])
-    xp, xpp = jet(phi.values, x, g.dz)
+    xp, xpp = jet(phi, x, g.dz)
     for row, d1, d2 in zip(x, xp, xpp):
-        f = field(g, row)
-        assert np.array_equal(d1, s_derivative(f, phi).values)
-        assert np.array_equal(d2, s_second_derivative(f, phi).values)
+        assert np.array_equal(d1, s_derivative(row, phi, g.dz))
+        assert np.array_equal(d2, s_second_derivative(row, phi, g.dz))
 
 
 def test_s_derivative_identity_gauge_is_bitwise_dz():
     g = PeriodicGrid(64)
-    f = field(g, np.sin(g.z) + 0.25 * np.cos(3 * g.z))
-    one = field(g, 1.0)
-    assert np.array_equal(s_derivative(f, one).values, dz_values(f.values, g.dz))
+    f = np.sin(g.z) + 0.25 * np.cos(3 * g.z)
+    one = np.ones(g.n)
+    assert np.array_equal(s_derivative(f, one, g.dz), dz_values(f, g.dz))
 
 
 def test_s_derivative_constant_gauge_rescales():
     g = PeriodicGrid(64)
-    f = field(g, np.sin(g.z))
-    got = s_derivative(f, field(g, 2.0)).values
+    got = s_derivative(np.sin(g.z), np.full(g.n, 2.0), g.dz)
     assert np.max(np.abs(got - 0.5 * np.cos(g.z))) <= g.dz**4
 
 
 def test_s_derivative_variable_gauge():
     g = PeriodicGrid(64)
-    f = field(g, np.sin(g.z))
-    phi = field(g, 2.0 + np.cos(g.z))
-    got = s_derivative(f, phi).values
+    got = s_derivative(np.sin(g.z), 2.0 + np.cos(g.z), g.dz)
     assert np.max(np.abs(got - np.cos(g.z) / (2.0 + np.cos(g.z)))) <= 1e-5
 
 
 def test_s_derivative_rejects_nonpositive_gauge():
     g = PeriodicGrid(16)
-    f = field(g, 1.0)
+    f = np.ones(g.n)
     with pytest.raises(GaugeDegeneracyError):
-        s_derivative(f, field(g, 0.0))
+        s_derivative(f, np.zeros(g.n), g.dz)
     with pytest.raises(GaugeDegeneracyError):
-        s_derivative(f, field(g, np.where(g.z > 3, -1.0, 1.0)))
+        s_derivative(f, np.where(g.z > 3, -1.0, 1.0), g.dz)
 
 
 def test_s_second_derivative_flat_gauge():
     g = PeriodicGrid(64)
-    got = s_second_derivative(field(g, np.sin(g.z)), field(g, 1.0)).values
+    got = s_second_derivative(np.sin(g.z), np.ones(g.n), g.dz)
     assert np.max(np.abs(got + np.sin(g.z))) <= 1e-4
 
 
 def test_s_second_derivative_constant_is_zero():
     g = PeriodicGrid(32)
-    got = s_second_derivative(field(g, 2.5), field(g, 1.7 + 0.3 * np.sin(g.z))).values
+    got = s_second_derivative(np.full(g.n, 2.5), 1.7 + 0.3 * np.sin(g.z), g.dz)
     assert np.all(got == 0.0)
 
 
 def test_s_second_derivative_shifted_cos():
     g = PeriodicGrid(64)
-    got = s_second_derivative(field(g, np.cos(g.z) + 1.5), field(g, 1.0)).values
+    got = s_second_derivative(np.cos(g.z) + 1.5, np.ones(g.n), g.dz)
     assert np.max(np.abs(got + np.cos(g.z))) <= 1e-4
 
 

@@ -259,7 +259,7 @@ def test_scalar_min_large_flat_radii_stay_nonnegative():
     # torus-like data: huge z-constant radii give a small positive S that the
     # flow keeps nonnegative
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 10.0, 11.0, 12.0)
-    s0 = scalar_curvature(st).values
+    s0 = scalar_curvature(st)
     assert 0.0 < s0.min() < 0.1
     traj, _ = evolve(st, FlowConfig(t_max=0.5))
     rep = scalar_min_monitor(traj)
