@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
-from .flow import FlowConfig
+from .flow import FlowConfig, is_number
 from .monitors import DEFAULT_MONITORS, MONITORS
 from .presets import Preset, Profile, get_preset
 
@@ -37,6 +37,8 @@ class RunConfig:
     kappa: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int):
+            raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n % 2 != 0:
             raise ConfigError(f"grid_n must be even, got {self.grid_n}")
         if self.grid_n < 32:
@@ -47,6 +49,8 @@ class RunConfig:
         for name in self.monitors_enabled:
             if name not in MONITORS:
                 raise ConfigError(f"unknown monitor {name!r}")
+        if not is_number(self.kappa):
+            raise ConfigError(f"kappa must be a number, got {self.kappa!r}")
         if not math.isfinite(self.kappa):
             raise ConfigError(f"kappa must be finite, got {self.kappa!r}")
         if self.kappa <= 0.0:
@@ -96,13 +100,18 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
+    for k in _TUPLE_KEYS & set(data):
+        if data[k] is not None and not isinstance(data[k], list):
+            raise ConfigError(f"{k} must be a JSON list, got {data[k]!r}")
     kwargs = {
         k: tuple(v) if k in _TUPLE_KEYS else v
         for k, v in data.items()
         if k != "flow" and v is not None
     }
 
-    flow_data = data.get("flow") or {}
+    flow_data = {} if data.get("flow") is None else data["flow"]
+    if not isinstance(flow_data, dict):
+        raise ConfigError(f"flow must be a JSON object, got {flow_data!r}")
     bad = set(flow_data) - _FLOW_KEYS
     if bad:
         raise ConfigError(f"unknown flow keys: {sorted(bad)}")

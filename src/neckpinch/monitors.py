@@ -9,7 +9,7 @@ refining the grid and the time step tightens every assertion. They do not
 measure the discretization error: a scheme that takes longer steps gets a
 wider tolerance even where its error is smaller. A violated bound is
 reported, not raised: it is the interesting output. Monitors read the
-trajectory's columns, and MONITORS maps every monitor name to its function
+trajectory's series, and MONITORS maps every monitor name to its function
 for run_monitors and the config check.
 """
 
@@ -88,14 +88,6 @@ class TypeIReport:
     ratio_band: tuple[float, float]
     classification: str
     trend_slope: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "sup_tml_rm": self.sup_tml_rm,
-            "ratio_band": list(self.ratio_band),
-            "classification": self.classification,
-            "trend_slope": self.trend_slope,
-        }
 
 
 def constants(lam: float) -> TheoremConstants:

@@ -8,26 +8,15 @@ config in, identical bytes out.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .flow import SingularityReport, Trajectory
 from .monitors import MonitorReport, TheoremConstants, TypeIReport
 
-CSV_HEADER = "t,dt,a_min,b_min,c_max,ratio_max,ecc_bc,ecc_ac,s_min,rm_max"
-
 _CSV_FIELDS = (
-    "t",
-    "dt",
-    "a_min",
-    "b_min",
-    "c_max",
-    "ratio_max",
-    "ecc_bc",
-    "ecc_ac",
-    "s_min",
-    "rm_max",
+    "t", "dt", "a_min", "b_min", "c_max", "ratio_max", "ecc_bc", "ecc_ac", "s_min", "rm_max"
 )
-
 
 #: Rows formatted per write; bounds the text held in memory at once.
 _ROWS_PER_WRITE = 512
@@ -36,15 +25,18 @@ _ROWS_PER_WRITE = 512
 def write_series(traj: Trajectory, path: str | Path) -> None:
     """One CSV row per summary sample; shortest round-trip float formatting.
 
-    Streams the trajectory's columns to the file _ROWS_PER_WRITE rows at a
+    Streams the trajectory's records to the file _ROWS_PER_WRITE rows at a
     time, each value the repr of its Python float, so the memory it takes
     does not grow with the number of samples.
     """
     row = ",".join(["%r"] * len(_CSV_FIELDS)) + "\n"
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for block in traj.column_blocks(_CSV_FIELDS, _ROWS_PER_WRITE):
-            fh.write("".join([row % tuple(r) for r in block.T.tolist()]))
+        fh.write(",".join(_CSV_FIELDS) + "\n")
+        for chunk in traj.chunks():
+            table = chunk[list(_CSV_FIELDS)]
+            for lo in range(0, table.size, _ROWS_PER_WRITE):
+                rows = table[lo : lo + _ROWS_PER_WRITE].tolist()
+                fh.write("".join([row % r for r in rows]))
 
 
 def write_summary(
@@ -66,9 +58,9 @@ def write_summary(
         "fit_window": list(report.fit_window) if report else None,
         "a_min_final": traj.series("a_min")[-1].item(),
         "samples": traj.ts.size,
-        "run_stats": traj.run_stats.as_dict(),
+        "run_stats": asdict(traj.run_stats),
         "monitors": {name: rep.as_dict() for name, rep in monitor_reports.items()},
-        "type1": type1.as_dict() if type1 else None,
+        "type1": asdict(type1) if type1 else None,
         "theorem_constants": theorem_constants.as_dict() if theorem_constants else None,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -7,7 +7,7 @@ a config file instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class Preset:
     b0: Profile
     c0: Profile
     description: str = ""
-    params: dict = dc_field(default_factory=dict)
 
     def build(self, grid: PeriodicGrid, t: float = 0.0) -> MetricState:
         return metric_state(
@@ -96,7 +95,6 @@ def sphere(r: float = 2.0) -> Preset:
         b0=const(r),
         c0=const(r),
         description=f"round fiber, radius {r:g}; a_min^2 = r^2 - 4t exactly",
-        params={"r": r},
     )
 
 
@@ -109,7 +107,6 @@ def biaxial(a0: float = 1.0, c0: float = 2.0) -> Preset:
         b0=const(c0),
         c0=const(c0),
         description=f"homogeneous biaxial data a={a0:g}, b=c={c0:g}",
-        params={"a0": a0, "c0": c0},
     )
 
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from neckpinch.flow import INDEX_FIELDS, VALUE_FIELDS, Trajectory
+from neckpinch.flow import SUMMARY_DTYPE, Trajectory
 from neckpinch.grid import PeriodicGrid
 
 
@@ -68,10 +68,10 @@ def make_trajectory(
         "sup_cp": col(sup_cp, 0.0),
     }
     traj = Trajectory(grid=PeriodicGrid(grid_n), stop_reason=stop_reason)
-    traj.extend(
-        np.stack([columns[name] for name in VALUE_FIELDS]),
-        np.zeros((len(INDEX_FIELDS), n), dtype=np.intp),
-    )
+    block = np.zeros(n, SUMMARY_DTYPE)
+    for name, column in columns.items():
+        block[name] = column
+    traj.extend(block)
     return traj
 
 

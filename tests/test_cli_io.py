@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from neckpinch.config import ConfigError, RunConfig, config_from_dict, load_conf
 from neckpinch.flow import FlowConfig, evolve
 from neckpinch.grid import PeriodicGrid
 from neckpinch.monitors import constants, run_monitors, type1_classifier
-from neckpinch.output import CSV_HEADER, write_series, write_summary
+from neckpinch.output import write_series, write_summary
 from neckpinch.presets import Profile, biaxial, get_preset, presets, sphere
 
 
@@ -165,7 +166,6 @@ def test_write_series_schema(sphere_outputs):
     path = out / "series.csv"
     write_series(traj, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == CSV_HEADER
     assert lines[0] == "t,dt,a_min,b_min,c_max,ratio_max,ecc_bc,ecc_ac,s_min,rm_max"
     assert len(lines) - 1 == len(traj.samples)
     # spot-check the exact-solution column and the vanishing eccentricities
@@ -227,7 +227,7 @@ def test_write_summary_keys(sphere_outputs, tmp_path):
     assert doc["theorem_constants"]["lambda"] == 1.0
     assert set(doc["monitors"]) == set(reports)
     assert doc["monitors"]["ordering"]["passed"] is True
-    assert doc["run_stats"] == traj.run_stats.as_dict()
+    assert doc["run_stats"] == asdict(traj.run_stats)
     assert doc["run_stats"]["steps"] == doc["samples"] - 1
 
 
@@ -330,10 +330,21 @@ _CONST = {"kind": "const", "offset": 1.0}
          "strides must be integers"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"snapshot_stride": True}},
          "strides must be integers"),
+        ({"preset": "sphere", "grid_n": 64.0}, "grid_n must be an integer, got 64.0"),
+        ({"preset": "sphere", "grid_n": "64"}, "grid_n must be an integer, got '64'"),
+        ({"preset": "sphere", "grid_n": 32, "kappa": True}, "kappa must be a number, got True"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"cfl_safety": True}},
+         "cfl_safety must be a number, got True"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": True}},
+         "a_min_stop must be a number, got True"),
+        ({"preset": "sphere", "grid_n": 32, "flow": 5}, "flow must be a JSON object, got 5"),
+        ({"preset": "sphere", "grid_n": 32, "formats": "csv"},
+         "formats must be a JSON list, got 'csv'"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
-         "fractional-stride", "bool-stride"],
+         "fractional-stride", "bool-stride", "float-grid-n", "string-grid-n", "bool-kappa",
+         "bool-cfl-safety", "bool-a-min-stop", "non-object-flow", "string-formats"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,12 @@ from neckpinch.flow import (
     STOP_HALVINGS,
     STOP_TMAX,
     SUMMARY_BLOCK,
-    INDEX_FIELDS,
+    SUMMARY_DTYPE,
     MAX_STEP_HALVINGS,
-    VALUE_FIELDS,
     FlowConfig,
     InsufficientSamplesError,
     NoSingularityDetected,
     StepRejected,
-    SummarySample,
     Trajectory,
     _flow_rhs,
     _step_limits,
@@ -254,15 +253,19 @@ def reference_sample(state, dt):
         ("ecc_bc", "ecc_bc_idx", highest(ecc(b, c))),
         ("ecc_ac", "ecc_ac_idx", highest(ecc(a, c))),
         ("s_min", "s_min_idx", lowest(curv.scal)),
-        ("rm_max", "rm_max_idx", highest(np.sqrt(curv.rm_norm_sq))),
         ("sup_ap", "sup_ap_idx", sup[0]),
         ("sup_bp", "sup_bp_idx", sup[1]),
         ("sup_cp", "sup_cp_idx", sup[2]),
     ]
-    fields = {"t": state.t, "dt": dt, "b_min": lowest(b)[0]}
+    fields = {
+        "t": state.t,
+        "dt": dt,
+        "b_min": lowest(b)[0],
+        "rm_max": highest(np.sqrt(curv.rm_norm_sq))[0],
+    }
     for value_name, index_name, (value, idx) in pairs:
         fields[value_name], fields[index_name] = value, idx
-    return SummarySample(**fields)
+    return tuple(fields[name] for name in SUMMARY_DTYPE.names)
 
 
 def bits(sample):
@@ -288,7 +291,7 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
     dts = [1e-3 * (k + 1) for k in range(size)]
     traj = Trajectory(grid=states[0].grid)
     traj.extend(
-        *summarize_state(
+        summarize_state(
             [s.t for s in states],
             dts,
             np.stack([np.stack((s.a, s.b, s.c)) for s in states]),
@@ -298,7 +301,7 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
     )
     assert len(traj.samples) == size
     for k, (state, dt) in enumerate(zip(states, dts)):
-        assert bits(traj.samples[k]) == bits(reference_sample(state, dt))
+        assert bits(traj.samples[k].tolist()) == bits(reference_sample(state, dt))
 
 
 def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
@@ -352,7 +355,7 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
     steps = len(every.samples) - 1
     assert len(strided.samples) % SUMMARY_BLOCK != 0
     assert steps % 3 != 0  # the last state is recorded although off the stride
-    for name in VALUE_FIELDS + INDEX_FIELDS:
+    for name in SUMMARY_DTYPE.names:
         column = every.series(name)
         expected = np.append(column[::3], column[-1:])
         assert column_bits(strided, name) == expected.tobytes()
@@ -421,7 +424,7 @@ def test_evolve_names_exhausted_halvings():
     assert len(traj.samples) == 1
     assert traj.snapshots[-1] is st
     assert report is None
-    assert traj.run_stats.as_dict() == {
+    assert asdict(traj.run_stats) == {
         "steps": 0,
         "rejected": MAX_STEP_HALVINGS + 1,
         "diffusion_limited": 0,
@@ -445,27 +448,32 @@ def test_evolve_counts_steps_and_diffusion_limited_steps():
 
 def test_trajectory_rows_and_columns():
     traj = Trajectory(grid=PeriodicGrid(32))
-    values = np.arange(2.0 * len(VALUE_FIELDS)).reshape(len(VALUE_FIELDS), 2)
-    indices = np.arange(2 * len(INDEX_FIELDS)).reshape(len(INDEX_FIELDS), 2)
-    traj.extend(values, indices)
-    traj.extend(values[:, :1], indices[:, :1])
-    last = traj.samples[-1]
-    assert len(traj.samples) == 3
-    assert isinstance(last, SummarySample)
-    assert tuple(last) == (*values[:, 0].tolist(), *indices[:, 0].tolist())
-    assert type(last.t) is float and type(last.a_min_idx) is int
-    np.testing.assert_array_equal(traj.series("sup_cp_idx"), indices[-1, [0, 1, 0]])
-    traj.ts[0] = -1.0  # a column is a new array
+    block = np.zeros(2, SUMMARY_DTYPE)
+    for k, name in enumerate(SUMMARY_DTYPE.names):
+        block[name] = [2 * k, 2 * k + 1]
+    traj.extend(block)
+    traj.extend(block[:1])
+    samples = traj.samples
+    assert isinstance(samples, np.recarray) and samples.dtype == SUMMARY_DTYPE
+    assert len(samples) == 3
+    assert samples[-1].tolist() == block[0].tolist()
+    assert samples[-2].a_min == block[1]["a_min"]
+    np.testing.assert_array_equal(traj.series("sup_cp_idx"), block["sup_cp_idx"][[0, 1, 0]])
+    assert traj.series("a_min_idx").dtype == np.intp
+    traj.ts[0] = -1.0  # a series is a new array
+    samples[0].t = -1.0  # and so are the samples
     assert traj.samples[0].t == 0.0
     with pytest.raises(IndexError):
         traj.samples[3]
-    with pytest.raises(ValueError, match="mismatched"):
-        traj.extend(values, indices[:, :1])
+    with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
+        traj.extend(block[["t", "dt"]])
+    with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
+        traj.extend(block.reshape(2, 1))
 
 
 def test_trajectory_bytes_per_sample():
-    # The columns hold 15 float64 values and 12 integer indices per sample,
-    # 216 bytes; a sample object per state took about 680.
+    # A record holds 15 float64 values and 11 integer indices, 208 bytes;
+    # a sample object per state took about 680.
     st = get_preset("fig-a").build(PeriodicGrid(128))
     cfg = FlowConfig(snapshot_stride=10**6)
     gc.collect()
