@@ -4,19 +4,23 @@ Each monitor is a pure function of trajectory data: it checks one proved
 bound (ordering preservation, eccentricity decay, ratio bounds, the two-sided
 pinch-rate estimates, derivative bounds, scalar-curvature positivity), records
 the worst signed margin together with where it occurred, and never aborts a
-run. Tolerances follow the step sizes, tol = kappa * (dz^4 + mean dt), so
-refining the grid and the time step tightens every assertion. They do not
+run. A violated bound is reported, not raised: it is the interesting output.
+
+Every monitor has one signature, fn(traj, report, tol) -> MonitorReport: the
+trajectory, the singular-time fit (None when no singularity was detected) and
+the slack a margin may fall below zero by. MONITORS maps every monitor name to
+its function for run_monitors and the config check; run_monitors computes
+tol = tolerance(traj, kappa) = kappa * (dz^4 + mean dt) once, so refining the
+grid and the time step tightens every assertion. The tolerance does not
 measure the discretization error: a scheme that takes longer steps gets a
-wider tolerance even where its error is smaller. A violated bound is
-reported, not raised: it is the interesting output. Monitors read the
-trajectory's series, and MONITORS maps every monitor name to its function
-for run_monitors and the config check.
+wider tolerance even where its error is smaller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,23 +47,17 @@ TYPE1_BAND_SLACK = 0.2
 CONCAVITY_POINTS = 21
 
 
+#: The singular-time fit every monitor receives; None when no singularity
+#: was detected.
+Fit = SingularityReport | None
+
+
 @dataclass(frozen=True)
 class MonitorReport:
-    name: str
     passed: bool | None
     worst_margin: float | None
     worst_location: tuple[float, int | None] | None
     notes: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "worst_location": list(self.worst_location)
-            if self.worst_location is not None
-            else None,
-            "notes": self.notes,
-        }
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,8 @@ class TheoremConstants:
 @dataclass(frozen=True)
 class TypeIReport:
     sup_tml_rm: float
-    ratio_band: tuple[float, float]
-    classification: str
+    ratio_band: tuple[float, float] = (math.nan, math.nan)
+    classification: str = "Inconclusive"
     trend_slope: float | None = None
 
 
@@ -112,13 +110,9 @@ def tolerance(traj: Trajectory, kappa: float = 1.0) -> float:
     return kappa * (traj.grid.dz**STENCIL_ORDER + traj.dt_mean)
 
 
-def _not_applicable(name: str, why: str) -> MonitorReport:
+def _not_applicable(why: str) -> MonitorReport:
     return MonitorReport(
-        name=name,
-        passed=None,
-        worst_margin=None,
-        worst_location=None,
-        notes=f"precondition-violated: {why}",
+        passed=None, worst_margin=None, worst_location=None, notes=f"precondition-violated: {why}"
     )
 
 
@@ -129,14 +123,22 @@ def _first(traj: Trajectory, name: str) -> float:
     return traj.series(name)[0].item()
 
 
-def _first_min(columns: list[np.ndarray]) -> tuple[float, int, int]:
-    """(value, sample, column) of the smallest entry of equal-length columns,
-    scanned sample by sample and, within a sample, in column order: the first
-    occurrence wins, as in a running strict minimum."""
+def _worst(
+    traj: Trajectory, columns: list[np.ndarray], index_fields: list[str], shift: int = 0
+) -> tuple[float, tuple[float, int]]:
+    """The smallest entry of equal-length margin columns and its (t, grid index).
+
+    Scanned sample by sample and, within a sample, in column order: the first
+    occurrence wins, as in a running strict minimum. Column j's grid index is
+    the series index_fields[j]; location is read `shift` samples after the
+    margin's own sample (a drop between samples k and k+1 sits at k+1).
+    """
     flat = np.stack(columns, axis=1).ravel()
     k = int(np.argmin(flat))
     sample, column = divmod(k, len(columns))
-    return flat[k].item(), sample, column
+    sample += shift
+    where = (traj.ts[sample].item(), int(traj.series(index_fields[column])[sample]))
+    return flat[k].item(), where
 
 
 def _initially_ordered(traj: Trajectory) -> bool:
@@ -145,107 +147,87 @@ def _initially_ordered(traj: Trajectory) -> bool:
     )
 
 
-def ordering_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def _lower_bound_constant(traj: Trajectory) -> float | None:
+    """D of the lower pinch-rate bound a_min^2 >= D(T-t), or None outside its
+    regime: max(c/a) < 2 with initial min S >= 0."""
+    lam = _first(traj, "ratio_max")
+    if lam < 2.0 and _first(traj, "s_min") >= 0.0:
+        return constants(max(lam, 1.0)).d_lower
+    return None
+
+
+def ordering_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """a <= b <= c is preserved: the worst of min(b-a) and min(c-b) over the run."""
-    name = "ordering"
     if not _initially_ordered(traj):
-        return _not_applicable(name, "initial data is not ordered a <= b <= c")
-    tol = tolerance(traj, kappa)
-    worst, k, col = _first_min([traj.series("ord_ba_min"), traj.series("ord_cb_min")])
-    idx = traj.series(("ord_ba_idx", "ord_cb_idx")[col])[k]
-    where = (traj.ts[k].item(), int(idx))
+        return _not_applicable("initial data is not ordered a <= b <= c")
+    columns = [traj.series("ord_ba_min"), traj.series("ord_cb_min")]
+    worst, where = _worst(traj, columns, ["ord_ba_idx", "ord_cb_idx"])
     return MonitorReport(
-        name=name,
-        passed=worst >= -tol,
-        worst_margin=worst,
-        worst_location=where,
-        notes=f"tol={tol:.3e}",
+        passed=worst >= -tol, worst_margin=worst, worst_location=where, notes=f"tol={tol:.3e}"
     )
 
 
-def eccentricity_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def eccentricity_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """sup|b-c|/min(b,c) and sup|a-c|/min(a,c) are nonincreasing in time."""
-    name = "eccentricity"
     if not _initially_ordered(traj):
-        return _not_applicable(name, "initial data is not ordered a <= b <= c")
+        return _not_applicable("initial data is not ordered a <= b <= c")
     if traj.ts.size < 2:
-        return _not_applicable(name, "need at least two samples")
-    tol = tolerance(traj, kappa)
+        return _not_applicable("need at least two samples")
     attrs = ("ecc_bc", "ecc_ac")
     drops = [col[:-1] - col[1:] for col in map(traj.series, attrs)]
-    worst, k, col = _first_min(drops)
-    idx = traj.series(f"{attrs[col]}_idx")[k + 1]
-    where = (traj.ts[k + 1].item(), int(idx))
+    worst, where = _worst(traj, drops, [f"{attr}_idx" for attr in attrs], shift=1)
     return MonitorReport(
-        name=name,
-        passed=worst >= -tol,
-        worst_margin=worst,
-        worst_location=where,
-        notes=f"tol={tol:.3e}",
+        passed=worst >= -tol, worst_margin=worst, worst_location=where, notes=f"tol={tol:.3e}"
     )
 
 
-def ratio_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """max(c/a) stays below its t=0 value lam, and below the refined envelope
     (c/a)^2 <= e^(lam^2-1)(lam^2-1)(1 - 4t/c_max(0)^2)^2 + 1."""
-    name = "ratio"
     if not _initially_ordered(traj):
-        return _not_applicable(name, "initial data is not ordered a <= b <= c")
-    tol = tolerance(traj, kappa)
+        return _not_applicable("initial data is not ordered a <= b <= c")
     lam = _first(traj, "ratio_max")
     c0_sq = _first(traj, "c_max") ** 2
     ratio = traj.series("ratio_max")
 
-    plain, k, _ = _first_min([lam - ratio])
-    where = (traj.ts[k].item(), int(traj.series("ratio_max_idx")[k]))
+    plain, where = _worst(traj, [lam - ratio], ["ratio_max_idx"])
     # Float powers of Python floats, as libm rounds them (see _first).
     growth = math.exp(lam**2 - 1.0) * (lam**2 - 1.0)
-    refined = min(
+    envelope = [
         growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
         for t, r in zip(traj.ts.tolist(), ratio.tolist())
-    )
-    worst = min(plain, refined)
+    ]
+    refined, refined_where = _worst(traj, [np.array(envelope)], ["ratio_max_idx"])
+    if refined < plain:
+        where = refined_where
     return MonitorReport(
-        name=name,
         passed=plain >= -tol and refined >= -tol,
-        worst_margin=worst,
+        worst_margin=min(plain, refined),
         worst_location=where,
         notes=f"lam={lam:.6g} plain_margin={plain:.3e} refined_margin={refined:.3e} tol={tol:.3e}",
     )
 
 
-def amin_bound_monitor(
-    traj: Trajectory, report: SingularityReport | None, kappa: float = 1.0
-) -> MonitorReport:
+def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """a_min^2 <= 4(T-t), d(a_min^2)/dt >= -4, and, when max(c/a) < 2 with
     nonnegative initial scalar curvature, a_min^2 >= D(T-t)."""
-    name = "amin_bound"
     if report is None:
-        return _not_applicable(name, "no singularity detected")
-    tol = tolerance(traj, kappa)
+        return _not_applicable("no singularity detected")
     T = report.t_estimate
     ts = traj.ts
     amin_sq = traj.series("a_min") ** 2
 
-    upper = 4.0 * (T - ts) - amin_sq
-    k_up = int(np.argmin(upper))
-    upper_margin = float(upper[k_up])
-    a_min_idx = traj.series("a_min_idx")
-    where = (float(ts[k_up]), int(a_min_idx[k_up]))
+    upper_margin, where = _worst(traj, [4.0 * (T - ts) - amin_sq], ["a_min_idx"])
 
     slopes = np.diff(amin_sq) / np.diff(ts)
     slope_margin = float(np.min(slopes + 4.0)) if slopes.size else math.inf
 
-    lam = _first(traj, "ratio_max")
-    s_min0 = _first(traj, "s_min")
+    d_lower = _lower_bound_constant(traj)
     lower_margin = None
-    if lam < 2.0 and s_min0 >= -tol:
-        d_lower = constants(max(lam, 1.0)).d_lower
-        lower = amin_sq - d_lower * (T - ts)
-        k_lo = int(np.argmin(lower))
-        lower_margin = float(lower[k_lo])
+    if d_lower is not None:
+        lower_margin, lower_where = _worst(traj, [amin_sq - d_lower * (T - ts)], ["a_min_idx"])
         if lower_margin < upper_margin:
-            where = (float(ts[k_lo]), int(a_min_idx[k_lo]))
+            where = lower_where
 
     margins = [upper_margin] + ([lower_margin] if lower_margin is not None else [])
     worst = min(margins)
@@ -255,26 +237,19 @@ def amin_bound_monitor(
         + (f"lower_margin={lower_margin:.3e} " if lower_margin is not None else "lower_bound=n/a ")
         + f"tol={tol:.3e}"
     )
-    return MonitorReport(
-        name=name, passed=passed, worst_margin=worst, worst_location=where, notes=notes
-    )
+    return MonitorReport(passed=passed, worst_margin=worst, worst_location=where, notes=notes)
 
 
-def cmax_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def cmax_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """c_max^2 <= c_max(0)^2 - 4t, d(c_max^2)/dt <= -4, and the stop time
     cannot exceed c_max(0)^2 / 4."""
-    name = "cmax_bound"
     if not _initially_ordered(traj):
-        return _not_applicable(name, "initial data is not ordered a <= b <= c")
-    tol = tolerance(traj, kappa)
+        return _not_applicable("initial data is not ordered a <= b <= c")
     ts = traj.ts
     cmax_sq = traj.series("c_max") ** 2
     c0_sq = cmax_sq[0]
 
-    bound = c0_sq - 4.0 * ts - cmax_sq
-    k = int(np.argmin(bound))
-    bound_margin = float(bound[k])
-    where = (float(ts[k]), int(traj.series("c_max_idx")[k]))
+    bound_margin, where = _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"])
 
     slopes = np.diff(cmax_sq) / np.diff(ts)
     slope_margin = float(np.min(-4.0 - slopes)) if slopes.size else math.inf
@@ -284,7 +259,6 @@ def cmax_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     worst = min(bound_margin, stop_margin)
     passed = worst >= -tol and slope_margin >= -tol
     return MonitorReport(
-        name=name,
         passed=passed,
         worst_margin=worst,
         worst_location=where,
@@ -295,28 +269,24 @@ def cmax_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     )
 
 
-def derivative_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """sup|x'| never exceeds max(universal bound, initial sup) for x in a,b,c.
 
     Only claimed for ordered data with max(c/a) < 2.
     """
-    name = "derivative_bound"
     if not _initially_ordered(traj):
-        return _not_applicable(name, "initial data is not ordered a <= b <= c")
+        return _not_applicable("initial data is not ordered a <= b <= c")
     lam = _first(traj, "ratio_max")
     if lam >= 2.0:
-        return _not_applicable(name, f"max(c/a) = {lam:.4g} >= 2; bound not claimed")
-    tol = tolerance(traj, kappa)
+        return _not_applicable(f"max(c/a) = {lam:.4g} >= 2; bound not claimed")
     attrs = ("sup_ap", "sup_bp", "sup_cp")
     universal = (DERIV_BOUND_A, DERIV_BOUND_B, DERIV_BOUND_C)
     margins = [
         max(bound, _first(traj, attr)) - traj.series(attr)
         for attr, bound in zip(attrs, universal)
     ]
-    worst, k, col = _first_min(margins)
-    where = (traj.ts[k].item(), int(traj.series(f"{attrs[col]}_idx")[k]))
+    worst, where = _worst(traj, margins, [f"{attr}_idx" for attr in attrs])
     return MonitorReport(
-        name=name,
         passed=worst >= -tol,
         worst_margin=worst,
         worst_location=where,
@@ -324,25 +294,18 @@ def derivative_bound_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorRep
     )
 
 
-def scalar_min_monitor(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def scalar_min_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """min_z S stays nonnegative whenever it starts nonnegative."""
-    name = "scalar_min"
-    tol = tolerance(traj, kappa)
     s0 = _first(traj, "s_min")
     if s0 < -tol:
-        return _not_applicable(name, f"initial min S = {s0:.4g} < 0")
-    worst, k, _ = _first_min([traj.series("s_min")])
-    where = (traj.ts[k].item(), int(traj.series("s_min_idx")[k]))
+        return _not_applicable(f"initial min S = {s0:.4g} < 0")
+    worst, where = _worst(traj, [traj.series("s_min")], ["s_min_idx"])
     return MonitorReport(
-        name=name,
-        passed=worst >= -tol,
-        worst_margin=worst,
-        worst_location=where,
-        notes=f"tol={tol:.3e}",
+        passed=worst >= -tol, worst_margin=worst, worst_location=where, notes=f"tol={tol:.3e}"
     )
 
 
-def type1_classifier(traj: Trajectory, report: SingularityReport | None) -> TypeIReport:
+def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
     """Type I test: (T-t) max|Rm| stays trend-free over the final decade and
     a_min/sqrt(T-t) sits inside the two-sided pinch-rate band.
 
@@ -351,11 +314,7 @@ def type1_classifier(traj: Trajectory, report: SingularityReport | None) -> Type
     (max(c/a) < 2 and initial min S >= 0), otherwise just positivity.
     """
     if report is None:
-        return TypeIReport(
-            sup_tml_rm=math.nan,
-            ratio_band=(math.nan, math.nan),
-            classification="Inconclusive",
-        )
+        return TypeIReport(sup_tml_rm=math.nan)
     T = report.t_estimate
     ts = traj.ts
     a_min = traj.series("a_min")
@@ -368,24 +327,17 @@ def type1_classifier(traj: Trajectory, report: SingularityReport | None) -> Type
     decade = before & (a_min <= 10.0 * a_min[-1])
     t_d = ts[decade]
     if t_d.size < 3:
-        return TypeIReport(
-            sup_tml_rm=sup_tml,
-            ratio_band=(math.nan, math.nan),
-            classification="Inconclusive",
-        )
+        return TypeIReport(sup_tml_rm=sup_tml)
     ratio = a_min[decade] / np.sqrt(T - t_d)
     band = (float(np.min(ratio)), float(np.max(ratio)))
 
     y_d = (T - t_d) * rm_max[decade]
     slope = float(np.polyfit(np.log(T - t_d), np.log(y_d), 1)[0])
 
-    lam = _first(traj, "ratio_max")
-    s_min0 = _first(traj, "s_min")
+    d_lower = _lower_bound_constant(traj)
     lower_edge = 0.0
-    if lam < 2.0 and s_min0 >= 0.0:
-        d_lower = constants(max(lam, 1.0)).d_lower
-        if d_lower > 0.0:
-            lower_edge = math.sqrt(d_lower) * (1.0 - TYPE1_BAND_SLACK)
+    if d_lower is not None and d_lower > 0.0:
+        lower_edge = math.sqrt(d_lower) * (1.0 - TYPE1_BAND_SLACK)
     upper_edge = 2.0 * (1.0 + TYPE1_BAND_SLACK)
 
     band_ok = band[0] >= lower_edge and band[1] <= upper_edge
@@ -401,15 +353,13 @@ def type1_classifier(traj: Trajectory, report: SingularityReport | None) -> Type
     )
 
 
-def concavity_check(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
+def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """Second differences of a_min^2 on a uniform time resampling stay <= 0.
 
     Evidence only: concavity of the pinch profile is observed, not proved.
     """
-    name = "concavity"
     if traj.ts.size < 20:
-        return _not_applicable(name, "need at least 20 samples")
-    tol = tolerance(traj, kappa)
+        return _not_applicable("need at least 20 samples")
     ts = traj.ts
     y = traj.series("a_min") ** 2
     t_u = np.linspace(ts[0], ts[-1], CONCAVITY_POINTS)
@@ -417,7 +367,6 @@ def concavity_check(traj: Trajectory, kappa: float = 1.0) -> MonitorReport:
     d2 = y_u[2:] - 2.0 * y_u[1:-1] + y_u[:-2]
     k = int(np.argmax(d2))
     return MonitorReport(
-        name=name,
         passed=float(d2[k]) <= tol,
         worst_margin=float(-d2[k]),
         worst_location=(float(t_u[k + 1]), None),
@@ -503,64 +452,51 @@ def _k0i_evolution_rhs(state: MetricState, which: str) -> np.ndarray:
     return rhs
 
 
-def k0i_evolution_residual(traj: Trajectory, which: str = "k01") -> tuple[float, float, int]:
+def evolution_residual(
+    traj: Trajectory, report: Fit, tol: float, which: str = "k01"
+) -> MonitorReport:
     """Max-norm defect between the time-differenced K_0i and its evolution RHS.
 
     Uses the middle consecutive snapshot triple; the time derivative is the
-    three-point non-uniform central difference. Returns (residual, t, index).
+    three-point non-uniform central difference. The margin is minus the
+    defect: a single report records its magnitude, and convergence under
+    simultaneous (dt, dz) refinement is asserted by comparing two
+    trajectories' reports.
     """
     if len(traj.snapshots) < 3:
-        raise ValueError("need at least 3 snapshots for the residual check")
+        return _not_applicable("need at least 3 snapshots for the residual check")
     mid = len(traj.snapshots) // 2
     s0, s1, s2 = traj.snapshots[mid - 1 : mid + 2]
 
-    def k_field(state):
-        return getattr(sectional_curvatures(state), which)
-
     h0 = s1.t - s0.t
     h1 = s2.t - s1.t
-    k0, k1, k2 = k_field(s0), k_field(s1), k_field(s2)
+    k0, k1, k2 = (getattr(sectional_curvatures(s), which) for s in (s0, s1, s2))
     dk_dt = (h0**2 * k2 + (h1**2 - h0**2) * k1 - h1**2 * k0) / (h0 * h1 * (h0 + h1))
 
-    rhs = _k0i_evolution_rhs(s1, which)
-    defect = np.abs(dk_dt - rhs)
+    defect = np.abs(dk_dt - _k0i_evolution_rhs(s1, which))
     idx = int(np.argmax(defect))
-    return float(defect[idx]), float(s1.t), idx
-
-
-def evolution_residual(traj: Trajectory, which: str = "k01") -> MonitorReport:
-    """Report the K_0i evolution-equation residual at the middle snapshot triple.
-
-    Convergence under simultaneous (dt, dz) refinement is asserted by comparing
-    two trajectories' reports; a single report records the magnitude.
-    """
-    name = f"evolution_residual_{which}"
-    try:
-        residual, t_mid, idx = k0i_evolution_residual(traj, which)
-    except ValueError as exc:
-        return _not_applicable(name, str(exc))
+    residual = float(defect[idx])
     return MonitorReport(
-        name=name,
         passed=math.isfinite(residual),
         worst_margin=-residual,
-        worst_location=(t_mid, idx),
+        worst_location=(float(s1.t), idx),
         notes=f"residual_max={residual:.6e}",
     )
 
 
-#: Every monitor by name, each called as fn(traj, report, kappa).
+#: Every monitor by name, each called as fn(traj, report, tol).
 MONITORS = {
-    "ordering": lambda traj, report, kappa: ordering_monitor(traj, kappa),
-    "eccentricity": lambda traj, report, kappa: eccentricity_monitor(traj, kappa),
-    "ratio": lambda traj, report, kappa: ratio_monitor(traj, kappa),
+    "ordering": ordering_monitor,
+    "eccentricity": eccentricity_monitor,
+    "ratio": ratio_monitor,
     "amin_bound": amin_bound_monitor,
-    "cmax_bound": lambda traj, report, kappa: cmax_bound_monitor(traj, kappa),
-    "derivative_bound": lambda traj, report, kappa: derivative_bound_monitor(traj, kappa),
-    "scalar_min": lambda traj, report, kappa: scalar_min_monitor(traj, kappa),
-    "concavity": lambda traj, report, kappa: concavity_check(traj, kappa),
-    "evolution_residual_k01": lambda traj, report, kappa: evolution_residual(traj, "k01"),
-    "evolution_residual_k02": lambda traj, report, kappa: evolution_residual(traj, "k02"),
-    "evolution_residual_k03": lambda traj, report, kappa: evolution_residual(traj, "k03"),
+    "cmax_bound": cmax_bound_monitor,
+    "derivative_bound": derivative_bound_monitor,
+    "scalar_min": scalar_min_monitor,
+    "concavity": concavity_check,
+    "evolution_residual_k01": partial(evolution_residual, which="k01"),
+    "evolution_residual_k02": partial(evolution_residual, which="k02"),
+    "evolution_residual_k03": partial(evolution_residual, which="k03"),
 }
 
 #: Monitors that run against a finished trajectory by default: all but the
@@ -571,14 +507,16 @@ DEFAULT_MONITORS = tuple(name for name in MONITORS if not name.startswith("evolu
 
 def run_monitors(
     traj: Trajectory,
-    report: SingularityReport | None,
+    report: Fit,
     names: tuple[str, ...] | list[str] = DEFAULT_MONITORS,
     kappa: float = 1.0,
 ) -> dict[str, MonitorReport]:
-    """Evaluate the named monitors of MONITORS; unknown names raise."""
+    """Evaluate the named monitors of MONITORS at tol = tolerance(traj, kappa);
+    unknown names raise."""
+    tol = tolerance(traj, kappa)
     out = {}
     for name in names:
         if name not in MONITORS:
             raise ValueError(f"unknown monitor {name!r}")
-        out[name] = MONITORS[name](traj, report, kappa)
+        out[name] = MONITORS[name](traj, report, tol)
     return out

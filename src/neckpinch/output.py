@@ -59,7 +59,7 @@ def write_summary(
         "a_min_final": traj.series("a_min")[-1].item(),
         "samples": traj.ts.size,
         "run_stats": asdict(traj.run_stats),
-        "monitors": {name: rep.as_dict() for name, rep in monitor_reports.items()},
+        "monitors": {name: asdict(rep) for name, rep in monitor_reports.items()},
         "type1": asdict(type1) if type1 else None,
         "theorem_constants": theorem_constants.as_dict() if theorem_constants else None,
     }

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import is_number
 from .grid import MetricState, PeriodicGrid, metric_state
 
 
@@ -29,6 +30,12 @@ class Profile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "samples" and not self.samples:
             raise ValueError("samples profile requires a samples array")
+        for key in ("amplitude", "offset"):
+            if not is_number(getattr(self, key)):
+                raise ValueError(f"profile {key} must be a number, got {getattr(self, key)!r}")
+        # Only a whole frequency keeps the profile 2*pi-periodic on the grid.
+        if isinstance(self.frequency, bool) or not isinstance(self.frequency, int):
+            raise ValueError(f"profile frequency must be an integer, got {self.frequency!r}")
 
     def evaluate(self, grid: PeriodicGrid) -> np.ndarray:
         if self.kind == "const":
@@ -163,10 +170,11 @@ def presets() -> list[Preset]:
 
 def get_preset(name: str, params: dict | None = None) -> Preset:
     params = params or {}
-    if name == "sphere":
-        return sphere(**params)
-    if name == "biaxial":
-        return biaxial(**params)
+    if name in ("sphere", "biaxial"):
+        for key, value in params.items():
+            if not is_number(value):
+                raise ValueError(f"preset parameter {key} must be a number, got {value!r}")
+        return (sphere if name == "sphere" else biaxial)(**params)
     for p in presets():
         if p.name == name:
             if params:

@@ -16,7 +16,7 @@ from neckpinch.monitors import (
     DERIV_BOUND_C,
     concavity_check,
     constants,
-    k0i_evolution_residual,
+    evolution_residual,
     run_monitors,
     tolerance,
     type1_classifier,
@@ -208,7 +208,7 @@ def test_criterion_7_concavity_evidence(fig_a_256, fig_b_128, fig_c_128):
         ("fig-b", fig_b_128),
         ("fig-c", fig_c_128),
     ):
-        rep = concavity_check(traj)
+        rep = concavity_check(traj, None, tolerance(traj))
         assert rep.passed is True, f"{label}: {rep.notes}"
         # qualitative pinch shape: the concave arc ends at the threshold
         # (a_min may rise briefly first: at a deep neck the (b^2-c^2)^2
@@ -227,8 +227,7 @@ def test_criterion_8_evolution_residual_refinement():
         state = get_preset("fig-a").build(PeriodicGrid(n))
         cfg = FlowConfig(fixed_dt=dt, t_max=2.4e-3, snapshot_stride=1)
         traj, _ = evolve(state, cfg)
-        value, _, _ = k0i_evolution_residual(traj, "k01")
-        return value
+        return -evolution_residual(traj, None, tolerance(traj), "k01").worst_margin
 
     coarse = residual(64, 2e-4)
     fine = residual(128, 1e-4)

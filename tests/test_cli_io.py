@@ -340,11 +340,33 @@ _CONST = {"kind": "const", "offset": 1.0}
         ({"preset": "sphere", "grid_n": 32, "flow": 5}, "flow must be a JSON object, got 5"),
         ({"preset": "sphere", "grid_n": 32, "formats": "csv"},
          "formats must be a JSON list, got 'csv'"),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "cos", "amplitude": 1, "offset": 1.5,
+                                               "frequency": 1.5}}},
+            "profile frequency must be an integer, got 1.5",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "cos", "amplitude": "1", "offset": 1.5}}},
+            "profile amplitude must be a number, got '1'",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                                        "c0": {"kind": "const", "offset": True}}},
+            "profile offset must be a number, got True",
+        ),
+        ({"preset": "sphere", "grid_n": 32, "preset_params": {"r": True}},
+         "preset parameter r must be a number, got True"),
+        ({"preset": "biaxial", "grid_n": 32, "preset_params": {"c0": "2"}},
+         "preset parameter c0 must be a number, got '2'"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
          "fractional-stride", "bool-stride", "float-grid-n", "string-grid-n", "bool-kappa",
-         "bool-cfl-safety", "bool-a-min-stop", "non-object-flow", "string-formats"],
+         "bool-cfl-safety", "bool-a-min-stop", "non-object-flow", "string-formats",
+         "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
+         "string-biaxial-radius"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)

@@ -81,7 +81,7 @@ def test_derivative_bound_constants_to_twelve_digits():
 
 def test_ordering_sphere_margin_zero(sphere_run):
     traj, _ = sphere_run
-    rep = ordering_monitor(traj)
+    rep = ordering_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)
 
@@ -89,7 +89,7 @@ def test_ordering_sphere_margin_zero(sphere_run):
 def test_ordering_adversarial_precondition():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts, ord_ba=-0.5)
-    rep = ordering_monitor(traj)
+    rep = ordering_monitor(traj, None, tolerance(traj))
     assert rep.passed is None
     assert "precondition" in rep.notes
 
@@ -98,7 +98,7 @@ def test_ordering_detects_violation():
     ts = np.linspace(0, 1, 30)
     ord_ba = np.linspace(0.5, -0.2, 30)  # ordered initially, crosses later
     traj = make_trajectory(ts, 2.0 - ts, ord_ba=ord_ba, ord_cb=1.0)
-    rep = ordering_monitor(traj)
+    rep = ordering_monitor(traj, None, tolerance(traj))
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-0.2)
     assert rep.worst_location[0] == pytest.approx(1.0)
@@ -109,7 +109,7 @@ def test_ordering_detects_violation():
 
 def test_eccentricity_sphere_identically_zero(sphere_run):
     traj, _ = sphere_run
-    rep = eccentricity_monitor(traj)
+    rep = eccentricity_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)
 
@@ -118,7 +118,7 @@ def test_eccentricity_biaxial_first_quantity_zero():
     st = biaxial(1.0, 1.5).build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.02))
     assert np.all(traj.series("ecc_bc") == 0.0)
-    assert eccentricity_monitor(traj).passed is True
+    assert eccentricity_monitor(traj, None, tolerance(traj)).passed is True
 
 
 def test_eccentricity_detects_growth():
@@ -126,7 +126,7 @@ def test_eccentricity_detects_growth():
     ecc = np.full(30, 0.1)
     ecc[-1] = 0.5  # a jump well above any discretization slack
     traj = make_trajectory(ts, 2.0 - ts, ecc_bc=ecc)
-    rep = eccentricity_monitor(traj)
+    rep = eccentricity_monitor(traj, None, tolerance(traj))
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-0.4)
 
@@ -136,7 +136,7 @@ def test_eccentricity_detects_growth():
 
 def test_ratio_round_reduces_to_identity(sphere_run):
     traj, _ = sphere_run
-    rep = ratio_monitor(traj)
+    rep = ratio_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -149,7 +149,7 @@ def test_ratio_refined_envelope_is_slack_at_start():
     assert envelope0 >= lam**2
     ts = np.linspace(0, 0.5, 30)
     traj = make_trajectory(ts, 2.0 - ts, ratio_max=lam, c_max=3.0, ord_cb=0.1, ord_ba=0.1)
-    rep = ratio_monitor(traj)
+    rep = ratio_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert f"lam={lam:.6g}" in rep.notes
 
@@ -159,10 +159,21 @@ def test_ratio_detects_violation():
     traj = make_trajectory(
         ts, 2.0 - ts, ratio_max=np.linspace(1.5, 2.5, 30), c_max=3.0, ord_ba=0.1, ord_cb=0.1
     )
-    rep = ratio_monitor(traj)
+    rep = ratio_monitor(traj, None, tolerance(traj))
     assert rep.passed is False
     assert rep.worst_margin <= -1.0
     assert "plain_margin=-1.000e+00" in rep.notes
+
+
+def test_ratio_reports_where_the_refined_envelope_is_worst():
+    # lam = 1.5, c_max(0) = 2: the plain margin is 0 throughout, while the
+    # envelope e^1.25 * 1.25 * (1 - t)^2 + 1 - 2.25 falls to -1.25 at t = 1
+    ts = np.linspace(0, 1, 30)
+    traj = make_trajectory(ts, 2.0 - ts, ratio_max=1.5, c_max=2.0, ord_ba=0.1, ord_cb=0.1)
+    rep = ratio_monitor(traj, None, tolerance(traj))
+    assert rep.passed is False
+    assert rep.worst_margin == pytest.approx(-1.25)
+    assert rep.worst_location == (1.0, 0)
 
 
 # --- amin two-sided bounds ----------------------------------------------------------
@@ -170,7 +181,7 @@ def test_ratio_detects_violation():
 
 def test_amin_sphere_upper_bound_tight(sphere_run):
     traj, report = sphere_run
-    rep = amin_bound_monitor(traj, report)
+    rep = amin_bound_monitor(traj, report, tolerance(traj))
     assert rep.passed is True
     # equality case: 4(T - t) - a_min^2 = 0 up to fit error, and the lower
     # bound 2(T - t) stays strictly inside
@@ -181,7 +192,7 @@ def test_amin_sphere_upper_bound_tight(sphere_run):
 def test_amin_requires_report():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts)
-    rep = amin_bound_monitor(traj, None)
+    rep = amin_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is None
 
 
@@ -193,8 +204,22 @@ def test_amin_detects_too_fast_pinch():
     from neckpinch.flow import estimate_singular_time
 
     report = estimate_singular_time(traj)
-    rep = amin_bound_monitor(traj, report)
+    rep = amin_bound_monitor(traj, report, tolerance(traj))
     assert rep.passed is False
+
+
+def test_amin_lower_bound_needs_nonnegative_initial_scalar_curvature():
+    # lam = 1.2 < 2, but initial min S = -tol/2 < 0: the lower bound
+    # a_min^2 >= D(T-t) is not claimed, even within the tolerance
+    ts = np.linspace(0.0, 0.99, 120)
+    a_min = np.sqrt(4.0 * (1.0 - ts))
+    tol = tolerance(make_trajectory(ts, a_min))
+    traj = make_trajectory(ts, a_min, ratio_max=1.2, s_min=-tol / 2.0)
+    from neckpinch.flow import estimate_singular_time
+
+    rep = amin_bound_monitor(traj, estimate_singular_time(traj), tol)
+    assert "lower_bound=n/a" in rep.notes
+    assert "lower_margin" not in rep.notes
 
 
 # --- cmax -----------------------------------------------------------------------------
@@ -202,7 +227,7 @@ def test_amin_detects_too_fast_pinch():
 
 def test_cmax_sphere_equality(sphere_run):
     traj, _ = sphere_run
-    rep = cmax_bound_monitor(traj)
+    rep = cmax_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert abs(rep.worst_margin) <= 1e-6 or rep.worst_margin > 0
     assert "stop_margin" in rep.notes
@@ -213,7 +238,7 @@ def test_cmax_detects_slow_decay():
     ts = np.linspace(0.0, 1.0, 60)
     c = np.sqrt(9.0 - 2.0 * ts)
     traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1, ratio_max=1.5)
-    rep = cmax_bound_monitor(traj)
+    rep = cmax_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is False
 
 
@@ -223,7 +248,7 @@ def test_cmax_detects_slow_decay():
 def test_derivative_bounds_z_constant_data():
     st = biaxial(1.0, 1.5).build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.02))
-    rep = derivative_bound_monitor(traj)
+    rep = derivative_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     # all sups are identically zero, so the binding margin is the smallest
     # universal constant
@@ -233,7 +258,7 @@ def test_derivative_bounds_z_constant_data():
 def test_derivative_bounds_not_claimed_for_large_ratio():
     st = get_preset("fig-a").build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.01))
-    rep = derivative_bound_monitor(traj)
+    rep = derivative_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is None
     assert ">= 2" in rep.notes
 
@@ -241,7 +266,7 @@ def test_derivative_bounds_not_claimed_for_large_ratio():
 def test_derivative_bounds_mild_preset_passes():
     st = get_preset("mild").build(PeriodicGrid(64))
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
-    rep = derivative_bound_monitor(traj)
+    rep = derivative_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
 
 
@@ -250,7 +275,7 @@ def test_derivative_bounds_mild_preset_passes():
 
 def test_scalar_min_sphere(sphere_run):
     traj, _ = sphere_run
-    rep = scalar_min_monitor(traj)
+    rep = scalar_min_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(1.5, rel=1e-10)  # S = 6/r^2 at r = 2
 
@@ -262,21 +287,21 @@ def test_scalar_min_large_flat_radii_stay_nonnegative():
     s0 = scalar_curvature(st)
     assert 0.0 < s0.min() < 0.1
     traj, _ = evolve(st, FlowConfig(t_max=0.5))
-    rep = scalar_min_monitor(traj)
+    rep = scalar_min_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
 
 
 def test_scalar_min_precondition_violated():
     ts = np.linspace(0, 1, 25)
     traj = make_trajectory(ts, 2.0 - ts, s_min=-1.0)
-    rep = scalar_min_monitor(traj)
+    rep = scalar_min_monitor(traj, None, tolerance(traj))
     assert rep.passed is None
 
 
 def test_scalar_min_detects_sign_loss():
     ts = np.linspace(0, 1, 25)
     traj = make_trajectory(ts, 2.0 - ts, s_min=np.linspace(1.0, -0.5, 25))
-    rep = scalar_min_monitor(traj)
+    rep = scalar_min_monitor(traj, None, tolerance(traj))
     assert rep.passed is False
 
 
@@ -335,7 +360,7 @@ def test_type1_without_report_is_inconclusive():
 def test_concavity_linear_series_passes():
     ts = np.linspace(0.0, 0.9, 200)
     traj = make_trajectory(ts, np.sqrt(4.0 - 4.0 * ts))
-    rep = concavity_check(traj)
+    rep = concavity_check(traj, None, tolerance(traj))
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -344,20 +369,20 @@ def test_concavity_convex_series_fails():
     T = 1.0
     ts = np.linspace(0.0, 0.9, 1000)
     traj = make_trajectory(ts, T - ts)  # a_min^2 = (T-t)^2 is convex
-    rep = concavity_check(traj)
+    rep = concavity_check(traj, None, tolerance(traj))
     assert rep.passed is False
 
 
 def test_concavity_needs_enough_samples():
     ts = np.linspace(0.0, 0.5, 10)
     traj = make_trajectory(ts, 2.0 - ts)
-    rep = concavity_check(traj)
+    rep = concavity_check(traj, None, tolerance(traj))
     assert rep.passed is None
 
 
 def test_concavity_sphere(sphere_run):
     traj, _ = sphere_run
-    assert concavity_check(traj).passed is True
+    assert concavity_check(traj, None, tolerance(traj)).passed is True
 
 
 # --- curvature-evolution residuals --------------------------------------------------------------
@@ -368,21 +393,21 @@ def test_evolution_residual_vanishes_on_homogeneous_data(which):
     # z-constant data keeps K_0i = 0 on both sides of the evolution equation
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 2.0, 3.0)
     traj, _ = evolve(st, FlowConfig(t_max=5e-3, fixed_dt=5e-4, snapshot_stride=1))
-    rep = evolution_residual(traj, which)
+    rep = evolution_residual(traj, None, tolerance(traj), which)
     assert rep.passed is True
     assert abs(rep.worst_margin) <= 1e-12
 
 
 def test_evolution_residual_round_sphere(sphere_run):
     traj, _ = sphere_run
-    rep = evolution_residual(traj, "k01")
+    rep = evolution_residual(traj, None, tolerance(traj), "k01")
     assert abs(rep.worst_margin) <= 1e-12
 
 
 def test_evolution_residual_needs_snapshots():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts)
-    rep = evolution_residual(traj, "k01")
+    rep = evolution_residual(traj, None, tolerance(traj), "k01")
     assert rep.passed is None
 
 
@@ -438,14 +463,13 @@ def test_every_registered_monitor_is_configurable_and_runs(sphere_run, name):
     assert config_from_dict({"monitors_enabled": [name]}).monitors_enabled == (name,)
     reports = run_monitors(traj, report, [name])
     assert list(reports) == [name]
-    assert reports[name].name == name
     assert reports[name].passed is True
 
 
 def test_monitors_are_deterministic(sphere_run):
     traj, report = sphere_run
-    a = ordering_monitor(traj)
-    b = ordering_monitor(traj)
+    a = ordering_monitor(traj, None, tolerance(traj))
+    b = ordering_monitor(traj, None, tolerance(traj))
     assert a == b
 
 

@@ -1,9 +1,10 @@
 """The benchmark's traced child reports the counts of the run it traces.
 
-perfbench/layers.py wraps the package from outside, so a rename or a change
-of what evolve returns can silently zero its metrics; this runs one traced
-child (perfbench/child.py) on a short fig-a run and checks its layer counts
-against the run's own outputs.
+perfbench/layers.py wraps the package from outside and skips names that no
+longer exist, so a rename or a change of what evolve returns can silently
+zero its metrics; this runs one traced child (perfbench/child.py) on a short
+fig-a run, checks its layer counts against the run's own outputs and checks
+that the monitor and output spans recorded time.
 """
 
 import json
@@ -39,3 +40,10 @@ def test_trace_child_counts_match_the_run(tmp_path):
     assert layers["flow.snapshots"] >= 2
     assert layers["flow.summarize_state.calls"] > 0
     assert layers["flow.rhs_evals"] >= 4 * layers["flow.steps"] > 0
+    for span in (
+        "monitors.run_monitors",
+        "monitors.type1_classifier",
+        "output.write_series",
+        "output.write_summary",
+    ):
+        assert layers[f"{span}.s"] > 0, span
