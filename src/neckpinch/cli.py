@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
         preset = cfg.build_preset()
         grid = PeriodicGrid(cfg.grid_n)
         state = preset.build(grid)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -138,7 +138,7 @@ def _cmd_curvature(args) -> int:
     try:
         preset = get_preset(args.preset)
         grid = PeriodicGrid(args.grid_n)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     state = preset.build(grid)
@@ -164,7 +164,7 @@ def _measured_orders(errors: list[float]) -> list[float]:
 def _cmd_convergence(args) -> int:
     try:
         preset = get_preset(args.preset)
-    except KeyError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -71,8 +71,16 @@ class RunConfig:
                 if bad:
                     raise ConfigError(f"unknown profile keys in {key!r}: {sorted(bad)}")
                 spec = dict(spec)
-                if "samples" in spec and spec["samples"] is not None:
-                    spec["samples"] = tuple(float(v) for v in spec["samples"])
+                samples = spec.get("samples")
+                if samples is not None:
+                    if not isinstance(samples, list):
+                        raise ConfigError(
+                            f"profile {key} samples must be a JSON list, got {samples!r}"
+                        )
+                    bad = [v for v in samples if not is_number(v)]
+                    if bad:
+                        raise ConfigError(f"profile {key} samples must be numbers, got {bad[0]!r}")
+                    spec["samples"] = tuple(float(v) for v in samples)
                 built[key] = Profile(**spec)
             return Preset(name="inline", description="profiles from config", **built)
         return get_preset(self.preset, self.preset_params)

@@ -24,8 +24,9 @@ square cannot decrease faster than rate 4.
 Between steps, evolve holds the radii as one (3, n) array and log(lambda)
 as a Python float, with t and dt as Python floats; a MetricState is built
 only for the snapshots and the final state. The per-sample summaries are
-computed SUMMARY_BLOCK states at a time on stacked arrays and kept as
-records of one structured dtype, SUMMARY_DTYPE.
+computed SUMMARY_BLOCK states at a time on stacked arrays as records of one
+structured dtype, SUMMARY_DTYPE, appended to one buffer that becomes the
+Trajectory's read-only samples when the run ends.
 """
 
 from __future__ import annotations
@@ -164,61 +165,31 @@ class RunStats:
     neck_resolution: float | None = None
 
 
-#: Blocks joined into one chunk of a Trajectory (about 512 samples in blocks
-#: of SUMMARY_BLOCK): few arrays per run, and each join copies little.
-_BLOCKS_PER_CHUNK = 64
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Recorded summaries, sparse full snapshots, the stop condition and
     the run counters.
 
-    The summaries are records of SUMMARY_DTYPE, one per sample, held as a
-    list of chunks. extend() appends a block of records and joins every
-    _BLOCKS_PER_CHUNK blocks into one chunk, so the records grow by amortized
-    chunks, hold nothing beyond the samples recorded, and are never copied
-    whole. chunks() gives them in order, series(name) joins one field across
-    the chunks into a new array, and samples joins them all.
+    samples holds the summaries, one record of SUMMARY_DTYPE per sample, as
+    one read-only recarray; samples[k].a_min reads one field of one sample.
+    series(name) and ts are read-only views of one field, not copies.
     """
 
     grid: PeriodicGrid
+    samples: np.recarray
     snapshots: list[MetricState] = dc_field(default_factory=list)
     stop_reason: str = ""
     run_stats: RunStats = dc_field(default_factory=RunStats)
-    # An empty first chunk makes every join well defined.
-    _sealed: list[np.ndarray] = dc_field(
-        init=False, repr=False, default_factory=lambda: [np.empty(0, SUMMARY_DTYPE)]
-    )
-    _open: list[np.ndarray] = dc_field(init=False, repr=False, default_factory=list)
 
-    def extend(self, block: np.ndarray) -> None:
-        """Append samples: a one-dimensional array of SUMMARY_DTYPE records."""
-        if block.dtype != SUMMARY_DTYPE or block.ndim != 1:
-            raise ValueError(f"expected a 1-d SUMMARY_DTYPE block, got {block.dtype} {block.shape}")
-        self._open.append(block)
-        if len(self._open) == _BLOCKS_PER_CHUNK:
-            self._seal()
-
-    def _seal(self) -> None:
-        # The dtype argument spares NumPy promoting the record dtypes pair by
-        # pair in Python: 0.7 ms a join instead of 3.4 ms.
-        self._sealed.append(np.concatenate(self._open, dtype=SUMMARY_DTYPE))
-        self._open.clear()
-
-    def chunks(self) -> list[np.ndarray]:
-        """The records in sample order, as a few joined arrays."""
-        if self._open:
-            self._seal()
-        return self._sealed
-
-    @property
-    def samples(self) -> np.recarray:
-        """All records joined into a new array; samples[k].a_min reads one field."""
-        return np.concatenate(self.chunks(), dtype=SUMMARY_DTYPE).view(np.recarray)
+    def __post_init__(self):
+        s = self.samples
+        if s.dtype != SUMMARY_DTYPE or s.ndim != 1:
+            raise ValueError(f"expected 1-d SUMMARY_DTYPE samples, got {s.dtype} {s.shape}")
+        self.samples = s.view(np.recarray)
+        self.samples.setflags(write=False)
 
     def series(self, name: str) -> np.ndarray:
-        return np.concatenate([chunk[name] for chunk in self.chunks()])
+        return self.samples[name]
 
     @property
     def ts(self) -> np.ndarray:
@@ -381,9 +352,9 @@ def summarize_state(
 
     ts and dts hold the B times and steps, x the radii stacked (B, 3, n) and
     phi the gauges stacked (B, n). Returns the block's B records of
-    SUMMARY_DTYPE for Trajectory.extend, each index the first attaining its
-    value. Every reduction runs along the last axis, so each sample is
-    bitwise the one a block of that state alone gives.
+    SUMMARY_DTYPE, each index the first attaining its value. Every reduction
+    runs along the last axis, so each sample is bitwise the one a block of
+    that state alone gives.
     """
     check_resolvable(x)
     xp, xpp = jet(phi[:, np.newaxis], x, dz)
@@ -429,8 +400,8 @@ def evolve(
     """
     grid = initial.grid
     dz = grid.dz
-    traj = Trajectory(grid=grid)
-    traj.snapshots.append(initial)
+    snapshots = [initial]
+    stats = RunStats()
     phi0 = initial.phi
     phi0_min = float(phi0.min())
     weights = phi0 / phi0.sum()
@@ -438,10 +409,13 @@ def evolve(
     block_phi = np.empty((SUMMARY_BLOCK, grid.n))
     block_t: list[float] = []
     block_dt: list[float] = []
+    # Every sample's record, grown in place; joined blocks would hold each twice.
+    records = bytearray()
 
     def flush():
         k = len(block_t)
-        traj.extend(summarize_state(block_t, block_dt, block_x[:k], block_phi[:k], dz))
+        block = summarize_state(block_t, block_dt, block_x[:k], block_phi[:k], dz)
+        records.extend(block.tobytes())
         block_t.clear()
         block_dt.clear()
 
@@ -461,7 +435,6 @@ def evolve(
     flush()
     recorded_t = t
 
-    stats = traj.run_stats
     last_dt = 0.0
     while True:
         a_min = float(x[0].min())
@@ -502,17 +475,17 @@ def evolve(
             record(t, dt, x, lam)
             recorded_t = t
         if stats.steps % cfg.snapshot_stride == 0:
-            traj.snapshots.append(metric_state(grid, t, lam * phi0, *x))
+            snapshots.append(metric_state(grid, t, lam * phi0, *x))
 
     if recorded_t < t:
         record(t, last_dt, x, lam)
     if block_t:
         flush()
-    if traj.snapshots[-1].t < t:
-        traj.snapshots.append(metric_state(grid, t, lam * phi0, *x))
-    traj.stop_reason = stop
+    if snapshots[-1].t < t:
+        snapshots.append(metric_state(grid, t, lam * phi0, *x))
     neck = int(x[0].argmin())
     stats.neck_resolution = float(x[0, neck] / (lam * phi0[neck] * dz))
+    traj = Trajectory(grid, np.frombuffer(records, SUMMARY_DTYPE), snapshots, stop, stats)
 
     try:
         report = estimate_singular_time(traj)

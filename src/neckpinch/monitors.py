@@ -297,7 +297,7 @@ def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> Monit
 def scalar_min_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """min_z S stays nonnegative whenever it starts nonnegative."""
     s0 = _first(traj, "s_min")
-    if s0 < -tol:
+    if s0 < 0.0:
         return _not_applicable(f"initial min S = {s0:.4g} < 0")
     worst, where = _worst(traj, [traj.series("s_min")], ["s_min_idx"])
     return MonitorReport(

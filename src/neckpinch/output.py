@@ -32,11 +32,10 @@ def write_series(traj: Trajectory, path: str | Path) -> None:
     row = ",".join(["%r"] * len(_CSV_FIELDS)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(_CSV_FIELDS) + "\n")
-        for chunk in traj.chunks():
-            table = chunk[list(_CSV_FIELDS)]
-            for lo in range(0, table.size, _ROWS_PER_WRITE):
-                rows = table[lo : lo + _ROWS_PER_WRITE].tolist()
-                fh.write("".join([row % r for r in rows]))
+        table = traj.samples[list(_CSV_FIELDS)]
+        for lo in range(0, table.size, _ROWS_PER_WRITE):
+            rows = table[lo : lo + _ROWS_PER_WRITE].tolist()
+            fh.write("".join([row % r for r in rows]))
 
 
 def write_summary(

@@ -180,4 +180,4 @@ def get_preset(name: str, params: dict | None = None) -> Preset:
             if params:
                 raise ValueError(f"preset {name!r} takes no parameters")
             return p
-    raise KeyError(f"unknown preset {name!r}")
+    raise ValueError(f"unknown preset {name!r}")

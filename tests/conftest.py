@@ -67,12 +67,10 @@ def make_trajectory(
         "sup_bp": col(sup_bp, 0.0),
         "sup_cp": col(sup_cp, 0.0),
     }
-    traj = Trajectory(grid=PeriodicGrid(grid_n), stop_reason=stop_reason)
-    block = np.zeros(n, SUMMARY_DTYPE)
+    samples = np.zeros(n, SUMMARY_DTYPE)
     for name, column in columns.items():
-        block[name] = column
-    traj.extend(block)
-    return traj
+        samples[name] = column
+    return Trajectory(grid=PeriodicGrid(grid_n), samples=samples, stop_reason=stop_reason)
 
 
 @pytest.fixture

@@ -196,7 +196,6 @@ def test_write_series_streams_rows(synthetic_trajectory, tmp_path):
         s_min=rng.uniform(0.1, 1.0, n),
         rm_max=rng.uniform(1.0, 9.0, n),
     )
-    traj.ts  # seal the open block before measuring, as every run's monitors do
     path = tmp_path / "series.csv"
     tracemalloc.start()
     try:
@@ -360,16 +359,37 @@ _CONST = {"kind": "const", "offset": 1.0}
          "preset parameter r must be a number, got True"),
         ({"preset": "biaxial", "grid_n": 32, "preset_params": {"c0": "2"}},
          "preset parameter c0 must be a number, got '2'"),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "samples", "samples": [True] * 32}}},
+            "profile a0 samples must be numbers, got True",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "samples", "samples": ["x"] + [1.0] * 31}}},
+            "profile a0 samples must be numbers, got 'x'",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "samples", "samples": "abc"}}},
+            "profile a0 samples must be a JSON list, got 'abc'",
+        ),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
          "fractional-stride", "bool-stride", "float-grid-n", "string-grid-n", "bool-kappa",
          "bool-cfl-safety", "bool-a-min-stop", "non-object-flow", "string-formats",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
-         "string-biaxial-radius"],
+         "string-biaxial-radius", "bool-samples", "string-sample", "string-samples"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)
+
+
+@pytest.mark.parametrize("command", ["run", "curvature", "convergence"])
+def test_cli_unknown_preset_is_one_line_error(capsys, command):
+    assert main([command, "--preset", "nope"]) == 1
+    assert capsys.readouterr().err == "error: unknown preset 'nope'\n"
 
 
 def test_cli_presets(capsys):

@@ -289,19 +289,16 @@ def fig_a_states():
 def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
     states = fig_a_states[-size:]
     dts = [1e-3 * (k + 1) for k in range(size)]
-    traj = Trajectory(grid=states[0].grid)
-    traj.extend(
-        summarize_state(
-            [s.t for s in states],
-            dts,
-            np.stack([np.stack((s.a, s.b, s.c)) for s in states]),
-            np.stack([s.phi for s in states]),
-            states[0].grid.dz,
-        )
+    records = summarize_state(
+        [s.t for s in states],
+        dts,
+        np.stack([np.stack((s.a, s.b, s.c)) for s in states]),
+        np.stack([s.phi for s in states]),
+        states[0].grid.dz,
     )
-    assert len(traj.samples) == size
+    assert records.dtype == SUMMARY_DTYPE and records.shape == (size,)
     for k, (state, dt) in enumerate(zip(states, dts)):
-        assert bits(traj.samples[k].tolist()) == bits(reference_sample(state, dt))
+        assert bits(records[k].tolist()) == bits(reference_sample(state, dt))
 
 
 def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
@@ -395,6 +392,8 @@ def test_evolve_sphere_dt_convergence_order():
 def test_trajectory_times_strictly_increasing_and_finite():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
     traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
+    assert not traj.samples.flags.writeable
+    assert np.shares_memory(traj.ts, traj.samples)
     assert np.all(np.diff(traj.ts) > 0.0)
     for name in ("a_min", "c_max", "s_min", "rm_max"):
         assert np.all(np.isfinite(traj.series(name)))
@@ -447,28 +446,34 @@ def test_evolve_counts_steps_and_diffusion_limited_steps():
 
 
 def test_trajectory_rows_and_columns():
-    traj = Trajectory(grid=PeriodicGrid(32))
-    block = np.zeros(2, SUMMARY_DTYPE)
+    block = np.zeros(3, SUMMARY_DTYPE)
     for k, name in enumerate(SUMMARY_DTYPE.names):
-        block[name] = [2 * k, 2 * k + 1]
-    traj.extend(block)
-    traj.extend(block[:1])
+        block[name] = [3 * k, 3 * k + 1, 3 * k + 2]
+    grid = PeriodicGrid(32)
+    traj = Trajectory(grid=grid, samples=block)
     samples = traj.samples
     assert isinstance(samples, np.recarray) and samples.dtype == SUMMARY_DTYPE
     assert len(samples) == 3
-    assert samples[-1].tolist() == block[0].tolist()
+    assert samples[-1].tolist() == block[2].tolist()
     assert samples[-2].a_min == block[1]["a_min"]
-    np.testing.assert_array_equal(traj.series("sup_cp_idx"), block["sup_cp_idx"][[0, 1, 0]])
+    np.testing.assert_array_equal(traj.series("sup_cp_idx"), block["sup_cp_idx"])
     assert traj.series("a_min_idx").dtype == np.intp
-    traj.ts[0] = -1.0  # a series is a new array
-    samples[0].t = -1.0  # and so are the samples
+    # a series is a view of the samples, and neither can be written
+    assert np.shares_memory(traj.series("t"), samples)
+    assert np.shares_memory(traj.ts, samples)
+    with pytest.raises(ValueError, match="read-only"):
+        traj.ts[0] = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.series("a_min")[1] = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0].t = -1.0
     assert traj.samples[0].t == 0.0
     with pytest.raises(IndexError):
         traj.samples[3]
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
-        traj.extend(block[["t", "dt"]])
+        Trajectory(grid=grid, samples=block[["t", "dt"]])
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
-        traj.extend(block.reshape(2, 1))
+        Trajectory(grid=grid, samples=block.reshape(3, 1))
 
 
 def test_trajectory_bytes_per_sample():

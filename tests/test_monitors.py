@@ -209,8 +209,8 @@ def test_amin_detects_too_fast_pinch():
 
 
 def test_amin_lower_bound_needs_nonnegative_initial_scalar_curvature():
-    # lam = 1.2 < 2, but initial min S = -tol/2 < 0: the lower bound
-    # a_min^2 >= D(T-t) is not claimed, even within the tolerance
+    # lam = 1.2 < 2, but initial min S = -tol/2 < 0: neither the lower bound
+    # a_min^2 >= D(T-t) nor min S >= 0 is claimed, even within the tolerance
     ts = np.linspace(0.0, 0.99, 120)
     a_min = np.sqrt(4.0 * (1.0 - ts))
     tol = tolerance(make_trajectory(ts, a_min))
@@ -220,6 +220,7 @@ def test_amin_lower_bound_needs_nonnegative_initial_scalar_curvature():
     rep = amin_bound_monitor(traj, estimate_singular_time(traj), tol)
     assert "lower_bound=n/a" in rep.notes
     assert "lower_margin" not in rep.notes
+    assert scalar_min_monitor(traj, None, tol).passed is None
 
 
 # --- cmax -----------------------------------------------------------------------------
