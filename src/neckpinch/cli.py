@@ -81,12 +81,13 @@ def _resolve_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     # ConfigError and the data errors of building the state (DegenerateFiberError,
-    # a samples profile of the wrong length) are all ValueErrors.
+    # a samples profile of the wrong length, a phi0 with no equal-arclength
+    # nodes) are all ValueErrors.
     try:
         cfg = _resolve_config(args)
         preset = cfg.build_preset()
         grid = PeriodicGrid(cfg.grid_n)
-        state = preset.build(grid)
+        state = flow.equal_arclength(preset.build(grid))
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

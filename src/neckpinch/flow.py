@@ -8,18 +8,24 @@ keeps its shape: the radii satisfy
 
 (and its b, c relabelings) with dz W = phi (c - q), q = a''/a + b''/b + c''/c
 and c = int phi q dz / int phi dz. The gauge then obeys dt log(phi) = c(t),
-uniform in z, so phi = lambda(t) phi0(z) for all time and the state is the
-radii plus the one scalar log(lambda), with dt log(lambda) = c. With phi0 = 1
-this is the constant-speed (tangential redistribution) parametrization of
-curve-shortening flow: the grid points keep equal arclength spacing, so a
-neck keeps its grid points while it narrows. W is the mean-free periodic
-antiderivative, one rfft/irfft per stage, and vanishes identically on
-z-constant data, where the transform is skipped. Primes are arclength
-derivatives taken by the chain rule on the fixed z-grid. Stepping is
-classical explicit RK4 on (a, b, c) and log(lambda). The time step tracks
-both the explicit-diffusion limit (lambda min phi0 dz)^2 on the arclength
-mesh and the reaction timescale of the shrinking minimum radius, whose
-square cannot decrease faster than rate 4.
+uniform in z, so phi = lambda(t) phi0(z) for all time. evolve first moves a
+non-uniform phi0 to nodes of equal arclength, so phi is the scalar
+lambda(t) phi_bar and the state is the radii plus the one scalar
+log(lambda), with dt log(lambda) = c. This is the constant-speed (tangential
+redistribution) parametrization of curve-shortening flow: the grid points
+keep equal arclength spacing, so a neck keeps its grid points while it
+narrows. W is the mean-free periodic antiderivative, one rfft/irfft per
+stage, and vanishes identically on z-constant data, where the transform is
+skipped. Primes are arclength derivatives taken by the chain rule on the
+fixed z-grid.
+
+With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
+multiplier, and rk4_step integrates it exactly: ETDRK4 (Cox & Matthews,
+J. Comput. Phys. 176, 2002) on the rfft of the radii, with classical RK4 on
+log(lambda). dt therefore follows the flow's own rate r = max |dt x / x|,
+not an explicit-diffusion limit, and takes about the same number of steps
+at every n (see evolve). cfl_safety is the accuracy factor of that rule, not
+a stability limit.
 
 Between steps, evolve holds the radii as one (3, n) array and log(lambda)
 as a Python float, with t and dt as Python floats; a MetricState is built
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -152,16 +159,14 @@ class RunStats:
     """Counters of one evolve call.
 
     steps: accepted steps. rejected: step attempts rejected and retried with
-    halved dt (an exhausted run adds MAX_STEP_HALVINGS + 1). diffusion_limited:
-    accepted steps whose adaptive dt came from the explicit-diffusion limit
-    rather than the reaction limit. neck_resolution: a / (phi dz) at the
-    argmin of a in the final state, the neck's width in arclength grid
-    cells; None until a run sets it.
+    halved dt (an exhausted run, or a first stage that is not finite, adds
+    MAX_STEP_HALVINGS + 1). neck_resolution: a / (phi dz) at the argmin of a
+    in the final state, the neck's width in arclength grid cells; None until
+    a run sets it.
     """
 
     steps: int = 0
     rejected: int = 0
-    diffusion_limited: int = 0
     neck_resolution: float | None = None
 
 
@@ -195,12 +200,6 @@ class Trajectory:
     def ts(self) -> np.ndarray:
         return self.series("t")
 
-    @property
-    def dt_mean(self) -> float:
-        dts = self.series("dt")
-        dts = dts[dts > 0.0]
-        return float(np.mean(dts)) if dts.size else 0.0
-
 
 @dataclass(frozen=True)
 class SingularityReport:
@@ -222,19 +221,34 @@ def _antiderivative_multiplier(n: int) -> np.ndarray:
     return mult
 
 
-def tangential_speed(
-    phi: np.ndarray, q: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray | None, float]:
+@functools.cache
+def _second_derivative_symbol(n: int) -> np.ndarray:
+    """-s(k)^2 for k = 0..n/2: the rfft symbol of the nested D1 o D1 of
+    curvature.jet on n points of [0, 2 pi), where s(k) = (8 sin k dz -
+    sin 2k dz) / (6 dz) is the symbol of the 4th-order stencil D1 / i.
+
+    It is 0 at k = 0 and at the Nyquist mode, which D1 does not see.
+    """
+    dz = 2.0 * np.pi / n
+    kdz = np.arange(n // 2 + 1) * dz
+    s = (8.0 * np.sin(kdz) - np.sin(2.0 * kdz)) / (6.0 * dz)
+    symbol = -s * s
+    symbol.setflags(write=False)
+    return symbol
+
+
+def tangential_speed(phi, q: np.ndarray) -> tuple[np.ndarray | None, float]:
     """The constant-speed gauge's tangential speed W and rate c at one state.
 
-    q = a''/a + b''/b + c''/c, and weights = phi0 / sum(phi0) for any phi0
-    proportional to phi. c = int phi q dz / int phi dz is one dot product
-    with the weights, and W is the mean-free periodic antiderivative of
-    dz W = phi (c - q): one rfft, the multiplier 1/(ik), one irfft. W is
-    None when phi (c - q) has no nonzero entry, as on z-constant data, so
-    callers skip the transform and the advection term W x'.
+    phi is the gauge, a scalar or an (n,) array, and q = a''/a + b''/b +
+    c''/c. c = int phi q dz / int phi dz, and W is the mean-free periodic
+    antiderivative of dz W = phi (c - q): one rfft, the multiplier 1/(ik),
+    one irfft. W is None when phi (c - q) has no nonzero entry, as on
+    z-constant data, so callers skip the transform and the advection term
+    W x'.
     """
-    c = float(weights @ q)
+    # A uniform phi cancels from c; np.mean would cost 20 us a call at n = 64.
+    c = float(q.sum()) / q.size if np.ndim(phi) == 0 else float(phi @ q) / float(phi.sum())
     dw = phi * (c - q)
     if not dw.any():
         return None, c
@@ -242,11 +256,9 @@ def tangential_speed(
     return np.fft.irfft(np.fft.rfft(dw) * _antiderivative_multiplier(n), n), c
 
 
-def _flow_rhs(
-    x: np.ndarray, phi: np.ndarray, weights: np.ndarray, dz: float
-) -> tuple[np.ndarray, float]:
+def _flow_rhs(x: np.ndarray, phi: float, dz: float) -> tuple[np.ndarray, float]:
     """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c), and
-    dt log lambda = c, under the gauge phi (see tangential_speed).
+    dt log lambda = c, under the uniform gauge phi (see tangential_speed).
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
@@ -276,7 +288,7 @@ def _flow_rhs(
     term /= denom
     dx -= term
     q = xpp / x
-    w, c = tangential_speed(phi, q[0] + q[1] + q[2], weights)
+    w, c = tangential_speed(phi, q[0] + q[1] + q[2])
     # + W x'
     if w is not None:
         xp *= w
@@ -301,26 +313,78 @@ def _gauge_scale(log_lam: float) -> float:
     return lam
 
 
-def rk4_step(
-    x0: np.ndarray, log_lam0: float, dt: float, phi0: np.ndarray, weights: np.ndarray, dz: float
-) -> tuple[np.ndarray, float]:
-    """One classical RK4 step of the radii x0, stacked (3, n), and log lambda.
+#: Taylor coefficients 1/(j + 3)! of phi_3, j = 0..16; the first omitted
+#: term is below 1e-18 of phi_3 where |z| < 1.
+_PHI3_TAYLOR = np.array([1.0 / math.factorial(j + 3) for j in range(17)])
 
-    The gauge of a stage is lambda * phi0; weights = phi0 / sum(phi0).
+
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_1, phi_2 and phi_3 of the real array z, where phi_k(z) =
+    sum_j z^j / (j + k)!.
+
+    Where |z| >= 1 they follow from expm1 by phi_{k+1} = (phi_k - 1/k!) / z.
+    Below that the recurrence cancels, so phi_3 is its Taylor series and
+    phi_2 = 1/2 + z phi_3, phi_1 = 1 + z phi_2.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = np.expm1(z) / z
+        p2 = (p1 - 1.0) / z
+        p3 = (p2 - 0.5) / z
+    near = np.abs(z) < 1.0
+    zn = z[near]
+    p3[near] = taylor = np.vander(zn, _PHI3_TAYLOR.size, increasing=True) @ _PHI3_TAYLOR
+    p2[near] = taylor = 0.5 + zn * taylor
+    p1[near] = 1.0 + zn * taylor
+    return p1, p2, p3
+
+
+def rk4_step(
+    x0: np.ndarray,
+    log_lam0: float,
+    dt: float,
+    first: tuple[np.ndarray, float],
+    phi_bar: float,
+    dz: float,
+) -> tuple[np.ndarray, float]:
+    """One ETDRK4 step of the radii x0, stacked (3, n), and log lambda.
+
+    The gauge of a stage is lambda * phi_bar, and first = (k1, c1) is
+    _flow_rhs at (x0, lambda0 * phi_bar), the first stage, which the caller
+    has already evaluated to choose dt. In the rfft of the radii the flow is
+    u' = L u + N(u, t) with L = -s(k)^2 / (lambda0 phi_bar)^2, the diffusion
+    D1 o D1 frozen at the step's lambda0, which ETDRK4 (Cox & Matthews 2002)
+    integrates exactly; N = f - L u holds the first-order terms, the
+    reaction, W x' and the drift of lambda over the step. log lambda has
+    L = 0, where the scheme is classical RK4, as it is on z-constant data.
     Raises StepRejected if a stage or the result leaves the positive cone or
     turns non-finite.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    n = x0.shape[-1]
+    hl = dt / (_gauge_scale(log_lam0) * phi_bar) ** 2 * _second_derivative_symbol(n)
+    m = hl.size
+    p1, p2, p3 = _phi_functions(np.concatenate((0.5 * hl, hl)))
+    e_half, e_full = np.exp(0.5 * hl), np.exp(hl)
+    q = 0.5 * dt * p1[:m]
+    p1, p2, p3 = p1[m:], p2[m:], p3[m:]
+    w1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+    w23 = 2.0 * dt * (p2 - 2.0 * p3)
+    w4 = dt * (4.0 * p3 - p2)
+    lin = hl / dt
 
-    def stage(x, log_lam):
-        return _flow_rhs(x, _gauge_scale(log_lam) * phi0, weights, dz)
+    def stage(u, log_lam):
+        k, c = _flow_rhs(np.fft.irfft(u, n), _gauge_scale(log_lam) * phi_bar, dz)
+        return np.fft.rfft(k) - lin * u, c
 
-    k1, c1 = stage(x0, log_lam0)
-    k2, c2 = stage(x0 + 0.5 * dt * k1, log_lam0 + 0.5 * dt * c1)
-    k3, c3 = stage(x0 + 0.5 * dt * k2, log_lam0 + 0.5 * dt * c2)
-    k4, c4 = stage(x0 + dt * k3, log_lam0 + dt * c3)
-    x1 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1, c1 = first
+    u0 = np.fft.rfft(x0)
+    n1 = np.fft.rfft(k1) - lin * u0
+    ua = e_half * u0 + q * n1
+    na, c2 = stage(ua, log_lam0 + 0.5 * dt * c1)
+    nb, c3 = stage(e_half * u0 + q * na, log_lam0 + 0.5 * dt * c2)
+    nc, c4 = stage(e_half * ua + q * (2.0 * nb - n1), log_lam0 + dt * c3)
+    x1 = np.fft.irfft(e_full * u0 + w1 * n1 + w23 * (na + nb) + w4 * nc, n)
     log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
     if not (np.isfinite(x1).all() and math.isfinite(log_lam1)):
         raise StepRejected("non-finite state after step")
@@ -329,16 +393,46 @@ def rk4_step(
     return x1, log_lam1
 
 
-def _step_limits(phi_min: float, a_min: float, dz: float) -> tuple[float, float]:
-    """The (diffusion, reaction) limits of the adaptive dt before the cfl
-    factor, from the minima of phi and a, as Python floats.
+def equal_arclength(state: MetricState) -> MetricState:
+    """The state on nodes of equal arclength, under the uniform gauge phi_bar,
+    the mean of its phi; a state whose phi is uniform is returned as is.
 
-    The diffusion limit is (min phi*dz)^2, the squared arclength mesh width;
-    the reaction limit a_min^2 / 8 resolves d(a_min^2)/dt in [-4, 0) near the
-    pinch.
+    With s(z) the integral from 0 to z of the trig interpolant of phi, node j
+    moves to the root of s(z) = phi_bar z_j, found by Newton's method, and
+    each radius takes the value of its trig interpolant there. The total
+    length 2 pi phi_bar is kept.
     """
-    mesh = phi_min * dz
-    return mesh * mesh, a_min * a_min / 8.0
+    phi = state.phi
+    if np.ptp(phi) == 0.0:
+        return state
+    grid = state.grid
+    k = np.arange(grid.n // 2 + 1)
+
+    def coefficients(f):
+        # f(z) = Re sum_k c_k e^{ikz}; the Nyquist term is c cos(nz/2).
+        c = np.fft.rfft(f) / grid.n
+        c[..., 1:-1] *= 2.0
+        return c
+
+    phi_hat = coefficients(phi)
+    phi_bar = phi_hat[0].real
+    s_hat = phi_hat[1:] / (1j * k[1:])
+    z = grid.z
+    target = phi_bar * z
+    for _ in range(50):
+        wave = np.exp(1j * np.outer(z, k))
+        s = phi_bar * z + ((wave[:, 1:] - 1.0) @ s_hat).real
+        step = (s - target) / (wave @ phi_hat).real
+        z = z - step
+        if np.max(np.abs(step)) <= 1e-13:
+            break
+    else:
+        raise GaugeDegeneracyError(
+            "no equal-arclength nodes for phi: Newton's method did not converge "
+            "(the trig interpolant of phi may not be positive)"
+        )
+    x = (np.exp(1j * np.outer(z, k)) @ coefficients(radii(state)).T).real
+    return metric_state(grid, state.t, phi_bar, *x.T)
 
 
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -346,18 +440,18 @@ def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def summarize_state(
-    ts: list[float], dts: list[float], x: np.ndarray, phi: np.ndarray, dz: float
+    ts: list[float], dts: list[float], x: np.ndarray, phi: list[float], dz: float
 ) -> np.ndarray:
     """All scalar reductions the monitors need, for a block of B states.
 
     ts and dts hold the B times and steps, x the radii stacked (B, 3, n) and
-    phi the gauges stacked (B, n). Returns the block's B records of
+    phi the B uniform gauges. Returns the block's B records of
     SUMMARY_DTYPE, each index the first attaining its value. Every reduction
     runs along the last axis, so each sample is bitwise the one a block of
     that state alone gives.
     """
     check_resolvable(x)
-    xp, xpp = jet(phi[:, np.newaxis], x, dz)
+    xp, xpp = jet(np.reshape(phi, (-1, 1, 1)), x, dz)
     scal, rm_norm_sq = curv = trace_invariants(sectional_rows(x, xp, xpp)[0])
     if not np.isfinite(curv).all():
         raise NonFiniteFieldError("curvature is not finite everywhere")
@@ -384,29 +478,39 @@ def evolve(
 ) -> tuple[Trajectory, SingularityReport | None]:
     """Step until the pinch threshold, the time cap, or exhausted step halvings.
 
-    Between steps the state is the (3, n) radii and the Python float
-    log lambda, the gauge being phi = lambda * phi0 with phi0 the initial
-    phi; a MetricState is built only for the snapshots, every
-    snapshot_stride steps and at the end. Summaries are recorded every
-    monitor_stride steps plus the first and last state, and computed
-    SUMMARY_BLOCK states at a time; the initial state is summarized alone,
-    so that data no summary accepts fail before the first step. A rejected
-    step (one that leaves the positive cone or turns non-finite) is retried
-    with halved dt up to MAX_STEP_HALVINGS times; exhaustion stops the run
-    with the last good state preserved and stop reason STOP_HALVINGS.
-    traj.run_stats counts the accepted steps, the rejected attempts and the
-    steps whose dt the diffusion limit set, and records the neck resolution
-    of the final state.
+    A state whose phi is not uniform is first moved to nodes of equal
+    arclength (equal_arclength); that state is the first snapshot. Between
+    steps the state is the (3, n) radii and the Python float log lambda, the
+    gauge being the scalar phi = lambda * phi_bar; a MetricState is built
+    only for the snapshots, every snapshot_stride steps and at the end.
+    Summaries are recorded every monitor_stride steps plus the first and
+    last state, and computed SUMMARY_BLOCK states at a time; the initial
+    state is summarized alone, so that data no summary accepts fail before
+    the first step.
+
+    Each step first evaluates k1 = f(x), which sets dt by the rate rule
+    dt = (cfl_safety / 18) r^(-4/5) r0^(-1/5), r = max |k1 / x| and r0 its
+    value at the first step. A step's error in T scales like (dt r)^4 dt,
+    which the rule makes the same on every step, and dt scales like 1/r
+    under parabolic rescaling. dt is at most cfl_safety / (4 r), which is
+    cfl_safety a_min^2 / 8 at a pinch, where r = 2 / a_min^2: the rule's
+    steps grow like r^(1/5) relative to the rate, and without that bound the
+    last steps before the stop would miss d(a_min^2)/dt >= -4 by more than
+    the monitors' grid tolerance. A rejected step (one that leaves the positive
+    cone or turns non-finite) is retried with halved dt up to
+    MAX_STEP_HALVINGS times; exhaustion, or a first stage that is not
+    finite, stops the run with the last good state preserved and stop reason
+    STOP_HALVINGS. traj.run_stats counts the accepted steps and the rejected
+    attempts, and records the neck resolution of the final state.
     """
+    initial = equal_arclength(initial)
     grid = initial.grid
     dz = grid.dz
     snapshots = [initial]
     stats = RunStats()
-    phi0 = initial.phi
-    phi0_min = float(phi0.min())
-    weights = phi0 / phi0.sum()
+    phi_bar = float(initial.phi[0])
     block_x = np.empty((SUMMARY_BLOCK, 3, grid.n))
-    block_phi = np.empty((SUMMARY_BLOCK, grid.n))
+    block_phi: list[float] = []
     block_t: list[float] = []
     block_dt: list[float] = []
     # Every sample's record, grown in place; joined blocks would hold each twice.
@@ -414,15 +518,16 @@ def evolve(
 
     def flush():
         k = len(block_t)
-        block = summarize_state(block_t, block_dt, block_x[:k], block_phi[:k], dz)
+        block = summarize_state(block_t, block_dt, block_x[:k], block_phi, dz)
         records.extend(block.tobytes())
         block_t.clear()
         block_dt.clear()
+        block_phi.clear()
 
-    def record(t, dt, x, lam):
+    def record(t, dt, x, phi):
         k = len(block_t)
         block_x[k] = x
-        np.multiply(phi0, lam, out=block_phi[k])
+        block_phi.append(phi)
         block_t.append(t)
         block_dt.append(dt)
         if k + 1 == SUMMARY_BLOCK:
@@ -430,33 +535,41 @@ def evolve(
 
     t = initial.t
     x = radii(initial)
-    log_lam, lam = 0.0, 1.0
-    record(t, 0.0, x, lam)
+    log_lam, phi = 0.0, phi_bar
+    record(t, 0.0, x, phi)
     flush()
     recorded_t = t
 
     last_dt = 0.0
+    rate0 = None
     while True:
-        a_min = float(x[0].min())
-        if a_min < cfg.a_min_stop:
+        if float(x[0].min()) < cfg.a_min_stop:
             stop = STOP_AMIN
             break
         if t >= cfg.t_max:
             stop = STOP_TMAX
             break
 
-        diffusion_limited = False
+        try:
+            first = _flow_rhs(x, phi, dz)
+        except StepRejected:
+            # dt does not enter the first stage, so no halving can mend it.
+            stats.rejected += MAX_STEP_HALVINGS + 1
+            stop = STOP_HALVINGS
+            break
         if cfg.fixed_dt is None:
-            diffusion, reaction = _step_limits(lam * phi0_min, a_min, dz)
-            diffusion_limited = diffusion <= reaction
-            dt = cfg.cfl_safety * min(diffusion, reaction)
+            # The smallest normal float keeps a stationary state off 1/0.
+            rate = max(float(np.abs(first[0] / x).max()), sys.float_info.min)
+            if rate0 is None:
+                rate0 = rate
+            dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
         else:
             dt = cfg.fixed_dt
         dt = min(dt, cfg.t_max - t)
         advanced = None
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
-                advanced = rk4_step(x, log_lam, dt, phi0, weights, dz)
+                advanced = rk4_step(x, log_lam, dt, first, phi_bar, dz)
                 break
             except StepRejected:
                 stats.rejected += 1
@@ -466,25 +579,23 @@ def evolve(
             break
 
         x, log_lam = advanced
-        lam = _gauge_scale(log_lam)
+        phi = _gauge_scale(log_lam) * phi_bar
         t += dt
         stats.steps += 1
-        stats.diffusion_limited += diffusion_limited
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
-            record(t, dt, x, lam)
+            record(t, dt, x, phi)
             recorded_t = t
         if stats.steps % cfg.snapshot_stride == 0:
-            snapshots.append(metric_state(grid, t, lam * phi0, *x))
+            snapshots.append(metric_state(grid, t, phi, *x))
 
     if recorded_t < t:
-        record(t, last_dt, x, lam)
+        record(t, last_dt, x, phi)
     if block_t:
         flush()
     if snapshots[-1].t < t:
-        snapshots.append(metric_state(grid, t, lam * phi0, *x))
-    neck = int(x[0].argmin())
-    stats.neck_resolution = float(x[0, neck] / (lam * phi0[neck] * dz))
+        snapshots.append(metric_state(grid, t, phi, *x))
+    stats.neck_resolution = float(x[0].min() / (phi * dz))
     traj = Trajectory(grid, np.frombuffer(records, SUMMARY_DTYPE), snapshots, stop, stats)
 
     try:

@@ -30,6 +30,8 @@ class Profile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "samples" and not self.samples:
             raise ValueError("samples profile requires a samples array")
+        if self.kind != "samples" and self.samples is not None:
+            raise ValueError(f"profile kind {self.kind!r} takes no samples")
         for key in ("amplitude", "offset"):
             if not is_number(getattr(self, key)):
                 raise ValueError(f"profile {key} must be a number, got {getattr(self, key)!r}")

@@ -7,17 +7,21 @@
 * the frame-symbol path: the z-gauge frame symbols Sigma^gamma_{alpha beta}
   and the full Riemann tensor assembled numerically from them, a third,
   formula-free evaluation path;
-* the homogeneous ODE oracle, a scipy integration of the z-constant flow.
+* the homogeneous ODE oracle, a scipy integration of the z-constant flow;
+* classical RK4, the oracle of the flow step where its diffusion symbol
+  vanishes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from neckpinch.curvature import check_resolvable, jet, radii
+from neckpinch.flow import _flow_rhs
 from neckpinch.grid import (
     DegenerateFiberError,
     GaugeDegeneracyError,
@@ -204,3 +208,25 @@ def homogeneous_ode_oracle(
         dense_output=True,
         events=blow_down,
     )
+
+
+# ---------------------------------------------------------------------------
+# Classical RK4
+
+
+def classical_rk4_step(
+    x0: np.ndarray, log_lam0: float, dt: float, phi_bar: float, dz: float
+) -> tuple[np.ndarray, float]:
+    """One classical RK4 step of the radii x0, stacked (3, n), and log lambda
+    under the uniform gauge lambda * phi_bar: the flow's step before ETDRK4,
+    which ETDRK4 must equal where the diffusion symbol vanishes."""
+
+    def stage(x, log_lam):
+        return _flow_rhs(x, math.exp(log_lam) * phi_bar, dz)
+
+    k1, c1 = stage(x0, log_lam0)
+    k2, c2 = stage(x0 + 0.5 * dt * k1, log_lam0 + 0.5 * dt * c1)
+    k3, c3 = stage(x0 + 0.5 * dt * k2, log_lam0 + 0.5 * dt * c2)
+    k4, c4 = stage(x0 + dt * k3, log_lam0 + dt * c3)
+    x1 = x0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x1, log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)

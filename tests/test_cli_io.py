@@ -374,13 +374,32 @@ _CONST = {"kind": "const", "offset": 1.0}
                                         "a0": {"kind": "samples", "samples": "abc"}}},
             "profile a0 samples must be a JSON list, got 'abc'",
         ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "const", "offset": 1.0,
+                                               "samples": [5.0] * 32}}},
+            "profile kind 'const' takes no samples",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "cos", "amplitude": 0.5, "offset": 1.5,
+                                               "samples": []}}},
+            "profile kind 'cos' takes no samples",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "phi0": {"kind": "samples",
+                                                 "samples": [1.0] * 5 + [50.0] + [1.0] * 26}}},
+            "no equal-arclength nodes for phi",
+        ),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
          "fractional-stride", "bool-stride", "float-grid-n", "string-grid-n", "bool-kappa",
          "bool-cfl-safety", "bool-a-min-stop", "non-object-flow", "string-formats",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
-         "string-biaxial-radius", "bool-samples", "string-sample", "string-samples"],
+         "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
+         "samples-on-const", "empty-samples-on-cos", "spiky-phi0"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)
@@ -538,8 +557,11 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
 
 # fig-a at n=64 with the default flow. Re-pinned when the constant-speed
 # gauge replaced the arclength gauge: 1,107 steps became 451 and T moved
-# from 0.8505440 to 0.8532746, toward the converged 0.85333.
-FIG_A_64_SERIES_SHA256 = "fe73a5a504b0ba4df4491e2e5fd2289ba3690ceb0562ecba6089d5b0d85e9626"
+# from 0.8505440 to 0.8532746, toward the converged 0.85333. Re-pinned when
+# ETDRK4 and the rate rule replaced classical RK4: 451 steps became 485 and
+# T moved by +2.39e-7, from 0.8532745990 to 0.8532748376, toward its
+# time-converged 0.85327486 (RK4 at cfl 0.05).
+FIG_A_64_SERIES_SHA256 = "ad57a565b3c019684c97fbec5b8cbf43c9d471edced5de8c55275713d74f7a4d"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
@@ -553,9 +575,10 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
 
 
 # The round sphere r=2 at n=64, cfl 0.05, stopped at a_min 1e-2: the
-# benchmark's sphere-exact case. Recorded with the arclength-gauge flow; the
-# constant-speed gauge adds nothing on z-constant data, so the bytes stay.
-SPHERE_64_SERIES_SHA256 = "53b4bc1cf83237b83a3792e144c821e8ca49be23e86cd61bda4b02b65dc454cd"
+# benchmark's sphere-exact case. Re-pinned when ETDRK4 and the rate rule
+# replaced classical RK4 (on z-constant data ETDRK4 is RK4, but dt changed):
+# 2,298 steps became 819 and |T - 1| fell from 1.33e-11 to 5.1e-12.
+SPHERE_64_SERIES_SHA256 = "a4e61d7606b7af696de59b64b0c48c4b3c4363f5b976ff7b4b6c19023da5f3f1"
 
 
 def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):
@@ -595,6 +618,5 @@ def test_cli_exhausted_halvings_exit_code(tmp_path):
     assert doc["run_stats"] == {
         "steps": 0,
         "rejected": 21,
-        "diffusion_limited": 0,
         "neck_resolution": 2.0 / PeriodicGrid(32).dz,
     }

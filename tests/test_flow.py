@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import neckpinch
 from neckpinch import flow
@@ -25,7 +26,8 @@ from neckpinch.flow import (
     StepRejected,
     Trajectory,
     _flow_rhs,
-    _step_limits,
+    _phi_functions,
+    _second_derivative_symbol,
     estimate_singular_time,
     evolve,
     rk4_step,
@@ -40,19 +42,19 @@ from neckpinch.grid import (
     dz_values,
     metric_state,
 )
-from neckpinch.presets import get_preset
+from neckpinch.presets import get_preset, sphere
 
 from conftest import make_trajectory
-from reference import homogeneous_ode_oracle, s_derivative
+from reference import classical_rk4_step, homogeneous_ode_oracle, s_derivative
 
 
 # --- right-hand sides --------------------------------------------------------
 
 
 def rhs(state):
-    """_flow_rhs at a MetricState: the radii rates (3, n) and dt log lambda."""
-    phi = state.phi
-    return _flow_rhs(stacked(state), phi, phi / phi.sum(), state.grid.dz)
+    """_flow_rhs at a MetricState of uniform phi: the radii rates (3, n) and
+    dt log lambda."""
+    return _flow_rhs(stacked(state), float(state.phi[0]), state.grid.dz)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -89,7 +91,7 @@ def speed(phi, x, dz):
     """tangential_speed of the radii x under the gauge phi, and q."""
     _, xpp = jet(phi, x, dz)
     q = (xpp / x).sum(axis=0)
-    return (*tangential_speed(phi, q, phi / phi.sum()), q)
+    return (*tangential_speed(phi, q), q)
 
 
 def test_tangential_speed_is_zero_on_z_constant_data():
@@ -134,15 +136,49 @@ def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
 
 
 def test_nonuniform_gauge_keeps_its_shape():
-    # phi0 from a samples profile: phi stays lambda(t) * phi0
+    # phi0 from a samples profile is resampled to equal arclength at t = 0;
+    # from there phi stays lambda(t) * phi_bar, uniform in z
     g = PeriodicGrid(32)
-    phi0 = 1.0 + 0.3 * np.sin(g.z)
+    phi0 = 2.0 * (1.0 + 0.3 * np.sin(g.z))
     st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, np.cos(g.z) + 3.5)
     traj, _ = evolve(st, FlowConfig(t_max=0.05, snapshot_stride=10))
     assert traj.stop_reason == STOP_TMAX
-    ratio = traj.snapshots[-1].phi / phi0
-    assert ratio[0] != 1.0
-    assert np.ptp(ratio) <= 1e-15 * ratio[0]
+    for snap in traj.snapshots:
+        assert np.ptp(snap.phi) == 0.0
+    assert traj.snapshots[0].phi[0] == pytest.approx(2.0, rel=1e-15)
+    assert traj.snapshots[-1].phi[0] != traj.snapshots[0].phi[0]
+
+
+def test_nonuniform_gauge_is_resampled_to_equal_arclength():
+    # s(z) = z + 0.3 (1 - cos z) is the exact arclength of phi0 = 1 + 0.3 sin z,
+    # whose trig interpolant is exact, as is that of a = cos z + 1.5
+    g = PeriodicGrid(32)
+    phi0 = 1.0 + 0.3 * np.sin(g.z)
+    st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, 2.0 + np.sin(2 * g.z))
+    traj, _ = evolve(st, FlowConfig(t_max=1e-6))
+    first = traj.snapshots[0]
+    nodes = np.array(
+        [brentq(lambda z, s=s: z + 0.3 * (1.0 - np.cos(z)) - s, -1.0, 7.0, xtol=1e-15)
+         for s in g.z]
+    )
+    # the same total length, now in equal cells
+    assert np.ptp(first.phi) == 0.0
+    assert first.phi[0] * 2.0 * np.pi == pytest.approx(np.sum(phi0) * g.dz, rel=1e-14)
+    np.testing.assert_allclose(first.a, np.cos(nodes) + 1.5, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(first.b, np.cos(nodes) + 2.5, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(first.c, 2.0 + np.sin(2 * nodes), rtol=0.0, atol=1e-13)
+    assert first.t == 0.0
+
+
+def test_gauge_without_equal_arclength_nodes_is_an_error():
+    # a spike in phi0 makes its trig interpolant negative between the nodes,
+    # so the arclength is not monotone
+    g = PeriodicGrid(32)
+    phi0 = np.ones(g.n)
+    phi0[5] = 50.0
+    st = metric_state(g, 0.0, phi0, 1.0, 2.0, 3.0)
+    with pytest.raises(GaugeDegeneracyError, match="equal-arclength"):
+        evolve(st, FlowConfig(t_max=1e-3))
 
 
 def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
@@ -164,9 +200,10 @@ def stacked(state):
 
 
 def step(state, dt):
-    """rk4_step from a MetricState, its phi taken as phi0 (log lambda = 0)."""
-    phi = state.phi
-    return rk4_step(stacked(state), 0.0, dt, phi, phi / phi.sum(), state.grid.dz)
+    """rk4_step from a MetricState of uniform phi, taken as phi_bar (log
+    lambda = 0)."""
+    x, phi_bar, dz = stacked(state), float(state.phi[0]), state.grid.dz
+    return rk4_step(x, 0.0, dt, _flow_rhs(x, phi_bar, dz), phi_bar, dz)
 
 
 def test_rk4_step_sphere_one_step():
@@ -199,26 +236,97 @@ def test_rk4_rejects_nonpositive_dt():
         step(st, 0.0)
 
 
-def test_adaptive_dt_diffusion_branch():
-    g = PeriodicGrid(256)
-    diffusion, reaction = _step_limits(1.0, 10.0, g.dz)
-    assert diffusion < reaction
-    assert diffusion == pytest.approx(g.dz**2)
-    # series.csv prints dt with repr
-    assert type(diffusion) is float and type(reaction) is float
+def test_rk4_step_equals_classical_rk4_on_z_constant_data():
+    # every mode but k = 0 is zero, and there L = 0: ETDRK4 is classical RK4
+    x0, dz = np.stack([np.full(32, r) for r in (1.0, 2.0, 3.0)]), PeriodicGrid(32).dz
+    first = _flow_rhs(x0, 1.3 * np.exp(0.2), dz)
+    x, log_lam = rk4_step(x0, 0.2, 1e-2, first, 1.3, dz)
+    ref_x, ref_log_lam = classical_rk4_step(x0, 0.2, 1e-2, 1.3, dz)
+    assert np.max(np.abs(x - ref_x) / ref_x) <= 1e-14
+    assert log_lam == ref_log_lam == 0.2
 
 
-def test_adaptive_dt_reaction_branch():
-    diffusion, reaction = _step_limits(1.0, 0.01, PeriodicGrid(32).dz)
-    assert reaction < diffusion
-    assert reaction == pytest.approx(1.25e-5)
-    assert type(reaction) is float
+def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
+    # on z-dependent data the two 4th-order schemes differ by O(dt^5) a step
+    st = get_preset("fig-a").build(PeriodicGrid(32))
+    x, dz = stacked(st), st.grid.dz
+    gaps = []
+    for dt in (4e-4, 2e-4):
+        ours, log_lam = rk4_step(x, 0.0, dt, _flow_rhs(x, 1.0, dz), 1.0, dz)
+        ref, ref_log_lam = classical_rk4_step(x, 0.0, dt, 1.0, dz)
+        gaps.append(np.max(np.abs(ours - ref)))
+        assert abs(log_lam - ref_log_lam) <= 1e-9 * dt
+    assert gaps[0] <= 1e-9
+    assert np.log2(gaps[0] / gaps[1]) >= 4.5
 
 
-def test_adaptive_dt_quarters_when_dz_halves():
-    coarse, _ = _step_limits(1.0, 9.0, PeriodicGrid(64).dz)
-    fine, _ = _step_limits(1.0, 9.0, PeriodicGrid(128).dz)
-    assert coarse / fine == pytest.approx(4.0)
+def test_second_derivative_symbol_is_the_nested_stencil():
+    g = PeriodicGrid(64)
+    x = np.random.default_rng(1).uniform(1.0, 2.0, (3, g.n))
+    nested = jet(1.0, x, g.dz)[1]
+    spectral = np.fft.irfft(_second_derivative_symbol(g.n) * np.fft.rfft(x), g.n)
+    assert np.max(np.abs(nested - spectral)) <= 1e-10 * np.max(np.abs(nested))
+    assert _second_derivative_symbol(g.n)[0] == 0.0
+
+
+def test_phi_functions_match_the_contour_integral():
+    # Kassam & Trefethen: phi_k(z) is the mean of phi_k over a circle about z,
+    # whose points stay clear of the cancellation near 0
+    z = -np.concatenate(([0.0, 1e-12, 0.5, 0.999999, 1.0, 1.000001], np.logspace(-8, 3, 200)))
+    circle = z[:, np.newaxis] + np.exp(1j * np.pi * (np.arange(64) + 0.5) / 32)
+    e = np.exp(circle)
+    contour = [
+        np.mean((e - 1.0) / circle, axis=1).real,
+        np.mean((e - 1.0 - circle) / circle**2, axis=1).real,
+        np.mean((e - 1.0 - circle - circle**2 / 2) / circle**3, axis=1).real,
+    ]
+    for ours, ref in zip(_phi_functions(z), contour):
+        np.testing.assert_allclose(ours, ref, rtol=1e-12)
+    assert [p[0] for p in _phi_functions(z)] == [1.0, 0.5, 1.0 / 6.0]
+
+
+def test_step_rule_on_the_sphere():
+    # dt = (cfl / 18) r^(-4/5) r0^(-1/5), at most cfl / (4 r)
+    cfl = 0.1
+    st = sphere(2.0).build(PeriodicGrid(32))
+    traj, _ = evolve(st, FlowConfig(cfl_safety=cfl, a_min_stop=0.01))
+    # on the round sphere r = max |k1 / x| = 2 / a^2 before each step
+    r = 2.0 / traj.series("a_min")[:-1] ** 2
+    rule = np.minimum(cfl / 18.0 * r**-0.8 * r[0] ** -0.2, cfl / (4.0 * r))
+    np.testing.assert_allclose(traj.series("dt")[1:], rule, rtol=1e-13)
+    # the bound takes over only near the pinch, once r > 4.5^5 r0
+    capped = rule == cfl / (4.0 * r)
+    assert 0 < np.sum(capped) < len(r) // 2
+    assert np.all(r[capped] >= 4.5**5 * r[0] * (1.0 - 1e-12))
+
+
+def test_step_rule_is_invariant_under_parabolic_rescaling():
+    # radius 2 -> 4 scales time and every step by 4: the same step count
+    runs = [
+        evolve(sphere(r).build(PeriodicGrid(32)), FlowConfig(a_min_stop=0.01 * r))[0]
+        for r in (2.0, 4.0)
+    ]
+    assert runs[0].run_stats.steps == runs[1].run_stats.steps
+    np.testing.assert_allclose(runs[1].series("dt"), 4.0 * runs[0].series("dt"), rtol=1e-12)
+
+
+def test_step_rule_halving_cfl_moves_t_within_the_time_budget():
+    # 3.3e-8 is a tenth of fig-a's Richardson error bar over n = 128..512; the
+    # time error does not depend on n (1.9e-8 at n = 64, 2.0e-8 at n = 256)
+    st = get_preset("fig-a").build(PeriodicGrid(64))
+    runs = [evolve(st, FlowConfig(cfl_safety=cfl)) for cfl in (0.2, 0.1)]
+    (coarse, coarse_report), (fine, fine_report) = runs
+    assert abs(coarse_report.t_estimate - fine_report.t_estimate) <= 3.3e-8
+    assert fine.run_stats.steps == pytest.approx(2 * coarse.run_stats.steps, rel=0.02)
+
+
+def test_step_count_does_not_grow_with_n():
+    # the diffusion is exact, so dt follows the flow's rate, not dz^2
+    steps = [
+        evolve(get_preset("fig-a").build(PeriodicGrid(n)), FlowConfig())[0].run_stats.steps
+        for n in (64, 128)
+    ]
+    assert steps[1] == pytest.approx(steps[0], rel=0.1)
 
 
 # --- summaries ---------------------------------------------------------------
@@ -293,7 +401,7 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
         [s.t for s in states],
         dts,
         np.stack([np.stack((s.a, s.b, s.c)) for s in states]),
-        np.stack([s.phi for s in states]),
+        [float(s.phi[0]) for s in states],
         states[0].grid.dz,
     )
     assert records.dtype == SUMMARY_DTYPE and records.shape == (size,)
@@ -303,7 +411,7 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
 
 def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
     x = np.stack([np.stack((s.a, s.b, s.c)) for s in fig_a_states[:3]])
-    phi = np.stack([s.phi for s in fig_a_states[:3]])
+    phi = [float(s.phi[0]) for s in fig_a_states[:3]]
     x[2, 1, 5] = 1e-9
     with pytest.raises(DegenerateFiberError, match="1.000e-09"):
         summarize_state([0.0, 0.1, 0.2], [0.0] * 3, x, phi, fig_a_states[0].grid.dz)
@@ -331,7 +439,7 @@ def _reject_after(monkeypatch, steps):
 @pytest.mark.parametrize(
     "stop, flow_kwargs",
     [
-        (STOP_AMIN, {"a_min_stop": 0.25}),
+        (STOP_AMIN, {"a_min_stop": 0.3}),
         (STOP_TMAX, {"t_max": 0.07}),
         (STOP_HALVINGS, {}),
     ],
@@ -426,23 +534,47 @@ def test_evolve_names_exhausted_halvings():
     assert asdict(traj.run_stats) == {
         "steps": 0,
         "rejected": MAX_STEP_HALVINGS + 1,
-        "diffusion_limited": 0,
         "neck_resolution": 2.0 / st.grid.dz,
     }
 
 
-def test_evolve_counts_steps_and_diffusion_limited_steps():
+def test_evolve_counts_steps():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
     traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
     stats = traj.run_stats
     assert stats.steps == len(traj.samples) - 1 > 0
     assert stats.rejected == 0
-    # phi stays 1 on z-constant data, so the diffusion limit before a step
-    # is dz^2 and the reaction limit a_min^2 / 8
-    a_min = traj.series("a_min")[:-1]
-    dz = st.grid.dz
-    assert stats.diffusion_limited == int(np.sum(dz * dz <= a_min * a_min / 8.0))
-    assert 0 < stats.diffusion_limited < stats.steps
+
+
+def test_evolve_stops_when_the_first_stage_is_not_finite(monkeypatch):
+    # dt does not enter k1, so a first stage that fails is not halved
+    calls = []
+    real = flow._flow_rhs
+
+    def flow_rhs(*args):
+        calls.append(len(calls))
+        if len(calls) > 4 * 3:
+            raise StepRejected("non-finite flow derivatives")
+        return real(*args)
+
+    monkeypatch.setattr(flow, "_flow_rhs", flow_rhs)
+    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
+    traj, _ = evolve(st, FlowConfig())
+    assert traj.stop_reason == STOP_HALVINGS
+    assert traj.run_stats.steps == 3
+    assert traj.run_stats.rejected == MAX_STEP_HALVINGS + 1
+    assert len(traj.samples) == 4
+
+
+def test_evolve_steps_a_stationary_state_to_t_max(monkeypatch):
+    # r = 0 would divide by zero in the rate rule; a state that does not move
+    # takes one step to the time cap
+    monkeypatch.setattr(flow, "_flow_rhs", lambda x, phi, dz: (np.zeros_like(x), 0.0))
+    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
+    traj, _ = evolve(st, FlowConfig(t_max=5.0))
+    assert traj.stop_reason == STOP_TMAX
+    assert traj.run_stats.steps == 1
+    assert traj.ts.tolist() == [0.0, 5.0]
 
 
 def test_trajectory_rows_and_columns():
@@ -479,8 +611,9 @@ def test_trajectory_rows_and_columns():
 def test_trajectory_bytes_per_sample():
     # A record holds 15 float64 values and 11 integer indices, 208 bytes;
     # a sample object per state took about 680.
+    # fig-a n=128 takes 485 steps at the default cfl 0.2, 1,220 at 0.08.
     st = get_preset("fig-a").build(PeriodicGrid(128))
-    cfg = FlowConfig(snapshot_stride=10**6)
+    cfg = FlowConfig(cfl_safety=0.08, snapshot_stride=10**6)
     # A short run first, so the first-call FFT and stencil caches of this
     # grid are not counted against the samples whatever ran before.
     evolve(st, FlowConfig(t_max=1e-3))
