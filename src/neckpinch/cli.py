@@ -80,19 +80,17 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    # ConfigError and the data errors of building the state (DegenerateFiberError,
-    # a samples profile of the wrong length, a phi0 with no equal-arclength
-    # nodes) are all ValueErrors.
+    # ConfigError and the data errors of building the state (a samples profile
+    # of the wrong length, a phi0 with no equal-arclength nodes) or of
+    # summarizing it at t = 0 (DegenerateFiberError) are all ValueErrors.
     try:
         cfg = _resolve_config(args)
         preset = cfg.build_preset()
         grid = PeriodicGrid(cfg.grid_n)
-        state = flow.equal_arclength(preset.build(grid))
+        traj, report = flow.evolve(preset.build(grid), cfg.flow)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    traj, report = flow.evolve(state, cfg.flow)
 
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled, cfg.kappa)
     type1 = monitors.type1_classifier(traj, report)

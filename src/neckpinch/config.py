@@ -123,9 +123,8 @@ def config_from_dict(data: dict) -> RunConfig:
     bad = set(flow_data) - _FLOW_KEYS
     if bad:
         raise ConfigError(f"unknown flow keys: {sorted(bad)}")
-    flow_kwargs = {k: v for k, v in flow_data.items() if v is not None or k == "fixed_dt"}
-    if flow_kwargs.get("t_max") is None:
-        flow_kwargs.pop("t_max", None)
+    # A null value, as the echo of an infinite t_max, takes the default.
+    flow_kwargs = {k: v for k, v in flow_data.items() if v is not None}
     try:
         kwargs["flow"] = FlowConfig(**flow_kwargs)
         return RunConfig(**kwargs)

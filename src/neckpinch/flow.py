@@ -27,12 +27,15 @@ not an explicit-diffusion limit, and takes about the same number of steps
 at every n (see evolve). cfl_safety is the accuracy factor of that rule, not
 a stability limit.
 
+_flow_rhs is the flow's one time derivative: rk4_step's stages, evolve's
+step rule and the K_0i evolution residual of the monitors all read it.
+
 Between steps, evolve holds the radii as one (3, n) array and log(lambda)
 as a Python float, with t and dt as Python floats; a MetricState is built
-only for the snapshots and the final state. The per-sample summaries are
-computed SUMMARY_BLOCK states at a time on stacked arrays as records of one
-structured dtype, SUMMARY_DTYPE, appended to one buffer that becomes the
-Trajectory's read-only samples when the run ends.
+only for the final state, the one snapshot besides the first. The
+per-sample summaries are computed SUMMARY_BLOCK states at a time on stacked
+arrays as records of one structured dtype, SUMMARY_DTYPE, appended to one
+buffer that becomes the Trajectory's read-only samples when the run ends.
 """
 
 from __future__ import annotations
@@ -100,15 +103,12 @@ class FlowConfig:
     cfl_safety: float = 0.2
     a_min_stop: float = 1e-3
     t_max: float = math.inf
-    snapshot_stride: int = 100
     monitor_stride: int = 1
-    # Explicit step override for refinement studies; None means adaptive.
-    fixed_dt: float | None = None
 
     def __post_init__(self):
-        for name in ("cfl_safety", "a_min_stop", "t_max", "fixed_dt"):
+        for name in ("cfl_safety", "a_min_stop", "t_max"):
             value = getattr(self, name)
-            if not (is_number(value) or (name == "fixed_dt" and value is None)):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
@@ -119,17 +119,13 @@ class FlowConfig:
                 f"a_min_stop must exceed the resolvable radius floor {MIN_RADIUS:.0e}, "
                 f"got {self.a_min_stop!r}"
             )
-        strides = (self.snapshot_stride, self.monitor_stride)
-        if any(isinstance(s, bool) or not isinstance(s, int) for s in strides):
-            raise ValueError(f"strides must be integers, got {strides!r}")
-        if min(strides) < 1:
-            raise ValueError("strides must be >= 1")
+        stride = self.monitor_stride
+        if isinstance(stride, bool) or not isinstance(stride, int):
+            raise ValueError(f"monitor_stride must be an integer, got {stride!r}")
+        if stride < 1:
+            raise ValueError("monitor_stride must be >= 1")
         if math.isnan(self.t_max):
             raise ValueError("t_max must be a number, got NaN")
-        if self.fixed_dt is not None and not math.isfinite(self.fixed_dt):
-            raise ValueError(f"fixed_dt must be finite, got {self.fixed_dt!r}")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError("fixed_dt must be positive when set")
 
 
 #: The reductions of summarize_state, the minima then the maxima, each with
@@ -172,12 +168,14 @@ class RunStats:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded summaries, sparse full snapshots, the stop condition and
-    the run counters.
+    """Recorded summaries, full snapshots, the stop condition and the run
+    counters.
 
-    samples holds the summaries, one record of SUMMARY_DTYPE per sample, as
-    one read-only recarray; samples[k].a_min reads one field of one sample.
-    series(name) and ts are read-only views of one field, not copies.
+    snapshots holds the first state and, when the run advanced, the final
+    one. samples holds the summaries, one record of SUMMARY_DTYPE per
+    sample, as one read-only recarray; samples[k].a_min reads one field of
+    one sample. series(name) and ts are read-only views of one field, not
+    copies.
     """
 
     grid: PeriodicGrid
@@ -237,18 +235,18 @@ def _second_derivative_symbol(n: int) -> np.ndarray:
     return symbol
 
 
-def tangential_speed(phi, q: np.ndarray) -> tuple[np.ndarray | None, float]:
+def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, float]:
     """The constant-speed gauge's tangential speed W and rate c at one state.
 
-    phi is the gauge, a scalar or an (n,) array, and q = a''/a + b''/b +
-    c''/c. c = int phi q dz / int phi dz, and W is the mean-free periodic
-    antiderivative of dz W = phi (c - q): one rfft, the multiplier 1/(ik),
-    one irfft. W is None when phi (c - q) has no nonzero entry, as on
+    phi is the uniform gauge, a scalar, and q = a''/a + b''/b + c''/c.
+    c = int phi q dz / int phi dz, the mean of q, and W is the mean-free
+    periodic antiderivative of dz W = phi (c - q): one rfft, the multiplier
+    1/(ik), one irfft. W is None when phi (c - q) has no nonzero entry, as on
     z-constant data, so callers skip the transform and the advection term
     W x'.
     """
-    # A uniform phi cancels from c; np.mean would cost 20 us a call at n = 64.
-    c = float(q.sum()) / q.size if np.ndim(phi) == 0 else float(phi @ q) / float(phi.sum())
+    # phi cancels from c; np.mean would cost 20 us a call at n = 64.
+    c = float(q.sum()) / q.size
     dw = phi * (c - q)
     if not dw.any():
         return None, c
@@ -482,7 +480,7 @@ def evolve(
     arclength (equal_arclength); that state is the first snapshot. Between
     steps the state is the (3, n) radii and the Python float log lambda, the
     gauge being the scalar phi = lambda * phi_bar; a MetricState is built
-    only for the snapshots, every snapshot_stride steps and at the end.
+    only for the final state, the second snapshot when the run advanced.
     Summaries are recorded every monitor_stride steps plus the first and
     last state, and computed SUMMARY_BLOCK states at a time; the initial
     state is summarized alone, so that data no summary accepts fail before
@@ -557,14 +555,11 @@ def evolve(
             stats.rejected += MAX_STEP_HALVINGS + 1
             stop = STOP_HALVINGS
             break
-        if cfg.fixed_dt is None:
-            # The smallest normal float keeps a stationary state off 1/0.
-            rate = max(float(np.abs(first[0] / x).max()), sys.float_info.min)
-            if rate0 is None:
-                rate0 = rate
-            dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
-        else:
-            dt = cfg.fixed_dt
+        # The smallest normal float keeps a stationary state off 1/0.
+        rate = max(float(np.abs(first[0] / x).max()), sys.float_info.min)
+        if rate0 is None:
+            rate0 = rate
+        dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
         dt = min(dt, cfg.t_max - t)
         advanced = None
         for _ in range(MAX_STEP_HALVINGS + 1):
@@ -586,14 +581,12 @@ def evolve(
         if stats.steps % cfg.monitor_stride == 0:
             record(t, dt, x, phi)
             recorded_t = t
-        if stats.steps % cfg.snapshot_stride == 0:
-            snapshots.append(metric_state(grid, t, phi, *x))
 
     if recorded_t < t:
         record(t, last_dt, x, phi)
     if block_t:
         flush()
-    if snapshots[-1].t < t:
+    if stats.steps:
         snapshots.append(metric_state(grid, t, phi, *x))
     stats.neck_resolution = float(x[0].min() / (phi * dz))
     traj = Trajectory(grid, np.frombuffer(records, SUMMARY_DTYPE), snapshots, stop, stats)

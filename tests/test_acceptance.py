@@ -223,19 +223,18 @@ def test_criterion_7_concavity_evidence(fig_a_256, fig_b_128, fig_c_128):
 
 
 def test_criterion_8_evolution_residual_refinement():
-    def residual(n, dt):
+    def residual(n):
         state = get_preset("fig-a").build(PeriodicGrid(n))
-        cfg = FlowConfig(fixed_dt=dt, t_max=2.4e-3, snapshot_stride=1)
-        traj, _ = evolve(state, cfg)
+        traj, _ = evolve(state, FlowConfig(t_max=2.4e-3))
         return -evolution_residual(traj, None, tolerance(traj), "k01").worst_margin
 
-    coarse = residual(64, 2e-4)
-    fine = residual(128, 1e-4)
+    coarse = residual(64)
+    fine = residual(128)
     order = math.log2(coarse / fine)
     assert order >= 1.0
     _report(
         8,
-        f"K01 residual {coarse:.3e} -> {fine:.3e} under (dt, dz) halving: "
+        f"K01 residual {coarse:.3e} -> {fine:.3e} under dz halving: "
         f"measured order {order:.2f} >= 1",
     )
 

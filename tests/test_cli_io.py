@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import neckpinch
+from neckpinch import flow
 from neckpinch.cli import main
 from neckpinch.config import ConfigError, RunConfig, config_from_dict, load_config
-from neckpinch.flow import FlowConfig, evolve
+from neckpinch.flow import FlowConfig, StepRejected, evolve
 from neckpinch.grid import PeriodicGrid
 from neckpinch.monitors import constants, run_monitors, type1_classifier
 from neckpinch.output import write_series, write_summary
@@ -322,13 +323,15 @@ _CONST = {"kind": "const", "offset": 1.0}
         ({"preset": "sphere", "grid_n": 32, "kappa": float("inf")}, "kappa must be finite"),
         ({"preset": "sphere", "grid_n": 32, "kappa": float("nan")}, "kappa must be finite"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"fixed_dt": float("nan")}},
-         "fixed_dt must be finite"),
+         "unknown flow keys: ['fixed_dt']"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"t_max": float("nan")}},
          "t_max must be a number"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"monitor_stride": 1.5}},
-         "strides must be integers"),
-        ({"preset": "sphere", "grid_n": 32, "flow": {"snapshot_stride": True}},
-         "strides must be integers"),
+         "monitor_stride must be an integer, got 1.5"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"monitor_stride": True}},
+         "monitor_stride must be an integer, got True"),
+        ({"preset": "sphere", "grid_n": 32, "flow": {"snapshot_stride": 100}},
+         "unknown flow keys: ['snapshot_stride']"),
         ({"preset": "sphere", "grid_n": 64.0}, "grid_n must be an integer, got 64.0"),
         ({"preset": "sphere", "grid_n": "64"}, "grid_n must be an integer, got '64'"),
         ({"preset": "sphere", "grid_n": 32, "kappa": True}, "kappa must be a number, got True"),
@@ -392,14 +395,17 @@ _CONST = {"kind": "const", "offset": 1.0}
                                                  "samples": [1.0] * 5 + [50.0] + [1.0] * 26}}},
             "no equal-arclength nodes for phi",
         ),
+        ({"preset": "sphere", "preset_params": {"r": 1e-9}},
+         "fiber radius 1.000e-09 below resolvable floor 1e-08"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
-         "fractional-stride", "bool-stride", "float-grid-n", "string-grid-n", "bool-kappa",
-         "bool-cfl-safety", "bool-a-min-stop", "non-object-flow", "string-formats",
+         "fractional-stride", "bool-stride", "snapshot-stride", "float-grid-n",
+         "string-grid-n", "bool-kappa", "bool-cfl-safety", "bool-a-min-stop",
+         "non-object-flow", "string-formats",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
          "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
-         "samples-on-const", "empty-samples-on-cos", "spiky-phi0"],
+         "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)
@@ -599,17 +605,14 @@ def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):
     assert hashlib.sha256(series).hexdigest() == SPHERE_64_SERIES_SHA256
 
 
-def test_cli_exhausted_halvings_exit_code(tmp_path):
+def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):
+    def rk4_step(*args):
+        raise StepRejected("positivity lost after step")
+
+    monkeypatch.setattr(flow, "rk4_step", rk4_step)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(
-        json.dumps(
-            {
-                "preset": "sphere",
-                "grid_n": 32,
-                "flow": {"fixed_dt": 1e9},
-                "out_dir": str(tmp_path / "out"),
-            }
-        )
+        json.dumps({"preset": "sphere", "grid_n": 32, "out_dir": str(tmp_path / "out")})
     )
     assert main(["run", "--config", str(cfg_path)]) == 2
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -88,7 +89,7 @@ def test_biaxial_rhs_symmetry_bitwise():
 
 
 def speed(phi, x, dz):
-    """tangential_speed of the radii x under the gauge phi, and q."""
+    """tangential_speed of the radii x under the uniform gauge phi, and q."""
     _, xpp = jet(phi, x, dz)
     q = (xpp / x).sum(axis=0)
     return (*tangential_speed(phi, q), q)
@@ -96,7 +97,7 @@ def speed(phi, x, dz):
 
 def test_tangential_speed_is_zero_on_z_constant_data():
     g = PeriodicGrid(32)
-    w, c, q = speed(np.full(g.n, 1.7), np.full((3, g.n), 2.0), g.dz)
+    w, c, q = speed(1.7, np.full((3, g.n), 2.0), g.dz)
     assert w is None and c == 0.0 and not q.any()
 
 
@@ -104,10 +105,10 @@ def test_tangential_speed_is_mean_free_and_integrates_its_density():
     # dz W = phi (c - q) at the order of the stencil: the spectral W is
     # differentiated by the 4th-order D1, so the defect falls by 16 per halving
     errors = []
+    phi = 1.3
     for n in (32, 64, 128):
         g = PeriodicGrid(n)
         z = g.z
-        phi = 1.0 + 0.3 * np.sin(z)
         x = np.stack((np.cos(z) + 1.5, np.cos(z) + 2.5, 0.5 * np.sin(2 * z) + 3.5))
         w, c, q = speed(phi, x, g.dz)
         assert abs(np.mean(w)) <= 1e-15 * np.max(np.abs(w))
@@ -129,7 +130,7 @@ def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
     traj, n = fig_a_64_run, 64
     assert np.all(traj.series("a_min_idx") == n // 2)
     last = traj.snapshots[-1]
-    w, _, _ = speed(last.phi, stacked(last), last.grid.dz)
+    w, _, _ = speed(float(last.phi[0]), stacked(last), last.grid.dz)
     assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
     # the gauge keeps its shape: phi = lambda(t) * phi0, here uniform
     assert np.ptp(last.phi) == 0.0
@@ -141,7 +142,7 @@ def test_nonuniform_gauge_keeps_its_shape():
     g = PeriodicGrid(32)
     phi0 = 2.0 * (1.0 + 0.3 * np.sin(g.z))
     st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, np.cos(g.z) + 3.5)
-    traj, _ = evolve(st, FlowConfig(t_max=0.05, snapshot_stride=10))
+    traj, _ = evolve(st, FlowConfig(t_max=0.05))
     assert traj.stop_reason == STOP_TMAX
     for snap in traj.snapshots:
         assert np.ptp(snap.phi) == 0.0
@@ -204,6 +205,20 @@ def step(state, dt):
     lambda = 0)."""
     x, phi_bar, dz = stacked(state), float(state.phi[0]), state.grid.dz
     return rk4_step(x, 0.0, dt, _flow_rhs(x, phi_bar, dz), phi_bar, dz)
+
+
+def fixed_steps(state, dt, steps):
+    """The MetricStates of `steps` rk4_steps of size dt from a state of
+    uniform phi, the state itself first."""
+    grid, dz = state.grid, state.grid.dz
+    x, log_lam, phi_bar, t = stacked(state), 0.0, float(state.phi[0]), state.t
+    states = [state]
+    for _ in range(steps):
+        phi = np.exp(log_lam) * phi_bar
+        x, log_lam = rk4_step(x, log_lam, dt, _flow_rhs(x, phi, dz), phi_bar, dz)
+        t += dt
+        states.append(metric_state(grid, t, np.exp(log_lam) * phi_bar, *x))
+    return states
 
 
 def test_rk4_step_sphere_one_step():
@@ -388,9 +403,7 @@ def column_bits(traj, name):
 @pytest.fixture(scope="module")
 def fig_a_states():
     st = get_preset("fig-a").build(PeriodicGrid(64))
-    traj, _ = evolve(st, FlowConfig(t_max=0.3, snapshot_stride=7))
-    assert len(traj.snapshots) >= 8
-    return traj.snapshots[:8]
+    return fixed_steps(st, 1e-3, 49)[::7]
 
 
 @pytest.mark.parametrize("size", [1, 3, SUMMARY_BLOCK])
@@ -423,17 +436,19 @@ def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
 RK4_STEP = flow.rk4_step
 
 
-def _reject_after(monkeypatch, steps):
-    """Make every step attempt after the first `steps` fail."""
+def _reject_after(monkeypatch, steps, rejections=math.inf):
+    """Make the step attempts after the first `steps` fail, the next
+    `rejections` of them (all by default); returns the dt of every attempt."""
     attempts = []
 
     def rk4_step(x, log_lam, dt, *args):
         attempts.append(dt)
-        if len(attempts) > steps:
+        if steps < len(attempts) <= steps + rejections:
             raise StepRejected("forced")
         return RK4_STEP(x, log_lam, dt, *args)
 
     monkeypatch.setattr(flow, "rk4_step", rk4_step)
+    return attempts
 
 
 @pytest.mark.parametrize(
@@ -450,7 +465,7 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
     def run(monitor_stride):
         if stop == STOP_HALVINGS:
             _reject_after(monkeypatch, 38)
-        cfg = FlowConfig(monitor_stride=monitor_stride, snapshot_stride=5, **flow_kwargs)
+        cfg = FlowConfig(monitor_stride=monitor_stride, **flow_kwargs)
         traj, _ = evolve(st, cfg)
         assert traj.stop_reason == stop
         return traj
@@ -464,12 +479,11 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
         column = every.series(name)
         expected = np.append(column[::3], column[-1:])
         assert column_bits(strided, name) == expected.tobytes()
-    snapshot_ts = every.ts[::5].tolist()
-    if steps % 5:
-        snapshot_ts.append(every.ts[-1].item())
+    # the snapshots are the first state and the final one
     for traj in (every, strided):
         assert traj.snapshots[0] is st
-        assert [s.t for s in traj.snapshots] == snapshot_ts
+        assert [s.t for s in traj.snapshots] == [0.0, every.ts[-1].item()]
+        assert traj.snapshots[1].a.min() == traj.samples[-1].a_min
 
 
 def test_evolve_sphere_tracks_exact_solution():
@@ -516,20 +530,27 @@ def test_evolve_respects_t_max():
     assert report is None  # nothing shrank, no fit possible
 
 
-def test_evolve_halves_rejected_steps():
+def test_evolve_halves_rejected_steps(monkeypatch):
+    # the fourth step is rejected twice and accepted at a quarter of its dt
+    attempts = _reject_after(monkeypatch, 3, rejections=2)
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5)
-    traj, _ = evolve(st, FlowConfig(fixed_dt=0.2, a_min_stop=0.35))
+    traj, _ = evolve(st, FlowConfig(a_min_stop=0.35))
     assert traj.stop_reason == STOP_AMIN
     assert traj.samples[-1].a_min < 0.35
+    assert traj.run_stats.rejected == 2
+    assert attempts[4:6] == [attempts[3] / 2.0, attempts[3] / 4.0]
+    assert traj.samples[4].dt == attempts[5]
 
 
-def test_evolve_names_exhausted_halvings():
-    # finite data whose step stays too large after every halving
+def test_evolve_names_exhausted_halvings(monkeypatch):
+    # finite data whose step is rejected at every halving
+    attempts = _reject_after(monkeypatch, 0)
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
-    traj, report = evolve(st, FlowConfig(fixed_dt=1e9))
+    traj, report = evolve(st, FlowConfig())
     assert traj.stop_reason == STOP_HALVINGS == "step_halvings_exhausted"
+    assert attempts == [attempts[0] / 2.0**k for k in range(MAX_STEP_HALVINGS + 1)]
     assert len(traj.samples) == 1
-    assert traj.snapshots[-1] is st
+    assert len(traj.snapshots) == 1 and traj.snapshots[0] is st
     assert report is None
     assert asdict(traj.run_stats) == {
         "steps": 0,
@@ -613,7 +634,7 @@ def test_trajectory_bytes_per_sample():
     # a sample object per state took about 680.
     # fig-a n=128 takes 485 steps at the default cfl 0.2, 1,220 at 0.08.
     st = get_preset("fig-a").build(PeriodicGrid(128))
-    cfg = FlowConfig(cfl_safety=0.08, snapshot_stride=10**6)
+    cfg = FlowConfig(cfl_safety=0.08)
     # A short run first, so the first-call FFT and stencil caches of this
     # grid are not counted against the samples whatever ran before.
     evolve(st, FlowConfig(t_max=1e-3))
@@ -659,23 +680,22 @@ def test_evolve_biaxial_closure_whole_run():
     g = PeriodicGrid(48)
     st = get_preset("biaxial").build(g)
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
-    for snap in traj.snapshots:
-        assert np.max(np.abs(snap.b - snap.c)) <= 1e-10
+    assert traj.run_stats.steps > 0
+    # ecc_bc is max |b - c| / min(b, c) of each recorded sample
+    assert traj.series("ecc_bc").max() <= 1e-10
 
 
 def test_ricci_flow_residual_shrinks_under_refinement():
-    # dt g + 2 Ric - L_V g -> 0 on the diagonal, checked at the middle
-    # snapshot triple; the gauge's field V = (W/phi) dz adds the Lie
+    # dt g + 2 Ric - L_V g -> 0 on the diagonal, checked at the middle state
+    # triple of 20 fixed steps; the gauge's field V = (W/phi) dz adds the Lie
     # derivative 2x W x' to each radius squared and 2 phi dz W to phi^2
     def residual(n, dt):
-        st = get_preset("fig-a").build(PeriodicGrid(n))
-        cfg = FlowConfig(fixed_dt=dt, t_max=20 * dt, snapshot_stride=1)
-        traj, _ = evolve(st, cfg)
-        mid = len(traj.snapshots) // 2
-        s0, s1, s2 = traj.snapshots[mid - 1 : mid + 2]
+        states = fixed_steps(get_preset("fig-a").build(PeriodicGrid(n)), dt, 20)
+        mid = len(states) // 2
+        s0, s1, s2 = states[mid - 1 : mid + 2]
         span = s2.t - s0.t
         curv = sectional_curvatures(s1)
-        phi, dz, x = s1.phi, s1.grid.dz, stacked(s1)
+        phi, dz, x = float(s1.phi[0]), s1.grid.dz, stacked(s1)
         w, _, _ = speed(phi, x, dz)
         lies = 2.0 * x * w * jet(phi, x, dz)[0]
         worst = 0.0
