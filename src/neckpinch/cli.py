@@ -156,8 +156,12 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
-def _measured_orders(errors: list[float]) -> list[float]:
-    return [float(np.log2(e0 / e1)) for e0, e1 in zip(errors, errors[1:])]
+def _measured_orders(errors: list[float]) -> list[str]:
+    """log2 of each successive error ratio to two places; "exact" where the
+    finer error is 0 (the oracle's mismatch on z-constant data)."""
+    return [
+        "exact" if e1 == 0.0 else f"{np.log2(e0 / e1):.2f}" for e0, e1 in zip(errors, errors[1:])
+    ]
 
 
 def _cmd_convergence(args) -> int:
@@ -174,9 +178,9 @@ def _cmd_convergence(args) -> int:
         err = np.max(np.abs(dz_values(np.sin(grid.z), grid.dz) - np.cos(grid.z)))
         errs.append(err)
         print(f"  n={n:4d} max_err={err:.3e}")
-    print(f"  measured orders: {[f'{o:.2f}' for o in _measured_orders(errs)]}")
+    print(f"  measured orders: {_measured_orders(errs)}")
 
-    print(f"closed-form vs frame-symbol oracle on preset {preset.name}:")
+    print(f"closed-form vs z-gauge Riemann oracle on preset {preset.name}:")
     errs = []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n)
@@ -186,7 +190,7 @@ def _cmd_convergence(args) -> int:
         err = max(float(np.max(np.abs(a - b))) for a, b in zip(cf.sectional(), orc))
         errs.append(err)
         print(f"  n={n:4d} max_mismatch={err:.3e}")
-    print(f"  measured orders: {[f'{o:.2f}' for o in _measured_orders(errs)]}")
+    print(f"  measured orders: {_measured_orders(errs)}")
 
     print("shrinking-sphere a_min^2 error under cfl halving (n=64):")
     errs = []
@@ -198,7 +202,7 @@ def _cmd_convergence(args) -> int:
         err = float(np.max(np.abs(traj.series("a_min") ** 2 - (4.0 - 4.0 * ts))))
         errs.append(err)
         print(f"  cfl={cfl:.2f} max_err={err:.3e}")
-    print(f"  measured orders: {[f'{o:.2f}' for o in _measured_orders(errs)]}")
+    print(f"  measured orders: {_measured_orders(errs)}")
     return 0
 
 

@@ -598,6 +598,12 @@ def evolve(
     return traj, report
 
 
+def _final_decade(a_min: np.ndarray) -> np.ndarray:
+    """The final decade of a_min: the mask of samples with a_min <= 10 * a_min[-1],
+    the window of the singular-time fit and of the Type I test."""
+    return a_min <= 10.0 * a_min[-1]
+
+
 def estimate_singular_time(traj: Trajectory) -> SingularityReport:
     """Least-squares linear fit of a_min^2 over the final decade of a_min.
 
@@ -607,7 +613,7 @@ def estimate_singular_time(traj: Trajectory) -> SingularityReport:
     """
     ts = traj.ts
     a_min = traj.series("a_min")
-    window = a_min <= 10.0 * a_min[-1]
+    window = _final_decade(a_min)
     if int(np.sum(window)) < MIN_FIT_SAMPLES:
         raise InsufficientSamplesError(
             f"need >= {MIN_FIT_SAMPLES} samples in the final decade, have {int(np.sum(window))}"

@@ -2,9 +2,13 @@
 
 Each monitor is a pure function of trajectory data: it checks one proved
 bound (ordering preservation, eccentricity decay, ratio bounds, the two-sided
-pinch-rate estimates, derivative bounds, scalar-curvature positivity), records
-the worst signed margin together with where it occurred, and never aborts a
-run. A violated bound is reported, not raised: it is the interesting output.
+pinch-rate estimates, the c_max bounds, derivative bounds, scalar-curvature
+positivity) and never aborts a run. A violated bound is reported, not raised:
+it is the interesting output. Every bound monitor reports through one rule,
+_report: its worst margin is the smallest of all the margins it checks, slope
+and stop margins included, located where it occurred, and it passes when that
+margin is >= -tol. The K_0i evolution residuals record a discretization
+defect and type1_classifier gives a verdict, so both keep their own rules.
 
 Every monitor has one signature, fn(traj, report, tol) -> MonitorReport: the
 trajectory, the singular-time fit (None when no singularity was detected) and
@@ -25,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .curvature import jet, radii
-from .flow import SingularityReport, Trajectory, _flow_rhs, tangential_speed
+from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, tangential_speed
 from .grid import STENCIL_ORDER, MetricState
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
@@ -124,6 +128,26 @@ def _not_applicable(why: str) -> MonitorReport:
     )
 
 
+_UNORDERED = _not_applicable("initial data is not ordered a <= b <= c")
+
+#: A named margin of _report: (margin, location), or None for a bound not claimed.
+Margin = tuple[float, tuple[float, int | None] | None] | None
+
+
+def _report(tol: float, margins: dict[str, Margin], notes: str = "") -> MonitorReport:
+    """The report of a bound monitor from its named margins.
+
+    The worst margin is the first smallest of the claimed ones, and the bound
+    passes when it is >= -tol. The notes are `notes`, then every named margin
+    when there is more than one (a bound not claimed reads n/a), then tol.
+    """
+    worst, where = min((m for m in margins.values() if m is not None), key=lambda m: m[0])
+    if len(margins) > 1:
+        for name, m in margins.items():
+            notes += f"{name}=n/a " if m is None else f"{name}={m[0]:.3e} "
+    return MonitorReport(worst >= -tol, worst, where, f"{notes}tol={tol:.3e}")
+
+
 def _first(traj: Trajectory, name: str) -> float:
     # A Python float, as the first sample's fields were: its callers square
     # it with float powers, and libm's pow and NumPy's squaring round about
@@ -149,6 +173,15 @@ def _worst(
     return flat[k].item(), where
 
 
+def _slope_margin(traj: Trajectory, y: np.ndarray, floor: float, index_field: str) -> Margin:
+    """Margin of dy/dt >= floor over consecutive samples, located at the later
+    sample of its interval; (inf, None) for a single sample."""
+    if traj.ts.size < 2:
+        return math.inf, None
+    slopes = np.diff(y) / np.diff(traj.ts)
+    return _worst(traj, [slopes - floor], [index_field], shift=1)
+
+
 def _initially_ordered(traj: Trajectory) -> bool:
     return (
         min(_first(traj, "ord_ba_min"), _first(traj, "ord_cb_min")) >= -_PRECONDITION_SLACK
@@ -167,53 +200,42 @@ def _lower_bound_constant(traj: Trajectory) -> float | None:
 def ordering_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """a <= b <= c is preserved: the worst of min(b-a) and min(c-b) over the run."""
     if not _initially_ordered(traj):
-        return _not_applicable("initial data is not ordered a <= b <= c")
+        return _UNORDERED
     columns = [traj.series("ord_ba_min"), traj.series("ord_cb_min")]
-    worst, where = _worst(traj, columns, ["ord_ba_idx", "ord_cb_idx"])
-    return MonitorReport(
-        passed=worst >= -tol, worst_margin=worst, worst_location=where, notes=f"tol={tol:.3e}"
-    )
+    return _report(tol, {"ordering": _worst(traj, columns, ["ord_ba_idx", "ord_cb_idx"])})
 
 
 def eccentricity_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """sup|b-c|/min(b,c) and sup|a-c|/min(a,c) are nonincreasing in time."""
     if not _initially_ordered(traj):
-        return _not_applicable("initial data is not ordered a <= b <= c")
+        return _UNORDERED
     if traj.ts.size < 2:
         return _not_applicable("need at least two samples")
     attrs = ("ecc_bc", "ecc_ac")
     drops = [col[:-1] - col[1:] for col in map(traj.series, attrs)]
-    worst, where = _worst(traj, drops, [f"{attr}_idx" for attr in attrs], shift=1)
-    return MonitorReport(
-        passed=worst >= -tol, worst_margin=worst, worst_location=where, notes=f"tol={tol:.3e}"
-    )
+    worst = _worst(traj, drops, [f"{attr}_idx" for attr in attrs], shift=1)
+    return _report(tol, {"drop": worst})
 
 
 def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """max(c/a) stays below its t=0 value lam, and below the refined envelope
     (c/a)^2 <= e^(lam^2-1)(lam^2-1)(1 - 4t/c_max(0)^2)^2 + 1."""
     if not _initially_ordered(traj):
-        return _not_applicable("initial data is not ordered a <= b <= c")
+        return _UNORDERED
     lam = _first(traj, "ratio_max")
     c0_sq = _first(traj, "c_max") ** 2
     ratio = traj.series("ratio_max")
-
-    plain, where = _worst(traj, [lam - ratio], ["ratio_max_idx"])
     # Float powers of Python floats, as libm rounds them (see _first).
     growth = math.exp(lam**2 - 1.0) * (lam**2 - 1.0)
     envelope = [
         growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
         for t, r in zip(traj.ts.tolist(), ratio.tolist())
     ]
-    refined, refined_where = _worst(traj, [np.array(envelope)], ["ratio_max_idx"])
-    if refined < plain:
-        where = refined_where
-    return MonitorReport(
-        passed=plain >= -tol and refined >= -tol,
-        worst_margin=min(plain, refined),
-        worst_location=where,
-        notes=f"lam={lam:.6g} plain_margin={plain:.3e} refined_margin={refined:.3e} tol={tol:.3e}",
-    )
+    margins = {
+        "plain_margin": _worst(traj, [lam - ratio], ["ratio_max_idx"]),
+        "refined_margin": _worst(traj, [np.array(envelope)], ["ratio_max_idx"]),
+    }
+    return _report(tol, margins, f"lam={lam:.6g} ")
 
 
 def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
@@ -224,57 +246,32 @@ def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRepo
     T = report.t_estimate
     ts = traj.ts
     amin_sq = traj.series("a_min") ** 2
-
-    upper_margin, where = _worst(traj, [4.0 * (T - ts) - amin_sq], ["a_min_idx"])
-
-    slopes = np.diff(amin_sq) / np.diff(ts)
-    slope_margin = float(np.min(slopes + 4.0)) if slopes.size else math.inf
-
     d_lower = _lower_bound_constant(traj)
-    lower_margin = None
-    if d_lower is not None:
-        lower_margin, lower_where = _worst(traj, [amin_sq - d_lower * (T - ts)], ["a_min_idx"])
-        if lower_margin < upper_margin:
-            where = lower_where
-
-    margins = [upper_margin] + ([lower_margin] if lower_margin is not None else [])
-    worst = min(margins)
-    passed = worst >= -tol and slope_margin >= -tol
-    notes = (
-        f"T={T:.6g} upper_margin={upper_margin:.3e} slope_margin={slope_margin:.3e} "
-        + (f"lower_margin={lower_margin:.3e} " if lower_margin is not None else "lower_bound=n/a ")
-        + f"tol={tol:.3e}"
-    )
-    return MonitorReport(passed=passed, worst_margin=worst, worst_location=where, notes=notes)
+    margins = {
+        "upper_margin": _worst(traj, [4.0 * (T - ts) - amin_sq], ["a_min_idx"]),
+        "slope_margin": _slope_margin(traj, amin_sq, -4.0, "a_min_idx"),
+    }
+    if d_lower is None:
+        margins["lower_bound"] = None
+    else:
+        margins["lower_margin"] = _worst(traj, [amin_sq - d_lower * (T - ts)], ["a_min_idx"])
+    return _report(tol, margins, f"T={T:.6g} ")
 
 
 def cmax_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """c_max^2 <= c_max(0)^2 - 4t, d(c_max^2)/dt <= -4, and the stop time
     cannot exceed c_max(0)^2 / 4."""
     if not _initially_ordered(traj):
-        return _not_applicable("initial data is not ordered a <= b <= c")
+        return _UNORDERED
     ts = traj.ts
     cmax_sq = traj.series("c_max") ** 2
-    c0_sq = cmax_sq[0]
-
-    bound_margin, where = _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"])
-
-    slopes = np.diff(cmax_sq) / np.diff(ts)
-    slope_margin = float(np.min(-4.0 - slopes)) if slopes.size else math.inf
-
-    stop_margin = c0_sq / 4.0 - float(ts[-1])
-
-    worst = min(bound_margin, stop_margin)
-    passed = worst >= -tol and slope_margin >= -tol
-    return MonitorReport(
-        passed=passed,
-        worst_margin=worst,
-        worst_location=where,
-        notes=(
-            f"bound_margin={bound_margin:.3e} slope_margin={slope_margin:.3e} "
-            f"stop_margin={stop_margin:.3e} tol={tol:.3e}"
-        ),
-    )
+    c0_sq, t_final = cmax_sq[0].item(), ts[-1].item()
+    margins = {
+        "bound_margin": _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"]),
+        "slope_margin": _slope_margin(traj, -cmax_sq, 4.0, "c_max_idx"),
+        "stop_margin": (c0_sq / 4.0 - t_final, (t_final, None)),
+    }
+    return _report(tol, margins)
 
 
 def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
@@ -283,7 +280,7 @@ def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> Monit
     Only claimed for ordered data with max(c/a) < 2.
     """
     if not _initially_ordered(traj):
-        return _not_applicable("initial data is not ordered a <= b <= c")
+        return _UNORDERED
     lam = _first(traj, "ratio_max")
     if lam >= 2.0:
         return _not_applicable(f"max(c/a) = {lam:.4g} >= 2; bound not claimed")
@@ -293,13 +290,8 @@ def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> Monit
         max(bound, _first(traj, attr)) - traj.series(attr)
         for attr, bound in zip(attrs, universal)
     ]
-    worst, where = _worst(traj, margins, [f"{attr}_idx" for attr in attrs])
-    return MonitorReport(
-        passed=worst >= -tol,
-        worst_margin=worst,
-        worst_location=where,
-        notes=f"lam={lam:.6g} tol={tol:.3e}",
-    )
+    fields = [f"{attr}_idx" for attr in attrs]
+    return _report(tol, {"sup": _worst(traj, margins, fields)}, f"lam={lam:.6g} ")
 
 
 def scalar_min_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
@@ -307,10 +299,7 @@ def scalar_min_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRepo
     s0 = _first(traj, "s_min")
     if s0 < 0.0:
         return _not_applicable(f"initial min S = {s0:.4g} < 0")
-    worst, where = _worst(traj, [traj.series("s_min")], ["s_min_idx"])
-    return MonitorReport(
-        passed=worst >= -tol, worst_margin=worst, worst_location=where, notes=f"tol={tol:.3e}"
-    )
+    return _report(tol, {"s_min": _worst(traj, [traj.series("s_min")], ["s_min_idx"])})
 
 
 def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
@@ -332,7 +321,7 @@ def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
     y = (T - ts[before]) * rm_max[before]
     sup_tml = float(np.max(y)) if y.size else math.nan
 
-    decade = before & (a_min <= 10.0 * a_min[-1])
+    decade = before & _final_decade(a_min)
     t_d = ts[decade]
     if t_d.size < 3:
         return TypeIReport(sup_tml_rm=sup_tml)
@@ -374,12 +363,8 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     y_u = np.interp(t_u, ts, y)
     d2 = y_u[2:] - 2.0 * y_u[1:-1] + y_u[:-2]
     k = int(np.argmax(d2))
-    return MonitorReport(
-        passed=float(d2[k]) <= tol,
-        worst_margin=float(-d2[k]),
-        worst_location=(float(t_u[k + 1]), None),
-        notes=f"max_second_difference={float(d2[k]):.3e} tol={tol:.3e}",
-    )
+    margin = (float(-d2[k]), (float(t_u[k + 1]), None))
+    return _report(tol, {"concavity": margin}, f"max_second_difference={float(d2[k]):.3e} ")
 
 
 # ---------------------------------------------------------------------------

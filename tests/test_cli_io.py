@@ -399,7 +399,7 @@ _CONST = {"kind": "const", "offset": 1.0}
          "fiber radius 1.000e-09 below resolvable floor 1e-08"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
-         "nan-samples", "infinite-kappa", "nan-kappa", "nan-fixed-dt", "nan-t-max",
+         "nan-samples", "infinite-kappa", "nan-kappa", "fixed-dt-key", "nan-t-max",
          "fractional-stride", "bool-stride", "snapshot-stride", "float-grid-n",
          "string-grid-n", "bool-kappa", "bool-cfl-safety", "bool-a-min-stop",
          "non-object-flow", "string-formats",
@@ -483,6 +483,14 @@ def test_cli_convergence(capsys):
     assert main(["convergence"]) == 0
     out = capsys.readouterr().out
     assert out.count("measured orders") == 3
+
+
+def test_cli_convergence_prints_exact_orders_on_z_constant_data(capsys):
+    # the curvature oracle's mismatch is exactly 0 on the round sphere
+    assert main(["convergence", "--preset", "sphere"]) == 0
+    orders = [line for line in capsys.readouterr().out.splitlines() if "measured orders" in line]
+    assert len(orders) == 3
+    assert orders[1] == "  measured orders: ['exact', 'exact']"
 
 
 def test_cli_curvature(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neckpinch.config import ConfigError, config_from_dict
-from neckpinch.flow import FlowConfig, evolve
+from neckpinch.flow import FlowConfig, SingularityReport, evolve
 from neckpinch.grid import PeriodicGrid, dz_values, metric_state
 from neckpinch.monitors import (
     DERIV_BOUND_A,
@@ -224,6 +224,29 @@ def test_amin_lower_bound_needs_nonnegative_initial_scalar_curvature():
     assert scalar_min_monitor(traj, None, tol).passed is None
 
 
+def test_amin_slope_only_violation_is_the_worst_margin():
+    # T = 5: a_min^2 = 16, 12.5, 12 keeps 4(T - t) - a_min^2 >= 3.5 and the
+    # lower bound 2(T - t) well inside, but falls at rate 5 > 4 over [1, 1.1]
+    ts = np.array([0.0, 1.0, 1.1])
+    traj = make_trajectory(ts, np.sqrt([16.0, 12.5, 12.0]))
+    report = SingularityReport(t_estimate=5.0, fit_window=(0.0, 1.1), fit_residual=0.0,
+                               a_min_final=math.sqrt(12.0))
+    rep = amin_bound_monitor(traj, report, tolerance(traj))
+    assert rep.passed is False
+    assert rep.worst_margin == pytest.approx(-1.0)
+    assert rep.worst_location == (pytest.approx(1.1), 0)
+    assert "lower_margin" in rep.notes
+
+
+def test_amin_single_sample_keeps_an_infinite_slope_margin():
+    traj = make_trajectory([0.0], [2.0])
+    report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.0), fit_residual=0.0,
+                               a_min_final=2.0)
+    rep = amin_bound_monitor(traj, report, tolerance(traj))
+    assert "slope_margin=inf " in rep.notes
+    assert rep.worst_margin == pytest.approx(0.0) and rep.worst_location == (0.0, 0)
+
+
 # --- cmax -----------------------------------------------------------------------------
 
 
@@ -242,6 +265,38 @@ def test_cmax_detects_slow_decay():
     traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1, ratio_max=1.5)
     rep = cmax_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is False
+
+
+def test_cmax_slope_only_violation_is_the_worst_margin():
+    # c_max^2 = 16, 8, 7.7 stays below 16 - 4t and stops before t = 4, but
+    # falls at rate 3 < 4 over [1, 1.1]
+    ts = np.array([0.0, 1.0, 1.1])
+    c = np.sqrt([16.0, 8.0, 7.7])
+    traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1)
+    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    assert rep.passed is False
+    assert rep.worst_margin == pytest.approx(-1.0)
+    assert rep.worst_location == (pytest.approx(1.1), 0)
+
+
+def test_cmax_smallest_stop_margin_sits_at_the_final_time():
+    # c_max^2 >= 0 makes the final bound margin 4 * stop_margin - c_max^2, so
+    # a negative stop margin always has a smaller bound margin beside it. The
+    # stop margin is the smallest only on a clock that starts before t = 0:
+    # here the margins are bound 4, slope 4 and stop 3.5.
+    ts = np.array([-1.0, 0.0, 0.5])
+    traj = make_trajectory(ts, 2.0 - ts, c_max=np.sqrt([16.0, 8.0, 4.0]))
+    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    assert rep.passed is True
+    assert rep.worst_margin == pytest.approx(3.5)
+    assert rep.worst_location == (0.5, None)
+
+
+def test_cmax_single_sample_keeps_an_infinite_slope_margin():
+    traj = make_trajectory([0.0], [2.0], c_max=3.0)
+    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=inf stop_margin=2.250e+00 ")
+    assert rep.worst_margin == 0.0 and rep.worst_location == (0.0, 0)
 
 
 # --- derivative bounds -----------------------------------------------------------------
