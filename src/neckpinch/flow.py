@@ -17,7 +17,7 @@ keep equal arclength spacing, so a neck keeps its grid points while it
 narrows. W is the mean-free periodic antiderivative, one rfft/irfft per
 stage, and vanishes identically on z-constant data, where the transform is
 skipped. Primes are arclength derivatives taken by the chain rule on the
-fixed z-grid.
+fixed z-grid: x' = dz x / phi and x'' = dz^2 x / phi^2.
 
 With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
 multiplier, and rk4_step integrates it exactly: ETDRK4 (Cox & Matthews,
@@ -27,15 +27,17 @@ not an explicit-diffusion limit, and takes about the same number of steps
 at every n (see evolve). cfl_safety is the accuracy factor of that rule, not
 a stability limit.
 
-_flow_rhs is the flow's one time derivative: rk4_step's stages, evolve's
-step rule and the K_0i evolution residual of the monitors all read it.
+The state stays in Fourier space, the radii as their rfft u; one irfft of
+u S (z_jet), S the stencil's exact symbols, gives the z-jet (x, dz x, dz^2
+x) that _flow_rhs, the flow's one time derivative, reads in rk4_step's
+stages, evolve's step rule and the monitors' K_0i evolution residual. Each
+accepted state's z-jet also serves the next first stage and its summary.
 
-Between steps, evolve holds the radii as one (3, n) array and log(lambda)
-as a Python float, with t and dt as Python floats; a MetricState is built
-only for the final state, the one snapshot besides the first. The
-per-sample summaries are computed SUMMARY_BLOCK states at a time on stacked
-arrays as records of one structured dtype, SUMMARY_DTYPE, appended to one
-buffer that becomes the Trajectory's read-only samples when the run ends.
+Between steps evolve holds u, its z-jet and log(lambda), with t and dt as
+Python floats; a MetricState is built only for the final state, the one
+snapshot besides the first. The summaries are computed SUMMARY_BLOCK states
+at a time on stacked z-jets, as records of one structured dtype,
+SUMMARY_DTYPE, in one array that becomes the Trajectory's read-only samples.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .grid import (
 from .curvature import (
     MIN_RADIUS,
     check_resolvable,
-    jet,
     radii,
     sectional_rows,
     trace_invariants,
@@ -220,19 +221,23 @@ def _antiderivative_multiplier(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _second_derivative_symbol(n: int) -> np.ndarray:
-    """-s(k)^2 for k = 0..n/2: the rfft symbol of the nested D1 o D1 of
-    curvature.jet on n points of [0, 2 pi), where s(k) = (8 sin k dz -
-    sin 2k dz) / (6 dz) is the symbol of the 4th-order stencil D1 / i.
-
-    It is 0 at k = 0 and at the Nyquist mode, which D1 does not see.
-    """
+def _jet_symbol(n: int) -> np.ndarray:
+    """S = (1, i s(k), -s(k)^2), k = 0..n/2, stacked (3, 1, n/2 + 1): the rfft
+    symbols of 1, of the stencil D1 of grid.dz_values and of curvature.jet's
+    D1 o D1 on n points, s(k) = (8 sin k dz - sin 2k dz) / (6 dz). Rows 1
+    and 2 vanish at k = 0, so they give exact zeros on constant rows."""
     dz = 2.0 * np.pi / n
     kdz = np.arange(n // 2 + 1) * dz
     s = (8.0 * np.sin(kdz) - np.sin(2.0 * kdz)) / (6.0 * dz)
-    symbol = -s * s
+    symbol = np.stack((np.ones_like(s), 1j * s, -s * s))[:, np.newaxis]
     symbol.setflags(write=False)
     return symbol
+
+
+def z_jet(u: np.ndarray, n: int) -> np.ndarray:
+    """The z-jet (x, dz x, dz^2 x) stacked (3, 3, n) of the radii x = irfft(u,
+    n): one irfft of u S, curvature.jet's stencil derivatives to roundoff."""
+    return np.fft.irfft(u * _jet_symbol(n), n)
 
 
 def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -254,9 +259,10 @@ def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, floa
     return np.fft.irfft(np.fft.rfft(dw) * _antiderivative_multiplier(n), n), c
 
 
-def _flow_rhs(x: np.ndarray, phi: float, dz: float) -> tuple[np.ndarray, float]:
+def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
     """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c), and
-    dt log lambda = c, under the uniform gauge phi (see tangential_speed).
+    dt log lambda = c, under the uniform gauge phi (see tangential_speed),
+    from the z-jet zj = (x, dz x, dz^2 x) stacked (3, 3, n).
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
@@ -265,9 +271,9 @@ def _flow_rhs(x: np.ndarray, phi: float, dz: float) -> tuple[np.ndarray, float]:
     place where that order allows, so the values equal those of the plain
     expressions.
     """
+    x, xp, xpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
     if x.min() <= 0.0:
         raise StepRejected("profiles left the positive cone")
-    xp, xpp = jet(phi, x, dz)
     # Rows repeated twice, so rows 1:4 and 2:5 are each row's (y, z).
     r = np.concatenate((xp / x,) * 2)
     sq = np.concatenate((x * x,) * 2)
@@ -337,30 +343,30 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def rk4_step(
-    x0: np.ndarray,
+    u0: np.ndarray,
     log_lam0: float,
     dt: float,
     first: tuple[np.ndarray, float],
     phi_bar: float,
-    dz: float,
-) -> tuple[np.ndarray, float]:
-    """One ETDRK4 step of the radii x0, stacked (3, n), and log lambda.
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One ETDRK4 step of log lambda and the radii on n points, held as their
+    rfft u0, stacked (3, n/2 + 1); returns (u1, z_jet(u1, n), log lambda1).
 
-    The gauge of a stage is lambda * phi_bar, and first = (k1, c1) is
-    _flow_rhs at (x0, lambda0 * phi_bar), the first stage, which the caller
-    has already evaluated to choose dt. In the rfft of the radii the flow is
-    u' = L u + N(u, t) with L = -s(k)^2 / (lambda0 phi_bar)^2, the diffusion
-    D1 o D1 frozen at the step's lambda0, which ETDRK4 (Cox & Matthews 2002)
-    integrates exactly; N = f - L u holds the first-order terms, the
-    reaction, W x' and the drift of lambda over the step. log lambda has
-    L = 0, where the scheme is classical RK4, as it is on z-constant data.
-    Raises StepRejected if a stage or the result leaves the positive cone or
-    turns non-finite.
+    The gauge of a stage is lambda * phi_bar, and first = (rfft(k1), c1) is
+    _flow_rhs at the z-jet of u0 under lambda0 * phi_bar, the first stage,
+    which the caller has already evaluated to choose dt. In the rfft of the
+    radii the flow is u' = L u + N(u, t) with L = -s(k)^2 / (lambda0
+    phi_bar)^2, the diffusion D1 o D1 frozen at the step's lambda0, which
+    ETDRK4 (Cox & Matthews 2002) integrates exactly; N = f - L u holds the
+    first-order terms, the reaction, W x' and the drift of lambda over the
+    step. log lambda has L = 0, where the scheme is classical RK4, as it is
+    on z-constant data. Raises StepRejected if a stage or the result leaves
+    the positive cone or turns non-finite.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    n = x0.shape[-1]
-    hl = dt / (_gauge_scale(log_lam0) * phi_bar) ** 2 * _second_derivative_symbol(n)
+    hl = dt / (_gauge_scale(log_lam0) * phi_bar) ** 2 * _jet_symbol(n)[2, 0].real
     m = hl.size
     p1, p2, p3 = _phi_functions(np.concatenate((0.5 * hl, hl)))
     e_half, e_full = np.exp(0.5 * hl), np.exp(hl)
@@ -372,23 +378,23 @@ def rk4_step(
     lin = hl / dt
 
     def stage(u, log_lam):
-        k, c = _flow_rhs(np.fft.irfft(u, n), _gauge_scale(log_lam) * phi_bar, dz)
+        k, c = _flow_rhs(z_jet(u, n), _gauge_scale(log_lam) * phi_bar)
         return np.fft.rfft(k) - lin * u, c
 
-    k1, c1 = first
-    u0 = np.fft.rfft(x0)
-    n1 = np.fft.rfft(k1) - lin * u0
+    f1, c1 = first
+    n1 = f1 - lin * u0
     ua = e_half * u0 + q * n1
     na, c2 = stage(ua, log_lam0 + 0.5 * dt * c1)
     nb, c3 = stage(e_half * u0 + q * na, log_lam0 + 0.5 * dt * c2)
     nc, c4 = stage(e_half * ua + q * (2.0 * nb - n1), log_lam0 + dt * c3)
-    x1 = np.fft.irfft(e_full * u0 + w1 * n1 + w23 * (na + nb) + w4 * nc, n)
+    u1 = e_full * u0 + w1 * n1 + w23 * (na + nb) + w4 * nc
+    zj1 = z_jet(u1, n)
     log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-    if not (np.isfinite(x1).all() and math.isfinite(log_lam1)):
+    if not (np.isfinite(zj1).all() and math.isfinite(log_lam1)):
         raise StepRejected("non-finite state after step")
-    if x1.min() <= 0.0:
+    if zj1[0].min() <= 0.0:
         raise StepRejected("positivity lost after step")
-    return x1, log_lam1
+    return u1, zj1, log_lam1
 
 
 def equal_arclength(state: MetricState) -> MetricState:
@@ -438,18 +444,19 @@ def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def summarize_state(
-    ts: list[float], dts: list[float], x: np.ndarray, phi: list[float], dz: float
+    ts: list[float], dts: list[float], zj: np.ndarray, phi: list[float]
 ) -> np.ndarray:
     """All scalar reductions the monitors need, for a block of B states.
 
-    ts and dts hold the B times and steps, x the radii stacked (B, 3, n) and
-    phi the B uniform gauges. Returns the block's B records of
+    ts and dts hold the B times and steps, zj the B z-jets stacked (B, 3, 3,
+    n) and phi the B uniform gauges. Returns the block's B records of
     SUMMARY_DTYPE, each index the first attaining its value. Every reduction
     runs along the last axis, so each sample is bitwise the one a block of
     that state alone gives.
     """
+    phi = np.reshape(phi, (-1, 1, 1))
+    x, xp, xpp = zj[:, 0], zj[:, 1] / phi, zj[:, 2] / (phi * phi)
     check_resolvable(x)
-    xp, xpp = jet(np.reshape(phi, (-1, 1, 1)), x, dz)
     scal, rm_norm_sq = curv = trace_invariants(sectional_rows(x, xp, xpp)[0])
     if not np.isfinite(curv).all():
         raise NonFiniteFieldError("curvature is not finite everywhere")
@@ -478,7 +485,7 @@ def evolve(
 
     A state whose phi is not uniform is first moved to nodes of equal
     arclength (equal_arclength); that state is the first snapshot. Between
-    steps the state is the (3, n) radii and the Python float log lambda, the
+    steps the state is the rfft u of the radii, its z-jet and log lambda, the
     gauge being the scalar phi = lambda * phi_bar; a MetricState is built
     only for the final state, the second snapshot when the run advanced.
     Summaries are recorded every monitor_stride steps plus the first and
@@ -503,28 +510,33 @@ def evolve(
     """
     initial = equal_arclength(initial)
     grid = initial.grid
-    dz = grid.dz
+    n = grid.n
     snapshots = [initial]
     stats = RunStats()
     phi_bar = float(initial.phi[0])
-    block_x = np.empty((SUMMARY_BLOCK, 3, grid.n))
+    block_zj = np.empty((SUMMARY_BLOCK, 3, 3, n))
     block_phi: list[float] = []
     block_t: list[float] = []
     block_dt: list[float] = []
-    # Every sample's record, grown in place; joined blocks would hold each twice.
-    records = bytearray()
+    # Every sample's record, grown by doubling and cut to the sample count at
+    # the end; a small first size reuses heap the process already holds.
+    records = np.empty(128, SUMMARY_DTYPE)
+    count = 0
 
     def flush():
+        nonlocal count
         k = len(block_t)
-        block = summarize_state(block_t, block_dt, block_x[:k], block_phi, dz)
-        records.extend(block.tobytes())
+        if count + k > records.size:
+            records.resize(2 * records.size, refcheck=False)
+        records[count : count + k] = summarize_state(block_t, block_dt, block_zj[:k], block_phi)
+        count += k
         block_t.clear()
         block_dt.clear()
         block_phi.clear()
 
-    def record(t, dt, x, phi):
+    def record(t, dt, zj, phi):
         k = len(block_t)
-        block_x[k] = x
+        block_zj[k] = zj
         block_phi.append(phi)
         block_t.append(t)
         block_dt.append(dt)
@@ -532,16 +544,17 @@ def evolve(
             flush()
 
     t = initial.t
-    x = radii(initial)
+    u = np.fft.rfft(radii(initial))
+    zj = z_jet(u, n)
     log_lam, phi = 0.0, phi_bar
-    record(t, 0.0, x, phi)
+    record(t, 0.0, zj, phi)
     flush()
     recorded_t = t
 
     last_dt = 0.0
     rate0 = None
     while True:
-        if float(x[0].min()) < cfg.a_min_stop:
+        if float(zj[0, 0].min()) < cfg.a_min_stop:
             stop = STOP_AMIN
             break
         if t >= cfg.t_max:
@@ -549,22 +562,23 @@ def evolve(
             break
 
         try:
-            first = _flow_rhs(x, phi, dz)
+            k1, c1 = _flow_rhs(zj, phi)
         except StepRejected:
             # dt does not enter the first stage, so no halving can mend it.
             stats.rejected += MAX_STEP_HALVINGS + 1
             stop = STOP_HALVINGS
             break
         # The smallest normal float keeps a stationary state off 1/0.
-        rate = max(float(np.abs(first[0] / x).max()), sys.float_info.min)
+        rate = max(float(np.abs(k1 / zj[0]).max()), sys.float_info.min)
         if rate0 is None:
             rate0 = rate
         dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
         dt = min(dt, cfg.t_max - t)
+        first = np.fft.rfft(k1), c1
         advanced = None
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
-                advanced = rk4_step(x, log_lam, dt, first, phi_bar, dz)
+                advanced = rk4_step(u, log_lam, dt, first, phi_bar, n)
                 break
             except StepRejected:
                 stats.rejected += 1
@@ -573,23 +587,24 @@ def evolve(
             stop = STOP_HALVINGS
             break
 
-        x, log_lam = advanced
+        u, zj, log_lam = advanced
         phi = _gauge_scale(log_lam) * phi_bar
         t += dt
         stats.steps += 1
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
-            record(t, dt, x, phi)
+            record(t, dt, zj, phi)
             recorded_t = t
 
     if recorded_t < t:
-        record(t, last_dt, x, phi)
+        record(t, last_dt, zj, phi)
     if block_t:
         flush()
+    records.resize(count, refcheck=False)
     if stats.steps:
-        snapshots.append(metric_state(grid, t, phi, *x))
-    stats.neck_resolution = float(x[0].min() / (phi * dz))
-    traj = Trajectory(grid, np.frombuffer(records, SUMMARY_DTYPE), snapshots, stop, stats)
+        snapshots.append(metric_state(grid, t, phi, *zj[0]))
+    stats.neck_resolution = float(zj[0, 0].min() / (phi * grid.dz))
+    traj = Trajectory(grid, records, snapshots, stop, stats)
 
     try:
         report = estimate_singular_time(traj)

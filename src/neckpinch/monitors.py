@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .curvature import jet, radii
-from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, tangential_speed
+from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, tangential_speed, z_jet
 from .grid import STENCIL_ORDER, MetricState
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
@@ -218,8 +218,8 @@ def eccentricity_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRe
 
 
 def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
-    """max(c/a) stays below its t=0 value lam, and below the refined envelope
-    (c/a)^2 <= e^(lam^2-1)(lam^2-1)(1 - 4t/c_max(0)^2)^2 + 1."""
+    """max(c/a) stays below its first value lam, and below the refined envelope
+    (c/a)^2 <= e^(lam^2-1)(lam^2-1)(1 - 4(t-t0)/c_max(0)^2)^2 + 1, t0 the first t."""
     if not _initially_ordered(traj):
         return _UNORDERED
     lam = _first(traj, "ratio_max")
@@ -229,7 +229,7 @@ def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     growth = math.exp(lam**2 - 1.0) * (lam**2 - 1.0)
     envelope = [
         growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
-        for t, r in zip(traj.ts.tolist(), ratio.tolist())
+        for t, r in zip((traj.ts - traj.ts[0]).tolist(), ratio.tolist())
     ]
     margins = {
         "plain_margin": _worst(traj, [lam - ratio], ["ratio_max_idx"]),
@@ -259,17 +259,17 @@ def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRepo
 
 
 def cmax_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
-    """c_max^2 <= c_max(0)^2 - 4t, d(c_max^2)/dt <= -4, and the stop time
-    cannot exceed c_max(0)^2 / 4."""
+    """c_max^2 <= c_max(0)^2 - 4(t-t0), d(c_max^2)/dt <= -4, and the stop time
+    cannot exceed t0 + c_max(0)^2 / 4, t0 the first sample's t."""
     if not _initially_ordered(traj):
         return _UNORDERED
-    ts = traj.ts
+    ts = traj.ts - traj.ts[0]
     cmax_sq = traj.series("c_max") ** 2
-    c0_sq, t_final = cmax_sq[0].item(), ts[-1].item()
+    c0_sq, elapsed = cmax_sq[0].item(), ts[-1].item()
     margins = {
         "bound_margin": _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"]),
         "slope_margin": _slope_margin(traj, -cmax_sq, 4.0, "c_max_idx"),
-        "stop_margin": (c0_sq / 4.0 - t_final, (t_final, None)),
+        "stop_margin": (c0_sq / 4.0 - elapsed, (traj.ts[-1].item(), None)),
     }
     return _report(tol, margins)
 
@@ -469,7 +469,7 @@ def evolution_residual(
     rhs = _k0i_evolution_rhs(state, which)
     i = _K0I_ROWS[which][0]
     phi, dz, x = float(state.phi[0]), state.grid.dz, radii(state)
-    dx, c = _flow_rhs(x, phi, dz)
+    dx, c = _flow_rhs(z_jet(np.fft.rfft(x), state.grid.n), phi)
     xpp, dxpp = jet(phi, x[i], dz)[1], jet(phi, dx[i], dz)[1]
     dk_dt = (xpp * dx[i] / x[i] - dxpp + 2.0 * c * xpp) / x[i]
 

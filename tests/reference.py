@@ -222,7 +222,9 @@ def classical_rk4_step(
     which ETDRK4 must equal where the diffusion symbol vanishes."""
 
     def stage(x, log_lam):
-        return _flow_rhs(x, math.exp(log_lam) * phi_bar, dz)
+        # The stencil's z-jet (x, D1 x, D1 D1 x), not the flow's transform.
+        dx = dz_values(x, dz)
+        return _flow_rhs(np.stack((x, dx, dz_values(dx, dz))), math.exp(log_lam) * phi_bar)
 
     k1, c1 = stage(x0, log_lam0)
     k2, c2 = stage(x0 + 0.5 * dt * k1, log_lam0 + 0.5 * dt * c1)

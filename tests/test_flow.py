@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 import neckpinch
 from neckpinch import flow
-from neckpinch.curvature import jet, sectional_curvatures
+from neckpinch.curvature import jet, sectional_curvatures, sectional_rows, trace_invariants
 from neckpinch.flow import (
     STOP_AMIN,
     STOP_HALVINGS,
@@ -27,13 +27,14 @@ from neckpinch.flow import (
     StepRejected,
     Trajectory,
     _flow_rhs,
+    _jet_symbol,
     _phi_functions,
-    _second_derivative_symbol,
     estimate_singular_time,
     evolve,
     rk4_step,
     summarize_state,
     tangential_speed,
+    z_jet,
 )
 from neckpinch.grid import (
     DegenerateFiberError,
@@ -46,7 +47,7 @@ from neckpinch.grid import (
 from neckpinch.presets import get_preset, sphere
 
 from conftest import make_trajectory
-from reference import classical_rk4_step, homogeneous_ode_oracle, s_derivative
+from reference import classical_rk4_step, homogeneous_ode_oracle
 
 
 # --- right-hand sides --------------------------------------------------------
@@ -55,7 +56,13 @@ from reference import classical_rk4_step, homogeneous_ode_oracle, s_derivative
 def rhs(state):
     """_flow_rhs at a MetricState of uniform phi: the radii rates (3, n) and
     dt log lambda."""
-    return _flow_rhs(stacked(state), float(state.phi[0]), state.grid.dz)
+    return _flow_rhs(jet_of(stacked(state)), float(state.phi[0]))
+
+
+def jet_of(x):
+    """The z-jet of the radii x, stacked (3, n), from their rfft, as evolve
+    holds it."""
+    return z_jet(np.fft.rfft(x), x.shape[-1])
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -200,24 +207,31 @@ def stacked(state):
     return np.stack((state.a, state.b, state.c))
 
 
+def spectral_step(u, log_lam, dt, phi_bar, n):
+    """rk4_step from the rfft u of the radii on n points, first evaluating its
+    first stage as evolve does: (u1, z-jet of u1, log lambda1)."""
+    k1, c1 = _flow_rhs(z_jet(u, n), np.exp(log_lam) * phi_bar)
+    return rk4_step(u, log_lam, dt, (np.fft.rfft(k1), c1), phi_bar, n)
+
+
 def step(state, dt):
     """rk4_step from a MetricState of uniform phi, taken as phi_bar (log
-    lambda = 0)."""
-    x, phi_bar, dz = stacked(state), float(state.phi[0]), state.grid.dz
-    return rk4_step(x, 0.0, dt, _flow_rhs(x, phi_bar, dz), phi_bar, dz)
+    lambda = 0): the stepped radii (3, n) and log lambda."""
+    u, phi_bar = np.fft.rfft(stacked(state)), float(state.phi[0])
+    _, zj, log_lam = spectral_step(u, 0.0, dt, phi_bar, state.grid.n)
+    return zj[0], log_lam
 
 
 def fixed_steps(state, dt, steps):
     """The MetricStates of `steps` rk4_steps of size dt from a state of
     uniform phi, the state itself first."""
-    grid, dz = state.grid, state.grid.dz
-    x, log_lam, phi_bar, t = stacked(state), 0.0, float(state.phi[0]), state.t
+    grid = state.grid
+    u, log_lam, phi_bar, t = np.fft.rfft(stacked(state)), 0.0, float(state.phi[0]), state.t
     states = [state]
     for _ in range(steps):
-        phi = np.exp(log_lam) * phi_bar
-        x, log_lam = rk4_step(x, log_lam, dt, _flow_rhs(x, phi, dz), phi_bar, dz)
+        u, zj, log_lam = spectral_step(u, log_lam, dt, phi_bar, grid.n)
         t += dt
-        states.append(metric_state(grid, t, np.exp(log_lam) * phi_bar, *x))
+        states.append(metric_state(grid, t, np.exp(log_lam) * phi_bar, *zj[0]))
     return states
 
 
@@ -254,8 +268,8 @@ def test_rk4_rejects_nonpositive_dt():
 def test_rk4_step_equals_classical_rk4_on_z_constant_data():
     # every mode but k = 0 is zero, and there L = 0: ETDRK4 is classical RK4
     x0, dz = np.stack([np.full(32, r) for r in (1.0, 2.0, 3.0)]), PeriodicGrid(32).dz
-    first = _flow_rhs(x0, 1.3 * np.exp(0.2), dz)
-    x, log_lam = rk4_step(x0, 0.2, 1e-2, first, 1.3, dz)
+    _, zj, log_lam = spectral_step(np.fft.rfft(x0), 0.2, 1e-2, 1.3, 32)
+    x = zj[0]
     ref_x, ref_log_lam = classical_rk4_step(x0, 0.2, 1e-2, 1.3, dz)
     assert np.max(np.abs(x - ref_x) / ref_x) <= 1e-14
     assert log_lam == ref_log_lam == 0.2
@@ -267,7 +281,8 @@ def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
     x, dz = stacked(st), st.grid.dz
     gaps = []
     for dt in (4e-4, 2e-4):
-        ours, log_lam = rk4_step(x, 0.0, dt, _flow_rhs(x, 1.0, dz), 1.0, dz)
+        _, zj, log_lam = spectral_step(np.fft.rfft(x), 0.0, dt, 1.0, st.grid.n)
+        ours = zj[0]
         ref, ref_log_lam = classical_rk4_step(x, 0.0, dt, 1.0, dz)
         gaps.append(np.max(np.abs(ours - ref)))
         assert abs(log_lam - ref_log_lam) <= 1e-9 * dt
@@ -276,12 +291,27 @@ def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
 
 
 def test_second_derivative_symbol_is_the_nested_stencil():
-    g = PeriodicGrid(64)
-    x = np.random.default_rng(1).uniform(1.0, 2.0, (3, g.n))
-    nested = jet(1.0, x, g.dz)[1]
-    spectral = np.fft.irfft(_second_derivative_symbol(g.n) * np.fft.rfft(x), g.n)
-    assert np.max(np.abs(nested - spectral)) <= 1e-10 * np.max(np.abs(nested))
-    assert _second_derivative_symbol(g.n)[0] == 0.0
+    # one irfft of rfft(x) S, S = (1, i s, -s^2), gives the stencil's
+    # (x, D1 x, D1 D1 x), which curvature.jet takes at phi = 1, to roundoff;
+    # its derivative rows are exactly 0 on constant rows. The transform's
+    # roundoff follows the size of x, not of its derivatives: against
+    # max|x| max|S_k|, the largest value row k gives on data of that size,
+    # the gap is at most 5.3e-16 here (fig-a at n=256: 7e-13 on x'' of size 1).
+    for n in (8, 64, 256):
+        g = PeriodicGrid(n)
+        scales = np.abs(_jet_symbol(n)).max(axis=(1, 2))
+        for name in ("fig-a", "fig-b", "mild"):
+            x = stacked(get_preset(name).build(g))
+            dx = dz_values(x, g.dz)
+            stencil = np.stack((x, dx, dz_values(dx, g.dz)))
+            assert np.array_equal(np.stack(jet(1.0, x, g.dz)), stencil[1:])
+            for spectral_row, stencil_row, scale in zip(jet_of(x), stencil, scales):
+                gap = np.max(np.abs(spectral_row - stencil_row))
+                assert gap <= 1e-14 * scale * np.max(np.abs(x)), (n, name)
+        constant = np.stack([np.full(n, r) for r in (1.0, 2.0, 3.0)])
+        zj = jet_of(constant)
+        assert not zj[1:].any()
+        assert np.array_equal(zj[0], constant)
 
 
 def test_phi_functions_match_the_contour_integral():
@@ -347,10 +377,12 @@ def test_step_count_does_not_grow_with_n():
 # --- summaries ---------------------------------------------------------------
 
 
-def reference_sample(state, dt):
-    """The summary of one state from the MetricState arrays, reduction by reduction."""
-    a, b, c = state.a, state.b, state.c
-    curv = sectional_curvatures(state)
+def reference_sample(t, dt, zj, phi):
+    """The summary of one state from its z-jet zj and uniform gauge phi,
+    reduction by reduction."""
+    x, xp, xpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
+    a, b, c = x
+    scal, rm_norm_sq = trace_invariants(sectional_rows(x, xp, xpp)[0])
 
     def lowest(v):
         i = int(np.argmin(v))
@@ -363,10 +395,7 @@ def reference_sample(state, dt):
     def ecc(x, y):
         return np.abs(x - y) / np.minimum(x, y)
 
-    sup = [
-        highest(np.abs(s_derivative(f, state.phi, state.grid.dz)))
-        for f in (state.a, state.b, state.c)
-    ]
+    sup = [highest(np.abs(row)) for row in xp]
     pairs = [
         ("a_min", "a_min_idx", lowest(a)),
         ("c_max", "c_max_idx", highest(c)),
@@ -375,16 +404,16 @@ def reference_sample(state, dt):
         ("ratio_max", "ratio_max_idx", highest(c / a)),
         ("ecc_bc", "ecc_bc_idx", highest(ecc(b, c))),
         ("ecc_ac", "ecc_ac_idx", highest(ecc(a, c))),
-        ("s_min", "s_min_idx", lowest(curv.scal)),
+        ("s_min", "s_min_idx", lowest(scal)),
         ("sup_ap", "sup_ap_idx", sup[0]),
         ("sup_bp", "sup_bp_idx", sup[1]),
         ("sup_cp", "sup_cp_idx", sup[2]),
     ]
     fields = {
-        "t": state.t,
+        "t": t,
         "dt": dt,
         "b_min": lowest(b)[0],
-        "rm_max": highest(np.sqrt(curv.rm_norm_sq))[0],
+        "rm_max": highest(np.sqrt(rm_norm_sq))[0],
     }
     for value_name, index_name, (value, idx) in pairs:
         fields[value_name], fields[index_name] = value, idx
@@ -409,25 +438,21 @@ def fig_a_states():
 @pytest.mark.parametrize("size", [1, 3, SUMMARY_BLOCK])
 def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
     states = fig_a_states[-size:]
-    dts = [1e-3 * (k + 1) for k in range(size)]
-    records = summarize_state(
-        [s.t for s in states],
-        dts,
-        np.stack([np.stack((s.a, s.b, s.c)) for s in states]),
-        [float(s.phi[0]) for s in states],
-        states[0].grid.dz,
-    )
+    ts, dts = [s.t for s in states], [1e-3 * (k + 1) for k in range(size)]
+    jets = np.stack([jet_of(stacked(s)) for s in states])
+    phis = [float(s.phi[0]) for s in states]
+    records = summarize_state(ts, dts, jets, phis)
     assert records.dtype == SUMMARY_DTYPE and records.shape == (size,)
-    for k, (state, dt) in enumerate(zip(states, dts)):
-        assert bits(records[k].tolist()) == bits(reference_sample(state, dt))
+    for k, sample in enumerate(zip(ts, dts, jets, phis)):
+        assert bits(records[k].tolist()) == bits(reference_sample(*sample))
 
 
 def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
-    x = np.stack([np.stack((s.a, s.b, s.c)) for s in fig_a_states[:3]])
+    jets = np.stack([jet_of(stacked(s)) for s in fig_a_states[:3]])
     phi = [float(s.phi[0]) for s in fig_a_states[:3]]
-    x[2, 1, 5] = 1e-9
+    jets[2, 0, 1, 5] = 1e-9
     with pytest.raises(DegenerateFiberError, match="1.000e-09"):
-        summarize_state([0.0, 0.1, 0.2], [0.0] * 3, x, phi, fig_a_states[0].grid.dz)
+        summarize_state([0.0, 0.1, 0.2], [0.0] * 3, jets, phi)
 
 
 # --- evolve ------------------------------------------------------------------
@@ -587,10 +612,31 @@ def test_evolve_stops_when_the_first_stage_is_not_finite(monkeypatch):
     assert len(traj.samples) == 4
 
 
+def test_evolve_takes_no_stencil_derivative(monkeypatch):
+    # every stage and every summary reads its derivatives from the z-jet of
+    # one irfft; the stencil serves the monitors and the curvature oracle
+    calls = []
+    real = neckpinch.grid.dz_values
+
+    def dz_values(*args):
+        calls.append(len(calls))
+        return real(*args)
+
+    for module in (neckpinch.grid, neckpinch.curvature):
+        monkeypatch.setattr(module, "dz_values", dz_values)
+    st = get_preset("fig-a").build(PeriodicGrid(64))
+    traj, _ = evolve(st, FlowConfig(t_max=0.05))
+    assert traj.run_stats.steps > 0 and len(traj.samples) > 1
+    assert calls == []
+    # the counter sees the stencil that curvature.jet applies
+    jet(1.0, stacked(st), st.grid.dz)
+    assert len(calls) == 2
+
+
 def test_evolve_steps_a_stationary_state_to_t_max(monkeypatch):
     # r = 0 would divide by zero in the rate rule; a state that does not move
     # takes one step to the time cap
-    monkeypatch.setattr(flow, "_flow_rhs", lambda x, phi, dz: (np.zeros_like(x), 0.0))
+    monkeypatch.setattr(flow, "_flow_rhs", lambda zj, phi: (np.zeros_like(zj[0]), 0.0))
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
     traj, _ = evolve(st, FlowConfig(t_max=5.0))
     assert traj.stop_reason == STOP_TMAX
@@ -660,8 +706,8 @@ def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_lam, er
     # exp(710) overflows and exp(-746) underflows to 0 although the stepped
     # log lambda itself is finite
     def rk4_step(*args):
-        x1, _ = RK4_STEP(*args)
-        return x1, log_lam
+        u1, zj1, _ = RK4_STEP(*args)
+        return u1, zj1, log_lam
 
     monkeypatch.setattr(flow, "rk4_step", rk4_step)
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)

@@ -279,17 +279,28 @@ def test_cmax_slope_only_violation_is_the_worst_margin():
     assert rep.worst_location == (pytest.approx(1.1), 0)
 
 
-def test_cmax_smallest_stop_margin_sits_at_the_final_time():
-    # c_max^2 >= 0 makes the final bound margin 4 * stop_margin - c_max^2, so
-    # a negative stop margin always has a smaller bound margin beside it. The
-    # stop margin is the smallest only on a clock that starts before t = 0:
-    # here the margins are bound 4, slope 4 and stop 3.5.
+def test_cmax_margins_count_time_from_the_first_sample():
+    # On a clock that starts at t0 = -1 the margins read t - t0: bound 0 at
+    # the first sample, slope 4 and stop 16/4 - 1.5 = 2.5 (anchored at t = 0
+    # they read bound 4 and stop 3.5). The bound margin is 0 at the first
+    # sample, and c_max^2 >= 0 makes the final bound margin 4 * stop_margin -
+    # c_max^2, so the stop margin is never the smallest.
     ts = np.array([-1.0, 0.0, 0.5])
     traj = make_trajectory(ts, 2.0 - ts, c_max=np.sqrt([16.0, 8.0, 4.0]))
     rep = cmax_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
-    assert rep.worst_margin == pytest.approx(3.5)
-    assert rep.worst_location == (0.5, None)
+    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=4.000e+00 stop_margin=2.500e+00 ")
+    assert rep.worst_margin == 0.0 and rep.worst_location == (-1.0, 0)
+
+
+def test_round_sphere_started_late_passes_the_cmax_and_ratio_bounds():
+    # evolve accepts any starting t; anchored at t = 0 instead of the first
+    # sample, a start at t0 = 0.5 read bound_margin -4 t0 = -2.000
+    st = metric_state(PeriodicGrid(32), 0.5, 1.0, 2.0, 2.0, 2.0)
+    traj, report = evolve(st, FlowConfig())
+    for name, rep in run_monitors(traj, report, ["cmax_bound", "ratio"]).items():
+        assert rep.passed is True, (name, rep.notes)
+        assert rep.worst_location[0] >= 0.5
 
 
 def test_cmax_single_sample_keeps_an_infinite_slope_margin():
