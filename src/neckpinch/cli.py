@@ -7,12 +7,14 @@ Subcommands:
   convergence  grid/step refinement study printing measured orders
 
 Exit codes: 0 success, 1 usage error, 2 run aborted after exhausted step halvings,
-3 monitor hard-violation under --strict.
+3 monitor hard-violation under --strict, 141 standard output closed early (a
+reader such as `head` exited), the status a shell reports for SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import flow, monitors
 from .config import RunConfig, config_from_dict, load_config
 from .curvature import riemann_oracle, sectional_curvatures
-from .grid import PeriodicGrid, dz_values, metric_state
+from .grid import PeriodicGrid, metric_state, z_jet
 from .output import write_series, write_summary
 from .presets import get_preset, presets
 
@@ -124,7 +126,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(args) -> int:
     for p in presets():
         print(f"{p.name}: phi0 = {p.phi0.formula()}, a0 = {p.a0.formula()}, "
               f"b0 = {p.b0.formula()}, c0 = {p.c0.formula()}")
@@ -171,11 +173,11 @@ def _cmd_convergence(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print("derivative stencil on sin(z):")
+    print("z-derivative (grid.z_jet, the stencil's Fourier symbol) on sin(z):")
     errs = []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n)
-        err = np.max(np.abs(dz_values(np.sin(grid.z), grid.dz) - np.cos(grid.z)))
+        err = np.max(np.abs(z_jet(np.fft.rfft(np.sin(grid.z)), n)[1] - np.cos(grid.z)))
         errs.append(err)
         print(f"  n={n:4d} max_err={err:.3e}")
     print(f"  measured orders: {_measured_orders(errs)}")
@@ -206,20 +208,32 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
+#: Exit code when standard output is closed before the command finishes.
+EXIT_BROKEN_PIPE = 141
+
+
+_COMMANDS = {
+    "run": _cmd_run,
+    "presets": _cmd_presets,
+    "curvature": _cmd_curvature,
+    "convergence": _cmd_convergence,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "presets":
-        return _cmd_presets()
-    if args.command == "curvature":
-        return _cmd_curvature(args)
-    if args.command == "convergence":
-        return _cmd_convergence(args)
-    return 1
+    try:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the flush at
+        # interpreter exit does not raise a second BrokenPipeError.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

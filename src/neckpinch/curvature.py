@@ -12,8 +12,10 @@ Two independent evaluation paths are provided:
 * the oracle path evaluates the z-gauge Riemann components Rm_0ii0 / Rm_ijji
   directly, including the g^00 terms that vanish in the arclength gauge.
 
-The two paths discretize genuinely different formulas and must agree under
-grid refinement at the stencil order; that comparison is the module's main
+Both take their z-derivatives from grid.z_jet. The oracle stays independent
+because it differentiates the metric coefficients g_ii, not the radii: the
+two discretize genuinely different formulas and must agree under grid
+refinement at the stencil order; that comparison is the module's main
 self-check (criterion 2 and ``neckpinch convergence``).
 """
 
@@ -23,12 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    DegenerateFiberError,
-    MetricState,
-    NonFiniteFieldError,
-    dz_values,
-)
+from .grid import DegenerateFiberError, MetricState, NonFiniteFieldError, z_jet
 
 #: Radii below this are treated as a collapsed fiber: curvature ~ 1/a^2 would
 #: overflow silently rather than fail loudly.
@@ -38,18 +35,18 @@ MIN_RADIUS = 1e-8
 _PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
 
 
-def jet(phi: np.ndarray, x: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
+def jet(phi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second arclength derivatives (x', x'') of the rows of x.
 
     x is a stacked (..., n) array, usually the radii (a, b, c); phi must
     broadcast against it. The second derivative is nested,
-    (1/phi) d/dz ((1/phi) dx/dz), which keeps the discrete product rule exact
-    instead of expanding into dx*dphi cross terms.
+    (1/phi) D1 ((1/phi) D1 x), which keeps the discrete product rule exact
+    instead of expanding into dx*dphi cross terms, and serves a non-uniform
+    phi as it does a uniform one.
     """
-    xp = dz_values(x, dz)
-    xp /= phi
-    xpp = dz_values(xp, dz)
-    xpp /= phi
+    n = x.shape[-1]
+    xp = z_jet(np.fft.rfft(x), n)[1] / phi
+    xpp = z_jet(np.fft.rfft(xp), n)[1] / phi
     return xp, xpp
 
 
@@ -134,7 +131,7 @@ def sectional_curvatures(state: MetricState) -> CurvatureField:
     """
     x = radii(state)
     check_resolvable(x)
-    xp, xpp = jet(state.phi, x, state.grid.dz)
+    xp, xpp = jet(state.phi, x)
     k, khat = sectional_rows(x, xp, xpp)
     scal, rm_norm_sq = trace_invariants(k)
 
@@ -159,15 +156,14 @@ def riemann_oracle(state: MetricState) -> np.ndarray:
     Rm_ijji = -g^00 dz(gjj) dz(gii) / 4 - g^kk (g_kk^2 - (g_ii - g_jj)^2)
               - 2 (g_kk - g_jj - g_ii).
     Sectional curvatures follow by dividing by the plane's metric coefficients,
-    K_0i = Rm_0ii0 / (g00 gii) and K_ij = Rm_ijji / (gii gjj). All z-derivatives
-    use the same central stencil as the production path but act on different
-    quantities (g_ii rather than the radii), so the two discretizations agree
-    only in the refinement limit.
+    K_0i = Rm_0ii0 / (g00 gii) and K_ij = Rm_ijji / (gii gjj). (dg, ddg) are
+    rows 1 and 2 of one z-jet of g: the production path's derivative, acting
+    on different quantities (g_ii rather than the radii), so the two
+    discretizations agree only in the refinement limit.
     """
     check_resolvable(radii(state))
     g = np.stack((state.phi**2, state.a**2, state.b**2, state.c**2))
-    dg = dz_values(g, state.grid.dz)
-    ddg = dz_values(dg, state.grid.dz)
+    _, dg, ddg = z_jet(np.fft.rfft(g), state.grid.n)
 
     k0 = [
         0.25 * (dg[0] * dg[i] / g[0] + dg[i] ** 2 / g[i] - 2.0 * ddg[i]) / (g[0] * g[i])

@@ -27,11 +27,11 @@ not an explicit-diffusion limit, and takes about the same number of steps
 at every n (see evolve). cfl_safety is the accuracy factor of that rule, not
 a stability limit.
 
-The state stays in Fourier space, the radii as their rfft u; one irfft of
-u S (z_jet), S the stencil's exact symbols, gives the z-jet (x, dz x, dz^2
-x) that _flow_rhs, the flow's one time derivative, reads in rk4_step's
-stages, evolve's step rule and the monitors' K_0i evolution residual. Each
-accepted state's z-jet also serves the next first stage and its summary.
+The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
+the package's one z-derivative, gives from u the z-jet (x, dz x, dz^2 x)
+that _flow_rhs, the flow's one time derivative, reads in rk4_step's stages,
+evolve's step rule and the monitors' K_0i evolution residual. Each accepted
+state's z-jet also serves the next first stage and its summary.
 
 Between steps evolve holds u, its z-jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
@@ -55,7 +55,9 @@ from .grid import (
     MetricState,
     NonFiniteFieldError,
     PeriodicGrid,
+    _jet_symbol,
     metric_state,
+    z_jet,
 )
 from .curvature import (
     MIN_RADIUS,
@@ -220,26 +222,6 @@ def _antiderivative_multiplier(n: int) -> np.ndarray:
     return mult
 
 
-@functools.cache
-def _jet_symbol(n: int) -> np.ndarray:
-    """S = (1, i s(k), -s(k)^2), k = 0..n/2, stacked (3, 1, n/2 + 1): the rfft
-    symbols of 1, of the stencil D1 of grid.dz_values and of curvature.jet's
-    D1 o D1 on n points, s(k) = (8 sin k dz - sin 2k dz) / (6 dz). Rows 1
-    and 2 vanish at k = 0, so they give exact zeros on constant rows."""
-    dz = 2.0 * np.pi / n
-    kdz = np.arange(n // 2 + 1) * dz
-    s = (8.0 * np.sin(kdz) - np.sin(2.0 * kdz)) / (6.0 * dz)
-    symbol = np.stack((np.ones_like(s), 1j * s, -s * s))[:, np.newaxis]
-    symbol.setflags(write=False)
-    return symbol
-
-
-def z_jet(u: np.ndarray, n: int) -> np.ndarray:
-    """The z-jet (x, dz x, dz^2 x) stacked (3, 3, n) of the radii x = irfft(u,
-    n): one irfft of u S, curvature.jet's stencil derivatives to roundoff."""
-    return np.fft.irfft(u * _jet_symbol(n), n)
-
-
 def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, float]:
     """The constant-speed gauge's tangential speed W and rate c at one state.
 
@@ -366,7 +348,7 @@ def rk4_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    hl = dt / (_gauge_scale(log_lam0) * phi_bar) ** 2 * _jet_symbol(n)[2, 0].real
+    hl = dt / (_gauge_scale(log_lam0) * phi_bar) ** 2 * _jet_symbol(n)[2].real
     m = hl.size
     p1, p2, p3 = _phi_functions(np.concatenate((0.5 * hl, hl)))
     e_half, e_full = np.exp(0.5 * hl), np.exp(hl)

@@ -1,15 +1,17 @@
-"""Periodic grid, metric state, and the z-derivative stencil.
+"""Periodic grid, metric state, and the package's one z-derivative.
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
 points. Metric profiles phi, a, b, c live on this grid as read-only arrays.
-Derivatives with respect to the base coordinate z use one 4th-order periodic
-central-difference stencil, applied row-wise to stacked arrays. Arclength
-derivatives (ds = phi dz) follow by the chain rule d/ds = (1/phi) d/dz in
-curvature.jet; the grid itself never moves while phi evolves.
+Every derivative with respect to the base coordinate z in the package is
+z_jet: one irfft of rfft(x) S, S the exact Fourier symbols of the 4th-order
+periodic central-difference stencil D1 and of D1 o D1. Arclength derivatives
+(ds = phi dz) follow by the chain rule d/ds = (1/phi) d/dz in curvature.jet;
+the grid itself never moves while phi evolves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +29,8 @@ class DegenerateFiberError(ValueError):
     """A fiber radius is zero, negative, or below the resolvable floor."""
 
 
-#: Order of the central-difference stencil.
+#: Order of the central-difference stencil whose symbols z_jet applies.
 STENCIL_ORDER = 4
-
-# Antisymmetric one-sided half of the central stencil, highest offset first.
-# Full stencil: sum_m w_m * (f_{k+m} - f_{k-m}) / dz.
-_STENCIL_WEIGHTS = (-1.0 / 12.0, 8.0 / 12.0)
 
 
 @dataclass(frozen=True)
@@ -97,22 +95,24 @@ def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
     return MetricState(grid, float(t), phi, a, b, c)
 
 
-def dz_values(values: np.ndarray, dz: float) -> np.ndarray:
-    """Periodic central difference along the last axis; exact zero on constants.
+@functools.cache
+def _jet_symbol(n: int) -> np.ndarray:
+    """S = (1, i s(k), -s(k)^2), k = 0..n/2, stacked (3, n/2 + 1): the rfft
+    symbols of 1, of the stencil D1 f_j = (8 (f_{j+1} - f_{j-1}) - (f_{j+2} -
+    f_{j-2})) / (12 dz) and of D1 o D1 on n points, s(k) = (8 sin k dz -
+    sin 2k dz) / (6 dz). Rows 1 and 2 vanish at k = 0, so they give exact
+    zeros on constant rows."""
+    dz = 2.0 * np.pi / n
+    kdz = np.arange(n // 2 + 1) * dz
+    s = (8.0 * np.sin(kdz) - np.sin(2.0 * kdz)) / (6.0 * dz)
+    symbol = np.stack((np.ones_like(s), 1j * s, -s * s))
+    symbol.setflags(write=False)
+    return symbol
 
-    Any leading axes are independent rows. The last axis is padded periodically
-    once and each stencil offset is a slice of the padded array. The outermost
-    offset's term starts the sum, the others are added to it in place.
-    """
-    half = len(_STENCIL_WEIGHTS)
-    n = values.shape[-1]
-    padded = np.concatenate((values[..., -half:], values, values[..., :half]), axis=-1)
-    terms = (
-        w * (padded[..., half + m : half + m + n] - padded[..., half - m : half - m + n])
-        for m, w in zip(range(half, 0, -1), _STENCIL_WEIGHTS)
-    )
-    out = next(terms)
-    for term in terms:
-        out += term
-    out /= dz
-    return out
+
+def z_jet(u: np.ndarray, n: int) -> np.ndarray:
+    """The z-jet (x, D1 x, D1 D1 x) of the rows x = irfft(u, n), stacked
+    (3,) + x.shape: one irfft of u S along the last axis, any leading axes of
+    u being independent rows."""
+    symbol = _jet_symbol(n)
+    return np.fft.irfft(u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:]), n)

@@ -1,7 +1,10 @@
 """Reference implementations that only the tests compare against.
 
+* the direct-space 4th-order central-difference stencil dz_stencil, whose
+  Fourier symbol grid.z_jet applies: the independent derivative of every
+  oracle here, so that none shares the package's derivative code;
 * the nested arclength derivatives s_derivative / s_second_derivative, the
-  bitwise reference for curvature.jet;
+  reference for curvature.jet;
 * the displayed closed form of the scalar curvature, against the package's
   trace assembly;
 * the frame-symbol path: the z-gauge frame symbols Sigma^gamma_{alpha beta}
@@ -22,22 +25,28 @@ import numpy as np
 
 from neckpinch.curvature import check_resolvable, jet, radii
 from neckpinch.flow import _flow_rhs
-from neckpinch.grid import (
-    DegenerateFiberError,
-    GaugeDegeneracyError,
-    MetricState,
-    dz_values,
-)
+from neckpinch.grid import DegenerateFiberError, GaugeDegeneracyError, MetricState
 
 # ---------------------------------------------------------------------------
-# Nested arclength derivatives
+# Direct-space stencil and nested arclength derivatives
+
+
+def dz_stencil(values: np.ndarray, dz: float) -> np.ndarray:
+    """Periodic 4th-order central difference along the last axis,
+    D1 f_j = (8 (f_{j+1} - f_{j-1}) - (f_{j+2} - f_{j-2})) / (12 dz); any
+    leading axes are independent rows, and constant rows give exact zeros."""
+
+    def shift(m):
+        return np.roll(values, -m, axis=-1)
+
+    return (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * dz)
 
 
 def s_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
     """Arclength derivative f' = (1/phi) df/dz of the (n,) array f."""
     if np.min(phi) <= 0.0:
         raise GaugeDegeneracyError("phi must be strictly positive")
-    return dz_values(f, dz) / phi
+    return dz_stencil(f, dz) / phi
 
 
 def s_second_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
@@ -57,7 +66,7 @@ def scalar_curvature(state: MetricState) -> np.ndarray:
     """Scalar curvature from its displayed closed form (not the trace assembly)."""
     a, b, c = x = radii(state)
     check_resolvable(x)
-    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi, x, state.grid.dz)
+    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi, x)
     a2, b2, c2 = a**2, b**2, c**2
     algebraic = (2 * a2 * b2 + 2 * a2 * c2 + 2 * b2 * c2 - a2**2 - b2**2 - c2**2) / (
         a2 * b2 * c2
@@ -115,7 +124,7 @@ def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
     check_resolvable(radii(state))
     n = state.grid.n
     g = _metric_diagonal(state)
-    dg = dz_values(g, state.grid.dz)
+    dg = dz_stencil(g, state.grid.dz)
     sigma = np.zeros((4, 4, 4, n))
     sigma[0, 0, 0] = 0.5 * dg[0] / g[0]
     for i in (1, 2, 3):
@@ -138,7 +147,7 @@ def riemann_tensor_from_frame_symbols(state: MetricState) -> np.ndarray:
     """
     sigma = frame_symbol_oracle(state).sigma
     n = state.grid.n
-    dsigma = dz_values(sigma, state.grid.dz)
+    dsigma = dz_stencil(sigma, state.grid.dz)
 
     # structure[alpha, beta, u] = C^u_{alpha beta} of the frame bracket
     structure = np.zeros((4, 4, 4))
@@ -223,8 +232,8 @@ def classical_rk4_step(
 
     def stage(x, log_lam):
         # The stencil's z-jet (x, D1 x, D1 D1 x), not the flow's transform.
-        dx = dz_values(x, dz)
-        return _flow_rhs(np.stack((x, dx, dz_values(dx, dz))), math.exp(log_lam) * phi_bar)
+        dx = dz_stencil(x, dz)
+        return _flow_rhs(np.stack((x, dx, dz_stencil(dx, dz))), math.exp(log_lam) * phi_bar)
 
     k1, c1 = stage(x0, log_lam0)
     k2, c2 = stage(x0 + 0.5 * dt * k1, log_lam0 + 0.5 * dt * c1)

@@ -12,7 +12,7 @@ import pytest
 
 import neckpinch
 from neckpinch import flow
-from neckpinch.cli import main
+from neckpinch.cli import EXIT_BROKEN_PIPE, main
 from neckpinch.config import ConfigError, RunConfig, config_from_dict, load_config
 from neckpinch.flow import FlowConfig, StepRejected, evolve
 from neckpinch.grid import PeriodicGrid
@@ -422,6 +422,24 @@ def test_cli_presets(capsys):
     out = capsys.readouterr().out
     for name in ("fig-a", "fig-b", "fig-c", "sphere", "biaxial"):
         assert name in out
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path):
+    # a reader that exits before the output is written, as in `neckpinch
+    # presets | head -1`: no traceback and no "Exception ignored" at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "neckpinch.cli", "presets"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert stderr == ""
 
 
 def test_cli_usage_error_exit_code():

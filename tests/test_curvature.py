@@ -37,7 +37,7 @@ def wavy_state(n=64):
 def fiber_rows(state):
     """The (Khat12, Khat13, Khat23) rows that sectional_rows returns."""
     x = radii(state)
-    return sectional_rows(x, *jet(state.phi, x, state.grid.dz))[1]
+    return sectional_rows(x, *jet(state.phi, x))[1]
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])

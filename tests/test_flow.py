@@ -27,27 +27,25 @@ from neckpinch.flow import (
     StepRejected,
     Trajectory,
     _flow_rhs,
-    _jet_symbol,
     _phi_functions,
     estimate_singular_time,
     evolve,
     rk4_step,
     summarize_state,
     tangential_speed,
-    z_jet,
 )
 from neckpinch.grid import (
     DegenerateFiberError,
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
-    dz_values,
     metric_state,
+    z_jet,
 )
 from neckpinch.presets import get_preset, sphere
 
 from conftest import make_trajectory
-from reference import classical_rk4_step, homogeneous_ode_oracle
+from reference import classical_rk4_step, dz_stencil, homogeneous_ode_oracle
 
 
 # --- right-hand sides --------------------------------------------------------
@@ -95,16 +93,16 @@ def test_biaxial_rhs_symmetry_bitwise():
 # --- the constant-speed gauge --------------------------------------------------
 
 
-def speed(phi, x, dz):
+def speed(phi, x):
     """tangential_speed of the radii x under the uniform gauge phi, and q."""
-    _, xpp = jet(phi, x, dz)
+    _, xpp = jet(phi, x)
     q = (xpp / x).sum(axis=0)
     return (*tangential_speed(phi, q), q)
 
 
 def test_tangential_speed_is_zero_on_z_constant_data():
     g = PeriodicGrid(32)
-    w, c, q = speed(1.7, np.full((3, g.n), 2.0), g.dz)
+    w, c, q = speed(1.7, np.full((3, g.n), 2.0))
     assert w is None and c == 0.0 and not q.any()
 
 
@@ -117,11 +115,11 @@ def test_tangential_speed_is_mean_free_and_integrates_its_density():
         g = PeriodicGrid(n)
         z = g.z
         x = np.stack((np.cos(z) + 1.5, np.cos(z) + 2.5, 0.5 * np.sin(2 * z) + 3.5))
-        w, c, q = speed(phi, x, g.dz)
+        w, c, q = speed(phi, x)
         assert abs(np.mean(w)) <= 1e-15 * np.max(np.abs(w))
         density = phi * (c - q)
         assert abs(np.sum(density)) <= 1e-13 * np.sum(np.abs(density))
-        errors.append(np.max(np.abs(dz_values(w, g.dz) - density)))
+        errors.append(np.max(np.abs(dz_stencil(w, g.dz) - density)))
     for e0, e1 in zip(errors, errors[1:]):
         assert np.log2(e0 / e1) >= 3.5
 
@@ -137,7 +135,7 @@ def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
     traj, n = fig_a_64_run, 64
     assert np.all(traj.series("a_min_idx") == n // 2)
     last = traj.snapshots[-1]
-    w, _, _ = speed(float(last.phi[0]), stacked(last), last.grid.dz)
+    w, _, _ = speed(float(last.phi[0]), stacked(last))
     assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
     # the gauge keeps its shape: phi = lambda(t) * phi0, here uniform
     assert np.ptp(last.phi) == 0.0
@@ -288,30 +286,6 @@ def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
         assert abs(log_lam - ref_log_lam) <= 1e-9 * dt
     assert gaps[0] <= 1e-9
     assert np.log2(gaps[0] / gaps[1]) >= 4.5
-
-
-def test_second_derivative_symbol_is_the_nested_stencil():
-    # one irfft of rfft(x) S, S = (1, i s, -s^2), gives the stencil's
-    # (x, D1 x, D1 D1 x), which curvature.jet takes at phi = 1, to roundoff;
-    # its derivative rows are exactly 0 on constant rows. The transform's
-    # roundoff follows the size of x, not of its derivatives: against
-    # max|x| max|S_k|, the largest value row k gives on data of that size,
-    # the gap is at most 5.3e-16 here (fig-a at n=256: 7e-13 on x'' of size 1).
-    for n in (8, 64, 256):
-        g = PeriodicGrid(n)
-        scales = np.abs(_jet_symbol(n)).max(axis=(1, 2))
-        for name in ("fig-a", "fig-b", "mild"):
-            x = stacked(get_preset(name).build(g))
-            dx = dz_values(x, g.dz)
-            stencil = np.stack((x, dx, dz_values(dx, g.dz)))
-            assert np.array_equal(np.stack(jet(1.0, x, g.dz)), stencil[1:])
-            for spectral_row, stencil_row, scale in zip(jet_of(x), stencil, scales):
-                gap = np.max(np.abs(spectral_row - stencil_row))
-                assert gap <= 1e-14 * scale * np.max(np.abs(x)), (n, name)
-        constant = np.stack([np.full(n, r) for r in (1.0, 2.0, 3.0)])
-        zj = jet_of(constant)
-        assert not zj[1:].any()
-        assert np.array_equal(zj[0], constant)
 
 
 def test_phi_functions_match_the_contour_integral():
@@ -612,27 +586,6 @@ def test_evolve_stops_when_the_first_stage_is_not_finite(monkeypatch):
     assert len(traj.samples) == 4
 
 
-def test_evolve_takes_no_stencil_derivative(monkeypatch):
-    # every stage and every summary reads its derivatives from the z-jet of
-    # one irfft; the stencil serves the monitors and the curvature oracle
-    calls = []
-    real = neckpinch.grid.dz_values
-
-    def dz_values(*args):
-        calls.append(len(calls))
-        return real(*args)
-
-    for module in (neckpinch.grid, neckpinch.curvature):
-        monkeypatch.setattr(module, "dz_values", dz_values)
-    st = get_preset("fig-a").build(PeriodicGrid(64))
-    traj, _ = evolve(st, FlowConfig(t_max=0.05))
-    assert traj.run_stats.steps > 0 and len(traj.samples) > 1
-    assert calls == []
-    # the counter sees the stencil that curvature.jet applies
-    jet(1.0, stacked(st), st.grid.dz)
-    assert len(calls) == 2
-
-
 def test_evolve_steps_a_stationary_state_to_t_max(monkeypatch):
     # r = 0 would divide by zero in the rate rule; a state that does not move
     # takes one step to the time cap
@@ -742,14 +695,14 @@ def test_ricci_flow_residual_shrinks_under_refinement():
         span = s2.t - s0.t
         curv = sectional_curvatures(s1)
         phi, dz, x = float(s1.phi[0]), s1.grid.dz, stacked(s1)
-        w, _, _ = speed(phi, x, dz)
-        lies = 2.0 * x * w * jet(phi, x, dz)[0]
+        w, _, _ = speed(phi, x)
+        lies = 2.0 * x * w * jet(phi, x)[0]
         worst = 0.0
         for name, ric, lie in zip("abc", (curv.ric11, curv.ric22, curv.ric33), lies):
             g2_dot = (getattr(s2, name) ** 2 - getattr(s0, name) ** 2) / span
             worst = max(worst, float(np.max(np.abs(g2_dot + 2.0 * ric - lie))))
         phi2_dot = (s2.phi**2 - s0.phi**2) / span
-        lie = 2.0 * phi * dz_values(w, dz)
+        lie = 2.0 * phi * dz_stencil(w, dz)
         worst = max(
             worst, float(np.max(np.abs(phi2_dot + 2.0 * phi**2 * curv.ric00 - lie)))
         )

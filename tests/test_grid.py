@@ -8,11 +8,13 @@ from neckpinch.grid import (
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
-    dz_values,
+    _jet_symbol,
     metric_state,
+    z_jet,
 )
+from neckpinch.presets import get_preset
 
-from reference import s_derivative, s_second_derivative
+from reference import dz_stencil, s_derivative, s_second_derivative
 
 
 @pytest.mark.parametrize("n", [4, 6, 7, 33])
@@ -65,21 +67,29 @@ def test_metric_state_rejects_wrong_length():
         metric_state(g, 0.0, np.ones((2, 8)), 1.0, 1.0, 1.0)
 
 
+def dz(values):
+    """D1 of the rows of values by the transform: row 1 of their z-jet."""
+    return z_jet(np.fft.rfft(values), values.shape[-1])[1]
+
+
 def test_dz_annihilates_constants_exactly():
     g = PeriodicGrid(32)
-    assert np.all(dz_values(np.full(g.n, 3.7), g.dz) == 0.0)
+    constant = np.stack([np.full(g.n, r) for r in (1.0, 2.0, 3.7)])
+    zj = z_jet(np.fft.rfft(constant), g.n)
+    assert not zj[1:].any()
+    assert np.array_equal(zj[0], constant)
 
 
 def test_dz_sin_fourth_order():
     g = PeriodicGrid(64)
-    err = np.max(np.abs(dz_values(np.sin(g.z), g.dz) - np.cos(g.z)))
+    err = np.max(np.abs(dz(np.sin(g.z)) - np.cos(g.z)))
     # truncation constant for the 5-point stencil on sin is 1/30
     assert err <= g.dz**4 / 20.0
 
 
 def test_dz_cos_2z_fourth_order():
     g = PeriodicGrid(64)
-    err = np.max(np.abs(dz_values(np.cos(2 * g.z), g.dz) - (-2.0 * np.sin(2 * g.z))))
+    err = np.max(np.abs(dz(np.cos(2 * g.z)) - (-2.0 * np.sin(2 * g.z))))
     assert err <= 1.5 * g.dz**4  # constant 2^5/30 for the k=2 mode
 
 
@@ -88,7 +98,7 @@ def test_dz_convergence_order(k):
     errs = []
     for n in (32, 64, 128):
         g = PeriodicGrid(n)
-        errs.append(np.max(np.abs(dz_values(np.sin(k * g.z), g.dz) - k * np.cos(k * g.z))))
+        errs.append(np.max(np.abs(dz(np.sin(k * g.z)) - k * np.cos(k * g.z))))
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 >= 2 ** (4 - 0.5)
 
@@ -102,17 +112,9 @@ def test_dz_linearity(alpha, beta):
     g = PeriodicGrid(32)
     f = np.sin(g.z)
     h = np.cos(2 * g.z) + 0.5
-    lhs = dz_values(alpha * f + beta * h, g.dz)
-    rhs = alpha * dz_values(f, g.dz) + beta * dz_values(h, g.dz)
+    lhs = dz(alpha * f + beta * h)
+    rhs = alpha * dz(f) + beta * dz(h)
     assert np.allclose(lhs, rhs, atol=1e-11 * (1 + abs(alpha) + abs(beta)))
-
-
-def _roll_stencil(row, dz):
-    """The 5-point stencil on one 1-D row with np.roll, in the same order."""
-    out = np.zeros_like(row)
-    out += -1.0 / 12.0 * (np.roll(row, -2) - np.roll(row, 2))
-    out += 8.0 / 12.0 * (np.roll(row, -1) - np.roll(row, 1))
-    return out / dz
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (4, 4, 4)])
@@ -120,28 +122,52 @@ def test_dz_values_stacked_rows_bitwise(lead):
     g = PeriodicGrid(32)
     rng = np.random.default_rng(7)
     values = rng.normal(size=lead + (g.n,)) + np.cos(g.z)
-    got = dz_values(values, g.dz)
-    assert got.shape == values.shape
+    got = z_jet(np.fft.rfft(values), g.n)
+    assert got.shape == (3,) + values.shape
     rows = values.reshape(-1, g.n)
-    want = np.stack([_roll_stencil(row, g.dz) for row in rows]).reshape(values.shape)
-    assert np.array_equal(got, want)
+    want = np.stack([z_jet(np.fft.rfft(row), g.n) for row in rows], axis=1)
+    assert np.array_equal(got, want.reshape(got.shape))
 
 
-def test_jet_matches_nested_s_derivative_bitwise():
+def test_z_jet_is_the_reference_stencil():
+    # one irfft of rfft(x) S, S = (1, i s, -s^2), gives the direct-space
+    # stencil's (x, D1 x, D1 D1 x) to roundoff. The transform's roundoff
+    # follows the size of x, not of its derivatives: against max|x| max|S_k|,
+    # the largest value row k gives on data of that size, the gap is at most
+    # 5.3e-16 here (mild at n=256: 1.1e-12 on an x'' of size 0.06).
+    for n in (8, 64, 256):
+        g = PeriodicGrid(n)
+        scales = np.abs(_jet_symbol(n)).max(axis=-1)
+        for name in ("fig-a", "fig-b", "mild"):
+            st = get_preset(name).build(g)
+            x = np.stack((st.a, st.b, st.c))
+            dx = dz_stencil(x, g.dz)
+            stencil = np.stack((x, dx, dz_stencil(dx, g.dz)))
+            for row, stencil_row, scale in zip(z_jet(np.fft.rfft(x), n), stencil, scales):
+                gap = np.max(np.abs(row - stencil_row))
+                assert gap <= 1e-14 * scale * np.max(np.abs(x)), (n, name)
+
+
+def test_jet_matches_nested_s_derivative():
+    # the same bound for the nested arclength derivatives, on a non-uniform phi
+    # (at most 1.1e-16 of max|x| max|S_k| / min(phi)^k here)
     g = PeriodicGrid(64)
     phi = 1.3 + 0.4 * np.sin(g.z)
     x = np.stack([np.cos(g.z) + 1.5, np.sin(2 * g.z) + 2.5, np.cos(3 * g.z) + 3.5])
-    xp, xpp = jet(phi, x, g.dz)
+    scales = np.abs(_jet_symbol(g.n)).max(axis=-1) * np.max(np.abs(x))
+    xp, xpp = jet(phi, x)
     for row, d1, d2 in zip(x, xp, xpp):
-        assert np.array_equal(d1, s_derivative(row, phi, g.dz))
-        assert np.array_equal(d2, s_second_derivative(row, phi, g.dz))
+        gap1 = np.max(np.abs(d1 - s_derivative(row, phi, g.dz)))
+        gap2 = np.max(np.abs(d2 - s_second_derivative(row, phi, g.dz)))
+        assert gap1 <= 1e-14 * scales[1] / phi.min()
+        assert gap2 <= 1e-14 * scales[2] / phi.min() ** 2
 
 
 def test_s_derivative_identity_gauge_is_bitwise_dz():
     g = PeriodicGrid(64)
     f = np.sin(g.z) + 0.25 * np.cos(3 * g.z)
     one = np.ones(g.n)
-    assert np.array_equal(s_derivative(f, one, g.dz), dz_values(f, g.dz))
+    assert np.array_equal(s_derivative(f, one, g.dz), dz_stencil(f, g.dz))
 
 
 def test_s_derivative_constant_gauge_rescales():

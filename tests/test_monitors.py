@@ -5,7 +5,7 @@ import pytest
 
 from neckpinch.config import ConfigError, config_from_dict
 from neckpinch.flow import FlowConfig, SingularityReport, evolve
-from neckpinch.grid import PeriodicGrid, dz_values, metric_state
+from neckpinch.grid import PeriodicGrid, metric_state
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
@@ -29,7 +29,7 @@ from neckpinch.monitors import (
 from neckpinch.presets import biaxial, get_preset
 
 from conftest import make_trajectory
-from reference import scalar_curvature
+from reference import dz_stencil, scalar_curvature
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,7 @@ def test_cmax_sphere_equality(sphere_run):
     rep = cmax_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
     assert abs(rep.worst_margin) <= 1e-6 or rep.worst_margin > 0
-    assert "stop_margin" in rep.notes
+    assert rep.notes.startswith("bound_margin=") and "slope_margin=" in rep.notes
 
 
 def test_cmax_detects_slow_decay():
@@ -281,16 +281,27 @@ def test_cmax_slope_only_violation_is_the_worst_margin():
 
 def test_cmax_margins_count_time_from_the_first_sample():
     # On a clock that starts at t0 = -1 the margins read t - t0: bound 0 at
-    # the first sample, slope 4 and stop 16/4 - 1.5 = 2.5 (anchored at t = 0
-    # they read bound 4 and stop 3.5). The bound margin is 0 at the first
-    # sample, and c_max^2 >= 0 makes the final bound margin 4 * stop_margin -
-    # c_max^2, so the stop margin is never the smallest.
+    # the first sample and slope 4 (anchored at t = 0 the bound read 4).
     ts = np.array([-1.0, 0.0, 0.5])
     traj = make_trajectory(ts, 2.0 - ts, c_max=np.sqrt([16.0, 8.0, 4.0]))
     rep = cmax_bound_monitor(traj, None, tolerance(traj))
     assert rep.passed is True
-    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=4.000e+00 stop_margin=2.500e+00 ")
+    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=4.000e+00 tol=")
     assert rep.worst_margin == 0.0 and rep.worst_location == (-1.0, 0)
+
+
+def test_cmax_run_past_its_latest_stop_fails_on_the_bound():
+    # c_max(0)^2 / 4 = 1 after t0 = 0.5 bounds the stop time by 1.5. A run to
+    # t = 2.5 with c_max^2 > 0 must also break the slope bound (worst -3.75
+    # over [1.5, 2.5]); its worst margin is the bound margin at the last
+    # sample, 4 - 4 * 2 - c_max^2 = -4.25, with no separate stop margin
+    ts = np.array([0.5, 1.0, 1.5, 2.5])
+    c = np.sqrt([4.0, 2.0, 0.5, 0.25])
+    traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1)
+    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    assert rep.passed is False
+    assert rep.worst_margin == pytest.approx(-4.25)
+    assert rep.worst_location == (2.5, 0)
 
 
 def test_round_sphere_started_late_passes_the_cmax_and_ratio_bounds():
@@ -306,7 +317,7 @@ def test_round_sphere_started_late_passes_the_cmax_and_ratio_bounds():
 def test_cmax_single_sample_keeps_an_infinite_slope_margin():
     traj = make_trajectory([0.0], [2.0], c_max=3.0)
     rep = cmax_bound_monitor(traj, None, tolerance(traj))
-    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=inf stop_margin=2.250e+00 ")
+    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=inf tol=")
     assert rep.worst_margin == 0.0 and rep.worst_location == (0.0, 0)
 
 
@@ -506,7 +517,7 @@ def test_heat_equation_sup_is_nonincreasing():
     sup0, inf0 = u.max(), u.min()
     prev_sup = sup0
     for _ in range(400):
-        u = u + dt * dz_values(dz_values(u, g.dz), g.dz)
+        u = u + dt * dz_stencil(dz_stencil(u, g.dz), g.dz)
         assert u.max() <= prev_sup + 1e-12
         assert u.max() <= sup0 + 1e-12
         assert u.min() >= inf0 - 1e-12
