@@ -33,6 +33,8 @@ MIN_RADIUS = 1e-8
 
 # Fiber index triples (i, j, k) of the planes 12, 13, 23 and their complements.
 _PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
+# The partner rows (y, z) of each row x of the stacked radii, in index order.
+Y, Z = [1, 0, 0], [2, 2, 1]
 
 
 def jet(phi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,10 +139,8 @@ def sectional_curvatures(state: MetricState) -> CurvatureField:
 
     q = xpp / x
     ric00 = -(q[0] + q[1] + q[2])
-    # Row x of the radii pairs with the other two rows (y, z).
     r = xp / x
-    y, z = [1, 0, 0], [2, 2, 1]
-    ric = -x * xpp - x * xp * (r[y] + r[z]) + x**2 * (khat[[0, 0, 1]] + khat[[1, 2, 2]])
+    ric = -x * xpp - x * xp * (r[Y] + r[Z]) + x**2 * (khat[[0, 0, 1]] + khat[[1, 2, 2]])
 
     curv = CurvatureField(*k, *khat, ric00, *ric, scal, rm_norm_sq)
     if not np.isfinite(curv).all():

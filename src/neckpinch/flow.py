@@ -46,6 +46,7 @@ import functools
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -426,7 +427,7 @@ def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def summarize_state(
-    ts: list[float], dts: list[float], zj: np.ndarray, phi: list[float]
+    ts: Sequence[float], dts: Sequence[float], zj: np.ndarray, phi: Sequence[float]
 ) -> np.ndarray:
     """All scalar reductions the monitors need, for a block of B states.
 
@@ -496,10 +497,9 @@ def evolve(
     snapshots = [initial]
     stats = RunStats()
     phi_bar = float(initial.phi[0])
+    # Pending summaries: z-jets in a preallocated block, (t, dt, phi) in a list.
     block_zj = np.empty((SUMMARY_BLOCK, 3, 3, n))
-    block_phi: list[float] = []
-    block_t: list[float] = []
-    block_dt: list[float] = []
+    pending: list[tuple[float, float, float]] = []
     # Every sample's record, grown by doubling and cut to the sample count at
     # the end; a small first size reuses heap the process already holds.
     records = np.empty(128, SUMMARY_DTYPE)
@@ -507,22 +507,18 @@ def evolve(
 
     def flush():
         nonlocal count
-        k = len(block_t)
+        k = len(pending)
         if count + k > records.size:
             records.resize(2 * records.size, refcheck=False)
-        records[count : count + k] = summarize_state(block_t, block_dt, block_zj[:k], block_phi)
+        ts, dts, phis = zip(*pending)
+        records[count : count + k] = summarize_state(ts, dts, block_zj[:k], phis)
         count += k
-        block_t.clear()
-        block_dt.clear()
-        block_phi.clear()
+        pending.clear()
 
     def record(t, dt, zj, phi):
-        k = len(block_t)
-        block_zj[k] = zj
-        block_phi.append(phi)
-        block_t.append(t)
-        block_dt.append(dt)
-        if k + 1 == SUMMARY_BLOCK:
+        block_zj[len(pending)] = zj
+        pending.append((t, dt, phi))
+        if len(pending) == SUMMARY_BLOCK:
             flush()
 
     t = initial.t
@@ -531,7 +527,6 @@ def evolve(
     log_lam, phi = 0.0, phi_bar
     record(t, 0.0, zj, phi)
     flush()
-    recorded_t = t
 
     last_dt = 0.0
     rate0 = None
@@ -576,11 +571,10 @@ def evolve(
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
             record(t, dt, zj, phi)
-            recorded_t = t
 
-    if recorded_t < t:
+    if stats.steps % cfg.monitor_stride:
         record(t, last_dt, zj, phi)
-    if block_t:
+    if pending:
         flush()
     records.resize(count, refcheck=False)
     if stats.steps:

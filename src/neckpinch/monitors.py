@@ -7,8 +7,11 @@ positivity) and never aborts a run. A violated bound is reported, not raised:
 it is the interesting output. Every bound monitor reports through one rule,
 _report: its worst margin is the smallest of all the margins it checks, slope
 margins included, located where it occurred, and it passes when that margin
-is >= -tol. The K_0i evolution residuals record a discretization
-defect and type1_classifier gives a verdict, so both keep their own rules.
+is >= -tol. All but scalar_min claim their bound only for data ordered
+a <= b <= c at the first sample (a_min is the pinching radius only then)
+and report precondition-violated otherwise. The K_0i evolution residuals,
+all three rows from one evaluation, record a discretization defect and
+type1_classifier gives a verdict, so both keep their own rules.
 
 Every monitor has one signature, fn(traj, report, tol) -> MonitorReport: the
 trajectory, the singular-time fit (None when no singularity was detected) and
@@ -28,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .curvature import radii
+from .curvature import Y, Z, radii
 from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, tangential_speed
 from .grid import STENCIL_ORDER, z_jet
 
@@ -241,6 +244,8 @@ def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
 def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     """a_min^2 <= 4(T-t), d(a_min^2)/dt >= -4, and, when max(c/a) < 2 with
     nonnegative initial scalar curvature, a_min^2 >= D(T-t)."""
+    if not _initially_ordered(traj):
+        return _UNORDERED
     if report is None:
         return _not_applicable("no singularity detected")
     T = report.t_estimate
@@ -354,6 +359,8 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
 
     Evidence only: concavity of the pinch profile is observed, not proved.
     """
+    if not _initially_ordered(traj):
+        return _UNORDERED
     if traj.ts.size < 20:
         return _not_applicable("need at least 20 samples")
     ts = traj.ts
@@ -369,79 +376,51 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
 # ---------------------------------------------------------------------------
 # Curvature-evolution residuals
 
-#: The radius row x of K_0i = -x''/x and its two partner rows (y, z).
-_K0I_ROWS = {"k01": (0, 1, 2), "k02": (1, 0, 2), "k03": (2, 0, 1)}
+def _k0i_evolution_rhs(zj: np.ndarray, phi: float) -> np.ndarray:
+    """Right-hand sides of the evolution equations of (K_01, K_02, K_03),
+    stacked (3, n), at one state of uniform phi, from the z-jet
+    zj = (x, dz x, dz^2 x) of its radii, stacked (3, 3, n).
 
-
-def _k0i_evolution_rhs(zj: np.ndarray, phi: float, which: str) -> np.ndarray:
-    """Right-hand side of the evolution equation for K_0i at one state of
-    uniform phi, from the z-jet zj = (x, dz x, dz^2 x) of its radii, stacked
-    (3, 3, n).
-
-    Written once for K_01 in the variables (x; y, z) = (a; b, c); the other two
-    follow by relabeling x to b or c (the same symmetry the flow system has).
-    The flow's tangential field V = (W/phi) dz moves the grid along the
-    manifold, so K at fixed z also gains the Lie derivative V(K) = W K', with
-    W computed from this state (see flow.tangential_speed).
+    Written once for a radius row x and its partner rows (y, z) =
+    (curvature.Y, curvature.Z), in the variables K = -x''/x, r = x'/x,
+    p = x^2/(yz)^2 and u = 1/x^2; a partner's values are rows of the same
+    stacks, r_y = r[Y] and p_y = p[Y] = y^2/(xz)^2. One evaluation gives all
+    three rows, and one z-jet of the three K rows gives K' and K''. The
+    flow's tangential field V = (W/phi) dz moves the grid along the manifold,
+    so K at fixed z also gains the Lie derivative V(K) = W K', with W computed
+    from this state (see flow.tangential_speed).
     """
-    if which not in _K0I_ROWS:
-        raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
-    i, j, l = _K0I_ROWS[which]
-    r, rp, rpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
-    k0 = -rpp / r
-    a, b, c = r
-    ap, bp, cp = rp
-    x, y, z = r[i], r[j], r[l]
-    xp, yp, zp = rp[i], rp[j], rp[l]
-    k_self, k_y, k_z = k0[i], k0[j], k0[l]
+    x, xp, xpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
+    k, r, sq = -xpp / x, xp / x, x * x
+    u, p = 1.0 / sq, sq / (sq[Y] * sq[Z])
+    ry, rz, py, pz = r[Y], r[Z], p[Y], p[Z]
 
-    _, kp, kpp = z_jet(np.fft.rfft(k_self), k_self.size)
+    _, kp, kpp = z_jet(np.fft.rfft(k), x.shape[-1])
     kp /= phi
     kpp /= phi * phi
-    laplacian = kpp + (ap / a + bp / b + cp / c) * kp
-
-    x2, y2, z2 = x * x, y * y, z * z
     rhs = (
-        laplacian
-        + 2.0 * k_self**2
-        - 2.0
-        * k_self
-        * (yp**2 / y2 + zp**2 / z2 + (2.0 * x2**2 + 2.0 * (y2 - z2) ** 2) / (x * y * z) ** 2)
+        kpp
+        + (r[0] + r[1] + r[2]) * kp
+        + 2.0 * k * k
+        - 2.0 * k * (ry * ry + rz * rz + 2.0 * (p + py + pz) - 4.0 * u)
+        + 2.0 * k[Y] * (2.0 * (p + py - pz) - r * ry)
+        + 2.0 * k[Z] * (2.0 * (p + pz - py) - r * rz)
         + 2.0
-        * k_y
-        * (2.0 * x2 / (y2 * z2) + 2.0 * y2 / (x2 * z2) - 2.0 * z2 / (x2 * y2) - xp * yp / (x * y))
-        + 2.0
-        * k_z
-        * (2.0 * x2 / (y2 * z2) + 2.0 * z2 / (x2 * y2) - 2.0 * y2 / (x2 * z2) - xp * zp / (x * z))
-        + 2.0
-        * (xp / x)
+        * r
         * (
-            -(yp**3) / y**3
-            - zp**3 / z**3
-            + 6.0 * x * xp / (y2 * z2)
-            + 4.0 * y * yp / (x2 * z2)
-            + 4.0 * z * zp / (x2 * y2)
-            - 2.0 * xp * z2 / (x**3 * y2)
-            - 2.0 * xp * y2 / (x**3 * z2)
-            + 4.0 * xp / x**3
-            - 12.0 * x2 * yp / (y**3 * z2)
-            - 12.0 * x2 * zp / (y2 * z**3)
-            - 4.0 * y2 * zp / (x2 * z**3)
-            - 4.0 * z2 * yp / (x2 * y**3)
+            4.0 * r * u
+            - ry**3
+            - rz**3
+            + (6.0 * r - 12.0 * (ry + rz)) * p
+            + (4.0 * (ry - rz) - 2.0 * r) * py
+            + (4.0 * (rz - ry) - 2.0 * r) * pz
         )
-        + 4.0 * x2 * (3.0 * yp**2 / (y**4 * z2) + 4.0 * yp * zp / (y**3 * z**3) + 3.0 * zp**2 / (y2 * z**4))
-        - (4.0 / x)
-        * (
-            zp**2 / (x * y2)
-            + yp**2 / (x * z2)
-            + 3.0 * yp**2 * z2 / (x * y**4)
-            + 3.0 * y2 * zp**2 / (x * z**4)
-            - 4.0 * z * zp * yp / (x * y**3)
-            - 4.0 * y * yp * zp / (x * z**3)
-        )
+        + 4.0 * p * (3.0 * ry * ry + 4.0 * ry * rz + 3.0 * rz * rz)
+        - 4.0 * py * (ry * ry + 3.0 * rz * rz - 4.0 * ry * rz)
+        - 4.0 * pz * (rz * rz + 3.0 * ry * ry - 4.0 * ry * rz)
     )
-    q = rpp / r
-    w, _ = tangential_speed(phi, q[0] + q[1] + q[2])
+    # -(K_01 + K_02 + K_03) = a''/a + b''/b + c''/c, exactly.
+    w, _ = tangential_speed(phi, -(k[0] + k[1] + k[2]))
     if w is not None:
         rhs += w * kp
     return rhs
@@ -451,7 +430,7 @@ def evolution_residual(
     traj: Trajectory, report: Fit, tol: float, which: str = "k01"
 ) -> MonitorReport:
     """Max-norm defect between dt K_0i and its evolution RHS at the first
-    snapshot.
+    snapshot, for K_0i the row `which` of (k01, k02, k03).
 
     dt K_0i comes from the flow's own time derivative: with (dx, c) =
     flow._flow_rhs and K = -x''/x, the chain rule gives dt K = (x'' dx / x -
@@ -459,23 +438,24 @@ def evolution_residual(
     phi_bar in the arclength derivative. Both sides are semi-discrete, so
     the defect is the spatial error alone and falls at the stencil order
     under dz halving. Both sides read the radii and their derivatives from
-    one z-jet of the state. The margin is minus the defect: a single report
-    records its magnitude, and convergence is asserted by comparing two
-    grids' reports.
+    one z-jet of the state, and form all three rows at once. The margin is
+    minus the defect: a single report records its magnitude, and convergence
+    is asserted by comparing two grids' reports.
     """
+    rows = ("k01", "k02", "k03")
+    if which not in rows:
+        raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
     if not traj.snapshots:
         return _not_applicable("need a snapshot for the residual check")
     state = traj.snapshots[0]
     phi, n = float(state.phi[0]), state.grid.n
     zj = z_jet(np.fft.rfft(radii(state)), n)
-    rhs = _k0i_evolution_rhs(zj, phi, which)
-    i = _K0I_ROWS[which][0]
     dx, c = _flow_rhs(zj, phi)
-    x, xpp = zj[0, i], zj[2, i] / (phi * phi)
-    dxpp = z_jet(np.fft.rfft(dx[i]), n)[2] / (phi * phi)
-    dk_dt = (xpp * dx[i] / x - dxpp + 2.0 * c * xpp) / x
+    x, xpp = zj[0], zj[2] / (phi * phi)
+    dxpp = z_jet(np.fft.rfft(dx), n)[2] / (phi * phi)
+    dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
 
-    defect = np.abs(dk_dt - rhs)
+    defect = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi))[rows.index(which)]
     idx = int(np.argmax(defect))
     residual = float(defect[idx])
     return MonitorReport(

@@ -480,6 +480,32 @@ def test_cli_strict_fig_a_passes(tmp_path):
     assert code == 0
 
 
+def test_cli_strict_reversed_fig_a_claims_no_bound(tmp_path, capsys):
+    # fig-a's radii reversed, c <= b <= a: a_min(0)^2 = 6.25 exceeds 4T, so a
+    # pinch-rate bound read off a_min would fail; every ordered-data bound
+    # must decline instead
+    cos = {"kind": "cos", "amplitude": 1.0}
+    cfg_path = tmp_path / "reversed.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "grid_n": 64,
+                "profiles": {
+                    "phi0": {"kind": "const", "offset": 1.0},
+                    "a0": {**cos, "offset": 3.5},
+                    "b0": {**cos, "offset": 2.5},
+                    "c0": {**cos, "offset": 1.5},
+                },
+                "out_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert "monitor amin_bound: n/a" in out
+    assert "monitor concavity: n/a" in out
+
+
 def test_cli_strict_violation_exit_code(tmp_path):
     # a near-zero tolerance scale turns the benign discretization-level
     # ordering wiggle on fig-a into a hard violation

@@ -5,13 +5,14 @@ import pytest
 
 from neckpinch.config import ConfigError, config_from_dict
 from neckpinch.flow import FlowConfig, SingularityReport, evolve
-from neckpinch.grid import PeriodicGrid, metric_state
+from neckpinch.grid import PeriodicGrid, metric_state, z_jet
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
     DERIV_BOUND_C,
     MESH_SLACK,
     MONITORS,
+    _k0i_evolution_rhs,
     amin_bound_monitor,
     cmax_bound_monitor,
     concavity_check,
@@ -245,6 +246,21 @@ def test_amin_single_sample_keeps_an_infinite_slope_margin():
     rep = amin_bound_monitor(traj, report, tolerance(traj))
     assert "slope_margin=inf " in rep.notes
     assert rep.worst_margin == pytest.approx(0.0) and rep.worst_location == (0.0, 0)
+
+
+def test_amin_and_concavity_need_ordered_data():
+    # a_min^2 = 6.25 (1 - t)^2 starts above 4T and is convex: both bounds fail
+    # on ordered data, and neither is claimed once b < a at t = 0, where a_min
+    # need not be the pinching radius
+    ts = np.linspace(0.0, 0.99, 120)
+    report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.99), fit_residual=0.0,
+                               a_min_final=0.025)
+    for ord_ba, passed in ((0.0, False), (-0.5, None)):
+        traj = make_trajectory(ts, 2.5 * (1.0 - ts), ord_ba=ord_ba)
+        for rep in (amin_bound_monitor(traj, report, tolerance(traj)),
+                    concavity_check(traj, report, tolerance(traj))):
+            assert rep.passed is passed
+            assert ("not ordered" in rep.notes) is (passed is None)
 
 
 # --- cmax -----------------------------------------------------------------------------
@@ -503,6 +519,28 @@ def test_evolution_residual_needs_snapshots():
     traj = make_trajectory(ts, 2.0 - ts)
     rep = evolution_residual(traj, None, tolerance(traj), "k01")
     assert rep.passed is None
+
+
+def test_evolution_residual_rejects_an_unknown_row():
+    ts = np.linspace(0, 1, 30)
+    traj = make_trajectory(ts, 2.0 - ts)
+    with pytest.raises(ValueError, match="k04"):
+        evolution_residual(traj, None, tolerance(traj), "k04")
+
+
+@pytest.mark.parametrize("preset", ["fig-a", "fig-c"])
+def test_k0i_evolution_rhs_follows_the_partner_table(preset):
+    # the equation is written once for a row and its partners: swapping the
+    # radii b and c swaps the K_02 and K_03 rows and leaves K_01 as it was
+    st = get_preset(preset).build(PeriodicGrid(64))
+    zj = z_jet(np.fft.rfft(np.stack((st.a, st.b, st.c))), 64)
+    phi = float(st.phi[0])
+    rhs = _k0i_evolution_rhs(zj, phi)
+    swapped = _k0i_evolution_rhs(zj[:, [0, 2, 1]], phi)
+    assert rhs.shape == (3, 64)
+    scale = np.abs(rhs).max()
+    assert np.abs(swapped - rhs[[0, 2, 1]]).max() <= 1e-13 * scale
+    assert np.abs(rhs[1] - rhs[2]).max() > 1e-3 * scale
 
 
 # --- maximum-principle model problem --------------------------------------------------------------
