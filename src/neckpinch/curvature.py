@@ -96,9 +96,10 @@ class CurvatureField(NamedTuple):
         return self[:6]
 
 
-def _khat(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Fiber sectional curvature of the plane spanned by the x- and y-directions."""
-    return ((x**2 - y**2) ** 2 - 3.0 * z**4) / (x * y * z) ** 2 + 2.0 / x**2 + 2.0 / y**2
+def _khat(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Fiber sectional curvature of the plane spanned by the x- and
+    y-directions, from the squared radii xs = x^2, ys = y^2 and zs = z^2."""
+    return ((xs - ys) ** 2 - 3.0 * zs * zs) / (xs * ys * zs) + 2.0 / xs + 2.0 / ys
 
 
 def sectional_rows(
@@ -108,9 +109,9 @@ def sectional_rows(
     and fiber curvatures (Khat12, Khat13, Khat23) stacked (..., 3, n), from
     the radii x = (a, b, c), stacked (..., 3, n), and their jet."""
     i, j, k = _PLANES
-    xi, xj = x[..., i, :], x[..., j, :]
-    khat = _khat(xi, xj, x[..., k, :])
-    cross = -xp[..., i, :] * xp[..., j, :] / (xi * xj) + khat
+    sq, r = x * x, xp / x
+    khat = _khat(sq[..., i, :], sq[..., j, :], sq[..., k, :])
+    cross = khat - r[..., i, :] * r[..., j, :]
     return np.concatenate((-xpp / x, cross), axis=-2), khat
 
 
@@ -118,11 +119,7 @@ def trace_invariants(k: np.ndarray) -> np.ndarray:
     """(scal, |Rm|^2) stacked (2, ..., n) from the six sectional curvature rows
     k, stacked (..., 6, n), by the trace identities scal = 2 sum K and
     |Rm|^2 = 2 sum K^2."""
-    k = np.moveaxis(k, -2, 0)
-    k2 = k**2
-    return 2.0 * np.stack(
-        (k[0] + k[1] + k[2] + k[3] + k[4] + k[5], k2[0] + k2[1] + k2[2] + k2[3] + k2[4] + k2[5])
-    )
+    return 2.0 * np.stack((k.sum(axis=-2), np.square(k).sum(axis=-2)))
 
 
 def sectional_curvatures(state: MetricState) -> CurvatureField:

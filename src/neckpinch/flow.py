@@ -25,7 +25,11 @@ J. Comput. Phys. 176, 2002) on the rfft of the radii, with classical RK4 on
 log(lambda). dt therefore follows the flow's own rate r = max |dt x / x|,
 not an explicit-diffusion limit, and takes about the same number of steps
 at every n (see evolve). cfl_safety is the accuracy factor of that rule, not
-a stability limit.
+a stability limit. The step's coefficients come from a table cached per
+grid, the powers of the stacked diffusion symbol [sigma/2, sigma]: only the
+scalar h = dt / (lambda phi_bar)^2 changes between steps, so the
+phi-functions (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005) are one
+exp, one recurrence, one matmul for their Taylor series and one select.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
 the package's one z-derivative, gives from u the z-jet (x, dz x, dz^2 x)
@@ -35,9 +39,10 @@ state's z-jet also serves the next first stage and its summary.
 
 Between steps evolve holds u, its z-jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
-snapshot besides the first. The summaries are computed SUMMARY_BLOCK states
-at a time on stacked z-jets, as records of one structured dtype,
-SUMMARY_DTYPE, in one array that becomes the Trajectory's read-only samples.
+snapshot besides the first. The summaries are computed a block at a time,
+as many stacked z-jets as fit in SUMMARY_BLOCK_BYTES, as records of one
+structured dtype, SUMMARY_DTYPE, in one array that becomes the Trajectory's
+read-only samples.
 """
 
 from __future__ import annotations
@@ -75,11 +80,19 @@ STOP_HALVINGS = "step_halvings_exhausted"
 #: Attempts to halve dt after a rejected step before giving up.
 MAX_STEP_HALVINGS = 20
 
-#: States summarized per summarize_state call in evolve. Measured per state on
-#: fig-a n=256 states, one core of a 2-vCPU Xeon: 280 us alone, 120 us in
-#: blocks of 8, 130 us in blocks of 16 or 64, where the stacked arrays
-#: outgrow the cache.
-SUMMARY_BLOCK = 8
+#: Bytes of the stacked z-jets that evolve summarizes per summarize_state
+#: call: 8 states at n = 256, 32 at n = 64, where a block of 64 outgrows the
+#: cache. Per state on fig-a (best of three processes, one core of a 2-vCPU
+#: Xeon), n = 64: 27 us in blocks of 8, 14 in 16, 11.5 in 32, 16.5 in 64;
+#: n = 256: 38 us in 8, 32 in 16, 72 in 32.
+SUMMARY_BLOCK_BYTES = 144 * 1024
+
+
+def summary_block(n: int) -> int:
+    """States per summarize_state call in evolve on n points: as many
+    (3, 3, n) float64 z-jets as fit in SUMMARY_BLOCK_BYTES, at least 1."""
+    return max(1, SUMMARY_BLOCK_BYTES // (3 * 3 * n * 8))
+
 
 #: Samples the singular-time fit needs inside the final decade of a_min.
 MIN_FIT_SAMPLES = 10
@@ -242,10 +255,13 @@ def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, floa
     return np.fft.irfft(np.fft.rfft(dw) * _antiderivative_multiplier(n), n), c
 
 
-def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
+def _flow_rhs(
+    zj: np.ndarray, phi: float, speed: tuple[np.ndarray | None, float] | None = None
+) -> tuple[np.ndarray, float]:
     """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c), and
     dt log lambda = c, under the uniform gauge phi (see tangential_speed),
-    from the z-jet zj = (x, dz x, dz^2 x) stacked (3, 3, n).
+    from the z-jet zj = (x, dz x, dz^2 x) stacked (3, 3, n). speed is
+    tangential_speed at this state, (W, c), when the caller already has it.
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
@@ -260,26 +276,25 @@ def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
     # Rows repeated twice, so rows 1:4 and 2:5 are each row's (y, z).
     r = np.concatenate((xp / x,) * 2)
     sq = np.concatenate((x * x,) * 2)
-    # xpp + xp * (r_y + r_z)
+    if speed is None:
+        q = xpp / x
+        speed = tangential_speed(phi, q[0] + q[1] + q[2])
+    w, c = speed
+    # xpp + xp * (r_y + r_z + W)
     dx = np.add(r[1:4], r[2:5])
+    if w is not None:
+        dx += w
     dx *= xp
     dx += xpp
-    # - 2x (x^4 - (y^2 - z^2)^2) / (xyz)^2
-    reaction = x**4
+    # - 2x ((x^2)^2 - (y^2 - z^2)^2) / (x^2 y^2 z^2)
+    reaction = np.square(sq[:3])
     reaction -= np.square(sq[1:4] - sq[2:5])
-    denom = x[0] * x[1]
-    denom *= x[2]
-    denom *= denom
+    denom = sq[0] * sq[1]
+    denom *= sq[2]
     term = 2.0 * x
     term *= reaction
     term /= denom
     dx -= term
-    q = xpp / x
-    w, c = tangential_speed(phi, q[0] + q[1] + q[2])
-    # + W x'
-    if w is not None:
-        xp *= w
-        dx += xp
     if not (np.isfinite(dx).all() and math.isfinite(c)):
         raise StepRejected("non-finite flow derivatives")
     return dx, c
@@ -300,29 +315,64 @@ def _gauge_scale(log_lam: float) -> float:
     return lam
 
 
-#: Taylor coefficients 1/(j + 3)! of phi_3, j = 0..16; the first omitted
-#: term is below 1e-18 of phi_3 where |z| < 1.
-_PHI3_TAYLOR = np.array([1.0 / math.factorial(j + 3) for j in range(17)])
+#: Taylor terms of the phi-functions kept where |h sigma| < 1: the first
+#: omitted term, z^20 / (20 + k)!, is below 4e-20 of phi_k there.
+_TAYLOR_TERMS = 20
+_TAYLOR_POWERS = np.arange(_TAYLOR_TERMS)
+#: 1 / (j + k)!, stacked (3, _TAYLOR_TERMS): row k - 1 gives phi_k's terms.
+_TAYLOR_COEFFS = np.array(
+    [[1.0 / math.factorial(j + k) for j in range(_TAYLOR_TERMS)] for k in (1, 2, 3)]
+)
+#: The ETDRK4 weights (w1, w23, w4) over dt as combinations of (phi_1, phi_2,
+#: phi_3): w1 = phi_1 - 3 phi_2 + 4 phi_3, w23 = 2 phi_2 - 4 phi_3 and
+#: w4 = 4 phi_3 - phi_2.
+_WEIGHTS = np.array([[1.0, -3.0, 4.0], [0.0, 2.0, -4.0], [0.0, -1.0, 4.0]])
 
 
-def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi_1, phi_2 and phi_3 of the real array z, where phi_k(z) =
-    sum_j z^j / (j + k)!.
+def _power_table(sigma: np.ndarray) -> np.ndarray:
+    """The powers sigma^j, j = 0.._TAYLOR_TERMS - 1, of the real array sigma,
+    stacked (_TAYLOR_TERMS, sigma.size), read-only."""
+    powers = sigma ** _TAYLOR_POWERS[:, np.newaxis]
+    powers.setflags(write=False)
+    return powers
 
-    Where |z| >= 1 they follow from expm1 by phi_{k+1} = (phi_k - 1/k!) / z.
-    Below that the recurrence cancels, so phi_3 is its Taylor series and
-    phi_2 = 1/2 + z phi_3, phi_1 = 1 + z phi_2.
+
+@functools.cache
+def _etd_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diffusion symbol sigma = -s(k)^2 of D1 o D1 on n points stacked
+    [sigma / 2, sigma], 2 (n/2 + 1) entries for ETDRK4's half and full step,
+    and its _power_table; both read-only."""
+    sigma = _jet_symbol(n)[2].real
+    stacked = np.concatenate((0.5 * sigma, sigma))
+    stacked.setflags(write=False)
+    return stacked, _power_table(stacked)
+
+
+def _phi_functions(
+    h: float, sigma: np.ndarray, powers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z) and (phi_1, phi_2, phi_3)(z) stacked (3, sigma.size) at
+    z = h sigma, where phi_k(z) = sum_j z^j / (j + k)!, sigma <= 0 is real
+    and powers = _power_table(sigma).
+
+    Where |z| >= 1 they follow from exp by phi_{k+1} = (phi_k - 1/k!) / z.
+    Below that the recurrence cancels, and all three are the Taylor series,
+    one matmul of the row of h^j / (j + k)! by powers. Splitting z^j into
+    sigma^j and h^j loses nothing that matters: a grid's |sigma| is below
+    n^2 / 20, so |sigma|^j < 1e207 for j < _TAYLOR_TERMS even at n = 2^20;
+    h^j and h^j sigma^j stay finite while h and |h sigma| are below 1e16;
+    and h^j rounds to a subnormal or to 0 only where it is below 1e-307, so
+    the term it carries is below 1e-100, far under the roundoff of phi_k >
+    0.1 in the columns the series is kept for.
     """
+    z = h * sigma
+    e = np.exp(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = np.expm1(z) / z
+        p1 = (e - 1.0) / z
         p2 = (p1 - 1.0) / z
         p3 = (p2 - 0.5) / z
-    near = np.abs(z) < 1.0
-    zn = z[near]
-    p3[near] = taylor = np.vander(zn, _PHI3_TAYLOR.size, increasing=True) @ _PHI3_TAYLOR
-    p2[near] = taylor = 0.5 + zn * taylor
-    p1[near] = 1.0 + zn * taylor
-    return p1, p2, p3
+    taylor = (_TAYLOR_COEFFS * h**_TAYLOR_POWERS) @ powers
+    return e, np.where(z > -1.0, taylor, (p1, p2, p3))
 
 
 def rk4_step(
@@ -349,16 +399,15 @@ def rk4_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    hl = dt / (_gauge_scale(log_lam0) * phi_bar) ** 2 * _jet_symbol(n)[2].real
-    m = hl.size
-    p1, p2, p3 = _phi_functions(np.concatenate((0.5 * hl, hl)))
-    e_half, e_full = np.exp(0.5 * hl), np.exp(hl)
-    q = 0.5 * dt * p1[:m]
-    p1, p2, p3 = p1[m:], p2[m:], p3[m:]
-    w1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-    w23 = 2.0 * dt * (p2 - 2.0 * p3)
-    w4 = dt * (4.0 * p3 - p2)
-    lin = hl / dt
+    sigma, powers = _etd_table(n)
+    m = sigma.size // 2
+    scale = (_gauge_scale(log_lam0) * phi_bar) ** 2
+    h = dt / scale
+    e, p = _phi_functions(h, sigma, powers)
+    e_half, e_full = e[:m], e[m:]
+    q = 0.5 * dt * p[0, :m]
+    w1, w23, w4 = (dt * _WEIGHTS) @ p[:, m:]
+    lin = sigma[m:] / scale
 
     def stage(u, log_lam):
         k, c = _flow_rhs(z_jet(u, n), _gauge_scale(log_lam) * phi_bar)
@@ -366,9 +415,10 @@ def rk4_step(
 
     f1, c1 = first
     n1 = f1 - lin * u0
-    ua = e_half * u0 + q * n1
+    eu0 = e_half * u0
+    ua = eu0 + q * n1
     na, c2 = stage(ua, log_lam0 + 0.5 * dt * c1)
-    nb, c3 = stage(e_half * u0 + q * na, log_lam0 + 0.5 * dt * c2)
+    nb, c3 = stage(eu0 + q * na, log_lam0 + 0.5 * dt * c2)
     nc, c4 = stage(e_half * ua + q * (2.0 * nb - n1), log_lam0 + dt * c3)
     u1 = e_full * u0 + w1 * n1 + w23 * (na + nb) + w4 * nc
     zj1 = z_jet(u1, n)
@@ -472,7 +522,7 @@ def evolve(
     gauge being the scalar phi = lambda * phi_bar; a MetricState is built
     only for the final state, the second snapshot when the run advanced.
     Summaries are recorded every monitor_stride steps plus the first and
-    last state, and computed SUMMARY_BLOCK states at a time; the initial
+    last state, and computed summary_block(n) states at a time; the initial
     state is summarized alone, so that data no summary accepts fail before
     the first step.
 
@@ -498,7 +548,8 @@ def evolve(
     stats = RunStats()
     phi_bar = float(initial.phi[0])
     # Pending summaries: z-jets in a preallocated block, (t, dt, phi) in a list.
-    block_zj = np.empty((SUMMARY_BLOCK, 3, 3, n))
+    block = summary_block(n)
+    block_zj = np.empty((block, 3, 3, n))
     pending: list[tuple[float, float, float]] = []
     # Every sample's record, grown by doubling and cut to the sample count at
     # the end; a small first size reuses heap the process already holds.
@@ -518,7 +569,7 @@ def evolve(
     def record(t, dt, zj, phi):
         block_zj[len(pending)] = zj
         pending.append((t, dt, phi))
-        if len(pending) == SUMMARY_BLOCK:
+        if len(pending) == block:
             flush()
 
     t = initial.t

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -376,10 +376,11 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
 # ---------------------------------------------------------------------------
 # Curvature-evolution residuals
 
-def _k0i_evolution_rhs(zj: np.ndarray, phi: float) -> np.ndarray:
+def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray | None) -> np.ndarray:
     """Right-hand sides of the evolution equations of (K_01, K_02, K_03),
     stacked (3, n), at one state of uniform phi, from the z-jet
-    zj = (x, dz x, dz^2 x) of its radii, stacked (3, 3, n).
+    zj = (x, dz x, dz^2 x) of its radii, stacked (3, 3, n), and the
+    tangential speed w of that state (see flow.tangential_speed).
 
     Written once for a radius row x and its partner rows (y, z) =
     (curvature.Y, curvature.Z), in the variables K = -x''/x, r = x'/x,
@@ -387,8 +388,8 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float) -> np.ndarray:
     stacks, r_y = r[Y] and p_y = p[Y] = y^2/(xz)^2. One evaluation gives all
     three rows, and one z-jet of the three K rows gives K' and K''. The
     flow's tangential field V = (W/phi) dz moves the grid along the manifold,
-    so K at fixed z also gains the Lie derivative V(K) = W K', with W computed
-    from this state (see flow.tangential_speed).
+    so K at fixed z also gains the Lie derivative V(K) = W K'; w is None
+    where W vanishes, as on z-constant data.
     """
     x, xp, xpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
     k, r, sq = -xpp / x, xp / x, x * x
@@ -419,49 +420,62 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float) -> np.ndarray:
         - 4.0 * py * (ry * ry + 3.0 * rz * rz - 4.0 * ry * rz)
         - 4.0 * pz * (rz * rz + 3.0 * ry * ry - 4.0 * ry * rz)
     )
-    # -(K_01 + K_02 + K_03) = a''/a + b''/b + c''/c, exactly.
-    w, _ = tangential_speed(phi, -(k[0] + k[1] + k[2]))
     if w is not None:
         rhs += w * kp
     return rhs
+
+
+@lru_cache(maxsize=1)
+def _k0i_defects(traj: Trajectory) -> np.ndarray:
+    """|dt K_0i - its evolution RHS| stacked (3, n), all three rows from one
+    evaluation at the first snapshot of traj, which must have one; read-only.
+
+    dt K_0i comes from the flow's own time derivative: with (dx, c) =
+    flow._flow_rhs and K = -x''/x, the chain rule gives dt K = (x'' dx / x -
+    dx'' + 2 c x'') / x, where the 2 c x'' is the drift of phi = lambda
+    phi_bar in the arclength derivative. Both sides read the radii and their
+    derivatives from one z-jet of the state and share one tangential speed
+    W. The last trajectory's defects are kept: a Trajectory hashes by
+    identity, and nothing replaces its first snapshot, so the three
+    evolution_residual monitors of one run share one evaluation.
+    """
+    state = traj.snapshots[0]
+    phi, n = float(state.phi[0]), state.grid.n
+    zj = z_jet(np.fft.rfft(radii(state)), n)
+    x, xpp = zj[0], zj[2] / (phi * phi)
+    q = xpp / x
+    speed = tangential_speed(phi, q[0] + q[1] + q[2])
+    dx, c = _flow_rhs(zj, phi, speed)
+    dxpp = z_jet(np.fft.rfft(dx), n)[2] / (phi * phi)
+    dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
+    defects = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, speed[0]))
+    defects.setflags(write=False)
+    return defects
 
 
 def evolution_residual(
     traj: Trajectory, report: Fit, tol: float, which: str = "k01"
 ) -> MonitorReport:
     """Max-norm defect between dt K_0i and its evolution RHS at the first
-    snapshot, for K_0i the row `which` of (k01, k02, k03).
+    snapshot (see _k0i_defects), for K_0i the row `which` of (k01, k02, k03).
 
-    dt K_0i comes from the flow's own time derivative: with (dx, c) =
-    flow._flow_rhs and K = -x''/x, the chain rule gives dt K = (x'' dx / x -
-    dx'' + 2 c x'') / x, where the 2 c x'' is the drift of phi = lambda
-    phi_bar in the arclength derivative. Both sides are semi-discrete, so
-    the defect is the spatial error alone and falls at the stencil order
-    under dz halving. Both sides read the radii and their derivatives from
-    one z-jet of the state, and form all three rows at once. The margin is
-    minus the defect: a single report records its magnitude, and convergence
-    is asserted by comparing two grids' reports.
+    Both sides are semi-discrete, so the defect is the spatial error alone
+    and falls at the stencil order under dz halving. The margin is minus the
+    defect: a single report records its magnitude, and convergence is
+    asserted by comparing two grids' reports.
     """
     rows = ("k01", "k02", "k03")
     if which not in rows:
         raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
     if not traj.snapshots:
         return _not_applicable("need a snapshot for the residual check")
-    state = traj.snapshots[0]
-    phi, n = float(state.phi[0]), state.grid.n
-    zj = z_jet(np.fft.rfft(radii(state)), n)
-    dx, c = _flow_rhs(zj, phi)
-    x, xpp = zj[0], zj[2] / (phi * phi)
-    dxpp = z_jet(np.fft.rfft(dx), n)[2] / (phi * phi)
-    dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
-
-    defect = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi))[rows.index(which)]
+    defect = _k0i_defects(traj)[rows.index(which)]
     idx = int(np.argmax(defect))
     residual = float(defect[idx])
     return MonitorReport(
         passed=math.isfinite(residual),
         worst_margin=-residual,
-        worst_location=(float(state.t), idx),
+        worst_location=(float(traj.snapshots[0].t), idx),
         notes=f"residual_max={residual:.6e}",
     )
 

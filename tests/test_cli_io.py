@@ -622,8 +622,12 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
 # moved to Fourier space, its stages reading the radii and their derivatives
 # from one irfft of the jet symbol instead of the stencil (the same operator,
 # other roundoff): the 485 steps stayed and T moved by -1.3e-14, from
-# 0.8532748375853980 to 0.8532748375853851.
-FIG_A_64_SERIES_SHA256 = "fdaf625444b0b315ad0d9aab002e7ec4e13451034dc586342cec0b87f9f1b6e5"
+# 0.8532748375853980 to 0.8532748375853851. Re-pinned when the step took its
+# phi-functions from a per-grid table of the diffusion symbol's powers and
+# the right-hand side and summaries reused their squares (the same
+# arithmetic, other roundoff): the 485 steps stayed and T moved by +3.3e-16,
+# from 0.8532748375853851 to 0.8532748375853855.
+FIG_A_64_SERIES_SHA256 = "05f97fe4735c381838e2c19120f7833d4a7b323676ec49e445cbfe5201924cbf"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
@@ -640,7 +644,10 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
 # benchmark's sphere-exact case. Re-pinned when ETDRK4 and the rate rule
 # replaced classical RK4 (on z-constant data ETDRK4 is RK4, but dt changed):
 # 2,298 steps became 819 and |T - 1| fell from 1.33e-11 to 5.1e-12.
-SPHERE_64_SERIES_SHA256 = "a4e61d7606b7af696de59b64b0c48c4b3c4363f5b976ff7b4b6c19023da5f3f1"
+# Re-pinned with the per-grid phi-function table and the reused squares
+# (fig-a above): the 819 steps stayed and T moved by +2.2e-16, from
+# 0.9999999999948868 to 0.9999999999948870.
+SPHERE_64_SERIES_SHA256 = "ae64b23ea831238d920d5fefc8510e61451db3c0867b31ba3de3654b32ab8d74"
 
 
 def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):

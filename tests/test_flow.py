@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import os
@@ -18,7 +19,6 @@ from neckpinch.flow import (
     STOP_AMIN,
     STOP_HALVINGS,
     STOP_TMAX,
-    SUMMARY_BLOCK,
     SUMMARY_DTYPE,
     MAX_STEP_HALVINGS,
     FlowConfig,
@@ -27,11 +27,14 @@ from neckpinch.flow import (
     StepRejected,
     Trajectory,
     _flow_rhs,
+    _etd_table,
     _phi_functions,
+    _power_table,
     estimate_singular_time,
     evolve,
     rk4_step,
     summarize_state,
+    summary_block,
     tangential_speed,
 )
 from neckpinch.grid import (
@@ -39,6 +42,7 @@ from neckpinch.grid import (
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
+    _jet_symbol,
     metric_state,
     z_jet,
 )
@@ -288,20 +292,46 @@ def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
     assert np.log2(gaps[0] / gaps[1]) >= 4.5
 
 
-def test_phi_functions_match_the_contour_integral():
-    # Kassam & Trefethen: phi_k(z) is the mean of phi_k over a circle about z,
-    # whose points stay clear of the cancellation near 0
-    z = -np.concatenate(([0.0, 1e-12, 0.5, 0.999999, 1.0, 1.000001], np.logspace(-8, 3, 200)))
+def contour_phi(z):
+    """(phi_1, phi_2, phi_3)(z) stacked (3, z.size) as Kassam & Trefethen
+    compute them: phi_k(z) is the mean of phi_k over a circle about z, whose
+    points stay clear of the cancellation near 0."""
     circle = z[:, np.newaxis] + np.exp(1j * np.pi * (np.arange(64) + 0.5) / 32)
     e = np.exp(circle)
-    contour = [
+    return np.stack([
         np.mean((e - 1.0) / circle, axis=1).real,
         np.mean((e - 1.0 - circle) / circle**2, axis=1).real,
         np.mean((e - 1.0 - circle - circle**2 / 2) / circle**3, axis=1).real,
-    ]
-    for ours, ref in zip(_phi_functions(z), contour):
-        np.testing.assert_allclose(ours, ref, rtol=1e-12)
-    assert [p[0] for p in _phi_functions(z)] == [1.0, 0.5, 1.0 / 6.0]
+    ])
+
+
+def test_phi_functions_match_the_contour_integral():
+    z = -np.concatenate(([0.0, 1e-12, 0.5, 0.999999, 1.0, 1.000001], np.logspace(-8, 3, 200)))
+    e, ours = _phi_functions(1.0, z, _power_table(z))
+    assert e.tolist() == np.exp(z).tolist()
+    np.testing.assert_allclose(ours, contour_phi(z), rtol=1e-12)
+    assert ours[:, 0].tolist() == [1.0, 0.5, 1.0 / 6.0]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_phi_functions_on_the_grid_table(n):
+    # rk4_step's path: the cached powers of the stacked diffusion symbol
+    # [sigma/2, sigma] on the grids of the fig-a workloads, at steps
+    # h = dt/(lambda phi_bar)^2 whose h sigma lie on both sides of
+    # |h sigma| = 1, where the Taylor series hands over to the recurrence
+    sigma, powers = _etd_table(n)
+    m = sigma.size // 2
+    assert sigma[m:].tolist() == _jet_symbol(n)[2].real.tolist()
+    sides = set()
+    for h in (1e-6, 1e-4, 3e-3, 2e-2, 0.3):
+        z = h * sigma
+        sides |= set(np.abs(z) < 1.0)
+        e, ours = _phi_functions(h, sigma, powers)
+        assert e.tolist() == np.exp(z).tolist()
+        np.testing.assert_allclose(ours, contour_phi(z), rtol=1e-12)
+        # sigma = 0 at k = 0 in both halves
+        assert ours[:, 0].tolist() == ours[:, m].tolist() == [1.0, 0.5, 1.0 / 6.0]
+    assert sides == {True, False}
 
 
 def test_step_rule_on_the_sphere():
@@ -403,15 +433,21 @@ def column_bits(traj, name):
     return traj.series(name).tobytes()
 
 
-@pytest.fixture(scope="module")
-def fig_a_states():
-    st = get_preset("fig-a").build(PeriodicGrid(64))
-    return fixed_steps(st, 1e-3, 49)[::7]
+@functools.cache
+def fig_a_states(n):
+    """fig-a on n points and its first 31 steps of size 1e-3."""
+    st = get_preset("fig-a").build(PeriodicGrid(n))
+    return fixed_steps(st, 1e-3, 31)
 
 
-@pytest.mark.parametrize("size", [1, 3, SUMMARY_BLOCK])
-def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
-    states = fig_a_states[-size:]
+# evolve's block on n points holds summary_block(n) states: 8 at n = 256 and
+# 32 at n = 64
+BLOCK_CASES = [(64, 1), (64, 3), (256, summary_block(256)), (64, summary_block(64))]
+
+
+@pytest.mark.parametrize("n, size", BLOCK_CASES, ids=[str(size) for _, size in BLOCK_CASES])
+def test_block_summary_bitwise_equals_state_by_state(n, size):
+    states = fig_a_states(n)[-size:]
     ts, dts = [s.t for s in states], [1e-3 * (k + 1) for k in range(size)]
     jets = np.stack([jet_of(stacked(s)) for s in states])
     phis = [float(s.phi[0]) for s in states]
@@ -421,9 +457,13 @@ def test_block_summary_bitwise_equals_state_by_state(fig_a_states, size):
         assert bits(records[k].tolist()) == bits(reference_sample(*sample))
 
 
-def test_block_summary_raises_for_an_unresolvable_state(fig_a_states):
-    jets = np.stack([jet_of(stacked(s)) for s in fig_a_states[:3]])
-    phi = [float(s.phi[0]) for s in fig_a_states[:3]]
+def test_summary_block_fills_its_byte_budget():
+    assert [summary_block(n) for n in (64, 128, 256, 1 << 20)] == [32, 16, 8, 1]
+
+
+def test_block_summary_raises_for_an_unresolvable_state():
+    jets = np.stack([jet_of(stacked(s)) for s in fig_a_states(64)[:3]])
+    phi = [float(s.phi[0]) for s in fig_a_states(64)[:3]]
     jets[2, 0, 1, 5] = 1e-9
     with pytest.raises(DegenerateFiberError, match="1.000e-09"):
         summarize_state([0.0, 0.1, 0.2], [0.0] * 3, jets, phi)
@@ -454,35 +494,37 @@ def _reject_after(monkeypatch, steps, rejections=math.inf):
     "stop, flow_kwargs",
     [
         (STOP_AMIN, {"a_min_stop": 0.3}),
-        (STOP_TMAX, {"t_max": 0.07}),
+        (STOP_TMAX, {"t_max": 0.8}),
         (STOP_HALVINGS, {}),
     ],
 )
 def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, flow_kwargs):
-    st = get_preset("fig-a").build(PeriodicGrid(32))
-
-    def run(monitor_stride):
+    def run(st, monitor_stride):
         if stop == STOP_HALVINGS:
-            _reject_after(monkeypatch, 38)
+            _reject_after(monkeypatch, 200)
         cfg = FlowConfig(monitor_stride=monitor_stride, **flow_kwargs)
         traj, _ = evolve(st, cfg)
         assert traj.stop_reason == stop
         return traj
 
-    every = run(1)
-    strided = run(3)
-    steps = len(every.samples) - 1
-    assert len(strided.samples) % SUMMARY_BLOCK != 0
-    assert steps % 3 != 0  # the last state is recorded although off the stride
-    for name in SUMMARY_DTYPE.names:
-        column = every.series(name)
-        expected = np.append(column[::3], column[-1:])
-        assert column_bits(strided, name) == expected.tobytes()
-    # the snapshots are the first state and the final one
-    for traj in (every, strided):
-        assert traj.snapshots[0] is st
-        assert [s.t for s in traj.snapshots] == [0.0, every.ts[-1].item()]
-        assert traj.snapshots[1].a.min() == traj.samples[-1].a_min
+    for n in (64, 256):
+        st = get_preset("fig-a").build(PeriodicGrid(n))
+        every = run(st, 1)
+        strided = run(st, 3)
+        steps = len(every.samples) - 1
+        # full blocks of summary_block(n) states, then a partial one
+        assert len(strided.samples) > summary_block(n)
+        assert len(strided.samples) % summary_block(n) != 0
+        assert steps % 3 != 0  # the last state is recorded although off the stride
+        for name in SUMMARY_DTYPE.names:
+            column = every.series(name)
+            expected = np.append(column[::3], column[-1:])
+            assert column_bits(strided, name) == expected.tobytes()
+        # the snapshots are the first state and the final one
+        for traj in (every, strided):
+            assert traj.snapshots[0] is st
+            assert [s.t for s in traj.snapshots] == [0.0, every.ts[-1].item()]
+            assert traj.snapshots[1].a.min() == traj.samples[-1].a_min
 
 
 def test_evolve_sphere_tracks_exact_solution():

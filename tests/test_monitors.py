@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from neckpinch.config import ConfigError, config_from_dict
-from neckpinch.flow import FlowConfig, SingularityReport, evolve
+from neckpinch import monitors
+from neckpinch.flow import FlowConfig, SingularityReport, _flow_rhs, evolve, tangential_speed
 from neckpinch.grid import PeriodicGrid, metric_state, z_jet
 from neckpinch.monitors import (
     DERIV_BOUND_A,
@@ -528,6 +529,43 @@ def test_evolution_residual_rejects_an_unknown_row():
         evolution_residual(traj, None, tolerance(traj), "k04")
 
 
+def residual_alone(traj, row):
+    """One evolution residual evaluated on its own, as each monitor did before
+    the three shared one evaluation: its own z-jet, _flow_rhs computing its
+    own W, and W computed again for the evolution RHS. (-defect, index)."""
+    state = traj.snapshots[0]
+    phi, n = float(state.phi[0]), state.grid.n
+    zj = z_jet(np.fft.rfft(np.stack((state.a, state.b, state.c))), n)
+    dx, c = _flow_rhs(zj, phi)
+    x, xpp = zj[0], zj[2] / (phi * phi)
+    dxpp = z_jet(np.fft.rfft(dx), n)[2] / (phi * phi)
+    dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
+    k = -xpp / x
+    w, _ = tangential_speed(phi, -(k[0] + k[1] + k[2]))
+    defect = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))[row]
+    idx = int(np.argmax(defect))
+    return -float(defect[idx]), idx
+
+
+@pytest.mark.parametrize("preset", ["fig-a", "fig-b"])
+def test_evolution_residuals_share_one_evaluation(monkeypatch, preset):
+    traj, _ = evolve(get_preset(preset).build(PeriodicGrid(64)), FlowConfig(t_max=0.0))
+    calls = []
+
+    def flow_rhs(*args):
+        calls.append(len(calls))
+        return _flow_rhs(*args)
+
+    monkeypatch.setattr(monitors, "_flow_rhs", flow_rhs)
+    names = ["evolution_residual_k01", "evolution_residual_k02", "evolution_residual_k03"]
+    reports = run_monitors(traj, None, names)
+    assert len(calls) == 1
+    for row, name in enumerate(names):
+        margin, idx = residual_alone(traj, row)
+        assert repr(reports[name].worst_margin) == repr(margin)
+        assert reports[name].worst_location == (0.0, idx)
+
+
 @pytest.mark.parametrize("preset", ["fig-a", "fig-c"])
 def test_k0i_evolution_rhs_follows_the_partner_table(preset):
     # the equation is written once for a row and its partners: swapping the
@@ -535,8 +573,10 @@ def test_k0i_evolution_rhs_follows_the_partner_table(preset):
     st = get_preset(preset).build(PeriodicGrid(64))
     zj = z_jet(np.fft.rfft(np.stack((st.a, st.b, st.c))), 64)
     phi = float(st.phi[0])
-    rhs = _k0i_evolution_rhs(zj, phi)
-    swapped = _k0i_evolution_rhs(zj[:, [0, 2, 1]], phi)
+    q = zj[2] / (phi * phi * zj[0])
+    w, _ = tangential_speed(phi, q[0] + q[1] + q[2])
+    rhs = _k0i_evolution_rhs(zj, phi, w)
+    swapped = _k0i_evolution_rhs(zj[:, [0, 2, 1]], phi, w)
     assert rhs.shape == (3, 64)
     scale = np.abs(rhs).max()
     assert np.abs(swapped - rhs[[0, 2, 1]]).max() <= 1e-13 * scale
