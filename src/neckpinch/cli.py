@@ -6,9 +6,9 @@ Subcommands:
   curvature    one-shot curvature table for a preset at t = 0
   convergence  grid/step refinement study printing measured orders
 
-Exit codes: 0 success, 1 usage error, 2 run aborted after exhausted step halvings,
-3 monitor hard-violation under --strict, 141 standard output closed early (a
-reader such as `head` exited), the status a shell reports for SIGPIPE.
+Exit codes: 0 success, 1 usage, data or output error, 2 run aborted after exhausted
+step halvings, 3 monitor hard-violation under --strict, 141 standard output closed
+early (a reader such as `head` exited), the status a shell reports for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -84,11 +84,14 @@ def _resolve_config(args) -> RunConfig:
 def _cmd_run(args) -> int:
     # ConfigError and the data errors of building the state (a samples profile
     # of the wrong length, a phi0 with no equal-arclength nodes) or of
-    # summarizing it at t = 0 (DegenerateFiberError) are all ValueErrors.
+    # summarizing it at t = 0 (DegenerateFiberError) are all ValueErrors; an
+    # unusable out_dir raises OSError (see main) before the run.
     try:
         cfg = _resolve_config(args)
         preset = cfg.build_preset()
         grid = PeriodicGrid(cfg.grid_n)
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         traj, report = flow.evolve(preset.build(grid), cfg.flow)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -99,8 +102,6 @@ def _cmd_run(args) -> int:
     lam = traj.series("ratio_max")[0].item()
     consts = monitors.constants(lam) if lam >= 1.0 else None
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         write_series(traj, out_dir / "series.csv")
     if "json" in cfg.formats:
@@ -142,14 +143,15 @@ def _cmd_curvature(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out:
+        path = Path(args.out)
+        path.mkdir(parents=True, exist_ok=True)
     state = preset.build(grid)
     curv = sectional_curvatures(state)
     print(f"curvature of preset {preset.name} at t=0, n={args.grid_n}")
     for name, v in zip(curv._fields, curv):
         print(f"  {name:10s} min={v.min():+.6e} max={v.max():+.6e}")
     if args.out:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
         rows = ["z," + ",".join(curv._fields)]
         for k, z in enumerate(grid.z):
             rows.append(repr(float(z)) + "," + ",".join(repr(float(v[k])) for v in curv))
@@ -177,7 +179,7 @@ def _cmd_convergence(args) -> int:
     errs = []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n)
-        err = np.max(np.abs(z_jet(np.fft.rfft(np.sin(grid.z)), n)[1] - np.cos(grid.z)))
+        err = np.max(np.abs(z_jet(np.fft.rfft(np.sin(grid.z)), n, 1.0)[1] - np.cos(grid.z)))
         errs.append(err)
         print(f"  n={n:4d} max_err={err:.3e}")
     print(f"  measured orders: {_measured_orders(errs)}")
@@ -233,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit does not raise a second BrokenPipeError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # an output that cannot be written, e.g. --out naming a file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

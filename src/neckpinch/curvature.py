@@ -44,11 +44,11 @@ def jet(phi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     broadcast against it. The second derivative is nested,
     (1/phi) D1 ((1/phi) D1 x), which keeps the discrete product rule exact
     instead of expanding into dx*dphi cross terms, and serves a non-uniform
-    phi as it does a uniform one.
+    phi as it does a uniform one: D1 is row 1 of z_jet at gauge 1.
     """
     n = x.shape[-1]
-    xp = z_jet(np.fft.rfft(x), n)[1] / phi
-    xpp = z_jet(np.fft.rfft(xp), n)[1] / phi
+    xp = z_jet(np.fft.rfft(x), n, 1.0)[1] / phi
+    xpp = z_jet(np.fft.rfft(xp), n, 1.0)[1] / phi
     return xp, xpp
 
 
@@ -160,7 +160,7 @@ def riemann_oracle(state: MetricState) -> np.ndarray:
     """
     check_resolvable(radii(state))
     g = np.stack((state.phi**2, state.a**2, state.b**2, state.c**2))
-    _, dg, ddg = z_jet(np.fft.rfft(g), state.grid.n)
+    _, dg, ddg = z_jet(np.fft.rfft(g), state.grid.n, 1.0)
 
     k0 = [
         0.25 * (dg[0] * dg[i] / g[0] + dg[i] ** 2 / g[i] - 2.0 * ddg[i]) / (g[0] * g[i])

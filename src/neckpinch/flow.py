@@ -16,8 +16,8 @@ redistribution) parametrization of curve-shortening flow: the grid points
 keep equal arclength spacing, so a neck keeps its grid points while it
 narrows. W is the mean-free periodic antiderivative, one rfft/irfft per
 stage, and vanishes identically on z-constant data, where the transform is
-skipped. Primes are arclength derivatives taken by the chain rule on the
-fixed z-grid: x' = dz x / phi and x'' = dz^2 x / phi^2.
+skipped. Primes are arclength derivatives on the fixed z-grid, x' =
+dz x / phi and x'' = dz^2 x / phi^2, and grid.z_jet applies that gauge.
 
 With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
 multiplier, and rk4_step integrates it exactly: ETDRK4 (Cox & Matthews,
@@ -32,15 +32,15 @@ phi-functions (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005) are one
 exp, one recurrence, one matmul for their Taylor series and one select.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
-the package's one z-derivative, gives from u the z-jet (x, dz x, dz^2 x)
+the package's one z-derivative, gives from u and phi the jet (x, x', x'')
 that _flow_rhs, the flow's one time derivative, reads in rk4_step's stages,
 evolve's step rule and the monitors' K_0i evolution residual. Each accepted
-state's z-jet also serves the next first stage and its summary.
+state's jet also serves the next first stage and its summary.
 
-Between steps evolve holds u, its z-jet and log(lambda), with t and dt as
+Between steps evolve holds u, its jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
 snapshot besides the first. The summaries are computed a block at a time,
-as many stacked z-jets as fit in SUMMARY_BLOCK_BYTES, as records of one
+as many stacked jets as fit in SUMMARY_BLOCK_BYTES, as records of one
 structured dtype, SUMMARY_DTYPE, in one array that becomes the Trajectory's
 read-only samples.
 """
@@ -80,7 +80,7 @@ STOP_HALVINGS = "step_halvings_exhausted"
 #: Attempts to halve dt after a rejected step before giving up.
 MAX_STEP_HALVINGS = 20
 
-#: Bytes of the stacked z-jets that evolve summarizes per summarize_state
+#: Bytes of the stacked jets that evolve summarizes per summarize_state
 #: call: 8 states at n = 256, 32 at n = 64, where a block of 64 outgrows the
 #: cache. Per state on fig-a (best of three processes, one core of a 2-vCPU
 #: Xeon), n = 64: 27 us in blocks of 8, 14 in 16, 11.5 in 32, 16.5 in 64;
@@ -90,7 +90,7 @@ SUMMARY_BLOCK_BYTES = 144 * 1024
 
 def summary_block(n: int) -> int:
     """States per summarize_state call in evolve on n points: as many
-    (3, 3, n) float64 z-jets as fit in SUMMARY_BLOCK_BYTES, at least 1."""
+    (3, 3, n) float64 jets as fit in SUMMARY_BLOCK_BYTES, at least 1."""
     return max(1, SUMMARY_BLOCK_BYTES // (3 * 3 * n * 8))
 
 
@@ -255,13 +255,11 @@ def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, floa
     return np.fft.irfft(np.fft.rfft(dw) * _antiderivative_multiplier(n), n), c
 
 
-def _flow_rhs(
-    zj: np.ndarray, phi: float, speed: tuple[np.ndarray | None, float] | None = None
-) -> tuple[np.ndarray, float]:
-    """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c), and
-    dt log lambda = c, under the uniform gauge phi (see tangential_speed),
-    from the z-jet zj = (x, dz x, dz^2 x) stacked (3, 3, n). speed is
-    tangential_speed at this state, (W, c), when the caller already has it.
+def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c),
+    dt log lambda = c and the tangential speed W (see tangential_speed),
+    under the uniform gauge phi, from the arclength jet zj = (x, x', x'')
+    stacked (3, 3, n), z_jet(u, n, phi).
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
@@ -270,16 +268,14 @@ def _flow_rhs(
     place where that order allows, so the values equal those of the plain
     expressions.
     """
-    x, xp, xpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
+    x, xp, xpp = zj
     if x.min() <= 0.0:
         raise StepRejected("profiles left the positive cone")
     # Rows repeated twice, so rows 1:4 and 2:5 are each row's (y, z).
     r = np.concatenate((xp / x,) * 2)
     sq = np.concatenate((x * x,) * 2)
-    if speed is None:
-        q = xpp / x
-        speed = tangential_speed(phi, q[0] + q[1] + q[2])
-    w, c = speed
+    q = xpp / x
+    w, c = tangential_speed(phi, q[0] + q[1] + q[2])
     # xpp + xp * (r_y + r_z + W)
     dx = np.add(r[1:4], r[2:5])
     if w is not None:
@@ -297,7 +293,7 @@ def _flow_rhs(
     dx -= term
     if not (np.isfinite(dx).all() and math.isfinite(c)):
         raise StepRejected("non-finite flow derivatives")
-    return dx, c
+    return dx, c, w
 
 
 def _gauge_scale(log_lam: float) -> float:
@@ -384,10 +380,11 @@ def rk4_step(
     n: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One ETDRK4 step of log lambda and the radii on n points, held as their
-    rfft u0, stacked (3, n/2 + 1); returns (u1, z_jet(u1, n), log lambda1).
+    rfft u0, stacked (3, n/2 + 1); returns (u1, z_jet(u1, n, phi1), log
+    lambda1), phi1 = lambda1 * phi_bar.
 
     The gauge of a stage is lambda * phi_bar, and first = (rfft(k1), c1) is
-    _flow_rhs at the z-jet of u0 under lambda0 * phi_bar, the first stage,
+    _flow_rhs at the jet of u0 under lambda0 * phi_bar, the first stage,
     which the caller has already evaluated to choose dt. In the rfft of the
     radii the flow is u' = L u + N(u, t) with L = -s(k)^2 / (lambda0
     phi_bar)^2, the diffusion D1 o D1 frozen at the step's lambda0, which
@@ -395,7 +392,8 @@ def rk4_step(
     first-order terms, the reaction, W x' and the drift of lambda over the
     step. log lambda has L = 0, where the scheme is classical RK4, as it is
     on z-constant data. Raises StepRejected if a stage or the result leaves
-    the positive cone or turns non-finite.
+    the positive cone or turns non-finite, and _gauge_scale's errors if a
+    stage's or the result's lambda overflows or underflows to 0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -410,7 +408,8 @@ def rk4_step(
     lin = sigma[m:] / scale
 
     def stage(u, log_lam):
-        k, c = _flow_rhs(z_jet(u, n), _gauge_scale(log_lam) * phi_bar)
+        phi = _gauge_scale(log_lam) * phi_bar
+        k, c, _ = _flow_rhs(z_jet(u, n, phi), phi)
         return np.fft.rfft(k) - lin * u, c
 
     f1, c1 = first
@@ -421,8 +420,8 @@ def rk4_step(
     nb, c3 = stage(eu0 + q * na, log_lam0 + 0.5 * dt * c2)
     nc, c4 = stage(e_half * ua + q * (2.0 * nb - n1), log_lam0 + dt * c3)
     u1 = e_full * u0 + w1 * n1 + w23 * (na + nb) + w4 * nc
-    zj1 = z_jet(u1, n)
     log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    zj1 = z_jet(u1, n, _gauge_scale(log_lam1) * phi_bar)
     if not (np.isfinite(zj1).all() and math.isfinite(log_lam1)):
         raise StepRejected("non-finite state after step")
     if zj1[0].min() <= 0.0:
@@ -476,19 +475,16 @@ def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x - y) / np.minimum(x, y)
 
 
-def summarize_state(
-    ts: Sequence[float], dts: Sequence[float], zj: np.ndarray, phi: Sequence[float]
-) -> np.ndarray:
+def summarize_state(ts: Sequence[float], dts: Sequence[float], jets: np.ndarray) -> np.ndarray:
     """All scalar reductions the monitors need, for a block of B states.
 
-    ts and dts hold the B times and steps, zj the B z-jets stacked (B, 3, 3,
-    n) and phi the B uniform gauges. Returns the block's B records of
-    SUMMARY_DTYPE, each index the first attaining its value. Every reduction
-    runs along the last axis, so each sample is bitwise the one a block of
-    that state alone gives.
+    ts and dts hold the B times and steps, jets the B arclength jets (x, x',
+    x''), each z_jet(u, n, phi) under its state's gauge, stacked (B, 3, 3,
+    n). Returns the block's B records of SUMMARY_DTYPE, each index the first
+    attaining its value. Every reduction runs along the last axis, so each
+    sample is bitwise the one a block of that state alone gives.
     """
-    phi = np.reshape(phi, (-1, 1, 1))
-    x, xp, xpp = zj[:, 0], zj[:, 1] / phi, zj[:, 2] / (phi * phi)
+    x, xp, xpp = jets[:, 0], jets[:, 1], jets[:, 2]
     check_resolvable(x)
     scal, rm_norm_sq = curv = trace_invariants(sectional_rows(x, xp, xpp)[0])
     if not np.isfinite(curv).all():
@@ -518,7 +514,7 @@ def evolve(
 
     A state whose phi is not uniform is first moved to nodes of equal
     arclength (equal_arclength); that state is the first snapshot. Between
-    steps the state is the rfft u of the radii, its z-jet and log lambda, the
+    steps the state is the rfft u of the radii, its jet and log lambda, the
     gauge being the scalar phi = lambda * phi_bar; a MetricState is built
     only for the final state, the second snapshot when the run advanced.
     Summaries are recorded every monitor_stride steps plus the first and
@@ -547,10 +543,10 @@ def evolve(
     snapshots = [initial]
     stats = RunStats()
     phi_bar = float(initial.phi[0])
-    # Pending summaries: z-jets in a preallocated block, (t, dt, phi) in a list.
+    # Pending summaries: jets in a preallocated block, (t, dt) in a list.
     block = summary_block(n)
     block_zj = np.empty((block, 3, 3, n))
-    pending: list[tuple[float, float, float]] = []
+    pending: list[tuple[float, float]] = []
     # Every sample's record, grown by doubling and cut to the sample count at
     # the end; a small first size reuses heap the process already holds.
     records = np.empty(128, SUMMARY_DTYPE)
@@ -561,22 +557,22 @@ def evolve(
         k = len(pending)
         if count + k > records.size:
             records.resize(2 * records.size, refcheck=False)
-        ts, dts, phis = zip(*pending)
-        records[count : count + k] = summarize_state(ts, dts, block_zj[:k], phis)
+        ts, dts = zip(*pending)
+        records[count : count + k] = summarize_state(ts, dts, block_zj[:k])
         count += k
         pending.clear()
 
-    def record(t, dt, zj, phi):
+    def record(t, dt, zj):
         block_zj[len(pending)] = zj
-        pending.append((t, dt, phi))
+        pending.append((t, dt))
         if len(pending) == block:
             flush()
 
     t = initial.t
     u = np.fft.rfft(radii(initial))
-    zj = z_jet(u, n)
     log_lam, phi = 0.0, phi_bar
-    record(t, 0.0, zj, phi)
+    zj = z_jet(u, n, phi)
+    record(t, 0.0, zj)
     flush()
 
     last_dt = 0.0
@@ -590,7 +586,7 @@ def evolve(
             break
 
         try:
-            k1, c1 = _flow_rhs(zj, phi)
+            k1, c1, _ = _flow_rhs(zj, phi)
         except StepRejected:
             # dt does not enter the first stage, so no halving can mend it.
             stats.rejected += MAX_STEP_HALVINGS + 1
@@ -621,10 +617,10 @@ def evolve(
         stats.steps += 1
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
-            record(t, dt, zj, phi)
+            record(t, dt, zj)
 
     if stats.steps % cfg.monitor_stride:
-        record(t, last_dt, zj, phi)
+        record(t, last_dt, zj)
     if pending:
         flush()
     records.resize(count, refcheck=False)

@@ -4,9 +4,10 @@ The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
 points. Metric profiles phi, a, b, c live on this grid as read-only arrays.
 Every derivative with respect to the base coordinate z in the package is
 z_jet: one irfft of rfft(x) S, S the exact Fourier symbols of the 4th-order
-periodic central-difference stencil D1 and of D1 o D1. Arclength derivatives
-(ds = phi dz) follow by the chain rule d/ds = (1/phi) d/dz in curvature.jet;
-the grid itself never moves while phi evolves.
+periodic central-difference stencil D1 and of D1 o D1, the derivative rows then
+divided by phi and phi^2 to give arclength derivatives (ds = phi dz) under a
+uniform gauge phi; curvature.jet nests it for a non-uniform phi. The grid
+itself never moves while phi evolves.
 """
 
 from __future__ import annotations
@@ -110,9 +111,13 @@ def _jet_symbol(n: int) -> np.ndarray:
     return symbol
 
 
-def z_jet(u: np.ndarray, n: int) -> np.ndarray:
-    """The z-jet (x, D1 x, D1 D1 x) of the rows x = irfft(u, n), stacked
+def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
+    """The arclength jet (x, D1 x / phi, D1 D1 x / phi^2) of the rows
+    x = irfft(u, n) under the scalar gauge phi (1 for the z-jet), stacked
     (3,) + x.shape: one irfft of u S along the last axis, any leading axes of
-    u being independent rows."""
+    u being independent rows, with rows 1 and 2 divided in place."""
     symbol = _jet_symbol(n)
-    return np.fft.irfft(u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:]), n)
+    jet = np.fft.irfft(u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:]), n)
+    jet[1] /= phi
+    jet[2] /= phi * phi
+    return jet

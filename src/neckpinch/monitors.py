@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .curvature import Y, Z, radii
-from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, tangential_speed
+from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs
 from .grid import STENCIL_ORDER, z_jet
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
@@ -378,27 +378,25 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
 
 def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray | None) -> np.ndarray:
     """Right-hand sides of the evolution equations of (K_01, K_02, K_03),
-    stacked (3, n), at one state of uniform phi, from the z-jet
-    zj = (x, dz x, dz^2 x) of its radii, stacked (3, 3, n), and the
-    tangential speed w of that state (see flow.tangential_speed).
+    stacked (3, n), at one state of uniform phi, from the arclength jet
+    zj = (x, x', x'') of its radii, stacked (3, 3, n), and the tangential
+    speed w of that state (see flow.tangential_speed).
 
     Written once for a radius row x and its partner rows (y, z) =
     (curvature.Y, curvature.Z), in the variables K = -x''/x, r = x'/x,
     p = x^2/(yz)^2 and u = 1/x^2; a partner's values are rows of the same
     stacks, r_y = r[Y] and p_y = p[Y] = y^2/(xz)^2. One evaluation gives all
-    three rows, and one z-jet of the three K rows gives K' and K''. The
+    three rows, and one jet of the three K rows gives K' and K''. The
     flow's tangential field V = (W/phi) dz moves the grid along the manifold,
     so K at fixed z also gains the Lie derivative V(K) = W K'; w is None
     where W vanishes, as on z-constant data.
     """
-    x, xp, xpp = zj[0], zj[1] / phi, zj[2] / (phi * phi)
+    x, xp, xpp = zj
     k, r, sq = -xpp / x, xp / x, x * x
     u, p = 1.0 / sq, sq / (sq[Y] * sq[Z])
     ry, rz, py, pz = r[Y], r[Z], p[Y], p[Z]
 
-    _, kp, kpp = z_jet(np.fft.rfft(k), x.shape[-1])
-    kp /= phi
-    kpp /= phi * phi
+    _, kp, kpp = z_jet(np.fft.rfft(k), x.shape[-1], phi)
     rhs = (
         kpp
         + (r[0] + r[1] + r[2]) * kp
@@ -430,25 +428,23 @@ def _k0i_defects(traj: Trajectory) -> np.ndarray:
     """|dt K_0i - its evolution RHS| stacked (3, n), all three rows from one
     evaluation at the first snapshot of traj, which must have one; read-only.
 
-    dt K_0i comes from the flow's own time derivative: with (dx, c) =
+    dt K_0i comes from the flow's own time derivative: with (dx, c, W) =
     flow._flow_rhs and K = -x''/x, the chain rule gives dt K = (x'' dx / x -
     dx'' + 2 c x'') / x, where the 2 c x'' is the drift of phi = lambda
     phi_bar in the arclength derivative. Both sides read the radii and their
-    derivatives from one z-jet of the state and share one tangential speed
-    W. The last trajectory's defects are kept: a Trajectory hashes by
-    identity, and nothing replaces its first snapshot, so the three
-    evolution_residual monitors of one run share one evaluation.
+    primes from one jet of the state and share that one W. The last
+    trajectory's defects are kept: a Trajectory hashes by identity, and
+    nothing replaces its first snapshot, so the three evolution_residual
+    monitors of one run share one evaluation.
     """
     state = traj.snapshots[0]
     phi, n = float(state.phi[0]), state.grid.n
-    zj = z_jet(np.fft.rfft(radii(state)), n)
-    x, xpp = zj[0], zj[2] / (phi * phi)
-    q = xpp / x
-    speed = tangential_speed(phi, q[0] + q[1] + q[2])
-    dx, c = _flow_rhs(zj, phi, speed)
-    dxpp = z_jet(np.fft.rfft(dx), n)[2] / (phi * phi)
+    zj = z_jet(np.fft.rfft(radii(state)), n, phi)
+    x, _, xpp = zj
+    dx, c, w = _flow_rhs(zj, phi)
+    dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
-    defects = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, speed[0]))
+    defects = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))
     defects.setflags(write=False)
     return defects
 

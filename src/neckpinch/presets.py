@@ -49,6 +49,9 @@ class Profile:
                     f"samples profile has {values.size} points, grid needs {grid.n}"
                 )
             return values
+        if 2 * abs(self.frequency) >= grid.n:  # it would alias to a lower mode
+            raise ValueError(f"profile frequency {self.frequency} is at or above the Nyquist "
+                             f"frequency {grid.n // 2} of {grid.n} grid points")
         wave = np.cos if self.kind == "cos" else np.sin
         return self.amplitude * wave(self.frequency * grid.z) + self.offset
 
@@ -85,14 +88,8 @@ class Preset:
     description: str = ""
 
     def build(self, grid: PeriodicGrid, t: float = 0.0) -> MetricState:
-        return metric_state(
-            grid,
-            t,
-            self.phi0.evaluate(grid),
-            self.a0.evaluate(grid),
-            self.b0.evaluate(grid),
-            self.c0.evaluate(grid),
-        )
+        profiles = (self.phi0, self.a0, self.b0, self.c0)
+        return metric_state(grid, t, *(p.evaluate(grid) for p in profiles))
 
 
 def sphere(r: float = 2.0) -> Preset:

@@ -231,9 +231,11 @@ def classical_rk4_step(
     which ETDRK4 must equal where the diffusion symbol vanishes."""
 
     def stage(x, log_lam):
-        # The stencil's z-jet (x, D1 x, D1 D1 x), not the flow's transform.
+        # The stencil's arclength jet (x, D1 x / phi, D1 D1 x / phi^2), not
+        # the flow's transform.
+        phi = math.exp(log_lam) * phi_bar
         dx = dz_stencil(x, dz)
-        return _flow_rhs(np.stack((x, dx, dz_stencil(dx, dz))), math.exp(log_lam) * phi_bar)
+        return _flow_rhs(np.stack((x, dx / phi, dz_stencil(dx, dz) / (phi * phi))), phi)[:2]
 
     k1, c1 = stage(x0, log_lam0)
     k2, c2 = stage(x0 + 0.5 * dt * k1, log_lam0 + 0.5 * dt * c1)

@@ -397,6 +397,18 @@ _CONST = {"kind": "const", "offset": 1.0}
         ),
         ({"preset": "sphere", "preset_params": {"r": 1e-9}},
          "fiber radius 1.000e-09 below resolvable floor 1e-08"),
+        (
+            {"grid_n": 64, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "a0": {"kind": "sin", "amplitude": 0.5, "offset": 1.0,
+                                               "frequency": 32}}},
+            "profile frequency 32 is at or above the Nyquist frequency 32 of 64 grid points",
+        ),
+        (
+            {"grid_n": 64, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                                        "c0": {"kind": "cos", "amplitude": 0.5, "offset": 2.0,
+                                               "frequency": -40}}},
+            "profile frequency -40 is at or above the Nyquist frequency 32",
+        ),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "fixed-dt-key", "nan-t-max",
@@ -405,7 +417,8 @@ _CONST = {"kind": "const", "offset": 1.0}
          "non-object-flow", "string-formats",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
          "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
-         "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere"],
+         "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere",
+         "nyquist-sin", "aliased-cos"],
 )
 def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)
@@ -535,6 +548,26 @@ def test_cli_convergence_prints_exact_orders_on_z_constant_data(capsys):
     orders = [line for line in capsys.readouterr().out.splitlines() if "measured orders" in line]
     assert len(orders) == 3
     assert orders[1] == "  measured orders: ['exact', 'exact']"
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("run", None), ("run", "series.csv"), ("curvature", None), ("curvature", "curvature.csv")],
+)
+def test_cli_unwritable_out_is_one_line_error(tmp_path, capsys, command, blocked):
+    # --out naming a file fails before any work; an output file that cannot
+    # be written (here a directory of its name) fails when it is written
+    out = tmp_path / "out"
+    if blocked:
+        (out / blocked).mkdir(parents=True)
+    else:
+        out.write_text("keep")
+    assert main([command, "--preset", "sphere", "--grid-n", "32", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+    if not blocked:
+        assert captured.out == "" and out.read_text() == "keep"
 
 
 def test_cli_curvature(tmp_path, capsys):

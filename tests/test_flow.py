@@ -58,13 +58,14 @@ from reference import classical_rk4_step, dz_stencil, homogeneous_ode_oracle
 def rhs(state):
     """_flow_rhs at a MetricState of uniform phi: the radii rates (3, n) and
     dt log lambda."""
-    return _flow_rhs(jet_of(stacked(state)), float(state.phi[0]))
+    phi = float(state.phi[0])
+    return _flow_rhs(jet_of(stacked(state), phi), phi)[:2]
 
 
-def jet_of(x):
-    """The z-jet of the radii x, stacked (3, n), from their rfft, as evolve
-    holds it."""
-    return z_jet(np.fft.rfft(x), x.shape[-1])
+def jet_of(x, phi=1.0):
+    """The arclength jet of the radii x, stacked (3, n), under the uniform
+    gauge phi, from their rfft, as evolve holds it; phi = 1 gives the z-jet."""
+    return z_jet(np.fft.rfft(x), x.shape[-1], phi)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -211,8 +212,9 @@ def stacked(state):
 
 def spectral_step(u, log_lam, dt, phi_bar, n):
     """rk4_step from the rfft u of the radii on n points, first evaluating its
-    first stage as evolve does: (u1, z-jet of u1, log lambda1)."""
-    k1, c1 = _flow_rhs(z_jet(u, n), np.exp(log_lam) * phi_bar)
+    first stage as evolve does: (u1, jet of u1, log lambda1)."""
+    phi = np.exp(log_lam) * phi_bar
+    k1, c1, _ = _flow_rhs(z_jet(u, n, phi), phi)
     return rk4_step(u, log_lam, dt, (np.fft.rfft(k1), c1), phi_bar, n)
 
 
@@ -449,11 +451,14 @@ BLOCK_CASES = [(64, 1), (64, 3), (256, summary_block(256)), (64, summary_block(6
 def test_block_summary_bitwise_equals_state_by_state(n, size):
     states = fig_a_states(n)[-size:]
     ts, dts = [s.t for s in states], [1e-3 * (k + 1) for k in range(size)]
-    jets = np.stack([jet_of(stacked(s)) for s in states])
+    # summarize_state reads each state's arclength jet; the reference takes
+    # the z-jet and its gauge, and applies the chain rule itself
     phis = [float(s.phi[0]) for s in states]
-    records = summarize_state(ts, dts, jets, phis)
+    zjs = [jet_of(stacked(s)) for s in states]
+    jets = np.stack([jet_of(stacked(s), phi) for s, phi in zip(states, phis)])
+    records = summarize_state(ts, dts, jets)
     assert records.dtype == SUMMARY_DTYPE and records.shape == (size,)
-    for k, sample in enumerate(zip(ts, dts, jets, phis)):
+    for k, sample in enumerate(zip(ts, dts, zjs, phis)):
         assert bits(records[k].tolist()) == bits(reference_sample(*sample))
 
 
@@ -462,11 +467,10 @@ def test_summary_block_fills_its_byte_budget():
 
 
 def test_block_summary_raises_for_an_unresolvable_state():
-    jets = np.stack([jet_of(stacked(s)) for s in fig_a_states(64)[:3]])
-    phi = [float(s.phi[0]) for s in fig_a_states(64)[:3]]
+    jets = np.stack([jet_of(stacked(s), float(s.phi[0])) for s in fig_a_states(64)[:3]])
     jets[2, 0, 1, 5] = 1e-9
     with pytest.raises(DegenerateFiberError, match="1.000e-09"):
-        summarize_state([0.0, 0.1, 0.2], [0.0] * 3, jets, phi)
+        summarize_state([0.0, 0.1, 0.2], [0.0] * 3, jets)
 
 
 # --- evolve ------------------------------------------------------------------
@@ -631,7 +635,7 @@ def test_evolve_stops_when_the_first_stage_is_not_finite(monkeypatch):
 def test_evolve_steps_a_stationary_state_to_t_max(monkeypatch):
     # r = 0 would divide by zero in the rate rule; a state that does not move
     # takes one step to the time cap
-    monkeypatch.setattr(flow, "_flow_rhs", lambda zj, phi: (np.zeros_like(zj[0]), 0.0))
+    monkeypatch.setattr(flow, "_flow_rhs", lambda zj, phi: (np.zeros_like(zj[0]), 0.0, None))
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
     traj, _ = evolve(st, FlowConfig(t_max=5.0))
     assert traj.stop_reason == STOP_TMAX

@@ -69,13 +69,13 @@ def test_metric_state_rejects_wrong_length():
 
 def dz(values):
     """D1 of the rows of values by the transform: row 1 of their z-jet."""
-    return z_jet(np.fft.rfft(values), values.shape[-1])[1]
+    return z_jet(np.fft.rfft(values), values.shape[-1], 1.0)[1]
 
 
 def test_dz_annihilates_constants_exactly():
     g = PeriodicGrid(32)
     constant = np.stack([np.full(g.n, r) for r in (1.0, 2.0, 3.7)])
-    zj = z_jet(np.fft.rfft(constant), g.n)
+    zj = z_jet(np.fft.rfft(constant), g.n, 1.0)
     assert not zj[1:].any()
     assert np.array_equal(zj[0], constant)
 
@@ -122,11 +122,21 @@ def test_dz_values_stacked_rows_bitwise(lead):
     g = PeriodicGrid(32)
     rng = np.random.default_rng(7)
     values = rng.normal(size=lead + (g.n,)) + np.cos(g.z)
-    got = z_jet(np.fft.rfft(values), g.n)
+    u = np.fft.rfft(values)
+    phi = 1.7
+    got = z_jet(u, g.n, phi)
     assert got.shape == (3,) + values.shape
     rows = values.reshape(-1, g.n)
-    want = np.stack([z_jet(np.fft.rfft(row), g.n) for row in rows], axis=1)
+    want = np.stack([z_jet(np.fft.rfft(row), g.n, phi) for row in rows], axis=1)
     assert np.array_equal(got, want.reshape(got.shape))
+    # the gauge divides rows 1 and 2 of the z-jet by phi and phi^2, bitwise,
+    # leaves row 0 as it is, and keeps the exact zeros of constant rows
+    zj = z_jet(u, g.n, 1.0)
+    assert np.array_equal(got[0], zj[0])
+    assert np.array_equal(got[1], zj[1] / phi)
+    assert np.array_equal(got[2], zj[2] / (phi * phi))
+    constant = z_jet(np.fft.rfft(np.full(lead + (g.n,), 2.5)), g.n, phi)
+    assert not constant[1:].any()
 
 
 def test_z_jet_is_the_reference_stencil():
@@ -143,7 +153,7 @@ def test_z_jet_is_the_reference_stencil():
             x = np.stack((st.a, st.b, st.c))
             dx = dz_stencil(x, g.dz)
             stencil = np.stack((x, dx, dz_stencil(dx, g.dz)))
-            for row, stencil_row, scale in zip(z_jet(np.fft.rfft(x), n), stencil, scales):
+            for row, stencil_row, scale in zip(z_jet(np.fft.rfft(x), n, 1.0), stencil, scales):
                 gap = np.max(np.abs(row - stencil_row))
                 assert gap <= 1e-14 * scale * np.max(np.abs(x)), (n, name)
 

@@ -531,14 +531,14 @@ def test_evolution_residual_rejects_an_unknown_row():
 
 def residual_alone(traj, row):
     """One evolution residual evaluated on its own, as each monitor did before
-    the three shared one evaluation: its own z-jet, _flow_rhs computing its
+    the three shared one evaluation: its own jet, _flow_rhs computing its
     own W, and W computed again for the evolution RHS. (-defect, index)."""
     state = traj.snapshots[0]
     phi, n = float(state.phi[0]), state.grid.n
-    zj = z_jet(np.fft.rfft(np.stack((state.a, state.b, state.c))), n)
-    dx, c = _flow_rhs(zj, phi)
-    x, xpp = zj[0], zj[2] / (phi * phi)
-    dxpp = z_jet(np.fft.rfft(dx), n)[2] / (phi * phi)
+    zj = z_jet(np.fft.rfft(np.stack((state.a, state.b, state.c))), n, phi)
+    dx, c, _ = _flow_rhs(zj, phi)
+    x, xpp = zj[0], zj[2]
+    dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
     k = -xpp / x
     w, _ = tangential_speed(phi, -(k[0] + k[1] + k[2]))
@@ -571,9 +571,9 @@ def test_k0i_evolution_rhs_follows_the_partner_table(preset):
     # the equation is written once for a row and its partners: swapping the
     # radii b and c swaps the K_02 and K_03 rows and leaves K_01 as it was
     st = get_preset(preset).build(PeriodicGrid(64))
-    zj = z_jet(np.fft.rfft(np.stack((st.a, st.b, st.c))), 64)
     phi = float(st.phi[0])
-    q = zj[2] / (phi * phi * zj[0])
+    zj = z_jet(np.fft.rfft(np.stack((st.a, st.b, st.c))), 64, phi)
+    q = zj[2] / zj[0]
     w, _ = tangential_speed(phi, q[0] + q[1] + q[2])
     rhs = _k0i_evolution_rhs(zj, phi, w)
     swapped = _k0i_evolution_rhs(zj[:, [0, 2, 1]], phi, w)
