@@ -84,16 +84,20 @@ def _resolve_config(args) -> RunConfig:
 def _cmd_run(args) -> int:
     # ConfigError and the data errors of building the state (a samples profile
     # of the wrong length, a phi0 with no equal-arclength nodes) or of
-    # summarizing it at t = 0 (DegenerateFiberError) are all ValueErrors; an
-    # unusable out_dir raises OSError (see main) before the run.
+    # summarizing it at t = 0 (DegenerateFiberError) are ValueErrors, which remove
+    # the directories made for out_dir; an unusable out_dir raises OSError first.
+    made = []
     try:
         cfg = _resolve_config(args)
         preset = cfg.build_preset()
         grid = PeriodicGrid(cfg.grid_n)
         out_dir = Path(cfg.out_dir)
+        made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         traj, report = flow.evolve(preset.build(grid), cfg.flow)
     except (TypeError, ValueError) as exc:
+        for path in made:
+            path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

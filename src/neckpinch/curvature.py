@@ -8,7 +8,7 @@ Two independent evaluation paths are provided:
 
 * the production path evaluates the closed arclength-gauge expressions
   (K_0i = -x''/x, K_ij = -x'y'/(xy) + Khat_ij, the Ricci diagonal, the
-  scalar curvature, |Rm|^2) using chain-rule s-derivatives;
+  scalar curvature, |Rm|^2) on grid.arclength_jet, as the summaries do;
 * the oracle path evaluates the z-gauge Riemann components Rm_0ii0 / Rm_ijji
   directly, including the g^00 terms that vanish in the arclength gauge.
 
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DegenerateFiberError, MetricState, NonFiniteFieldError, z_jet
+from .grid import DegenerateFiberError, MetricState, NonFiniteFieldError, arclength_jet, z_jet
 
 #: Radii below this are treated as a collapsed fiber: curvature ~ 1/a^2 would
 #: overflow silently rather than fail loudly.
@@ -35,21 +35,6 @@ MIN_RADIUS = 1e-8
 _PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
 # The partner rows (y, z) of each row x of the stacked radii, in index order.
 Y, Z = [1, 0, 0], [2, 2, 1]
-
-
-def jet(phi: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second arclength derivatives (x', x'') of the rows of x.
-
-    x is a stacked (..., n) array, usually the radii (a, b, c); phi must
-    broadcast against it. The second derivative is nested,
-    (1/phi) D1 ((1/phi) D1 x), which keeps the discrete product rule exact
-    instead of expanding into dx*dphi cross terms, and serves a non-uniform
-    phi as it does a uniform one: D1 is row 1 of z_jet at gauge 1.
-    """
-    n = x.shape[-1]
-    xp = z_jet(np.fft.rfft(x), n, 1.0)[1] / phi
-    xpp = z_jet(np.fft.rfft(xp), n, 1.0)[1] / phi
-    return xp, xpp
 
 
 def radii(state: MetricState) -> np.ndarray:
@@ -123,14 +108,10 @@ def trace_invariants(k: np.ndarray) -> np.ndarray:
 
 
 def sectional_curvatures(state: MetricState) -> CurvatureField:
-    """All curvature data via the arclength-gauge closed forms.
-
-    Primes are s-derivatives computed by the chain rule (1/phi) d/dz on the
-    fixed z-grid.
-    """
-    x = radii(state)
+    """All curvature data via the arclength-gauge closed forms, on the
+    radii and primes of grid.arclength_jet."""
+    x, xp, xpp = arclength_jet(state)
     check_resolvable(x)
-    xp, xpp = jet(state.phi, x)
     k, khat = sectional_rows(x, xp, xpp)
     scal, rm_norm_sq = trace_invariants(k)
 

@@ -5,9 +5,9 @@ points. Metric profiles phi, a, b, c live on this grid as read-only arrays.
 Every derivative with respect to the base coordinate z in the package is
 z_jet: one irfft of rfft(x) S, S the exact Fourier symbols of the 4th-order
 periodic central-difference stencil D1 and of D1 o D1, the derivative rows then
-divided by phi and phi^2 to give arclength derivatives (ds = phi dz) under a
-uniform gauge phi; curvature.jet nests it for a non-uniform phi. The grid
-itself never moves while phi evolves.
+divided by a uniform gauge phi and phi^2 (ds = phi dz); arclength_jet applies
+the chain rule to one z_jet of (phi, a, b, c) for a state of any phi. No other
+function divides by phi, and the grid never moves while phi evolves.
 """
 
 from __future__ import annotations
@@ -119,5 +119,19 @@ def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
     symbol = _jet_symbol(n)
     jet = np.fft.irfft(u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:]), n)
     jet[1] /= phi
+    jet[2] /= phi * phi
+    return jet
+
+
+def arclength_jet(state: MetricState) -> np.ndarray:
+    """The arclength jet (x, x', x'') of the radii x of state, stacked (3, 3,
+    n), by the chain rule x' = D1 x / phi, x'' = (D1 D1 x - D1 phi x') / phi^2
+    on one z_jet at gauge 1 of (phi, a, b, c). On a uniform phi D1 phi is
+    exactly 0: the jet is bitwise z_jet(rfft(x), n, phi)."""
+    phi = state.phi
+    zj = z_jet(np.fft.rfft(np.stack((phi, state.a, state.b, state.c))), state.grid.n, 1.0)
+    dphi, jet = zj[1, 0], zj[:, 1:]
+    jet[1] /= phi
+    jet[2] -= dphi * jet[1]
     jet[2] /= phi * phi
     return jet

@@ -31,9 +31,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .curvature import Y, Z, radii
+from .curvature import Y, Z
 from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs
-from .grid import STENCIL_ORDER, z_jet
+from .grid import STENCIL_ORDER, arclength_jet, z_jet
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
 # sup|a'| <= 280 sqrt(3)/9, sup|b'| <= 4 sqrt(57)/3, sup|c'| <= 10 sqrt(93)/9
@@ -432,15 +432,14 @@ def _k0i_defects(traj: Trajectory) -> np.ndarray:
     flow._flow_rhs and K = -x''/x, the chain rule gives dt K = (x'' dx / x -
     dx'' + 2 c x'') / x, where the 2 c x'' is the drift of phi = lambda
     phi_bar in the arclength derivative. Both sides read the radii and their
-    primes from one jet of the state and share that one W. The last
+    primes from the state's grid.arclength_jet and share that one W. The last
     trajectory's defects are kept: a Trajectory hashes by identity, and
     nothing replaces its first snapshot, so the three evolution_residual
     monitors of one run share one evaluation.
     """
     state = traj.snapshots[0]
     phi, n = float(state.phi[0]), state.grid.n
-    zj = z_jet(np.fft.rfft(radii(state)), n, phi)
-    x, _, xpp = zj
+    x, _, xpp = zj = arclength_jet(state)
     dx, c, w = _flow_rhs(zj, phi)
     dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x

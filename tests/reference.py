@@ -3,8 +3,8 @@
 * the direct-space 4th-order central-difference stencil dz_stencil, whose
   Fourier symbol grid.z_jet applies: the independent derivative of every
   oracle here, so that none shares the package's derivative code;
-* the nested arclength derivatives s_derivative / s_second_derivative, the
-  reference for curvature.jet;
+* the arclength derivatives s_derivative / s_second_derivative, the
+  stencil's chain rule and the reference for grid.arclength_jet;
 * the displayed closed form of the scalar curvature, against the package's
   trace assembly;
 * the frame-symbol path: the z-gauge frame symbols Sigma^gamma_{alpha beta}
@@ -23,12 +23,12 @@ from itertools import permutations
 
 import numpy as np
 
-from neckpinch.curvature import check_resolvable, jet, radii
+from neckpinch.curvature import check_resolvable, radii
 from neckpinch.flow import _flow_rhs
-from neckpinch.grid import DegenerateFiberError, GaugeDegeneracyError, MetricState
+from neckpinch.grid import DegenerateFiberError, GaugeDegeneracyError, MetricState, arclength_jet
 
 # ---------------------------------------------------------------------------
-# Direct-space stencil and nested arclength derivatives
+# Direct-space stencil and arclength derivatives
 
 
 def dz_stencil(values: np.ndarray, dz: float) -> np.ndarray:
@@ -50,12 +50,11 @@ def s_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
 
 
 def s_second_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
-    """Second arclength derivative as two nested first derivatives.
-
-    The nested form (1/phi) d/dz ((1/phi) df/dz) keeps the discrete product
-    rule exact instead of expanding into df*dphi cross terms.
-    """
-    return s_derivative(s_derivative(f, phi, dz), phi, dz)
+    """Second arclength derivative f'' = (D1 D1 f - D1 phi f') / phi^2 of
+    the (n,) array f by the chain rule on the stencil, as
+    grid.arclength_jet forms it from the stencil's Fourier symbols."""
+    fp = s_derivative(f, phi, dz)
+    return (dz_stencil(dz_stencil(f, dz), dz) - dz_stencil(phi, dz) * fp) / (phi * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +63,9 @@ def s_second_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray
 
 def scalar_curvature(state: MetricState) -> np.ndarray:
     """Scalar curvature from its displayed closed form (not the trace assembly)."""
-    a, b, c = x = radii(state)
+    x, (ap, bp, cp), (app, bpp, cpp) = arclength_jet(state)
     check_resolvable(x)
-    (ap, bp, cp), (app, bpp, cpp) = jet(state.phi, x)
+    a, b, c = x
     a2, b2, c2 = a**2, b**2, c**2
     algebraic = (2 * a2 * b2 + 2 * a2 * c2 + 2 * b2 * c2 - a2**2 - b2**2 - c2**2) / (
         a2 * b2 * c2

@@ -424,6 +424,22 @@ def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
     _assert_run_config_is_one_line_error(tmp_path, cfg, message)
 
 
+@pytest.mark.parametrize("kept", [[], ["keep"]])
+def test_cli_failed_run_removes_the_out_dir_it_made(tmp_path, monkeypatch, capsys, kept):
+    # the run makes out_dir before evolve; when the data fail it removes the
+    # directories it made and keeps those that were there
+    for name in kept:
+        (tmp_path / name).mkdir()
+    out_dir = "/".join(kept + ["outx", "sub"])
+    cfg = {"preset": "sphere", "preset_params": {"r": 1e-9}, "out_dir": out_dir}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "run.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(kept + ["run.json"])
+
+
 @pytest.mark.parametrize("command", ["run", "curvature", "convergence"])
 def test_cli_unknown_preset_is_one_line_error(capsys, command):
     assert main([command, "--preset", "nope"]) == 1

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from neckpinch.curvature import (
-    jet,
-    radii,
-    riemann_oracle,
-    sectional_curvatures,
-    sectional_rows,
+from neckpinch.curvature import radii, riemann_oracle, sectional_curvatures, sectional_rows
+from neckpinch.flow import summarize_state
+from neckpinch.grid import (
+    DegenerateFiberError,
+    NonFiniteFieldError,
+    PeriodicGrid,
+    arclength_jet,
+    metric_state,
+    z_jet,
 )
-from neckpinch.grid import DegenerateFiberError, NonFiniteFieldError, PeriodicGrid, metric_state
+from neckpinch.presets import get_preset
 
 from reference import (
     _levi_civita,
@@ -36,8 +39,7 @@ def wavy_state(n=64):
 
 def fiber_rows(state):
     """The (Khat12, Khat13, Khat23) rows that sectional_rows returns."""
-    x = radii(state)
-    return sectional_rows(x, *jet(state.phi, x))[1]
+    return sectional_rows(*arclength_jet(state))[1]
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -129,6 +131,19 @@ def test_trace_identities_bitwise():
         curv.rm_norm_sq,
         2.0 * (ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2 + ks[3] ** 2 + ks[4] ** 2 + ks[5] ** 2),
     )
+
+
+@pytest.mark.parametrize("preset", ["fig-a", "fig-b", "mild", "sphere"])
+def test_curvature_and_summary_read_one_jet(preset):
+    # on a uniform phi the state's arclength jet is the one evolve holds, so
+    # sectional_curvatures gives the summary's s_min and rm_max bit for bit
+    st = get_preset(preset).build(PeriodicGrid(64))
+    jet = arclength_jet(st)
+    assert np.array_equal(jet, z_jet(np.fft.rfft(radii(st)), 64, float(st.phi[0])))
+    curv = sectional_curvatures(st)
+    record = summarize_state([st.t], [0.0], jet[np.newaxis])[0]
+    assert repr(curv.scal.min()) == repr(record["s_min"])
+    assert repr(np.sqrt(curv.rm_norm_sq).max()) == repr(record["rm_max"])
 
 
 def test_ric00_equals_sum_of_k0i():

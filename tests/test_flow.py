@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 
 import neckpinch
 from neckpinch import flow
-from neckpinch.curvature import jet, sectional_curvatures, sectional_rows, trace_invariants
+from neckpinch.curvature import sectional_curvatures, sectional_rows, trace_invariants
 from neckpinch.flow import (
     STOP_AMIN,
     STOP_HALVINGS,
@@ -43,6 +43,7 @@ from neckpinch.grid import (
     NonFiniteFieldError,
     PeriodicGrid,
     _jet_symbol,
+    arclength_jet,
     metric_state,
     z_jet,
 )
@@ -58,8 +59,7 @@ from reference import classical_rk4_step, dz_stencil, homogeneous_ode_oracle
 def rhs(state):
     """_flow_rhs at a MetricState of uniform phi: the radii rates (3, n) and
     dt log lambda."""
-    phi = float(state.phi[0])
-    return _flow_rhs(jet_of(stacked(state), phi), phi)[:2]
+    return _flow_rhs(arclength_jet(state), float(state.phi[0]))[:2]
 
 
 def jet_of(x, phi=1.0):
@@ -98,16 +98,16 @@ def test_biaxial_rhs_symmetry_bitwise():
 # --- the constant-speed gauge --------------------------------------------------
 
 
-def speed(phi, x):
-    """tangential_speed of the radii x under the uniform gauge phi, and q."""
-    _, xpp = jet(phi, x)
-    q = (xpp / x).sum(axis=0)
+def speed(phi, zj):
+    """tangential_speed under the uniform gauge phi from the arclength jet zj
+    of the radii, and q."""
+    q = (zj[2] / zj[0]).sum(axis=0)
     return (*tangential_speed(phi, q), q)
 
 
 def test_tangential_speed_is_zero_on_z_constant_data():
     g = PeriodicGrid(32)
-    w, c, q = speed(1.7, np.full((3, g.n), 2.0))
+    w, c, q = speed(1.7, jet_of(np.full((3, g.n), 2.0), 1.7))
     assert w is None and c == 0.0 and not q.any()
 
 
@@ -120,7 +120,7 @@ def test_tangential_speed_is_mean_free_and_integrates_its_density():
         g = PeriodicGrid(n)
         z = g.z
         x = np.stack((np.cos(z) + 1.5, np.cos(z) + 2.5, 0.5 * np.sin(2 * z) + 3.5))
-        w, c, q = speed(phi, x)
+        w, c, q = speed(phi, jet_of(x, phi))
         assert abs(np.mean(w)) <= 1e-15 * np.max(np.abs(w))
         density = phi * (c - q)
         assert abs(np.sum(density)) <= 1e-13 * np.sum(np.abs(density))
@@ -140,7 +140,7 @@ def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
     traj, n = fig_a_64_run, 64
     assert np.all(traj.series("a_min_idx") == n // 2)
     last = traj.snapshots[-1]
-    w, _, _ = speed(float(last.phi[0]), stacked(last))
+    w, _, _ = speed(float(last.phi[0]), arclength_jet(last))
     assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
     # the gauge keeps its shape: phi = lambda(t) * phi0, here uniform
     assert np.ptp(last.phi) == 0.0
@@ -741,8 +741,9 @@ def test_ricci_flow_residual_shrinks_under_refinement():
         span = s2.t - s0.t
         curv = sectional_curvatures(s1)
         phi, dz, x = float(s1.phi[0]), s1.grid.dz, stacked(s1)
-        w, _, _ = speed(phi, x)
-        lies = 2.0 * x * w * jet(phi, x)[0]
+        zj = arclength_jet(s1)
+        w, _, _ = speed(phi, zj)
+        lies = 2.0 * x * w * zj[1]
         worst = 0.0
         for name, ric, lie in zip("abc", (curv.ric11, curv.ric22, curv.ric33), lies):
             g2_dot = (getattr(s2, name) ** 2 - getattr(s0, name) ** 2) / span

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neckpinch.curvature import jet
 from neckpinch.grid import (
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
     _jet_symbol,
+    arclength_jet,
     metric_state,
     z_jet,
 )
@@ -158,14 +158,15 @@ def test_z_jet_is_the_reference_stencil():
                 assert gap <= 1e-14 * scale * np.max(np.abs(x)), (n, name)
 
 
-def test_jet_matches_nested_s_derivative():
-    # the same bound for the nested arclength derivatives, on a non-uniform phi
-    # (at most 1.1e-16 of max|x| max|S_k| / min(phi)^k here)
+def test_arclength_jet_matches_s_derivatives():
+    # the same bound for the chain rule's arclength derivatives of a
+    # MetricState, on a non-uniform phi (at most 6.9e-17 of max|x| max|S_k| /
+    # min(phi)^k here)
     g = PeriodicGrid(64)
     phi = 1.3 + 0.4 * np.sin(g.z)
     x = np.stack([np.cos(g.z) + 1.5, np.sin(2 * g.z) + 2.5, np.cos(3 * g.z) + 3.5])
     scales = np.abs(_jet_symbol(g.n)).max(axis=-1) * np.max(np.abs(x))
-    xp, xpp = jet(phi, x)
+    _, xp, xpp = arclength_jet(metric_state(g, 0.0, phi, *x))
     for row, d1, d2 in zip(x, xp, xpp):
         gap1 = np.max(np.abs(d1 - s_derivative(row, phi, g.dz)))
         gap2 = np.max(np.abs(d2 - s_second_derivative(row, phi, g.dz)))

@@ -6,7 +6,7 @@ import pytest
 from neckpinch.config import ConfigError, config_from_dict
 from neckpinch import monitors
 from neckpinch.flow import FlowConfig, SingularityReport, _flow_rhs, evolve, tangential_speed
-from neckpinch.grid import PeriodicGrid, metric_state, z_jet
+from neckpinch.grid import PeriodicGrid, arclength_jet, metric_state, z_jet
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
@@ -535,7 +535,7 @@ def residual_alone(traj, row):
     own W, and W computed again for the evolution RHS. (-defect, index)."""
     state = traj.snapshots[0]
     phi, n = float(state.phi[0]), state.grid.n
-    zj = z_jet(np.fft.rfft(np.stack((state.a, state.b, state.c))), n, phi)
+    zj = arclength_jet(state)
     dx, c, _ = _flow_rhs(zj, phi)
     x, xpp = zj[0], zj[2]
     dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
@@ -572,7 +572,7 @@ def test_k0i_evolution_rhs_follows_the_partner_table(preset):
     # radii b and c swaps the K_02 and K_03 rows and leaves K_01 as it was
     st = get_preset(preset).build(PeriodicGrid(64))
     phi = float(st.phi[0])
-    zj = z_jet(np.fft.rfft(np.stack((st.a, st.b, st.c))), 64, phi)
+    zj = arclength_jet(st)
     q = zj[2] / zj[0]
     w, _ = tangential_speed(phi, q[0] + q[1] + q[2])
     rhs = _k0i_evolution_rhs(zj, phi, w)
