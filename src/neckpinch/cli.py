@@ -9,6 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 usage, data or output error, 2 run aborted after exhausted
 step halvings, 3 monitor hard-violation under --strict, 141 standard output closed
 early (a reader such as `head` exited), the status a shell reports for SIGPIPE.
+The commands raise their data errors (ValueError, ConfigError among them) and
+output errors (OSError); main alone turns each into one `error:` line on stderr
+and exit code 1.
 """
 
 from __future__ import annotations
@@ -82,24 +85,21 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    # ConfigError and the data errors of building the state (a samples profile
-    # of the wrong length, a phi0 with no equal-arclength nodes) or of
-    # summarizing it at t = 0 (DegenerateFiberError) are ValueErrors, which remove
-    # the directories made for out_dir; an unusable out_dir raises OSError first.
-    made = []
+    cfg = _resolve_config(args)
+    preset = cfg.build_preset()
+    grid = PeriodicGrid(cfg.grid_n)
+    out_dir = Path(cfg.out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _resolve_config(args)
-        preset = cfg.build_preset()
-        grid = PeriodicGrid(cfg.grid_n)
-        out_dir = Path(cfg.out_dir)
-        made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
         traj, report = flow.evolve(preset.build(grid), cfg.flow)
-    except (TypeError, ValueError) as exc:
+    except ValueError:
+        # The data fail (a samples profile of the wrong length, a phi0 with no
+        # equal-arclength nodes, a state no summary accepts at t = 0): remove
+        # the directories made for out_dir, deepest first.
         for path in made:
             path.rmdir()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
 
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled, cfg.kappa)
     type1 = monitors.type1_classifier(traj, report)
@@ -141,12 +141,8 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    try:
-        preset = get_preset(args.preset)
-        grid = PeriodicGrid(args.grid_n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    preset = get_preset(args.preset)
+    grid = PeriodicGrid(args.grid_n)
     if args.out:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
@@ -173,11 +169,7 @@ def _measured_orders(errors: list[float]) -> list[str]:
 
 
 def _cmd_convergence(args) -> int:
-    try:
-        preset = get_preset(args.preset)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    preset = get_preset(args.preset)
 
     print("z-derivative (grid.z_jet, the stencil's Fourier symbol) on sin(z):")
     errs = []
@@ -239,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit does not raise a second BrokenPipeError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except OSError as exc:  # an output that cannot be written, e.g. --out naming a file
+    except (ValueError, OSError) as exc:  # bad data, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -43,6 +43,12 @@ class RunConfig:
             raise ConfigError(f"grid_n must be even, got {self.grid_n}")
         if self.grid_n < 32:
             raise ConfigError(f"grid_n must be >= 32 for production runs, got {self.grid_n}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        for key in ("formats", "monitors_enabled"):
+            bad = [v for v in getattr(self, key) if not isinstance(v, str)]
+            if bad:
+                raise ConfigError(f"{key} entries must be strings, got {bad[0]!r}")
         for fmt in self.formats:
             if fmt not in _KNOWN_FORMATS:
                 raise ConfigError(f"unknown output format {fmt!r}")
@@ -67,6 +73,8 @@ class RunConfig:
                 raise ConfigError(f"profiles must define {sorted(missing)}")
             built = {}
             for key, spec in self.profiles.items():
+                if not isinstance(spec, dict):
+                    raise ConfigError(f"profile {key} must be a JSON object, got {spec!r}")
                 bad = set(spec) - _PROFILE_KEYS
                 if bad:
                     raise ConfigError(f"unknown profile keys in {key!r}: {sorted(bad)}")
@@ -83,7 +91,10 @@ class RunConfig:
                     spec["samples"] = tuple(float(v) for v in samples)
                 built[key] = Profile(**spec)
             return Preset(name="inline", description="profiles from config", **built)
-        return get_preset(self.preset, self.preset_params)
+        try:
+            return get_preset(self.preset, self.preset_params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def as_dict(self) -> dict:
         """The config as a JSON document: tuples as lists, an infinite t_max
@@ -99,6 +110,7 @@ class RunConfig:
 _TOP_KEYS = {f.name for f in fields(RunConfig)}
 _FLOW_KEYS = {f.name for f in fields(FlowConfig)}
 _TUPLE_KEYS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
+_OBJECT_KEYS = {"preset_params", "profiles", "flow"}
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -108,9 +120,10 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    for k in _TUPLE_KEYS & set(data):
-        if data[k] is not None and not isinstance(data[k], list):
-            raise ConfigError(f"{k} must be a JSON list, got {data[k]!r}")
+    for keys, kind, label in ((_TUPLE_KEYS, list, "list"), (_OBJECT_KEYS, dict, "object")):
+        for k in keys & set(data):
+            if data[k] is not None and not isinstance(data[k], kind):
+                raise ConfigError(f"{k} must be a JSON {label}, got {data[k]!r}")
     kwargs = {
         k: tuple(v) if k in _TUPLE_KEYS else v
         for k, v in data.items()
@@ -118,8 +131,6 @@ def config_from_dict(data: dict) -> RunConfig:
     }
 
     flow_data = {} if data.get("flow") is None else data["flow"]
-    if not isinstance(flow_data, dict):
-        raise ConfigError(f"flow must be a JSON object, got {flow_data!r}")
     bad = set(flow_data) - _FLOW_KEYS
     if bad:
         raise ConfigError(f"unknown flow keys: {sorted(bad)}")
@@ -128,9 +139,9 @@ def config_from_dict(data: dict) -> RunConfig:
     try:
         kwargs["flow"] = FlowConfig(**flow_kwargs)
         return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

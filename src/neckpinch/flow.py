@@ -111,8 +111,11 @@ class InsufficientSamplesError(RuntimeError):
 
 
 def is_number(value) -> bool:
-    """A real number other than a bool, which JSON true/false would smuggle in."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number other than a bool, which JSON true/false would smuggle in,
+    and other than an integer too large for a float, which JSON allows."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ a config file instead.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +171,14 @@ def presets() -> list[Preset]:
 def get_preset(name: str, params: dict | None = None) -> Preset:
     params = params or {}
     if name in ("sphere", "biaxial"):
+        build = sphere if name == "sphere" else biaxial
+        unknown = set(params) - set(inspect.signature(build).parameters)
+        if unknown:
+            raise ValueError(f"unknown preset_params for {name!r}: {sorted(unknown)}")
         for key, value in params.items():
             if not is_number(value):
                 raise ValueError(f"preset parameter {key} must be a number, got {value!r}")
-        return (sphere if name == "sphere" else biaxial)(**params)
+        return build(**params)
     for p in presets():
         if p.name == name:
             if params:

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neckpinch
 from neckpinch import flow
@@ -144,6 +146,51 @@ def test_config_inline_profiles():
     assert np.allclose(st.a, np.cos(g.z) + 1.5)
 
 
+# 10**400 is a JSON integer too large for a float.
+_SCALAR = (
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=3)
+)
+_JSON = _SCALAR | st.lists(_SCALAR, max_size=3) | st.dictionaries(st.text(max_size=3), _SCALAR,
+                                                                  max_size=2)
+_PROFILE_SPEC = st.fixed_dictionaries(
+    {}, optional={k: _JSON for k in ("kind", "amplitude", "frequency", "offset", "samples")}
+)
+_PRESET_PARAMS = st.dictionaries(st.sampled_from(["r", "a0", "c0", "x"]), _JSON) | _JSON
+_PROFILES = _JSON | st.fixed_dictionaries(
+    {k: _PROFILE_SPEC | _JSON for k in ("phi0", "a0", "b0", "c0")},
+    optional={"x": _PROFILE_SPEC},
+)
+# Any value under any key, or only a preset and its parameters, or only
+# profiles: the last two often pass config_from_dict and reach build_preset.
+_CONFIG_DOC = (
+    st.fixed_dictionaries({}, optional={
+        **{f.name: _JSON for f in fields(RunConfig)},
+        "preset_params": _PRESET_PARAMS,
+        "profiles": _PROFILES,
+        "flow": _JSON | st.fixed_dictionaries(
+            {}, optional={f.name: _JSON for f in fields(FlowConfig)}
+        ),
+    })
+    | st.fixed_dictionaries({
+        "preset": st.sampled_from(["sphere", "biaxial", "fig-a"]) | _JSON,
+        "preset_params": _PRESET_PARAMS,
+    })
+    | st.fixed_dictionaries({"profiles": _PROFILES})
+)
+
+
+@given(_CONFIG_DOC)
+@settings(max_examples=100, deadline=None)
+def test_config_of_any_json_values_builds_or_raises_value_error(doc):
+    # cli.main turns a ValueError into its one error line; any other
+    # exception would escape it as a traceback
+    try:
+        config_from_dict(doc).build_preset()
+    except ValueError:
+        pass
+
+
 def test_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -267,32 +314,40 @@ def test_cli_series_fields_parse_as_floats(tmp_path):
             float(value)
 
 
-def _assert_run_config_is_one_line_error(tmp_path, cfg, message, args=()):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "neckpinch.cli", "run", "--config", str(cfg_path), *args],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+@pytest.fixture
+def one_line_error(tmp_path, monkeypatch, capsys):
+    """check(argv, message, kept) runs main(argv) in tmp_path and asserts exit
+    code 1, one `error:` line on stderr holding message, and no files in
+    tmp_path but those named in kept; it returns (stdout, stderr). An
+    exception that escapes main fails the test, as a traceback would."""
+    monkeypatch.chdir(tmp_path)
+
+    def check(argv, message, kept=()):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert left == sorted(kept)
+        return out, err
+
+    return check
 
 
-def test_cli_a_min_stop_below_floor_is_one_line_error(tmp_path):
+def _assert_run_config_is_one_line_error(one_line_error, cfg, message, args=(), kept=()):
+    Path("run.json").write_text(json.dumps(cfg))
+    one_line_error(["run", "--config", "run.json", *args], message, kept=[*kept, "run.json"])
+
+
+def test_cli_a_min_stop_below_floor_is_one_line_error(one_line_error):
     _assert_run_config_is_one_line_error(
-        tmp_path, {"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": 1e-9}}, "1e-08"
+        one_line_error, {"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": 1e-9}}, "1e-08"
     )
 
 
-def test_cli_grid_n_zero_is_one_line_error(tmp_path):
+def test_cli_grid_n_zero_is_one_line_error(one_line_error):
     _assert_run_config_is_one_line_error(
-        tmp_path, {"preset": "sphere"}, "grid_n must be >= 32", args=["--grid-n", "0"]
+        one_line_error, {"preset": "sphere"}, "grid_n must be >= 32", args=["--grid-n", "0"]
     )
 
 
@@ -409,6 +464,20 @@ _CONST = {"kind": "const", "offset": 1.0}
                                                "frequency": -40}}},
             "profile frequency -40 is at or above the Nyquist frequency 32",
         ),
+        ({"preset": "sphere", "preset_params": 5}, "preset_params must be a JSON object, got 5"),
+        ({"preset": "sphere", "preset_params": [1]},
+         "preset_params must be a JSON object, got [1]"),
+        ({"preset": "sphere", "preset_params": {"x": 1.0}},
+         "unknown preset_params for 'sphere': ['x']"),
+        ({"grid_n": 32, "profiles": 5}, "profiles must be a JSON object, got 5"),
+        ({"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST, "c0": 2.0}},
+         "profile c0 must be a JSON object, got 2.0"),
+        ({"preset": "sphere", "grid_n": 32, "out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"preset": "sphere", "grid_n": 32, "monitors_enabled": [["x"]]},
+         "monitors_enabled entries must be strings, got ['x']"),
+        ({"preset": "sphere", "grid_n": 32, "formats": [["x"]]},
+         "formats entries must be strings, got ['x']"),
+        ({"preset": "sphere", "grid_n": 32, "kappa": 10**400}, "kappa must be a number, got 1000"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "fixed-dt-key", "nan-t-max",
@@ -418,32 +487,57 @@ _CONST = {"kind": "const", "offset": 1.0}
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
          "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
          "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere",
-         "nyquist-sin", "aliased-cos"],
+         "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
+         "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
+         "list-monitor", "list-format", "huge-int-kappa"],
 )
-def test_cli_bad_data_config_is_one_line_error(tmp_path, cfg, message):
-    _assert_run_config_is_one_line_error(tmp_path, cfg, message)
+def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
+    _assert_run_config_is_one_line_error(one_line_error, cfg, message)
 
 
 @pytest.mark.parametrize("kept", [[], ["keep"]])
-def test_cli_failed_run_removes_the_out_dir_it_made(tmp_path, monkeypatch, capsys, kept):
+def test_cli_failed_run_removes_the_out_dir_it_made(tmp_path, one_line_error, kept):
     # the run makes out_dir before evolve; when the data fail it removes the
     # directories it made and keeps those that were there
     for name in kept:
         (tmp_path / name).mkdir()
     out_dir = "/".join(kept + ["outx", "sub"])
     cfg = {"preset": "sphere", "preset_params": {"r": 1e-9}, "out_dir": out_dir}
-    (tmp_path / "run.json").write_text(json.dumps(cfg))
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "--config", "run.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(kept + ["run.json"])
+    _assert_run_config_is_one_line_error(one_line_error, cfg, "below resolvable floor", kept=kept)
 
 
 @pytest.mark.parametrize("command", ["run", "curvature", "convergence"])
-def test_cli_unknown_preset_is_one_line_error(capsys, command):
-    assert main([command, "--preset", "nope"]) == 1
-    assert capsys.readouterr().err == "error: unknown preset 'nope'\n"
+def test_cli_unknown_preset_is_one_line_error(one_line_error, command):
+    _, err = one_line_error([command, "--preset", "nope"], "unknown preset 'nope'")
+    assert err == "error: unknown preset 'nope'\n"
+
+
+def test_cli_curvature_bad_grid_is_one_line_error(one_line_error):
+    # the grid is refused before --out is made or anything is printed
+    out, _ = one_line_error(["curvature", "--grid-n", "6", "--out", "out"],
+                            "grid size must be even and >= 8, got 6")
+    assert out == ""
+
+
+def test_cli_entry_point_bad_config_is_one_line_error(tmp_path):
+    # the module's entry point in a fresh interpreter, not main alone: a data
+    # error that fails the run after out_dir was made exits 1 with one stderr
+    # line and no files
+    (tmp_path / "run.json").write_text(
+        json.dumps({"preset": "sphere", "preset_params": {"r": 1e-9}, "out_dir": "outx"})
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "neckpinch.cli", "run", "--config", "run.json"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "below resolvable floor" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_cli_presets(capsys):
@@ -570,7 +664,7 @@ def test_cli_convergence_prints_exact_orders_on_z_constant_data(capsys):
     "command, blocked",
     [("run", None), ("run", "series.csv"), ("curvature", None), ("curvature", "curvature.csv")],
 )
-def test_cli_unwritable_out_is_one_line_error(tmp_path, capsys, command, blocked):
+def test_cli_unwritable_out_is_one_line_error(tmp_path, one_line_error, command, blocked):
     # --out naming a file fails before any work; an output file that cannot
     # be written (here a directory of its name) fails when it is written
     out = tmp_path / "out"
@@ -578,12 +672,12 @@ def test_cli_unwritable_out_is_one_line_error(tmp_path, capsys, command, blocked
         (out / blocked).mkdir(parents=True)
     else:
         out.write_text("keep")
-    assert main([command, "--preset", "sphere", "--grid-n", "32", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert str(out) in captured.err
+    kept = ["out", f"out/{blocked}"] if blocked else ["out"]
+    stdout, _ = one_line_error(
+        [command, "--preset", "sphere", "--grid-n", "32", "--out", str(out)], str(out), kept
+    )
     if not blocked:
-        assert captured.out == "" and out.read_text() == "keep"
+        assert stdout == "" and out.read_text() == "keep"
 
 
 def test_cli_curvature(tmp_path, capsys):
