@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 usage, data or output error, 2 run aborted after exhausted
 step halvings, 3 monitor hard-violation under --strict, 141 standard output closed
 early (a reader such as `head` exited), the status a shell reports for SIGPIPE.
-The commands raise their data errors (ValueError, ConfigError among them) and
-output errors (OSError); main alone turns each into one `error:` line on stderr
-and exit code 1.
+The commands raise their data errors (ValueError, ConfigError among them, and
+MemoryError for a grid too large to allocate) and output errors (OSError); main
+alone turns each into one `error:` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         traj, report = flow.evolve(preset.build(grid), cfg.flow)
-    except ValueError:
+    except (ValueError, MemoryError):
         # The data fail (a samples profile of the wrong length, a phi0 with no
-        # equal-arclength nodes, a state no summary accepts at t = 0): remove
-        # the directories made for out_dir, deepest first.
+        # equal-arclength nodes, a state no summary accepts at t = 0, a grid
+        # too large to allocate): remove the directories made for out_dir,
+        # deepest first.
         for path in made:
             path.rmdir()
         raise
@@ -143,10 +144,10 @@ def _cmd_presets(args) -> int:
 def _cmd_curvature(args) -> int:
     preset = get_preset(args.preset)
     grid = PeriodicGrid(args.grid_n)
+    state = preset.build(grid)
     if args.out:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
-    state = preset.build(grid)
     curv = sectional_curvatures(state)
     print(f"curvature of preset {preset.name} at t=0, n={args.grid_n}")
     for name, v in zip(curv._fields, curv):
@@ -231,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit does not raise a second BrokenPipeError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ValueError, OSError) as exc:  # bad data, or an output that cannot be written
+    except (ValueError, MemoryError, OSError) as exc:
+        # Bad data, a grid too large to allocate, or an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -35,7 +35,12 @@ The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
 the package's one z-derivative, gives from u and phi the jet (x, x', x'')
 that _flow_rhs, the flow's one time derivative, reads in rk4_step's stages,
 evolve's step rule and the monitors' K_0i evolution residual. Each accepted
-state's jet also serves the next first stage and its summary.
+state's jet also serves the next first stage and its summary. Radii exactly
+constant along z stay so, and their flow is the Bianchi IX ODE (Isenberg &
+Jackson, J. Differential Geom. 35, 1992): evolve holds them on one point,
+their mean mode, where ETDRK4 is classical RK4, a row is its own rfft (_rfft)
+and z_jet's irfft a real part. On a power-of-two n that gives the grid's
+bits, whose transforms of a constant row only scale the mean by n, exactly.
 
 Between steps evolve holds u, its jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
@@ -374,6 +379,11 @@ def _phi_functions(
     return e, np.where(z > -1.0, taylor, (p1, p2, p3))
 
 
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """The rfft of the rows x; a one-point row is its own transform."""
+    return np.fft.rfft(x) if x.shape[-1] > 1 else x
+
+
 def rk4_step(
     u0: np.ndarray,
     log_lam0: float,
@@ -413,7 +423,7 @@ def rk4_step(
     def stage(u, log_lam):
         phi = _gauge_scale(log_lam) * phi_bar
         k, c, _ = _flow_rhs(z_jet(u, n, phi), phi)
-        return np.fft.rfft(k) - lin * u, c
+        return _rfft(k) - lin * u, c
 
     f1, c1 = first
     n1 = f1 - lin * u0
@@ -520,6 +530,8 @@ def evolve(
     steps the state is the rfft u of the radii, its jet and log lambda, the
     gauge being the scalar phi = lambda * phi_bar; a MetricState is built
     only for the final state, the second snapshot when the run advanced.
+    Radii exactly constant along z are held on n = 1 point, their mean mode
+    (see the module docstring), and the final snapshot broadcasts it.
     Summaries are recorded every monitor_stride steps plus the first and
     last state, and computed summary_block(n) states at a time; the initial
     state is summarized alone, so that data no summary accepts fail before
@@ -542,7 +554,8 @@ def evolve(
     """
     initial = equal_arclength(initial)
     grid = initial.grid
-    n = grid.n
+    x0 = radii(initial)
+    n = 1 if not np.ptp(x0, axis=1).any() else grid.n
     snapshots = [initial]
     stats = RunStats()
     phi_bar = float(initial.phi[0])
@@ -559,7 +572,7 @@ def evolve(
         nonlocal count
         k = len(pending)
         if count + k > records.size:
-            records.resize(2 * records.size, refcheck=False)
+            records.resize(max(2 * records.size, count + k), refcheck=False)
         ts, dts = zip(*pending)
         records[count : count + k] = summarize_state(ts, dts, block_zj[:k])
         count += k
@@ -572,7 +585,7 @@ def evolve(
             flush()
 
     t = initial.t
-    u = np.fft.rfft(radii(initial))
+    u = _rfft(x0[:, :n])
     log_lam, phi = 0.0, phi_bar
     zj = z_jet(u, n, phi)
     record(t, 0.0, zj)
@@ -601,7 +614,7 @@ def evolve(
             rate0 = rate
         dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
         dt = min(dt, cfg.t_max - t)
-        first = np.fft.rfft(k1), c1
+        first = _rfft(k1), c1
         advanced = None
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
@@ -628,7 +641,7 @@ def evolve(
         flush()
     records.resize(count, refcheck=False)
     if stats.steps:
-        snapshots.append(metric_state(grid, t, phi, *zj[0]))
+        snapshots.append(metric_state(grid, t, phi, *np.broadcast_to(zj[0], (3, grid.n))))
     stats.neck_resolution = float(zj[0, 0].min() / (phi * grid.dz))
     traj = Trajectory(grid, records, snapshots, stop, stats)
 

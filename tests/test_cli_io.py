@@ -519,6 +519,24 @@ def test_cli_curvature_bad_grid_is_one_line_error(one_line_error):
     assert out == ""
 
 
+#: A grid whose one row of float64 takes 8 PiB, beyond any address space, so
+#: the allocation fails at once.
+UNALLOCATABLE_N = 2**50
+
+
+def test_cli_run_config_grid_too_large_is_one_line_error(one_line_error):
+    cfg = {"preset": "sphere", "grid_n": UNALLOCATABLE_N, "out_dir": "o"}
+    _assert_run_config_is_one_line_error(one_line_error, cfg, "Unable to allocate")
+
+
+@pytest.mark.parametrize("command", ["run", "curvature"])
+def test_cli_grid_n_too_large_is_one_line_error(one_line_error, command):
+    # the directories made for --out are removed, or never made
+    argv = [command, "--preset", "sphere", "--grid-n", str(UNALLOCATABLE_N), "--out", "o/sub"]
+    out, _ = one_line_error(argv, "Unable to allocate")
+    assert out == ""
+
+
 def test_cli_entry_point_bad_config_is_one_line_error(tmp_path):
     # the module's entry point in a fresh interpreter, not main alone: a data
     # error that fails the run after out_dir was made exits 1 with one stderr
@@ -791,6 +809,22 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
 # (fig-a above): the 819 steps stayed and T moved by +2.2e-16, from
 # 0.9999999999948868 to 0.9999999999948870.
 SPHERE_64_SERIES_SHA256 = "ae64b23ea831238d920d5fefc8510e61451db3c0867b31ba3de3654b32ab8d74"
+
+
+# The biaxial preset (a = 1, b = c = 2) at n=64 with the default flow, the
+# second z-constant case: 260 steps to T = 0.6900864983994869, pinned before
+# evolve stepped z-constant data on their one Fourier mode.
+BIAXIAL_64_SERIES_SHA256 = "53174cfba1ace4560936330ad154c421f36bf47e104a9a9143a70a90f503bea7"
+
+
+def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"preset": "biaxial", "grid_n": 64, "out_dir": str(tmp_path / "out")})
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    series = (tmp_path / "out" / "series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == BIAXIAL_64_SERIES_SHA256
 
 
 def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):

@@ -32,6 +32,7 @@ from neckpinch.flow import (
     _etd_table,
     _phi_functions,
     _power_table,
+    _rfft,
     estimate_singular_time,
     evolve,
     rk4_step,
@@ -217,7 +218,7 @@ def spectral_step(u, log_lam, dt, phi_bar, n):
     first stage as evolve does: (u1, jet of u1, log lambda1)."""
     phi = np.exp(log_lam) * phi_bar
     k1, c1, _ = _flow_rhs(z_jet(u, n, phi), phi)
-    return rk4_step(u, log_lam, dt, (np.fft.rfft(k1), c1), phi_bar, n)
+    return rk4_step(u, log_lam, dt, (_rfft(k1), c1), phi_bar, n)
 
 
 def step(state, dt):
@@ -279,6 +280,36 @@ def test_rk4_step_equals_classical_rk4_on_z_constant_data():
     ref_x, ref_log_lam = classical_rk4_step(x0, 0.2, 1e-2, 1.3, dz)
     assert np.max(np.abs(x - ref_x) / ref_x) <= 1e-14
     assert log_lam == ref_log_lam == 0.2
+
+
+Z_CONSTANT_RADII = [(2.0, 2.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.5, 2.0)]
+
+
+@functools.cache
+def z_constant_steps(radii, n, steps=60, dt=2e-3):
+    """rk4_step `steps` times from the z-constant radii on n points, held as
+    evolve holds them: (u, jet, log lambda) after the last step."""
+    u, log_lam = _rfft(np.repeat(np.array(radii)[:, np.newaxis], n, axis=1)), 0.0
+    for _ in range(steps):
+        u, zj, log_lam = spectral_step(u, log_lam, dt, 1.3, n)
+    return u, zj, log_lam
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+@pytest.mark.parametrize("radii", Z_CONSTANT_RADII, ids=["sphere", "biaxial", "triaxial"])
+def test_rk4_step_on_one_point_is_bitwise_the_grid_step(radii, n):
+    # evolve steps z-constant data on their mean mode alone; on a power of two
+    # the transforms scale that mode by n exactly and add nothing to it
+    u1, zj1, log_lam1 = z_constant_steps(radii, 1)
+    u, zj, log_lam = z_constant_steps(radii, n)
+    assert u1.shape == (3, 1) and zj1.shape == (3, 3, 1)
+    assert (u[:, :1] / n).real.tobytes() == u1.tobytes()
+    assert not u.imag.any() and not u[:, 1:].any()
+    # the one point's x'' is -0.0 where the irfft gives +0.0; adding 0.0 maps
+    # both to +0.0 and changes no other bits
+    assert (zj + 0.0).tobytes() == (np.broadcast_to(zj1, zj.shape) + 0.0).tobytes()
+    # q = 0 on z-constant data, so the gauge rate c is 0 and lambda stays 1
+    assert log_lam == log_lam1 == 0.0
 
 
 def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
@@ -465,7 +496,8 @@ def test_block_summary_bitwise_equals_state_by_state(n, size):
 
 
 def test_summary_block_fills_its_byte_budget():
-    assert [summary_block(n) for n in (64, 128, 256, 1 << 20)] == [32, 16, 8, 1]
+    # n = 1 is evolve's one point for z-constant data
+    assert [summary_block(n) for n in (1, 64, 128, 256, 1 << 20)] == [2048, 32, 16, 8, 1]
 
 
 def test_block_summary_raises_for_an_unresolvable_state():
@@ -531,6 +563,62 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
             assert traj.snapshots[0] is st
             assert [s.t for s in traj.snapshots] == [0.0, every.ts[-1].item()]
             assert traj.snapshots[1].a.min() == traj.samples[-1].a_min
+
+
+@pytest.mark.parametrize(
+    "state, cfg",
+    [
+        (sphere(2.0).build(PeriodicGrid(8)), FlowConfig(cfl_safety=0.05, a_min_stop=0.01)),
+        (get_preset("fig-a").build(PeriodicGrid(8)), FlowConfig()),
+    ],
+    ids=["sphere", "fig-a"],
+)
+def test_evolve_grows_its_records_by_a_whole_block(state, cfg):
+    # a block of summary_block(8) = 256 states, or of 2048 on one point,
+    # outgrows one doubling of the first 128 records
+    traj, _ = evolve(state, cfg)
+    assert traj.stop_reason == STOP_AMIN
+    assert len(traj.samples) == traj.run_stats.steps + 1 > 256
+
+
+def _count_fft_calls(monkeypatch):
+    """Count the calls of every np.fft transform from here on."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(_transform)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_evolve_takes_no_transform_on_z_constant_data(monkeypatch):
+    calls = _count_fft_calls(monkeypatch)
+    for radii in Z_CONSTANT_RADII:
+        traj, _ = evolve(metric_state(PeriodicGrid(64), 0.0, 1.0, *radii), FlowConfig())
+        assert traj.stop_reason == STOP_AMIN
+    assert calls == []
+    evolve(get_preset("fig-a").build(PeriodicGrid(64)), FlowConfig())
+    assert len(calls) > 0
+
+
+def test_evolve_strided_z_constant_run_to_t_max():
+    st = metric_state(PeriodicGrid(64), 0.0, 1.0, 1.0, 1.5, 2.0)
+    every, _ = evolve(st, FlowConfig(t_max=0.2))
+    traj, _ = evolve(st, FlowConfig(t_max=0.2, monitor_stride=3))
+    assert traj.stop_reason == STOP_TMAX and traj.run_stats.steps % 3 != 0
+    first, last = traj.samples[0], traj.samples[-1]
+    assert (first.t, first.dt, first.a_min, first.b_min, first.c_max) == (0.0, 0.0, 1.0, 1.5, 2.0)
+    assert last.tolist() == every.samples[-1].tolist() and last.t == 0.2
+    assert len(traj.samples) == traj.run_stats.steps // 3 + 2
+    # the final snapshot is the one point broadcast to the grid
+    final = traj.snapshots[-1]
+    assert final.t == last.t
+    for row, value in zip((final.a, final.b, final.c), (last.a_min, last.b_min, last.c_max)):
+        assert row.shape == (64,) and np.all(row == value)
+    resummarized = summarize_state([last.t], [last.dt], arclength_jet(final)[np.newaxis])
+    assert bits(resummarized[0].tolist()) == bits(last.tolist())
 
 
 def test_evolve_sphere_tracks_exact_solution():
