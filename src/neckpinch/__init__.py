@@ -1,6 +1,7 @@
 """Ricci-flow neckpinch simulator for triaxial warped metrics on S1 x S3."""
 
 from .grid import (
+    DataError,
     DegenerateFiberError,
     GaugeDegeneracyError,
     MetricState,

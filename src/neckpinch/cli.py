@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success, 1 usage, data or output error, 2 run aborted after exhausted
 step halvings, 3 monitor hard-violation under --strict, 141 standard output closed
 early (a reader such as `head` exited), the status a shell reports for SIGPIPE.
-The commands raise their data errors (ValueError, ConfigError among them, and
-MemoryError for a grid too large to allocate) and output errors (OSError); main
-alone turns each into one `error:` line on stderr and exit code 1.
+The commands raise their data errors (DataError, and MemoryError for a grid too
+large to allocate) and output errors (OSError); main alone turns each into one
+`error:` line on stderr and exit code 1. Any other exception is a bug and
+prints its traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import flow, monitors
 from .config import RunConfig, config_from_dict, load_config
 from .curvature import riemann_oracle, sectional_curvatures
-from .grid import PeriodicGrid, metric_state, z_jet
+from .grid import DataError, PeriodicGrid, metric_state, z_jet
 from .output import write_series, write_summary
 from .presets import get_preset, presets
 
@@ -93,7 +94,7 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         traj, report = flow.evolve(preset.build(grid), cfg.flow)
-    except (ValueError, MemoryError):
+    except (DataError, MemoryError):
         # The data fail (a samples profile of the wrong length, a phi0 with no
         # equal-arclength nodes, a state no summary accepts at t = 0, a grid
         # too large to allocate): remove the directories made for out_dir,
@@ -232,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit does not raise a second BrokenPipeError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ValueError, MemoryError, OSError) as exc:
+    except (DataError, MemoryError, OSError) as exc:
         # Bad data, a grid too large to allocate, or an output that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 1

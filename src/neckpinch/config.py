@@ -12,16 +12,13 @@ from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .flow import FlowConfig, is_number
+from .grid import DataError
 from .monitors import DEFAULT_MONITORS, MONITORS
 from .presets import Preset, Profile, get_preset
 
 _KNOWN_FORMATS = ("csv", "json")
 
 _PROFILE_KEYS = {"kind", "amplitude", "frequency", "offset", "samples"}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -38,63 +35,60 @@ class RunConfig:
 
     def __post_init__(self):
         if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int):
-            raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
+            raise DataError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n % 2 != 0:
-            raise ConfigError(f"grid_n must be even, got {self.grid_n}")
+            raise DataError(f"grid_n must be even, got {self.grid_n}")
         if self.grid_n < 32:
-            raise ConfigError(f"grid_n must be >= 32 for production runs, got {self.grid_n}")
+            raise DataError(f"grid_n must be >= 32 for production runs, got {self.grid_n}")
         if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+            raise DataError(f"out_dir must be a string, got {self.out_dir!r}")
         for key in ("formats", "monitors_enabled"):
             bad = [v for v in getattr(self, key) if not isinstance(v, str)]
             if bad:
-                raise ConfigError(f"{key} entries must be strings, got {bad[0]!r}")
+                raise DataError(f"{key} entries must be strings, got {bad[0]!r}")
         for fmt in self.formats:
             if fmt not in _KNOWN_FORMATS:
-                raise ConfigError(f"unknown output format {fmt!r}")
+                raise DataError(f"unknown output format {fmt!r}")
         for name in self.monitors_enabled:
             if name not in MONITORS:
-                raise ConfigError(f"unknown monitor {name!r}")
+                raise DataError(f"unknown monitor {name!r}")
         if not is_number(self.kappa):
-            raise ConfigError(f"kappa must be a number, got {self.kappa!r}")
+            raise DataError(f"kappa must be a number, got {self.kappa!r}")
         if not math.isfinite(self.kappa):
-            raise ConfigError(f"kappa must be finite, got {self.kappa!r}")
+            raise DataError(f"kappa must be finite, got {self.kappa!r}")
         if self.kappa <= 0.0:
-            raise ConfigError("kappa must be positive")
+            raise DataError("kappa must be positive")
 
     def build_preset(self) -> Preset:
         if self.profiles is not None:
             required = {"phi0", "a0", "b0", "c0"}
             unknown = set(self.profiles) - required
             if unknown:
-                raise ConfigError(f"unknown profile entries: {sorted(unknown)}")
+                raise DataError(f"unknown profile entries: {sorted(unknown)}")
             missing = required - set(self.profiles)
             if missing:
-                raise ConfigError(f"profiles must define {sorted(missing)}")
+                raise DataError(f"profiles must define {sorted(missing)}")
             built = {}
             for key, spec in self.profiles.items():
                 if not isinstance(spec, dict):
-                    raise ConfigError(f"profile {key} must be a JSON object, got {spec!r}")
+                    raise DataError(f"profile {key} must be a JSON object, got {spec!r}")
                 bad = set(spec) - _PROFILE_KEYS
                 if bad:
-                    raise ConfigError(f"unknown profile keys in {key!r}: {sorted(bad)}")
+                    raise DataError(f"unknown profile keys in {key!r}: {sorted(bad)}")
                 spec = dict(spec)
                 samples = spec.get("samples")
                 if samples is not None:
                     if not isinstance(samples, list):
-                        raise ConfigError(
+                        raise DataError(
                             f"profile {key} samples must be a JSON list, got {samples!r}"
                         )
                     bad = [v for v in samples if not is_number(v)]
                     if bad:
-                        raise ConfigError(f"profile {key} samples must be numbers, got {bad[0]!r}")
+                        raise DataError(f"profile {key} samples must be numbers, got {bad[0]!r}")
                     spec["samples"] = tuple(float(v) for v in samples)
                 built[key] = Profile(**spec)
             return Preset(name="inline", description="profiles from config", **built)
-        try:
-            return get_preset(self.preset, self.preset_params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return get_preset(self.preset, self.preset_params)
 
     def as_dict(self) -> dict:
         """The config as a JSON document: tuples as lists, an infinite t_max
@@ -115,15 +109,15 @@ _OBJECT_KEYS = {"preset_params", "profiles", "flow"}
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise DataError("config document must be a JSON object")
     unknown = set(data) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise DataError(f"unknown config keys: {sorted(unknown)}")
 
     for keys, kind, label in ((_TUPLE_KEYS, list, "list"), (_OBJECT_KEYS, dict, "object")):
         for k in keys & set(data):
             if data[k] is not None and not isinstance(data[k], kind):
-                raise ConfigError(f"{k} must be a JSON {label}, got {data[k]!r}")
+                raise DataError(f"{k} must be a JSON {label}, got {data[k]!r}")
     kwargs = {
         k: tuple(v) if k in _TUPLE_KEYS else v
         for k, v in data.items()
@@ -133,23 +127,17 @@ def config_from_dict(data: dict) -> RunConfig:
     flow_data = {} if data.get("flow") is None else data["flow"]
     bad = set(flow_data) - _FLOW_KEYS
     if bad:
-        raise ConfigError(f"unknown flow keys: {sorted(bad)}")
+        raise DataError(f"unknown flow keys: {sorted(bad)}")
     # A null value, as the echo of an infinite t_max, takes the default.
     flow_kwargs = {k: v for k, v in flow_data.items() if v is not None}
-    try:
-        kwargs["flow"] = FlowConfig(**flow_kwargs)
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs["flow"] = FlowConfig(**flow_kwargs)
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON config file."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)

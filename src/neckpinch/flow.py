@@ -62,6 +62,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grid import (
+    DataError,
     GaugeDegeneracyError,
     MetricState,
     NonFiniteFieldError,
@@ -134,23 +135,23 @@ class FlowConfig:
         for name in ("cfl_safety", "a_min_stop", "t_max"):
             value = getattr(self, name)
             if not is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+                raise DataError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            raise DataError("cfl_safety must lie in (0, 1]")
         if not self.a_min_stop > MIN_RADIUS:
             # A state below the floor cannot be summarized, and the run's last
             # state lies below a_min_stop.
-            raise ValueError(
+            raise DataError(
                 f"a_min_stop must exceed the resolvable radius floor {MIN_RADIUS:.0e}, "
                 f"got {self.a_min_stop!r}"
             )
         stride = self.monitor_stride
         if isinstance(stride, bool) or not isinstance(stride, int):
-            raise ValueError(f"monitor_stride must be an integer, got {stride!r}")
+            raise DataError(f"monitor_stride must be an integer, got {stride!r}")
         if stride < 1:
-            raise ValueError("monitor_stride must be >= 1")
+            raise DataError("monitor_stride must be >= 1")
         if math.isnan(self.t_max):
-            raise ValueError("t_max must be a number, got NaN")
+            raise DataError("t_max must be a number, got NaN")
 
 
 #: The reductions of summarize_state, the minima then the maxima, each with
@@ -571,6 +572,8 @@ def evolve(
     def flush():
         nonlocal count
         k = len(pending)
+        if not k:
+            return
         if count + k > records.size:
             records.resize(max(2 * records.size, count + k), refcheck=False)
         ts, dts = zip(*pending)
@@ -637,8 +640,7 @@ def evolve(
 
     if stats.steps % cfg.monitor_stride:
         record(t, last_dt, zj)
-    if pending:
-        flush()
+    flush()
     records.resize(count, refcheck=False)
     if stats.steps:
         snapshots.append(metric_state(grid, t, phi, *np.broadcast_to(zj[0], (3, grid.n))))

@@ -13,20 +13,25 @@ function divides by phi, and the grid never moves while phi evolves.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class NonFiniteFieldError(ValueError):
+class DataError(ValueError):
+    """Input the package cannot run; any other exception is a bug."""
+
+
+class NonFiniteFieldError(DataError):
     """A profile or curvature array contains NaN or infinite entries."""
 
 
-class GaugeDegeneracyError(ValueError):
-    """The gauge profile phi is not strictly positive."""
+class GaugeDegeneracyError(DataError):
+    """The gauge profile phi is not strictly positive, or too large to square."""
 
 
-class DegenerateFiberError(ValueError):
+class DegenerateFiberError(DataError):
     """A fiber radius is zero, negative, or below the resolvable floor."""
 
 
@@ -36,13 +41,16 @@ STENCIL_ORDER = 4
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform grid z_k = k * 2*pi/n on the circle, n even and >= 8."""
+    """Uniform grid z_k = k * 2*pi/n on the circle, n even, >= 8 and small
+    enough for a (3, 3, n) float64 jet."""
 
     n: int
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {self.n}")
+            raise DataError(f"grid size must be even and >= 8, got {self.n}")
+        if self.n > sys.maxsize // 72:
+            raise DataError(f"grid size must be at most {sys.maxsize // 72}, got {self.n}")
 
     @property
     def dz(self) -> float:
@@ -60,7 +68,7 @@ class MetricState:
     phi is the dimensionless gauge factor multiplying dz^2; a, b, c are the
     three fiber radii. Each profile is stored as a read-only float64 copy of
     length grid.n, a scalar being broadcast to it; all four must be finite
-    and strictly positive pointwise.
+    and strictly positive pointwise, and phi at most sqrt(float max).
     """
 
     grid: PeriodicGrid
@@ -77,7 +85,7 @@ class MetricState:
             if values.ndim == 0:
                 values = np.full(n, values)
             if values.shape != (n,):
-                raise ValueError(
+                raise DataError(
                     f"profile {name} has shape {values.shape}, grid needs ({n},)"
                 )
             if not np.isfinite(values).all():
@@ -86,6 +94,8 @@ class MetricState:
             object.__setattr__(self, name, values)
         if np.min(self.phi) <= 0.0:
             raise GaugeDegeneracyError("phi must be strictly positive")
+        if np.max(self.phi) > sys.float_info.max**0.5:  # rk4_step squares it as a float
+            raise GaugeDegeneracyError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
         for name in ("a", "b", "c"):
             if np.min(getattr(self, name)) <= 0.0:
                 raise DegenerateFiberError(f"profile {name} must be strictly positive")

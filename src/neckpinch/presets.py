@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import is_number
-from .grid import MetricState, PeriodicGrid, metric_state
+from .grid import DataError, MetricState, PeriodicGrid, metric_state
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,17 @@ class Profile:
 
     def __post_init__(self):
         if self.kind not in ("const", "cos", "sin", "samples"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise DataError(f"unknown profile kind {self.kind!r}")
         if self.kind == "samples" and not self.samples:
-            raise ValueError("samples profile requires a samples array")
+            raise DataError("samples profile requires a samples array")
         if self.kind != "samples" and self.samples is not None:
-            raise ValueError(f"profile kind {self.kind!r} takes no samples")
+            raise DataError(f"profile kind {self.kind!r} takes no samples")
         for key in ("amplitude", "offset"):
             if not is_number(getattr(self, key)):
-                raise ValueError(f"profile {key} must be a number, got {getattr(self, key)!r}")
+                raise DataError(f"profile {key} must be a number, got {getattr(self, key)!r}")
         # Only a whole frequency keeps the profile 2*pi-periodic on the grid.
         if isinstance(self.frequency, bool) or not isinstance(self.frequency, int):
-            raise ValueError(f"profile frequency must be an integer, got {self.frequency!r}")
+            raise DataError(f"profile frequency must be an integer, got {self.frequency!r}")
 
     def evaluate(self, grid: PeriodicGrid) -> np.ndarray:
         if self.kind == "const":
@@ -46,13 +46,13 @@ class Profile:
         if self.kind == "samples":
             values = np.asarray(self.samples, dtype=float)
             if values.shape != (grid.n,):
-                raise ValueError(
+                raise DataError(
                     f"samples profile has {values.size} points, grid needs {grid.n}"
                 )
             return values
         if 2 * abs(self.frequency) >= grid.n:  # it would alias to a lower mode
-            raise ValueError(f"profile frequency {self.frequency} is at or above the Nyquist "
-                             f"frequency {grid.n // 2} of {grid.n} grid points")
+            raise DataError(f"profile frequency {self.frequency} is at or above the Nyquist "
+                            f"frequency {grid.n // 2} of {grid.n} grid points")
         wave = np.cos if self.kind == "cos" else np.sin
         return self.amplitude * wave(self.frequency * grid.z) + self.offset
 
@@ -174,14 +174,14 @@ def get_preset(name: str, params: dict | None = None) -> Preset:
         build = sphere if name == "sphere" else biaxial
         unknown = set(params) - set(inspect.signature(build).parameters)
         if unknown:
-            raise ValueError(f"unknown preset_params for {name!r}: {sorted(unknown)}")
+            raise DataError(f"unknown preset_params for {name!r}: {sorted(unknown)}")
         for key, value in params.items():
             if not is_number(value):
-                raise ValueError(f"preset parameter {key} must be a number, got {value!r}")
+                raise DataError(f"preset parameter {key} must be a number, got {value!r}")
         return build(**params)
     for p in presets():
         if p.name == name:
             if params:
-                raise ValueError(f"preset {name!r} takes no parameters")
+                raise DataError(f"preset {name!r} takes no parameters")
             return p
-    raise ValueError(f"unknown preset {name!r}")
+    raise DataError(f"unknown preset {name!r}")

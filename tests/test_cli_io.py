@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import neckpinch
 from neckpinch import flow
 from neckpinch.cli import EXIT_BROKEN_PIPE, main
-from neckpinch.config import ConfigError, RunConfig, config_from_dict, load_config
+from neckpinch.config import RunConfig, config_from_dict, load_config
 from neckpinch.flow import FlowConfig, StepRejected, evolve
-from neckpinch.grid import PeriodicGrid
+from neckpinch.grid import DataError, PeriodicGrid
 from neckpinch.monitors import constants, run_monitors, type1_classifier
 from neckpinch.output import write_series, write_summary
 from neckpinch.presets import Profile, biaxial, get_preset, presets, sphere
@@ -98,14 +98,14 @@ def test_config_defaults_applied():
 
 
 def test_config_rejects_odd_grid():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         config_from_dict({"grid_n": 31})
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         config_from_dict({"preset": "fig-a", "grid_m": 64})
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         config_from_dict({"flow": {"dt": 0.1}})
 
 
@@ -117,7 +117,7 @@ def test_config_flow_override():
 
 def test_config_rejects_a_min_stop_at_or_below_resolvable_floor():
     for a_min_stop in (1e-9, 1e-8):
-        with pytest.raises(ConfigError, match="floor 1e-08"):
+        with pytest.raises(DataError, match="floor 1e-08"):
             config_from_dict({"flow": {"a_min_stop": a_min_stop}})
     assert config_from_dict({"flow": {"a_min_stop": 2e-8}}).flow.a_min_stop == 2e-8
 
@@ -182,19 +182,19 @@ _CONFIG_DOC = (
 
 @given(_CONFIG_DOC)
 @settings(max_examples=100, deadline=None)
-def test_config_of_any_json_values_builds_or_raises_value_error(doc):
-    # cli.main turns a ValueError into its one error line; any other
-    # exception would escape it as a traceback
+def test_config_of_any_json_values_builds_or_raises_data_error(doc):
+    # cli.main turns a DataError into its one error line; any other
+    # exception is a bug and escapes it as a traceback
     try:
-        config_from_dict(doc).build_preset()
-    except ValueError:
+        config_from_dict(doc).build_preset().build(PeriodicGrid(32))
+    except DataError:
         pass
 
 
 def test_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         load_config(path)
 
 
@@ -478,6 +478,9 @@ _CONST = {"kind": "const", "offset": 1.0}
         ({"preset": "sphere", "grid_n": 32, "formats": [["x"]]},
          "formats entries must be strings, got ['x']"),
         ({"preset": "sphere", "grid_n": 32, "kappa": 10**400}, "kappa must be a number, got 1000"),
+        ({"grid_n": 32, "profiles": {"phi0": {"kind": "const", "offset": 1e160}, "a0": _CONST,
+                                     "b0": _CONST, "c0": _CONST}},
+         "phi must be at most 1.341e+154"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "nan-kappa", "fixed-dt-key", "nan-t-max",
@@ -489,7 +492,7 @@ _CONST = {"kind": "const", "offset": 1.0}
          "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere",
          "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
          "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
-         "list-monitor", "list-format", "huge-int-kappa"],
+         "list-monitor", "list-format", "huge-int-kappa", "huge-phi0"],
 )
 def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
     _assert_run_config_is_one_line_error(one_line_error, cfg, message)
@@ -535,6 +538,32 @@ def test_cli_grid_n_too_large_is_one_line_error(one_line_error, command):
     argv = [command, "--preset", "sphere", "--grid-n", str(UNALLOCATABLE_N), "--out", "o/sub"]
     out, _ = one_line_error(argv, "Unable to allocate")
     assert out == ""
+
+
+@pytest.mark.parametrize("n", [2**60, 2**62, 2**70])
+@pytest.mark.parametrize("command", ["run", "curvature"])
+def test_cli_grid_n_beyond_any_array_is_one_line_error(one_line_error, command, n):
+    # past sys.maxsize // 72 the (3, 3, n) jet has no size NumPy can index;
+    # the grid refuses n before any array is allocated
+    argv = [command, "--preset", "sphere", "--grid-n", str(n), "--out", "o/sub"]
+    out, _ = one_line_error(argv, f"grid size must be at most {sys.maxsize // 72}, got {n}")
+    assert out == ""
+
+
+def test_cli_config_not_utf8_is_one_line_error(one_line_error):
+    Path("run.json").write_bytes(b"\xff\xfe\x00\x7b")
+    one_line_error(["run", "--config", "run.json"], "config is not valid JSON", kept=["run.json"])
+
+
+def test_cli_a_bug_escapes_main(tmp_path, monkeypatch):
+    # a ValueError that is not a DataError is a fault of the program: main
+    # lets it through, to print its traceback, instead of one error line
+    def evolve(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(flow, "evolve", evolve)
+    with pytest.raises(ValueError, match="boom"):
+        main(["run", "--preset", "sphere", "--grid-n", "32", "--out", str(tmp_path)])
 
 
 def test_cli_entry_point_bad_config_is_one_line_error(tmp_path):

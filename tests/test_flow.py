@@ -565,6 +565,26 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
             assert traj.snapshots[1].a.min() == traj.samples[-1].a_min
 
 
+def test_evolve_above_n_1024_summarizes_one_state_a_call():
+    # a block of 1: every record flushes at once, so the flushes after the
+    # initial record and after the loop find nothing pending
+    assert summary_block(2048) == 1
+    traj, _ = evolve(get_preset("fig-a").build(PeriodicGrid(2048)), FlowConfig(a_min_stop=0.3))
+    assert traj.stop_reason == STOP_AMIN
+    assert len(traj.samples) == traj.run_stats.steps + 1
+
+
+def test_evolve_strided_blocks_of_one_state_equal_the_default_block(monkeypatch):
+    st = get_preset("fig-a").build(PeriodicGrid(64))
+    cfg = FlowConfig(monitor_stride=3)
+    default, _ = evolve(st, cfg)
+    monkeypatch.setattr(flow, "SUMMARY_BLOCK_BYTES", 1)
+    assert summary_block(64) == 1
+    single, _ = evolve(st, cfg)
+    assert single.run_stats.steps % 3 != 0  # the final record is off the stride
+    assert single.samples.tobytes() == default.samples.tobytes()
+
+
 @pytest.mark.parametrize(
     "state, cfg",
     [

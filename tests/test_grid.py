@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckpinch.grid import (
+    DataError,
+    DegenerateFiberError,
     GaugeDegeneracyError,
     NonFiniteFieldError,
     PeriodicGrid,
@@ -65,6 +69,29 @@ def test_metric_state_rejects_wrong_length():
         metric_state(g, 0.0, 1.0, np.ones(16), 1.0, 1.0)
     with pytest.raises(ValueError):
         metric_state(g, 0.0, np.ones((2, 8)), 1.0, 1.0, 1.0)
+
+
+def test_grid_errors_are_data_errors():
+    for error in (NonFiniteFieldError, GaugeDegeneracyError, DegenerateFiberError):
+        assert issubclass(error, DataError)
+    assert issubclass(DataError, ValueError)
+
+
+def test_grid_rejects_sizes_beyond_any_jet():
+    # n up to sys.maxsize // 72 keeps a (3, 3, n) float64 jet indexable;
+    # the grid itself allocates nothing
+    largest = sys.maxsize // 72 // 2 * 2
+    assert PeriodicGrid(largest).n == largest
+    with pytest.raises(DataError, match="grid size must be at most"):
+        PeriodicGrid(largest + 2)
+
+
+def test_metric_state_rejects_a_gauge_too_large_to_square():
+    g = PeriodicGrid(8)
+    limit = sys.float_info.max**0.5
+    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi[0] == limit
+    with pytest.raises(GaugeDegeneracyError, match="phi must be at most 1.341e"):
+        metric_state(g, 0.0, np.nextafter(limit, np.inf), 1.0, 1.0, 1.0)
 
 
 def dz(values):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from neckpinch.config import ConfigError, config_from_dict
+from neckpinch.config import config_from_dict
 from neckpinch import monitors
 from neckpinch.flow import FlowConfig, SingularityReport, _flow_rhs, evolve, tangential_speed
-from neckpinch.grid import PeriodicGrid, arclength_jet, metric_state, z_jet
+from neckpinch.grid import DataError, PeriodicGrid, arclength_jet, metric_state, z_jet
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
@@ -625,7 +625,7 @@ def test_run_monitors_rejects_unknown(sphere_run):
     traj, report = sphere_run
     with pytest.raises(ValueError, match="unknown monitor 'no_such_monitor'"):
         run_monitors(traj, report, names=("no_such_monitor",))
-    with pytest.raises(ConfigError, match="unknown monitor 'no_such_monitor'"):
+    with pytest.raises(DataError, match="unknown monitor 'no_such_monitor'"):
         config_from_dict({"monitors_enabled": ["no_such_monitor"]})
 
 
