@@ -46,8 +46,8 @@ Between steps evolve holds u, its jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
 snapshot besides the first. The summaries are computed a block at a time,
 as many stacked jets as fit in SUMMARY_BLOCK_BYTES, as records of one
-structured dtype, SUMMARY_DTYPE, in one array that becomes the Trajectory's
-read-only samples.
+structured dtype, SUMMARY_DTYPE; the blocks' records, joined once when the
+run ends, become the Trajectory's read-only samples.
 """
 
 from __future__ import annotations
@@ -232,7 +232,6 @@ class SingularityReport:
     t_estimate: float
     fit_window: tuple[float, float]
     fit_residual: float
-    a_min_final: float
 
 
 @functools.cache
@@ -362,13 +361,14 @@ def _phi_functions(
 
     Where |z| >= 1 they follow from exp by phi_{k+1} = (phi_k - 1/k!) / z.
     Below that the recurrence cancels, and all three are the Taylor series,
-    one matmul of the row of h^j / (j + k)! by powers. Splitting z^j into
-    sigma^j and h^j loses nothing that matters: a grid's |sigma| is below
-    n^2 / 20, so |sigma|^j < 1e207 for j < _TAYLOR_TERMS even at n = 2^20;
-    h^j and h^j sigma^j stay finite while h and |h sigma| are below 1e16;
-    and h^j rounds to a subnormal or to 0 only where it is below 1e-307, so
-    the term it carries is below 1e-100, far under the roundoff of phi_k >
-    0.1 in the columns the series is kept for.
+    one matmul of the row of h^j / (j + k)! by powers, with h^j taken from
+    min(h, 4): a grid's nonzero |sigma| / 2 are at least 0.48 (_jet_symbol),
+    so for h > 4 the series serves only sigma = 0, where it is (1, 1/2, 1/6)
+    at any h. Splitting z^j into sigma^j and h^j loses nothing that matters:
+    a grid's |sigma| is below n^2 / 20, so |sigma|^j < 1e207 for j <
+    _TAYLOR_TERMS even at n = 2^20; and h^j rounds to a subnormal or to 0
+    only below 1e-307, so the term it carries is below 1e-100, far under
+    the roundoff of phi_k > 0.1 in the columns the series is kept for.
     """
     z = h * sigma
     e = np.exp(z)
@@ -376,7 +376,7 @@ def _phi_functions(
         p1 = (e - 1.0) / z
         p2 = (p1 - 1.0) / z
         p3 = (p2 - 0.5) / z
-    taylor = (_TAYLOR_COEFFS * h**_TAYLOR_POWERS) @ powers
+    taylor = (_TAYLOR_COEFFS * min(h, 4.0) ** _TAYLOR_POWERS) @ powers
     return e, np.where(z > -1.0, taylor, (p1, p2, p3))
 
 
@@ -564,22 +564,13 @@ def evolve(
     block = summary_block(n)
     block_zj = np.empty((block, 3, 3, n))
     pending: list[tuple[float, float]] = []
-    # Every sample's record, grown by doubling and cut to the sample count at
-    # the end; a small first size reuses heap the process already holds.
-    records = np.empty(128, SUMMARY_DTYPE)
-    count = 0
+    blocks: list[np.ndarray] = []
 
     def flush():
-        nonlocal count
-        k = len(pending)
-        if not k:
-            return
-        if count + k > records.size:
-            records.resize(max(2 * records.size, count + k), refcheck=False)
-        ts, dts = zip(*pending)
-        records[count : count + k] = summarize_state(ts, dts, block_zj[:k])
-        count += k
-        pending.clear()
+        if pending:
+            ts, dts = zip(*pending)
+            blocks.append(summarize_state(ts, dts, block_zj[: len(pending)]))
+            pending.clear()
 
     def record(t, dt, zj):
         block_zj[len(pending)] = zj
@@ -618,19 +609,17 @@ def evolve(
         dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
         dt = min(dt, cfg.t_max - t)
         first = _rfft(k1), c1
-        advanced = None
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
-                advanced = rk4_step(u, log_lam, dt, first, phi_bar, n)
+                u, zj, log_lam = rk4_step(u, log_lam, dt, first, phi_bar, n)
                 break
             except StepRejected:
                 stats.rejected += 1
                 dt *= 0.5
-        if advanced is None:
+        else:
             stop = STOP_HALVINGS
             break
 
-        u, zj, log_lam = advanced
         phi = _gauge_scale(log_lam) * phi_bar
         t += dt
         stats.steps += 1
@@ -641,11 +630,11 @@ def evolve(
     if stats.steps % cfg.monitor_stride:
         record(t, last_dt, zj)
     flush()
-    records.resize(count, refcheck=False)
     if stats.steps:
         snapshots.append(metric_state(grid, t, phi, *np.broadcast_to(zj[0], (3, grid.n))))
     stats.neck_resolution = float(zj[0, 0].min() / (phi * grid.dz))
-    traj = Trajectory(grid, records, snapshots, stop, stats)
+    # The dtype spares NumPy promoting the record dtypes pair by pair.
+    traj = Trajectory(grid, np.concatenate(blocks, dtype=SUMMARY_DTYPE), snapshots, stop, stats)
 
     try:
         report = estimate_singular_time(traj)
@@ -685,5 +674,4 @@ def estimate_singular_time(traj: Trajectory) -> SingularityReport:
         t_estimate=float(t_root),
         fit_window=(float(t_fit[0]), float(t_fit[-1])),
         fit_residual=residual,
-        a_min_final=float(a_min[-1]),
     )

@@ -111,11 +111,12 @@ def _jet_symbol(n: int) -> np.ndarray:
     """S = (1, i s(k), -s(k)^2), k = 0..n/2, stacked (3, n/2 + 1): the rfft
     symbols of 1, of the stencil D1 f_j = (8 (f_{j+1} - f_{j-1}) - (f_{j+2} -
     f_{j-2})) / (12 dz) and of D1 o D1 on n points, s(k) = (8 sin k dz -
-    sin 2k dz) / (6 dz). Rows 1 and 2 vanish at k = 0, so they give exact
-    zeros on constant rows."""
+    sin 2k dz) / (6 dz). Rows 1 and 2 vanish at k = 0 (exact zeros on constant
+    rows) and at Nyquist (set, as sin(pi) rounds to 1e-16); else |s| >= 0.98."""
     dz = 2.0 * np.pi / n
     kdz = np.arange(n // 2 + 1) * dz
     s = (8.0 * np.sin(kdz) - np.sin(2.0 * kdz)) / (6.0 * dz)
+    s[-1] = 0.0
     symbol = np.stack((np.ones_like(s), 1j * s, -s * s))
     symbol.setflags(write=False)
     return symbol

@@ -88,9 +88,9 @@ class Preset:
     c0: Profile
     description: str = ""
 
-    def build(self, grid: PeriodicGrid, t: float = 0.0) -> MetricState:
+    def build(self, grid: PeriodicGrid) -> MetricState:
         profiles = (self.phi0, self.a0, self.b0, self.c0)
-        return metric_state(grid, t, *(p.evaluate(grid) for p in profiles))
+        return metric_state(grid, 0.0, *(p.evaluate(grid) for p in profiles))
 
 
 def sphere(r: float = 2.0) -> Preset:

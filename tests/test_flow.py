@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -369,6 +370,27 @@ def test_phi_functions_on_the_grid_table(n):
     assert sides == {True, False}
 
 
+@pytest.mark.parametrize("phi0", [1e-100, 1e-150])
+def test_tiny_gauge_pinches_constant_radii_at_r2_over_4(phi0):
+    # h = dt/(lambda phi_bar)^2 is about 1e200 at phi0 = 1e-100, so h^j would
+    # overflow; the series takes h^j from min(h, 4) and is exact at sigma = 0.
+    # z-constant data do not depend on phi: the run is bitwise the phi0 = 1
+    # run, whose T misses r^2/4 by the default step's time error, 3.4e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, powers = _etd_table(32)
+        _, p = _phi_functions(1e200, sigma, powers)
+        assert np.isfinite(p).all()
+        assert p[:, 0].tolist() == p[:, sigma.size // 2].tolist() == [1.0, 0.5, 1.0 / 6.0]
+        runs = [evolve(metric_state(PeriodicGrid(32), 0.0, phi, 1.0, 1.0, 1.0), FlowConfig())
+                for phi in (phi0, 1.0)]
+    (traj, report), (unit, unit_report) = runs
+    assert traj.stop_reason == STOP_AMIN
+    assert traj.samples.tobytes() == unit.samples.tobytes()
+    assert report.t_estimate == unit_report.t_estimate
+    assert abs(report.t_estimate - 0.25) <= 1e-9
+
+
 def test_step_rule_on_the_sphere():
     # dt = (cfl / 18) r^(-4/5) r0^(-1/5), at most cfl / (4 r)
     cfl = 0.1
@@ -594,8 +616,9 @@ def test_evolve_strided_blocks_of_one_state_equal_the_default_block(monkeypatch)
     ids=["sphere", "fig-a"],
 )
 def test_evolve_grows_its_records_by_a_whole_block(state, cfg):
-    # a block of summary_block(8) = 256 states, or of 2048 on one point,
-    # outgrows one doubling of the first 128 records
+    # blocks of summary_block(8) = 256 states, or of 2048 on one point: the
+    # samples are one block larger than 256 records, or several, and a record
+    # buffer that grew by doubling from 128 once lost them at n = 8
     traj, _ = evolve(state, cfg)
     assert traj.stop_reason == STOP_AMIN
     assert len(traj.samples) == traj.run_stats.steps + 1 > 256
@@ -958,16 +981,20 @@ def test_estimate_rejects_insufficient_samples():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy is a test dependency: importing the package loads no scipy module
+    # scipy is a test dependency, and the package imports only numpy: in a
+    # fresh interpreter, importing neckpinch and its CLI loads no scipy module
+    # and no top-level module outside the standard library but those two
     env = {**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])}
     code = (
-        "import sys, neckpinch; "
-        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        "import sys; before = set(sys.modules); import neckpinch, neckpinch.cli; "
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)); "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - sys.stdlib_module_names))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "['neckpinch', 'numpy']"]
 
 
 def test_oracle_sphere_exact():

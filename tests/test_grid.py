@@ -166,6 +166,18 @@ def test_dz_values_stacked_rows_bitwise(lead):
     assert not constant[1:].any()
 
 
+@pytest.mark.parametrize("n", [8, 16, 64, 1024, 2**16])
+def test_jet_symbol_vanishes_only_at_zero_and_nyquist(n):
+    # rows 1 and 2 are exact zeros at k = 0 and at the Nyquist mode, where
+    # sin(pi) would leave about 1e-16; every other |sigma| / 2 = s^2 / 2 of
+    # the diffusion symbol is at least 0.48, which _phi_functions relies on
+    symbol = _jet_symbol(n)
+    for k in (0, n // 2):
+        assert symbol[1, k] == 0.0 and symbol[2, k] == 0.0
+    half = np.abs(symbol[2, 1:-1].real) / 2.0
+    assert half.min() >= 0.48
+
+
 def test_z_jet_is_the_reference_stencil():
     # one irfft of rfft(x) S, S = (1, i s, -s^2), gives the direct-space
     # stencil's (x, D1 x, D1 D1 x) to roundoff. The transform's roundoff

@@ -231,8 +231,7 @@ def test_amin_slope_only_violation_is_the_worst_margin():
     # lower bound 2(T - t) well inside, but falls at rate 5 > 4 over [1, 1.1]
     ts = np.array([0.0, 1.0, 1.1])
     traj = make_trajectory(ts, np.sqrt([16.0, 12.5, 12.0]))
-    report = SingularityReport(t_estimate=5.0, fit_window=(0.0, 1.1), fit_residual=0.0,
-                               a_min_final=math.sqrt(12.0))
+    report = SingularityReport(t_estimate=5.0, fit_window=(0.0, 1.1), fit_residual=0.0)
     rep = amin_bound_monitor(traj, report, tolerance(traj))
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-1.0)
@@ -242,8 +241,7 @@ def test_amin_slope_only_violation_is_the_worst_margin():
 
 def test_amin_single_sample_keeps_an_infinite_slope_margin():
     traj = make_trajectory([0.0], [2.0])
-    report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.0), fit_residual=0.0,
-                               a_min_final=2.0)
+    report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.0), fit_residual=0.0)
     rep = amin_bound_monitor(traj, report, tolerance(traj))
     assert "slope_margin=inf " in rep.notes
     assert rep.worst_margin == pytest.approx(0.0) and rep.worst_location == (0.0, 0)
@@ -254,8 +252,7 @@ def test_amin_and_concavity_need_ordered_data():
     # on ordered data, and neither is claimed once b < a at t = 0, where a_min
     # need not be the pinching radius
     ts = np.linspace(0.0, 0.99, 120)
-    report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.99), fit_residual=0.0,
-                               a_min_final=0.025)
+    report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.99), fit_residual=0.0)
     for ord_ba, passed in ((0.0, False), (-0.5, None)):
         traj = make_trajectory(ts, 2.5 * (1.0 - ts), ord_ba=ord_ba)
         for rep in (amin_bound_monitor(traj, report, tolerance(traj)),
