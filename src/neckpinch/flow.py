@@ -649,12 +649,21 @@ def _final_decade(a_min: np.ndarray) -> np.ndarray:
     return a_min <= 10.0 * a_min[-1]
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of y on x in the centered closed form:
+    well conditioned on nearly equal x, and NumPy reductions only, no LAPACK."""
+    x_bar, y_bar = x.mean(), y.mean()
+    xc = x - x_bar
+    slope = float((xc * (y - y_bar)).sum() / (xc * xc).sum())
+    return slope, float(y_bar - slope * x_bar)
+
+
 def estimate_singular_time(traj: Trajectory) -> SingularityReport:
     """Least-squares linear fit of a_min^2 over the final decade of a_min.
 
     The window is every sample with a_min <= 10 * (final a_min); the estimate
-    is the root of the fitted line. A non-negative fitted slope means the
-    series is not shrinking toward zero.
+    is the root of the line _line_fit gives in centered closed form. A
+    non-negative fitted slope means the series is not shrinking toward zero.
     """
     ts = traj.ts
     a_min = traj.series("a_min")
@@ -665,7 +674,7 @@ def estimate_singular_time(traj: Trajectory) -> SingularityReport:
         )
     t_fit = ts[window]
     y_fit = a_min[window] ** 2
-    slope, intercept = np.polyfit(t_fit, y_fit, 1)
+    slope, intercept = _line_fit(t_fit, y_fit)
     if slope >= 0.0:
         raise NoSingularityDetected("fitted slope of a_min^2 is non-negative")
     t_root = -intercept / slope

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .curvature import Y, Z
-from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs
+from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, _line_fit
 from .grid import STENCIL_ORDER, arclength_jet, z_jet
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
@@ -307,7 +307,8 @@ def scalar_min_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRepo
 
 
 def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
-    """Type I test: (T-t) max|Rm| stays trend-free over the final decade and
+    """Type I test: (T-t) max|Rm| stays trend-free over the final decade (its
+    log-log slope, from the centered closed form of flow._line_fit) and
     a_min/sqrt(T-t) sits inside the two-sided pinch-rate band.
 
     The band's upper edge is 2 (1 + slack) from a_min^2 <= 4(T-t); the lower
@@ -333,7 +334,7 @@ def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
     band = (float(np.min(ratio)), float(np.max(ratio)))
 
     y_d = (T - t_d) * rm_max[decade]
-    slope = float(np.polyfit(np.log(T - t_d), np.log(y_d), 1)[0])
+    slope = _line_fit(np.log(T - t_d), np.log(y_d))[0]
 
     d_lower = _lower_bound_constant(traj)
     lower_edge = 0.0

@@ -19,7 +19,7 @@ _CSV_FIELDS = (
 )
 
 #: Rows formatted per write; bounds the text held in memory at once.
-_ROWS_PER_WRITE = 512
+_ROWS_PER_WRITE = 64
 
 
 def write_series(traj: Trajectory, path: str | Path) -> None:

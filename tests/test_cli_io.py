@@ -18,7 +18,13 @@ from neckpinch.cli import EXIT_BROKEN_PIPE, main
 from neckpinch.config import RunConfig, config_from_dict, load_config
 from neckpinch.flow import FlowConfig, StepRejected, evolve
 from neckpinch.grid import DataError, PeriodicGrid
-from neckpinch.monitors import constants, run_monitors, type1_classifier
+from neckpinch.monitors import (
+    DEFAULT_MONITORS,
+    MONITORS,
+    constants,
+    run_monitors,
+    type1_classifier,
+)
 from neckpinch.output import write_series, write_summary
 from neckpinch.presets import Profile, biaxial, get_preset, presets, sphere
 
@@ -255,7 +261,7 @@ def test_write_series_streams_rows(synthetic_trajectory, tmp_path):
     assert len(lines) == n + 1
     assert lines[1].split(",")[0] == repr(traj.ts[0].item())
     assert path.stat().st_size > 3_000_000
-    assert peak < 1_000_000
+    assert peak < 150_000
 
 
 def test_write_summary_keys(sphere_outputs, tmp_path):
@@ -872,6 +878,42 @@ def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 0
     series = (tmp_path / "out" / "series.csv").read_bytes()
     assert hashlib.sha256(series).hexdigest() == SPHERE_64_SERIES_SHA256
+
+
+def test_cli_run_calls_no_lapack(tmp_path, monkeypatch):
+    # The singular-time fit and the Type I trend are closed-form line fits;
+    # the first LAPACK call alone would add over 1 MB to a run's peak RSS.
+    def lapack(*args, **kwargs):
+        raise AssertionError("a run called into LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", lapack)
+    for name in ("lstsq", "svd", "solve", "pinv"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    configs = {
+        "fig-a": {"preset": "fig-a", "grid_n": 64, "monitors_enabled": list(MONITORS)},
+        "sphere": {
+            "preset": "sphere",
+            "preset_params": {"r": 2.0},
+            "grid_n": 64,
+            "flow": {"cfl_safety": 0.05, "a_min_stop": 0.01},
+        },
+    }
+    expected = {
+        "fig-a": (FIG_A_64_SERIES_SHA256, set(MONITORS)),
+        "sphere": (SPHERE_64_SERIES_SHA256, set(DEFAULT_MONITORS)),
+    }
+    for name, cfg in configs.items():
+        series_sha256, monitor_names = expected[name]
+        out = tmp_path / name
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({**cfg, "out_dir": str(out)}))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        series = (out / "series.csv").read_bytes()
+        assert hashlib.sha256(series).hexdigest() == series_sha256
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["t_estimate"] is not None
+        assert doc["type1"]["classification"] == "TypeI"
+        assert set(doc["monitors"]) == monitor_names
 
 
 def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):

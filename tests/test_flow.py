@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from neckpinch.flow import (
     Trajectory,
     _flow_rhs,
     _etd_table,
+    _line_fit,
     _phi_functions,
     _power_table,
     _rfft,
@@ -961,6 +963,55 @@ def test_estimate_quadratic_series_matches_polyfit_oracle():
     slope, intercept = np.polyfit(ts[window], am2[window], 1)
     assert rep.t_estimate == pytest.approx(-intercept / slope, rel=1e-12)
     assert rep.t_estimate == pytest.approx(T, rel=0.02)
+
+
+def _exact_line_fit(x, y):
+    """The least-squares line of the float data in exact rational arithmetic."""
+    xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((u - x_bar) * (v - y_bar) for u, v in zip(xs, ys)) / sum(
+        (u - x_bar) ** 2 for u in xs
+    )
+    return float(slope), float(y_bar - slope * x_bar)
+
+
+def test_line_fit_matches_exact_fit_and_polyfit_root_on_a_neck_window():
+    # neck-fine's fit window: 45 samples within 2.3e-5 of each other, where
+    # the uncentered normal equations have a condition number of 6.5e10.
+    # np.polyfit's slope and intercept are both 7.7e-12 off the exact fit
+    # here, in step, so its root is right to roundoff.
+    T = 0.8533315
+    ts = np.linspace(0.853307, 0.853330, 45)
+    tau = T - ts
+    y = 4.0 * tau * (1.0 - 1.0 / (2.0 * np.log(1.0 / tau)))
+    slope, intercept = _line_fit(ts, y)
+    exact_slope, exact_intercept = _exact_line_fit(ts, y)
+    assert slope == pytest.approx(exact_slope, rel=1e-14)
+    assert intercept == pytest.approx(exact_intercept, rel=1e-14)
+    oracle_slope, oracle_intercept = np.polyfit(ts, y, 1)
+    assert -intercept / slope == pytest.approx(-oracle_intercept / oracle_slope, rel=1e-14)
+    assert slope == pytest.approx(oracle_slope, rel=1e-10)
+    assert intercept == pytest.approx(oracle_intercept, rel=1e-10)
+
+
+def test_line_fit_matches_polyfit_on_a_log_log_series():
+    # The Type I trend: log((T-t) max|Rm|) against log(T-t).
+    x = np.log(np.geomspace(1e-2, 1e-5, 60))
+    y = -0.49 + 0.02 * x + 1e-3 * np.sin(3.0 * x)
+    slope, intercept = _line_fit(x, y)
+    oracle_slope, oracle_intercept = np.polyfit(x, y, 1)
+    assert slope == pytest.approx(oracle_slope, rel=1e-12)
+    assert intercept == pytest.approx(oracle_intercept, rel=1e-12)
+    exact_slope, exact_intercept = _exact_line_fit(x, y)
+    assert slope == pytest.approx(exact_slope, rel=1e-14)
+    assert intercept == pytest.approx(exact_intercept, rel=1e-14)
+
+
+def test_line_fit_is_exact_on_a_line():
+    x = np.linspace(0.1, 0.9, 45)
+    slope, intercept = _line_fit(x, 0.7 - 1.3 * x)
+    assert slope == pytest.approx(-1.3, abs=1e-15)
+    assert intercept == pytest.approx(0.7, abs=1e-15)
 
 
 def test_estimate_rejects_increasing_series():
