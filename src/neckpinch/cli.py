@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--grid-n", type=int, help="grid size override")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--format", help="comma-separated subset of csv,json")
     run.add_argument("--monitors", help="comma-separated monitor names")
     run.add_argument("--strict", action="store_true", help="exit 3 on monitor violation")
 
@@ -76,8 +75,6 @@ def _resolve_config(args) -> RunConfig:
         overrides["grid_n"] = args.grid_n
     if args.out:
         overrides["out_dir"] = args.out
-    if args.format:
-        overrides["formats"] = [f.strip() for f in args.format.split(",") if f.strip()]
     if args.monitors:
         overrides["monitors_enabled"] = [
             m.strip() for m in args.monitors.split(",") if m.strip()
@@ -103,17 +100,13 @@ def _cmd_run(args) -> int:
             path.rmdir()
         raise
 
-    reports = monitors.run_monitors(traj, report, cfg.monitors_enabled, cfg.kappa)
+    reports = monitors.run_monitors(traj, report, cfg.monitors_enabled)
     type1 = monitors.type1_classifier(traj, report)
     lam = traj.series("ratio_max")[0].item()
     consts = monitors.constants(lam) if lam >= 1.0 else None
 
-    if "csv" in cfg.formats:
-        write_series(traj, out_dir / "series.csv")
-    if "json" in cfg.formats:
-        write_summary(
-            traj, report, reports, type1, consts, cfg.as_dict(), out_dir / "summary.json"
-        )
+    write_series(traj, out_dir / "series.csv")
+    write_summary(traj, report, reports, type1, consts, cfg.as_dict(), out_dir / "summary.json")
 
     t_final, a_min, c_max = (traj.series(name)[-1] for name in ("t", "a_min", "c_max"))
     print(f"run: preset={preset.name} n={cfg.grid_n} stop={traj.stop_reason}")

@@ -7,7 +7,6 @@ back to a default.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -15,8 +14,6 @@ from .flow import FlowConfig, is_number
 from .grid import DataError
 from .monitors import DEFAULT_MONITORS, MONITORS
 from .presets import Preset, Profile, get_preset
-
-_KNOWN_FORMATS = ("csv", "json")
 
 _PROFILE_KEYS = {"kind", "amplitude", "frequency", "offset", "samples"}
 
@@ -30,8 +27,6 @@ class RunConfig:
     flow: FlowConfig = dc_field(default_factory=FlowConfig)
     monitors_enabled: tuple[str, ...] = DEFAULT_MONITORS
     out_dir: str = "."
-    formats: tuple[str, ...] = ("csv", "json")
-    kappa: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, int):
@@ -42,22 +37,12 @@ class RunConfig:
             raise DataError(f"grid_n must be >= 32 for production runs, got {self.grid_n}")
         if not isinstance(self.out_dir, str):
             raise DataError(f"out_dir must be a string, got {self.out_dir!r}")
-        for key in ("formats", "monitors_enabled"):
-            bad = [v for v in getattr(self, key) if not isinstance(v, str)]
-            if bad:
-                raise DataError(f"{key} entries must be strings, got {bad[0]!r}")
-        for fmt in self.formats:
-            if fmt not in _KNOWN_FORMATS:
-                raise DataError(f"unknown output format {fmt!r}")
+        bad = [v for v in self.monitors_enabled if not isinstance(v, str)]
+        if bad:
+            raise DataError(f"monitors_enabled entries must be strings, got {bad[0]!r}")
         for name in self.monitors_enabled:
             if name not in MONITORS:
                 raise DataError(f"unknown monitor {name!r}")
-        if not is_number(self.kappa):
-            raise DataError(f"kappa must be a number, got {self.kappa!r}")
-        if not math.isfinite(self.kappa):
-            raise DataError(f"kappa must be finite, got {self.kappa!r}")
-        if self.kappa <= 0.0:
-            raise DataError("kappa must be positive")
 
     def build_preset(self) -> Preset:
         if self.profiles is not None:
@@ -91,12 +76,8 @@ class RunConfig:
         return get_preset(self.preset, self.preset_params)
 
     def as_dict(self) -> dict:
-        """The config as a JSON document: tuples as lists, an infinite t_max
-        as null."""
-        doc = {k: list(v) if k in _TUPLE_KEYS else v for k, v in asdict(self).items()}
-        if math.isinf(self.flow.t_max):
-            doc["flow"]["t_max"] = None
-        return doc
+        """The config as a JSON document, tuples as lists."""
+        return {k: list(v) if k in _TUPLE_KEYS else v for k, v in asdict(self).items()}
 
 
 # The config document's schema: the fields of RunConfig, with "flow" holding

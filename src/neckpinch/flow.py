@@ -668,9 +668,10 @@ def estimate_singular_time(traj: Trajectory) -> SingularityReport:
     ts = traj.ts
     a_min = traj.series("a_min")
     window = _final_decade(a_min)
-    if int(np.sum(window)) < MIN_FIT_SAMPLES:
+    count = np.count_nonzero(window)
+    if count < MIN_FIT_SAMPLES:
         raise InsufficientSamplesError(
-            f"need >= {MIN_FIT_SAMPLES} samples in the final decade, have {int(np.sum(window))}"
+            f"need >= {MIN_FIT_SAMPLES} samples in the final decade, have {count}"
         )
     t_fit = ts[window]
     y_fit = a_min[window] ** 2

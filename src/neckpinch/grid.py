@@ -68,7 +68,8 @@ class MetricState:
     phi is the dimensionless gauge factor multiplying dz^2; a, b, c are the
     three fiber radii. Each profile is stored as a read-only float64 copy of
     length grid.n, a scalar being broadcast to it; all four must be finite
-    and strictly positive pointwise, and phi at most sqrt(float max).
+    and strictly positive pointwise, and phi between sqrt(float min) and
+    sqrt(float max), so that phi^2 is a normal float.
     """
 
     grid: PeriodicGrid
@@ -94,7 +95,10 @@ class MetricState:
             object.__setattr__(self, name, values)
         if np.min(self.phi) <= 0.0:
             raise GaugeDegeneracyError("phi must be strictly positive")
-        if np.max(self.phi) > sys.float_info.max**0.5:  # rk4_step squares it as a float
+        # rk4_step squares phi as a float and divides the step by the square
+        if np.min(self.phi) < sys.float_info.min**0.5:
+            raise GaugeDegeneracyError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
+        if np.max(self.phi) > sys.float_info.max**0.5:
             raise GaugeDegeneracyError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
         for name in ("a", "b", "c"):
             if np.min(getattr(self, name)) <= 0.0:

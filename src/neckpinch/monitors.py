@@ -17,10 +17,11 @@ Every monitor has one signature, fn(traj, report, tol) -> MonitorReport: the
 trajectory, the singular-time fit (None when no singularity was detected) and
 the slack a margin may fall below zero by. MONITORS maps every monitor name to
 its function for run_monitors and the config check; run_monitors computes
-tol = tolerance(traj, kappa) = kappa * (dz^4 + MESH_SLACK * (phi_bar dz)^2)
-once, so refining the grid tightens every assertion. The tolerance depends
-on the grid alone: the step size, which the flow chooses for accuracy, does
-not widen it.
+tol = tolerance(traj) = dz^4 + MESH_SLACK * (phi_bar dz)^2 once, so refining
+the grid tightens every assertion. The tolerance depends on the grid alone:
+no setting scales it, and the step size, which the flow chooses for accuracy,
+does not widen it. A caller that wants another slack calls MONITORS[name]
+with its own tol.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ TYPE1_SLOPE_THRESHOLD = 0.1
 TYPE1_BAND_SLACK = 0.2
 #: Uniform time samples of a_min^2 whose second differences concavity_check tests.
 CONCAVITY_POINTS = 21
-#: The tolerance's slack per squared arclength cell. 0.04 keeps the grid
-#: tolerance below the step-based kappa * (dz^4 + mean dt) it replaced on
-#: the benchmark cases (sphere n=64 at cfl 0.05 allows at most 0.045).
+#: The tolerance's coefficient on the squared arclength cell (phi_bar dz)^2:
+#: a margin may fall below zero by this share of the grid's O(cell^2) error.
 MESH_SLACK = 0.04
 
 
@@ -116,13 +116,13 @@ def constants(lam: float) -> TheoremConstants:
     )
 
 
-def tolerance(traj: Trajectory, kappa: float = 1.0) -> float:
-    """Grid slack kappa * (dz^4 + MESH_SLACK * (phi_bar dz)^2), 4 the
-    stencil order and phi_bar dz the arclength cell of the first snapshot
-    (phi_bar = 1 for a trajectory without snapshots)."""
+def tolerance(traj: Trajectory) -> float:
+    """Grid slack dz^4 + MESH_SLACK * (phi_bar dz)^2, 4 the stencil order and
+    phi_bar dz the arclength cell of the first snapshot (phi_bar = 1 for a
+    trajectory without snapshots)."""
     phi_bar = float(np.mean(traj.snapshots[0].phi)) if traj.snapshots else 1.0
     mesh = phi_bar * traj.grid.dz
-    return kappa * (traj.grid.dz**STENCIL_ORDER + MESH_SLACK * mesh * mesh)
+    return traj.grid.dz**STENCIL_ORDER + MESH_SLACK * mesh * mesh
 
 
 def _not_applicable(why: str) -> MonitorReport:
@@ -501,11 +501,10 @@ def run_monitors(
     traj: Trajectory,
     report: Fit,
     names: tuple[str, ...] | list[str] = DEFAULT_MONITORS,
-    kappa: float = 1.0,
 ) -> dict[str, MonitorReport]:
-    """Evaluate the named monitors of MONITORS at tol = tolerance(traj, kappa);
+    """Evaluate the named monitors of MONITORS at tol = tolerance(traj);
     unknown names raise."""
-    tol = tolerance(traj, kappa)
+    tol = tolerance(traj)
     out = {}
     for name in names:
         if name not in MONITORS:

@@ -48,7 +48,9 @@ def write_summary(
     path: str | Path,
 ) -> None:
     """JSON run summary: config echo, stop condition, run counters, fit,
-    monitors, Type I."""
+    monitors, Type I. Every non-finite number (an infinite t_max, the Type I
+    fields of a run with no singularity detected) is written as null, so the
+    file is strict JSON."""
     doc = {
         "config": config_echo,
         "stop_reason": traj.stop_reason,
@@ -62,4 +64,5 @@ def write_summary(
         "type1": asdict(type1) if type1 else None,
         "theorem_constants": theorem_constants.as_dict() if theorem_constants else None,
     }
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neckpinch
-from neckpinch import flow
-from neckpinch.cli import EXIT_BROKEN_PIPE, main
+from neckpinch import flow, monitors
+from neckpinch.cli import EXIT_BROKEN_PIPE, _build_parser, main
 from neckpinch.config import RunConfig, config_from_dict, load_config
 from neckpinch.flow import FlowConfig, StepRejected, evolve
 from neckpinch.grid import DataError, PeriodicGrid
@@ -100,7 +101,6 @@ def test_config_defaults_applied():
     assert cfg.preset == "fig-a"
     assert cfg.grid_n == 256
     assert cfg.flow == FlowConfig()
-    assert cfg.formats == ("csv", "json")
 
 
 def test_config_rejects_odd_grid():
@@ -381,8 +381,8 @@ _CONST = {"kind": "const", "offset": 1.0}
                                                "samples": [1.0] * 31 + [float("nan")]}}},
             "profile c must be finite everywhere",
         ),
-        ({"preset": "sphere", "grid_n": 32, "kappa": float("inf")}, "kappa must be finite"),
-        ({"preset": "sphere", "grid_n": 32, "kappa": float("nan")}, "kappa must be finite"),
+        ({"preset": "sphere", "grid_n": 32, "kappa": float("inf")},
+         "unknown config keys: ['kappa']"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"fixed_dt": float("nan")}},
          "unknown flow keys: ['fixed_dt']"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"t_max": float("nan")}},
@@ -395,14 +395,13 @@ _CONST = {"kind": "const", "offset": 1.0}
          "unknown flow keys: ['snapshot_stride']"),
         ({"preset": "sphere", "grid_n": 64.0}, "grid_n must be an integer, got 64.0"),
         ({"preset": "sphere", "grid_n": "64"}, "grid_n must be an integer, got '64'"),
-        ({"preset": "sphere", "grid_n": 32, "kappa": True}, "kappa must be a number, got True"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"cfl_safety": True}},
          "cfl_safety must be a number, got True"),
         ({"preset": "sphere", "grid_n": 32, "flow": {"a_min_stop": True}},
          "a_min_stop must be a number, got True"),
         ({"preset": "sphere", "grid_n": 32, "flow": 5}, "flow must be a JSON object, got 5"),
         ({"preset": "sphere", "grid_n": 32, "formats": "csv"},
-         "formats must be a JSON list, got 'csv'"),
+         "unknown config keys: ['formats']"),
         (
             {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
                                         "a0": {"kind": "cos", "amplitude": 1, "offset": 1.5,
@@ -481,24 +480,26 @@ _CONST = {"kind": "const", "offset": 1.0}
         ({"preset": "sphere", "grid_n": 32, "out_dir": 5}, "out_dir must be a string, got 5"),
         ({"preset": "sphere", "grid_n": 32, "monitors_enabled": [["x"]]},
          "monitors_enabled entries must be strings, got ['x']"),
-        ({"preset": "sphere", "grid_n": 32, "formats": [["x"]]},
-         "formats entries must be strings, got ['x']"),
-        ({"preset": "sphere", "grid_n": 32, "kappa": 10**400}, "kappa must be a number, got 1000"),
         ({"grid_n": 32, "profiles": {"phi0": {"kind": "const", "offset": 1e160}, "a0": _CONST,
                                      "b0": _CONST, "c0": _CONST}},
          "phi must be at most 1.341e+154"),
+        # below sqrt(float min) phi^2 is subnormal: the step would overflow
+        *(({"grid_n": 32, "profiles": {"phi0": {"kind": "const", "offset": phi0}, "a0": _CONST,
+                                       "b0": _CONST, "c0": _CONST}},
+           "phi must be at least 1.492e-154") for phi0 in (1e-156, 1e-160, 1e-200)),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
-         "nan-samples", "infinite-kappa", "nan-kappa", "fixed-dt-key", "nan-t-max",
+         "nan-samples", "infinite-kappa", "fixed-dt-key", "nan-t-max",
          "fractional-stride", "bool-stride", "snapshot-stride", "float-grid-n",
-         "string-grid-n", "bool-kappa", "bool-cfl-safety", "bool-a-min-stop",
+         "string-grid-n", "bool-cfl-safety", "bool-a-min-stop",
          "non-object-flow", "string-formats",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
          "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
          "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere",
          "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
          "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
-         "list-monitor", "list-format", "huge-int-kappa", "huge-phi0"],
+         "list-monitor", "huge-phi0", "tiny-phi0-1e-156", "tiny-phi0-1e-160",
+         "tiny-phi0-1e-200"],
 )
 def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
     _assert_run_config_is_one_line_error(one_line_error, cfg, message)
@@ -682,21 +683,16 @@ def test_cli_strict_reversed_fig_a_claims_no_bound(tmp_path, capsys):
     assert "monitor concavity: n/a" in out
 
 
-def test_cli_strict_violation_exit_code(tmp_path):
-    # a near-zero tolerance scale turns the benign discretization-level
-    # ordering wiggle on fig-a into a hard violation
-    cfg_path = tmp_path / "tight.json"
-    cfg_path.write_text(
-        json.dumps(
-            {
-                "preset": "fig-a",
-                "grid_n": 64,
-                "kappa": 1e-12,
-                "out_dir": str(tmp_path / "out"),
-            }
-        )
-    )
-    assert main(["run", "--config", str(cfg_path), "--strict"]) == 3
+def test_cli_strict_violation_exit_code(tmp_path, monkeypatch, capsys):
+    # a near-zero tolerance turns the benign discretization-level ordering
+    # wiggle on fig-a into a hard violation
+    grid_tolerance = monitors.tolerance
+    monkeypatch.setattr(monitors, "tolerance", lambda traj: 1e-12 * grid_tolerance(traj))
+    argv = ["run", "--preset", "fig-a", "--grid-n", "64", "--out", str(tmp_path), "--strict"]
+    assert main(argv) == 3
+    assert "monitor ordering: FAIL" in capsys.readouterr().out
+    monkeypatch.setattr(monitors, "tolerance", grid_tolerance)
+    assert main(argv) == 0
 
 
 def test_cli_convergence(capsys):
@@ -761,23 +757,47 @@ def test_cli_run_with_config(tmp_path):
     assert doc["config"]["flow"]["a_min_stop"] == 0.5
 
 
-def test_cli_format_subset(tmp_path):
-    code = main(
-        [
-            "run",
-            "--preset",
-            "sphere",
-            "--grid-n",
-            "32",
-            "--out",
-            str(tmp_path),
-            "--format",
-            "csv",
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "series.csv").exists()
-    assert not (tmp_path / "summary.json").exists()
+def test_cli_format_subset(tmp_path, capsys):
+    # every run writes both outputs; --format is not an option
+    argv = ["run", "--preset", "sphere", "--grid-n", "32", "--out", str(tmp_path)]
+    assert main([*argv, "--format", "csv"]) == 1
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv", "summary.json"]
+
+
+def test_cli_summary_without_singularity_is_strict_json(tmp_path):
+    # a run stopped by t_max before any pinch has no Type I band: its NaNs
+    # are written as null, which a strict parser accepts
+    cfg_path = tmp_path / "run.json"
+    cfg = {"preset": "fig-a", "grid_n": 64, "flow": {"t_max": 0.01}, "out_dir": str(tmp_path)}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in summary.json")
+
+    doc = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+    assert doc["t_estimate"] is None
+    assert doc["type1"]["sup_tml_rm"] is None
+    assert doc["type1"]["ratio_band"] == [None, None]
+    assert doc["type1"]["classification"] == "Inconclusive"
+
+
+def test_run_settings_inventory():
+    # adding a setting, a config key or a run option means editing this test
+    assert [f.name for f in fields(RunConfig)] == [
+        "preset", "preset_params", "profiles", "grid_n", "flow", "monitors_enabled", "out_dir"
+    ]
+    assert [f.name for f in fields(FlowConfig)] == [
+        "cfl_safety", "a_min_stop", "t_max", "monitor_stride"
+    ]
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [o for a in sub.choices["run"]._actions for o in a.option_strings]
+    assert options == [
+        "-h", "--help", "--preset", "--config", "--grid-n", "--out", "--monitors", "--strict"
+    ]
 
 
 def test_cli_monitor_subset(tmp_path):

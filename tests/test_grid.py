@@ -94,6 +94,14 @@ def test_metric_state_rejects_a_gauge_too_large_to_square():
         metric_state(g, 0.0, np.nextafter(limit, np.inf), 1.0, 1.0, 1.0)
 
 
+def test_metric_state_rejects_a_gauge_whose_square_is_subnormal():
+    g = PeriodicGrid(8)
+    limit = sys.float_info.min**0.5
+    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi[0] == limit
+    with pytest.raises(GaugeDegeneracyError, match="phi must be at least 1.492e-154"):
+        metric_state(g, 0.0, np.nextafter(limit, 0.0), 1.0, 1.0, 1.0)
+
+
 def dz(values):
     """D1 of the rows of values by the transform: row 1 of their z-jet."""
     return z_jet(np.fft.rfft(values), values.shape[-1], 1.0)[1]

@@ -656,7 +656,6 @@ def test_tolerance_is_a_grid_term_independent_of_the_step():
         st = metric_state(g, 0.0, 1.0, 2.0, 2.0, 2.0)
         traj, _ = evolve(st, FlowConfig(cfl_safety=cfl, a_min_stop=1.0))
         assert tolerance(traj) == pytest.approx(grid_tol, rel=1e-15)
-        assert tolerance(traj, kappa=3.0) == pytest.approx(3.0 * grid_tol, rel=1e-15)
     # the cell is the arclength cell phi_bar dz of the first snapshot
     traj, _ = evolve(metric_state(g, 0.0, 2.0, 2.0, 2.0, 2.0), FlowConfig(a_min_stop=1.0))
     assert tolerance(traj) == pytest.approx(g.dz**4 + MESH_SLACK * (2.0 * g.dz) ** 2, rel=1e-15)
