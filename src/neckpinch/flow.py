@@ -29,7 +29,9 @@ a stability limit. The step's coefficients come from a table cached per
 grid, the powers of the stacked diffusion symbol [sigma/2, sigma]: only the
 scalar h = dt / (lambda phi_bar)^2 changes between steps, so the
 phi-functions (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005) are one
-exp, one recurrence, one matmul for their Taylor series and one select.
+exp, one recurrence and one einsum for their Taylor series. The step calls
+no BLAS routine: a process's first gemm maps OpenBLAS's kernels and buffer,
+0.25-0.4 MB of resident memory, for products of 3 rows.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
 the package's one z-derivative, gives from u and phi the jet (x, x', x'')
@@ -45,9 +47,9 @@ bits, whose transforms of a constant row only scale the mean by n, exactly.
 Between steps evolve holds u, its jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
 snapshot besides the first. The summaries are computed a block at a time,
-as many stacked jets as fit in SUMMARY_BLOCK_BYTES, as records of one
-structured dtype, SUMMARY_DTYPE; the blocks' records, joined once when the
-run ends, become the Trajectory's read-only samples.
+summary_block(n) states, as records of one structured dtype, SUMMARY_DTYPE;
+the blocks' records, joined once when the run ends, become the Trajectory's
+read-only samples.
 """
 
 from __future__ import annotations
@@ -90,14 +92,18 @@ MAX_STEP_HALVINGS = 20
 #: call: 8 states at n = 256, 32 at n = 64, where a block of 64 outgrows the
 #: cache. Per state on fig-a (best of three processes, one core of a 2-vCPU
 #: Xeon), n = 64: 27 us in blocks of 8, 14 in 16, 11.5 in 32, 16.5 in 64;
-#: n = 256: 38 us in 8, 32 in 16, 72 in 32.
+#: n = 256: 38 us in 8, 32 in 16, 72 in 32. The one point of z-constant
+#: data takes the block of 8 points, 256 states: the budget alone would
+#: allow 2048, and the call's temporaries, about 0.7 KB a state, would then
+#: set the run's peak memory.
 SUMMARY_BLOCK_BYTES = 144 * 1024
 
 
 def summary_block(n: int) -> int:
     """States per summarize_state call in evolve on n points: as many
-    (3, 3, n) float64 jets as fit in SUMMARY_BLOCK_BYTES, at least 1."""
-    return max(1, SUMMARY_BLOCK_BYTES // (3 * 3 * n * 8))
+    (3, 3, n) float64 jets as fit in SUMMARY_BLOCK_BYTES, at least 1, and
+    no more than on 8 points, 256."""
+    return max(1, SUMMARY_BLOCK_BYTES // (3 * 3 * max(n, 8) * 8))
 
 
 #: Samples the singular-time fit needs inside the final decade of a_min.
@@ -361,7 +367,7 @@ def _phi_functions(
 
     Where |z| >= 1 they follow from exp by phi_{k+1} = (phi_k - 1/k!) / z.
     Below that the recurrence cancels, and all three are the Taylor series,
-    one matmul of the row of h^j / (j + k)! by powers, with h^j taken from
+    one einsum of the rows h^j / (j + k)! by powers, with h^j taken from
     min(h, 4): a grid's nonzero |sigma| / 2 are at least 0.48 (_jet_symbol),
     so for h > 4 the series serves only sigma = 0, where it is (1, 1/2, 1/6)
     at any h. Splitting z^j into sigma^j and h^j loses nothing that matters:
@@ -372,12 +378,15 @@ def _phi_functions(
     """
     z = h * sigma
     e = np.exp(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = (e - 1.0) / z
-        p2 = (p1 - 1.0) / z
-        p3 = (p2 - 0.5) / z
-    taylor = (_TAYLOR_COEFFS * min(h, 4.0) ** _TAYLOR_POWERS) @ powers
-    return e, np.where(z > -1.0, taylor, (p1, p2, p3))
+    p = np.einsum("kj,jm->km", _TAYLOR_COEFFS * min(h, 4.0) ** _TAYLOR_POWERS, powers)
+    # Only the columns with z <= -1 take the recurrence; dividing the others
+    # by -1 spares a division by 0 at sigma = 0.
+    zc = np.minimum(z, -1.0)
+    p1 = (e - 1.0) / zc
+    p2 = (p1 - 1.0) / zc
+    p3 = (p2 - 0.5) / zc
+    np.copyto(p, (p1, p2, p3), where=z <= -1.0)
+    return e, p
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:
@@ -418,7 +427,7 @@ def rk4_step(
     e, p = _phi_functions(h, sigma, powers)
     e_half, e_full = e[:m], e[m:]
     q = 0.5 * dt * p[0, :m]
-    w1, w23, w4 = (dt * _WEIGHTS) @ p[:, m:]
+    w1, w23, w4 = np.einsum("ij,jm->im", dt * _WEIGHTS, p[:, m:])
     lin = sigma[m:] / scale
 
     def stage(u, log_lam):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -842,8 +843,11 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
 # phi-functions from a per-grid table of the diffusion symbol's powers and
 # the right-hand side and summaries reused their squares (the same
 # arithmetic, other roundoff): the 485 steps stayed and T moved by +3.3e-16,
-# from 0.8532748375853851 to 0.8532748375853855.
-FIG_A_64_SERIES_SHA256 = "05f97fe4735c381838e2c19120f7833d4a7b323676ec49e445cbfe5201924cbf"
+# from 0.8532748375853851 to 0.8532748375853855. Re-pinned when the
+# phi-functions' Taylor series and the ETDRK4 weights moved from BLAS gemm
+# to np.einsum (the same sums, other roundoff): the 485 steps stayed, T moved
+# by -1.1e-16 and no value moved by more than 2.7e-13 of max(|x|, 1).
+FIG_A_64_SERIES_SHA256 = "22f19106b09e7067b992ef2bead341a395954ab23512d14c968654df88c01e88"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
@@ -862,14 +866,20 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
 # 2,298 steps became 819 and |T - 1| fell from 1.33e-11 to 5.1e-12.
 # Re-pinned with the per-grid phi-function table and the reused squares
 # (fig-a above): the 819 steps stayed and T moved by +2.2e-16, from
-# 0.9999999999948868 to 0.9999999999948870.
-SPHERE_64_SERIES_SHA256 = "ae64b23ea831238d920d5fefc8510e61451db3c0867b31ba3de3654b32ab8d74"
+# 0.9999999999948868 to 0.9999999999948870. Re-pinned with the einsum
+# phi-functions and weights (fig-a above): the 819 steps stayed, T stayed
+# at 0.9999999999948874 and no value moved by more than 2.7e-15 of
+# max(|x|, 1).
+SPHERE_64_SERIES_SHA256 = "9f6c0645a21912915161076fe3f59a088d49bd69b14e1345c68f894adea6cc75"
 
 
 # The biaxial preset (a = 1, b = c = 2) at n=64 with the default flow, the
 # second z-constant case: 260 steps to T = 0.6900864983994869, pinned before
-# evolve stepped z-constant data on their one Fourier mode.
-BIAXIAL_64_SERIES_SHA256 = "53174cfba1ace4560936330ad154c421f36bf47e104a9a9143a70a90f503bea7"
+# evolve stepped z-constant data on their one Fourier mode. Re-pinned with
+# the einsum phi-functions and weights (fig-a above): the 260 steps stayed,
+# T stayed at 0.6900864983994867 and no value moved by more than 6.2e-15 of
+# max(|x|, 1).
+BIAXIAL_64_SERIES_SHA256 = "743d7913e82566ead7363b9760a48700181c64bfe01fd84be0c2392c7daa9752"
 
 
 def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
@@ -934,6 +944,33 @@ def test_cli_run_calls_no_lapack(tmp_path, monkeypatch):
         assert doc["t_estimate"] is not None
         assert doc["type1"]["classification"] == "TypeI"
         assert set(doc["monitors"]) == monitor_names
+
+
+# NumPy routines that call BLAS or LAPACK. np.einsum runs NumPy's own loops
+# unless given `optimize`, which routes it through tensordot.
+BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "vdot", "linalg", "polyfit", "optimize"}
+
+
+def test_package_calls_no_blas():
+    # A process's first gemm maps OpenBLAS's kernels and buffer, 0.25-0.4 MB
+    # of peak RSS. Only equal_arclength, which runs for a non-uniform phi0
+    # alone, keeps its matrix products.
+    matmuls, uses = set(), set()
+    for path in sorted(Path(neckpinch.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{top.name}" if hasattr(top, "name") else path.stem
+            for node in ast.walk(top):
+                match node:
+                    case ast.BinOp(op=ast.MatMult()) | ast.AugAssign(op=ast.MatMult()):
+                        matmuls.add(where)
+                    case ast.Attribute(attr=name) | ast.Name(id=name) | ast.keyword(arg=name):
+                        if name in BLAS_NAMES:
+                            uses.add(f"{where}:{node.lineno} {name}")
+                    case ast.alias(name=name) | ast.ImportFrom(module=str() as name):
+                        if BLAS_NAMES.intersection(name.split(".")):
+                            uses.add(f"{where} imports {name}")
+    assert matmuls == {"flow.equal_arclength"}
+    assert uses == set()
 
 
 def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):

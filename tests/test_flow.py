@@ -520,8 +520,9 @@ def test_block_summary_bitwise_equals_state_by_state(n, size):
 
 
 def test_summary_block_fills_its_byte_budget():
-    # n = 1 is evolve's one point for z-constant data
-    assert [summary_block(n) for n in (1, 64, 128, 256, 1 << 20)] == [2048, 32, 16, 8, 1]
+    # n = 1 is evolve's one point for z-constant data, which takes the block
+    # of n = 8
+    assert [summary_block(n) for n in (1, 64, 128, 256, 1 << 20)] == [256, 32, 16, 8, 1]
 
 
 def test_block_summary_raises_for_an_unresolvable_state():
@@ -618,9 +619,9 @@ def test_evolve_strided_blocks_of_one_state_equal_the_default_block(monkeypatch)
     ids=["sphere", "fig-a"],
 )
 def test_evolve_grows_its_records_by_a_whole_block(state, cfg):
-    # blocks of summary_block(8) = 256 states, or of 2048 on one point: the
-    # samples are one block larger than 256 records, or several, and a record
-    # buffer that grew by doubling from 128 once lost them at n = 8
+    # blocks of summary_block(8) = 256 states, on the grid or on one point:
+    # the samples are more than one block, and a record buffer that grew by
+    # doubling from 128 once lost them at n = 8
     traj, _ = evolve(state, cfg)
     assert traj.stop_reason == STOP_AMIN
     assert len(traj.samples) == traj.run_stats.steps + 1 > 256
@@ -646,6 +647,36 @@ def test_evolve_takes_no_transform_on_z_constant_data(monkeypatch):
     assert calls == []
     evolve(get_preset("fig-a").build(PeriodicGrid(64)), FlowConfig())
     assert len(calls) > 0
+
+
+# Operation counts, which do not drift with the host's speed. A step takes 4
+# right-hand sides and 16 FFT calls: the first stage's W pair and rfft, three
+# more stages of one jet irfft, a W pair and an rfft each, and the new
+# state's jet; a run adds the initial radii's rfft and jet. z-constant data
+# on their one point take no transform.
+COUNT_CASES = {
+    "fig-a-64": (get_preset("fig-a"), 64, FlowConfig(), 485, (16, 2)),
+    "fig-a-256": (get_preset("fig-a"), 256, FlowConfig(), 486, (16, 2)),
+    "sphere-64": (sphere(2.0), 64, FlowConfig(cfl_safety=0.05, a_min_stop=0.01), 819, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_evolve_operation_counts(monkeypatch, case):
+    preset, n, cfg, steps, (ffts_per_step, ffts_at_start) = COUNT_CASES[case]
+    ffts = _count_fft_calls(monkeypatch)
+    rhs_calls = []
+
+    def counted_rhs(*args):
+        rhs_calls.append(None)
+        return _flow_rhs(*args)
+
+    monkeypatch.setattr(flow, "_flow_rhs", counted_rhs)
+    traj, _ = evolve(preset.build(PeriodicGrid(n)), cfg)
+    assert traj.stop_reason == STOP_AMIN
+    assert (traj.run_stats.steps, traj.run_stats.rejected) == (steps, 0)
+    assert len(ffts) == ffts_per_step * steps + ffts_at_start
+    assert len(rhs_calls) == 4 * steps
 
 
 def test_evolve_strided_z_constant_run_to_t_max():
