@@ -40,9 +40,11 @@ evolve's step rule and the monitors' K_0i evolution residual. Each accepted
 state's jet also serves the next first stage and its summary. Radii exactly
 constant along z stay so, and their flow is the Bianchi IX ODE (Isenberg &
 Jackson, J. Differential Geom. 35, 1992): evolve holds them on one point,
-their mean mode, where ETDRK4 is classical RK4, a row is its own rfft (_rfft)
-and z_jet's irfft a real part. On a power-of-two n that gives the grid's
-bits, whose transforms of a constant row only scale the mean by n, exactly.
+their mean mode. There sigma = 0, and a step takes the grid's k = 0 values
+as exact constants: phi-functions (1, 1/2, 1/6) and e = 1 (_ONE_POINT_PHI, so
+ETDRK4 is classical RK4), the row as its own rfft (_rfft), the jet (x, 0, 0)
+and W None. On a power-of-two n that gives the grid's bits, whose transforms
+of a constant row only scale the mean by n, exactly.
 
 Between steps evolve holds u, its jet and log(lambda), with t and dt as
 Python floats; a MetricState is built only for the final state, the one
@@ -258,10 +260,12 @@ def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, floa
     periodic antiderivative of dz W = phi (c - q): one rfft, the multiplier
     1/(ik), one irfft. W is None when phi (c - q) has no nonzero entry, as on
     z-constant data, so callers skip the transform and the advection term
-    W x'.
+    W x'; on one point c - q is exactly 0, and is not formed.
     """
     # phi cancels from c; np.mean would cost 20 us a call at n = 64.
     c = float(q.sum()) / q.size
+    if q.size == 1:
+        return None, c
     dw = phi * (c - q)
     if not dw.any():
         return None, c
@@ -347,6 +351,11 @@ def _power_table(sigma: np.ndarray) -> np.ndarray:
     return powers
 
 
+#: _phi_functions on one point, where sigma = 0 in both columns: at any h,
+#: e = 1 and (phi_1, phi_2, phi_3) = (1, 1/2, 1/6), bitwise a grid's k = 0.
+_ONE_POINT_PHI = (np.broadcast_to(1.0, 2), np.broadcast_to(_TAYLOR_COEFFS[:, :1], (3, 2)))
+
+
 @functools.cache
 def _etd_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The diffusion symbol sigma = -s(k)^2 of D1 o D1 on n points stacked
@@ -414,9 +423,10 @@ def rk4_step(
     ETDRK4 (Cox & Matthews 2002) integrates exactly; N = f - L u holds the
     first-order terms, the reaction, W x' and the drift of lambda over the
     step. log lambda has L = 0, where the scheme is classical RK4, as it is
-    on z-constant data. Raises StepRejected if a stage or the result leaves
-    the positive cone or turns non-finite, and _gauge_scale's errors if a
-    stage's or the result's lambda overflows or underflows to 0.
+    on z-constant data on n = 1 point (_ONE_POINT_PHI). Raises StepRejected
+    if a stage or the result leaves the positive cone or turns non-finite,
+    and _gauge_scale's errors if a stage's or the result's lambda overflows
+    or underflows to 0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -424,7 +434,7 @@ def rk4_step(
     m = sigma.size // 2
     scale = (_gauge_scale(log_lam0) * phi_bar) ** 2
     h = dt / scale
-    e, p = _phi_functions(h, sigma, powers)
+    e, p = _ONE_POINT_PHI if n == 1 else _phi_functions(h, sigma, powers)
     e_half, e_full = e[:m], e[m:]
     q = 0.5 * dt * p[0, :m]
     w1, w23, w4 = np.einsum("ij,jm->im", dt * _WEIGHTS, p[:, m:])

@@ -308,8 +308,8 @@ def test_rk4_step_on_one_point_is_bitwise_the_grid_step(radii, n):
     assert u1.shape == (3, 1) and zj1.shape == (3, 3, 1)
     assert (u[:, :1] / n).real.tobytes() == u1.tobytes()
     assert not u.imag.any() and not u[:, 1:].any()
-    # the one point's x'' is -0.0 where the irfft gives +0.0; adding 0.0 maps
-    # both to +0.0 and changes no other bits
+    # the grid's irfft gives x'' = -0.0 at z = 0 where the one point's jet
+    # is +0.0; adding 0.0 maps both to +0.0 and changes no other bits
     assert (zj + 0.0).tobytes() == (np.broadcast_to(zj1, zj.shape) + 0.0).tobytes()
     # q = 0 on z-constant data, so the gauge rate c is 0 and lambda stays 1
     assert log_lam == log_lam1 == 0.0
@@ -370,6 +370,17 @@ def test_phi_functions_on_the_grid_table(n):
         # sigma = 0 at k = 0 in both halves
         assert ours[:, 0].tolist() == ours[:, m].tolist() == [1.0, 0.5, 1.0 / 6.0]
     assert sides == {True, False}
+
+
+@pytest.mark.parametrize("h", [1e-6, 0.5, 4.0, 1e200])
+def test_one_point_phi_functions_are_the_grid_zero_mode(h):
+    # rk4_step takes these constants on one point: bitwise what
+    # _phi_functions computes at sigma = 0, a grid's k = 0 column
+    zeros = np.zeros(2)
+    e, p = flow._ONE_POINT_PHI
+    want_e, want_p = _phi_functions(h, zeros, _power_table(zeros))
+    assert e.tobytes() == want_e.tobytes() and p.tobytes() == want_p.tobytes()
+    assert not (e.flags.writeable or p.flags.writeable)
 
 
 @pytest.mark.parametrize("phi0", [1e-100, 1e-150])
@@ -653,17 +664,18 @@ def test_evolve_takes_no_transform_on_z_constant_data(monkeypatch):
 # right-hand sides and 16 FFT calls: the first stage's W pair and rfft, three
 # more stages of one jet irfft, a W pair and an rfft each, and the new
 # state's jet; a run adds the initial radii's rfft and jet. z-constant data
-# on their one point take no transform.
+# on their one point take no transform and no _phi_functions call, which a
+# grid step makes once.
 COUNT_CASES = {
-    "fig-a-64": (get_preset("fig-a"), 64, FlowConfig(), 485, (16, 2)),
-    "fig-a-256": (get_preset("fig-a"), 256, FlowConfig(), 486, (16, 2)),
-    "sphere-64": (sphere(2.0), 64, FlowConfig(cfl_safety=0.05, a_min_stop=0.01), 819, (0, 0)),
+    "fig-a-64": (get_preset("fig-a"), 64, FlowConfig(), 485, (16, 2), 1),
+    "fig-a-256": (get_preset("fig-a"), 256, FlowConfig(), 486, (16, 2), 1),
+    "sphere-64": (sphere(2.0), 64, FlowConfig(cfl_safety=0.05, a_min_stop=0.01), 819, (0, 0), 0),
 }
 
 
 @pytest.mark.parametrize("case", COUNT_CASES)
 def test_evolve_operation_counts(monkeypatch, case):
-    preset, n, cfg, steps, (ffts_per_step, ffts_at_start) = COUNT_CASES[case]
+    preset, n, cfg, steps, (ffts_per_step, ffts_at_start), phi_per_step = COUNT_CASES[case]
     ffts = _count_fft_calls(monkeypatch)
     rhs_calls = []
 
@@ -671,12 +683,20 @@ def test_evolve_operation_counts(monkeypatch, case):
         rhs_calls.append(None)
         return _flow_rhs(*args)
 
+    phi_calls = []
+
+    def counted_phi(*args):
+        phi_calls.append(None)
+        return _phi_functions(*args)
+
     monkeypatch.setattr(flow, "_flow_rhs", counted_rhs)
+    monkeypatch.setattr(flow, "_phi_functions", counted_phi)
     traj, _ = evolve(preset.build(PeriodicGrid(n)), cfg)
     assert traj.stop_reason == STOP_AMIN
     assert (traj.run_stats.steps, traj.run_stats.rejected) == (steps, 0)
     assert len(ffts) == ffts_per_step * steps + ffts_at_start
     assert len(rhs_calls) == 4 * steps
+    assert len(phi_calls) == phi_per_step * steps
 
 
 def test_evolve_strided_z_constant_run_to_t_max():

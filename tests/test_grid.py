@@ -174,6 +174,19 @@ def test_dz_values_stacked_rows_bitwise(lead):
     assert not constant[1:].any()
 
 
+@pytest.mark.parametrize("phi", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("u", [
+    np.array([[1.5], [2.5], [3.5]]),
+    np.array([[1.5 - 2.0j], [-2.5 + 0.5j], [3.5 + 1e-300j]]),
+], ids=["real", "complex"])
+def test_z_jet_on_one_point_is_the_real_part_and_zeros(u, phi):
+    # on one point S = (1, 0, 0): no product or division by phi, at any phi
+    jet = z_jet(u, 1, phi)
+    assert jet.shape == (3, 3, 1) and jet.dtype == np.float64
+    assert jet[0].tobytes() == u.real.tobytes()
+    assert jet[1:].tobytes() == np.zeros((2, 3, 1)).tobytes()
+
+
 @pytest.mark.parametrize("n", [8, 16, 64, 1024, 2**16])
 def test_jet_symbol_vanishes_only_at_zero_and_nyquist(n):
     # rows 1 and 2 are exact zeros at k = 0 and at the Nyquist mode, where
