@@ -140,7 +140,7 @@ def riemann_oracle(state: MetricState) -> np.ndarray:
     discretizations agree only in the refinement limit.
     """
     check_resolvable(radii(state))
-    g = np.stack((state.phi**2, state.a**2, state.b**2, state.c**2))
+    g = np.stack((np.full(state.grid.n, state.phi**2), state.a**2, state.b**2, state.c**2))
     _, dg, ddg = z_jet(np.fft.rfft(g), state.grid.n, 1.0)
 
     k0 = [

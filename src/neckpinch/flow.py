@@ -8,16 +8,16 @@ keeps its shape: the radii satisfy
 
 (and its b, c relabelings) with dz W = phi (c - q), q = a''/a + b''/b + c''/c
 and c = int phi q dz / int phi dz. The gauge then obeys dt log(phi) = c(t),
-uniform in z, so phi = lambda(t) phi0(z) for all time. evolve first moves a
-non-uniform phi0 to nodes of equal arclength, so phi is the scalar
-lambda(t) phi_bar and the state is the radii plus the one scalar
-log(lambda), with dt log(lambda) = c. This is the constant-speed (tangential
-redistribution) parametrization of curve-shortening flow: the grid points
-keep equal arclength spacing, so a neck keeps its grid points while it
-narrows. W is the mean-free periodic antiderivative, one rfft/irfft per
-stage, and vanishes identically on z-constant data, where the transform is
-skipped. Primes are arclength derivatives on the fixed z-grid, x' =
-dz x / phi and x'' = dz^2 x / phi^2, and grid.z_jet applies that gauge.
+uniform in z, so phi = lambda(t) phi0(z) for all time. Preset.build moves a
+non-uniform phi0 to nodes of equal arclength, so phi is lambda(t) phi_bar
+and the state is the radii plus log(lambda), with dt log(lambda) = c. This
+is the constant-speed (tangential redistribution) parametrization of
+curve-shortening flow: the grid points keep equal arclength spacing, so a
+neck keeps its grid points while it narrows. W is the mean-free periodic
+antiderivative, one rfft/irfft per stage, and vanishes identically on
+z-constant data, where the transform is skipped. Primes are arclength
+derivatives on the fixed z-grid, x' = dz x / phi and x'' = dz^2 x / phi^2,
+and grid.z_jet applies that gauge.
 
 With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
 multiplier, and rk4_step integrates it exactly: ETDRK4 (Cox & Matthews,
@@ -45,13 +45,6 @@ as exact constants: phi-functions (1, 1/2, 1/6) and e = 1 (_ONE_POINT_PHI, so
 ETDRK4 is classical RK4), the row as its own rfft (_rfft), the jet (x, 0, 0)
 and W None. On a power-of-two n that gives the grid's bits, whose transforms
 of a constant row only scale the mean by n, exactly.
-
-Between steps evolve holds u, its jet and log(lambda), with t and dt as
-Python floats; a MetricState is built only for the final state, the one
-snapshot besides the first. The summaries are computed a block at a time,
-summary_block(n) states, as records of one structured dtype, SUMMARY_DTYPE;
-the blocks' records, joined once when the run ends, become the Trajectory's
-read-only samples.
 """
 
 from __future__ import annotations
@@ -318,7 +311,7 @@ def _gauge_scale(log_lam: float) -> float:
     """lambda = exp(log lambda), as a Python float.
 
     Raises NonFiniteFieldError when it overflows and GaugeDegeneracyError
-    when it underflows to 0: the errors a gauge row phi gets.
+    when it underflows to 0: the errors MetricState gives such a phi.
     """
     try:
         lam = math.exp(log_lam)
@@ -462,48 +455,6 @@ def rk4_step(
     return u1, zj1, log_lam1
 
 
-def equal_arclength(state: MetricState) -> MetricState:
-    """The state on nodes of equal arclength, under the uniform gauge phi_bar,
-    the mean of its phi; a state whose phi is uniform is returned as is.
-
-    With s(z) the integral from 0 to z of the trig interpolant of phi, node j
-    moves to the root of s(z) = phi_bar z_j, found by Newton's method, and
-    each radius takes the value of its trig interpolant there. The total
-    length 2 pi phi_bar is kept.
-    """
-    phi = state.phi
-    if np.ptp(phi) == 0.0:
-        return state
-    grid = state.grid
-    k = np.arange(grid.n // 2 + 1)
-
-    def coefficients(f):
-        # f(z) = Re sum_k c_k e^{ikz}; the Nyquist term is c cos(nz/2).
-        c = np.fft.rfft(f) / grid.n
-        c[..., 1:-1] *= 2.0
-        return c
-
-    phi_hat = coefficients(phi)
-    phi_bar = phi_hat[0].real
-    s_hat = phi_hat[1:] / (1j * k[1:])
-    z = grid.z
-    target = phi_bar * z
-    for _ in range(50):
-        wave = np.exp(1j * np.outer(z, k))
-        s = phi_bar * z + ((wave[:, 1:] - 1.0) @ s_hat).real
-        step = (s - target) / (wave @ phi_hat).real
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-13:
-            break
-    else:
-        raise GaugeDegeneracyError(
-            "no equal-arclength nodes for phi: Newton's method did not converge "
-            "(the trig interpolant of phi may not be positive)"
-        )
-    x = (np.exp(1j * np.outer(z, k)) @ coefficients(radii(state)).T).real
-    return metric_state(grid, state.t, phi_bar, *x.T)
-
-
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x - y) / np.minimum(x, y)
 
@@ -545,17 +496,18 @@ def evolve(
 ) -> tuple[Trajectory, SingularityReport | None]:
     """Step until the pinch threshold, the time cap, or exhausted step halvings.
 
-    A state whose phi is not uniform is first moved to nodes of equal
-    arclength (equal_arclength); that state is the first snapshot. Between
-    steps the state is the rfft u of the radii, its jet and log lambda, the
-    gauge being the scalar phi = lambda * phi_bar; a MetricState is built
-    only for the final state, the second snapshot when the run advanced.
+    initial is the first snapshot, and its gauge is phi_bar. Between steps
+    the state is the rfft u of the radii, its jet and log lambda, with t and
+    dt as Python floats, the gauge being phi = lambda * phi_bar; a
+    MetricState is built only for the final state, the second snapshot when
+    the run advanced.
     Radii exactly constant along z are held on n = 1 point, their mean mode
     (see the module docstring), and the final snapshot broadcasts it.
     Summaries are recorded every monitor_stride steps plus the first and
-    last state, and computed summary_block(n) states at a time; the initial
-    state is summarized alone, so that data no summary accepts fail before
-    the first step.
+    last state, and computed summary_block(n) states at a time, as records
+    of SUMMARY_DTYPE joined once when the run ends; the initial state is
+    summarized alone, so that data no summary accepts fail before the first
+    step.
 
     Each step first evaluates k1 = f(x), which sets dt by the rate rule
     dt = (cfl_safety / 18) r^(-4/5) r0^(-1/5), r = max |k1 / x| and r0 its
@@ -572,13 +524,12 @@ def evolve(
     STOP_HALVINGS. traj.run_stats counts the accepted steps and the rejected
     attempts, and records the neck resolution of the final state.
     """
-    initial = equal_arclength(initial)
     grid = initial.grid
     x0 = radii(initial)
     n = 1 if not np.ptp(x0, axis=1).any() else grid.n
     snapshots = [initial]
     stats = RunStats()
-    phi_bar = float(initial.phi[0])
+    phi_bar = initial.phi
     # Pending summaries: jets in a preallocated block, (t, dt) in a list.
     block = summary_block(n)
     block_zj = np.empty((block, 3, 3, n))

@@ -1,13 +1,13 @@
 """Periodic grid, metric state, and the package's one z-derivative.
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
-points. Metric profiles phi, a, b, c live on this grid as read-only arrays.
+points. The radii a, b, c live on this grid as read-only arrays.
 Every derivative with respect to the base coordinate z in the package is
 z_jet: one irfft of rfft(x) S, S the exact Fourier symbols of the 4th-order
 periodic central-difference stencil D1 and of D1 o D1, the derivative rows then
-divided by a uniform gauge phi and phi^2 (ds = phi dz); arclength_jet applies
-the chain rule to one z_jet of (phi, a, b, c) for a state of any phi. No other
-function divides by phi, and the grid never moves while phi evolves.
+divided by the gauge phi and phi^2 (ds = phi dz), one number: Preset.build
+resamples a varying phi0 to equal arclength. No other function divides by
+phi, and the grid never moves while phi evolves.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class NonFiniteFieldError(DataError):
 
 
 class GaugeDegeneracyError(DataError):
-    """The gauge profile phi is not strictly positive, or too large to square."""
+    """The gauge phi is not strictly positive, or too large or small to square."""
 
 
 class DegenerateFiberError(DataError):
@@ -63,25 +63,36 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class MetricState:
-    """The four metric profiles (phi, a, b, c) on one grid at one time.
+    """The gauge phi and the fiber radii (a, b, c) on one grid at one time.
 
-    phi is the dimensionless gauge factor multiplying dz^2; a, b, c are the
-    three fiber radii. Each profile is stored as a read-only float64 copy of
-    length grid.n, a scalar being broadcast to it; all four must be finite
-    and strictly positive pointwise, and phi between sqrt(float min) and
-    sqrt(float max), so that phi^2 is a normal float.
+    phi, the uniform gauge factor multiplying dz^2, is one finite float
+    between sqrt(float min) and sqrt(float max), so that phi^2 is a normal
+    float. Each radius is stored as a read-only float64 copy of length
+    grid.n, a scalar being broadcast to it, finite and strictly positive.
     """
 
     grid: PeriodicGrid
     t: float
-    phi: np.ndarray
+    phi: float
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.phi) != 0:
+            raise DataError("phi must be one number; a varying phi0 enters as a samples profile")
+        object.__setattr__(self, "phi", float(self.phi))
+        if not np.isfinite(self.phi):
+            raise NonFiniteFieldError("profile phi must be finite everywhere")
+        if self.phi <= 0.0:
+            raise GaugeDegeneracyError("phi must be strictly positive")
+        # rk4_step squares phi as a float and divides the step by the square
+        if self.phi < sys.float_info.min**0.5:
+            raise GaugeDegeneracyError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
+        if self.phi > sys.float_info.max**0.5:
+            raise GaugeDegeneracyError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
         n = self.grid.n
-        for name in ("phi", "a", "b", "c"):
+        for name in ("a", "b", "c"):
             values = np.array(getattr(self, name), dtype=float)
             if values.ndim == 0:
                 values = np.full(n, values)
@@ -91,22 +102,14 @@ class MetricState:
                 )
             if not np.isfinite(values).all():
                 raise NonFiniteFieldError(f"profile {name} must be finite everywhere")
+            if values.min() <= 0.0:
+                raise DegenerateFiberError(f"profile {name} must be strictly positive")
             values.setflags(write=False)
             object.__setattr__(self, name, values)
-        if np.min(self.phi) <= 0.0:
-            raise GaugeDegeneracyError("phi must be strictly positive")
-        # rk4_step squares phi as a float and divides the step by the square
-        if np.min(self.phi) < sys.float_info.min**0.5:
-            raise GaugeDegeneracyError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
-        if np.max(self.phi) > sys.float_info.max**0.5:
-            raise GaugeDegeneracyError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
-        for name in ("a", "b", "c"):
-            if np.min(getattr(self, name)) <= 0.0:
-                raise DegenerateFiberError(f"profile {name} must be strictly positive")
 
 
 def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
-    """Convenience constructor accepting arrays or scalars for each profile."""
+    """Convenience constructor: phi a number, each radius an array or a scalar."""
     return MetricState(grid, float(t), phi, a, b, c)
 
 
@@ -147,13 +150,6 @@ def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
 
 def arclength_jet(state: MetricState) -> np.ndarray:
     """The arclength jet (x, x', x'') of the radii x of state, stacked (3, 3,
-    n), by the chain rule x' = D1 x / phi, x'' = (D1 D1 x - D1 phi x') / phi^2
-    on one z_jet at gauge 1 of (phi, a, b, c). On a uniform phi D1 phi is
-    exactly 0: the jet is bitwise z_jet(rfft(x), n, phi)."""
-    phi = state.phi
-    zj = z_jet(np.fft.rfft(np.stack((phi, state.a, state.b, state.c))), state.grid.n, 1.0)
-    dphi, jet = zj[1, 0], zj[:, 1:]
-    jet[1] /= phi
-    jet[2] -= dphi * jet[1]
-    jet[2] /= phi * phi
-    return jet
+    n): z_jet of their rfft under the state's gauge."""
+    x = np.stack((state.a, state.b, state.c))
+    return z_jet(np.fft.rfft(x), state.grid.n, state.phi)

@@ -120,7 +120,7 @@ def tolerance(traj: Trajectory) -> float:
     """Grid slack dz^4 + MESH_SLACK * (phi_bar dz)^2, 4 the stencil order and
     phi_bar dz the arclength cell of the first snapshot (phi_bar = 1 for a
     trajectory without snapshots)."""
-    phi_bar = float(np.mean(traj.snapshots[0].phi)) if traj.snapshots else 1.0
+    phi_bar = traj.snapshots[0].phi if traj.snapshots else 1.0
     mesh = phi_bar * traj.grid.dz
     return traj.grid.dz**STENCIL_ORDER + MESH_SLACK * mesh * mesh
 
@@ -439,7 +439,7 @@ def _k0i_defects(traj: Trajectory) -> np.ndarray:
     monitors of one run share one evaluation.
     """
     state = traj.snapshots[0]
-    phi, n = float(state.phi[0]), state.grid.n
+    phi, n = state.phi, state.grid.n
     x, _, xpp = zj = arclength_jet(state)
     dx, c, w = _flow_rhs(zj, phi)
     dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import is_number
-from .grid import DataError, MetricState, PeriodicGrid, metric_state
+from .grid import (DataError, DegenerateFiberError, GaugeDegeneracyError, MetricState,
+                   NonFiniteFieldError, PeriodicGrid, metric_state)
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,60 @@ class Preset:
     description: str = ""
 
     def build(self, grid: PeriodicGrid) -> MetricState:
-        profiles = (self.phi0, self.a0, self.b0, self.c0)
-        return metric_state(grid, 0.0, *(p.evaluate(grid) for p in profiles))
+        """The state at t = 0, resampled to equal arclength when phi0 varies."""
+        phi, *x = (p.evaluate(grid) for p in (self.phi0, self.a0, self.b0, self.c0))
+        if np.ptp(phi) != 0.0:
+            return metric_state(grid, 0.0, *equal_arclength(grid, phi, np.stack(x)))
+        return metric_state(grid, 0.0, phi[0], *x)
+
+
+def _interpolant(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re sum_k coeffs[:, k] e^{ikz} at the points z, a row per row of coeffs,
+    by Horner's rule in e^{iz}: O(z.size) memory a row, no matrix product."""
+    w = np.exp(1j * z)
+    acc = np.zeros((len(coeffs), z.size), dtype=complex)
+    for ck in coeffs.T[::-1]:
+        acc *= w
+        acc += ck[:, np.newaxis]
+    return acc.real
+
+
+def equal_arclength(
+    grid: PeriodicGrid, phi: np.ndarray, x: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_bar, a, b, c): the mean phi_bar of the gauge samples phi, and the
+    radii x, stacked (3, n), on its nodes of equal arclength, checking the
+    samples first. Node j moves to the root of s(z) = phi_bar z_j, s the
+    integral from 0 of the trig interpolant of phi, by Newton's method, and
+    each radius takes its trig interpolant's value there.
+    """
+    if not np.isfinite(phi).all():
+        raise NonFiniteFieldError("profile phi must be finite everywhere")
+    if phi.min() <= 0.0:
+        raise GaugeDegeneracyError("phi must be strictly positive")
+    for name, row in zip("abc", x):
+        if row.min() <= 0.0:
+            raise DegenerateFiberError(f"profile {name} must be strictly positive")
+    # Rows f = phi, a, b, c as Re sum_k c_k e^{ikz}, the Nyquist term c cos(nz/2).
+    coeffs = np.fft.rfft(np.vstack((phi, x))) / grid.n
+    coeffs[:, 1:-1] *= 2.0
+    phi_bar = float(coeffs[0, 0].real)
+    # s(z) - phi_bar z = Re sum_{k > 0} c_k (e^{ikz} - 1) / (ik) for c = coeffs[0]; s' = phi.
+    s_hat = coeffs[0, 1:] / (1j * np.arange(1, grid.n // 2 + 1))
+    s_and_ds = np.stack((np.concatenate(([-s_hat.sum()], s_hat)), coeffs[0]))
+    z = grid.z
+    for _ in range(50):
+        s, ds = _interpolant(s_and_ds, z)
+        step = (s + phi_bar * (z - grid.z)) / ds
+        z = z - step
+        if np.max(np.abs(step)) <= 1e-13:
+            break
+    else:
+        raise GaugeDegeneracyError(
+            "no equal-arclength nodes for phi: Newton's method did not converge "
+            "(the trig interpolant of phi may not be positive)"
+        )
+    return phi_bar, *_interpolant(coeffs[1:], z)
 
 
 def sphere(r: float = 2.0) -> Preset:

@@ -3,8 +3,8 @@
 * the direct-space 4th-order central-difference stencil dz_stencil, whose
   Fourier symbol grid.z_jet applies: the independent derivative of every
   oracle here, so that none shares the package's derivative code;
-* the arclength derivatives s_derivative / s_second_derivative, the
-  stencil's chain rule and the reference for grid.arclength_jet;
+* the arclength derivatives s_derivative / s_second_derivative under a
+  uniform gauge, the reference for grid.arclength_jet;
 * the displayed closed form of the scalar curvature, against the package's
   trace assembly;
 * the frame-symbol path: the z-gauge frame symbols Sigma^gamma_{alpha beta}
@@ -42,19 +42,21 @@ def dz_stencil(values: np.ndarray, dz: float) -> np.ndarray:
     return (8.0 * (shift(1) - shift(-1)) - (shift(2) - shift(-2))) / (12.0 * dz)
 
 
-def s_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
-    """Arclength derivative f' = (1/phi) df/dz of the (n,) array f."""
-    if np.min(phi) <= 0.0:
+def s_derivative(f: np.ndarray, phi: float, dz: float) -> np.ndarray:
+    """Arclength derivative f' = (1/phi) df/dz of the (n,) array f under the
+    uniform gauge phi."""
+    if phi <= 0.0:
         raise GaugeDegeneracyError("phi must be strictly positive")
     return dz_stencil(f, dz) / phi
 
 
-def s_second_derivative(f: np.ndarray, phi: np.ndarray, dz: float) -> np.ndarray:
-    """Second arclength derivative f'' = (D1 D1 f - D1 phi f') / phi^2 of
-    the (n,) array f by the chain rule on the stencil, as
-    grid.arclength_jet forms it from the stencil's Fourier symbols."""
-    fp = s_derivative(f, phi, dz)
-    return (dz_stencil(dz_stencil(f, dz), dz) - dz_stencil(phi, dz) * fp) / (phi * phi)
+def s_second_derivative(f: np.ndarray, phi: float, dz: float) -> np.ndarray:
+    """Second arclength derivative f'' = D1 D1 f / phi^2 of the (n,) array f
+    under the uniform gauge phi, on the stencil, as grid.arclength_jet forms
+    it from the stencil's Fourier symbols."""
+    if phi <= 0.0:
+        raise GaugeDegeneracyError("phi must be strictly positive")
+    return dz_stencil(dz_stencil(f, dz), dz) / (phi * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,9 @@ class FrameSymbols:
 
 
 def _metric_diagonal(state: MetricState) -> np.ndarray:
-    """(g00, g11, g22, g33) = (phi^2, a^2, b^2, c^2) stacked (4, n)."""
-    return np.stack((state.phi**2, state.a**2, state.b**2, state.c**2))
+    """(g00, g11, g22, g33) = (phi^2, a^2, b^2, c^2) stacked (4, n), g00 a
+    constant row."""
+    return np.stack((np.full(state.grid.n, state.phi**2), state.a**2, state.b**2, state.c**2))
 
 
 def frame_symbol_oracle(state: MetricState) -> FrameSymbols:

@@ -456,6 +456,26 @@ _CONST = {"kind": "const", "offset": 1.0}
                                                  "samples": [1.0] * 5 + [50.0] + [1.0] * 26}}},
             "no equal-arclength nodes for phi",
         ),
+        # Preset.build checks the gauge samples before it resamples them
+        (
+            {"grid_n": 32, "profiles": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "phi0": {"kind": "samples",
+                                                 "samples": [1.0] * 31 + [float("nan")]}}},
+            "profile phi must be finite everywhere",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
+                                        "phi0": {"kind": "samples",
+                                                 "samples": [1.0] * 5 + [-0.2] + [1.0] * 26}}},
+            "phi must be strictly positive",
+        ),
+        (
+            {"grid_n": 32, "profiles": {"b0": _CONST, "c0": _CONST,
+                                        "phi0": {"kind": "sin", "amplitude": 0.3, "offset": 1.0},
+                                        "a0": {"kind": "samples",
+                                               "samples": [1.0] * 5 + [-0.2] + [1.0] * 26}}},
+            "profile a must be strictly positive",
+        ),
         ({"preset": "sphere", "preset_params": {"r": 1e-9}},
          "fiber radius 1.000e-09 below resolvable floor 1e-08"),
         (
@@ -496,7 +516,8 @@ _CONST = {"kind": "const", "offset": 1.0}
          "non-object-flow", "string-formats",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
          "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
-         "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "unresolvable-sphere",
+         "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "nan-phi0-samples",
+         "negative-phi0-sample", "negative-sample-under-wavy-phi0", "unresolvable-sphere",
          "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
          "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
          "list-monitor", "huge-phi0", "tiny-phi0-1e-156", "tiny-phi0-1e-160",
@@ -953,8 +974,7 @@ BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "vdot", "linalg", "polyfit"
 
 def test_package_calls_no_blas():
     # A process's first gemm maps OpenBLAS's kernels and buffer, 0.25-0.4 MB
-    # of peak RSS. Only equal_arclength, which runs for a non-uniform phi0
-    # alone, keeps its matrix products.
+    # of peak RSS. No function of the package makes a matrix product.
     matmuls, uses = set(), set()
     for path in sorted(Path(neckpinch.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -969,7 +989,7 @@ def test_package_calls_no_blas():
                     case ast.alias(name=name) | ast.ImportFrom(module=str() as name):
                         if BLAS_NAMES.intersection(name.split(".")):
                             uses.add(f"{where} imports {name}")
-    assert matmuls == {"flow.equal_arclength"}
+    assert matmuls == set()
     assert uses == set()
 
 

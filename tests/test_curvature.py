@@ -15,6 +15,7 @@ from neckpinch.presets import get_preset
 
 from reference import (
     _levi_civita,
+    _metric_diagonal,
     frame_symbol_oracle,
     riemann_tensor_from_frame_symbols,
     scalar_curvature,
@@ -28,9 +29,10 @@ def round_state(r=1.0, phi=1.0, n=32):
 def wavy_state(n=64):
     g = PeriodicGrid(n)
     z = g.z
-    # nonconstant gauge exercises the g^00 dz(g00) oracle terms
+    # a gauge phi = 2 away from 1 exercises the g^00 and 1/phi scalings; the
+    # oracle's g^00 dz(g00) terms are exactly 0 on the uniform gauge
     return metric_state(
-        g, 0.0, 2.0 + np.cos(z), np.cos(z) + 1.5, 0.5 * np.sin(z) + 2.5, np.cos(2 * z) + 3.5
+        g, 0.0, 2.0, np.cos(z) + 1.5, 0.5 * np.sin(z) + 2.5, np.cos(2 * z) + 3.5
     )
 
 
@@ -139,7 +141,7 @@ def test_curvature_and_summary_read_one_jet(preset):
     # sectional_curvatures gives the summary's s_min and rm_max bit for bit
     st = get_preset(preset).build(PeriodicGrid(64))
     jet = arclength_jet(st)
-    assert np.array_equal(jet, z_jet(np.fft.rfft(radii(st)), 64, float(st.phi[0])))
+    assert np.array_equal(jet, z_jet(np.fft.rfft(radii(st)), 64, st.phi))
     curv = sectional_curvatures(st)
     record = summarize_state([st.t], [0.0], jet[np.newaxis])[0]
     assert repr(curv.scal.min()) == repr(record["s_min"])
@@ -265,7 +267,7 @@ def test_oracle_matches_closed_form_under_refinement():
 def test_full_frame_symbol_assembly_agrees():
     st = wavy_state(128)
     rm = riemann_tensor_from_frame_symbols(st)
-    g = np.stack([st.phi**2, st.a**2, st.b**2, st.c**2])
+    g = _metric_diagonal(st)
     cf = sectional_curvatures(st)
     for (al, be), name in [
         ((0, 1), "k01"),

@@ -53,7 +53,7 @@ from neckpinch.grid import (
     metric_state,
     z_jet,
 )
-from neckpinch.presets import get_preset, sphere
+from neckpinch.presets import Preset, Profile, cos, equal_arclength, get_preset, sin, sphere
 
 from conftest import make_trajectory
 from reference import classical_rk4_step, dz_stencil, homogeneous_ode_oracle
@@ -65,7 +65,7 @@ from reference import classical_rk4_step, dz_stencil, homogeneous_ode_oracle
 def rhs(state):
     """_flow_rhs at a MetricState of uniform phi: the radii rates (3, n) and
     dt log lambda."""
-    return _flow_rhs(arclength_jet(state), float(state.phi[0]))[:2]
+    return _flow_rhs(arclength_jet(state), state.phi)[:2]
 
 
 def jet_of(x, phi=1.0):
@@ -146,24 +146,38 @@ def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
     traj, n = fig_a_64_run, 64
     assert np.all(traj.series("a_min_idx") == n // 2)
     last = traj.snapshots[-1]
-    w, _, _ = speed(float(last.phi[0]), arclength_jet(last))
+    w, _, _ = speed(last.phi, arclength_jet(last))
     assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
-    # the gauge keeps its shape: phi = lambda(t) * phi0, here uniform
-    assert np.ptp(last.phi) == 0.0
+    # the gauge keeps its shape: phi = lambda(t) * phi0, here one number
+    assert type(last.phi) is float
+
+
+def wavy_gauge(phi0, c0=cos(1.0, 3.5)):
+    """A preset whose gauge phi0 enters as samples, with the radii
+    cos z + 1.5, cos z + 2.5 and c0."""
+    return Preset("wavy-gauge", Profile(kind="samples", samples=tuple(phi0)), cos(1.0, 1.5),
+                  cos(1.0, 2.5), c0)
+
+
+def exact_nodes(g):
+    """The equal-arclength nodes of phi0 = 1 + 0.3 sin z on the grid g: the
+    roots of its arclength s(z) = z + 0.3 (1 - cos z) = z_j."""
+    return np.array(
+        [brentq(lambda z, s=s: z + 0.3 * (1.0 - np.cos(z)) - s, -1.0, 7.0, xtol=1e-15)
+         for s in g.z]
+    )
 
 
 def test_nonuniform_gauge_keeps_its_shape():
-    # phi0 from a samples profile is resampled to equal arclength at t = 0;
-    # from there phi stays lambda(t) * phi_bar, uniform in z
+    # phi0 from a samples profile is resampled to equal arclength when the
+    # preset is built; from there phi stays lambda(t) * phi_bar, one number
     g = PeriodicGrid(32)
-    phi0 = 2.0 * (1.0 + 0.3 * np.sin(g.z))
-    st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, np.cos(g.z) + 3.5)
-    traj, _ = evolve(st, FlowConfig(t_max=0.05))
+    state = wavy_gauge(2.0 * (1.0 + 0.3 * np.sin(g.z))).build(g)
+    traj, _ = evolve(state, FlowConfig(t_max=0.05))
     assert traj.stop_reason == STOP_TMAX
-    for snap in traj.snapshots:
-        assert np.ptp(snap.phi) == 0.0
-    assert traj.snapshots[0].phi[0] == pytest.approx(2.0, rel=1e-15)
-    assert traj.snapshots[-1].phi[0] != traj.snapshots[0].phi[0]
+    assert all(type(snap.phi) is float for snap in traj.snapshots)
+    assert traj.snapshots[0].phi == pytest.approx(2.0, rel=1e-15)
+    assert traj.snapshots[-1].phi != traj.snapshots[0].phi
 
 
 def test_nonuniform_gauge_is_resampled_to_equal_arclength():
@@ -171,20 +185,34 @@ def test_nonuniform_gauge_is_resampled_to_equal_arclength():
     # whose trig interpolant is exact, as is that of a = cos z + 1.5
     g = PeriodicGrid(32)
     phi0 = 1.0 + 0.3 * np.sin(g.z)
-    st = metric_state(g, 0.0, phi0, np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, 2.0 + np.sin(2 * g.z))
-    traj, _ = evolve(st, FlowConfig(t_max=1e-6))
-    first = traj.snapshots[0]
-    nodes = np.array(
-        [brentq(lambda z, s=s: z + 0.3 * (1.0 - np.cos(z)) - s, -1.0, 7.0, xtol=1e-15)
-         for s in g.z]
-    )
+    first = wavy_gauge(phi0, c0=sin(1.0, 2.0, frequency=2)).build(g)
+    nodes = exact_nodes(g)
     # the same total length, now in equal cells
-    assert np.ptp(first.phi) == 0.0
-    assert first.phi[0] * 2.0 * np.pi == pytest.approx(np.sum(phi0) * g.dz, rel=1e-14)
+    assert first.phi * 2.0 * np.pi == pytest.approx(np.sum(phi0) * g.dz, rel=1e-14)
     np.testing.assert_allclose(first.a, np.cos(nodes) + 1.5, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(first.b, np.cos(nodes) + 2.5, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(first.c, 2.0 + np.sin(2 * nodes), rtol=0.0, atol=1e-13)
     assert first.t == 0.0
+
+
+def test_equal_arclength_takes_linear_memory():
+    # Horner's rule in e^{iz} evaluates the interpolants in O(n) memory a
+    # row: no n x (n/2 + 1) matrix, which at n = 1024 peaks at 24 MB
+    g = PeriodicGrid(1024)
+    phi0 = 1.0 + 0.3 * np.sin(g.z)
+    x = np.stack((np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, 2.0 + np.sin(2 * g.z)))
+    tracemalloc.start()
+    try:
+        phi_bar, a, b, c = equal_arclength(g, phi0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    nodes = exact_nodes(g)
+    assert phi_bar == pytest.approx(1.0, rel=1e-15)
+    for got, want in zip((a, b, c), (np.cos(nodes) + 1.5, np.cos(nodes) + 2.5,
+                                     2.0 + np.sin(2 * nodes))):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_gauge_without_equal_arclength_nodes_is_an_error():
@@ -193,9 +221,8 @@ def test_gauge_without_equal_arclength_nodes_is_an_error():
     g = PeriodicGrid(32)
     phi0 = np.ones(g.n)
     phi0[5] = 50.0
-    st = metric_state(g, 0.0, phi0, 1.0, 2.0, 3.0)
     with pytest.raises(GaugeDegeneracyError, match="equal-arclength"):
-        evolve(st, FlowConfig(t_max=1e-3))
+        wavy_gauge(phi0).build(g)
 
 
 def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
@@ -203,7 +230,7 @@ def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
     last = traj.snapshots[-1]
     a = last.a
     k = int(np.argmin(a))
-    hand = a[k] / (last.phi[k] * last.grid.dz)
+    hand = a[k] / (last.phi * last.grid.dz)
     assert traj.run_stats.neck_resolution == pytest.approx(hand, rel=1e-14)
     assert a[k] == traj.samples[-1].a_min
 
@@ -227,7 +254,7 @@ def spectral_step(u, log_lam, dt, phi_bar, n):
 def step(state, dt):
     """rk4_step from a MetricState of uniform phi, taken as phi_bar (log
     lambda = 0): the stepped radii (3, n) and log lambda."""
-    u, phi_bar = np.fft.rfft(stacked(state)), float(state.phi[0])
+    u, phi_bar = np.fft.rfft(stacked(state)), state.phi
     _, zj, log_lam = spectral_step(u, 0.0, dt, phi_bar, state.grid.n)
     return zj[0], log_lam
 
@@ -236,7 +263,7 @@ def fixed_steps(state, dt, steps):
     """The MetricStates of `steps` rk4_steps of size dt from a state of
     uniform phi, the state itself first."""
     grid = state.grid
-    u, log_lam, phi_bar, t = np.fft.rfft(stacked(state)), 0.0, float(state.phi[0]), state.t
+    u, log_lam, phi_bar, t = np.fft.rfft(stacked(state)), 0.0, state.phi, state.t
     states = [state]
     for _ in range(steps):
         u, zj, log_lam = spectral_step(u, log_lam, dt, phi_bar, grid.n)
@@ -521,7 +548,7 @@ def test_block_summary_bitwise_equals_state_by_state(n, size):
     ts, dts = [s.t for s in states], [1e-3 * (k + 1) for k in range(size)]
     # summarize_state reads each state's arclength jet; the reference takes
     # the z-jet and its gauge, and applies the chain rule itself
-    phis = [float(s.phi[0]) for s in states]
+    phis = [s.phi for s in states]
     zjs = [jet_of(stacked(s)) for s in states]
     jets = np.stack([jet_of(stacked(s), phi) for s, phi in zip(states, phis)])
     records = summarize_state(ts, dts, jets)
@@ -537,7 +564,7 @@ def test_summary_block_fills_its_byte_budget():
 
 
 def test_block_summary_raises_for_an_unresolvable_state():
-    jets = np.stack([jet_of(stacked(s), float(s.phi[0])) for s in fig_a_states(64)[:3]])
+    jets = np.stack([jet_of(stacked(s), s.phi) for s in fig_a_states(64)[:3]])
     jets[2, 0, 1, 5] = 1e-9
     with pytest.raises(DegenerateFiberError, match="1.000e-09"):
         summarize_state([0.0, 0.1, 0.2], [0.0] * 3, jets)
@@ -969,7 +996,7 @@ def test_ricci_flow_residual_shrinks_under_refinement():
         s0, s1, s2 = states[mid - 1 : mid + 2]
         span = s2.t - s0.t
         curv = sectional_curvatures(s1)
-        phi, dz, x = float(s1.phi[0]), s1.grid.dz, stacked(s1)
+        phi, dz, x = s1.phi, s1.grid.dz, stacked(s1)
         zj = arclength_jet(s1)
         w, _, _ = speed(phi, zj)
         lies = 2.0 * x * w * zj[1]

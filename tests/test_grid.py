@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from neckpinch.grid import (
     DataError,
@@ -16,7 +17,7 @@ from neckpinch.grid import (
     metric_state,
     z_jet,
 )
-from neckpinch.presets import get_preset
+from neckpinch.presets import Preset, Profile, const, get_preset, sin
 
 from reference import dz_stencil, s_derivative, s_second_derivative
 
@@ -35,11 +36,14 @@ def test_grid_spacing_and_points():
 
 
 def test_metric_state_rejects_nonfinite():
+    # a radius as an array or a scalar, the gauge phi as a scalar
     g = PeriodicGrid(8)
     values = np.ones(8)
     for bad in (np.nan, np.inf, -np.inf):
         values[3] = bad
-        for k in range(4):
+        with pytest.raises(NonFiniteFieldError, match="profile phi must be finite"):
+            metric_state(g, 0.0, bad, 1.0, 1.0, 1.0)
+        for k in range(1, 4):
             profiles = [1.0] * 4
             profiles[k] = values
             with pytest.raises(NonFiniteFieldError):
@@ -49,18 +53,27 @@ def test_metric_state_rejects_nonfinite():
                 metric_state(g, 0.0, *profiles)
 
 
+@pytest.mark.parametrize("phi", [np.full(8, 1.3), 1.3 + 0.2 * np.sin(PeriodicGrid(8).z), [1.0]])
+def test_metric_state_refuses_an_array_gauge(phi):
+    # uniform or not, an array phi is refused: the gauge is one number, and a
+    # varying phi0 enters through a samples profile, which Preset.build resamples
+    with pytest.raises(DataError, match="phi must be one number.*samples profile"):
+        metric_state(PeriodicGrid(8), 0.0, phi, 1.0, 2.0, 3.0)
+
+
 def test_metric_state_profiles_are_readonly_copies():
     g = PeriodicGrid(8)
     a = np.full(8, 2.0)
     st = metric_state(g, 0.0, 1.0, a, 3, 4.0)
     a[0] = 5.0
     assert st.a[0] == 2.0
-    for values in (st.phi, st.a, st.b, st.c):
+    for values in (st.a, st.b, st.c):
         assert values.dtype == np.float64 and values.shape == (8,)
         with pytest.raises(ValueError):
             values[0] = 2.0
     assert np.array_equal(st.b, np.full(8, 3.0))
-    assert np.array_equal(st.phi, np.ones(8))
+    assert type(st.phi) is float and st.phi == 1.0
+    assert type(metric_state(g, 0.0, np.float64(2.5), a, 3, 4.0).phi) is float
 
 
 def test_metric_state_rejects_wrong_length():
@@ -89,7 +102,7 @@ def test_grid_rejects_sizes_beyond_any_jet():
 def test_metric_state_rejects_a_gauge_too_large_to_square():
     g = PeriodicGrid(8)
     limit = sys.float_info.max**0.5
-    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi[0] == limit
+    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi == limit
     with pytest.raises(GaugeDegeneracyError, match="phi must be at most 1.341e"):
         metric_state(g, 0.0, np.nextafter(limit, np.inf), 1.0, 1.0, 1.0)
 
@@ -97,7 +110,7 @@ def test_metric_state_rejects_a_gauge_too_large_to_square():
 def test_metric_state_rejects_a_gauge_whose_square_is_subnormal():
     g = PeriodicGrid(8)
     limit = sys.float_info.min**0.5
-    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi[0] == limit
+    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi == limit
     with pytest.raises(GaugeDegeneracyError, match="phi must be at least 1.492e-154"):
         metric_state(g, 0.0, np.nextafter(limit, 0.0), 1.0, 1.0, 1.0)
 
@@ -219,64 +232,79 @@ def test_z_jet_is_the_reference_stencil():
 
 
 def test_arclength_jet_matches_s_derivatives():
-    # the same bound for the chain rule's arclength derivatives of a
-    # MetricState, on a non-uniform phi (at most 6.9e-17 of max|x| max|S_k| /
-    # min(phi)^k here)
+    # the same bound for the arclength derivatives of a MetricState, whose
+    # jet divides the stencil's rows by phi and phi^2
     g = PeriodicGrid(64)
-    phi = 1.3 + 0.4 * np.sin(g.z)
+    phi = 1.3
     x = np.stack([np.cos(g.z) + 1.5, np.sin(2 * g.z) + 2.5, np.cos(3 * g.z) + 3.5])
     scales = np.abs(_jet_symbol(g.n)).max(axis=-1) * np.max(np.abs(x))
     _, xp, xpp = arclength_jet(metric_state(g, 0.0, phi, *x))
     for row, d1, d2 in zip(x, xp, xpp):
         gap1 = np.max(np.abs(d1 - s_derivative(row, phi, g.dz)))
         gap2 = np.max(np.abs(d2 - s_second_derivative(row, phi, g.dz)))
-        assert gap1 <= 1e-14 * scales[1] / phi.min()
-        assert gap2 <= 1e-14 * scales[2] / phi.min() ** 2
+        assert gap1 <= 1e-14 * scales[1] / phi
+        assert gap2 <= 1e-14 * scales[2] / phi**2
 
 
 def test_s_derivative_identity_gauge_is_bitwise_dz():
     g = PeriodicGrid(64)
     f = np.sin(g.z) + 0.25 * np.cos(3 * g.z)
-    one = np.ones(g.n)
-    assert np.array_equal(s_derivative(f, one, g.dz), dz_stencil(f, g.dz))
+    assert np.array_equal(s_derivative(f, 1.0, g.dz), dz_stencil(f, g.dz))
 
 
 def test_s_derivative_constant_gauge_rescales():
     g = PeriodicGrid(64)
-    got = s_derivative(np.sin(g.z), np.full(g.n, 2.0), g.dz)
+    got = s_derivative(np.sin(g.z), 2.0, g.dz)
     assert np.max(np.abs(got - 0.5 * np.cos(g.z))) <= g.dz**4
 
 
 def test_s_derivative_variable_gauge():
-    g = PeriodicGrid(64)
-    got = s_derivative(np.sin(g.z), 2.0 + np.cos(g.z), g.dz)
-    assert np.max(np.abs(got - np.cos(g.z) / (2.0 + np.cos(g.z)))) <= 1e-5
+    # phi0 = 2 + cos z enters as samples, and Preset.build moves the nodes to
+    # the roots z_j' of s(z) = 2 z + sin z = 2 z_j: there the jet of the
+    # resampled a = 1.5 + sin z converges at the stencil order to the
+    # arclength derivative cos z / phi0
+    errors = []
+    for n in (64, 128, 256):
+        g = PeriodicGrid(n)
+        phi0 = Profile(kind="samples", samples=tuple(2.0 + np.cos(g.z)))
+        state = Preset("wavy-gauge", phi0, sin(1.0, 1.5), const(2.0), const(3.0)).build(g)
+        nodes = np.array(
+            [brentq(lambda z, s=s: 2.0 * z + np.sin(z) - s, -1.0, 7.0, xtol=1e-15)
+             for s in 2.0 * g.z]
+        )
+        assert state.phi == 2.0
+        np.testing.assert_allclose(state.a, 1.5 + np.sin(nodes), rtol=0.0, atol=1e-13)
+        got = arclength_jet(state)[1, 0]
+        errors.append(np.max(np.abs(got - np.cos(nodes) / (2.0 + np.cos(nodes)))))
+    assert errors[0] <= 1e-3
+    for e0, e1 in zip(errors, errors[1:]):
+        assert np.log2(e0 / e1) >= 3.5
 
 
 def test_s_derivative_rejects_nonpositive_gauge():
     g = PeriodicGrid(16)
     f = np.ones(g.n)
     with pytest.raises(GaugeDegeneracyError):
-        s_derivative(f, np.zeros(g.n), g.dz)
+        s_derivative(f, 0.0, g.dz)
     with pytest.raises(GaugeDegeneracyError):
-        s_derivative(f, np.where(g.z > 3, -1.0, 1.0), g.dz)
+        s_derivative(f, -1.0, g.dz)
 
 
 def test_s_second_derivative_flat_gauge():
     g = PeriodicGrid(64)
-    got = s_second_derivative(np.sin(g.z), np.ones(g.n), g.dz)
+    got = s_second_derivative(np.sin(g.z), 1.0, g.dz)
     assert np.max(np.abs(got + np.sin(g.z))) <= 1e-4
 
 
 def test_s_second_derivative_constant_is_zero():
     g = PeriodicGrid(32)
-    got = s_second_derivative(np.full(g.n, 2.5), 1.7 + 0.3 * np.sin(g.z), g.dz)
+    got = s_second_derivative(np.full(g.n, 2.5), 1.7, g.dz)
     assert np.all(got == 0.0)
 
 
 def test_s_second_derivative_shifted_cos():
     g = PeriodicGrid(64)
-    got = s_second_derivative(np.cos(g.z) + 1.5, np.ones(g.n), g.dz)
+    got = s_second_derivative(np.cos(g.z) + 1.5, 1.0, g.dz)
     assert np.max(np.abs(got + np.cos(g.z))) <= 1e-4
 
 

@@ -531,7 +531,7 @@ def residual_alone(traj, row):
     the three shared one evaluation: its own jet, _flow_rhs computing its
     own W, and W computed again for the evolution RHS. (-defect, index)."""
     state = traj.snapshots[0]
-    phi, n = float(state.phi[0]), state.grid.n
+    phi, n = state.phi, state.grid.n
     zj = arclength_jet(state)
     dx, c, _ = _flow_rhs(zj, phi)
     x, xpp = zj[0], zj[2]
@@ -568,7 +568,7 @@ def test_k0i_evolution_rhs_follows_the_partner_table(preset):
     # the equation is written once for a row and its partners: swapping the
     # radii b and c swaps the K_02 and K_03 rows and leaves K_01 as it was
     st = get_preset(preset).build(PeriodicGrid(64))
-    phi = float(st.phi[0])
+    phi = st.phi
     zj = arclength_jet(st)
     q = zj[2] / zj[0]
     w, _ = tangential_speed(phi, q[0] + q[1] + q[2])
