@@ -103,8 +103,10 @@ def sectional_rows(
 def trace_invariants(k: np.ndarray) -> np.ndarray:
     """(scal, |Rm|^2) stacked (2, ..., n) from the six sectional curvature rows
     k, stacked (..., 6, n), by the trace identities scal = 2 sum K and
-    |Rm|^2 = 2 sum K^2."""
-    return 2.0 * np.stack((k.sum(axis=-2), np.square(k).sum(axis=-2)))
+    |Rm|^2 = 2 sum K^2. A K^2 beyond the float range is inf, without a
+    warning: the callers check finiteness and raise NonFiniteFieldError."""
+    with np.errstate(over="ignore"):
+        return 2.0 * np.stack((k.sum(axis=-2), np.square(k).sum(axis=-2)))
 
 
 def sectional_curvatures(state: MetricState) -> CurvatureField:

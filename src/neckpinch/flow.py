@@ -20,17 +20,14 @@ derivatives on the fixed z-grid, x' = dz x / phi and x'' = dz^2 x / phi^2,
 and grid.z_jet applies that gauge.
 
 With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
-multiplier, and rk4_step integrates it exactly: ETDRK4 (Cox & Matthews,
-J. Comput. Phys. 176, 2002) on the rfft of the radii, with classical RK4 on
-log(lambda). dt therefore follows the flow's own rate r = max |dt x / x|,
-not an explicit-diffusion limit, and takes about the same number of steps
-at every n (see evolve). cfl_safety is the accuracy factor of that rule, not
-a stability limit. The step's coefficients come from a table cached per
-grid, the powers of the stacked diffusion symbol [sigma/2, sigma]: only the
-scalar h = dt / (lambda phi_bar)^2 changes between steps, so the
-phi-functions (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005) are one
-exp, one recurrence and one einsum for their Taylor series. The step calls
-no BLAS routine: a process's first gemm maps OpenBLAS's kernels and buffer,
+multiplier, and rk4_step integrates it exactly: Lawson's integrating-factor
+RK4 (SIAM J. Numer. Anal. 4, 1967) on the rfft of the radii, with classical
+RK4 on log(lambda). dt therefore follows the flow's own rate
+r = max |dt x / x|, not an explicit-diffusion limit, and takes about the
+same number of steps at every n (see evolve). cfl_safety is the accuracy
+factor of that rule, not a stability limit. The diffusion enters a step
+only as one exp, its factor over half the step. The step calls no BLAS
+routine: a process's first gemm maps OpenBLAS's kernels and buffer,
 0.25-0.4 MB of resident memory, for products of 3 rows.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
@@ -40,11 +37,10 @@ evolve's step rule and the monitors' K_0i evolution residual. Each accepted
 state's jet also serves the next first stage and its summary. Radii exactly
 constant along z stay so, and their flow is the Bianchi IX ODE (Isenberg &
 Jackson, J. Differential Geom. 35, 1992): evolve holds them on one point,
-their mean mode. There sigma = 0, and a step takes the grid's k = 0 values
-as exact constants: phi-functions (1, 1/2, 1/6) and e = 1 (_ONE_POINT_PHI, so
-ETDRK4 is classical RK4), the row as its own rfft (_rfft), the jet (x, 0, 0)
-and W None. On a power-of-two n that gives the grid's bits, whose transforms
-of a constant row only scale the mean by n, exactly.
+their mean mode. There the diffusion symbol is -0.0, so the factor is 1 and
+the step is classical RK4; the row is its own rfft (_rfft), the jet is
+(x, 0, 0) and W is None. On a power-of-two n that gives the grid's bits,
+whose transforms of a constant row only scale the mean by n, exactly.
 """
 
 from __future__ import annotations
@@ -322,75 +318,6 @@ def _gauge_scale(log_lam: float) -> float:
     return lam
 
 
-#: Taylor terms of the phi-functions kept where |h sigma| < 1: the first
-#: omitted term, z^20 / (20 + k)!, is below 4e-20 of phi_k there.
-_TAYLOR_TERMS = 20
-_TAYLOR_POWERS = np.arange(_TAYLOR_TERMS)
-#: 1 / (j + k)!, stacked (3, _TAYLOR_TERMS): row k - 1 gives phi_k's terms.
-_TAYLOR_COEFFS = np.array(
-    [[1.0 / math.factorial(j + k) for j in range(_TAYLOR_TERMS)] for k in (1, 2, 3)]
-)
-#: The ETDRK4 weights (w1, w23, w4) over dt as combinations of (phi_1, phi_2,
-#: phi_3): w1 = phi_1 - 3 phi_2 + 4 phi_3, w23 = 2 phi_2 - 4 phi_3 and
-#: w4 = 4 phi_3 - phi_2.
-_WEIGHTS = np.array([[1.0, -3.0, 4.0], [0.0, 2.0, -4.0], [0.0, -1.0, 4.0]])
-
-
-def _power_table(sigma: np.ndarray) -> np.ndarray:
-    """The powers sigma^j, j = 0.._TAYLOR_TERMS - 1, of the real array sigma,
-    stacked (_TAYLOR_TERMS, sigma.size), read-only."""
-    powers = sigma ** _TAYLOR_POWERS[:, np.newaxis]
-    powers.setflags(write=False)
-    return powers
-
-
-#: _phi_functions on one point, where sigma = 0 in both columns: at any h,
-#: e = 1 and (phi_1, phi_2, phi_3) = (1, 1/2, 1/6), bitwise a grid's k = 0.
-_ONE_POINT_PHI = (np.broadcast_to(1.0, 2), np.broadcast_to(_TAYLOR_COEFFS[:, :1], (3, 2)))
-
-
-@functools.cache
-def _etd_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diffusion symbol sigma = -s(k)^2 of D1 o D1 on n points stacked
-    [sigma / 2, sigma], 2 (n/2 + 1) entries for ETDRK4's half and full step,
-    and its _power_table; both read-only."""
-    sigma = _jet_symbol(n)[2].real
-    stacked = np.concatenate((0.5 * sigma, sigma))
-    stacked.setflags(write=False)
-    return stacked, _power_table(stacked)
-
-
-def _phi_functions(
-    h: float, sigma: np.ndarray, powers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z) and (phi_1, phi_2, phi_3)(z) stacked (3, sigma.size) at
-    z = h sigma, where phi_k(z) = sum_j z^j / (j + k)!, sigma <= 0 is real
-    and powers = _power_table(sigma).
-
-    Where |z| >= 1 they follow from exp by phi_{k+1} = (phi_k - 1/k!) / z.
-    Below that the recurrence cancels, and all three are the Taylor series,
-    one einsum of the rows h^j / (j + k)! by powers, with h^j taken from
-    min(h, 4): a grid's nonzero |sigma| / 2 are at least 0.48 (_jet_symbol),
-    so for h > 4 the series serves only sigma = 0, where it is (1, 1/2, 1/6)
-    at any h. Splitting z^j into sigma^j and h^j loses nothing that matters:
-    a grid's |sigma| is below n^2 / 20, so |sigma|^j < 1e207 for j <
-    _TAYLOR_TERMS even at n = 2^20; and h^j rounds to a subnormal or to 0
-    only below 1e-307, so the term it carries is below 1e-100, far under
-    the roundoff of phi_k > 0.1 in the columns the series is kept for.
-    """
-    z = h * sigma
-    e = np.exp(z)
-    p = np.einsum("kj,jm->km", _TAYLOR_COEFFS * min(h, 4.0) ** _TAYLOR_POWERS, powers)
-    # Only the columns with z <= -1 take the recurrence; dividing the others
-    # by -1 spares a division by 0 at sigma = 0.
-    zc = np.minimum(z, -1.0)
-    p1 = (e - 1.0) / zc
-    p2 = (p1 - 1.0) / zc
-    p3 = (p2 - 0.5) / zc
-    np.copyto(p, (p1, p2, p3), where=z <= -1.0)
-    return e, p
-
-
 def _rfft(x: np.ndarray) -> np.ndarray:
     """The rfft of the rows x; a one-point row is its own transform."""
     return np.fft.rfft(x) if x.shape[-1] > 1 else x
@@ -404,34 +331,31 @@ def rk4_step(
     phi_bar: float,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One ETDRK4 step of log lambda and the radii on n points, held as their
-    rfft u0, stacked (3, n/2 + 1); returns (u1, z_jet(u1, n, phi1), log
-    lambda1), phi1 = lambda1 * phi_bar.
+    """One integrating-factor RK4 step of log lambda and the radii on n
+    points, held as their rfft u0, stacked (3, n/2 + 1); returns (u1,
+    z_jet(u1, n, phi1), log lambda1), phi1 = lambda1 * phi_bar.
 
     The gauge of a stage is lambda * phi_bar, and first = (rfft(k1), c1) is
     _flow_rhs at the jet of u0 under lambda0 * phi_bar, the first stage,
     which the caller has already evaluated to choose dt. In the rfft of the
     radii the flow is u' = L u + N(u, t) with L = -s(k)^2 / (lambda0
-    phi_bar)^2, the diffusion D1 o D1 frozen at the step's lambda0, which
-    ETDRK4 (Cox & Matthews 2002) integrates exactly; N = f - L u holds the
-    first-order terms, the reaction, W x' and the drift of lambda over the
-    step. log lambda has L = 0, where the scheme is classical RK4, as it is
-    on z-constant data on n = 1 point (_ONE_POINT_PHI). Raises StepRejected
-    if a stage or the result leaves the positive cone or turns non-finite,
-    and _gauge_scale's errors if a stage's or the result's lambda overflows
-    or underflows to 0.
+    phi_bar)^2, the diffusion D1 o D1 frozen at the step's lambda0, and
+    N = f - L u holds the first-order terms, the reaction, W x' and the drift
+    of lambda over the step. Lawson's RK4 (SIAM J. Numer. Anal. 4, 1967) is
+    classical RK4 on v = exp(-L t) u, whose flow holds no L: the diffusion
+    enters only as E = exp(L dt / 2), which is 1 at k = 0 and so on one
+    point, where the step is classical RK4, as it is on log lambda. Raises
+    StepRejected if a stage or the result leaves the positive cone or turns
+    non-finite, and _gauge_scale's errors if a stage's or the result's
+    lambda overflows or underflows to 0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    sigma, powers = _etd_table(n)
-    m = sigma.size // 2
-    scale = (_gauge_scale(log_lam0) * phi_bar) ** 2
-    h = dt / scale
-    e, p = _ONE_POINT_PHI if n == 1 else _phi_functions(h, sigma, powers)
-    e_half, e_full = e[:m], e[m:]
-    q = 0.5 * dt * p[0, :m]
-    w1, w23, w4 = np.einsum("ij,jm->im", dt * _WEIGHTS, p[:, m:])
-    lin = sigma[m:] / scale
+    lin = _jet_symbol(n)[2].real / (_gauge_scale(log_lam0) * phi_bar) ** 2
+    # E from L, not from h = dt / (lambda phi_bar)^2 times the symbol: under
+    # a tiny gauge h can overflow, and inf times the symbol's -0.0 at k = 0
+    # is NaN; L is -0.0 there at any gauge, so E = 1.
+    e = np.exp(0.5 * dt * lin)
 
     def stage(u, log_lam):
         phi = _gauge_scale(log_lam) * phi_bar
@@ -440,12 +364,12 @@ def rk4_step(
 
     f1, c1 = first
     n1 = f1 - lin * u0
-    eu0 = e_half * u0
-    ua = eu0 + q * n1
-    na, c2 = stage(ua, log_lam0 + 0.5 * dt * c1)
-    nb, c3 = stage(eu0 + q * na, log_lam0 + 0.5 * dt * c2)
-    nc, c4 = stage(e_half * ua + q * (2.0 * nb - n1), log_lam0 + dt * c3)
-    u1 = e_full * u0 + w1 * n1 + w23 * (na + nb) + w4 * nc
+    e2 = e * e
+    e2u0 = e2 * u0
+    na, c2 = stage(e * (u0 + 0.5 * dt * n1), log_lam0 + 0.5 * dt * c1)
+    nb, c3 = stage(e * u0 + 0.5 * dt * na, log_lam0 + 0.5 * dt * c2)
+    nc, c4 = stage(e2u0 + dt * e * nb, log_lam0 + dt * c3)
+    u1 = e2u0 + dt / 6.0 * (e2 * n1 + 2.0 * e * (na + nb) + nc)
     log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
     zj1 = z_jet(u1, n, _gauge_scale(log_lam1) * phi_bar)
     if not (np.isfinite(zj1).all() and math.isfinite(log_lam1)):

@@ -86,7 +86,7 @@ class MetricState:
             raise NonFiniteFieldError("profile phi must be finite everywhere")
         if self.phi <= 0.0:
             raise GaugeDegeneracyError("phi must be strictly positive")
-        # rk4_step squares phi as a float and divides the step by the square
+        # rk4_step squares phi as a float and divides the symbol by the square
         if self.phi < sys.float_info.min**0.5:
             raise GaugeDegeneracyError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
         if self.phi > sys.float_info.max**0.5:

@@ -229,8 +229,8 @@ def classical_rk4_step(
     x0: np.ndarray, log_lam0: float, dt: float, phi_bar: float, dz: float
 ) -> tuple[np.ndarray, float]:
     """One classical RK4 step of the radii x0, stacked (3, n), and log lambda
-    under the uniform gauge lambda * phi_bar: the flow's step before ETDRK4,
-    which ETDRK4 must equal where the diffusion symbol vanishes."""
+    under the uniform gauge lambda * phi_bar, with the stencil's derivatives:
+    flow.rk4_step must equal it where the diffusion symbol vanishes."""
 
     def stage(x, log_lam):
         # The stencil's arclength jet (x, D1 x / phi, D1 D1 x / phi^2), not

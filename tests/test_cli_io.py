@@ -508,6 +508,16 @@ _CONST = {"kind": "const", "offset": 1.0}
         *(({"grid_n": 32, "profiles": {"phi0": {"kind": "const", "offset": phi0}, "a0": _CONST,
                                        "b0": _CONST, "c0": _CONST}},
            "phi must be at least 1.492e-154") for phi0 in (1e-156, 1e-160, 1e-200)),
+        # fig-a's radii under phi0 = 1e-100: x''/x is about 1e200, its square
+        # overflows
+        (
+            {"grid_n": 32, "profiles": {
+                "phi0": {"kind": "const", "offset": 1e-100},
+                "a0": {"kind": "cos", "amplitude": 1.0, "offset": 1.5},
+                "b0": {"kind": "cos", "amplitude": 1.0, "offset": 2.5},
+                "c0": {"kind": "cos", "amplitude": 1.0, "offset": 3.5}}},
+            "curvature is not finite everywhere",
+        ),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "fixed-dt-key", "nan-t-max",
@@ -521,7 +531,7 @@ _CONST = {"kind": "const", "offset": 1.0}
          "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
          "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
          "list-monitor", "huge-phi0", "tiny-phi0-1e-156", "tiny-phi0-1e-160",
-         "tiny-phi0-1e-200"],
+         "tiny-phi0-1e-200", "wavy-radii-tiny-phi0"],
 )
 def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
     _assert_run_config_is_one_line_error(one_line_error, cfg, message)
@@ -851,24 +861,10 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
-# fig-a at n=64 with the default flow. Re-pinned when the constant-speed
-# gauge replaced the arclength gauge: 1,107 steps became 451 and T moved
-# from 0.8505440 to 0.8532746, toward the converged 0.85333. Re-pinned when
-# ETDRK4 and the rate rule replaced classical RK4: 451 steps became 485 and
-# T moved by +2.39e-7, from 0.8532745990 to 0.8532748376, toward its
-# time-converged 0.85327486 (RK4 at cfl 0.05). Re-pinned when the step
-# moved to Fourier space, its stages reading the radii and their derivatives
-# from one irfft of the jet symbol instead of the stencil (the same operator,
-# other roundoff): the 485 steps stayed and T moved by -1.3e-14, from
-# 0.8532748375853980 to 0.8532748375853851. Re-pinned when the step took its
-# phi-functions from a per-grid table of the diffusion symbol's powers and
-# the right-hand side and summaries reused their squares (the same
-# arithmetic, other roundoff): the 485 steps stayed and T moved by +3.3e-16,
-# from 0.8532748375853851 to 0.8532748375853855. Re-pinned when the
-# phi-functions' Taylor series and the ETDRK4 weights moved from BLAS gemm
-# to np.einsum (the same sums, other roundoff): the 485 steps stayed, T moved
-# by -1.1e-16 and no value moved by more than 2.7e-13 of max(|x|, 1).
-FIG_A_64_SERIES_SHA256 = "22f19106b09e7067b992ef2bead341a395954ab23512d14c968654df88c01e88"
+# fig-a at n=64 with the default flow, 485 steps. Re-pinned when the step
+# became Lawson's integrating-factor RK4: T moved by -6.4e-10 and no value
+# moved by more than 1.9e-7 of max(|x|, 1), in rm_max near the stop.
+FIG_A_64_SERIES_SHA256 = "181ceba800dc7d98f73611bf6f5e1eea49dc7ea2eb1b5766c6cee228999e620d"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
@@ -882,25 +878,17 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
 
 
 # The round sphere r=2 at n=64, cfl 0.05, stopped at a_min 1e-2: the
-# benchmark's sphere-exact case. Re-pinned when ETDRK4 and the rate rule
-# replaced classical RK4 (on z-constant data ETDRK4 is RK4, but dt changed):
-# 2,298 steps became 819 and |T - 1| fell from 1.33e-11 to 5.1e-12.
-# Re-pinned with the per-grid phi-function table and the reused squares
-# (fig-a above): the 819 steps stayed and T moved by +2.2e-16, from
-# 0.9999999999948868 to 0.9999999999948870. Re-pinned with the einsum
-# phi-functions and weights (fig-a above): the 819 steps stayed, T stayed
-# at 0.9999999999948874 and no value moved by more than 2.7e-15 of
-# max(|x|, 1).
-SPHERE_64_SERIES_SHA256 = "9f6c0645a21912915161076fe3f59a088d49bd69b14e1345c68f894adea6cc75"
+# benchmark's sphere-exact case, 819 steps. Re-pinned with Lawson's RK4
+# (fig-a above): T stayed at 0.9999999999948874 and no value moved by more
+# than 1.7e-14 of max(|x|, 1).
+SPHERE_64_SERIES_SHA256 = "628589644f2c783a6019bdb80f2b3c4f870e1d5d350b1530103766a94b2b79a7"
 
 
 # The biaxial preset (a = 1, b = c = 2) at n=64 with the default flow, the
-# second z-constant case: 260 steps to T = 0.6900864983994869, pinned before
-# evolve stepped z-constant data on their one Fourier mode. Re-pinned with
-# the einsum phi-functions and weights (fig-a above): the 260 steps stayed,
-# T stayed at 0.6900864983994867 and no value moved by more than 6.2e-15 of
+# second z-constant case, 260 steps. Re-pinned with Lawson's RK4 (fig-a
+# above): T moved by -4.4e-16 and no value moved by more than 4.1e-15 of
 # max(|x|, 1).
-BIAXIAL_64_SERIES_SHA256 = "743d7913e82566ead7363b9760a48700181c64bfe01fd84be0c2392c7daa9752"
+BIAXIAL_64_SERIES_SHA256 = "aa4878b43019fcc00773e84c2be79998e7cf5a0eebb5baf26cced7e190c61a34"
 
 
 def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
@@ -967,9 +955,11 @@ def test_cli_run_calls_no_lapack(tmp_path, monkeypatch):
         assert set(doc["monitors"]) == monitor_names
 
 
-# NumPy routines that call BLAS or LAPACK. np.einsum runs NumPy's own loops
-# unless given `optimize`, which routes it through tensordot.
-BLAS_NAMES = {"dot", "matmul", "tensordot", "inner", "vdot", "linalg", "polyfit", "optimize"}
+# NumPy routines that call BLAS or LAPACK, and np.einsum, which does when
+# given `optimize` (it then routes through tensordot).
+BLAS_NAMES = {
+    "dot", "matmul", "tensordot", "inner", "vdot", "linalg", "polyfit", "einsum", "optimize",
+}
 
 
 def test_package_calls_no_blas():

@@ -204,7 +204,8 @@ def test_z_jet_on_one_point_is_the_real_part_and_zeros(u, phi):
 def test_jet_symbol_vanishes_only_at_zero_and_nyquist(n):
     # rows 1 and 2 are exact zeros at k = 0 and at the Nyquist mode, where
     # sin(pi) would leave about 1e-16; every other |sigma| / 2 = s^2 / 2 of
-    # the diffusion symbol is at least 0.48, which _phi_functions relies on
+    # the diffusion symbol is at least 0.48, so rk4_step's integrating factor
+    # exp(L dt / 2) is 1 on those two modes alone
     symbol = _jet_symbol(n)
     for k in (0, n // 2):
         assert symbol[1, k] == 0.0 and symbol[2, k] == 0.0
