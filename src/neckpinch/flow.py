@@ -14,10 +14,9 @@ and the state is the radii plus log(lambda), with dt log(lambda) = c. This
 is the constant-speed (tangential redistribution) parametrization of
 curve-shortening flow: the grid points keep equal arclength spacing, so a
 neck keeps its grid points while it narrows. W is the mean-free periodic
-antiderivative, one rfft/irfft per stage, and vanishes identically on
-z-constant data, where the transform is skipped. Primes are arclength
-derivatives on the fixed z-grid, x' = dz x / phi and x'' = dz^2 x / phi^2,
-and grid.z_jet applies that gauge.
+antiderivative, one rfft/irfft per stage, exactly zero on z-constant data.
+Primes are arclength derivatives on the fixed z-grid, x' = dz x / phi and
+x'' = dz^2 x / phi^2, and grid.z_jet applies that gauge.
 
 With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
 multiplier, and rk4_step integrates it exactly: Lawson's integrating-factor
@@ -80,13 +79,13 @@ STOP_HALVINGS = "step_halvings_exhausted"
 MAX_STEP_HALVINGS = 20
 
 #: Bytes of the stacked jets that evolve summarizes per summarize_state
-#: call: 8 states at n = 256, 32 at n = 64, where a block of 64 outgrows the
-#: cache. Per state on fig-a (best of three processes, one core of a 2-vCPU
-#: Xeon), n = 64: 27 us in blocks of 8, 14 in 16, 11.5 in 32, 16.5 in 64;
-#: n = 256: 38 us in 8, 32 in 16, 72 in 32. The one point of z-constant
-#: data takes the block of 8 points, 256 states: the budget alone would
-#: allow 2048, and the call's temporaries, about 0.7 KB a state, would then
-#: set the run's peak memory.
+#: call: 32 states at n = 64, 8 at n = 256. Per state on a fig-a run's jets
+#: (best of seven processes, one core of a 2-vCPU Xeon), n = 64: 25 us in
+#: blocks of 8, 15.5 in 16, 10 in 32, 9 in 64; n = 256: 37.5 us in 8, 33 in
+#: 16, 33 in 32, 33 in 64. The one point of z-constant data takes the block
+#: of 8 points, 256 states, 0.9 us a state (0.7 in 512, 0.5 in 2048): the
+#: budget alone would allow 2048, and the call's temporaries, about 0.7 KB a
+#: state, would then set the run's peak memory.
 SUMMARY_BLOCK_BYTES = 144 * 1024
 
 
@@ -103,14 +102,6 @@ MIN_FIT_SAMPLES = 10
 
 class StepRejected(RuntimeError):
     """A step left the positive cone; the caller should halve dt and retry."""
-
-
-class NoSingularityDetected(RuntimeError):
-    """The minimum-radius series does not extrapolate to a finite-time zero."""
-
-
-class InsufficientSamplesError(RuntimeError):
-    """Too few trajectory samples in the fitting window."""
 
 
 def is_number(value) -> bool:
@@ -247,19 +238,16 @@ def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, floa
     phi is the uniform gauge, a scalar, and q = a''/a + b''/b + c''/c.
     c = int phi q dz / int phi dz, the mean of q, and W is the mean-free
     periodic antiderivative of dz W = phi (c - q): one rfft, the multiplier
-    1/(ik), one irfft. W is None when phi (c - q) has no nonzero entry, as on
-    z-constant data, so callers skip the transform and the advection term
-    W x'; on one point c - q is exactly 0, and is not formed.
+    1/(ik), one irfft. On one point W is None: c - q is exactly 0 there, and
+    callers skip the advection term W x'. On a grid W is an array, exact
+    zeros where phi (c - q) is, as on z-constant data.
     """
     # phi cancels from c; np.mean would cost 20 us a call at n = 64.
     c = float(q.sum()) / q.size
     if q.size == 1:
         return None, c
-    dw = phi * (c - q)
-    if not dw.any():
-        return None, c
     n = q.shape[-1]
-    return np.fft.irfft(np.fft.rfft(dw) * _antiderivative_multiplier(n), n), c
+    return np.fft.irfft(np.fft.rfft(phi * (c - q)) * _antiderivative_multiplier(n), n), c
 
 
 def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray | None]:
@@ -270,10 +258,7 @@ def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
-    order gives the same floating-point values as the written pairs. The
-    terms are evaluated in the operand order of the commented expressions, in
-    place where that order allows, so the values equal those of the plain
-    expressions.
+    order gives the same floating-point values as the written pairs.
     """
     x, xp, xpp = zj
     if x.min() <= 0.0:
@@ -283,21 +268,12 @@ def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray
     sq = np.concatenate((x * x,) * 2)
     q = xpp / x
     w, c = tangential_speed(phi, q[0] + q[1] + q[2])
-    # xpp + xp * (r_y + r_z + W)
-    dx = np.add(r[1:4], r[2:5])
+    drift = r[1:4] + r[2:5]
     if w is not None:
-        dx += w
-    dx *= xp
-    dx += xpp
-    # - 2x ((x^2)^2 - (y^2 - z^2)^2) / (x^2 y^2 z^2)
-    reaction = np.square(sq[:3])
-    reaction -= np.square(sq[1:4] - sq[2:5])
-    denom = sq[0] * sq[1]
-    denom *= sq[2]
-    term = 2.0 * x
-    term *= reaction
-    term /= denom
-    dx -= term
+        drift += w
+    # xpp + xp (r_y + r_z + W) - 2x (x^4 - (y^2 - z^2)^2) / (a^2 b^2 c^2)
+    reaction = sq[:3] ** 2 - (sq[1:4] - sq[2:5]) ** 2
+    dx = xpp + xp * drift - 2.0 * x * reaction / (sq[0] * sq[1] * sq[2])
     if not (np.isfinite(dx).all() and math.isfinite(c)):
         raise StepRejected("non-finite flow derivatives")
     return dx, c, w
@@ -418,7 +394,9 @@ def summarize_state(ts: Sequence[float], dts: Sequence[float], jets: np.ndarray)
 def evolve(
     initial: MetricState, cfg: FlowConfig
 ) -> tuple[Trajectory, SingularityReport | None]:
-    """Step until the pinch threshold, the time cap, or exhausted step halvings.
+    """Step until the pinch threshold, the time cap, or exhausted step halvings;
+    return the trajectory and estimate_singular_time of it, None where the
+    fit finds no singular time.
 
     initial is the first snapshot, and its gauge is phi_bar. Between steps
     the state is the rfft u of the radii, its jet and log lambda, with t and
@@ -529,12 +507,7 @@ def evolve(
     stats.neck_resolution = float(zj[0, 0].min() / (phi * grid.dz))
     # The dtype spares NumPy promoting the record dtypes pair by pair.
     traj = Trajectory(grid, np.concatenate(blocks, dtype=SUMMARY_DTYPE), snapshots, stop, stats)
-
-    try:
-        report = estimate_singular_time(traj)
-    except (NoSingularityDetected, InsufficientSamplesError):
-        report = None
-    return traj, report
+    return traj, estimate_singular_time(traj)
 
 
 def _final_decade(a_min: np.ndarray) -> np.ndarray:
@@ -552,26 +525,25 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(y_bar - slope * x_bar)
 
 
-def estimate_singular_time(traj: Trajectory) -> SingularityReport:
+def estimate_singular_time(traj: Trajectory) -> SingularityReport | None:
     """Least-squares linear fit of a_min^2 over the final decade of a_min.
 
     The window is every sample with a_min <= 10 * (final a_min); the estimate
-    is the root of the line _line_fit gives in centered closed form. A
-    non-negative fitted slope means the series is not shrinking toward zero.
+    is the root of the line _line_fit gives in centered closed form. None
+    when the window holds fewer than MIN_FIT_SAMPLES samples, or when the
+    fitted slope is non-negative, so that the series is not shrinking toward
+    zero.
     """
     ts = traj.ts
     a_min = traj.series("a_min")
     window = _final_decade(a_min)
-    count = np.count_nonzero(window)
-    if count < MIN_FIT_SAMPLES:
-        raise InsufficientSamplesError(
-            f"need >= {MIN_FIT_SAMPLES} samples in the final decade, have {count}"
-        )
+    if np.count_nonzero(window) < MIN_FIT_SAMPLES:
+        return None
     t_fit = ts[window]
     y_fit = a_min[window] ** 2
     slope, intercept = _line_fit(t_fit, y_fit)
     if slope >= 0.0:
-        raise NoSingularityDetected("fitted slope of a_min^2 is non-negative")
+        return None
     t_root = -intercept / slope
     residual = float(np.sqrt(np.mean((slope * t_fit + intercept - y_fit) ** 2)))
     return SingularityReport(

@@ -377,7 +377,7 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
 # ---------------------------------------------------------------------------
 # Curvature-evolution residuals
 
-def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray | None) -> np.ndarray:
+def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray) -> np.ndarray:
     """Right-hand sides of the evolution equations of (K_01, K_02, K_03),
     stacked (3, n), at one state of uniform phi, from the arclength jet
     zj = (x, x', x'') of its radii, stacked (3, 3, n), and the tangential
@@ -389,8 +389,7 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray | None) -> np.n
     stacks, r_y = r[Y] and p_y = p[Y] = y^2/(xz)^2. One evaluation gives all
     three rows, and one jet of the three K rows gives K' and K''. The
     flow's tangential field V = (W/phi) dz moves the grid along the manifold,
-    so K at fixed z also gains the Lie derivative V(K) = W K'; w is None
-    where W vanishes, as on z-constant data.
+    so K at fixed z also gains the Lie derivative V(K) = W K'.
     """
     x, xp, xpp = zj
     k, r, sq = -xpp / x, xp / x, x * x
@@ -398,7 +397,7 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray | None) -> np.n
     ry, rz, py, pz = r[Y], r[Z], p[Y], p[Z]
 
     _, kp, kpp = z_jet(np.fft.rfft(k), x.shape[-1], phi)
-    rhs = (
+    return (
         kpp
         + (r[0] + r[1] + r[2]) * kp
         + 2.0 * k * k
@@ -418,10 +417,8 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray | None) -> np.n
         + 4.0 * p * (3.0 * ry * ry + 4.0 * ry * rz + 3.0 * rz * rz)
         - 4.0 * py * (ry * ry + 3.0 * rz * rz - 4.0 * ry * rz)
         - 4.0 * pz * (rz * rz + 3.0 * ry * ry - 4.0 * ry * rz)
+        + w * kp
     )
-    if w is not None:
-        rhs += w * kp
-    return rhs
 
 
 @lru_cache(maxsize=1)

@@ -25,11 +25,11 @@ from neckpinch.flow import (
     STOP_TMAX,
     SUMMARY_DTYPE,
     MAX_STEP_HALVINGS,
+    MIN_FIT_SAMPLES,
     FlowConfig,
-    InsufficientSamplesError,
-    NoSingularityDetected,
     StepRejected,
     Trajectory,
+    _final_decade,
     _flow_rhs,
     _line_fit,
     _rfft,
@@ -108,8 +108,12 @@ def speed(phi, zj):
 
 
 def test_tangential_speed_is_zero_on_z_constant_data():
+    # on a grid W is the transform's exact zeros; on the one point of
+    # z-constant data it is None
     g = PeriodicGrid(32)
     w, c, q = speed(1.7, jet_of(np.full((3, g.n), 2.0), 1.7))
+    assert w.shape == (g.n,) and not w.any() and c == 0.0 and not q.any()
+    w, c, q = speed(1.7, z_jet(_rfft(np.full((3, 1), 2.0)), 1, 1.7))
     assert w is None and c == 0.0 and not q.any()
 
 
@@ -1037,15 +1041,29 @@ def test_line_fit_is_exact_on_a_line():
 def test_estimate_rejects_increasing_series():
     ts = np.linspace(0.0, 1.0, 50)
     traj = make_trajectory(ts, 1.0 + ts)
-    with pytest.raises(NoSingularityDetected):
-        estimate_singular_time(traj)
+    assert estimate_singular_time(traj) is None
 
 
 def test_estimate_rejects_insufficient_samples():
     ts = np.linspace(0.0, 1.0, 5)
     traj = make_trajectory(ts, 2.0 - ts)
-    with pytest.raises(InsufficientSamplesError):
-        estimate_singular_time(traj)
+    assert estimate_singular_time(traj) is None
+
+
+@pytest.mark.parametrize("count", [MIN_FIT_SAMPLES - 1, MIN_FIT_SAMPLES])
+def test_estimate_needs_min_fit_samples_in_the_final_decade(count):
+    # a_min^2 = 4 (1 - t) on the count samples of the final decade; three
+    # early samples at a_min = 3 lie outside it. The fit needs MIN_FIT_SAMPLES
+    inside = 0.9 + 0.01 * np.arange(count)
+    ts = np.concatenate(([0.0, 0.1, 0.2], inside))
+    a_min = np.concatenate(([3.0] * 3, np.sqrt(4.0 * (1.0 - inside))))
+    assert np.count_nonzero(_final_decade(a_min)) == count
+    report = estimate_singular_time(make_trajectory(ts, a_min))
+    if count < MIN_FIT_SAMPLES:
+        assert report is None
+    else:
+        assert report.fit_window == (inside[0], inside[-1])
+        assert report.t_estimate == pytest.approx(1.0, abs=1e-12)
 
 
 # --- homogeneous ODE oracle ----------------------------------------------------
