@@ -21,13 +21,14 @@ x'' = dz^2 x / phi^2, and grid.z_jet applies that gauge.
 With phi uniform, the stiff diffusion a'' = D1 D1 a / phi^2 is a Fourier
 multiplier, and rk4_step integrates it exactly: Lawson's integrating-factor
 RK4 (SIAM J. Numer. Anal. 4, 1967) on the rfft of the radii, with classical
-RK4 on log(lambda). dt therefore follows the flow's own rate
-r = max |dt x / x|, not an explicit-diffusion limit, and takes about the
-same number of steps at every n (see evolve). cfl_safety is the accuracy
-factor of that rule, not a stability limit. The diffusion enters a step
-only as one exp, its factor over half the step. The step calls no BLAS
-routine: a process's first gemm maps OpenBLAS's kernels and buffer,
-0.25-0.4 MB of resident memory, for products of 3 rows.
+RK4 on log(lambda). dt therefore follows an estimate of the step's own
+error, formed from its four stages, not an explicit-diffusion limit, and
+takes about the same number of steps at every n (see evolve). cfl_safety
+is the accuracy factor of that controller, not a stability limit. The
+diffusion enters a step only as one exp, its factor over half the step, and
+a step on a grid takes 17 FFT calls. The step calls no BLAS routine: a
+process's first gemm maps OpenBLAS's kernels and buffer, 0.25-0.4 MB of
+resident memory, for products of 3 rows.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
 the package's one z-derivative, gives from u and phi the jet (x, x', x'')
@@ -170,13 +171,15 @@ class RunStats:
 
     steps: accepted steps. rejected: step attempts rejected and retried with
     halved dt (an exhausted run, or a first stage that is not finite, adds
-    MAX_STEP_HALVINGS + 1). neck_resolution: a / (phi dz) at the argmin of a
-    in the final state, the neck's width in arclength grid cells; None until
-    a run sets it.
+    MAX_STEP_HALVINGS + 1). capped: accepted steps whose dt the bound
+    cfl_safety / (4 r) set rather than the error controller (see evolve).
+    neck_resolution: a / (phi dz) at the argmin of a in the final state, the
+    neck's width in arclength grid cells; None until a run sets it.
     """
 
     steps: int = 0
     rejected: int = 0
+    capped: int = 0
     neck_resolution: float | None = None
 
 
@@ -306,10 +309,10 @@ def rk4_step(
     first: tuple[np.ndarray, float],
     phi_bar: float,
     n: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One integrating-factor RK4 step of log lambda and the radii on n
     points, held as their rfft u0, stacked (3, n/2 + 1); returns (u1,
-    z_jet(u1, n, phi1), log lambda1), phi1 = lambda1 * phi_bar.
+    z_jet(u1, n, phi1), log lambda1, est), phi1 = lambda1 * phi_bar.
 
     The gauge of a stage is lambda * phi_bar, and first = (rfft(k1), c1) is
     _flow_rhs at the jet of u0 under lambda0 * phi_bar, the first stage,
@@ -320,7 +323,13 @@ def rk4_step(
     of lambda over the step. Lawson's RK4 (SIAM J. Numer. Anal. 4, 1967) is
     classical RK4 on v = exp(-L t) u, whose flow holds no L: the diffusion
     enters only as E = exp(L dt / 2), which is 1 at k = 0 and so on one
-    point, where the step is classical RK4, as it is on log lambda. Raises
+    point, where the step is classical RK4, as it is on log lambda.
+
+    est = max |x1 - x~1| estimates the step's local error from its own
+    stages: x~1 is the trapezoid E^2 u0 + (dt/2) (E^2 N1 + Nc), second
+    order, so est is O(dt^3) and costs one irfft, (dt/3) (E (Na + Nb) -
+    E^2 N1 - Nc), and no right-hand side; on one point the row is its own
+    transform, as in _rfft. Raises
     StepRejected if a stage or the result leaves the positive cone or turns
     non-finite, and _gauge_scale's errors if a stage's or the result's
     lambda overflows or underflows to 0.
@@ -345,14 +354,19 @@ def rk4_step(
     na, c2 = stage(e * (u0 + 0.5 * dt * n1), log_lam0 + 0.5 * dt * c1)
     nb, c3 = stage(e * u0 + 0.5 * dt * na, log_lam0 + 0.5 * dt * c2)
     nc, c4 = stage(e2u0 + dt * e * nb, log_lam0 + dt * c3)
-    u1 = e2u0 + dt / 6.0 * (e2 * n1 + 2.0 * e * (na + nb) + nc)
+    # The trapezoid x~1 = E^2 u0 + (dt/2) ends, and x1 - x~1 = (dt/3) gap.
+    ends, mid = e2 * n1 + nc, e * (na + nb)
+    u1 = e2u0 + dt / 6.0 * (ends + 2.0 * mid)
     log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
     zj1 = z_jet(u1, n, _gauge_scale(log_lam1) * phi_bar)
     if not (np.isfinite(zj1).all() and math.isfinite(log_lam1)):
         raise StepRejected("non-finite state after step")
     if zj1[0].min() <= 0.0:
         raise StepRejected("positivity lost after step")
-    return u1, zj1, log_lam1
+    # dt/3 > 0 scales after the max with the same bits as before it.
+    gap = mid - ends
+    est = dt / 3.0 * float(np.abs(np.fft.irfft(gap, n) if n > 1 else gap).max())
+    return u1, zj1, log_lam1, est
 
 
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -411,20 +425,26 @@ def evolve(
     summarized alone, so that data no summary accepts fail before the first
     step.
 
-    Each step first evaluates k1 = f(x), which sets dt by the rate rule
-    dt = (cfl_safety / 18) r^(-4/5) r0^(-1/5), r = max |k1 / x| and r0 its
-    value at the first step. A step's error in T scales like (dt r)^4 dt,
-    which the rule makes the same on every step, and dt scales like 1/r
-    under parabolic rescaling. dt is at most cfl_safety / (4 r), which is
-    cfl_safety a_min^2 / 8 at a pinch, where r = 2 / a_min^2: the rule's
-    steps grow like r^(1/5) relative to the rate, and without that bound the
-    last steps before the stop would miss d(a_min^2)/dt >= -4 by more than
-    the monitors' grid tolerance. A rejected step (one that leaves the positive
-    cone or turns non-finite) is retried with halved dt up to
-    MAX_STEP_HALVINGS times; exhaustion, or a first stage that is not
-    finite, stops the run with the last good state preserved and stop reason
-    STOP_HALVINGS. traj.run_stats counts the accepted steps and the rejected
-    attempts, and records the neck resolution of the final state.
+    Each step first evaluates k1 = f(x) and its rate r = max |k1 / x|. The
+    first dt is cfl_safety / (18 r). Each later dt is the last accepted one
+    times clip(0.9 (tol / est)^(1/3), 0.2, 2) (Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. II.4), est being rk4_step's third-order estimate of
+    that step's error, max |x1 - x~1|, and tol = 5e-7 (cfl_safety / 0.2)^3
+    max x(0): the cube keeps dt proportional to cfl_safety, and the largest
+    initial radius keeps the run's steps invariant under parabolic
+    rescaling. The estimate only steers; it rejects no step. dt is at most
+    t_max - t and cfl_safety / (4 r), which is cfl_safety a_min^2 / 8 at a
+    pinch, where r = 2 / a_min^2: the error a step makes on the neck scales
+    with a_min, so the controller's steps grow relative to 1/r there, and
+    without that bound the last steps before the stop would miss
+    d(a_min^2)/dt >= -4 by more than the monitors' grid tolerance;
+    traj.run_stats.capped counts the steps it set. A rejected step (one
+    that leaves the positive cone or turns non-finite) is retried with
+    halved dt up to MAX_STEP_HALVINGS times; exhaustion, or a first stage
+    that is not finite, stops the run with the last good state preserved and
+    stop reason STOP_HALVINGS. traj.run_stats counts the accepted steps and
+    the rejected attempts, and records the neck resolution of the final
+    state.
     """
     grid = initial.grid
     x0 = radii(initial)
@@ -457,8 +477,9 @@ def evolve(
     record(t, 0.0, zj)
     flush()
 
+    tol = 5e-7 * (cfg.cfl_safety / 0.2) ** 3 * float(x0.max())
     last_dt = 0.0
-    rate0 = None
+    est = None
     while True:
         if float(zj[0, 0].min()) < cfg.a_min_stop:
             stop = STOP_AMIN
@@ -476,14 +497,21 @@ def evolve(
             break
         # The smallest normal float keeps a stationary state off 1/0.
         rate = max(float(np.abs(k1 / zj[0]).max()), sys.float_info.min)
-        if rate0 is None:
-            rate0 = rate
-        dt = cfg.cfl_safety / rate * min((rate / rate0) ** 0.2 / 18.0, 0.25)
+        if est is None:
+            dt = cfg.cfl_safety / (18.0 * rate)
+        else:
+            # An estimate of 0 takes the largest growth, as tol / 0+ would.
+            gain = 0.9 * (tol / max(est, sys.float_info.min)) ** (1.0 / 3.0)
+            dt = last_dt * min(max(gain, 0.2), 2.0)
         dt = min(dt, cfg.t_max - t)
+        cap = cfg.cfl_safety / (4.0 * rate)
+        capped = cap < dt
+        if capped:
+            dt = cap
         first = _rfft(k1), c1
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
-                u, zj, log_lam = rk4_step(u, log_lam, dt, first, phi_bar, n)
+                u, zj, log_lam, est = rk4_step(u, log_lam, dt, first, phi_bar, n)
                 break
             except StepRejected:
                 stats.rejected += 1
@@ -495,6 +523,7 @@ def evolve(
         phi = _gauge_scale(log_lam) * phi_bar
         t += dt
         stats.steps += 1
+        stats.capped += capped
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
             record(t, dt, zj)

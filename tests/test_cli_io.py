@@ -861,10 +861,10 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
-# fig-a at n=64 with the default flow, 485 steps. Re-pinned when the step
-# became Lawson's integrating-factor RK4: T moved by -6.4e-10 and no value
-# moved by more than 1.9e-7 of max(|x|, 1), in rm_max near the stop.
-FIG_A_64_SERIES_SHA256 = "181ceba800dc7d98f73611bf6f5e1eea49dc7ea2eb1b5766c6cee228999e620d"
+# fig-a at n=64 with the default flow, 341 steps. Re-pinned when dt came to
+# follow the step's error estimate (485 steps before): T moved by +1.6e-8,
+# from 0.8532748369463122 to 0.8532748531460519.
+FIG_A_64_SERIES_SHA256 = "154363d3c781a18c6cd15e64f795984406821096460e5043540c9d24adb1d4af"
 
 
 def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
@@ -878,17 +878,17 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
 
 
 # The round sphere r=2 at n=64, cfl 0.05, stopped at a_min 1e-2: the
-# benchmark's sphere-exact case, 819 steps. Re-pinned with Lawson's RK4
-# (fig-a above): T stayed at 0.9999999999948874 and no value moved by more
-# than 1.7e-14 of max(|x|, 1).
-SPHERE_64_SERIES_SHA256 = "628589644f2c783a6019bdb80f2b3c4f870e1d5d350b1530103766a94b2b79a7"
+# benchmark's sphere-exact case, 878 steps. Re-pinned with the error-
+# controlled step (fig-a above; 819 steps before): T moved from
+# 0.9999999999948874 to 0.9999999999960654, its error from 5.1e-12 to 3.9e-12.
+SPHERE_64_SERIES_SHA256 = "672ca3e3520c62e119f5cf1f5a3f64f82fdd7f14728613de3a44ce4a1cfc4001"
 
 
 # The biaxial preset (a = 1, b = c = 2) at n=64 with the default flow, the
-# second z-constant case, 260 steps. Re-pinned with Lawson's RK4 (fig-a
-# above): T moved by -4.4e-16 and no value moved by more than 4.1e-15 of
-# max(|x|, 1).
-BIAXIAL_64_SERIES_SHA256 = "aa4878b43019fcc00773e84c2be79998e7cf5a0eebb5baf26cced7e190c61a34"
+# second z-constant case, 253 steps. Re-pinned with the error-controlled step
+# (fig-a above; 260 steps before): T moved by -1.0e-10, from
+# 0.6900864983994862 to 0.6900864982989322.
+BIAXIAL_64_SERIES_SHA256 = "c601556914cbdce193e9d34fa3728d35952b234e81a4702d84163adf1bcf990c"
 
 
 def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
@@ -999,5 +999,6 @@ def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):
     assert doc["run_stats"] == {
         "steps": 0,
         "rejected": 21,
+        "capped": 0,
         "neck_resolution": 2.0 / PeriodicGrid(32).dz,
     }
