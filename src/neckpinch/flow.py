@@ -32,15 +32,19 @@ resident memory, for products of 3 rows.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
 the package's one z-derivative, gives from u and phi the jet (x, x', x'')
-that _flow_rhs, the flow's one time derivative, reads in rk4_step's stages,
-evolve's step rule and the monitors' K_0i evolution residual. Each accepted
-state's jet also serves the next first stage and its summary. Radii exactly
-constant along z stay so, and their flow is the Bianchi IX ODE (Isenberg &
-Jackson, J. Differential Geom. 35, 1992): evolve holds them on one point,
-their mean mode. There the diffusion symbol is -0.0, so the factor is 1 and
-the step is classical RK4; the row is its own rfft (_rfft), the jet is
-(x, 0, 0) and W is None. On a power-of-two n that gives the grid's bits,
-whose transforms of a constant row only scale the mean by n, exactly.
+that _flow_rhs, the flow's time derivative on a grid, reads in rk4_step's
+stages, evolve's step rule and the monitors' K_0i evolution residual. Each
+accepted state's jet also serves the next first stage and its summary.
+
+Radii exactly constant along z stay so, and their flow is the Bianchi IX ODE
+(Isenberg & Jackson, J. Differential Geom. 35, 1992), the homogeneous case
+of the PDE. evolve steps them as three Python floats, one point's worth,
+with _point_rhs and _point_step. There x' = x'' = 0, so q = 0, c = 0 and
+lambda stays exactly 1, and the diffusion factor is 1, so the step is
+classical RK4. Both do the grid step's floating-point operations in its
+order, so on a power-of-two n, whose transforms of a constant row only scale
+its mean by n exactly, the run is bitwise the grid run, with no FFT call and
+no NumPy call a step.
 """
 
 from __future__ import annotations
@@ -235,25 +239,22 @@ def _antiderivative_multiplier(n: int) -> np.ndarray:
     return mult
 
 
-def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray | None, float]:
+def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray, float]:
     """The constant-speed gauge's tangential speed W and rate c at one state.
 
     phi is the uniform gauge, a scalar, and q = a''/a + b''/b + c''/c.
     c = int phi q dz / int phi dz, the mean of q, and W is the mean-free
     periodic antiderivative of dz W = phi (c - q): one rfft, the multiplier
-    1/(ik), one irfft. On one point W is None: c - q is exactly 0 there, and
-    callers skip the advection term W x'. On a grid W is an array, exact
-    zeros where phi (c - q) is, as on z-constant data.
+    1/(ik), one irfft; exact zeros where phi (c - q) is, as on z-constant
+    data.
     """
     # phi cancels from c; np.mean would cost 20 us a call at n = 64.
-    c = float(q.sum()) / q.size
-    if q.size == 1:
-        return None, c
     n = q.shape[-1]
+    c = float(q.sum()) / n
     return np.fft.irfft(np.fft.rfft(phi * (c - q)) * _antiderivative_multiplier(n), n), c
 
 
-def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray | None]:
+def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray]:
     """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c),
     dt log lambda = c and the tangential speed W (see tangential_speed),
     under the uniform gauge phi, from the arclength jet zj = (x, x', x'')
@@ -271,9 +272,7 @@ def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray
     sq = np.concatenate((x * x,) * 2)
     q = xpp / x
     w, c = tangential_speed(phi, q[0] + q[1] + q[2])
-    drift = r[1:4] + r[2:5]
-    if w is not None:
-        drift += w
+    drift = r[1:4] + r[2:5] + w
     # xpp + xp (r_y + r_z + W) - 2x (x^4 - (y^2 - z^2)^2) / (a^2 b^2 c^2)
     reaction = sq[:3] ** 2 - (sq[1:4] - sq[2:5]) ** 2
     dx = xpp + xp * drift - 2.0 * x * reaction / (sq[0] * sq[1] * sq[2])
@@ -297,11 +296,6 @@ def _gauge_scale(log_lam: float) -> float:
     return lam
 
 
-def _rfft(x: np.ndarray) -> np.ndarray:
-    """The rfft of the rows x; a one-point row is its own transform."""
-    return np.fft.rfft(x) if x.shape[-1] > 1 else x
-
-
 def rk4_step(
     u0: np.ndarray,
     log_lam0: float,
@@ -322,17 +316,16 @@ def rk4_step(
     N = f - L u holds the first-order terms, the reaction, W x' and the drift
     of lambda over the step. Lawson's RK4 (SIAM J. Numer. Anal. 4, 1967) is
     classical RK4 on v = exp(-L t) u, whose flow holds no L: the diffusion
-    enters only as E = exp(L dt / 2), which is 1 at k = 0 and so on one
-    point, where the step is classical RK4, as it is on log lambda.
+    enters only as E = exp(L dt / 2), which is 1 at k = 0, where the step is
+    classical RK4, as it is on log lambda.
 
     est = max |x1 - x~1| estimates the step's local error from its own
     stages: x~1 is the trapezoid E^2 u0 + (dt/2) (E^2 N1 + Nc), second
     order, so est is O(dt^3) and costs one irfft, (dt/3) (E (Na + Nb) -
-    E^2 N1 - Nc), and no right-hand side; on one point the row is its own
-    transform, as in _rfft. Raises
-    StepRejected if a stage or the result leaves the positive cone or turns
-    non-finite, and _gauge_scale's errors if a stage's or the result's
-    lambda overflows or underflows to 0.
+    E^2 N1 - Nc), and no right-hand side. Raises StepRejected if a stage or
+    the result leaves the positive cone or turns non-finite, and
+    _gauge_scale's errors if a stage's or the result's lambda overflows or
+    underflows to 0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -345,7 +338,7 @@ def rk4_step(
     def stage(u, log_lam):
         phi = _gauge_scale(log_lam) * phi_bar
         k, c, _ = _flow_rhs(z_jet(u, n, phi), phi)
-        return _rfft(k) - lin * u, c
+        return np.fft.rfft(k) - lin * u, c
 
     f1, c1 = first
     n1 = f1 - lin * u0
@@ -364,9 +357,69 @@ def rk4_step(
     if zj1[0].min() <= 0.0:
         raise StepRejected("positivity lost after step")
     # dt/3 > 0 scales after the max with the same bits as before it.
-    gap = mid - ends
-    est = dt / 3.0 * float(np.abs(np.fft.irfft(gap, n) if n > 1 else gap).max())
+    est = dt / 3.0 * float(np.abs(np.fft.irfft(mid - ends, n)).max())
     return u1, zj1, log_lam1, est
+
+
+def _point_rhs(x: Sequence[float]) -> tuple[float, float, float]:
+    """_flow_rhs on the one point of z-constant radii x = (a, b, c), three
+    floats: (dt a, dt b, dt c), with the same rejections.
+
+    The grid's operations in its order: x'' + x' (r_y + r_z + W) is
+    0.0 + 0.0 * 0.0 = 0.0 there, hence 0.0 - 2x (...), which is never -0.0,
+    so the + 0.0 of rk4_step's k - L u under L = -0.0 changes no bit.
+    """
+    a, b, c = x
+    if min(a, b, c) <= 0.0:
+        raise StepRejected("profiles left the positive cone")
+    a2, b2, c2 = a * a, b * b, c * c
+    abc2 = a2 * b2 * c2
+    if abc2 == 0.0:
+        # NumPy's x / 0 is non-finite; Python's raises.
+        raise StepRejected("non-finite flow derivatives")
+    k = (
+        0.0 - 2.0 * a * (a2 * a2 - (b2 - c2) * (b2 - c2)) / abc2,
+        0.0 - 2.0 * b * (b2 * b2 - (c2 - a2) * (c2 - a2)) / abc2,
+        0.0 - 2.0 * c * (c2 * c2 - (a2 - b2) * (a2 - b2)) / abc2,
+    )
+    if not all(map(math.isfinite, k)):
+        raise StepRejected("non-finite flow derivatives")
+    return k
+
+
+def _point_step(
+    x0: Sequence[float], dt: float, k1: Sequence[float]
+) -> tuple[tuple[float, ...], float]:
+    """rk4_step on the one point of z-constant radii x0, three floats, whose
+    first stage k1 = _point_rhs(x0) the caller has evaluated: (x1, est).
+
+    E = 1 and lambda = 1 there (see the module docstring), so the step is
+    classical RK4 and est = (dt/3) max |(ka + kb) - (k1 + kc)|, rk4_step's
+    trapezoid estimate, in rk4_step's order of operations. Raises
+    StepRejected and ValueError as rk4_step does.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    a, b, c = x0
+    h = 0.5 * dt
+
+    def stage(s, k):
+        return _point_rhs((a + s * k[0], b + s * k[1], c + s * k[2]))
+
+    ka = stage(h, k1)
+    kb = stage(h, ka)
+    kc = stage(dt, kb)
+    w = dt / 6.0
+    x1, gap = [], []
+    for v, k, p, q, r in zip(x0, k1, ka, kb, kc):
+        ends, mid = k + r, p + q
+        x1.append(v + w * (ends + 2.0 * mid))
+        gap.append(abs(mid - ends))
+    if not all(map(math.isfinite, x1)):
+        raise StepRejected("non-finite state after step")
+    if min(x1) <= 0.0:
+        raise StepRejected("positivity lost after step")
+    return tuple(x1), dt / 3.0 * max(gap)
 
 
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -416,22 +469,23 @@ def evolve(
     the state is the rfft u of the radii, its jet and log lambda, with t and
     dt as Python floats, the gauge being phi = lambda * phi_bar; a
     MetricState is built only for the final state, the second snapshot when
-    the run advanced.
-    Radii exactly constant along z are held on n = 1 point, their mean mode
-    (see the module docstring), and the final snapshot broadcasts it.
-    Summaries are recorded every monitor_stride steps plus the first and
-    last state, and computed summary_block(n) states at a time, as records
-    of SUMMARY_DTYPE joined once when the run ends; the initial state is
-    summarized alone, so that data no summary accepts fail before the first
-    step.
+    the run advanced. The kernel is chosen once: radii exactly constant
+    along z are stepped as three floats by _point_step, whose records are
+    the jet (x, 0, 0) on one point (see the module docstring), and the
+    final snapshot broadcasts them to the grid; any other radii by
+    rk4_step. Summaries are recorded every monitor_stride steps plus the
+    first and last state, and computed summary_block(n) states at a time,
+    as records of SUMMARY_DTYPE joined once when the run ends; the initial
+    state is summarized alone, so that data no summary accepts fail before
+    the first step.
 
     Each step first evaluates k1 = f(x) and its rate r = max |k1 / x|. The
     first dt is cfl_safety / (18 r). Each later dt is the last accepted one
     times clip(0.9 (tol / est)^(1/3), 0.2, 2) (Hairer, Norsett & Wanner,
-    Solving ODEs I, sec. II.4), est being rk4_step's third-order estimate of
-    that step's error, max |x1 - x~1|, and tol = 5e-7 (cfl_safety / 0.2)^3
-    max x(0): the cube keeps dt proportional to cfl_safety, and the largest
-    initial radius keeps the run's steps invariant under parabolic
+    Solving ODEs I, sec. II.4), est being the kernel's third-order estimate
+    of that step's error, max |x1 - x~1|, and tol = 5e-7 (cfl_safety /
+    0.2)^3 max x(0): the cube keeps dt proportional to cfl_safety, and the
+    largest initial radius keeps the run's steps invariant under parabolic
     rescaling. The estimate only steers; it rejects no step. dt is at most
     t_max - t and cfl_safety / (4 r), which is cfl_safety a_min^2 / 8 at a
     pinch, where r = 2 / a_min^2: the error a step makes on the neck scales
@@ -448,7 +502,8 @@ def evolve(
     """
     grid = initial.grid
     x0 = radii(initial)
-    n = 1 if not np.ptp(x0, axis=1).any() else grid.n
+    point = not np.ptp(x0, axis=1).any()
+    n = 1 if point else grid.n
     snapshots = [initial]
     stats = RunStats()
     phi_bar = initial.phi
@@ -458,30 +513,57 @@ def evolve(
     pending: list[tuple[float, float]] = []
     blocks: list[np.ndarray] = []
 
+    # The kernel: its state, first stage (first, r), step (state, est), the
+    # rows a record writes and a_min. The grid's state is (jet, u, log
+    # lambda, phi), the point's its radii.
+    if point:
+        state = tuple(x0[:, 0].tolist())
+        # x' and x'' stay 0; a record writes x alone.
+        block_zj[:, 1:] = 0.0
+        slots = block_zj[:, 0, :, 0]
+
+        def first_stage(x):
+            k1 = _point_rhs(x)
+            return k1, max(abs(k1[0] / x[0]), abs(k1[1] / x[1]), abs(k1[2] / x[2]))
+
+        step, rows, a_min = _point_step, (lambda x: x), (lambda x: x[0])
+    else:
+        u = np.fft.rfft(x0)
+        state = (z_jet(u, n, phi_bar), u, 0.0, phi_bar)
+        slots = block_zj
+
+        def first_stage(s):
+            zj, _, _, phi = s
+            k1, c1, _ = _flow_rhs(zj, phi)
+            return (np.fft.rfft(k1), c1), float(np.abs(k1 / zj[0]).max())
+
+        def step(s, dt, first):
+            u, zj, log_lam, est = rk4_step(s[1], s[2], dt, first, phi_bar, n)
+            return (zj, u, log_lam, _gauge_scale(log_lam) * phi_bar), est
+
+        rows, a_min = (lambda s: s[0]), (lambda s: float(s[0][0, 0].min()))
+
     def flush():
         if pending:
             ts, dts = zip(*pending)
             blocks.append(summarize_state(ts, dts, block_zj[: len(pending)]))
             pending.clear()
 
-    def record(t, dt, zj):
-        block_zj[len(pending)] = zj
+    def record(t, dt):
+        slots[len(pending)] = rows(state)
         pending.append((t, dt))
         if len(pending) == block:
             flush()
 
     t = initial.t
-    u = _rfft(x0[:, :n])
-    log_lam, phi = 0.0, phi_bar
-    zj = z_jet(u, n, phi)
-    record(t, 0.0, zj)
+    record(t, 0.0)
     flush()
 
     tol = 5e-7 * (cfg.cfl_safety / 0.2) ** 3 * float(x0.max())
     last_dt = 0.0
     est = None
     while True:
-        if float(zj[0, 0].min()) < cfg.a_min_stop:
+        if a_min(state) < cfg.a_min_stop:
             stop = STOP_AMIN
             break
         if t >= cfg.t_max:
@@ -489,14 +571,14 @@ def evolve(
             break
 
         try:
-            k1, c1, _ = _flow_rhs(zj, phi)
+            first, rate = first_stage(state)
         except StepRejected:
             # dt does not enter the first stage, so no halving can mend it.
             stats.rejected += MAX_STEP_HALVINGS + 1
             stop = STOP_HALVINGS
             break
         # The smallest normal float keeps a stationary state off 1/0.
-        rate = max(float(np.abs(k1 / zj[0]).max()), sys.float_info.min)
+        rate = max(rate, sys.float_info.min)
         if est is None:
             dt = cfg.cfl_safety / (18.0 * rate)
         else:
@@ -508,10 +590,9 @@ def evolve(
         capped = cap < dt
         if capped:
             dt = cap
-        first = _rfft(k1), c1
         for _ in range(MAX_STEP_HALVINGS + 1):
             try:
-                u, zj, log_lam, est = rk4_step(u, log_lam, dt, first, phi_bar, n)
+                state, est = step(state, dt, first)
                 break
             except StepRejected:
                 stats.rejected += 1
@@ -520,20 +601,20 @@ def evolve(
             stop = STOP_HALVINGS
             break
 
-        phi = _gauge_scale(log_lam) * phi_bar
         t += dt
         stats.steps += 1
         stats.capped += capped
         last_dt = dt
         if stats.steps % cfg.monitor_stride == 0:
-            record(t, dt, zj)
+            record(t, dt)
 
     if stats.steps % cfg.monitor_stride:
-        record(t, last_dt, zj)
+        record(t, last_dt)
     flush()
+    x, phi = (state, phi_bar) if point else (state[0][0], state[3])
     if stats.steps:
-        snapshots.append(metric_state(grid, t, phi, *np.broadcast_to(zj[0], (3, grid.n))))
-    stats.neck_resolution = float(zj[0, 0].min() / (phi * grid.dz))
+        snapshots.append(metric_state(grid, t, phi, *x))
+    stats.neck_resolution = a_min(state) / (phi * grid.dz)
     # The dtype spares NumPy promoting the record dtypes pair by pair.
     traj = Trajectory(grid, np.concatenate(blocks, dtype=SUMMARY_DTYPE), snapshots, stop, stats)
     return traj, estimate_singular_time(traj)

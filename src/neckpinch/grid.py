@@ -133,13 +133,7 @@ def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
     """The arclength jet (x, D1 x / phi, D1 D1 x / phi^2) of the rows
     x = irfft(u, n) under the scalar gauge phi (1 for the z-jet), stacked
     (3,) + x.shape: one irfft of u S along the last axis, any leading axes
-    of u being independent rows, with rows 1 and 2 divided in place. On
-    n = 1 the jet is (u.real, 0, 0): S is (1, 0, 0) at k = 0, so no product
-    or division is made."""
-    if n == 1:
-        jet = np.zeros((3,) + u.shape)
-        jet[0] = u.real
-        return jet
+    of u being independent rows, with rows 1 and 2 divided in place."""
     symbol = _jet_symbol(n)
     jet = u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:])
     jet = np.fft.irfft(jet, n)

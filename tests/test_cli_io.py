@@ -19,7 +19,7 @@ from neckpinch import flow, monitors
 from neckpinch.cli import EXIT_BROKEN_PIPE, _build_parser, main
 from neckpinch.config import RunConfig, config_from_dict, load_config
 from neckpinch.flow import FlowConfig, StepRejected, evolve
-from neckpinch.grid import DataError, PeriodicGrid
+from neckpinch.grid import DataError, PeriodicGrid, z_jet
 from neckpinch.monitors import (
     DEFAULT_MONITORS,
     MONITORS,
@@ -984,21 +984,28 @@ def test_package_calls_no_blas():
 
 
 def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):
-    def rk4_step(*args):
+    def reject(*args):
         raise StepRejected("positivity lost after step")
 
-    monkeypatch.setattr(flow, "rk4_step", rk4_step)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"preset": "sphere", "grid_n": 32, "out_dir": str(tmp_path / "out")})
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 2
-    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert doc["stop_reason"] == "step_halvings_exhausted"
-    assert doc["samples"] == 1
-    assert doc["run_stats"] == {
-        "steps": 0,
-        "rejected": 21,
-        "capped": 0,
-        "neck_resolution": 2.0 / PeriodicGrid(32).dz,
-    }
+    # z-constant data take evolve's point kernel, fig-a its grid kernel
+    fig_a = get_preset("fig-a").build(PeriodicGrid(32))
+    fig_a_x = z_jet(np.fft.rfft(np.stack((fig_a.a, fig_a.b, fig_a.c))), 32, fig_a.phi)[0]
+    cases = [
+        ("sphere", "_point_step", 2.0 / PeriodicGrid(32).dz),
+        ("fig-a", "rk4_step", float(fig_a_x[0].min() / (fig_a.phi * fig_a.grid.dz))),
+    ]
+    for preset, step, neck_resolution in cases:
+        cfg_path, out = tmp_path / f"{preset}.json", tmp_path / preset
+        cfg_path.write_text(json.dumps({"preset": preset, "grid_n": 32, "out_dir": str(out)}))
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, step, reject)
+            assert main(["run", "--config", str(cfg_path)]) == 2
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["stop_reason"] == "step_halvings_exhausted"
+        assert doc["samples"] == 1
+        assert doc["run_stats"] == {
+            "steps": 0,
+            "rejected": 21,
+            "capped": 0,
+            "neck_resolution": neck_resolution,
+        }

@@ -32,7 +32,8 @@ from neckpinch.flow import (
     _final_decade,
     _flow_rhs,
     _line_fit,
-    _rfft,
+    _point_rhs,
+    _point_step,
     estimate_singular_time,
     evolve,
     rk4_step,
@@ -108,13 +109,10 @@ def speed(phi, zj):
 
 
 def test_tangential_speed_is_zero_on_z_constant_data():
-    # on a grid W is the transform's exact zeros; on the one point of
-    # z-constant data it is None
-    g = PeriodicGrid(32)
-    w, c, q = speed(1.7, jet_of(np.full((3, g.n), 2.0), 1.7))
-    assert w.shape == (g.n,) and not w.any() and c == 0.0 and not q.any()
-    w, c, q = speed(1.7, z_jet(_rfft(np.full((3, 1), 2.0)), 1, 1.7))
-    assert w is None and c == 0.0 and not q.any()
+    # W is the transform's exact zeros, on a power of two n and off one
+    for n in (32, 40):
+        w, c, q = speed(1.7, jet_of(np.full((3, n), 2.0), 1.7))
+        assert w.shape == (n,) and not w.any() and c == 0.0 and not q.any()
 
 
 def test_tangential_speed_is_mean_free_and_integrates_its_density():
@@ -248,7 +246,7 @@ def spectral_step(u, log_lam, dt, phi_bar, n):
     first stage as evolve does: (u1, jet of u1, log lambda1, est)."""
     phi = np.exp(log_lam) * phi_bar
     k1, c1, _ = _flow_rhs(z_jet(u, n, phi), phi)
-    return rk4_step(u, log_lam, dt, (_rfft(k1), c1), phi_bar, n)
+    return rk4_step(u, log_lam, dt, (np.fft.rfft(k1), c1), phi_bar, n)
 
 
 def step(state, dt):
@@ -316,11 +314,25 @@ def test_rk4_step_equals_classical_rk4_on_z_constant_data():
 Z_CONSTANT_RADII = [(2.0, 2.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.5, 2.0)]
 
 
+def z_constant(x, n=8):
+    """The radii x, three numbers, constant along z on n points, stacked (3, n)."""
+    return np.repeat(np.array(x, dtype=float)[:, np.newaxis], n, axis=1)
+
+
+def point_steps(radii, steps=60, dt=2e-3):
+    """_point_step `steps` times from the z-constant radii, three floats, as
+    evolve steps them: (x, est) after the last step."""
+    x = tuple(radii)
+    for _ in range(steps):
+        x, est = _point_step(x, dt, _point_rhs(x))
+    return x, est
+
+
 @functools.cache
 def z_constant_steps(radii, n, steps=60, dt=2e-3):
-    """rk4_step `steps` times from the z-constant radii on n points, held as
-    evolve holds them: (u, jet, log lambda, est) after the last step."""
-    u, log_lam = _rfft(np.repeat(np.array(radii)[:, np.newaxis], n, axis=1)), 0.0
+    """rk4_step `steps` times from the z-constant radii on n points under
+    phi_bar = 1.3: (u, jet, log lambda, est) after the last step."""
+    u, log_lam = np.fft.rfft(z_constant(radii, n)), 0.0
     for _ in range(steps):
         u, zj, log_lam, est = spectral_step(u, log_lam, dt, 1.3, n)
     return u, zj, log_lam, est
@@ -329,20 +341,52 @@ def z_constant_steps(radii, n, steps=60, dt=2e-3):
 @pytest.mark.parametrize("n", [32, 64, 256])
 @pytest.mark.parametrize("radii", Z_CONSTANT_RADII, ids=["sphere", "biaxial", "triaxial"])
 def test_rk4_step_on_one_point_is_bitwise_the_grid_step(radii, n):
-    # evolve steps z-constant data on their mean mode alone; on a power of two
-    # the transforms scale that mode by n exactly and add nothing to it
-    u1, zj1, log_lam1, est1 = z_constant_steps(radii, 1)
+    # evolve steps z-constant data as three floats; on a power of two the
+    # grid's transforms scale the mean mode by n exactly and add nothing to
+    # it, so the point kernel's operations give the grid's bits
+    x1, est1 = point_steps(radii)
     u, zj, log_lam, est = z_constant_steps(radii, n)
+    assert all(type(v) is float for v in x1)
     # the error estimate's irfft divides that mode by n exactly
     assert type(est) is type(est1) is float and est == est1 > 0.0
-    assert u1.shape == (3, 1) and zj1.shape == (3, 3, 1)
-    assert (u[:, :1] / n).real.tobytes() == u1.tobytes()
+    assert (u[:, 0] / n).real.tobytes() == np.array(x1).tobytes()
     assert not u.imag.any() and not u[:, 1:].any()
-    # the grid's irfft gives x'' = -0.0 at z = 0 where the one point's jet
-    # is +0.0; adding 0.0 maps both to +0.0 and changes no other bits
-    assert (zj + 0.0).tobytes() == (np.broadcast_to(zj1, zj.shape) + 0.0).tobytes()
-    # q = 0 on z-constant data, so the gauge rate c is 0 and lambda stays 1
-    assert log_lam == log_lam1 == 0.0
+    assert zj[0].tobytes() == z_constant(x1, n).tobytes()
+    assert not zj[1:].any()
+    # q = 0 on z-constant data, so the gauge rate c is 0 and lambda stays 1,
+    # whatever phi_bar: the point kernel carries no gauge
+    assert log_lam == 0.0
+
+
+@pytest.mark.parametrize("x", [(2.0, 2.0, 2.0), (1.0, 1.5, 2.0), (3.0, 4.0, 5.0)])
+def test_point_rhs_is_bitwise_the_grid_rhs(x):
+    # at (3, 4, 5) a^4 = (c^2 - b^2)^2, so dt a is 0.0 - 0.0; the grid's
+    # x'' + x' (...) may be -0.0 there, and adding 0.0 maps both to +0.0
+    dx, c, w = _flow_rhs(jet_of(z_constant(x)), 1.0)
+    assert (dx + 0.0).tobytes() == z_constant(_point_rhs(x)).tobytes()
+    assert c == 0.0 and not w.any()
+
+
+@pytest.mark.parametrize(
+    "x", [(1.0, 0.0, 1.0), (1e200, 1.0, 1.0), (1e-110, 1e-110, 1e-110)],
+    ids=["zero", "overflow", "underflow"],
+)
+def test_point_rhs_rejects_as_the_grid_rhs(x):
+    with np.errstate(all="ignore"), pytest.raises(StepRejected) as grid:
+        _flow_rhs(jet_of(z_constant(x)), 1.0)
+    with pytest.raises(StepRejected, match=f"^{grid.value}$"):
+        _point_rhs(x)
+
+
+@pytest.mark.parametrize("dt", [0.065, 0.2, 0.0])
+def test_point_step_rejects_as_the_grid_step(dt):
+    # the round sphere r = 0.5 under too long a step: the result leaves the
+    # positive cone at dt = 0.065, a stage at 0.2; dt = 0 is an error
+    x = (0.5, 0.5, 0.5)
+    with pytest.raises((StepRejected, ValueError)) as grid:
+        spectral_step(np.fft.rfft(z_constant(x)), 0.0, dt, 1.0, 8)
+    with pytest.raises(grid.type, match=f"^{grid.value}$"):
+        _point_step(x, dt, _point_rhs(x))
 
 
 def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
@@ -362,9 +406,9 @@ def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
 
 @pytest.mark.parametrize("phi0", [1e-100, 1e-150])
 def test_tiny_gauge_pinches_constant_radii_at_r2_over_4(phi0):
-    # on the one point of z-constant data L = -0.0 and E = 1 at any gauge,
-    # and the data do not depend on phi: the run is bitwise the phi0 = 1
-    # run, whose T misses r^2/4 by the default step's time error, 2.8e-10
+    # z-constant data step on the point kernel, which reads no gauge: the
+    # run is bitwise the phi0 = 1 run, whose T misses r^2/4 by the default
+    # step's time error, 2.8e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runs = [evolve(metric_state(PeriodicGrid(32), 0.0, phi, 1.0, 1.0, 1.0), FlowConfig())
@@ -379,8 +423,8 @@ def test_tiny_gauge_pinches_constant_radii_at_r2_over_4(phi0):
 def test_rk4_step_error_estimate_is_third_order():
     # x1 - x~1 is the RK4 step less a second-order trapezoid: O(dt^3) a step
     # (3.0045 and 3.0023 measured on the one-point sphere r = 2)
-    u = np.full((3, 1), 2.0)
-    ests = [spectral_step(u, 0.0, dt, 1.0, 1)[3] for dt in (5e-3, 2.5e-3, 1.25e-3)]
+    x = (2.0, 2.0, 2.0)
+    ests = [_point_step(x, dt, _point_rhs(x))[1] for dt in (5e-3, 2.5e-3, 1.25e-3)]
     for e0, e1 in zip(ests, ests[1:]):
         assert abs(np.log2(e0 / e1) - 3.0) <= 0.05
 
@@ -544,22 +588,38 @@ def test_block_summary_raises_for_an_unresolvable_state():
 # --- evolve ------------------------------------------------------------------
 
 
-RK4_STEP = flow.rk4_step
+#: flow's steps and right-hand sides as imported, before any test patches them.
+ORIGINAL = {f.__name__: f for f in (rk4_step, _point_step, _flow_rhs, _point_rhs)}
+
+# evolve's two kernels: the step and the right-hand side a test patches on
+# each, the position of dt among the step's arguments, and data that take it.
+KERNELS = {
+    "point": ("_point_step", "_point_rhs", 1, sphere(2.0).build(PeriodicGrid(16))),
+    "grid": ("rk4_step", "_flow_rhs", 2, get_preset("fig-a").build(PeriodicGrid(16))),
+}
 
 
-def _reject_after(monkeypatch, steps, rejections=math.inf):
-    """Make the step attempts after the first `steps` fail, the next
-    `rejections` of them (all by default); returns the dt of every attempt."""
+def _reject_after(monkeypatch, steps, rejections=math.inf, kernel="grid"):
+    """Make the attempts of the kernel's step after the first `steps` fail,
+    the next `rejections` of them (all by default); returns the dt of every
+    attempt."""
+    name, _, dt_arg, _ = KERNELS[kernel]
+    real = ORIGINAL[name]
     attempts = []
 
-    def rk4_step(x, log_lam, dt, *args):
-        attempts.append(dt)
+    def step(*args):
+        attempts.append(args[dt_arg])
         if steps < len(attempts) <= steps + rejections:
             raise StepRejected("forced")
-        return RK4_STEP(x, log_lam, dt, *args)
+        return real(*args)
 
-    monkeypatch.setattr(flow, "rk4_step", rk4_step)
+    monkeypatch.setattr(flow, name, step)
     return attempts
+
+
+def _initial_neck_resolution(st):
+    """a_min / (phi dz) of st's radii after the rfft and jet evolve takes."""
+    return float(jet_of(stacked(st), st.phi)[0, 0].min() / (st.phi * st.grid.dz))
 
 
 @pytest.mark.parametrize(
@@ -658,34 +718,38 @@ def test_evolve_takes_no_transform_on_z_constant_data(monkeypatch):
     assert len(calls) > 0
 
 
-# Operation counts, which do not drift with the host's speed. A step takes 4
-# right-hand sides and 17 FFT calls: the first stage's W pair and rfft, three
-# more stages of one jet irfft, a W pair and an rfft each, the new state's
-# jet and the error estimate's irfft; a run adds the initial radii's rfft and
-# jet. z-constant data on their one point take no transform.
+# Operation counts, which do not drift with the host's speed. A grid step
+# takes 4 right-hand sides and 17 FFT calls: the first stage's W pair and
+# rfft, three more stages of one jet irfft, a W pair and an rfft each, the
+# new state's jet and the error estimate's irfft; a run adds the initial
+# radii's rfft and jet. z-constant data step on the point kernel, 4 of its
+# right-hand sides a step and no transform.
 COUNT_CASES = {
-    "fig-a-64": (get_preset("fig-a"), 64, FlowConfig(), 341, (17, 2)),
-    "fig-a-256": (get_preset("fig-a"), 256, FlowConfig(), 342, (17, 2)),
-    "sphere-64": (sphere(2.0), 64, FlowConfig(cfl_safety=0.05, a_min_stop=0.01), 878, (0, 0)),
+    "fig-a-64": (get_preset("fig-a"), 64, FlowConfig(), 341, "grid", (17, 2)),
+    "fig-a-256": (get_preset("fig-a"), 256, FlowConfig(), 342, "grid", (17, 2)),
+    "sphere-64": (
+        sphere(2.0), 64, FlowConfig(cfl_safety=0.05, a_min_stop=0.01), 878, "point", (0, 0)
+    ),
 }
 
 
 @pytest.mark.parametrize("case", COUNT_CASES)
 def test_evolve_operation_counts(monkeypatch, case):
-    preset, n, cfg, steps, (ffts_per_step, ffts_at_start) = COUNT_CASES[case]
+    preset, n, cfg, steps, kernel, (ffts_per_step, ffts_at_start) = COUNT_CASES[case]
     ffts = _count_fft_calls(monkeypatch)
-    rhs_calls = []
+    calls = dict.fromkeys(ORIGINAL, 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=ORIGINAL[name]):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counted_rhs(*args):
-        rhs_calls.append(None)
-        return _flow_rhs(*args)
-
-    monkeypatch.setattr(flow, "_flow_rhs", counted_rhs)
+        monkeypatch.setattr(flow, name, counted)
     traj, _ = evolve(preset.build(PeriodicGrid(n)), cfg)
     assert traj.stop_reason == STOP_AMIN
     assert (traj.run_stats.steps, traj.run_stats.rejected) == (steps, 0)
     assert len(ffts) == ffts_per_step * steps + ffts_at_start
-    assert len(rhs_calls) == 4 * steps
+    step_name, rhs_name, _, _ = KERNELS[kernel]
+    assert calls == {**dict.fromkeys(calls, 0), step_name: steps, rhs_name: 4 * steps}
 
 
 def test_evolve_strided_z_constant_run_to_t_max():
@@ -763,33 +827,39 @@ def test_evolve_respects_t_max():
 
 
 def test_evolve_halves_rejected_steps(monkeypatch):
-    # the fourth step is rejected twice and accepted at a quarter of its dt
-    attempts = _reject_after(monkeypatch, 3, rejections=2)
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5)
-    traj, _ = evolve(st, FlowConfig(a_min_stop=0.35))
-    assert traj.stop_reason == STOP_AMIN
-    assert traj.samples[-1].a_min < 0.35
-    assert traj.run_stats.rejected == 2
-    assert attempts[4:6] == [attempts[3] / 2.0, attempts[3] / 4.0]
-    assert traj.samples[4].dt == attempts[5]
+    # on either kernel the fourth step is rejected twice and accepted at a
+    # quarter of its dt
+    cases = {"point": metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5),
+             "grid": KERNELS["grid"][3]}
+    for kernel, st in cases.items():
+        with monkeypatch.context() as patch:
+            attempts = _reject_after(patch, 3, rejections=2, kernel=kernel)
+            traj, _ = evolve(st, FlowConfig(a_min_stop=0.35))
+        assert traj.stop_reason == STOP_AMIN
+        assert traj.samples[-1].a_min < 0.35
+        assert traj.run_stats.rejected == 2
+        assert attempts[4:6] == [attempts[3] / 2.0, attempts[3] / 4.0]
+        assert traj.samples[4].dt == attempts[5]
 
 
 def test_evolve_names_exhausted_halvings(monkeypatch):
-    # finite data whose step is rejected at every halving
-    attempts = _reject_after(monkeypatch, 0)
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
-    traj, report = evolve(st, FlowConfig())
-    assert traj.stop_reason == STOP_HALVINGS == "step_halvings_exhausted"
-    assert attempts == [attempts[0] / 2.0**k for k in range(MAX_STEP_HALVINGS + 1)]
-    assert len(traj.samples) == 1
-    assert len(traj.snapshots) == 1 and traj.snapshots[0] is st
-    assert report is None
-    assert asdict(traj.run_stats) == {
-        "steps": 0,
-        "rejected": MAX_STEP_HALVINGS + 1,
-        "capped": 0,
-        "neck_resolution": 2.0 / st.grid.dz,
-    }
+    # finite data whose step is rejected at every halving, on either kernel
+    for kernel, (*_, st) in KERNELS.items():
+        with monkeypatch.context() as patch:
+            attempts = _reject_after(patch, 0, kernel=kernel)
+            traj, report = evolve(st, FlowConfig())
+        assert traj.stop_reason == STOP_HALVINGS == "step_halvings_exhausted"
+        assert attempts == [attempts[0] / 2.0**k for k in range(MAX_STEP_HALVINGS + 1)]
+        assert len(traj.samples) == 1
+        assert len(traj.snapshots) == 1 and traj.snapshots[0] is st
+        assert report is None
+        assert asdict(traj.run_stats) == {
+            "steps": 0,
+            "rejected": MAX_STEP_HALVINGS + 1,
+            "capped": 0,
+            "neck_resolution": _initial_neck_resolution(st),
+        }
+    assert _initial_neck_resolution(KERNELS["point"][3]) == 2.0 / PeriodicGrid(16).dz
 
 
 def test_evolve_counts_steps():
@@ -801,34 +871,41 @@ def test_evolve_counts_steps():
 
 
 def test_evolve_stops_when_the_first_stage_is_not_finite(monkeypatch):
-    # dt does not enter k1, so a first stage that fails is not halved
-    calls = []
-    real = flow._flow_rhs
+    # dt does not enter k1, so a first stage that fails is not halved, on
+    # either kernel
+    for _, rhs_name, _, st in KERNELS.values():
+        calls = []
+        real = ORIGINAL[rhs_name]
 
-    def flow_rhs(*args):
-        calls.append(len(calls))
-        if len(calls) > 4 * 3:
-            raise StepRejected("non-finite flow derivatives")
-        return real(*args)
+        def flow_rhs(*args):
+            calls.append(len(calls))
+            if len(calls) > 4 * 3:
+                raise StepRejected("non-finite flow derivatives")
+            return real(*args)
 
-    monkeypatch.setattr(flow, "_flow_rhs", flow_rhs)
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
-    traj, _ = evolve(st, FlowConfig())
-    assert traj.stop_reason == STOP_HALVINGS
-    assert traj.run_stats.steps == 3
-    assert traj.run_stats.rejected == MAX_STEP_HALVINGS + 1
-    assert len(traj.samples) == 4
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, rhs_name, flow_rhs)
+            traj, _ = evolve(st, FlowConfig())
+        assert traj.stop_reason == STOP_HALVINGS
+        assert traj.run_stats.steps == 3
+        assert traj.run_stats.rejected == MAX_STEP_HALVINGS + 1
+        assert len(traj.samples) == 4
 
 
 def test_evolve_steps_a_stationary_state_to_t_max(monkeypatch):
-    # r = 0 would divide by zero in the first dt, cfl / (18 r); a state that
-    # does not move takes one step to the time cap
-    monkeypatch.setattr(flow, "_flow_rhs", lambda zj, phi: (np.zeros_like(zj[0]), 0.0, None))
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
-    traj, _ = evolve(st, FlowConfig(t_max=5.0))
-    assert traj.stop_reason == STOP_TMAX
-    assert traj.run_stats.steps == 1
-    assert traj.ts.tolist() == [0.0, 5.0]
+    # r = 0 would divide by zero in the first dt, cfl / (18 r); a state whose
+    # right-hand side is 0 takes one step to the time cap, on either kernel
+    zero_rhs = {
+        "_point_rhs": lambda x: (0.0, 0.0, 0.0),
+        "_flow_rhs": lambda zj, phi: (np.zeros_like(zj[0]), 0.0, np.zeros_like(zj[0, 0])),
+    }
+    for _, rhs_name, _, st in KERNELS.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, rhs_name, zero_rhs[rhs_name])
+            traj, _ = evolve(st, FlowConfig(t_max=5.0))
+        assert traj.stop_reason == STOP_TMAX
+        assert traj.run_stats.steps == 1
+        assert traj.ts.tolist() == [0.0, 5.0]
 
 
 def test_trajectory_rows_and_columns():
@@ -935,14 +1012,14 @@ def test_trajectory_bytes_per_sample(capfd):
 def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_lam, error):
     # exp(710) overflows and exp(-746) underflows to 0 although the stepped
     # log lambda itself is finite
+    # (the point kernel carries no lambda: z-constant data keep lambda = 1)
     def rk4_step(*args):
-        u1, zj1, _, est = RK4_STEP(*args)
+        u1, zj1, _, est = ORIGINAL["rk4_step"](*args)
         return u1, zj1, log_lam, est
 
     monkeypatch.setattr(flow, "rk4_step", rk4_step)
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 2.0, 2.0, 2.0)
     with pytest.raises(error):
-        evolve(st, FlowConfig())
+        evolve(KERNELS["grid"][3], FlowConfig())
 
 
 def test_evolve_ordering_slack_on_neck_data():

@@ -193,11 +193,17 @@ def test_dz_values_stacked_rows_bitwise(lead):
     np.array([[1.5 - 2.0j], [-2.5 + 0.5j], [3.5 + 1e-300j]]),
 ], ids=["real", "complex"])
 def test_z_jet_on_one_point_is_the_real_part_and_zeros(u, phi):
-    # on one point S = (1, 0, 0): no product or division by phi, at any phi
-    jet = z_jet(u, 1, phi)
-    assert jet.shape == (3, 3, 1) and jet.dtype == np.float64
-    assert jet[0].tobytes() == u.real.tobytes()
-    assert jet[1:].tobytes() == np.zeros((2, 3, 1)).tobytes()
+    # the rfft of z-constant rows holds their one point's value, times n, in
+    # the mean mode alone: on a power of two n the irfft divides it by n
+    # exactly and drops its imaginary part, and S's rows 1 and 2 vanish there
+    # (zeros of either sign), at any phi
+    n = 16
+    spectrum = np.zeros((3, n // 2 + 1), complex)
+    spectrum[:, :1] = n * u
+    jet = z_jet(spectrum, n, phi)
+    assert jet.shape == (3, 3, n) and jet.dtype == np.float64
+    assert jet[0].tobytes() == np.repeat(u.real, n, axis=1).tobytes()
+    assert not jet[1:].any()
 
 
 @pytest.mark.parametrize("n", [8, 16, 64, 1024, 2**16])
