@@ -24,7 +24,6 @@ from .flow import (
 )
 from .monitors import (
     MonitorReport,
-    TheoremConstants,
     TypeIReport,
     amin_bound_monitor,
     cmax_bound_monitor,

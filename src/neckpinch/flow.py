@@ -192,16 +192,16 @@ class Trajectory:
     """Recorded summaries, full snapshots, the stop condition and the run
     counters.
 
-    snapshots holds the first state and, when the run advanced, the final
-    one. samples holds the summaries, one record of SUMMARY_DTYPE per
-    sample, as one read-only recarray; samples[k].a_min reads one field of
-    one sample. series(name) and ts are read-only views of one field, not
-    copies.
+    snapshots holds the first state, which every trajectory has, and, when
+    the run advanced, the final one. samples holds the summaries, one record
+    of SUMMARY_DTYPE per sample, as one read-only recarray; samples[k].a_min
+    reads one field of one sample. series(name) and ts are read-only views
+    of one field, not copies.
     """
 
     grid: PeriodicGrid
     samples: np.recarray
-    snapshots: list[MetricState] = dc_field(default_factory=list)
+    snapshots: list[MetricState]
     stop_reason: str = ""
     run_stats: RunStats = dc_field(default_factory=RunStats)
 
@@ -209,6 +209,8 @@ class Trajectory:
         s = self.samples
         if s.dtype != SUMMARY_DTYPE or s.ndim != 1:
             raise ValueError(f"expected 1-d SUMMARY_DTYPE samples, got {s.dtype} {s.shape}")
+        if not self.snapshots:
+            raise ValueError("a trajectory needs its initial state in snapshots")
         self.samples = s.view(np.recarray)
         self.samples.setflags(write=False)
 
@@ -562,51 +564,55 @@ def evolve(
     tol = 5e-7 * (cfg.cfl_safety / 0.2) ** 3 * float(x0.max())
     last_dt = 0.0
     est = None
-    while True:
-        if a_min(state) < cfg.a_min_stop:
-            stop = STOP_AMIN
-            break
-        if t >= cfg.t_max:
-            stop = STOP_TMAX
-            break
-
-        try:
-            first, rate = first_stage(state)
-        except StepRejected:
-            # dt does not enter the first stage, so no halving can mend it.
-            stats.rejected += MAX_STEP_HALVINGS + 1
-            stop = STOP_HALVINGS
-            break
-        # The smallest normal float keeps a stationary state off 1/0.
-        rate = max(rate, sys.float_info.min)
-        if est is None:
-            dt = cfg.cfl_safety / (18.0 * rate)
-        else:
-            # An estimate of 0 takes the largest growth, as tol / 0+ would.
-            gain = 0.9 * (tol / max(est, sys.float_info.min)) ** (1.0 / 3.0)
-            dt = last_dt * min(max(gain, 0.2), 2.0)
-        dt = min(dt, cfg.t_max - t)
-        cap = cfg.cfl_safety / (4.0 * rate)
-        capped = cap < dt
-        if capped:
-            dt = cap
-        for _ in range(MAX_STEP_HALVINGS + 1):
-            try:
-                state, est = step(state, dt, first)
+    # A rejected stage may overflow or divide by zero on its way to the
+    # finiteness check that rejects it: NumPy stays silent, as the point
+    # kernel is, and the summaries check their own finiteness.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            if a_min(state) < cfg.a_min_stop:
+                stop = STOP_AMIN
                 break
-            except StepRejected:
-                stats.rejected += 1
-                dt *= 0.5
-        else:
-            stop = STOP_HALVINGS
-            break
+            if t >= cfg.t_max:
+                stop = STOP_TMAX
+                break
 
-        t += dt
-        stats.steps += 1
-        stats.capped += capped
-        last_dt = dt
-        if stats.steps % cfg.monitor_stride == 0:
-            record(t, dt)
+            try:
+                first, rate = first_stage(state)
+            except StepRejected:
+                # dt does not enter the first stage, so no halving can mend it.
+                stats.rejected += MAX_STEP_HALVINGS + 1
+                stop = STOP_HALVINGS
+                break
+            # The smallest normal float keeps a stationary state off 1/0.
+            rate = max(rate, sys.float_info.min)
+            if est is None:
+                dt = cfg.cfl_safety / (18.0 * rate)
+            else:
+                # An estimate of 0 takes the largest growth, as tol / 0+ would.
+                gain = 0.9 * (tol / max(est, sys.float_info.min)) ** (1.0 / 3.0)
+                dt = last_dt * min(max(gain, 0.2), 2.0)
+            dt = min(dt, cfg.t_max - t)
+            cap = cfg.cfl_safety / (4.0 * rate)
+            capped = cap < dt
+            if capped:
+                dt = cap
+            for _ in range(MAX_STEP_HALVINGS + 1):
+                try:
+                    state, est = step(state, dt, first)
+                    break
+                except StepRejected:
+                    stats.rejected += 1
+                    dt *= 0.5
+            else:
+                stop = STOP_HALVINGS
+                break
+
+            t += dt
+            stats.steps += 1
+            stats.capped += capped
+            last_dt = dt
+            if stats.steps % cfg.monitor_stride == 0:
+                record(t, dt)
 
     if stats.steps % cfg.monitor_stride:
         record(t, last_dt)

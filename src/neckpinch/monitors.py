@@ -10,8 +10,9 @@ margins included, located where it occurred, and it passes when that margin
 is >= -tol. All but scalar_min claim their bound only for data ordered
 a <= b <= c at the first sample (a_min is the pinching radius only then)
 and report precondition-violated otherwise. The K_0i evolution residuals,
-all three rows from one evaluation, record a discretization defect and
-type1_classifier gives a verdict, so both keep their own rules.
+each a row of one evaluation at the first snapshot, record a
+discretization defect and type1_classifier gives a verdict, so both keep
+their own rules.
 
 Every monitor has one signature, fn(traj, report, tol) -> MonitorReport: the
 trajectory, the singular-time fit (None when no singularity was detected) and
@@ -28,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .curvature import Y, Z
 from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, _line_fit
-from .grid import STENCIL_ORDER, arclength_jet, z_jet
+from .grid import STENCIL_ORDER, MetricState, arclength_jet, z_jet
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
 # sup|a'| <= 280 sqrt(3)/9, sup|b'| <= 4 sqrt(57)/3, sup|c'| <= 10 sqrt(93)/9
@@ -72,26 +73,6 @@ class MonitorReport:
 
 
 @dataclass(frozen=True)
-class TheoremConstants:
-    """Explicit constants controlled by lam = initial max of c/a."""
-
-    lam: float
-    lambda0: float
-    d_lower: float
-    frak_c: float
-    deriv_bounds: tuple[float, float, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "lambda0": self.lambda0,
-            "d_lower": self.d_lower,
-            "frak_c": self.frak_c,
-            "deriv_bounds": list(self.deriv_bounds),
-        }
-
-
-@dataclass(frozen=True)
 class TypeIReport:
     sup_tml_rm: float
     ratio_band: tuple[float, float] = (math.nan, math.nan)
@@ -99,29 +80,27 @@ class TypeIReport:
     trend_slope: float | None = None
 
 
-def constants(lam: float) -> TheoremConstants:
-    """lambda0 = min(3, 4 lam^2 - lam^4), D = (2/3) lambda0 / lam^(14/3),
-    frak_c = sqrt(16/3 + 4 lam^2)."""
+def constants(lam: float) -> dict:
+    """The explicit constants controlled by lam = initial max of c/a, as
+    summary.json's theorem_constants: lambda0 = min(3, 4 lam^2 - lam^4),
+    D = (2/3) lambda0 / lam^(14/3) (d_lower), frak_c = sqrt(16/3 + 4 lam^2)
+    and the three universal derivative bounds."""
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
     lambda0 = min(3.0, 4.0 * lam**2 - lam**4)
-    d_lower = (2.0 / 3.0) * lambda0 / lam ** (14.0 / 3.0)
-    frak_c = math.sqrt(16.0 / 3.0 + 4.0 * lam**2)
-    return TheoremConstants(
-        lam=lam,
-        lambda0=lambda0,
-        d_lower=d_lower,
-        frak_c=frak_c,
-        deriv_bounds=(DERIV_BOUND_A, DERIV_BOUND_B, DERIV_BOUND_C),
-    )
+    return {
+        "lambda": lam,
+        "lambda0": lambda0,
+        "d_lower": (2.0 / 3.0) * lambda0 / lam ** (14.0 / 3.0),
+        "frak_c": math.sqrt(16.0 / 3.0 + 4.0 * lam**2),
+        "deriv_bounds": [DERIV_BOUND_A, DERIV_BOUND_B, DERIV_BOUND_C],
+    }
 
 
 def tolerance(traj: Trajectory) -> float:
     """Grid slack dz^4 + MESH_SLACK * (phi_bar dz)^2, 4 the stencil order and
-    phi_bar dz the arclength cell of the first snapshot (phi_bar = 1 for a
-    trajectory without snapshots)."""
-    phi_bar = traj.snapshots[0].phi if traj.snapshots else 1.0
-    mesh = phi_bar * traj.grid.dz
+    phi_bar dz the arclength cell of the first snapshot."""
+    mesh = traj.snapshots[0].phi * traj.grid.dz
     return traj.grid.dz**STENCIL_ORDER + MESH_SLACK * mesh * mesh
 
 
@@ -196,7 +175,7 @@ def _lower_bound_constant(traj: Trajectory) -> float | None:
     regime: max(c/a) < 2 with initial min S >= 0."""
     lam = _first(traj, "ratio_max")
     if lam < 2.0 and _first(traj, "s_min") >= 0.0:
-        return constants(max(lam, 1.0)).d_lower
+        return constants(max(lam, 1.0))["d_lower"]
     return None
 
 
@@ -338,7 +317,7 @@ def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
 
     d_lower = _lower_bound_constant(traj)
     lower_edge = 0.0
-    if d_lower is not None and d_lower > 0.0:
+    if d_lower is not None:
         lower_edge = math.sqrt(d_lower) * (1.0 - TYPE1_BAND_SLACK)
     upper_edge = 2.0 * (1.0 + TYPE1_BAND_SLACK)
 
@@ -421,29 +400,22 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=1)
-def _k0i_defects(traj: Trajectory) -> np.ndarray:
+def _k0i_defects(state: MetricState) -> np.ndarray:
     """|dt K_0i - its evolution RHS| stacked (3, n), all three rows from one
-    evaluation at the first snapshot of traj, which must have one; read-only.
+    evaluation at one state.
 
     dt K_0i comes from the flow's own time derivative: with (dx, c, W) =
     flow._flow_rhs and K = -x''/x, the chain rule gives dt K = (x'' dx / x -
     dx'' + 2 c x'') / x, where the 2 c x'' is the drift of phi = lambda
     phi_bar in the arclength derivative. Both sides read the radii and their
-    primes from the state's grid.arclength_jet and share that one W. The last
-    trajectory's defects are kept: a Trajectory hashes by identity, and
-    nothing replaces its first snapshot, so the three evolution_residual
-    monitors of one run share one evaluation.
+    primes from the state's grid.arclength_jet and share that one W.
     """
-    state = traj.snapshots[0]
     phi, n = state.phi, state.grid.n
     x, _, xpp = zj = arclength_jet(state)
     dx, c, w = _flow_rhs(zj, phi)
     dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
-    defects = np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))
-    defects.setflags(write=False)
-    return defects
+    return np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))
 
 
 def evolution_residual(
@@ -451,6 +423,7 @@ def evolution_residual(
 ) -> MonitorReport:
     """Max-norm defect between dt K_0i and its evolution RHS at the first
     snapshot (see _k0i_defects), for K_0i the row `which` of (k01, k02, k03).
+    Each call evaluates all three rows and reads its own; nothing is kept.
 
     Both sides are semi-discrete, so the defect is the spatial error alone
     and falls at the stencil order under dz halving. The margin is minus the
@@ -460,15 +433,14 @@ def evolution_residual(
     rows = ("k01", "k02", "k03")
     if which not in rows:
         raise ValueError(f"which must be one of k01, k02, k03, got {which!r}")
-    if not traj.snapshots:
-        return _not_applicable("need a snapshot for the residual check")
-    defect = _k0i_defects(traj)[rows.index(which)]
+    state = traj.snapshots[0]
+    defect = _k0i_defects(state)[rows.index(which)]
     idx = int(np.argmax(defect))
     residual = float(defect[idx])
     return MonitorReport(
         passed=math.isfinite(residual),
         worst_margin=-residual,
-        worst_location=(float(traj.snapshots[0].t), idx),
+        worst_location=(float(state.t), idx),
         notes=f"residual_max={residual:.6e}",
     )
 

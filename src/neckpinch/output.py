@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .flow import SingularityReport, Trajectory
-from .monitors import MonitorReport, TheoremConstants, TypeIReport
+from .monitors import MonitorReport, TypeIReport
 
 _CSV_FIELDS = (
     "t", "dt", "a_min", "b_min", "c_max", "ratio_max", "ecc_bc", "ecc_ac", "s_min", "rm_max"
@@ -43,7 +43,7 @@ def write_summary(
     report: SingularityReport | None,
     monitor_reports: dict[str, MonitorReport],
     type1: TypeIReport | None,
-    theorem_constants: TheoremConstants | None,
+    theorem_constants: dict | None,
     config_echo: dict,
     path: str | Path,
 ) -> None:
@@ -62,7 +62,7 @@ def write_summary(
         "run_stats": asdict(traj.run_stats),
         "monitors": {name: asdict(rep) for name, rep in monitor_reports.items()},
         "type1": asdict(type1) if type1 else None,
-        "theorem_constants": theorem_constants.as_dict() if theorem_constants else None,
+        "theorem_constants": theorem_constants,
     }
     doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neckpinch.flow import SUMMARY_DTYPE, Trajectory
-from neckpinch.grid import PeriodicGrid
+from neckpinch.grid import PeriodicGrid, metric_state
 
 
 def pytest_runtest_logreport(report):
@@ -40,7 +40,9 @@ def make_trajectory(
     stop_reason="a_min_reached",
 ) -> Trajectory:
     """Assemble a Trajectory from plain series; unspecified columns default to
-    a round, ordered, flat-derivative profile consistent with a_min."""
+    a round, ordered, flat-derivative profile consistent with a_min. Its
+    initial state, the one snapshot, is the round unit fiber under phi = 1
+    at the first t."""
     ts = np.asarray(ts, dtype=float)
     a_min = np.asarray(a_min, dtype=float)
     n = ts.size
@@ -70,7 +72,9 @@ def make_trajectory(
     samples = np.zeros(n, SUMMARY_DTYPE)
     for name, column in columns.items():
         samples[name] = column
-    return Trajectory(grid=PeriodicGrid(grid_n), samples=samples, stop_reason=stop_reason)
+    grid = PeriodicGrid(grid_n)
+    initial = metric_state(grid, ts[0], 1.0, 1.0, 1.0, 1.0)
+    return Trajectory(grid, samples, [initial], stop_reason=stop_reason)
 
 
 @pytest.fixture

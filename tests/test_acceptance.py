@@ -192,7 +192,7 @@ def test_criterion_6_lower_bound_regime(mild_128):
     assert lam == pytest.approx(1.2, abs=1e-12)
     assert traj.samples[0].s_min >= 0.0
 
-    d_lower = constants(1.2).d_lower
+    d_lower = constants(1.2)["d_lower"]
     tol = tolerance(traj)
     ts = traj.ts
     margin = traj.series("a_min") ** 2 - d_lower * (report.t_estimate - ts)
@@ -243,9 +243,9 @@ def test_criterion_8_evolution_residual_refinement():
 
 def test_criterion_9_constants_unit_checks():
     c = constants(1.0)
-    assert c.lambda0 == pytest.approx(3.0, abs=1e-14)
-    assert c.d_lower == pytest.approx(2.0, abs=1e-14)
-    assert c.frak_c == pytest.approx(math.sqrt(28.0 / 3.0), rel=1e-14)
+    assert c["lambda0"] == pytest.approx(3.0, abs=1e-14)
+    assert c["d_lower"] == pytest.approx(2.0, abs=1e-14)
+    assert c["frak_c"] == pytest.approx(math.sqrt(28.0 / 3.0), rel=1e-14)
     assert abs(DERIV_BOUND_A - 280.0 * math.sqrt(3.0) / 9.0) <= 1e-12
     assert abs(DERIV_BOUND_B - 4.0 * math.sqrt(57.0) / 3.0) <= 1e-12
     assert abs(DERIV_BOUND_C - 10.0 * math.sqrt(93.0) / 9.0) <= 1e-12

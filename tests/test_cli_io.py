@@ -891,6 +891,30 @@ SPHERE_64_SERIES_SHA256 = "672ca3e3520c62e119f5cf1f5a3f64f82fdd7f14728613de3a44c
 BIAXIAL_64_SERIES_SHA256 = "c601556914cbdce193e9d34fa3728d35952b234e81a4702d84163adf1bcf990c"
 
 
+# The benchmark's two-neck-sampled case (fig-b n=64, a summary every 2nd
+# step, all 11 monitors): the sha256 of its summary.json verdict block, the
+# monitors, type1 and theorem_constants objects as canonical JSON (sorted
+# keys, no whitespace).
+TWO_NECK_64_VERDICT_SHA256 = "6e4b1a359ad2a196a63c511d42aba591f4c66fb16fcc568dcbcdcc886a5be331"
+
+
+def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
+    cfg = {
+        "preset": "fig-b",
+        "grid_n": 64,
+        "flow": {"monitor_stride": 2},
+        "monitors_enabled": list(MONITORS),
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    verdict = {key: doc[key] for key in ("monitors", "type1", "theorem_constants")}
+    canonical = json.dumps(verdict, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == TWO_NECK_64_VERDICT_SHA256
+
+
 def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(

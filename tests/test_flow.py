@@ -862,6 +862,24 @@ def test_evolve_names_exhausted_halvings(monkeypatch):
     assert _initial_neck_resolution(KERNELS["point"][3]) == 2.0 / PeriodicGrid(16).dz
 
 
+def test_evolve_rejects_overflowing_grid_stages_without_a_warning(monkeypatch):
+    # Every stage after the first is scaled into overflow, so each of the
+    # 21 attempts of the first step is rejected by the finiteness check;
+    # NumPy's RuntimeWarning on the way there would be an error here, under
+    # the suite's filterwarnings, as it would print on a run's stderr.
+    calls = []
+
+    def flow_rhs(zj, phi):
+        calls.append(None)
+        return _flow_rhs(zj if len(calls) == 1 else zj * 1e200, phi)
+
+    monkeypatch.setattr(flow, "_flow_rhs", flow_rhs)
+    traj, _ = evolve(get_preset("fig-a").build(PeriodicGrid(32)), FlowConfig())
+    assert traj.stop_reason == STOP_HALVINGS
+    assert traj.run_stats.rejected == MAX_STEP_HALVINGS + 1 == 21
+    assert traj.run_stats.steps == 0
+
+
 def test_evolve_counts_steps():
     st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
     traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
@@ -913,7 +931,8 @@ def test_trajectory_rows_and_columns():
     for k, name in enumerate(SUMMARY_DTYPE.names):
         block[name] = [3 * k, 3 * k + 1, 3 * k + 2]
     grid = PeriodicGrid(32)
-    traj = Trajectory(grid=grid, samples=block)
+    initial = metric_state(grid, 0.0, 1.0, 1.0, 1.0, 1.0)
+    traj = Trajectory(grid, block, [initial])
     samples = traj.samples
     assert isinstance(samples, np.recarray) and samples.dtype == SUMMARY_DTYPE
     assert len(samples) == 3
@@ -934,9 +953,14 @@ def test_trajectory_rows_and_columns():
     with pytest.raises(IndexError):
         traj.samples[3]
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
-        Trajectory(grid=grid, samples=block[["t", "dt"]])
+        Trajectory(grid, block[["t", "dt"]], [initial])
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
-        Trajectory(grid=grid, samples=block.reshape(3, 1))
+        Trajectory(grid, block.reshape(3, 1), [initial])
+    # every trajectory carries its initial state
+    with pytest.raises(ValueError, match="initial state"):
+        Trajectory(grid, block, [])
+    with pytest.raises(TypeError, match="snapshots"):
+        Trajectory(grid=grid, samples=block)
 
 
 class _MallInfo2(ctypes.Structure):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -45,17 +47,17 @@ def sphere_run():
 
 def test_constants_at_one():
     c = constants(1.0)
-    assert c.lambda0 == pytest.approx(3.0)
-    assert c.d_lower == pytest.approx(2.0)
-    assert c.frak_c == pytest.approx(3.0550504633038935, rel=1e-14)
+    assert c["lambda0"] == pytest.approx(3.0)
+    assert c["d_lower"] == pytest.approx(2.0)
+    assert c["frak_c"] == pytest.approx(3.0550504633038935, rel=1e-14)
 
 
 def test_constants_lambda0_saturates():
-    assert constants(1.5).lambda0 == pytest.approx(3.0)  # 4(2.25) - 5.0625 = 3.9375 > 3
+    assert constants(1.5)["lambda0"] == pytest.approx(3.0)  # 4(2.25) - 5.0625 = 3.9375 > 3
 
 
 def test_constants_near_two():
-    assert constants(1.9).lambda0 == pytest.approx(1.4079, abs=1e-10)
+    assert constants(1.9)["lambda0"] == pytest.approx(1.4079, abs=1e-10)
 
 
 def test_constants_rejects_below_one():
@@ -66,8 +68,8 @@ def test_constants_rejects_below_one():
 def test_constants_properties_on_unit_interval():
     for lam in np.linspace(1.0, 1.999, 40):
         c = constants(float(lam))
-        assert 0.0 < c.lambda0 <= 3.0
-        assert c.d_lower > 0.0
+        assert 0.0 < c["lambda0"] <= 3.0
+        assert c["d_lower"] > 0.0
 
 
 def test_derivative_bound_constants_to_twelve_digits():
@@ -522,13 +524,6 @@ def test_evolution_residual_round_sphere(sphere_run):
     assert abs(rep.worst_margin) <= 1e-12
 
 
-def test_evolution_residual_needs_snapshots():
-    ts = np.linspace(0, 1, 30)
-    traj = make_trajectory(ts, 2.0 - ts)
-    rep = evolution_residual(traj, None, tolerance(traj), "k01")
-    assert rep.passed is None
-
-
 def test_evolution_residual_rejects_an_unknown_row():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts)
@@ -537,9 +532,9 @@ def test_evolution_residual_rejects_an_unknown_row():
 
 
 def residual_alone(traj, row):
-    """One evolution residual evaluated on its own, as each monitor did before
-    the three shared one evaluation: its own jet, _flow_rhs computing its
-    own W, and W computed again for the evolution RHS. (-defect, index)."""
+    """One evolution residual evaluated apart from _k0i_defects: its own jet,
+    _flow_rhs computing its own W, and W computed again for the evolution
+    RHS. (-defect, index)."""
     state = traj.snapshots[0]
     phi, n = state.phi, state.grid.n
     zj = arclength_jet(state)
@@ -555,7 +550,7 @@ def residual_alone(traj, row):
 
 
 @pytest.mark.parametrize("preset", ["fig-a", "fig-b"])
-def test_evolution_residuals_share_one_evaluation(monkeypatch, preset):
+def test_evolution_residuals_evaluate_once_each(monkeypatch, preset):
     traj, _ = evolve(get_preset(preset).build(PeriodicGrid(64)), FlowConfig(t_max=0.0))
     calls = []
 
@@ -566,11 +561,23 @@ def test_evolution_residuals_share_one_evaluation(monkeypatch, preset):
     monkeypatch.setattr(monitors, "_flow_rhs", flow_rhs)
     names = ["evolution_residual_k01", "evolution_residual_k02", "evolution_residual_k03"]
     reports = run_monitors(traj, None, names)
-    assert len(calls) == 1
+    # each monitor evaluates all three rows once and keeps its own
+    assert len(calls) == 3
     for row, name in enumerate(names):
         margin, idx = residual_alone(traj, row)
         assert repr(reports[name].worst_margin) == repr(margin)
         assert reports[name].worst_location == (0.0, idx)
+
+
+def test_residual_monitors_keep_no_reference_to_a_finished_run():
+    traj, _ = evolve(get_preset("fig-b").build(PeriodicGrid(64)), FlowConfig())
+    names = ["evolution_residual_k01", "evolution_residual_k02", "evolution_residual_k03"]
+    reports = run_monitors(traj, None, names)
+    assert all(rep.passed for rep in reports.values())
+    ref = weakref.ref(traj)
+    del traj
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("preset", ["fig-a", "fig-c"])
