@@ -2,10 +2,7 @@
 
 from .grid import (
     DataError,
-    DegenerateFiberError,
-    GaugeDegeneracyError,
     MetricState,
-    NonFiniteFieldError,
     PeriodicGrid,
     metric_state,
 )

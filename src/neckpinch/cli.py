@@ -60,7 +60,12 @@ def _build_parser() -> _Parser:
     curv.add_argument("--out", help="write per-point CSV table here")
 
     conv = sub.add_parser("convergence", help="refinement study of measured orders")
-    conv.add_argument("--preset", default="fig-a")
+    conv.add_argument(
+        "--preset",
+        default="fig-a",
+        help="data of the curvature-oracle study; the z-derivative study uses sin z "
+        "and the cfl study the round sphere",
+    )
     return parser
 
 

@@ -10,8 +10,8 @@ import json
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
-from .flow import FlowConfig, is_number
-from .grid import DataError
+from .flow import FlowConfig
+from .grid import DataError, is_number
 from .monitors import DEFAULT_MONITORS, MONITORS
 from .presets import Preset, Profile, get_preset
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DegenerateFiberError, MetricState, NonFiniteFieldError, arclength_jet, z_jet
+from .grid import DataError, MetricState, arclength_jet, z_jet
 
 #: Radii below this are treated as a collapsed fiber: curvature ~ 1/a^2 would
 #: overflow silently rather than fail loudly.
@@ -43,11 +43,11 @@ def radii(state: MetricState) -> np.ndarray:
 
 
 def check_resolvable(x: np.ndarray) -> None:
-    """Raise DegenerateFiberError if any of the stacked radii x lies below
+    """Raise DataError if any of the stacked radii x lies below
     MIN_RADIUS."""
     smallest = x.min()
     if smallest < MIN_RADIUS:
-        raise DegenerateFiberError(
+        raise DataError(
             f"fiber radius {smallest:.3e} below resolvable floor {MIN_RADIUS:.0e}"
         )
 
@@ -104,7 +104,7 @@ def trace_invariants(k: np.ndarray) -> np.ndarray:
     """(scal, |Rm|^2) stacked (2, ..., n) from the six sectional curvature rows
     k, stacked (..., 6, n), by the trace identities scal = 2 sum K and
     |Rm|^2 = 2 sum K^2. A K^2 beyond the float range is inf, without a
-    warning: the callers check finiteness and raise NonFiniteFieldError."""
+    warning: the callers check finiteness and raise DataError."""
     with np.errstate(over="ignore"):
         return 2.0 * np.stack((k.sum(axis=-2), np.square(k).sum(axis=-2)))
 
@@ -124,7 +124,7 @@ def sectional_curvatures(state: MetricState) -> CurvatureField:
 
     curv = CurvatureField(*k, *khat, ric00, *ric, scal, rm_norm_sq)
     if not np.isfinite(curv).all():
-        raise NonFiniteFieldError("curvature is not finite everywhere")
+        raise DataError("curvature is not finite everywhere")
     return curv
 
 
@@ -160,5 +160,5 @@ def riemann_oracle(state: MetricState) -> np.ndarray:
     ]
     sectional = np.stack(k0 + kf)
     if not np.isfinite(sectional).all():
-        raise NonFiniteFieldError("oracle curvature is not finite everywhere")
+        raise DataError("oracle curvature is not finite everywhere")
     return sectional

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
@@ -60,11 +59,10 @@ import numpy as np
 
 from .grid import (
     DataError,
-    GaugeDegeneracyError,
     MetricState,
-    NonFiniteFieldError,
     PeriodicGrid,
     _jet_symbol,
+    is_number,
     metric_state,
     z_jet,
 )
@@ -107,14 +105,6 @@ MIN_FIT_SAMPLES = 10
 
 class StepRejected(RuntimeError):
     """A step left the positive cone; the caller should halve dt and retry."""
-
-
-def is_number(value) -> bool:
-    """A real number other than a bool, which JSON true/false would smuggle in,
-    and other than an integer too large for a float, which JSON allows."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -286,15 +276,15 @@ def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray
 def _gauge_scale(log_lam: float) -> float:
     """lambda = exp(log lambda), as a Python float.
 
-    Raises NonFiniteFieldError when it overflows and GaugeDegeneracyError
-    when it underflows to 0: the errors MetricState gives such a phi.
+    Raises DataError when it overflows or underflows to 0, as MetricState
+    does for such a phi.
     """
     try:
         lam = math.exp(log_lam)
     except OverflowError:
-        raise NonFiniteFieldError("gauge scale lambda overflowed") from None
+        raise DataError("gauge scale lambda overflowed") from None
     if lam == 0.0:
-        raise GaugeDegeneracyError("gauge scale lambda underflowed to 0")
+        raise DataError("gauge scale lambda underflowed to 0")
     return lam
 
 
@@ -441,7 +431,7 @@ def summarize_state(ts: Sequence[float], dts: Sequence[float], jets: np.ndarray)
     check_resolvable(x)
     scal, rm_norm_sq = curv = trace_invariants(sectional_rows(x, xp, xpp)[0])
     if not np.isfinite(curv).all():
-        raise NonFiniteFieldError("curvature is not finite everywhere")
+        raise DataError("curvature is not finite everywhere")
 
     # Rows in _MINIMA order, then rows in _MAXIMA order.
     a, b, c = x[:, 0], x[:, 1], x[:, 2]

@@ -13,6 +13,7 @@ phi, and the grid never moves while phi evolves.
 from __future__ import annotations
 
 import functools
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -23,16 +24,12 @@ class DataError(ValueError):
     """Input the package cannot run; any other exception is a bug."""
 
 
-class NonFiniteFieldError(DataError):
-    """A profile or curvature array contains NaN or infinite entries."""
-
-
-class GaugeDegeneracyError(DataError):
-    """The gauge phi is not strictly positive, or too large or small to square."""
-
-
-class DegenerateFiberError(DataError):
-    """A fiber radius is zero, negative, or below the resolvable floor."""
+def is_number(value) -> bool:
+    """A real number other than a bool, which JSON true/false would smuggle in,
+    and other than an integer too large for a float, which JSON allows."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 #: Order of the central-difference stencil whose symbols z_jet applies.
@@ -83,14 +80,14 @@ class MetricState:
             raise DataError("phi must be one number; a varying phi0 enters as a samples profile")
         object.__setattr__(self, "phi", float(self.phi))
         if not np.isfinite(self.phi):
-            raise NonFiniteFieldError("profile phi must be finite everywhere")
+            raise DataError("profile phi must be finite everywhere")
         if self.phi <= 0.0:
-            raise GaugeDegeneracyError("phi must be strictly positive")
+            raise DataError("phi must be strictly positive")
         # rk4_step squares phi as a float and divides the symbol by the square
         if self.phi < sys.float_info.min**0.5:
-            raise GaugeDegeneracyError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
+            raise DataError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
         if self.phi > sys.float_info.max**0.5:
-            raise GaugeDegeneracyError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
+            raise DataError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
         n = self.grid.n
         for name in ("a", "b", "c"):
             values = np.array(getattr(self, name), dtype=float)
@@ -101,9 +98,9 @@ class MetricState:
                     f"profile {name} has shape {values.shape}, grid needs ({n},)"
                 )
             if not np.isfinite(values).all():
-                raise NonFiniteFieldError(f"profile {name} must be finite everywhere")
+                raise DataError(f"profile {name} must be finite everywhere")
             if values.min() <= 0.0:
-                raise DegenerateFiberError(f"profile {name} must be strictly positive")
+                raise DataError(f"profile {name} must be strictly positive")
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 

@@ -80,13 +80,17 @@ class TypeIReport:
     trend_slope: float | None = None
 
 
-def constants(lam: float) -> dict:
+def constants(lam: float) -> dict | None:
     """The explicit constants controlled by lam = initial max of c/a, as
     summary.json's theorem_constants: lambda0 = min(3, 4 lam^2 - lam^4),
     D = (2/3) lambda0 / lam^(14/3) (d_lower), frak_c = sqrt(16/3 + 4 lam^2)
-    and the three universal derivative bounds."""
+    and the three universal derivative bounds. None for lam >= 2: the paper
+    claims them only for 1 <= lam < 2, and from lam = 2 on lambda0 and D
+    are not positive."""
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
+    if lam >= 2.0:
+        return None
     lambda0 = min(3.0, 4.0 * lam**2 - lam**4)
     return {
         "lambda": lam,

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import is_number
-from .grid import (DataError, DegenerateFiberError, GaugeDegeneracyError, MetricState,
-                   NonFiniteFieldError, PeriodicGrid, metric_state)
+from .grid import DataError, MetricState, PeriodicGrid, is_number, metric_state
 
 
 @dataclass(frozen=True)
@@ -118,12 +116,12 @@ def equal_arclength(
     each radius takes its trig interpolant's value there.
     """
     if not np.isfinite(phi).all():
-        raise NonFiniteFieldError("profile phi must be finite everywhere")
+        raise DataError("profile phi must be finite everywhere")
     if phi.min() <= 0.0:
-        raise GaugeDegeneracyError("phi must be strictly positive")
+        raise DataError("phi must be strictly positive")
     for name, row in zip("abc", x):
         if row.min() <= 0.0:
-            raise DegenerateFiberError(f"profile {name} must be strictly positive")
+            raise DataError(f"profile {name} must be strictly positive")
     # Rows f = phi, a, b, c as Re sum_k c_k e^{ikz}, the Nyquist term c cos(nz/2).
     coeffs = np.fft.rfft(np.vstack((phi, x))) / grid.n
     coeffs[:, 1:-1] *= 2.0
@@ -139,7 +137,7 @@ def equal_arclength(
         if np.max(np.abs(step)) <= 1e-13:
             break
     else:
-        raise GaugeDegeneracyError(
+        raise DataError(
             "no equal-arclength nodes for phi: Newton's method did not converge "
             "(the trig interpolant of phi may not be positive)"
         )

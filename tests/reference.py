@@ -25,7 +25,7 @@ import numpy as np
 
 from neckpinch.curvature import check_resolvable, radii
 from neckpinch.flow import _flow_rhs
-from neckpinch.grid import DegenerateFiberError, GaugeDegeneracyError, MetricState, arclength_jet
+from neckpinch.grid import DataError, MetricState, arclength_jet
 
 # ---------------------------------------------------------------------------
 # Direct-space stencil and arclength derivatives
@@ -46,7 +46,7 @@ def s_derivative(f: np.ndarray, phi: float, dz: float) -> np.ndarray:
     """Arclength derivative f' = (1/phi) df/dz of the (n,) array f under the
     uniform gauge phi."""
     if phi <= 0.0:
-        raise GaugeDegeneracyError("phi must be strictly positive")
+        raise DataError("phi must be strictly positive")
     return dz_stencil(f, dz) / phi
 
 
@@ -55,7 +55,7 @@ def s_second_derivative(f: np.ndarray, phi: float, dz: float) -> np.ndarray:
     under the uniform gauge phi, on the stencil, as grid.arclength_jet forms
     it from the stencil's Fourier symbols."""
     if phi <= 0.0:
-        raise GaugeDegeneracyError("phi must be strictly positive")
+        raise DataError("phi must be strictly positive")
     return dz_stencil(dz_stencil(f, dz), dz) / (phi * phi)
 
 
@@ -192,7 +192,7 @@ def homogeneous_ode_oracle(
     from scipy.integrate import solve_ivp
 
     if min(a0, b0, c0) <= 0.0:
-        raise DegenerateFiberError("initial radii must be positive")
+        raise DataError("initial radii must be positive")
 
     def rhs(_t, y):
         a, b, c = y

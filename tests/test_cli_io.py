@@ -299,6 +299,18 @@ def test_write_summary_null_estimate_on_t_max_stop(tmp_path):
 # --- CLI ----------------------------------------------------------------------
 
 
+def test_cli_theorem_constants_only_below_two(tmp_path):
+    # fig-b starts at lambda = max c/a = 12, where the paper claims no
+    # constants; mild starts below 2
+    written = {}
+    for preset in ("fig-b", "mild"):
+        out = tmp_path / preset
+        assert main(["run", "--preset", preset, "--grid-n", "64", "--out", str(out)]) == 0
+        written[preset] = json.loads((out / "summary.json").read_text())["theorem_constants"]
+    assert written["fig-b"] is None
+    assert written["mild"]["lambda"] < 2.0 and written["mild"]["d_lower"] > 0.0
+
+
 def test_cli_run_sphere(tmp_path, capsys):
     code = main(
         ["run", "--preset", "sphere", "--grid-n", "48", "--out", str(tmp_path)]
@@ -311,8 +323,8 @@ def test_cli_run_sphere(tmp_path, capsys):
 
 
 def test_cli_series_fields_parse_as_floats(tmp_path):
-    # both dt branches occur here: the diffusion limit early, the reaction
-    # limit near the pinch
+    # the round sphere steps on the one-point kernel, its dt set by the error
+    # controller and the cap; every field of every row it writes is a float
     assert main(["run", "--preset", "sphere", "--grid-n", "32", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "series.csv").read_text().splitlines()
     assert len(lines) > 2
@@ -894,8 +906,10 @@ BIAXIAL_64_SERIES_SHA256 = "c601556914cbdce193e9d34fa3728d35952b234e81a4702d8416
 # The benchmark's two-neck-sampled case (fig-b n=64, a summary every 2nd
 # step, all 11 monitors): the sha256 of its summary.json verdict block, the
 # monitors, type1 and theorem_constants objects as canonical JSON (sorted
-# keys, no whitespace).
-TWO_NECK_64_VERDICT_SHA256 = "6e4b1a359ad2a196a63c511d42aba591f4c66fb16fcc568dcbcdcc886a5be331"
+# keys, no whitespace). Re-pinned when theorem_constants became null from
+# lambda = 2 on (fig-b starts at lambda = 12); the monitors and type1 objects
+# alone hash to 3316598e...9c99dfc2 before and after.
+TWO_NECK_64_VERDICT_SHA256 = "96f40de2a9590643d55644e1c0c09e3d0264a3d7c89a9bb10ab276dc2e26f4d5"
 
 
 def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
@@ -1005,6 +1019,17 @@ def test_package_calls_no_blas():
                             uses.add(f"{where} imports {name}")
     assert matmuls == set()
     assert uses == set()
+
+
+def test_presets_import_only_the_input_layer():
+    # the initial data depend on grid alone, not on the dynamics in flow
+    path = Path(neckpinch.__file__).parent / "presets.py"
+    modules = {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert modules == {"grid"}
 
 
 def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):

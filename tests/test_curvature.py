@@ -4,8 +4,7 @@ import pytest
 from neckpinch.curvature import radii, riemann_oracle, sectional_curvatures, sectional_rows
 from neckpinch.flow import summarize_state
 from neckpinch.grid import (
-    DegenerateFiberError,
-    NonFiniteFieldError,
+    DataError,
     PeriodicGrid,
     arclength_jet,
     metric_state,
@@ -81,7 +80,7 @@ def test_fiber_permutation_symmetry():
 
 def test_degenerate_fiber_raises():
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 1e-9, 1.0, 1.0)
-    with pytest.raises(DegenerateFiberError):
+    with pytest.raises(DataError, match="fiber radius 1.000e-09 below resolvable floor"):
         sectional_curvatures(st)
 
 
@@ -90,7 +89,7 @@ def test_overflowing_curvature_raises_nonfinite():
     st = metric_state(PeriodicGrid(16), 0.0, 1.0, 1.0, 1e200, 1.0)
     for curvature in (sectional_curvatures, riemann_oracle):
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteFieldError):
+            with pytest.raises(DataError, match="curvature is not finite everywhere"):
                 curvature(st)
 
 

@@ -58,6 +58,9 @@ def test_constants_lambda0_saturates():
 
 def test_constants_near_two():
     assert constants(1.9)["lambda0"] == pytest.approx(1.4079, abs=1e-10)
+    # lambda0 = 4 lam^2 - lam^4 reaches 0 at lam = 2: no constants are claimed from there
+    assert constants(2.0) is None
+    assert constants(12.0) is None
 
 
 def test_constants_rejects_below_one():
