@@ -27,7 +27,7 @@ import numpy as np
 from . import flow, monitors
 from .config import RunConfig, config_from_dict, load_config
 from .curvature import riemann_oracle, sectional_curvatures
-from .grid import DataError, PeriodicGrid, metric_state, z_jet
+from .grid import DataError, PeriodicGrid, metric_state, rfft, z_jet
 from .output import write_series, write_summary
 from .presets import get_preset, presets
 
@@ -175,7 +175,7 @@ def _cmd_convergence(args) -> int:
     errs = []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n)
-        err = np.max(np.abs(z_jet(np.fft.rfft(np.sin(grid.z)), n, 1.0)[1] - np.cos(grid.z)))
+        err = np.max(np.abs(z_jet(rfft(np.sin(grid.z)), n, 1.0)[1] - np.cos(grid.z)))
         errs.append(err)
         print(f"  n={n:4d} max_err={err:.3e}")
     print(f"  measured orders: {_measured_orders(errs)}")

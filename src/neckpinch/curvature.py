@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import DataError, MetricState, arclength_jet, z_jet
+from .grid import DataError, MetricState, arclength_jet, rfft, z_jet
 
 #: Radii below this are treated as a collapsed fiber: curvature ~ 1/a^2 would
 #: overflow silently rather than fail loudly.
@@ -143,7 +143,7 @@ def riemann_oracle(state: MetricState) -> np.ndarray:
     """
     check_resolvable(radii(state))
     g = np.stack((np.full(state.grid.n, state.phi**2), state.a**2, state.b**2, state.c**2))
-    _, dg, ddg = z_jet(np.fft.rfft(g), state.grid.n, 1.0)
+    _, dg, ddg = z_jet(rfft(g), state.grid.n, 1.0)
 
     k0 = [
         0.25 * (dg[0] * dg[i] / g[0] + dg[i] ** 2 / g[i] - 2.0 * ddg[i]) / (g[0] * g[i])

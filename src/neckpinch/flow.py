@@ -26,9 +26,10 @@ error, formed from its four stages, not an explicit-diffusion limit, and
 takes about the same number of steps at every n (see evolve). cfl_safety
 is the accuracy factor of that controller, not a stability limit. The
 diffusion enters a step only as one exp, its factor over half the step, and
-a step on a grid takes 17 FFT calls. The step calls no BLAS routine: a
-process's first gemm maps OpenBLAS's kernels and buffer, 0.25-0.4 MB of
-resident memory, for products of 3 rows.
+a step on a grid takes 17 transform calls, each through grid.rfft or
+grid.irfft. The step calls no BLAS routine: a process's first gemm maps
+OpenBLAS's kernels and buffer, 0.25-0.4 MB of resident memory, for products
+of 3 rows.
 
 The state stays in Fourier space, the radii as their rfft u; grid.z_jet,
 the package's one z-derivative, gives from u and phi the jet (x, x', x'')
@@ -62,8 +63,10 @@ from .grid import (
     MetricState,
     PeriodicGrid,
     _jet_symbol,
+    irfft,
     is_number,
     metric_state,
+    rfft,
     z_jet,
 )
 from .curvature import (
@@ -243,7 +246,7 @@ def tangential_speed(phi: float, q: np.ndarray) -> tuple[np.ndarray, float]:
     # phi cancels from c; np.mean would cost 20 us a call at n = 64.
     n = q.shape[-1]
     c = float(q.sum()) / n
-    return np.fft.irfft(np.fft.rfft(phi * (c - q)) * _antiderivative_multiplier(n), n), c
+    return irfft(rfft(phi * (c - q)) * _antiderivative_multiplier(n), n), c
 
 
 def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray]:
@@ -330,7 +333,7 @@ def rk4_step(
     def stage(u, log_lam):
         phi = _gauge_scale(log_lam) * phi_bar
         k, c, _ = _flow_rhs(z_jet(u, n, phi), phi)
-        return np.fft.rfft(k) - lin * u, c
+        return rfft(k) - lin * u, c
 
     f1, c1 = first
     n1 = f1 - lin * u0
@@ -349,7 +352,7 @@ def rk4_step(
     if zj1[0].min() <= 0.0:
         raise StepRejected("positivity lost after step")
     # dt/3 > 0 scales after the max with the same bits as before it.
-    est = dt / 3.0 * float(np.abs(np.fft.irfft(mid - ends, n)).max())
+    est = dt / 3.0 * float(np.abs(irfft(mid - ends, n)).max())
     return u1, zj1, log_lam1, est
 
 
@@ -520,14 +523,14 @@ def evolve(
 
         step, rows, a_min = _point_step, (lambda x: x), (lambda x: x[0])
     else:
-        u = np.fft.rfft(x0)
+        u = rfft(x0)
         state = (z_jet(u, n, phi_bar), u, 0.0, phi_bar)
         slots = block_zj
 
         def first_stage(s):
             zj, _, _, phi = s
             k1, c1, _ = _flow_rhs(zj, phi)
-            return (np.fft.rfft(k1), c1), float(np.abs(k1 / zj[0]).max())
+            return (rfft(k1), c1), float(np.abs(k1 / zj[0]).max())
 
         def step(s, dt, first):
             u, zj, log_lam, est = rk4_step(s[1], s[2], dt, first, phi_bar, n)

@@ -1,4 +1,5 @@
-"""Periodic grid, metric state, and the package's one z-derivative.
+"""Periodic grid, metric state, and the package's one z-derivative and one
+transform.
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
 points. The radii a, b, c live on this grid as read-only arrays.
@@ -8,6 +9,13 @@ periodic central-difference stencil D1 and of D1 o D1, the derivative rows then
 divided by the gauge phi and phi^2 (ds = phi dz), one number: Preset.build
 resamples a varying phi0 to equal arclength. No other function divides by
 phi, and the grid never moves while phi evolves.
+
+Every Fourier transform in the package is rfft or irfft here: numpy.fft's
+own pocketfft kernels called directly, bit for bit numpy.fft.rfft and
+numpy.fft.irfft without their few microseconds of Python dispatch a call,
+most of a call's cost at the grid sizes a run takes. numpy.fft is loaded at
+the first transform, so a run on z-constant data, which takes none, never
+loads it.
 """
 
 from __future__ import annotations
@@ -111,6 +119,32 @@ def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
 
 
 @functools.cache
+def _pocketfft():
+    """numpy.fft's gufunc module, imported at the first transform. Its kernels
+    are looked up at each call, as numpy.fft does, so one patch of the module
+    sees every transform of the process."""
+    from numpy.fft import _pocketfft_umath
+
+    return _pocketfft_umath
+
+
+def rfft(x: np.ndarray) -> np.ndarray:
+    """numpy.fft.rfft(x) along the last axis of the float64 array x, bit for
+    bit. The kernel is chosen by the row length's parity, as numpy.fft does:
+    the even kernel returns wrong values on an odd row without raising."""
+    n = x.shape[-1]
+    kernels = _pocketfft()
+    kernel = kernels.rfft_n_even if n % 2 == 0 else kernels.rfft_n_odd
+    return kernel(x, 1.0, out=np.empty(x.shape[:-1] + (n // 2 + 1,), dtype=complex))
+
+
+def irfft(u: np.ndarray, n: int) -> np.ndarray:
+    """numpy.fft.irfft(u, n) along the last axis of the complex128 array u,
+    bit for bit: rows of n real points, scaled by 1/n."""
+    return _pocketfft().irfft(u, 1.0 / n, out=np.empty(u.shape[:-1] + (n,)))
+
+
+@functools.cache
 def _jet_symbol(n: int) -> np.ndarray:
     """S = (1, i s(k), -s(k)^2), k = 0..n/2, stacked (3, n/2 + 1): the rfft
     symbols of 1, of the stencil D1 f_j = (8 (f_{j+1} - f_{j-1}) - (f_{j+2} -
@@ -133,7 +167,7 @@ def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
     of u being independent rows, with rows 1 and 2 divided in place."""
     symbol = _jet_symbol(n)
     jet = u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:])
-    jet = np.fft.irfft(jet, n)
+    jet = irfft(jet, n)
     jet[1] /= phi
     jet[2] /= phi * phi
     return jet
@@ -143,4 +177,4 @@ def arclength_jet(state: MetricState) -> np.ndarray:
     """The arclength jet (x, x', x'') of the radii x of state, stacked (3, 3,
     n): z_jet of their rfft under the state's gauge."""
     x = np.stack((state.a, state.b, state.c))
-    return z_jet(np.fft.rfft(x), state.grid.n, state.phi)
+    return z_jet(rfft(x), state.grid.n, state.phi)

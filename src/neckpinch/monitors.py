@@ -35,7 +35,7 @@ import numpy as np
 
 from .curvature import Y, Z
 from .flow import SingularityReport, Trajectory, _final_decade, _flow_rhs, _line_fit
-from .grid import STENCIL_ORDER, MetricState, arclength_jet, z_jet
+from .grid import STENCIL_ORDER, MetricState, arclength_jet, rfft, z_jet
 
 # Universal first-derivative bounds for ordered data with max(c/a) < 2:
 # sup|a'| <= 280 sqrt(3)/9, sup|b'| <= 4 sqrt(57)/3, sup|c'| <= 10 sqrt(93)/9
@@ -379,7 +379,7 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray) -> np.ndarray:
     u, p = 1.0 / sq, sq / (sq[Y] * sq[Z])
     ry, rz, py, pz = r[Y], r[Z], p[Y], p[Z]
 
-    _, kp, kpp = z_jet(np.fft.rfft(k), x.shape[-1], phi)
+    _, kp, kpp = z_jet(rfft(k), x.shape[-1], phi)
     return (
         kpp
         + (r[0] + r[1] + r[2]) * kp
@@ -417,7 +417,7 @@ def _k0i_defects(state: MetricState) -> np.ndarray:
     phi, n = state.phi, state.grid.n
     x, _, xpp = zj = arclength_jet(state)
     dx, c, w = _flow_rhs(zj, phi)
-    dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
+    dxpp = z_jet(rfft(dx), n, phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
     return np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))
 

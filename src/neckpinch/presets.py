@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DataError, MetricState, PeriodicGrid, is_number, metric_state
+from .grid import DataError, MetricState, PeriodicGrid, is_number, metric_state, rfft
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def equal_arclength(
         if row.min() <= 0.0:
             raise DataError(f"profile {name} must be strictly positive")
     # Rows f = phi, a, b, c as Re sum_k c_k e^{ikz}, the Nyquist term c cos(nz/2).
-    coeffs = np.fft.rfft(np.vstack((phi, x))) / grid.n
+    coeffs = rfft(np.vstack((phi, x))) / grid.n
     coeffs[:, 1:-1] *= 2.0
     phi_bar = float(coeffs[0, 0].real)
     # s(z) - phi_bar z = Re sum_{k > 0} c_k (e^{ikz} - 1) / (ik) for c = coeffs[0]; s' = phi.

@@ -1021,6 +1021,60 @@ def test_package_calls_no_blas():
     assert uses == set()
 
 
+def _dotted_names(tree):
+    """Every name.attr, imported module and imported module.name in tree."""
+    for node in ast.walk(tree):
+        match node:
+            case ast.Attribute(value=ast.Name(id=base), attr=attr):
+                yield f"{base}.{attr}"
+            case ast.Import(names=aliases):
+                yield from (alias.name for alias in aliases)
+            case ast.ImportFrom(module=str() as module, names=aliases):
+                yield module
+                yield from (f"{module}.{alias.name}" for alias in aliases)
+
+
+def test_package_transforms_only_through_grid():
+    # grid.rfft and grid.irfft are the one transform path: numpy.fft's
+    # kernels without its per-call dispatch, which cost most of a call
+    users = set()
+    for path in sorted(Path(neckpinch.__file__).parent.glob("*.py")):
+        for name in _dotted_names(ast.parse(path.read_text())):
+            if name.split(".")[:2] in (["np", "fft"], ["numpy", "fft"]):
+                users.add(path.stem)
+    assert users == {"grid"}
+
+
+def test_z_constant_run_never_loads_numpy_fft(tmp_path):
+    # z-constant data step on the point kernel and take no transform, so a
+    # sphere run in a fresh interpreter never imports numpy.fft, whose
+    # modules would add to its peak RSS; the fig-a run after it does
+    sphere = {
+        "preset": "sphere",
+        "preset_params": {"r": 2.0},
+        "grid_n": 64,
+        "flow": {"cfl_safety": 0.05, "a_min_stop": 0.01},
+        "out_dir": "sphere",
+    }
+    (tmp_path / "sphere.json").write_text(json.dumps(sphere))
+    code = (
+        "import sys; import neckpinch; from neckpinch import cli; "
+        "assert cli.main(['run', '--config', 'sphere.json']) == 0; "
+        "loaded = ['numpy.fft' in sys.modules]; "
+        "assert cli.main(['run', '--preset', 'fig-a', '--grid-n', '32', '--out', 'fig-a']) == 0; "
+        "print(loaded + ['numpy.fft' in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(neckpinch.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[False, True]"
+
+
 def test_presets_import_only_the_input_layer():
     # the initial data depend on grid alone, not on the dynamics in flow
     path = Path(neckpinch.__file__).parent / "presets.py"

@@ -695,14 +695,18 @@ def test_evolve_grows_its_records_by_a_whole_block(state, cfg):
 
 
 def _count_fft_calls(monkeypatch):
-    """Count the calls of every np.fft transform from here on."""
-    calls = []
-    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _transform=getattr(np.fft, name), **kwargs):
-            calls.append(_transform)
-            return _transform(*args, **kwargs)
+    """Count the calls of every pocketfft kernel from here on: the gufuncs
+    that grid.rfft and grid.irfft call, and every np.fft transform too, as
+    both look the kernels up in their module at each call."""
+    from numpy.fft import _pocketfft_umath as kernels
 
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = []
+    for name in ("fft", "ifft", "rfft_n_even", "rfft_n_odd", "irfft"):
+        def counted(*args, _kernel=getattr(kernels, name), **kwargs):
+            calls.append(_kernel)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
     return calls
 
 
@@ -717,10 +721,11 @@ def test_evolve_takes_no_transform_on_z_constant_data(monkeypatch):
 
 
 # Operation counts, which do not drift with the host's speed. A grid step
-# takes 4 right-hand sides and 17 FFT calls: the first stage's W pair and
-# rfft, three more stages of one jet irfft, a W pair and an rfft each, the
-# new state's jet and the error estimate's irfft; a run adds the initial
-# radii's rfft and jet. z-constant data step on the point kernel, 4 of its
+# takes 4 right-hand sides and 17 transform calls, each a pocketfft kernel
+# called through grid.rfft or grid.irfft: the first stage's W pair and rfft,
+# three more stages of one jet irfft, a W pair and an rfft each, the new
+# state's jet and the error estimate's irfft; a run adds the initial radii's
+# rfft and jet. z-constant data step on the point kernel, 4 of its
 # right-hand sides a step and no transform.
 COUNT_CASES = {
     "fig-a-64": (get_preset("fig-a"), 64, FlowConfig(), 341, "grid", (17, 2)),

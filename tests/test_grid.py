@@ -11,7 +11,9 @@ from neckpinch.grid import (
     PeriodicGrid,
     _jet_symbol,
     arclength_jet,
+    irfft,
     metric_state,
+    rfft,
     z_jet,
 )
 from neckpinch.presets import Preset, Profile, const, get_preset, sin
@@ -110,6 +112,28 @@ def test_metric_state_rejects_a_gauge_whose_square_is_subnormal():
     assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi == limit
     with pytest.raises(DataError, match="phi must be at least 1.492e-154"):
         metric_state(g, 0.0, np.nextafter(limit, 0.0), 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 10, 34, 64, 256, 1024, 9, 33])
+def test_transforms_are_numpy_fft_bit_for_bit(n):
+    # grid.rfft and grid.irfft call numpy.fft's own kernels without its
+    # dispatch: the same values, dtype and shape on every leading shape, on
+    # strided views such as a jet's rows jet[:, 1], and on odd rows, where
+    # the even-length kernel returns wrong values without raising
+    rng = np.random.default_rng(n)
+    m = n // 2 + 1
+    full = rng.normal(size=(4, 3, 2 * n))
+    spectra = rng.normal(size=(4, 3, 2 * m)) + 1j * rng.normal(size=(4, 3, 2 * m))
+    rows = [full[0, 0, :n].copy(), full[0, :, :n].copy(), full[:3, :, :n].copy(),
+            full[..., :n].copy(), full[:, 1, :n], full[..., ::2], full[0, :, n:]]
+    coeffs = [spectra[0, 0, :m].copy(), spectra[0, :, :m].copy(), spectra[:3, :, :m].copy(),
+              spectra[..., :m].copy(), spectra[:, 1, :m], spectra[..., ::2][..., :m],
+              np.fft.rfft(full[:3, :, :n])]
+    for x, u in zip(rows, coeffs):
+        got, want = rfft(x), np.fft.rfft(x)
+        assert got.dtype == want.dtype and np.array_equal(got, want), x.shape
+        got, want = irfft(u, n), np.fft.irfft(u, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), u.shape
 
 
 def dz(values):
