@@ -6,13 +6,16 @@ Subcommands:
   curvature    one-shot curvature table for a preset at t = 0
   convergence  grid/step refinement study printing measured orders
 
+Each command computes first and makes --out only to write into it, so data that
+fail leave no directory behind.
+
 Exit codes: 0 success, 1 usage, data or output error, 2 run aborted after exhausted
-step halvings, 3 monitor hard-violation under --strict, 141 standard output closed
-early (a reader such as `head` exited), the status a shell reports for SIGPIPE.
-The commands raise their data errors (DataError, and MemoryError for a grid too
-large to allocate) and output errors (OSError); main alone turns each into one
-`error:` line on stderr and exit code 1. Any other exception is a bug and
-prints its traceback.
+step halvings (a dt that underflows to 0 ends there too), 3 monitor hard-violation
+under --strict, 141 standard output closed early (a reader such as `head` exited),
+the status a shell reports for SIGPIPE. The commands raise their data errors
+(DataError, and MemoryError for a grid too large to allocate) and output errors
+(OSError); main alone turns each into one `error:` line on stderr and exit
+code 1. Any other exception is a bug and prints its traceback.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 from . import flow, monitors
 from .config import RunConfig, config_from_dict, load_config
 from .curvature import riemann_oracle, sectional_curvatures
-from .grid import DataError, PeriodicGrid, metric_state, rfft, z_jet
-from .output import write_series, write_summary
-from .presets import get_preset, presets
+from .grid import DataError, PeriodicGrid, rfft, z_jet
+from .output import write_series, write_summary, write_table
+from .presets import get_preset, presets, sphere
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,26 +93,14 @@ def _resolve_config(args) -> RunConfig:
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     preset = cfg.build_preset()
-    grid = PeriodicGrid(cfg.grid_n)
-    out_dir = Path(cfg.out_dir)
-    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        traj, report = flow.evolve(preset.build(grid), cfg.flow)
-    except (DataError, MemoryError):
-        # The data fail (a samples profile of the wrong length, a phi0 with no
-        # equal-arclength nodes, a state no summary accepts at t = 0, a grid
-        # too large to allocate): remove the directories made for out_dir,
-        # deepest first.
-        for path in made:
-            path.rmdir()
-        raise
-
+    traj, report = flow.evolve(preset.build(PeriodicGrid(cfg.grid_n)), cfg.flow)
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled)
     type1 = monitors.type1_classifier(traj, report)
     lam = traj.series("ratio_max")[0].item()
     consts = monitors.constants(lam) if lam >= 1.0 else None
 
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_series(traj, out_dir / "series.csv")
     write_summary(traj, report, reports, type1, consts, cfg.as_dict(), out_dir / "summary.json")
 
@@ -143,20 +134,16 @@ def _cmd_presets(args) -> int:
 def _cmd_curvature(args) -> int:
     preset = get_preset(args.preset)
     grid = PeriodicGrid(args.grid_n)
-    state = preset.build(grid)
+    curv = sectional_curvatures(preset.build(grid))
     if args.out:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-    curv = sectional_curvatures(state)
+        path = Path(args.out) / "curvature.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_table(path, ("z", *curv._fields), np.column_stack((grid.z, *curv)))
     print(f"curvature of preset {preset.name} at t=0, n={args.grid_n}")
     for name, v in zip(curv._fields, curv):
         print(f"  {name:10s} min={v.min():+.6e} max={v.max():+.6e}")
     if args.out:
-        rows = ["z," + ",".join(curv._fields)]
-        for k, z in enumerate(grid.z):
-            rows.append(repr(float(z)) + "," + ",".join(repr(float(v[k])) for v in curv))
-        (path / "curvature.csv").write_text("\n".join(rows) + "\n")
-        print(f"wrote {path / 'curvature.csv'}")
+        print(f"wrote {path}")
     return 0
 
 
@@ -196,8 +183,8 @@ def _cmd_convergence(args) -> int:
     errs = []
     grid = PeriodicGrid(64)
     for cfl in (0.4, 0.2, 0.1):
-        state = metric_state(grid, 0.0, 1.0, 2.0, 2.0, 2.0)
-        traj, _ = flow.evolve(state, flow.FlowConfig(cfl_safety=cfl, a_min_stop=0.2))
+        cfg = flow.FlowConfig(cfl_safety=cfl, a_min_stop=0.2)
+        traj, _ = flow.evolve(sphere(2.0).build(grid), cfg)
         ts = traj.ts
         err = float(np.max(np.abs(traj.series("a_min") ** 2 - (4.0 - 4.0 * ts))))
         errs.append(err)

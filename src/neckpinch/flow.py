@@ -317,13 +317,13 @@ def rk4_step(
     est = max |x1 - x~1| estimates the step's local error from its own
     stages: x~1 is the trapezoid E^2 u0 + (dt/2) (E^2 N1 + Nc), second
     order, so est is O(dt^3) and costs one irfft, (dt/3) (E (Na + Nb) -
-    E^2 N1 - Nc), and no right-hand side. Raises StepRejected if a stage or
-    the result leaves the positive cone or turns non-finite, and
-    _gauge_scale's errors if a stage's or the result's lambda overflows or
-    underflows to 0.
+    E^2 N1 - Nc), and no right-hand side. Raises StepRejected if dt is not
+    positive (a step that underflowed to 0) or a stage or the result leaves
+    the positive cone or turns non-finite, and _gauge_scale's errors if a
+    stage's or the result's lambda overflows or underflows to 0.
     """
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise StepRejected("dt is not positive")
     lin = _jet_symbol(n)[2].real / (_gauge_scale(log_lam0) * phi_bar) ** 2
     # E from L, not from h = dt / (lambda phi_bar)^2 times the symbol: under
     # a tiny gauge h can overflow, and inf times the symbol's -0.0 at k = 0
@@ -391,10 +391,10 @@ def _point_step(
     E = 1 and lambda = 1 there (see the module docstring), so the step is
     classical RK4 and est = (dt/3) max |(ka + kb) - (k1 + kc)|, rk4_step's
     trapezoid estimate, in rk4_step's order of operations. Raises
-    StepRejected and ValueError as rk4_step does.
+    StepRejected as rk4_step does.
     """
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise StepRejected("dt is not positive")
     a, b, c = x0
     h = 0.5 * dt
 
@@ -488,12 +488,12 @@ def evolve(
     without that bound the last steps before the stop would miss
     d(a_min^2)/dt >= -4 by more than the monitors' grid tolerance;
     traj.run_stats.capped counts the steps it set. A rejected step (one
-    that leaves the positive cone or turns non-finite) is retried with
-    halved dt up to MAX_STEP_HALVINGS times; exhaustion, or a first stage
-    that is not finite, stops the run with the last good state preserved and
-    stop reason STOP_HALVINGS. traj.run_stats counts the accepted steps and
-    the rejected attempts, and records the neck resolution of the final
-    state.
+    that leaves the positive cone or turns non-finite, or whose dt has
+    underflowed to 0) is retried with halved dt up to MAX_STEP_HALVINGS
+    times; exhaustion, or a first stage that is not finite, stops the run
+    with the last good state preserved and stop reason STOP_HALVINGS.
+    traj.run_stats counts the accepted steps and the rejected attempts, and
+    records the neck resolution of the final state.
     """
     grid = initial.grid
     x0 = radii(initial)
@@ -551,9 +551,6 @@ def evolve(
             flush()
 
     t = initial.t
-    record(t, 0.0)
-    flush()
-
     tol = 5e-7 * (cfg.cfl_safety / 0.2) ** 3 * float(x0.max())
     last_dt = 0.0
     est = None
@@ -561,6 +558,8 @@ def evolve(
     # finiteness check that rejects it: NumPy stays silent, as the point
     # kernel is, and the summaries check their own finiteness.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        record(t, 0.0)
+        flush()
         while True:
             if a_min(state) < cfg.a_min_stop:
                 stop = STOP_AMIN
@@ -607,9 +606,9 @@ def evolve(
             if stats.steps % cfg.monitor_stride == 0:
                 record(t, dt)
 
-    if stats.steps % cfg.monitor_stride:
-        record(t, last_dt)
-    flush()
+        if stats.steps % cfg.monitor_stride:
+            record(t, last_dt)
+        flush()
     x, phi = (state, phi_bar) if point else (state[0][0], state[3])
     if stats.steps:
         snapshots.append(metric_state(grid, t, phi, *x))

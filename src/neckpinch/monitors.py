@@ -211,8 +211,12 @@ def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     lam = _first(traj, "ratio_max")
     c0_sq = _first(traj, "c_max") ** 2
     ratio = traj.series("ratio_max")
-    # Float powers of Python floats, as libm rounds them (see _first).
-    growth = math.exp(lam**2 - 1.0) * (lam**2 - 1.0)
+    # Float powers of Python floats, as libm rounds them (see _first). Past
+    # lam ~ 26.7, e^(lam^2-1) overflows: the envelope is +inf.
+    try:
+        growth = math.exp(lam**2 - 1.0) * (lam**2 - 1.0)
+    except OverflowError:
+        growth = math.inf
     envelope = [
         growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
         for t, r in zip((traj.ts - traj.ts[0]).tolist(), ratio.tolist())

@@ -1,15 +1,18 @@
-"""Serialization of trajectories and reports.
+"""Serialization of trajectories, reports and tables.
 
-The CSV column set is stable: t,dt,a_min,b_min,c_max,ratio_max,ecc_bc,ecc_ac,
-s_min,rm_max, one row per recorded sample, full-precision decimals. Identical
-config in, identical bytes out.
+The series CSV column set is stable: t,dt,a_min,b_min,c_max,ratio_max,ecc_bc,
+ecc_ac,s_min,rm_max, one row per recorded sample, full-precision decimals.
+Identical config in, identical bytes out.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .flow import SingularityReport, Trajectory
 from .monitors import MonitorReport, TypeIReport
@@ -22,20 +25,24 @@ _CSV_FIELDS = (
 _ROWS_PER_WRITE = 64
 
 
-def write_series(traj: Trajectory, path: str | Path) -> None:
-    """One CSV row per summary sample; shortest round-trip float formatting.
+def write_table(path: str | Path, names: Sequence[str], table: np.ndarray) -> None:
+    """CSV of the header names, then one row per row of table, a 2-D float
+    array or a record array; shortest round-trip float formatting.
 
-    Streams the trajectory's records to the file _ROWS_PER_WRITE rows at a
-    time, each value the repr of its Python float, so the memory it takes
-    does not grow with the number of samples.
+    Streams _ROWS_PER_WRITE rows at a time, each value the repr of its Python
+    float, so the text held in memory does not grow with the number of rows.
     """
-    row = ",".join(["%r"] * len(_CSV_FIELDS)) + "\n"
+    row = ",".join(["%r"] * len(names)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(_CSV_FIELDS) + "\n")
-        table = traj.samples[list(_CSV_FIELDS)]
-        for lo in range(0, table.size, _ROWS_PER_WRITE):
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, len(table), _ROWS_PER_WRITE):
             rows = table[lo : lo + _ROWS_PER_WRITE].tolist()
-            fh.write("".join([row % r for r in rows]))
+            fh.write("".join([row % tuple(r) for r in rows]))
+
+
+def write_series(traj: Trajectory, path: str | Path) -> None:
+    """One CSV row per summary sample, the columns _CSV_FIELDS (write_table)."""
+    write_table(path, _CSV_FIELDS, traj.samples[list(_CSV_FIELDS)])
 
 
 def write_summary(

@@ -530,6 +530,10 @@ _CONST = {"kind": "const", "offset": 1.0}
                 "c0": {"kind": "cos", "amplitude": 1.0, "offset": 3.5}}},
             "curvature is not finite everywhere",
         ),
+        # r^2 overflows in the summary of the initial state, which runs under
+        # evolve's np.errstate: no RuntimeWarning comes before the error line
+        ({"preset": "sphere", "grid_n": 32, "preset_params": {"r": 1e160}},
+         "curvature is not finite everywhere"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "fixed-dt-key", "nan-t-max",
@@ -543,7 +547,7 @@ _CONST = {"kind": "const", "offset": 1.0}
          "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
          "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
          "list-monitor", "huge-phi0", "tiny-phi0-1e-156", "tiny-phi0-1e-160",
-         "tiny-phi0-1e-200", "wavy-radii-tiny-phi0"],
+         "tiny-phi0-1e-200", "wavy-radii-tiny-phi0", "huge-sphere"],
 )
 def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
     _assert_run_config_is_one_line_error(one_line_error, cfg, message)
@@ -551,8 +555,8 @@ def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
 
 @pytest.mark.parametrize("kept", [[], ["keep"]])
 def test_cli_failed_run_removes_the_out_dir_it_made(tmp_path, one_line_error, kept):
-    # the run makes out_dir before evolve; when the data fail it removes the
-    # directories it made and keeps those that were there
+    # a failed run makes no directory: the run makes out_dir only after evolve,
+    # to write into it, and keeps the directories that were there
     for name in kept:
         (tmp_path / name).mkdir()
     out_dir = "/".join(kept + ["outx", "sub"])
@@ -585,7 +589,7 @@ def test_cli_run_config_grid_too_large_is_one_line_error(one_line_error):
 
 @pytest.mark.parametrize("command", ["run", "curvature"])
 def test_cli_grid_n_too_large_is_one_line_error(one_line_error, command):
-    # the directories made for --out are removed, or never made
+    # no directory is made for --out
     argv = [command, "--preset", "sphere", "--grid-n", str(UNALLOCATABLE_N), "--out", "o/sub"]
     out, _ = one_line_error(argv, "Unable to allocate")
     assert out == ""
@@ -619,8 +623,7 @@ def test_cli_a_bug_escapes_main(tmp_path, monkeypatch):
 
 def test_cli_entry_point_bad_config_is_one_line_error(tmp_path):
     # the module's entry point in a fresh interpreter, not main alone: a data
-    # error that fails the run after out_dir was made exits 1 with one stderr
-    # line and no files
+    # error that fails the run exits 1 with one stderr line and makes no files
     (tmp_path / "run.json").write_text(
         json.dumps({"preset": "sphere", "preset_params": {"r": 1e-9}, "out_dir": "outx"})
     )
@@ -727,6 +730,19 @@ def test_cli_strict_reversed_fig_a_claims_no_bound(tmp_path, capsys):
     assert "monitor concavity: n/a" in out
 
 
+def test_cli_strict_eccentric_biaxial_ratio_passes(tmp_path, capsys):
+    # lam = c/a = 30: e^(lam^2-1) overflows a float, so the refined envelope
+    # is +inf and the plain margin decides the ratio bound
+    cfg = {"preset": "biaxial", "preset_params": {"a0": 0.1, "c0": 3.0}, "grid_n": 32,
+           "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
+    assert "monitor ratio: pass" in capsys.readouterr().out
+    ratio = json.loads((tmp_path / "summary.json").read_text())["monitors"]["ratio"]
+    assert ratio["passed"] and "refined_margin=inf" in ratio["notes"]
+
+
 def test_cli_strict_violation_exit_code(tmp_path, monkeypatch, capsys):
     # a near-zero tolerance turns the benign discretization-level ordering
     # wiggle on fig-a into a hard violation
@@ -758,8 +774,9 @@ def test_cli_convergence_prints_exact_orders_on_z_constant_data(capsys):
     [("run", None), ("run", "series.csv"), ("curvature", None), ("curvature", "curvature.csv")],
 )
 def test_cli_unwritable_out_is_one_line_error(tmp_path, one_line_error, command, blocked):
-    # --out naming a file fails before any work; an output file that cannot
-    # be written (here a directory of its name) fails when it is written
+    # --out naming a file fails before any output is written or printed; an
+    # output file that cannot be written (here a directory of its name) fails
+    # when it is written
     out = tmp_path / "out"
     if blocked:
         (out / blocked).mkdir(parents=True)
@@ -771,6 +788,8 @@ def test_cli_unwritable_out_is_one_line_error(tmp_path, one_line_error, command,
     )
     if not blocked:
         assert stdout == "" and out.read_text() == "keep"
+        written = {"series.csv", "summary.json", "curvature.csv"}
+        assert not [path for path in tmp_path.rglob("*") if path.name in written]
 
 
 def test_cli_curvature(tmp_path, capsys):
@@ -887,6 +906,39 @@ def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 0
     series = (tmp_path / "out" / "series.csv").read_bytes()
     assert hashlib.sha256(series).hexdigest() == FIG_A_64_SERIES_SHA256
+
+
+# The other grid presets at n=64 with the default flow: fig-b 446 steps, T =
+# 3.344492212579588; fig-c 304 steps, T = 0.4948411030272531; mild 245
+# steps, T = 0.27955513730075465.
+PRESET_64_SERIES_SHA256 = {
+    "fig-b": "227fb7920208bf62b229f8adff3c0ecb5807aa1054259d9782ef0610a28af964",
+    "fig-c": "19a50431505c076a6226f8fba26f1598d4ca4433fbbc91b6fcf53e1722da77b3",
+    "mild": "4fb883a462de08211eb608403cdfd82840599d88136b7731ab082a7e55fa7a8c",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_64_SERIES_SHA256))
+def test_cli_preset_series_byte_identical_to_pinned_hash(tmp_path, preset):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"preset": preset, "grid_n": 64, "out_dir": str(tmp_path / "out")})
+    )
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    series = (tmp_path / "out" / "series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == PRESET_64_SERIES_SHA256[preset]
+
+
+# `curvature --preset fig-b --grid-n 128 --out`: the z column and the
+# curvatures of fig-b at t = 0, each value the repr of its float.
+FIG_B_128_CURVATURE_SHA256 = "b9cde5c4f8f270444958b4d8cde845723f4dab21a5113052f45a44864aff69e7"
+
+
+def test_cli_curvature_table_byte_identical_to_pinned_hash(tmp_path):
+    argv = ["curvature", "--preset", "fig-b", "--grid-n", "128", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    table = (tmp_path / "curvature.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == FIG_B_128_CURVATURE_SHA256
 
 
 # The round sphere r=2 at n=64, cfl 0.05, stopped at a_min 1e-2: the
@@ -1112,3 +1164,18 @@ def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):
             "capped": 0,
             "neck_resolution": neck_resolution,
         }
+
+
+@pytest.mark.parametrize("preset", ["sphere", "fig-a"])
+def test_cli_underflowed_dt_ends_as_exhausted_halvings(tmp_path, preset):
+    # under cfl_safety 1e-320 tol underflows to 0, so each dt is 0.2 times the
+    # last until it is 0.0; both kernels reject that step as any other, and
+    # its halvings run out
+    cfg = {"preset": preset, "grid_n": 32, "flow": {"cfl_safety": 1e-320},
+           "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["stop_reason"] == "step_halvings_exhausted"
+    assert doc["run_stats"]["steps"] > 0 and doc["run_stats"]["rejected"] == 21
