@@ -162,7 +162,7 @@ def _cmd_convergence(args) -> int:
     errs = []
     for n in (32, 64, 128):
         grid = PeriodicGrid(n)
-        err = np.max(np.abs(z_jet(rfft(np.sin(grid.z)), n, 1.0)[1] - np.cos(grid.z)))
+        err = np.max(np.abs(z_jet(rfft(np.sin(grid.z)), 1.0)[1] - np.cos(grid.z)))
         errs.append(err)
         print(f"  n={n:4d} max_err={err:.3e}")
     print(f"  measured orders: {_measured_orders(errs)}")

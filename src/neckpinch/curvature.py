@@ -37,11 +37,6 @@ _PLANES = ([0, 0, 1], [1, 2, 2], [2, 1, 0])
 Y, Z = [1, 0, 0], [2, 2, 1]
 
 
-def radii(state: MetricState) -> np.ndarray:
-    """The fiber radii (a, b, c) stacked into one (3, n) array."""
-    return np.stack((state.a, state.b, state.c))
-
-
 def check_resolvable(x: np.ndarray) -> None:
     """Raise DataError if any of the stacked radii x lies below
     MIN_RADIUS."""
@@ -141,9 +136,9 @@ def riemann_oracle(state: MetricState) -> np.ndarray:
     on different quantities (g_ii rather than the radii), so the two
     discretizations agree only in the refinement limit.
     """
-    check_resolvable(radii(state))
+    check_resolvable(state.x)
     g = np.stack((np.full(state.grid.n, state.phi**2), state.a**2, state.b**2, state.c**2))
-    _, dg, ddg = z_jet(rfft(g), state.grid.n, 1.0)
+    _, dg, ddg = z_jet(rfft(g), 1.0)
 
     k0 = [
         0.25 * (dg[0] * dg[i] / g[0] + dg[i] ** 2 / g[i] - 2.0 * ddg[i]) / (g[0] * g[i])

@@ -58,24 +58,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import (
-    DataError,
-    MetricState,
-    PeriodicGrid,
-    _jet_symbol,
-    irfft,
-    is_number,
-    metric_state,
-    rfft,
-    z_jet,
-)
-from .curvature import (
-    MIN_RADIUS,
-    check_resolvable,
-    radii,
-    sectional_rows,
-    trace_invariants,
-)
+from .grid import DataError, MetricState, _jet_symbol, irfft, is_number, rfft, z_jet
+from .curvature import MIN_RADIUS, check_resolvable, sectional_rows, trace_invariants
 
 STOP_AMIN = "a_min_reached"
 STOP_TMAX = "t_max_reached"
@@ -185,14 +169,13 @@ class Trajectory:
     """Recorded summaries, full snapshots, the stop condition and the run
     counters.
 
-    snapshots holds the first state, which every trajectory has, and, when
-    the run advanced, the final one. samples holds the summaries, one record
-    of SUMMARY_DTYPE per sample, as one read-only recarray; samples[k].a_min
-    reads one field of one sample. series(name) and ts are read-only views
-    of one field, not copies.
+    snapshots holds the first state, which every trajectory has and whose
+    grid and gauge are the run's, and, when the run advanced, the final one.
+    samples holds the summaries, one record of SUMMARY_DTYPE per sample, as
+    one read-only recarray; samples[k].a_min reads one field of one sample.
+    series(name) and ts are read-only views of one field, not copies.
     """
 
-    grid: PeriodicGrid
     samples: np.recarray
     snapshots: list[MetricState]
     stop_reason: str = ""
@@ -253,7 +236,7 @@ def _flow_rhs(zj: np.ndarray, phi: float) -> tuple[np.ndarray, float, np.ndarray
     """(dt a, dt b, dt c) stacked (3, n) for the radii x = (a, b, c),
     dt log lambda = c and the tangential speed W (see tangential_speed),
     under the uniform gauge phi, from the arclength jet zj = (x, x', x'')
-    stacked (3, 3, n), z_jet(u, n, phi).
+    stacked (3, 3, n), z_jet(u, phi).
 
     Each row x couples to the next two rows cyclically, (y, z) = (b, c),
     (c, a), (a, b); every coupling term is symmetric in y and z, so the cyclic
@@ -297,11 +280,11 @@ def rk4_step(
     dt: float,
     first: tuple[np.ndarray, float],
     phi_bar: float,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+) -> tuple[tuple[np.ndarray, np.ndarray, float, float], float]:
     """One integrating-factor RK4 step of log lambda and the radii on n
-    points, held as their rfft u0, stacked (3, n/2 + 1); returns (u1,
-    z_jet(u1, n, phi1), log lambda1, est), phi1 = lambda1 * phi_bar.
+    points, held as their rfft u0, stacked (3, n/2 + 1); returns the state
+    evolve keeps, (z_jet(u1, phi1), u1, log lambda1, phi1) with phi1 =
+    lambda1 * phi_bar, and est.
 
     The gauge of a stage is lambda * phi_bar, and first = (rfft(k1), c1) is
     _flow_rhs at the jet of u0 under lambda0 * phi_bar, the first stage,
@@ -324,6 +307,7 @@ def rk4_step(
     """
     if dt <= 0.0:
         raise StepRejected("dt is not positive")
+    n = 2 * (u0.shape[-1] - 1)
     lin = _jet_symbol(n)[2].real / (_gauge_scale(log_lam0) * phi_bar) ** 2
     # E from L, not from h = dt / (lambda phi_bar)^2 times the symbol: under
     # a tiny gauge h can overflow, and inf times the symbol's -0.0 at k = 0
@@ -332,7 +316,7 @@ def rk4_step(
 
     def stage(u, log_lam):
         phi = _gauge_scale(log_lam) * phi_bar
-        k, c, _ = _flow_rhs(z_jet(u, n, phi), phi)
+        k, c, _ = _flow_rhs(z_jet(u, phi), phi)
         return rfft(k) - lin * u, c
 
     f1, c1 = first
@@ -346,14 +330,15 @@ def rk4_step(
     ends, mid = e2 * n1 + nc, e * (na + nb)
     u1 = e2u0 + dt / 6.0 * (ends + 2.0 * mid)
     log_lam1 = log_lam0 + dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-    zj1 = z_jet(u1, n, _gauge_scale(log_lam1) * phi_bar)
+    phi1 = _gauge_scale(log_lam1) * phi_bar
+    zj1 = z_jet(u1, phi1)
     if not (np.isfinite(zj1).all() and math.isfinite(log_lam1)):
         raise StepRejected("non-finite state after step")
     if zj1[0].min() <= 0.0:
         raise StepRejected("positivity lost after step")
     # dt/3 > 0 scales after the max with the same bits as before it.
     est = dt / 3.0 * float(np.abs(irfft(mid - ends, n)).max())
-    return u1, zj1, log_lam1, est
+    return (zj1, u1, log_lam1, phi1), est
 
 
 def _point_rhs(x: Sequence[float]) -> tuple[float, float, float]:
@@ -397,24 +382,23 @@ def _point_step(
         raise StepRejected("dt is not positive")
     a, b, c = x0
     h = 0.5 * dt
-
-    def stage(s, k):
-        return _point_rhs((a + s * k[0], b + s * k[1], c + s * k[2]))
-
-    ka = stage(h, k1)
-    kb = stage(h, ka)
-    kc = stage(dt, kb)
+    ka = _point_rhs((a + h * k1[0], b + h * k1[1], c + h * k1[2]))
+    kb = _point_rhs((a + h * ka[0], b + h * ka[1], c + h * ka[2]))
+    kc = _point_rhs((a + dt * kb[0], b + dt * kb[1], c + dt * kb[2]))
+    ends = (k1[0] + kc[0], k1[1] + kc[1], k1[2] + kc[2])
+    mid = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
     w = dt / 6.0
-    x1, gap = [], []
-    for v, k, p, q, r in zip(x0, k1, ka, kb, kc):
-        ends, mid = k + r, p + q
-        x1.append(v + w * (ends + 2.0 * mid))
-        gap.append(abs(mid - ends))
+    x1 = (
+        a + w * (ends[0] + 2.0 * mid[0]),
+        b + w * (ends[1] + 2.0 * mid[1]),
+        c + w * (ends[2] + 2.0 * mid[2]),
+    )
     if not all(map(math.isfinite, x1)):
         raise StepRejected("non-finite state after step")
     if min(x1) <= 0.0:
         raise StepRejected("positivity lost after step")
-    return tuple(x1), dt / 3.0 * max(gap)
+    gap = max(abs(mid[0] - ends[0]), abs(mid[1] - ends[1]), abs(mid[2] - ends[2]))
+    return x1, dt / 3.0 * gap
 
 
 def _eccentricity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -425,7 +409,7 @@ def summarize_state(ts: Sequence[float], dts: Sequence[float], jets: np.ndarray)
     """All scalar reductions the monitors need, for a block of B states.
 
     ts and dts hold the B times and steps, jets the B arclength jets (x, x',
-    x''), each z_jet(u, n, phi) under its state's gauge, stacked (B, 3, 3,
+    x''), each z_jet(u, phi) under its state's gauge, stacked (B, 3, 3,
     n). Returns the block's B records of SUMMARY_DTYPE, each index the first
     attaining its value. Every reduction runs along the last axis, so each
     sample is bitwise the one a block of that state alone gives.
@@ -489,14 +473,15 @@ def evolve(
     d(a_min^2)/dt >= -4 by more than the monitors' grid tolerance;
     traj.run_stats.capped counts the steps it set. A rejected step (one
     that leaves the positive cone or turns non-finite, or whose dt has
-    underflowed to 0) is retried with halved dt up to MAX_STEP_HALVINGS
-    times; exhaustion, or a first stage that is not finite, stops the run
-    with the last good state preserved and stop reason STOP_HALVINGS.
+    underflowed to 0 or no longer advances t) is retried with halved dt up
+    to MAX_STEP_HALVINGS times; exhaustion, or a first stage that is not
+    finite, stops the run with the last good state preserved and stop
+    reason STOP_HALVINGS.
     traj.run_stats counts the accepted steps and the rejected attempts, and
     records the neck resolution of the final state.
     """
     grid = initial.grid
-    x0 = radii(initial)
+    x0 = initial.x
     point = not np.ptp(x0, axis=1).any()
     n = 1 if point else grid.n
     snapshots = [initial]
@@ -524,7 +509,7 @@ def evolve(
         step, rows, a_min = _point_step, (lambda x: x), (lambda x: x[0])
     else:
         u = rfft(x0)
-        state = (z_jet(u, n, phi_bar), u, 0.0, phi_bar)
+        state = (z_jet(u, phi_bar), u, 0.0, phi_bar)
         slots = block_zj
 
         def first_stage(s):
@@ -533,8 +518,7 @@ def evolve(
             return (rfft(k1), c1), float(np.abs(k1 / zj[0]).max())
 
         def step(s, dt, first):
-            u, zj, log_lam, est = rk4_step(s[1], s[2], dt, first, phi_bar, n)
-            return (zj, u, log_lam, _gauge_scale(log_lam) * phi_bar), est
+            return rk4_step(s[1], s[2], dt, first, phi_bar)
 
         rows, a_min = (lambda s: s[0]), (lambda s: float(s[0][0, 0].min()))
 
@@ -590,6 +574,8 @@ def evolve(
                 dt = cap
             for _ in range(MAX_STEP_HALVINGS + 1):
                 try:
+                    if t + dt == t:
+                        raise StepRejected("dt no longer advances t")
                     state, est = step(state, dt, first)
                     break
                 except StepRejected:
@@ -611,10 +597,10 @@ def evolve(
         flush()
     x, phi = (state, phi_bar) if point else (state[0][0], state[3])
     if stats.steps:
-        snapshots.append(metric_state(grid, t, phi, *x))
+        snapshots.append(MetricState(grid, t, phi, x))
     stats.neck_resolution = a_min(state) / (phi * grid.dz)
     # The dtype spares NumPy promoting the record dtypes pair by pair.
-    traj = Trajectory(grid, np.concatenate(blocks, dtype=SUMMARY_DTYPE), snapshots, stop, stats)
+    traj = Trajectory(np.concatenate(blocks, dtype=SUMMARY_DTYPE), snapshots, stop, stats)
     return traj, estimate_singular_time(traj)
 
 

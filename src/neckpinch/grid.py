@@ -2,7 +2,8 @@
 transform.
 
 The spatial domain is the circle z in [0, 2*pi) sampled on a uniform grid of n
-points. The radii a, b, c live on this grid as read-only arrays.
+points. The radii a, b, c live on this grid as the rows of one read-only
+(3, n) array.
 Every derivative with respect to the base coordinate z in the package is
 z_jet: one irfft of rfft(x) S, S the exact Fourier symbols of the 4th-order
 periodic central-difference stencil D1 and of D1 o D1, the derivative rows then
@@ -68,20 +69,19 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class MetricState:
-    """The gauge phi and the fiber radii (a, b, c) on one grid at one time.
+    """The gauge phi and the fiber radii x = (a, b, c) on one grid at one time.
 
     phi, the uniform gauge factor multiplying dz^2, is one finite float
     between sqrt(float min) and sqrt(float max), so that phi^2 is a normal
-    float. Each radius is stored as a read-only float64 copy of length
-    grid.n, a scalar being broadcast to it, finite and strictly positive.
+    float. x is given as three radii, each an array of length grid.n or a
+    scalar broadcast to it, finite and strictly positive, and is stored as
+    one read-only float64 (3, n) array; a, b and c are its rows.
     """
 
     grid: PeriodicGrid
     t: float
     phi: float
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
         if np.ndim(self.phi) != 0:
@@ -96,12 +96,14 @@ class MetricState:
             raise DataError(f"phi must be at least {sys.float_info.min**0.5:.4g}")
         if self.phi > sys.float_info.max**0.5:
             raise DataError(f"phi must be at most {sys.float_info.max**0.5:.4g}")
+        rows = list(self.x) if np.iterable(self.x) else []
+        if len(rows) != 3:
+            raise DataError(f"a state needs three radii (a, b, c), got {len(rows)}")
         n = self.grid.n
-        for name in ("a", "b", "c"):
-            values = np.array(getattr(self, name), dtype=float)
-            if values.ndim == 0:
-                values = np.full(n, values)
-            if values.shape != (n,):
+        x = np.empty((3, n))
+        for name, row, values in zip("abc", x, rows):
+            values = np.asarray(values, dtype=float)
+            if values.ndim != 0 and values.shape != (n,):
                 raise DataError(
                     f"profile {name} has shape {values.shape}, grid needs ({n},)"
                 )
@@ -109,13 +111,18 @@ class MetricState:
                 raise DataError(f"profile {name} must be finite everywhere")
             if values.min() <= 0.0:
                 raise DataError(f"profile {name} must be strictly positive")
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+            row[...] = values
+        x.setflags(write=False)
+        object.__setattr__(self, "x", x)
+
+    a = property(lambda self: self.x[0])
+    b = property(lambda self: self.x[1])
+    c = property(lambda self: self.x[2])
 
 
 def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
     """Convenience constructor: phi a number, each radius an array or a scalar."""
-    return MetricState(grid, float(t), phi, a, b, c)
+    return MetricState(grid, float(t), phi, (a, b, c))
 
 
 @functools.cache
@@ -160,11 +167,13 @@ def _jet_symbol(n: int) -> np.ndarray:
     return symbol
 
 
-def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
+def z_jet(u: np.ndarray, phi: float) -> np.ndarray:
     """The arclength jet (x, D1 x / phi, D1 D1 x / phi^2) of the rows
     x = irfft(u, n) under the scalar gauge phi (1 for the z-jet), stacked
-    (3,) + x.shape: one irfft of u S along the last axis, any leading axes
+    (3,) + x.shape, n = 2 (m - 1) for the m modes of u, as numpy.fft.irfft
+    takes by default: one irfft of u S along the last axis, any leading axes
     of u being independent rows, with rows 1 and 2 divided in place."""
+    n = 2 * (u.shape[-1] - 1)
     symbol = _jet_symbol(n)
     jet = u * symbol.reshape((3,) + (1,) * (u.ndim - 1) + symbol.shape[1:])
     jet = irfft(jet, n)
@@ -176,5 +185,4 @@ def z_jet(u: np.ndarray, n: int, phi: float) -> np.ndarray:
 def arclength_jet(state: MetricState) -> np.ndarray:
     """The arclength jet (x, x', x'') of the radii x of state, stacked (3, 3,
     n): z_jet of their rfft under the state's gauge."""
-    x = np.stack((state.a, state.b, state.c))
-    return z_jet(rfft(x), state.grid.n, state.phi)
+    return z_jet(rfft(state.x), state.phi)

@@ -104,8 +104,9 @@ def constants(lam: float) -> dict | None:
 def tolerance(traj: Trajectory) -> float:
     """Grid slack dz^4 + MESH_SLACK * (phi_bar dz)^2, 4 the stencil order and
     phi_bar dz the arclength cell of the first snapshot."""
-    mesh = traj.snapshots[0].phi * traj.grid.dz
-    return traj.grid.dz**STENCIL_ORDER + MESH_SLACK * mesh * mesh
+    first = traj.snapshots[0]
+    mesh = first.phi * first.grid.dz
+    return first.grid.dz**STENCIL_ORDER + MESH_SLACK * mesh * mesh
 
 
 def _not_applicable(why: str) -> MonitorReport:
@@ -383,7 +384,7 @@ def _k0i_evolution_rhs(zj: np.ndarray, phi: float, w: np.ndarray) -> np.ndarray:
     u, p = 1.0 / sq, sq / (sq[Y] * sq[Z])
     ry, rz, py, pz = r[Y], r[Z], p[Y], p[Z]
 
-    _, kp, kpp = z_jet(rfft(k), x.shape[-1], phi)
+    _, kp, kpp = z_jet(rfft(k), phi)
     return (
         kpp
         + (r[0] + r[1] + r[2]) * kp
@@ -418,10 +419,10 @@ def _k0i_defects(state: MetricState) -> np.ndarray:
     phi_bar in the arclength derivative. Both sides read the radii and their
     primes from the state's grid.arclength_jet and share that one W.
     """
-    phi, n = state.phi, state.grid.n
+    phi = state.phi
     x, _, xpp = zj = arclength_jet(state)
     dx, c, w = _flow_rhs(zj, phi)
-    dxpp = z_jet(rfft(dx), n, phi)[2]
+    dxpp = z_jet(rfft(dx), phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
     return np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DataError, MetricState, PeriodicGrid, is_number, metric_state, rfft
+from .grid import DataError, MetricState, PeriodicGrid, is_number, rfft
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class Preset:
         """The state at t = 0, resampled to equal arclength when phi0 varies."""
         phi, *x = (p.evaluate(grid) for p in (self.phi0, self.a0, self.b0, self.c0))
         if np.ptp(phi) != 0.0:
-            return metric_state(grid, 0.0, *equal_arclength(grid, phi, np.stack(x)))
-        return metric_state(grid, 0.0, phi[0], *x)
+            return MetricState(grid, 0.0, *equal_arclength(grid, phi, np.stack(x)))
+        return MetricState(grid, 0.0, phi[0], x)
 
 
 def _interpolant(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -108,8 +108,8 @@ def _interpolant(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def equal_arclength(
     grid: PeriodicGrid, phi: np.ndarray, x: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_bar, a, b, c): the mean phi_bar of the gauge samples phi, and the
+) -> tuple[float, np.ndarray]:
+    """(phi_bar, x): the mean phi_bar of the gauge samples phi, and the
     radii x, stacked (3, n), on its nodes of equal arclength, checking the
     samples first. Node j moves to the root of s(z) = phi_bar z_j, s the
     integral from 0 of the trig interpolant of phi, by Newton's method, and
@@ -141,7 +141,7 @@ def equal_arclength(
             "no equal-arclength nodes for phi: Newton's method did not converge "
             "(the trig interpolant of phi may not be positive)"
         )
-    return phi_bar, *_interpolant(coeffs[1:], z)
+    return phi_bar, _interpolant(coeffs[1:], z)
 
 
 def sphere(r: float = 2.0) -> Preset:

@@ -74,7 +74,7 @@ def make_trajectory(
         samples[name] = column
     grid = PeriodicGrid(grid_n)
     initial = metric_state(grid, ts[0], 1.0, 1.0, 1.0, 1.0)
-    return Trajectory(grid, samples, [initial], stop_reason=stop_reason)
+    return Trajectory(samples, [initial], stop_reason=stop_reason)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from neckpinch.curvature import check_resolvable, radii
+from neckpinch.curvature import check_resolvable
 from neckpinch.flow import _flow_rhs
 from neckpinch.grid import DataError, MetricState, arclength_jet
 
@@ -123,7 +123,7 @@ def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
     indices Sigma^k_{ij} = eps_ijk g^kk (g_ii - g_jj - g_kk). Everything with
     exactly two zero indices vanishes.
     """
-    check_resolvable(radii(state))
+    check_resolvable(state.x)
     n = state.grid.n
     g = _metric_diagonal(state)
     dg = dz_stencil(g, state.grid.dz)

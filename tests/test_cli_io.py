@@ -962,6 +962,8 @@ BIAXIAL_64_SERIES_SHA256 = "c601556914cbdce193e9d34fa3728d35952b234e81a4702d8416
 # lambda = 2 on (fig-b starts at lambda = 12); the monitors and type1 objects
 # alone hash to 3316598e...9c99dfc2 before and after.
 TWO_NECK_64_VERDICT_SHA256 = "96f40de2a9590643d55644e1c0c09e3d0264a3d7c89a9bb10ab276dc2e26f4d5"
+# Its series.csv.
+TWO_NECK_64_SERIES_SHA256 = "d9a2782f0e53584043da3c0b8f2bb6e812f443792458740be2c2570e5096782a"
 
 
 def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
@@ -979,6 +981,23 @@ def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
     verdict = {key: doc[key] for key in ("monitors", "type1", "theorem_constants")}
     canonical = json.dumps(verdict, sort_keys=True, separators=(",", ":")).encode()
     assert hashlib.sha256(canonical).hexdigest() == TWO_NECK_64_VERDICT_SHA256
+    series = (tmp_path / "out" / "series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == TWO_NECK_64_SERIES_SHA256
+
+
+# The benchmark's neck-fine case, fig-a at n=256 with the default flow: 342
+# steps, T = 0.8533297286729775.
+FIG_A_256_SERIES_SHA256 = "d645a41701fbd728ce25df8e673807cac5288c4b840a2c2b72fd74517f59c584"
+
+
+def test_cli_neck_fine_series_byte_identical_to_pinned_hash(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(
+        json.dumps({"preset": "fig-a", "grid_n": 256, "out_dir": str(tmp_path / "out")})
+    )
+    assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
+    series = (tmp_path / "out" / "series.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == FIG_A_256_SERIES_SHA256
 
 
 def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
@@ -1144,7 +1163,7 @@ def test_cli_exhausted_halvings_exit_code(tmp_path, monkeypatch):
 
     # z-constant data take evolve's point kernel, fig-a its grid kernel
     fig_a = get_preset("fig-a").build(PeriodicGrid(32))
-    fig_a_x = z_jet(np.fft.rfft(np.stack((fig_a.a, fig_a.b, fig_a.c))), 32, fig_a.phi)[0]
+    fig_a_x = z_jet(np.fft.rfft(fig_a.x), fig_a.phi)[0]
     cases = [
         ("sphere", "_point_step", 2.0 / PeriodicGrid(32).dz),
         ("fig-a", "rk4_step", float(fig_a_x[0].min() / (fig_a.phi * fig_a.grid.dz))),
@@ -1179,3 +1198,22 @@ def test_cli_underflowed_dt_ends_as_exhausted_halvings(tmp_path, preset):
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["stop_reason"] == "step_halvings_exhausted"
     assert doc["run_stats"]["steps"] > 0 and doc["run_stats"]["rejected"] == 21
+
+
+@pytest.mark.parametrize("r", [1e5, 1e20])
+def test_cli_step_that_no_longer_advances_t_ends_as_exhausted_halvings(tmp_path, r):
+    # the default stop a_min < 1e-3 is absolute: near the pinch of a large
+    # sphere dt falls below half an ulp of t, and t + dt == t is a rejected
+    # step, so no sample time repeats and T keeps the relative error of r = 2
+    cfg = {"preset": "sphere", "preset_params": {"r": r}, "grid_n": 32,
+           "out_dir": str(tmp_path)}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--strict"]) == 2
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["stop_reason"] == "step_halvings_exhausted"
+    assert doc["run_stats"]["rejected"] == 21
+    lines = (tmp_path / "series.csv").read_text().splitlines()
+    ts = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(set(ts)) == len(ts) == doc["samples"]
+    assert abs(doc["t_estimate"] - r * r / 4.0) <= 1e-8 * r * r / 4.0

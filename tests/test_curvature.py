@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neckpinch.curvature import radii, riemann_oracle, sectional_curvatures, sectional_rows
+from neckpinch.curvature import riemann_oracle, sectional_curvatures, sectional_rows
 from neckpinch.flow import summarize_state
 from neckpinch.grid import (
     DataError,
@@ -140,7 +140,7 @@ def test_curvature_and_summary_read_one_jet(preset):
     # sectional_curvatures gives the summary's s_min and rm_max bit for bit
     st = get_preset(preset).build(PeriodicGrid(64))
     jet = arclength_jet(st)
-    assert np.array_equal(jet, z_jet(np.fft.rfft(radii(st)), 64, st.phi))
+    assert np.array_equal(jet, z_jet(np.fft.rfft(st.x), st.phi))
     curv = sectional_curvatures(st)
     record = summarize_state([st.t], [0.0], jet[np.newaxis])[0]
     assert repr(curv.scal.min()) == repr(record["s_min"])

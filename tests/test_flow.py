@@ -31,6 +31,7 @@ from neckpinch.flow import (
     Trajectory,
     _final_decade,
     _flow_rhs,
+    _gauge_scale,
     _line_fit,
     _point_rhs,
     _point_step,
@@ -66,7 +67,7 @@ def rhs(state):
 def jet_of(x, phi=1.0):
     """The arclength jet of the radii x, stacked (3, n), under the uniform
     gauge phi, from their rfft, as evolve holds it; phi = 1 gives the z-jet."""
-    return z_jet(np.fft.rfft(x), x.shape[-1], phi)
+    return z_jet(np.fft.rfft(x), phi)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
@@ -199,7 +200,7 @@ def test_equal_arclength_takes_linear_memory():
     x = np.stack((np.cos(g.z) + 1.5, np.cos(g.z) + 2.5, 2.0 + np.sin(2 * g.z)))
     tracemalloc.start()
     try:
-        phi_bar, a, b, c = equal_arclength(g, phi0, x)
+        phi_bar, (a, b, c) = equal_arclength(g, phi0, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,19 +240,20 @@ def stacked(state):
     return np.stack((state.a, state.b, state.c))
 
 
-def spectral_step(u, log_lam, dt, phi_bar, n):
-    """rk4_step from the rfft u of the radii on n points, first evaluating its
-    first stage as evolve does: (u1, jet of u1, log lambda1, est)."""
+def spectral_step(u, log_lam, dt, phi_bar):
+    """rk4_step from the rfft u of the radii, first evaluating its first
+    stage as evolve does: (u1, jet of u1, log lambda1, est)."""
     phi = np.exp(log_lam) * phi_bar
-    k1, c1, _ = _flow_rhs(z_jet(u, n, phi), phi)
-    return rk4_step(u, log_lam, dt, (np.fft.rfft(k1), c1), phi_bar, n)
+    k1, c1, _ = _flow_rhs(z_jet(u, phi), phi)
+    (zj1, u1, log_lam1, _), est = rk4_step(u, log_lam, dt, (np.fft.rfft(k1), c1), phi_bar)
+    return u1, zj1, log_lam1, est
 
 
 def step(state, dt):
     """rk4_step from a MetricState of uniform phi, taken as phi_bar (log
     lambda = 0): the stepped radii (3, n) and log lambda."""
     u, phi_bar = np.fft.rfft(stacked(state)), state.phi
-    _, zj, log_lam, _ = spectral_step(u, 0.0, dt, phi_bar, state.grid.n)
+    _, zj, log_lam, _ = spectral_step(u, 0.0, dt, phi_bar)
     return zj[0], log_lam
 
 
@@ -262,10 +264,23 @@ def fixed_steps(state, dt, steps):
     u, log_lam, phi_bar, t = np.fft.rfft(stacked(state)), 0.0, state.phi, state.t
     states = [state]
     for _ in range(steps):
-        u, zj, log_lam, _ = spectral_step(u, log_lam, dt, phi_bar, grid.n)
+        u, zj, log_lam, _ = spectral_step(u, log_lam, dt, phi_bar)
         t += dt
         states.append(metric_state(grid, t, np.exp(log_lam) * phi_bar, *zj[0]))
     return states
+
+
+def test_rk4_step_returns_the_state_evolve_keeps():
+    # (jet, u, log lambda, phi) with phi1 = lambda1 phi_bar and the jet of u1
+    # under phi1, bit for bit what evolve would build from u1 and log lambda1
+    st = get_preset("fig-a").build(PeriodicGrid(32))
+    u, log_lam, phi_bar = np.fft.rfft(st.x), 0.1, 1.3
+    phi = _gauge_scale(log_lam) * phi_bar
+    k1, c1, _ = _flow_rhs(z_jet(u, phi), phi)
+    (zj1, u1, log_lam1, phi1), est = rk4_step(u, log_lam, 1e-3, (np.fft.rfft(k1), c1), phi_bar)
+    assert log_lam1 != log_lam and type(phi1) is float and type(est) is float
+    assert phi1 == _gauge_scale(log_lam1) * phi_bar
+    assert zj1.tobytes() == z_jet(u1, phi1).tobytes()
 
 
 def test_rk4_step_sphere_one_step():
@@ -304,7 +319,7 @@ def test_rk4_step_equals_classical_rk4_on_z_constant_data():
     # every mode but k = 0 is zero, and there L = 0: the integrating factor
     # is 1 and the step is classical RK4
     x0, dz = np.stack([np.full(32, r) for r in (1.0, 2.0, 3.0)]), PeriodicGrid(32).dz
-    _, zj, log_lam, _ = spectral_step(np.fft.rfft(x0), 0.2, 1e-2, 1.3, 32)
+    _, zj, log_lam, _ = spectral_step(np.fft.rfft(x0), 0.2, 1e-2, 1.3)
     x = zj[0]
     ref_x, ref_log_lam = classical_rk4_step(x0, 0.2, 1e-2, 1.3, dz)
     assert np.max(np.abs(x - ref_x) / ref_x) <= 1e-14
@@ -334,7 +349,7 @@ def z_constant_steps(radii, n, steps=60, dt=2e-3):
     phi_bar = 1.3: (u, jet, log lambda, est) after the last step."""
     u, log_lam = np.fft.rfft(z_constant(radii, n)), 0.0
     for _ in range(steps):
-        u, zj, log_lam, est = spectral_step(u, log_lam, dt, 1.3, n)
+        u, zj, log_lam, est = spectral_step(u, log_lam, dt, 1.3)
     return u, zj, log_lam, est
 
 
@@ -384,7 +399,7 @@ def test_point_step_rejects_as_the_grid_step(dt):
     # positive cone at dt = 0.065, a stage at 0.2; dt = 0 is an error
     x = (0.5, 0.5, 0.5)
     with pytest.raises((StepRejected, ValueError)) as grid:
-        spectral_step(np.fft.rfft(z_constant(x)), 0.0, dt, 1.0, 8)
+        spectral_step(np.fft.rfft(z_constant(x)), 0.0, dt, 1.0)
     with pytest.raises(grid.type, match=f"^{grid.value}$"):
         _point_step(x, dt, _point_rhs(x))
 
@@ -395,7 +410,7 @@ def test_rk4_step_is_classical_rk4_in_the_limit_of_small_steps():
     x, dz = stacked(st), st.grid.dz
     gaps = []
     for dt in (4e-4, 2e-4):
-        _, zj, log_lam, _ = spectral_step(np.fft.rfft(x), 0.0, dt, 1.0, st.grid.n)
+        _, zj, log_lam, _ = spectral_step(np.fft.rfft(x), 0.0, dt, 1.0)
         ours = zj[0]
         ref, ref_log_lam = classical_rk4_step(x, 0.0, dt, 1.0, dz)
         gaps.append(np.max(np.abs(ours - ref)))
@@ -937,7 +952,7 @@ def test_trajectory_rows_and_columns():
         block[name] = [3 * k, 3 * k + 1, 3 * k + 2]
     grid = PeriodicGrid(32)
     initial = metric_state(grid, 0.0, 1.0, 1.0, 1.0, 1.0)
-    traj = Trajectory(grid, block, [initial])
+    traj = Trajectory(block, [initial])
     samples = traj.samples
     assert isinstance(samples, np.recarray) and samples.dtype == SUMMARY_DTYPE
     assert len(samples) == 3
@@ -958,14 +973,14 @@ def test_trajectory_rows_and_columns():
     with pytest.raises(IndexError):
         traj.samples[3]
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
-        Trajectory(grid, block[["t", "dt"]], [initial])
+        Trajectory(block[["t", "dt"]], [initial])
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
-        Trajectory(grid, block.reshape(3, 1), [initial])
+        Trajectory(block.reshape(3, 1), [initial])
     # every trajectory carries its initial state
     with pytest.raises(ValueError, match="initial state"):
-        Trajectory(grid, block, [])
+        Trajectory(block, [])
     with pytest.raises(TypeError, match="snapshots"):
-        Trajectory(grid=grid, samples=block)
+        Trajectory(samples=block)
 
 
 class _MallInfo2(ctypes.Structure):
@@ -1039,12 +1054,12 @@ def test_trajectory_bytes_per_sample(capfd):
     "log_lam, message", [(710.0, "overflowed"), (-746.0, "underflowed")]
 )
 def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_lam, message):
-    # exp(710) overflows and exp(-746) underflows to 0 although the stepped
-    # log lambda itself is finite
+    # exp(710) overflows and exp(-746) underflows to 0 although log lambda
+    # itself is finite; rk4_step raises for such a lambda, and evolve passes
+    # the error on
     # (the point kernel carries no lambda: z-constant data keep lambda = 1)
-    def rk4_step(*args):
-        u1, zj1, _, est = ORIGINAL["rk4_step"](*args)
-        return u1, zj1, log_lam, est
+    def rk4_step(u0, _, *args):
+        return ORIGINAL["rk4_step"](u0, log_lam, *args)
 
     monkeypatch.setattr(flow, "rk4_step", rk4_step)
     with pytest.raises(DataError, match=message):

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from neckpinch.grid import (
     DataError,
+    MetricState,
     PeriodicGrid,
     _jet_symbol,
     arclength_jet,
@@ -83,6 +84,21 @@ def test_metric_state_rejects_wrong_length():
         metric_state(g, 0.0, np.ones((2, 8)), 1.0, 1.0, 1.0)
 
 
+def test_metric_state_holds_the_radii_as_one_array():
+    g = PeriodicGrid(8)
+    st = metric_state(g, 0.0, 1.0, np.full(8, 2.0), 3, 4.0)
+    assert st.x.dtype == np.float64 and st.x.shape == (3, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        st.x[0, 0] = 5.0
+    for k, row in enumerate((st.a, st.b, st.c)):
+        assert np.shares_memory(row, st.x) and np.array_equal(row, st.x[k])
+    copy = MetricState(g, 0.0, 1.0, st.x)
+    assert np.array_equal(copy.x, st.x) and not np.shares_memory(copy.x, st.x)
+    for radii in (st.x[:2], [2.0, 3.0], 2.0):
+        with pytest.raises(DataError, match="three radii"):
+            MetricState(g, 0.0, 1.0, radii)
+
+
 def test_grid_errors_are_data_errors():
     # every input check raises DataError itself: the package has one error class
     assert DataError.__subclasses__() == []
@@ -138,13 +154,13 @@ def test_transforms_are_numpy_fft_bit_for_bit(n):
 
 def dz(values):
     """D1 of the rows of values by the transform: row 1 of their z-jet."""
-    return z_jet(np.fft.rfft(values), values.shape[-1], 1.0)[1]
+    return z_jet(np.fft.rfft(values), 1.0)[1]
 
 
 def test_dz_annihilates_constants_exactly():
     g = PeriodicGrid(32)
     constant = np.stack([np.full(g.n, r) for r in (1.0, 2.0, 3.7)])
-    zj = z_jet(np.fft.rfft(constant), g.n, 1.0)
+    zj = z_jet(np.fft.rfft(constant), 1.0)
     assert not zj[1:].any()
     assert np.array_equal(zj[0], constant)
 
@@ -193,19 +209,33 @@ def test_z_jet_stacked_rows_bitwise(lead):
     values = rng.normal(size=lead + (g.n,)) + np.cos(g.z)
     u = np.fft.rfft(values)
     phi = 1.7
-    got = z_jet(u, g.n, phi)
+    got = z_jet(u, phi)
     assert got.shape == (3,) + values.shape
     rows = values.reshape(-1, g.n)
-    want = np.stack([z_jet(np.fft.rfft(row), g.n, phi) for row in rows], axis=1)
+    want = np.stack([z_jet(np.fft.rfft(row), phi) for row in rows], axis=1)
     assert np.array_equal(got, want.reshape(got.shape))
     # the gauge divides rows 1 and 2 of the z-jet by phi and phi^2, bitwise,
     # leaves row 0 as it is, and keeps the exact zeros of constant rows
-    zj = z_jet(u, g.n, 1.0)
+    zj = z_jet(u, 1.0)
     assert np.array_equal(got[0], zj[0])
     assert np.array_equal(got[1], zj[1] / phi)
     assert np.array_equal(got[2], zj[2] / (phi * phi))
-    constant = z_jet(np.fft.rfft(np.full(lead + (g.n,), 2.5)), g.n, phi)
+    constant = z_jet(np.fft.rfft(np.full(lead + (g.n,), 2.5)), phi)
     assert not constant[1:].any()
+
+
+@pytest.mark.parametrize("n", [8, 10, 34, 66])
+def test_z_jet_reads_n_from_the_spectrum(n):
+    # m modes are n = 2 (m - 1) points, numpy.fft.irfft's default; n = 2
+    # (mod 4) included
+    x = np.random.default_rng(n).normal(size=(3, n)) + np.cos(PeriodicGrid(n).z)
+    u, phi = np.fft.rfft(x), 1.7
+    jet = z_jet(u, phi)
+    assert jet.shape == (3, 3, n)
+    want = np.fft.irfft(u[np.newaxis] * _jet_symbol(n)[:, np.newaxis], n)
+    want[1] /= phi
+    want[2] /= phi * phi
+    assert jet.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("phi", [1e-100, 1.0, 1e100])
@@ -221,7 +251,7 @@ def test_z_jet_on_one_point_is_the_real_part_and_zeros(u, phi):
     n = 16
     spectrum = np.zeros((3, n // 2 + 1), complex)
     spectrum[:, :1] = n * u
-    jet = z_jet(spectrum, n, phi)
+    jet = z_jet(spectrum, phi)
     assert jet.shape == (3, 3, n) and jet.dtype == np.float64
     assert jet[0].tobytes() == np.repeat(u.real, n, axis=1).tobytes()
     assert not jet[1:].any()
@@ -254,7 +284,7 @@ def test_z_jet_is_the_reference_stencil():
             x = np.stack((st.a, st.b, st.c))
             dx = dz_stencil(x, g.dz)
             stencil = np.stack((x, dx, dz_stencil(dx, g.dz)))
-            for row, stencil_row, scale in zip(z_jet(np.fft.rfft(x), n, 1.0), stencil, scales):
+            for row, stencil_row, scale in zip(z_jet(np.fft.rfft(x), 1.0), stencil, scales):
                 gap = np.max(np.abs(row - stencil_row))
                 assert gap <= 1e-14 * scale * np.max(np.abs(x)), (n, name)
 

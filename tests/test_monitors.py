@@ -539,11 +539,11 @@ def residual_alone(traj, row):
     _flow_rhs computing its own W, and W computed again for the evolution
     RHS. (-defect, index)."""
     state = traj.snapshots[0]
-    phi, n = state.phi, state.grid.n
+    phi = state.phi
     zj = arclength_jet(state)
     dx, c, _ = _flow_rhs(zj, phi)
     x, xpp = zj[0], zj[2]
-    dxpp = z_jet(np.fft.rfft(dx), n, phi)[2]
+    dxpp = z_jet(np.fft.rfft(dx), phi)[2]
     dk_dt = (xpp * dx / x - dxpp + 2.0 * c * xpp) / x
     k = -xpp / x
     w, _ = tangential_speed(phi, -(k[0] + k[1] + k[2]))
@@ -679,3 +679,13 @@ def test_tolerance_is_a_grid_term_independent_of_the_step():
     # the cell is the arclength cell phi_bar dz of the first snapshot
     traj, _ = evolve(metric_state(g, 0.0, 2.0, 2.0, 2.0, 2.0), FlowConfig(a_min_stop=1.0))
     assert tolerance(traj) == pytest.approx(g.dz**4 + MESH_SLACK * (2.0 * g.dz) ** 2, rel=1e-15)
+
+
+def test_tolerance_reads_the_first_snapshot():
+    # dz and phi_bar both come from snapshots[0], whatever a later one holds
+    traj = make_trajectory(np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.5, 5))
+    first = metric_state(PeriodicGrid(48), 0.0, 0.7, 1.0, 2.0, 3.0)
+    traj.snapshots[:] = [first, metric_state(PeriodicGrid(96), 1.0, 5.0, 1.0, 1.0, 1.0)]
+    dz = first.grid.dz
+    mesh = first.phi * dz
+    assert tolerance(traj) == dz**4 + MESH_SLACK * mesh * mesh
