@@ -1,11 +1,6 @@
 """Ricci-flow neckpinch simulator for triaxial warped metrics on S1 x S3."""
 
-from .grid import (
-    DataError,
-    MetricState,
-    PeriodicGrid,
-    metric_state,
-)
+from .grid import DataError, MetricState, PeriodicGrid
 from .curvature import (
     CurvatureField,
     riemann_oracle,

@@ -120,11 +120,6 @@ class MetricState:
     c = property(lambda self: self.x[2])
 
 
-def metric_state(grid: PeriodicGrid, t, phi, a, b, c) -> MetricState:
-    """Convenience constructor: phi a number, each radius an array or a scalar."""
-    return MetricState(grid, float(t), phi, (a, b, c))
-
-
 @functools.cache
 def _pocketfft():
     """numpy.fft's gufunc module, imported at the first transform. Its kernels

@@ -14,15 +14,14 @@ each a row of one evaluation at the first snapshot, record a
 discretization defect and type1_classifier gives a verdict, so both keep
 their own rules.
 
-Every monitor has one signature, fn(traj, report, tol) -> MonitorReport: the
-trajectory, the singular-time fit (None when no singularity was detected) and
-the slack a margin may fall below zero by. MONITORS maps every monitor name to
-its function for run_monitors and the config check; run_monitors computes
-tol = tolerance(traj) = dz^4 + MESH_SLACK * (phi_bar dz)^2 once, so refining
-the grid tightens every assertion. The tolerance depends on the grid alone:
-no setting scales it, and the step size, which the flow chooses for accuracy,
-does not widen it. A caller that wants another slack calls MONITORS[name]
-with its own tol.
+Every monitor has one signature, fn(traj, report) -> MonitorReport: the
+trajectory and the singular-time fit (None when no singularity was detected).
+MONITORS maps every monitor name to its function for run_monitors and the
+config check. The slack a margin may fall below zero by is the trajectory's
+own, tol = tolerance(traj) = dz^4 + MESH_SLACK * (phi_bar dz)^2 from its first
+snapshot, which _report reads, so refining the grid tightens every assertion.
+The tolerance depends on the grid alone: no setting scales it, and the step
+size, which the flow chooses for accuracy, does not widen it.
 """
 
 from __future__ import annotations
@@ -121,13 +120,15 @@ _UNORDERED = _not_applicable("initial data is not ordered a <= b <= c")
 Margin = tuple[float, tuple[float, int | None] | None] | None
 
 
-def _report(tol: float, margins: dict[str, Margin], notes: str = "") -> MonitorReport:
-    """The report of a bound monitor from its named margins.
+def _report(traj: Trajectory, margins: dict[str, Margin], notes: str = "") -> MonitorReport:
+    """The report of a bound monitor on traj from its named margins.
 
     The worst margin is the first smallest of the claimed ones, and the bound
-    passes when it is >= -tol. The notes are `notes`, then every named margin
-    when there is more than one (a bound not claimed reads n/a), then tol.
+    passes when it is >= -tol, tol = tolerance(traj). The notes are `notes`,
+    then every named margin when there is more than one (a bound not claimed
+    reads n/a), then tol.
     """
+    tol = tolerance(traj)
     worst, where = min((m for m in margins.values() if m is not None), key=lambda m: m[0])
     if len(margins) > 1:
         for name, m in margins.items():
@@ -184,15 +185,15 @@ def _lower_bound_constant(traj: Trajectory) -> float | None:
     return None
 
 
-def ordering_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def ordering_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """a <= b <= c is preserved: the worst of min(b-a) and min(c-b) over the run."""
     if not _initially_ordered(traj):
         return _UNORDERED
     columns = [traj.series("ord_ba_min"), traj.series("ord_cb_min")]
-    return _report(tol, {"ordering": _worst(traj, columns, ["ord_ba_idx", "ord_cb_idx"])})
+    return _report(traj, {"ordering": _worst(traj, columns, ["ord_ba_idx", "ord_cb_idx"])})
 
 
-def eccentricity_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def eccentricity_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """sup|b-c|/min(b,c) and sup|a-c|/min(a,c) are nonincreasing in time."""
     if not _initially_ordered(traj):
         return _UNORDERED
@@ -201,10 +202,10 @@ def eccentricity_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRe
     attrs = ("ecc_bc", "ecc_ac")
     drops = [col[:-1] - col[1:] for col in map(traj.series, attrs)]
     worst = _worst(traj, drops, [f"{attr}_idx" for attr in attrs], shift=1)
-    return _report(tol, {"drop": worst})
+    return _report(traj, {"drop": worst})
 
 
-def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def ratio_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """max(c/a) stays below its first value lam, and below the refined envelope
     (c/a)^2 <= e^(lam^2-1)(lam^2-1)(1 - 4(t-t0)/c_max(0)^2)^2 + 1, t0 the first t."""
     if not _initially_ordered(traj):
@@ -226,10 +227,10 @@ def ratio_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
         "plain_margin": _worst(traj, [lam - ratio], ["ratio_max_idx"]),
         "refined_margin": _worst(traj, [np.array(envelope)], ["ratio_max_idx"]),
     }
-    return _report(tol, margins, f"lam={lam:.6g} ")
+    return _report(traj, margins, f"lam={lam:.6g} ")
 
 
-def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def amin_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """a_min^2 <= 4(T-t), d(a_min^2)/dt >= -4, and, when max(c/a) < 2 with
     nonnegative initial scalar curvature, a_min^2 >= D(T-t)."""
     if not _initially_ordered(traj):
@@ -248,10 +249,10 @@ def amin_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRepo
         margins["lower_bound"] = None
     else:
         margins["lower_margin"] = _worst(traj, [amin_sq - d_lower * (T - ts)], ["a_min_idx"])
-    return _report(tol, margins, f"T={T:.6g} ")
+    return _report(traj, margins, f"T={T:.6g} ")
 
 
-def cmax_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def cmax_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """c_max^2 <= c_max(0)^2 - 4(t-t0) and d(c_max^2)/dt <= -4, t0 the first
     sample's t. The bound implies the stop time T <= t0 + c_max(0)^2 / 4."""
     if not _initially_ordered(traj):
@@ -263,10 +264,10 @@ def cmax_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorRepo
         "bound_margin": _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"]),
         "slope_margin": _slope_margin(traj, -cmax_sq, 4.0, "c_max_idx"),
     }
-    return _report(tol, margins)
+    return _report(traj, margins)
 
 
-def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def derivative_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """sup|x'| never exceeds max(universal bound, initial sup) for x in a,b,c.
 
     Only claimed for ordered data with max(c/a) < 2.
@@ -283,15 +284,15 @@ def derivative_bound_monitor(traj: Trajectory, report: Fit, tol: float) -> Monit
         for attr, bound in zip(attrs, universal)
     ]
     fields = [f"{attr}_idx" for attr in attrs]
-    return _report(tol, {"sup": _worst(traj, margins, fields)}, f"lam={lam:.6g} ")
+    return _report(traj, {"sup": _worst(traj, margins, fields)}, f"lam={lam:.6g} ")
 
 
-def scalar_min_monitor(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def scalar_min_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """min_z S stays nonnegative whenever it starts nonnegative."""
     s0 = _first(traj, "s_min")
     if s0 < 0.0:
         return _not_applicable(f"initial min S = {s0:.4g} < 0")
-    return _report(tol, {"s_min": _worst(traj, [traj.series("s_min")], ["s_min_idx"])})
+    return _report(traj, {"s_min": _worst(traj, [traj.series("s_min")], ["s_min_idx"])})
 
 
 def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
@@ -343,7 +344,7 @@ def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
     )
 
 
-def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
+def concavity_check(traj: Trajectory, report: Fit) -> MonitorReport:
     """Second differences of a_min^2 on a uniform time resampling stay <= 0.
 
     Evidence only: concavity of the pinch profile is observed, not proved.
@@ -359,7 +360,7 @@ def concavity_check(traj: Trajectory, report: Fit, tol: float) -> MonitorReport:
     d2 = y_u[2:] - 2.0 * y_u[1:-1] + y_u[:-2]
     k = int(np.argmax(d2))
     margin = (float(-d2[k]), (float(t_u[k + 1]), None))
-    return _report(tol, {"concavity": margin}, f"max_second_difference={float(d2[k]):.3e} ")
+    return _report(traj, {"concavity": margin}, f"max_second_difference={float(d2[k]):.3e} ")
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +428,7 @@ def _k0i_defects(state: MetricState) -> np.ndarray:
     return np.abs(dk_dt - _k0i_evolution_rhs(zj, phi, w))
 
 
-def evolution_residual(
-    traj: Trajectory, report: Fit, tol: float, which: str = "k01"
-) -> MonitorReport:
+def evolution_residual(traj: Trajectory, report: Fit, which: str = "k01") -> MonitorReport:
     """Max-norm defect between dt K_0i and its evolution RHS at the first
     snapshot (see _k0i_defects), for K_0i the row `which` of (k01, k02, k03).
     Each call evaluates all three rows and reads its own; nothing is kept.
@@ -454,7 +453,7 @@ def evolution_residual(
     )
 
 
-#: Every monitor by name, each called as fn(traj, report, tol).
+#: Every monitor by name, each called as fn(traj, report).
 MONITORS = {
     "ordering": ordering_monitor,
     "eccentricity": eccentricity_monitor,
@@ -480,12 +479,10 @@ def run_monitors(
     report: Fit,
     names: tuple[str, ...] | list[str] = DEFAULT_MONITORS,
 ) -> dict[str, MonitorReport]:
-    """Evaluate the named monitors of MONITORS at tol = tolerance(traj);
-    unknown names raise."""
-    tol = tolerance(traj)
+    """Evaluate the named monitors of MONITORS; unknown names raise."""
     out = {}
     for name in names:
         if name not in MONITORS:
             raise ValueError(f"unknown monitor {name!r}")
-        out[name] = MONITORS[name](traj, report, tol)
+        out[name] = MONITORS[name](traj, report)
     return out

@@ -112,8 +112,12 @@ def equal_arclength(
     """(phi_bar, x): the mean phi_bar of the gauge samples phi, and the
     radii x, stacked (3, n), on its nodes of equal arclength, checking the
     samples first. Node j moves to the root of s(z) = phi_bar z_j, s the
-    integral from 0 of the trig interpolant of phi, by Newton's method, and
-    each radius takes its trig interpolant's value there.
+    integral from 0 of the trig interpolant of phi, by Newton's method kept
+    inside a bracket of the root: it starts as [z_j - 2 pi, z_j + 2 pi],
+    shrinks to each iterate by the sign of s - phi_bar z_j, and a step that
+    leaves it goes to its midpoint instead, as where phi is small a plain
+    Newton step on the increasing s overshoots. Each radius takes its trig
+    interpolant's value at the root.
     """
     if not np.isfinite(phi).all():
         raise DataError("profile phi must be finite everywhere")
@@ -129,19 +133,23 @@ def equal_arclength(
     # s(z) - phi_bar z = Re sum_{k > 0} c_k (e^{ikz} - 1) / (ik) for c = coeffs[0]; s' = phi.
     s_hat = coeffs[0, 1:] / (1j * np.arange(1, grid.n // 2 + 1))
     s_and_ds = np.stack((np.concatenate(([-s_hat.sum()], s_hat)), coeffs[0]))
-    z = grid.z
+    z, lo, hi = grid.z, grid.z - 2.0 * np.pi, grid.z + 2.0 * np.pi
     for _ in range(50):
         s, ds = _interpolant(s_and_ds, z)
-        step = (s + phi_bar * (z - grid.z)) / ds
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-13:
+        if ds.min() <= 0.0:
             break
-    else:
-        raise DataError(
-            "no equal-arclength nodes for phi: Newton's method did not converge "
-            "(the trig interpolant of phi may not be positive)"
-        )
-    return phi_bar, _interpolant(coeffs[1:], z)
+        residual = s + phi_bar * (z - grid.z)
+        lo = np.where(residual < 0.0, z, lo)
+        hi = np.where(residual > 0.0, z, hi)
+        step = residual / ds
+        z = z - step
+        z = np.where((lo <= z) & (z <= hi), z, 0.5 * (lo + hi))
+        if np.max(np.abs(step)) <= 1e-13:
+            return phi_bar, _interpolant(coeffs[1:], z)
+    raise DataError(
+        "no equal-arclength nodes for phi: Newton's method did not converge "
+        "(the trig interpolant of phi may not be positive)"
+    )
 
 
 def sphere(r: float = 2.0) -> Preset:

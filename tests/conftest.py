@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neckpinch.flow import SUMMARY_DTYPE, Trajectory
-from neckpinch.grid import PeriodicGrid, metric_state
+from neckpinch.grid import MetricState, PeriodicGrid
 
 
 def pytest_runtest_logreport(report):
@@ -73,7 +73,7 @@ def make_trajectory(
     for name, column in columns.items():
         samples[name] = column
     grid = PeriodicGrid(grid_n)
-    initial = metric_state(grid, ts[0], 1.0, 1.0, 1.0, 1.0)
+    initial = MetricState(grid, float(ts[0]), 1.0, (1.0, 1.0, 1.0))
     return Trajectory(samples, [initial], stop_reason=stop_reason)
 
 

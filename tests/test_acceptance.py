@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from neckpinch.curvature import riemann_oracle, sectional_curvatures
 from neckpinch.flow import FlowConfig, evolve, summarize_state
-from neckpinch.grid import PeriodicGrid, arclength_jet, metric_state
+from neckpinch.grid import MetricState, PeriodicGrid, arclength_jet
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
@@ -121,7 +121,7 @@ def test_criterion_3_pde_ode_equivalence():
     assert min(sol.y[:, -1]) < 1e-6  # the oracle ran into the blow-down
     t_cut = 0.9 * t_sing
 
-    state = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 2.0, 3.0)
+    state = MetricState(PeriodicGrid(32), 0.0, 1.0, (1.0, 2.0, 3.0))
     traj, _ = evolve(state, FlowConfig(cfl_safety=0.05, t_max=t_cut))
     ts = traj.ts
     ode = sol.sol(ts)
@@ -210,7 +210,7 @@ def test_criterion_7_concavity_evidence(fig_a_256, fig_b_128, fig_c_128):
         ("fig-b", fig_b_128),
         ("fig-c", fig_c_128),
     ):
-        rep = concavity_check(traj, None, tolerance(traj))
+        rep = concavity_check(traj, None)
         assert rep.passed is True, f"{label}: {rep.notes}"
         # qualitative pinch shape: the concave arc ends at the threshold
         # (a_min may rise briefly first: at a deep neck the (b^2-c^2)^2
@@ -228,7 +228,7 @@ def test_criterion_8_evolution_residual_refinement():
     def residual(n):
         state = get_preset("fig-a").build(PeriodicGrid(n))
         traj, _ = evolve(state, FlowConfig(t_max=2.4e-3))
-        return -evolution_residual(traj, None, tolerance(traj), "k01").worst_margin
+        return -evolution_residual(traj, None, "k01").worst_margin
 
     coarse = residual(64)
     fine = residual(128)
@@ -279,7 +279,7 @@ def test_theorem_bounds_hold_over_the_hypothesis_class(radii, eps, k, theta, til
     grid = PeriodicGrid(1024)
     shape = 1.0 + eps * np.cos(k * grid.z + theta)
     rows = [r * shape * (1.0 + p * np.cos(grid.z + q)) for r, p, q in zip(radii, tilts, phases)]
-    state = metric_state(grid, 0.0, 1.0, *rows)
+    state = MetricState(grid, 0.0, 1.0, rows)
     first = summarize_state([0.0], [0.0], arclength_jet(state)[np.newaxis])[0]
     assume(min(first["ord_ba_min"], first["ord_cb_min"]) >= 0.0)
     assume(first["ratio_max"] < 2.0 and first["s_min"] >= 0.0)

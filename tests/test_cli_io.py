@@ -863,6 +863,20 @@ def test_run_settings_inventory():
     ]
 
 
+def test_public_names_inventory():
+    # adding a public name, or a module of the package, means editing this test
+    assert neckpinch.__all__ == [
+        "CurvatureField", "DataError", "FlowConfig", "MetricState", "MonitorReport",
+        "PeriodicGrid", "Preset", "Profile", "RunConfig", "SingularityReport", "Trajectory",
+        "TypeIReport", "amin_bound_monitor", "biaxial", "cmax_bound_monitor", "concavity_check",
+        "config", "constants", "curvature", "derivative_bound_monitor", "eccentricity_monitor",
+        "estimate_singular_time", "evolution_residual", "evolve", "flow", "get_preset", "grid",
+        "load_config", "monitors", "ordering_monitor", "output", "presets", "ratio_monitor",
+        "riemann_oracle", "rk4_step", "run_monitors", "scalar_min_monitor",
+        "sectional_curvatures", "sphere", "type1_classifier", "write_series", "write_summary",
+    ]
+
+
 def test_cli_monitor_subset(tmp_path):
     code = main(
         [
@@ -966,23 +980,57 @@ TWO_NECK_64_VERDICT_SHA256 = "96f40de2a9590643d55644e1c0c09e3d0264a3d7c89a9bb10a
 TWO_NECK_64_SERIES_SHA256 = "d9a2782f0e53584043da3c0b8f2bb6e812f443792458740be2c2570e5096782a"
 
 
-def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
-    cfg = {
-        "preset": "fig-b",
-        "grid_n": 64,
-        "flow": {"monitor_stride": 2},
-        "monitors_enabled": list(MONITORS),
-        "out_dir": str(tmp_path / "out"),
-    }
+def _strict_run_verdict_sha256(tmp_path, **cfg) -> str:
+    """Run cfg at n=64 with all 11 monitors under --strict, which must exit 0,
+    and hash its summary.json verdict block: the monitors, type1 and
+    theorem_constants objects as canonical JSON (sorted keys, no whitespace)."""
+    out_dir = str(tmp_path / "out")
+    cfg = {"grid_n": 64, "monitors_enabled": list(MONITORS), "out_dir": out_dir, **cfg}
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     verdict = {key: doc[key] for key in ("monitors", "type1", "theorem_constants")}
     canonical = json.dumps(verdict, sort_keys=True, separators=(",", ":")).encode()
-    assert hashlib.sha256(canonical).hexdigest() == TWO_NECK_64_VERDICT_SHA256
+    return hashlib.sha256(canonical).hexdigest()
+
+
+def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
+    verdict = _strict_run_verdict_sha256(tmp_path, preset="fig-b", flow={"monitor_stride": 2})
+    assert verdict == TWO_NECK_64_VERDICT_SHA256
     series = (tmp_path / "out" / "series.csv").read_bytes()
     assert hashlib.sha256(series).hexdigest() == TWO_NECK_64_SERIES_SHA256
+
+
+# The verdict block of two more runs at n=64, all 11 monitors, default flow:
+# mild, in the lower-bound regime (max c/a = 1.2, theorem_constants set),
+# and fig-a (theorem_constants null, lambda = 5).
+@pytest.mark.parametrize(
+    "preset, digest",
+    [
+        ("mild", "54cfa5509f4d6a41ca94d09838e29661ce5605817de1d93692e20d3296748d1c"),
+        ("fig-a", "49ad15833af88dc60003620dc175e78e1db8374aa04cdec1855493dab1306be1"),
+    ],
+)
+def test_cli_verdict_byte_identical_to_pinned_hash(tmp_path, preset, digest):
+    assert _strict_run_verdict_sha256(tmp_path, preset=preset) == digest
+
+
+# The stdout of two commands that print tables: the preset list and the
+# refinement study of fig-a.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["presets"], "cbbb1e07e892ee6bca13cce208ad9db1ffce9f861053e2c0bccd693f1e767ab1"),
+        (
+            ["convergence", "--preset", "fig-a"],
+            "265233dd31a7049f034d31257c2f59eb42cc34fa0316d25ae7aceba9ffbd581c",
+        ),
+    ],
+)
+def test_cli_stdout_byte_identical_to_pinned_hash(capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # The benchmark's neck-fine case, fig-a at n=256 with the default flow: 342

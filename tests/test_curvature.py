@@ -5,9 +5,9 @@ from neckpinch.curvature import riemann_oracle, sectional_curvatures, sectional_
 from neckpinch.flow import summarize_state
 from neckpinch.grid import (
     DataError,
+    MetricState,
     PeriodicGrid,
     arclength_jet,
-    metric_state,
     z_jet,
 )
 from neckpinch.presets import get_preset
@@ -22,7 +22,7 @@ from reference import (
 
 
 def round_state(r=1.0, phi=1.0, n=32):
-    return metric_state(PeriodicGrid(n), 0.0, phi, r, r, r)
+    return MetricState(PeriodicGrid(n), 0.0, phi, (r, r, r))
 
 
 def wavy_state(n=64):
@@ -30,9 +30,7 @@ def wavy_state(n=64):
     z = g.z
     # a gauge phi = 2 away from 1 exercises the g^00 and 1/phi scalings; the
     # oracle's g^00 dz(g00) terms are exactly 0 on the uniform gauge
-    return metric_state(
-        g, 0.0, 2.0, np.cos(z) + 1.5, 0.5 * np.sin(z) + 2.5, np.cos(2 * z) + 3.5
-    )
+    return MetricState(g, 0.0, 2.0, (np.cos(z) + 1.5, 0.5 * np.sin(z) + 2.5, np.cos(2 * z) + 3.5))
 
 
 # --- fiber sectional curvatures -------------------------------------------
@@ -53,7 +51,7 @@ def test_fiber_round_is_inverse_square(r):
 def test_fiber_biaxial_hand_values():
     # a=1, b=c=2: Khat23 = (0-3)/16 + 1/2 + 1/2 = 13/16,
     #             Khat12 = Khat13 = (9-48)/16 + 2 + 1/2 = 1/16
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 1.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(16), 0.0, 1.0, (1.0, 2.0, 2.0))
     khat12, khat13, khat23 = fiber_rows(st)
     assert np.allclose(khat23, 13.0 / 16.0, rtol=1e-14)
     assert np.allclose(khat12, 1.0 / 16.0, rtol=1e-13)
@@ -62,31 +60,31 @@ def test_fiber_biaxial_hand_values():
 
 def test_fiber_scaling_homogeneity():
     g = PeriodicGrid(16)
-    base = metric_state(g, 0.0, 1.0, 1.0, 2.0, 3.0)
+    base = MetricState(g, 0.0, 1.0, (1.0, 2.0, 3.0))
     lam = 2.5
-    scaled = metric_state(g, 0.0, 1.0, lam * 1.0, lam * 2.0, lam * 3.0)
+    scaled = MetricState(g, 0.0, 1.0, (lam * 1.0, lam * 2.0, lam * 3.0))
     for kb, ks in zip(fiber_rows(base), fiber_rows(scaled)):
         assert np.allclose(ks, kb / lam**2, rtol=1e-12)
 
 
 def test_fiber_permutation_symmetry():
     g = PeriodicGrid(16)
-    k12 = fiber_rows(metric_state(g, 0.0, 1.0, 1.0, 2.0, 3.0))[0]
-    k13 = fiber_rows(metric_state(g, 0.0, 1.0, 1.0, 3.0, 2.0))[1]
-    k23 = fiber_rows(metric_state(g, 0.0, 1.0, 3.0, 1.0, 2.0))[2]
+    k12 = fiber_rows(MetricState(g, 0.0, 1.0, (1.0, 2.0, 3.0)))[0]
+    k13 = fiber_rows(MetricState(g, 0.0, 1.0, (1.0, 3.0, 2.0)))[1]
+    k23 = fiber_rows(MetricState(g, 0.0, 1.0, (3.0, 1.0, 2.0)))[2]
     assert np.allclose(k12, k13, rtol=1e-14)
     assert np.allclose(k12, k23, rtol=1e-14)
 
 
 def test_degenerate_fiber_raises():
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 1e-9, 1.0, 1.0)
+    st = MetricState(PeriodicGrid(16), 0.0, 1.0, (1e-9, 1.0, 1.0))
     with pytest.raises(DataError, match="fiber radius 1.000e-09 below resolvable floor"):
         sectional_curvatures(st)
 
 
 def test_overflowing_curvature_raises_nonfinite():
     # b^2 and (a^2 - b^2)^2 overflow, so both paths produce inf or NaN
-    st = metric_state(PeriodicGrid(16), 0.0, 1.0, 1.0, 1e200, 1.0)
+    st = MetricState(PeriodicGrid(16), 0.0, 1.0, (1.0, 1e200, 1.0))
     for curvature in (sectional_curvatures, riemann_oracle):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DataError, match="curvature is not finite everywhere"):
@@ -112,14 +110,14 @@ def test_round_state_curvature(r):
 
 def test_k01_matches_analytic_neck():
     g = PeriodicGrid(64)
-    st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, 2.5, 3.5)
+    st = MetricState(g, 0.0, 1.0, (np.cos(g.z) + 1.5, 2.5, 3.5))
     curv = sectional_curvatures(st)
     expected = np.cos(g.z) / (np.cos(g.z) + 1.5)
     assert np.max(np.abs(curv.k01 - expected)) <= 1e-4
 
 
 def test_constant_state_curvature_is_homogeneous():
-    curv = sectional_curvatures(metric_state(PeriodicGrid(32), 0.0, 2.0, 1.0, 2.0, 3.0))
+    curv = sectional_curvatures(MetricState(PeriodicGrid(32), 0.0, 2.0, (1.0, 2.0, 3.0)))
     for f in curv.sectional():
         assert np.ptp(f) == 0.0
 
@@ -160,7 +158,7 @@ def test_ric00_equals_sum_of_k0i():
 def test_biaxial_symmetry_is_exact():
     g = PeriodicGrid(64)
     b = np.cos(g.z) + 2.5
-    st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
+    st = MetricState(g, 0.0, 1.0, (np.cos(g.z) + 1.5, b, b))
     curv = sectional_curvatures(st)
     assert np.array_equal(curv.k02, curv.k03)
     assert np.array_equal(curv.k12, curv.k13)
@@ -178,7 +176,7 @@ def test_scalar_curvature_round(r):
 def test_scalar_curvature_equal_radii_reduction():
     g = PeriodicGrid(128)
     a = np.cos(g.z) + 1.5
-    st = metric_state(g, 0.0, 1.0, a, a, a)
+    st = MetricState(g, 0.0, 1.0, (a, a, a))
     s = scalar_curvature(st)
     # with a = b = c: S = 2(-3a''/a - 3(a')^2/a^2 + 3/a^2), a'' = -cos z
     expected = 2.0 * (3 * np.cos(g.z) / a - 3 * np.sin(g.z) ** 2 / a**2 + 3.0 / a**2)
@@ -302,9 +300,9 @@ def test_assembly_pair_symmetry():
 
 def test_oracle_homogeneity():
     g = PeriodicGrid(32)
-    base = metric_state(g, 0.0, 1.5, 1.0, 2.0, 3.0)
+    base = MetricState(g, 0.0, 1.5, (1.0, 2.0, 3.0))
     lam = 2.0
-    scaled = metric_state(g, 0.0, 1.5, lam, 2 * lam, 3 * lam)
+    scaled = MetricState(g, 0.0, 1.5, (lam, 2 * lam, 3 * lam))
     kb = riemann_oracle(base)
     ks = riemann_oracle(scaled)
     for row in range(6):

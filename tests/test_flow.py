@@ -44,9 +44,9 @@ from neckpinch.flow import (
 )
 from neckpinch.grid import (
     DataError,
+    MetricState,
     PeriodicGrid,
     arclength_jet,
-    metric_state,
     z_jet,
 )
 from neckpinch.presets import Preset, Profile, cos, equal_arclength, get_preset, sin, sphere
@@ -72,7 +72,7 @@ def jet_of(x, phi=1.0):
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_round_state_derivatives(r):
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, r, r, r)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (r, r, r))
     dx, dlog_lam = rhs(st)
     assert np.allclose(dx, -2.0 / r, rtol=1e-14)
     assert dlog_lam == 0.0 and type(dlog_lam) is float
@@ -81,7 +81,7 @@ def test_round_state_derivatives(r):
 def test_triaxial_hand_slopes():
     # (a, b, c) = (1, 2, 3): da = -2*1*(1-25)/36 = 4/3, db = -2*2*(16-64)/36
     # = 16/3, dc = -2*3*(81-9)/36 = -12
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 2.0, 3.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (1.0, 2.0, 3.0))
     (da, db, dc), dlog_lam = rhs(st)
     assert np.allclose(da, 4.0 / 3.0, rtol=1e-14)
     assert np.allclose(db, 16.0 / 3.0, rtol=1e-14)
@@ -92,7 +92,7 @@ def test_triaxial_hand_slopes():
 def test_biaxial_rhs_symmetry_bitwise():
     g = PeriodicGrid(64)
     b = np.cos(g.z) + 2.5
-    st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
+    st = MetricState(g, 0.0, 1.0, (np.cos(g.z) + 1.5, b, b))
     (_, db, dc), _ = rhs(st)
     assert np.array_equal(db, dc)
 
@@ -156,13 +156,14 @@ def wavy_gauge(phi0, c0=cos(1.0, 3.5)):
                   cos(1.0, 2.5), c0)
 
 
-def exact_nodes(g):
-    """The equal-arclength nodes of phi0 = 1 + 0.3 sin z on the grid g: the
-    roots of its arclength s(z) = z + 0.3 (1 - cos z) = z_j."""
-    return np.array(
-        [brentq(lambda z, s=s: z + 0.3 * (1.0 - np.cos(z)) - s, -1.0, 7.0, xtol=1e-15)
-         for s in g.z]
-    )
+def exact_nodes(g, mean=1.0, amplitude=0.3, frequency=1):
+    """The equal-arclength nodes of phi0 = mean + amplitude sin(frequency z),
+    amplitude < mean, on the grid g: the roots of its arclength s(z) =
+    mean z + amplitude (1 - cos(frequency z)) / frequency = mean z_j."""
+    def residual(z, z_j):
+        return mean * (z - z_j) + amplitude * (1.0 - np.cos(frequency * z)) / frequency
+
+    return np.array([brentq(residual, -1.0, 7.0, args=(z_j,), xtol=1e-15) for z_j in g.z])
 
 
 def test_nonuniform_gauge_keeps_its_shape():
@@ -190,6 +191,23 @@ def test_nonuniform_gauge_is_resampled_to_equal_arclength():
     np.testing.assert_allclose(first.b, np.cos(nodes) + 2.5, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(first.c, 2.0 + np.sin(2 * nodes), rtol=0.0, atol=1e-13)
     assert first.t == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, amplitude, frequency",
+    [(32, 4.9, 1), (64, 4.9, 1), (128, 4.9, 1), (32, 4.75, 2), (64, 4.75, 2), (128, 4.75, 2),
+     (32, 4.5, 7)],
+)
+def test_equal_arclength_resolves_a_gauge_near_zero(n, amplitude, frequency):
+    # phi0 = 5 + amplitude sin(frequency z) falls to 0.1-0.5, where a plain
+    # Newton step on the increasing arclength overshoots the node; the
+    # bracket keeps it, and the nodes are the exact ones
+    g = PeriodicGrid(n)
+    first = wavy_gauge(5.0 + amplitude * np.sin(frequency * g.z)).build(g)
+    nodes = exact_nodes(g, 5.0, amplitude, frequency)
+    assert first.phi == pytest.approx(5.0, rel=1e-15)
+    for got, offset in zip(first.x, (1.5, 2.5, 3.5)):
+        np.testing.assert_allclose(got, np.cos(nodes) + offset, rtol=0.0, atol=1e-13)
 
 
 def test_equal_arclength_takes_linear_memory():
@@ -266,7 +284,7 @@ def fixed_steps(state, dt, steps):
     for _ in range(steps):
         u, zj, log_lam, _ = spectral_step(u, log_lam, dt, phi_bar)
         t += dt
-        states.append(metric_state(grid, t, np.exp(log_lam) * phi_bar, *zj[0]))
+        states.append(MetricState(grid, t, np.exp(log_lam) * phi_bar, zj[0]))
     return states
 
 
@@ -284,7 +302,7 @@ def test_rk4_step_returns_the_state_evolve_keeps():
 
 
 def test_rk4_step_sphere_one_step():
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     dt = 1e-4
     out, log_lam = step(st, dt)
     assert out.shape == (3, 32)
@@ -296,13 +314,13 @@ def test_rk4_step_sphere_one_step():
 def test_rk4_preserves_biaxial_closure():
     g = PeriodicGrid(64)
     b = np.cos(g.z) + 2.5
-    st = metric_state(g, 0.0, 1.0, np.cos(g.z) + 1.5, b, b)
+    st = MetricState(g, 0.0, 1.0, (np.cos(g.z) + 1.5, b, b))
     out, _ = step(st, 1e-4)
     assert np.max(np.abs(out[1] - out[2])) == 0.0
 
 
 def test_rk4_rejects_positivity_loss():
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (0.5, 0.5, 0.5))
     with pytest.raises(StepRejected):
         step(st, 0.2)  # an internal stage drives a through zero
 
@@ -310,7 +328,7 @@ def test_rk4_rejects_positivity_loss():
 def test_rk4_rejects_nonpositive_dt():
     # a dt that underflowed to 0 is a rejected step, which evolve halves to
     # exhaustion
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 1.0, 1.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (1.0, 1.0, 1.0))
     with pytest.raises(StepRejected):
         step(st, 0.0)
 
@@ -426,7 +444,7 @@ def test_tiny_gauge_pinches_constant_radii_at_r2_over_4(phi0):
     # step's time error, 2.8e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        runs = [evolve(metric_state(PeriodicGrid(32), 0.0, phi, 1.0, 1.0, 1.0), FlowConfig())
+        runs = [evolve(MetricState(PeriodicGrid(32), 0.0, phi, (1.0, 1.0, 1.0)), FlowConfig())
                 for phi in (phi0, 1.0)]
     (traj, report), (unit, unit_report) = runs
     assert traj.stop_reason == STOP_AMIN
@@ -490,7 +508,7 @@ def test_small_gauge_fig_a_reaches_t_max_in_few_steps():
     # an initial layer; dt must grow as the layer decays (177 steps to
     # t = 0.05), not keep the memory of r0
     st = get_preset("fig-a").build(PeriodicGrid(64))
-    tiny = metric_state(st.grid, 0.0, 1e-9, st.a, st.b, st.c)
+    tiny = MetricState(st.grid, 0.0, 1e-9, (st.a, st.b, st.c))
     traj, _ = evolve(tiny, FlowConfig(t_max=0.05))
     assert traj.stop_reason == STOP_TMAX
     assert traj.run_stats.steps < 1000
@@ -730,7 +748,7 @@ def _count_fft_calls(monkeypatch):
 def test_evolve_takes_no_transform_on_z_constant_data(monkeypatch):
     calls = _count_fft_calls(monkeypatch)
     for radii in Z_CONSTANT_RADII:
-        traj, _ = evolve(metric_state(PeriodicGrid(64), 0.0, 1.0, *radii), FlowConfig())
+        traj, _ = evolve(MetricState(PeriodicGrid(64), 0.0, 1.0, radii), FlowConfig())
         assert traj.stop_reason == STOP_AMIN
     assert calls == []
     evolve(get_preset("fig-a").build(PeriodicGrid(64)), FlowConfig())
@@ -773,7 +791,7 @@ def test_evolve_operation_counts(monkeypatch, case):
 
 
 def test_evolve_strided_z_constant_run_to_t_max():
-    st = metric_state(PeriodicGrid(64), 0.0, 1.0, 1.0, 1.5, 2.0)
+    st = MetricState(PeriodicGrid(64), 0.0, 1.0, (1.0, 1.5, 2.0))
     every, _ = evolve(st, FlowConfig(t_max=0.2))
     traj, _ = evolve(st, FlowConfig(t_max=0.2, monitor_stride=3))
     assert traj.stop_reason == STOP_TMAX and traj.run_stats.steps % 3 != 0
@@ -791,7 +809,7 @@ def test_evolve_strided_z_constant_run_to_t_max():
 
 
 def test_evolve_sphere_tracks_exact_solution():
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, report = evolve(st, FlowConfig(cfl_safety=0.1, a_min_stop=0.05))
     assert traj.stop_reason == STOP_AMIN
     ts = traj.ts
@@ -806,7 +824,7 @@ def test_evolve_sphere_dt_convergence_order():
     # global a_min^2 error is O(dt^4); halving the cfl factor halves every dt
     errs = []
     for cfl in (0.4, 0.2, 0.1):
-        st = metric_state(PeriodicGrid(64), 0.0, 1.0, 2.0, 2.0, 2.0)
+        st = MetricState(PeriodicGrid(64), 0.0, 1.0, (2.0, 2.0, 2.0))
         traj, _ = evolve(st, FlowConfig(cfl_safety=cfl, a_min_stop=0.05))
         ts = traj.ts
         errs.append(float(np.max(np.abs(traj.series("a_min") ** 2 - (4.0 - 4.0 * ts)))))
@@ -828,7 +846,7 @@ def test_evolve_fig_a_dt_convergence_order():
 
 
 def test_trajectory_times_strictly_increasing_and_finite():
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
     assert not traj.samples.flags.writeable
     assert np.shares_memory(traj.ts, traj.samples)
@@ -838,7 +856,7 @@ def test_trajectory_times_strictly_increasing_and_finite():
 
 
 def test_evolve_respects_t_max():
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, report = evolve(st, FlowConfig(t_max=1e-6))
     assert traj.stop_reason == STOP_TMAX
     assert traj.samples[-1].t == pytest.approx(1e-6, abs=1e-12)
@@ -849,7 +867,7 @@ def test_evolve_respects_t_max():
 def test_evolve_halves_rejected_steps(monkeypatch):
     # on either kernel the fourth step is rejected twice and accepted at a
     # quarter of its dt
-    cases = {"point": metric_state(PeriodicGrid(32), 0.0, 1.0, 0.5, 0.5, 0.5),
+    cases = {"point": MetricState(PeriodicGrid(32), 0.0, 1.0, (0.5, 0.5, 0.5)),
              "grid": KERNELS["grid"][3]}
     for kernel, st in cases.items():
         with monkeypatch.context() as patch:
@@ -901,7 +919,7 @@ def test_evolve_rejects_overflowing_grid_stages_without_a_warning(monkeypatch):
 
 
 def test_evolve_counts_steps():
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
     stats = traj.run_stats
     assert stats.steps == len(traj.samples) - 1 > 0
@@ -951,7 +969,7 @@ def test_trajectory_rows_and_columns():
     for k, name in enumerate(SUMMARY_DTYPE.names):
         block[name] = [3 * k, 3 * k + 1, 3 * k + 2]
     grid = PeriodicGrid(32)
-    initial = metric_state(grid, 0.0, 1.0, 1.0, 1.0, 1.0)
+    initial = MetricState(grid, 0.0, 1.0, (1.0, 1.0, 1.0))
     traj = Trajectory(block, [initial])
     samples = traj.samples
     assert isinstance(samples, np.recarray) and samples.dtype == SUMMARY_DTYPE

@@ -13,7 +13,6 @@ from neckpinch.grid import (
     _jet_symbol,
     arclength_jet,
     irfft,
-    metric_state,
     rfft,
     z_jet,
 )
@@ -42,15 +41,15 @@ def test_metric_state_rejects_nonfinite():
     for bad in (np.nan, np.inf, -np.inf):
         values[3] = bad
         with pytest.raises(DataError, match="profile phi must be finite"):
-            metric_state(g, 0.0, bad, 1.0, 1.0, 1.0)
+            MetricState(g, 0.0, bad, (1.0, 1.0, 1.0))
         for k, name in enumerate("abc", start=1):
             profiles = [1.0] * 4
             profiles[k] = values
             with pytest.raises(DataError, match=f"profile {name} must be finite everywhere"):
-                metric_state(g, 0.0, *profiles)
+                MetricState(g, 0.0, profiles[0], profiles[1:])
             profiles[k] = bad
             with pytest.raises(DataError, match=f"profile {name} must be finite everywhere"):
-                metric_state(g, 0.0, *profiles)
+                MetricState(g, 0.0, profiles[0], profiles[1:])
 
 
 @pytest.mark.parametrize("phi", [np.full(8, 1.3), 1.3 + 0.2 * np.sin(PeriodicGrid(8).z), [1.0]])
@@ -58,13 +57,13 @@ def test_metric_state_refuses_an_array_gauge(phi):
     # uniform or not, an array phi is refused: the gauge is one number, and a
     # varying phi0 enters through a samples profile, which Preset.build resamples
     with pytest.raises(DataError, match="phi must be one number.*samples profile"):
-        metric_state(PeriodicGrid(8), 0.0, phi, 1.0, 2.0, 3.0)
+        MetricState(PeriodicGrid(8), 0.0, phi, (1.0, 2.0, 3.0))
 
 
 def test_metric_state_profiles_are_readonly_copies():
     g = PeriodicGrid(8)
     a = np.full(8, 2.0)
-    st = metric_state(g, 0.0, 1.0, a, 3, 4.0)
+    st = MetricState(g, 0.0, 1.0, (a, 3, 4.0))
     a[0] = 5.0
     assert st.a[0] == 2.0
     for values in (st.a, st.b, st.c):
@@ -73,20 +72,20 @@ def test_metric_state_profiles_are_readonly_copies():
             values[0] = 2.0
     assert np.array_equal(st.b, np.full(8, 3.0))
     assert type(st.phi) is float and st.phi == 1.0
-    assert type(metric_state(g, 0.0, np.float64(2.5), a, 3, 4.0).phi) is float
+    assert type(MetricState(g, 0.0, np.float64(2.5), (a, 3, 4.0)).phi) is float
 
 
 def test_metric_state_rejects_wrong_length():
     g = PeriodicGrid(8)
     with pytest.raises(ValueError):
-        metric_state(g, 0.0, 1.0, np.ones(16), 1.0, 1.0)
+        MetricState(g, 0.0, 1.0, (np.ones(16), 1.0, 1.0))
     with pytest.raises(ValueError):
-        metric_state(g, 0.0, np.ones((2, 8)), 1.0, 1.0, 1.0)
+        MetricState(g, 0.0, np.ones((2, 8)), (1.0, 1.0, 1.0))
 
 
 def test_metric_state_holds_the_radii_as_one_array():
     g = PeriodicGrid(8)
-    st = metric_state(g, 0.0, 1.0, np.full(8, 2.0), 3, 4.0)
+    st = MetricState(g, 0.0, 1.0, (np.full(8, 2.0), 3, 4.0))
     assert st.x.dtype == np.float64 and st.x.shape == (3, 8)
     with pytest.raises(ValueError, match="read-only"):
         st.x[0, 0] = 5.0
@@ -117,17 +116,17 @@ def test_grid_rejects_sizes_beyond_any_jet():
 def test_metric_state_rejects_a_gauge_too_large_to_square():
     g = PeriodicGrid(8)
     limit = sys.float_info.max**0.5
-    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi == limit
+    assert MetricState(g, 0.0, limit, (1.0, 1.0, 1.0)).phi == limit
     with pytest.raises(DataError, match="phi must be at most 1.341e"):
-        metric_state(g, 0.0, np.nextafter(limit, np.inf), 1.0, 1.0, 1.0)
+        MetricState(g, 0.0, np.nextafter(limit, np.inf), (1.0, 1.0, 1.0))
 
 
 def test_metric_state_rejects_a_gauge_whose_square_is_subnormal():
     g = PeriodicGrid(8)
     limit = sys.float_info.min**0.5
-    assert metric_state(g, 0.0, limit, 1.0, 1.0, 1.0).phi == limit
+    assert MetricState(g, 0.0, limit, (1.0, 1.0, 1.0)).phi == limit
     with pytest.raises(DataError, match="phi must be at least 1.492e-154"):
-        metric_state(g, 0.0, np.nextafter(limit, 0.0), 1.0, 1.0, 1.0)
+        MetricState(g, 0.0, np.nextafter(limit, 0.0), (1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("n", [8, 10, 34, 64, 256, 1024, 9, 33])
@@ -296,7 +295,7 @@ def test_arclength_jet_matches_s_derivatives():
     phi = 1.3
     x = np.stack([np.cos(g.z) + 1.5, np.sin(2 * g.z) + 2.5, np.cos(3 * g.z) + 3.5])
     scales = np.abs(_jet_symbol(g.n)).max(axis=-1) * np.max(np.abs(x))
-    _, xp, xpp = arclength_jet(metric_state(g, 0.0, phi, *x))
+    _, xp, xpp = arclength_jet(MetricState(g, 0.0, phi, x))
     for row, d1, d2 in zip(x, xp, xpp):
         gap1 = np.max(np.abs(d1 - s_derivative(row, phi, g.dz)))
         gap2 = np.max(np.abs(d2 - s_second_derivative(row, phi, g.dz)))
@@ -369,6 +368,6 @@ def test_s_second_derivative_shifted_cos():
 def test_metric_state_validates_positivity():
     g = PeriodicGrid(16)
     with pytest.raises(DataError, match="profile a must be strictly positive"):
-        metric_state(g, 0.0, 1.0, -1.0, 2.0, 3.0)
+        MetricState(g, 0.0, 1.0, (-1.0, 2.0, 3.0))
     with pytest.raises(DataError, match="phi must be strictly positive"):
-        metric_state(g, 0.0, 0.0, 1.0, 2.0, 3.0)
+        MetricState(g, 0.0, 0.0, (1.0, 2.0, 3.0))

@@ -8,7 +8,7 @@ import pytest
 from neckpinch.config import config_from_dict
 from neckpinch import monitors
 from neckpinch.flow import FlowConfig, SingularityReport, _flow_rhs, evolve, tangential_speed
-from neckpinch.grid import DataError, PeriodicGrid, arclength_jet, metric_state, z_jet
+from neckpinch.grid import DataError, MetricState, PeriodicGrid, arclength_jet, z_jet
 from neckpinch.monitors import (
     DERIV_BOUND_A,
     DERIV_BOUND_B,
@@ -38,7 +38,7 @@ from reference import dz_stencil, scalar_curvature
 
 @pytest.fixture(scope="module")
 def sphere_run():
-    st = metric_state(PeriodicGrid(48), 0.0, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(48), 0.0, 1.0, (2.0, 2.0, 2.0))
     return evolve(st, FlowConfig(cfl_safety=0.1, a_min_stop=1e-2))
 
 
@@ -89,7 +89,7 @@ def test_derivative_bound_constants_to_twelve_digits():
 
 def test_ordering_sphere_margin_zero(sphere_run):
     traj, _ = sphere_run
-    rep = ordering_monitor(traj, None, tolerance(traj))
+    rep = ordering_monitor(traj, None)
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)
 
@@ -97,7 +97,7 @@ def test_ordering_sphere_margin_zero(sphere_run):
 def test_ordering_adversarial_precondition():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts, ord_ba=-0.5)
-    rep = ordering_monitor(traj, None, tolerance(traj))
+    rep = ordering_monitor(traj, None)
     assert rep.passed is None
     assert "precondition" in rep.notes
 
@@ -106,7 +106,7 @@ def test_ordering_detects_violation():
     ts = np.linspace(0, 1, 30)
     ord_ba = np.linspace(0.5, -0.2, 30)  # ordered initially, crosses later
     traj = make_trajectory(ts, 2.0 - ts, ord_ba=ord_ba, ord_cb=1.0)
-    rep = ordering_monitor(traj, None, tolerance(traj))
+    rep = ordering_monitor(traj, None)
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-0.2)
     assert rep.worst_location[0] == pytest.approx(1.0)
@@ -117,7 +117,7 @@ def test_ordering_detects_violation():
 
 def test_eccentricity_sphere_identically_zero(sphere_run):
     traj, _ = sphere_run
-    rep = eccentricity_monitor(traj, None, tolerance(traj))
+    rep = eccentricity_monitor(traj, None)
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)
 
@@ -126,7 +126,7 @@ def test_eccentricity_biaxial_first_quantity_zero():
     st = biaxial(1.0, 1.5).build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.02))
     assert np.all(traj.series("ecc_bc") == 0.0)
-    assert eccentricity_monitor(traj, None, tolerance(traj)).passed is True
+    assert eccentricity_monitor(traj, None).passed is True
 
 
 def test_eccentricity_detects_growth():
@@ -134,7 +134,7 @@ def test_eccentricity_detects_growth():
     ecc = np.full(30, 0.1)
     ecc[-1] = 0.5  # a jump well above any discretization slack
     traj = make_trajectory(ts, 2.0 - ts, ecc_bc=ecc)
-    rep = eccentricity_monitor(traj, None, tolerance(traj))
+    rep = eccentricity_monitor(traj, None)
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-0.4)
 
@@ -144,7 +144,7 @@ def test_eccentricity_detects_growth():
 
 def test_ratio_round_reduces_to_identity(sphere_run):
     traj, _ = sphere_run
-    rep = ratio_monitor(traj, None, tolerance(traj))
+    rep = ratio_monitor(traj, None)
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -157,7 +157,7 @@ def test_ratio_refined_envelope_is_slack_at_start():
     assert envelope0 >= lam**2
     ts = np.linspace(0, 0.5, 30)
     traj = make_trajectory(ts, 2.0 - ts, ratio_max=lam, c_max=3.0, ord_cb=0.1, ord_ba=0.1)
-    rep = ratio_monitor(traj, None, tolerance(traj))
+    rep = ratio_monitor(traj, None)
     assert rep.passed is True
     assert f"lam={lam:.6g}" in rep.notes
 
@@ -167,7 +167,7 @@ def test_ratio_detects_violation():
     traj = make_trajectory(
         ts, 2.0 - ts, ratio_max=np.linspace(1.5, 2.5, 30), c_max=3.0, ord_ba=0.1, ord_cb=0.1
     )
-    rep = ratio_monitor(traj, None, tolerance(traj))
+    rep = ratio_monitor(traj, None)
     assert rep.passed is False
     assert rep.worst_margin <= -1.0
     assert "plain_margin=-1.000e+00" in rep.notes
@@ -178,7 +178,7 @@ def test_ratio_reports_where_the_refined_envelope_is_worst():
     # envelope e^1.25 * 1.25 * (1 - t)^2 + 1 - 2.25 falls to -1.25 at t = 1
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts, ratio_max=1.5, c_max=2.0, ord_ba=0.1, ord_cb=0.1)
-    rep = ratio_monitor(traj, None, tolerance(traj))
+    rep = ratio_monitor(traj, None)
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-1.25)
     assert rep.worst_location == (1.0, 0)
@@ -189,7 +189,7 @@ def test_ratio_reports_where_the_refined_envelope_is_worst():
 
 def test_amin_sphere_upper_bound_tight(sphere_run):
     traj, report = sphere_run
-    rep = amin_bound_monitor(traj, report, tolerance(traj))
+    rep = amin_bound_monitor(traj, report)
     assert rep.passed is True
     # equality case: 4(T - t) - a_min^2 = 0 up to fit error, and the lower
     # bound 2(T - t) stays strictly inside
@@ -200,7 +200,7 @@ def test_amin_sphere_upper_bound_tight(sphere_run):
 def test_amin_requires_report():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts)
-    rep = amin_bound_monitor(traj, None, tolerance(traj))
+    rep = amin_bound_monitor(traj, None)
     assert rep.passed is None
 
 
@@ -212,7 +212,7 @@ def test_amin_detects_too_fast_pinch():
     from neckpinch.flow import estimate_singular_time
 
     report = estimate_singular_time(traj)
-    rep = amin_bound_monitor(traj, report, tolerance(traj))
+    rep = amin_bound_monitor(traj, report)
     assert rep.passed is False
 
 
@@ -225,10 +225,10 @@ def test_amin_lower_bound_needs_nonnegative_initial_scalar_curvature():
     traj = make_trajectory(ts, a_min, ratio_max=1.2, s_min=-tol / 2.0)
     from neckpinch.flow import estimate_singular_time
 
-    rep = amin_bound_monitor(traj, estimate_singular_time(traj), tol)
+    rep = amin_bound_monitor(traj, estimate_singular_time(traj))
     assert "lower_bound=n/a" in rep.notes
     assert "lower_margin" not in rep.notes
-    assert scalar_min_monitor(traj, None, tol).passed is None
+    assert scalar_min_monitor(traj, None).passed is None
 
 
 def test_amin_slope_only_violation_is_the_worst_margin():
@@ -237,7 +237,7 @@ def test_amin_slope_only_violation_is_the_worst_margin():
     ts = np.array([0.0, 1.0, 1.1])
     traj = make_trajectory(ts, np.sqrt([16.0, 12.5, 12.0]))
     report = SingularityReport(t_estimate=5.0, fit_window=(0.0, 1.1), fit_residual=0.0)
-    rep = amin_bound_monitor(traj, report, tolerance(traj))
+    rep = amin_bound_monitor(traj, report)
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-1.0)
     assert rep.worst_location == (pytest.approx(1.1), 0)
@@ -247,7 +247,7 @@ def test_amin_slope_only_violation_is_the_worst_margin():
 def test_amin_single_sample_keeps_an_infinite_slope_margin():
     traj = make_trajectory([0.0], [2.0])
     report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.0), fit_residual=0.0)
-    rep = amin_bound_monitor(traj, report, tolerance(traj))
+    rep = amin_bound_monitor(traj, report)
     assert "slope_margin=inf " in rep.notes
     assert rep.worst_margin == pytest.approx(0.0) and rep.worst_location == (0.0, 0)
 
@@ -259,7 +259,7 @@ def test_amin_single_sample_keeps_an_infinite_slope_margin():
 )
 def test_fig_b_off_node_necks_keep_the_amin_bound():
     traj, report = evolve(get_preset("fig-b").build(PeriodicGrid(34)), FlowConfig())
-    assert amin_bound_monitor(traj, report, tolerance(traj)).passed is True
+    assert amin_bound_monitor(traj, report).passed is True
 
 
 def test_amin_and_concavity_need_ordered_data():
@@ -270,8 +270,8 @@ def test_amin_and_concavity_need_ordered_data():
     report = SingularityReport(t_estimate=1.0, fit_window=(0.0, 0.99), fit_residual=0.0)
     for ord_ba, passed in ((0.0, False), (-0.5, None)):
         traj = make_trajectory(ts, 2.5 * (1.0 - ts), ord_ba=ord_ba)
-        for rep in (amin_bound_monitor(traj, report, tolerance(traj)),
-                    concavity_check(traj, report, tolerance(traj))):
+        for rep in (amin_bound_monitor(traj, report),
+                    concavity_check(traj, report)):
             assert rep.passed is passed
             assert ("not ordered" in rep.notes) is (passed is None)
 
@@ -281,7 +281,7 @@ def test_amin_and_concavity_need_ordered_data():
 
 def test_cmax_sphere_equality(sphere_run):
     traj, _ = sphere_run
-    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    rep = cmax_bound_monitor(traj, None)
     assert rep.passed is True
     assert abs(rep.worst_margin) <= 1e-6 or rep.worst_margin > 0
     assert rep.notes.startswith("bound_margin=") and "slope_margin=" in rep.notes
@@ -292,7 +292,7 @@ def test_cmax_detects_slow_decay():
     ts = np.linspace(0.0, 1.0, 60)
     c = np.sqrt(9.0 - 2.0 * ts)
     traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1, ratio_max=1.5)
-    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    rep = cmax_bound_monitor(traj, None)
     assert rep.passed is False
 
 
@@ -302,7 +302,7 @@ def test_cmax_slope_only_violation_is_the_worst_margin():
     ts = np.array([0.0, 1.0, 1.1])
     c = np.sqrt([16.0, 8.0, 7.7])
     traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1)
-    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    rep = cmax_bound_monitor(traj, None)
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-1.0)
     assert rep.worst_location == (pytest.approx(1.1), 0)
@@ -313,7 +313,7 @@ def test_cmax_margins_count_time_from_the_first_sample():
     # the first sample and slope 4 (anchored at t = 0 the bound read 4).
     ts = np.array([-1.0, 0.0, 0.5])
     traj = make_trajectory(ts, 2.0 - ts, c_max=np.sqrt([16.0, 8.0, 4.0]))
-    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    rep = cmax_bound_monitor(traj, None)
     assert rep.passed is True
     assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=4.000e+00 tol=")
     assert rep.worst_margin == 0.0 and rep.worst_location == (-1.0, 0)
@@ -327,7 +327,7 @@ def test_cmax_run_past_its_latest_stop_fails_on_the_bound():
     ts = np.array([0.5, 1.0, 1.5, 2.5])
     c = np.sqrt([4.0, 2.0, 0.5, 0.25])
     traj = make_trajectory(ts, 2.0 - ts, c_max=c, ord_ba=0.1, ord_cb=0.1)
-    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    rep = cmax_bound_monitor(traj, None)
     assert rep.passed is False
     assert rep.worst_margin == pytest.approx(-4.25)
     assert rep.worst_location == (2.5, 0)
@@ -336,7 +336,7 @@ def test_cmax_run_past_its_latest_stop_fails_on_the_bound():
 def test_round_sphere_started_late_passes_the_cmax_and_ratio_bounds():
     # evolve accepts any starting t; anchored at t = 0 instead of the first
     # sample, a start at t0 = 0.5 read bound_margin -4 t0 = -2.000
-    st = metric_state(PeriodicGrid(32), 0.5, 1.0, 2.0, 2.0, 2.0)
+    st = MetricState(PeriodicGrid(32), 0.5, 1.0, (2.0, 2.0, 2.0))
     traj, report = evolve(st, FlowConfig())
     for name, rep in run_monitors(traj, report, ["cmax_bound", "ratio"]).items():
         assert rep.passed is True, (name, rep.notes)
@@ -345,7 +345,7 @@ def test_round_sphere_started_late_passes_the_cmax_and_ratio_bounds():
 
 def test_cmax_single_sample_keeps_an_infinite_slope_margin():
     traj = make_trajectory([0.0], [2.0], c_max=3.0)
-    rep = cmax_bound_monitor(traj, None, tolerance(traj))
+    rep = cmax_bound_monitor(traj, None)
     assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=inf tol=")
     assert rep.worst_margin == 0.0 and rep.worst_location == (0.0, 0)
 
@@ -356,7 +356,7 @@ def test_cmax_single_sample_keeps_an_infinite_slope_margin():
 def test_derivative_bounds_z_constant_data():
     st = biaxial(1.0, 1.5).build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.02))
-    rep = derivative_bound_monitor(traj, None, tolerance(traj))
+    rep = derivative_bound_monitor(traj, None)
     assert rep.passed is True
     # all sups are identically zero, so the binding margin is the smallest
     # universal constant
@@ -366,7 +366,7 @@ def test_derivative_bounds_z_constant_data():
 def test_derivative_bounds_not_claimed_for_large_ratio():
     st = get_preset("fig-a").build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.01))
-    rep = derivative_bound_monitor(traj, None, tolerance(traj))
+    rep = derivative_bound_monitor(traj, None)
     assert rep.passed is None
     assert ">= 2" in rep.notes
 
@@ -374,7 +374,7 @@ def test_derivative_bounds_not_claimed_for_large_ratio():
 def test_derivative_bounds_mild_preset_passes():
     st = get_preset("mild").build(PeriodicGrid(64))
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
-    rep = derivative_bound_monitor(traj, None, tolerance(traj))
+    rep = derivative_bound_monitor(traj, None)
     assert rep.passed is True
 
 
@@ -383,7 +383,7 @@ def test_derivative_bounds_mild_preset_passes():
 
 def test_scalar_min_sphere(sphere_run):
     traj, _ = sphere_run
-    rep = scalar_min_monitor(traj, None, tolerance(traj))
+    rep = scalar_min_monitor(traj, None)
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(1.5, rel=1e-10)  # S = 6/r^2 at r = 2
 
@@ -391,25 +391,25 @@ def test_scalar_min_sphere(sphere_run):
 def test_scalar_min_large_flat_radii_stay_nonnegative():
     # torus-like data: huge z-constant radii give a small positive S that the
     # flow keeps nonnegative
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 10.0, 11.0, 12.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (10.0, 11.0, 12.0))
     s0 = scalar_curvature(st)
     assert 0.0 < s0.min() < 0.1
     traj, _ = evolve(st, FlowConfig(t_max=0.5))
-    rep = scalar_min_monitor(traj, None, tolerance(traj))
+    rep = scalar_min_monitor(traj, None)
     assert rep.passed is True
 
 
 def test_scalar_min_precondition_violated():
     ts = np.linspace(0, 1, 25)
     traj = make_trajectory(ts, 2.0 - ts, s_min=-1.0)
-    rep = scalar_min_monitor(traj, None, tolerance(traj))
+    rep = scalar_min_monitor(traj, None)
     assert rep.passed is None
 
 
 def test_scalar_min_detects_sign_loss():
     ts = np.linspace(0, 1, 25)
     traj = make_trajectory(ts, 2.0 - ts, s_min=np.linspace(1.0, -0.5, 25))
-    rep = scalar_min_monitor(traj, None, tolerance(traj))
+    rep = scalar_min_monitor(traj, None)
     assert rep.passed is False
 
 
@@ -468,7 +468,7 @@ def test_type1_without_report_is_inconclusive():
 def test_concavity_linear_series_passes():
     ts = np.linspace(0.0, 0.9, 200)
     traj = make_trajectory(ts, np.sqrt(4.0 - 4.0 * ts))
-    rep = concavity_check(traj, None, tolerance(traj))
+    rep = concavity_check(traj, None)
     assert rep.passed is True
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -477,20 +477,20 @@ def test_concavity_convex_series_fails():
     T = 1.0
     ts = np.linspace(0.0, 0.9, 1000)
     traj = make_trajectory(ts, T - ts)  # a_min^2 = (T-t)^2 is convex
-    rep = concavity_check(traj, None, tolerance(traj))
+    rep = concavity_check(traj, None)
     assert rep.passed is False
 
 
 def test_concavity_needs_enough_samples():
     ts = np.linspace(0.0, 0.5, 10)
     traj = make_trajectory(ts, 2.0 - ts)
-    rep = concavity_check(traj, None, tolerance(traj))
+    rep = concavity_check(traj, None)
     assert rep.passed is None
 
 
 def test_concavity_sphere(sphere_run):
     traj, _ = sphere_run
-    assert concavity_check(traj, None, tolerance(traj)).passed is True
+    assert concavity_check(traj, None).passed is True
 
 
 # --- curvature-evolution residuals --------------------------------------------------------------
@@ -499,9 +499,9 @@ def test_concavity_sphere(sphere_run):
 @pytest.mark.parametrize("which", ["k01", "k02", "k03"])
 def test_evolution_residual_vanishes_on_homogeneous_data(which):
     # z-constant data keeps K_0i = 0 on both sides of the evolution equation
-    st = metric_state(PeriodicGrid(32), 0.0, 1.0, 1.0, 2.0, 3.0)
+    st = MetricState(PeriodicGrid(32), 0.0, 1.0, (1.0, 2.0, 3.0))
     traj, _ = evolve(st, FlowConfig(t_max=5e-3))
-    rep = evolution_residual(traj, None, tolerance(traj), which)
+    rep = evolution_residual(traj, None, which)
     assert rep.passed is True
     assert abs(rep.worst_margin) <= 1e-12
 
@@ -514,7 +514,7 @@ def test_evolution_residual_converges_at_the_stencil_order(preset, which):
     residuals = []
     for n in (64, 128, 256):
         traj, _ = evolve(get_preset(preset).build(PeriodicGrid(n)), FlowConfig(t_max=0.0))
-        rep = evolution_residual(traj, None, tolerance(traj), which)
+        rep = evolution_residual(traj, None, which)
         assert rep.passed is True
         residuals.append(-rep.worst_margin)
     for coarse, fine in zip(residuals, residuals[1:]):
@@ -523,7 +523,7 @@ def test_evolution_residual_converges_at_the_stencil_order(preset, which):
 
 def test_evolution_residual_round_sphere(sphere_run):
     traj, _ = sphere_run
-    rep = evolution_residual(traj, None, tolerance(traj), "k01")
+    rep = evolution_residual(traj, None, "k01")
     assert abs(rep.worst_margin) <= 1e-12
 
 
@@ -531,7 +531,7 @@ def test_evolution_residual_rejects_an_unknown_row():
     ts = np.linspace(0, 1, 30)
     traj = make_trajectory(ts, 2.0 - ts)
     with pytest.raises(ValueError, match="k04"):
-        evolution_residual(traj, None, tolerance(traj), "k04")
+        evolution_residual(traj, None, "k04")
 
 
 def residual_alone(traj, row):
@@ -657,8 +657,8 @@ def test_every_registered_monitor_is_configurable_and_runs(sphere_run, name):
 
 def test_monitors_are_deterministic(sphere_run):
     traj, report = sphere_run
-    a = ordering_monitor(traj, None, tolerance(traj))
-    b = ordering_monitor(traj, None, tolerance(traj))
+    a = ordering_monitor(traj, None)
+    b = ordering_monitor(traj, None)
     assert a == b
 
 
@@ -673,19 +673,19 @@ def test_tolerance_is_a_grid_term_independent_of_the_step():
     g = PeriodicGrid(32)
     grid_tol = g.dz**4 + MESH_SLACK * g.dz**2
     for cfl in (0.2, 0.1):
-        st = metric_state(g, 0.0, 1.0, 2.0, 2.0, 2.0)
+        st = MetricState(g, 0.0, 1.0, (2.0, 2.0, 2.0))
         traj, _ = evolve(st, FlowConfig(cfl_safety=cfl, a_min_stop=1.0))
         assert tolerance(traj) == pytest.approx(grid_tol, rel=1e-15)
     # the cell is the arclength cell phi_bar dz of the first snapshot
-    traj, _ = evolve(metric_state(g, 0.0, 2.0, 2.0, 2.0, 2.0), FlowConfig(a_min_stop=1.0))
+    traj, _ = evolve(MetricState(g, 0.0, 2.0, (2.0, 2.0, 2.0)), FlowConfig(a_min_stop=1.0))
     assert tolerance(traj) == pytest.approx(g.dz**4 + MESH_SLACK * (2.0 * g.dz) ** 2, rel=1e-15)
 
 
 def test_tolerance_reads_the_first_snapshot():
     # dz and phi_bar both come from snapshots[0], whatever a later one holds
     traj = make_trajectory(np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.5, 5))
-    first = metric_state(PeriodicGrid(48), 0.0, 0.7, 1.0, 2.0, 3.0)
-    traj.snapshots[:] = [first, metric_state(PeriodicGrid(96), 1.0, 5.0, 1.0, 1.0, 1.0)]
+    first = MetricState(PeriodicGrid(48), 0.0, 0.7, (1.0, 2.0, 3.0))
+    traj.snapshots[:] = [first, MetricState(PeriodicGrid(96), 1.0, 5.0, (1.0, 1.0, 1.0))]
     dz = first.grid.dz
     mesh = first.phi * dz
     assert tolerance(traj) == dz**4 + MESH_SLACK * mesh * mesh
