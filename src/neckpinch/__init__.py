@@ -30,7 +30,7 @@ from .monitors import (
     scalar_min_monitor,
     type1_classifier,
 )
-from .presets import Preset, Profile, biaxial, get_preset, presets, sphere
+from .presets import Preset, Profile, biaxial, get_preset, sphere
 from .config import RunConfig, load_config
 from .output import write_series, write_summary
 

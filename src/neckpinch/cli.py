@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-  run          evolve a preset (or config-defined data), run monitors, write outputs
+  run          evolve a preset, run monitors, write outputs
   presets      list the canonical initial data
   curvature    one-shot curvature table for a preset at t = 0
   convergence  grid/step refinement study printing measured orders
@@ -23,12 +23,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import flow, monitors
-from .config import RunConfig, config_from_dict, load_config
+from .config import RunConfig, load_config
 from .curvature import riemann_oracle, sectional_curvatures
 from .grid import DataError, PeriodicGrid, rfft, z_jet
 from .output import write_series, write_summary, write_table
@@ -74,25 +75,23 @@ def _build_parser() -> _Parser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = cfg.as_dict()
+    overrides = {}
     if args.preset:
-        overrides["preset"] = args.preset
-        overrides["preset_params"] = {}
-        overrides["profiles"] = None
+        overrides.update(preset=args.preset, preset_params={})
     if args.grid_n is not None:
         overrides["grid_n"] = args.grid_n
     if args.out:
         overrides["out_dir"] = args.out
     if args.monitors:
-        overrides["monitors_enabled"] = [
+        overrides["monitors_enabled"] = tuple(
             m.strip() for m in args.monitors.split(",") if m.strip()
-        ]
-    return config_from_dict(overrides)
+        )
+    return replace(cfg, **overrides)
 
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    preset = cfg.build_preset()
+    preset = get_preset(cfg.preset, cfg.preset_params)
     traj, report = flow.evolve(preset.build(PeriodicGrid(cfg.grid_n)), cfg.flow)
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled)
     type1 = monitors.type1_classifier(traj, report)
@@ -102,7 +101,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series(traj, out_dir / "series.csv")
-    write_summary(traj, report, reports, type1, consts, cfg.as_dict(), out_dir / "summary.json")
+    write_summary(traj, report, reports, type1, consts, asdict(cfg), out_dir / "summary.json")
 
     t_final, a_min, c_max = (traj.series(name)[-1] for name in ("t", "a_min", "c_max"))
     print(f"run: preset={preset.name} n={cfg.grid_n} stop={traj.stop_reason}")

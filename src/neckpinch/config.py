@@ -7,22 +7,19 @@ back to a default.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .flow import FlowConfig
-from .grid import DataError, is_number
+from .grid import DataError
 from .monitors import DEFAULT_MONITORS, MONITORS
-from .presets import Preset, Profile, get_preset
-
-_PROFILE_KEYS = {"kind", "amplitude", "frequency", "offset", "samples"}
+from .presets import Preset, get_preset
 
 
 @dataclass(frozen=True)
 class RunConfig:
     preset: str = "fig-a"
     preset_params: dict = dc_field(default_factory=dict)
-    profiles: dict | None = None
     grid_n: int = 256
     flow: FlowConfig = dc_field(default_factory=FlowConfig)
     monitors_enabled: tuple[str, ...] = DEFAULT_MONITORS
@@ -45,39 +42,8 @@ class RunConfig:
                 raise DataError(f"unknown monitor {name!r}")
 
     def build_preset(self) -> Preset:
-        if self.profiles is not None:
-            required = {"phi0", "a0", "b0", "c0"}
-            unknown = set(self.profiles) - required
-            if unknown:
-                raise DataError(f"unknown profile entries: {sorted(unknown)}")
-            missing = required - set(self.profiles)
-            if missing:
-                raise DataError(f"profiles must define {sorted(missing)}")
-            built = {}
-            for key, spec in self.profiles.items():
-                if not isinstance(spec, dict):
-                    raise DataError(f"profile {key} must be a JSON object, got {spec!r}")
-                bad = set(spec) - _PROFILE_KEYS
-                if bad:
-                    raise DataError(f"unknown profile keys in {key!r}: {sorted(bad)}")
-                spec = dict(spec)
-                samples = spec.get("samples")
-                if samples is not None:
-                    if not isinstance(samples, list):
-                        raise DataError(
-                            f"profile {key} samples must be a JSON list, got {samples!r}"
-                        )
-                    bad = [v for v in samples if not is_number(v)]
-                    if bad:
-                        raise DataError(f"profile {key} samples must be numbers, got {bad[0]!r}")
-                    spec["samples"] = tuple(float(v) for v in samples)
-                built[key] = Profile(**spec)
-            return Preset(name="inline", description="profiles from config", **built)
+        """get_preset(preset, preset_params), for perfbench/richardson.py."""
         return get_preset(self.preset, self.preset_params)
-
-    def as_dict(self) -> dict:
-        """The config as a JSON document, tuples as lists."""
-        return {k: list(v) if k in _TUPLE_KEYS else v for k, v in asdict(self).items()}
 
 
 # The config document's schema: the fields of RunConfig, with "flow" holding
@@ -85,7 +51,7 @@ class RunConfig:
 _TOP_KEYS = {f.name for f in fields(RunConfig)}
 _FLOW_KEYS = {f.name for f in fields(FlowConfig)}
 _TUPLE_KEYS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
-_OBJECT_KEYS = {"preset_params", "profiles", "flow"}
+_OBJECT_KEYS = {"preset_params", "flow"}
 
 
 def config_from_dict(data: dict) -> RunConfig:

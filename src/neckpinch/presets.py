@@ -2,13 +2,13 @@
 
 Profiles are restricted to the trig + constant family A*cos(k z) + B /
 A*sin(k z) + B; arbitrary profiles enter through an explicit samples array in
-a config file instead.
+the parameters of the `inline` preset instead.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -227,8 +227,41 @@ def presets() -> list[Preset]:
     return [_fig_a(), _fig_b(), _fig_c(), sphere(), biaxial(), _mild()]
 
 
+def _inline(profiles: dict) -> Preset:
+    """The `inline` preset: phi0, a0, b0 and c0, each a JSON object of Profile's fields."""
+    required = {"phi0", "a0", "b0", "c0"}
+    unknown = set(profiles) - required
+    if unknown:
+        raise DataError(f"unknown profile entries: {sorted(unknown)}")
+    missing = required - set(profiles)
+    if missing:
+        raise DataError(f"profiles must define {sorted(missing)}")
+    built = {}
+    for key, spec in profiles.items():
+        if not isinstance(spec, dict):
+            raise DataError(f"profile {key} must be a JSON object, got {spec!r}")
+        bad = set(spec) - {f.name for f in fields(Profile)}
+        if bad:
+            raise DataError(f"unknown profile keys in {key!r}: {sorted(bad)}")
+        spec = dict(spec)
+        samples = spec.get("samples")
+        if samples is not None:
+            if not isinstance(samples, list):
+                raise DataError(f"profile {key} samples must be a JSON list, got {samples!r}")
+            bad = [v for v in samples if not is_number(v)]
+            if bad:
+                raise DataError(f"profile {key} samples must be numbers, got {bad[0]!r}")
+            spec["samples"] = tuple(float(v) for v in samples)
+        built[key] = Profile(**spec)
+    return Preset(name="inline", description="profiles from config", **built)
+
+
 def get_preset(name: str, params: dict | None = None) -> Preset:
+    """The named preset; `inline` builds its profiles from params, sphere and
+    biaxial take their radii from it, and every other preset takes none."""
     params = params or {}
+    if name == "inline":
+        return _inline(params)
     if name in ("sphere", "biaxial"):
         build = sphere if name == "sphere" else biaxial
         unknown = set(params) - set(inspect.signature(build).parameters)

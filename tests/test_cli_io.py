@@ -3,9 +3,11 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -94,6 +96,16 @@ def test_profile_rejects_unknown_kind():
         Profile(kind="tanh")
 
 
+def test_presets_names_the_module():
+    # the package does not rebind the name of its presets module
+    import neckpinch.presets as module
+
+    assert isinstance(module, types.ModuleType)
+    assert [p.name for p in module.presets()] == [
+        "fig-a", "fig-b", "fig-c", "sphere", "biaxial", "mild"
+    ]
+
+
 # --- config ------------------------------------------------------------------
 
 
@@ -132,7 +144,7 @@ def test_config_rejects_a_min_stop_at_or_below_resolvable_floor():
 def test_config_round_trip(tmp_path):
     cfg = RunConfig()
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg.as_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     assert load_config(path) == cfg
 
 
@@ -140,7 +152,8 @@ def test_config_inline_profiles():
     cfg = config_from_dict(
         {
             "grid_n": 32,
-            "profiles": {
+            "preset": "inline",
+            "preset_params": {
                 "phi0": {"kind": "const", "offset": 1.0},
                 "a0": {"kind": "cos", "amplitude": 1.0, "offset": 1.5},
                 "b0": {"kind": "cos", "amplitude": 1.0, "offset": 2.5},
@@ -148,7 +161,7 @@ def test_config_inline_profiles():
             },
         }
     )
-    st = cfg.build_preset().build(PeriodicGrid(cfg.grid_n))
+    st = get_preset(cfg.preset, cfg.preset_params).build(PeriodicGrid(cfg.grid_n))
     g = PeriodicGrid(32)
     assert np.allclose(st.a, np.cos(g.z) + 1.5)
 
@@ -169,12 +182,11 @@ _PROFILES = _JSON | st.fixed_dictionaries(
     optional={"x": _PROFILE_SPEC},
 )
 # Any value under any key, or only a preset and its parameters, or only
-# profiles: the last two often pass config_from_dict and reach build_preset.
+# inline profiles: the last two often pass config_from_dict and reach get_preset.
 _CONFIG_DOC = (
     st.fixed_dictionaries({}, optional={
         **{f.name: _JSON for f in fields(RunConfig)},
         "preset_params": _PRESET_PARAMS,
-        "profiles": _PROFILES,
         "flow": _JSON | st.fixed_dictionaries(
             {}, optional={f.name: _JSON for f in fields(FlowConfig)}
         ),
@@ -183,8 +195,19 @@ _CONFIG_DOC = (
         "preset": st.sampled_from(["sphere", "biaxial", "fig-a"]) | _JSON,
         "preset_params": _PRESET_PARAMS,
     })
-    | st.fixed_dictionaries({"profiles": _PROFILES})
+    | st.fixed_dictionaries({"preset": st.just("inline"), "preset_params": _PROFILES})
 )
+
+
+def test_readme_json_configs_load_and_build():
+    # every JSON block of README.md is a config whose preset builds on its grid
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    presets_named = []
+    for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+        cfg = config_from_dict(json.loads(block))
+        get_preset(cfg.preset, cfg.preset_params).build(PeriodicGrid(cfg.grid_n))
+        presets_named.append(cfg.preset)
+    assert "inline" in presets_named
 
 
 @given(_CONFIG_DOC)
@@ -193,7 +216,8 @@ def test_config_of_any_json_values_builds_or_raises_data_error(doc):
     # cli.main turns a DataError into its one error line; any other
     # exception is a bug and escapes it as a traceback
     try:
-        config_from_dict(doc).build_preset().build(PeriodicGrid(32))
+        cfg = config_from_dict(doc)
+        get_preset(cfg.preset, cfg.preset_params).build(PeriodicGrid(32))
     except DataError:
         pass
 
@@ -378,20 +402,23 @@ _CONST = {"kind": "const", "offset": 1.0}
     [
         ({"preset": "fig-a", "preset_params": {"r": 2.0}}, "takes no parameters"),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
-                                        "c0": {"kind": "const", "offset": -1.0}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                               "c0": {"kind": "const", "offset": -1.0}}},
             "profile c must be strictly positive",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
-                                        "c0": {"kind": "samples", "samples": [1.0] * 16}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                               "c0": {"kind": "samples", "samples": [1.0] * 16}}},
             "samples profile has 16 points, grid needs 32",
         ),
         ({"preset": "sphere", "preset_params": {"r": -2.0}}, "profile a must be strictly positive"),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
-                                        "c0": {"kind": "samples",
-                                               "samples": [1.0] * 31 + [float("nan")]}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                               "c0": {"kind": "samples",
+                                      "samples": [1.0] * 31 + [float("nan")]}}},
             "profile c must be finite everywhere",
         ),
         ({"preset": "sphere", "grid_n": 32, "kappa": float("inf")},
@@ -415,20 +442,27 @@ _CONST = {"kind": "const", "offset": 1.0}
         ({"preset": "sphere", "grid_n": 32, "flow": 5}, "flow must be a JSON object, got 5"),
         ({"preset": "sphere", "grid_n": 32, "formats": "csv"},
          "unknown config keys: ['formats']"),
+        # profiles enter only as the parameters of the inline preset
+        ({"preset": "sphere", "grid_n": 32,
+          "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST, "c0": _CONST}},
+         "unknown config keys: ['profiles']"),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "cos", "amplitude": 1, "offset": 1.5,
-                                               "frequency": 1.5}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "cos", "amplitude": 1, "offset": 1.5,
+                                      "frequency": 1.5}}},
             "profile frequency must be an integer, got 1.5",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "cos", "amplitude": "1", "offset": 1.5}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "cos", "amplitude": "1", "offset": 1.5}}},
             "profile amplitude must be a number, got '1'",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
-                                        "c0": {"kind": "const", "offset": True}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                               "c0": {"kind": "const", "offset": True}}},
             "profile offset must be a number, got True",
         ),
         ({"preset": "sphere", "grid_n": 32, "preset_params": {"r": True}},
@@ -436,70 +470,81 @@ _CONST = {"kind": "const", "offset": 1.0}
         ({"preset": "biaxial", "grid_n": 32, "preset_params": {"c0": "2"}},
          "preset parameter c0 must be a number, got '2'"),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "samples", "samples": [True] * 32}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "samples", "samples": [True] * 32}}},
             "profile a0 samples must be numbers, got True",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "samples", "samples": ["x"] + [1.0] * 31}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "samples", "samples": ["x"] + [1.0] * 31}}},
             "profile a0 samples must be numbers, got 'x'",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "samples", "samples": "abc"}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "samples", "samples": "abc"}}},
             "profile a0 samples must be a JSON list, got 'abc'",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "const", "offset": 1.0,
-                                               "samples": [5.0] * 32}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "const", "offset": 1.0,
+                                      "samples": [5.0] * 32}}},
             "profile kind 'const' takes no samples",
         ),
         (
-            {"grid_n": 32, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "cos", "amplitude": 0.5, "offset": 1.5,
-                                               "samples": []}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "cos", "amplitude": 0.5, "offset": 1.5,
+                                      "samples": []}}},
             "profile kind 'cos' takes no samples",
         ),
         (
-            {"grid_n": 32, "profiles": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "phi0": {"kind": "samples",
-                                                 "samples": [1.0] * 5 + [50.0] + [1.0] * 26}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "phi0": {"kind": "samples",
+                                        "samples": [1.0] * 5 + [50.0] + [1.0] * 26}}},
             "no equal-arclength nodes for phi",
         ),
         # Preset.build checks the gauge samples before it resamples them
         (
-            {"grid_n": 32, "profiles": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "phi0": {"kind": "samples",
-                                                 "samples": [1.0] * 31 + [float("nan")]}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "phi0": {"kind": "samples",
+                                        "samples": [1.0] * 31 + [float("nan")]}}},
             "profile phi must be finite everywhere",
         ),
         (
-            {"grid_n": 32, "profiles": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "phi0": {"kind": "samples",
-                                                 "samples": [1.0] * 5 + [-0.2] + [1.0] * 26}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"a0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "phi0": {"kind": "samples",
+                                        "samples": [1.0] * 5 + [-0.2] + [1.0] * 26}}},
             "phi must be strictly positive",
         ),
         (
-            {"grid_n": 32, "profiles": {"b0": _CONST, "c0": _CONST,
-                                        "phi0": {"kind": "sin", "amplitude": 0.3, "offset": 1.0},
-                                        "a0": {"kind": "samples",
-                                               "samples": [1.0] * 5 + [-0.2] + [1.0] * 26}}},
+            {"grid_n": 32, "preset": "inline",
+             "preset_params": {"b0": _CONST, "c0": _CONST,
+                               "phi0": {"kind": "sin", "amplitude": 0.3, "offset": 1.0},
+                               "a0": {"kind": "samples",
+                                      "samples": [1.0] * 5 + [-0.2] + [1.0] * 26}}},
             "profile a must be strictly positive",
         ),
         ({"preset": "sphere", "preset_params": {"r": 1e-9}},
          "fiber radius 1.000e-09 below resolvable floor 1e-08"),
         (
-            {"grid_n": 64, "profiles": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
-                                        "a0": {"kind": "sin", "amplitude": 0.5, "offset": 1.0,
-                                               "frequency": 32}}},
+            {"grid_n": 64, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "b0": _CONST, "c0": _CONST,
+                               "a0": {"kind": "sin", "amplitude": 0.5, "offset": 1.0,
+                                      "frequency": 32}}},
             "profile frequency 32 is at or above the Nyquist frequency 32 of 64 grid points",
         ),
         (
-            {"grid_n": 64, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
-                                        "c0": {"kind": "cos", "amplitude": 0.5, "offset": 2.0,
-                                               "frequency": -40}}},
+            {"grid_n": 64, "preset": "inline",
+             "preset_params": {"phi0": _CONST, "a0": _CONST, "b0": _CONST,
+                               "c0": {"kind": "cos", "amplitude": 0.5, "offset": 2.0,
+                                      "frequency": -40}}},
             "profile frequency -40 is at or above the Nyquist frequency 32",
         ),
         ({"preset": "sphere", "preset_params": 5}, "preset_params must be a JSON object, got 5"),
@@ -507,23 +552,27 @@ _CONST = {"kind": "const", "offset": 1.0}
          "preset_params must be a JSON object, got [1]"),
         ({"preset": "sphere", "preset_params": {"x": 1.0}},
          "unknown preset_params for 'sphere': ['x']"),
-        ({"grid_n": 32, "profiles": 5}, "profiles must be a JSON object, got 5"),
-        ({"grid_n": 32, "profiles": {"phi0": _CONST, "a0": _CONST, "b0": _CONST, "c0": 2.0}},
+        ({"grid_n": 32, "preset": "inline", "preset_params": 5},
+         "preset_params must be a JSON object, got 5"),
+        ({"grid_n": 32, "preset": "inline",
+          "preset_params": {"phi0": _CONST, "a0": _CONST, "b0": _CONST, "c0": 2.0}},
          "profile c0 must be a JSON object, got 2.0"),
         ({"preset": "sphere", "grid_n": 32, "out_dir": 5}, "out_dir must be a string, got 5"),
         ({"preset": "sphere", "grid_n": 32, "monitors_enabled": [["x"]]},
          "monitors_enabled entries must be strings, got ['x']"),
-        ({"grid_n": 32, "profiles": {"phi0": {"kind": "const", "offset": 1e160}, "a0": _CONST,
-                                     "b0": _CONST, "c0": _CONST}},
+        ({"grid_n": 32, "preset": "inline",
+          "preset_params": {"phi0": {"kind": "const", "offset": 1e160}, "a0": _CONST,
+                            "b0": _CONST, "c0": _CONST}},
          "phi must be at most 1.341e+154"),
         # below sqrt(float min) phi^2 is subnormal: the step would overflow
-        *(({"grid_n": 32, "profiles": {"phi0": {"kind": "const", "offset": phi0}, "a0": _CONST,
-                                       "b0": _CONST, "c0": _CONST}},
+        *(({"grid_n": 32, "preset": "inline",
+            "preset_params": {"phi0": {"kind": "const", "offset": phi0}, "a0": _CONST,
+                              "b0": _CONST, "c0": _CONST}},
            "phi must be at least 1.492e-154") for phi0 in (1e-156, 1e-160, 1e-200)),
         # fig-a's radii under phi0 = 1e-100: x''/x is about 1e200, its square
         # overflows
         (
-            {"grid_n": 32, "profiles": {
+            {"grid_n": 32, "preset": "inline", "preset_params": {
                 "phi0": {"kind": "const", "offset": 1e-100},
                 "a0": {"kind": "cos", "amplitude": 1.0, "offset": 1.5},
                 "b0": {"kind": "cos", "amplitude": 1.0, "offset": 2.5},
@@ -539,7 +588,7 @@ _CONST = {"kind": "const", "offset": 1.0}
          "nan-samples", "infinite-kappa", "fixed-dt-key", "nan-t-max",
          "fractional-stride", "bool-stride", "snapshot-stride", "float-grid-n",
          "string-grid-n", "bool-cfl-safety", "bool-a-min-stop",
-         "non-object-flow", "string-formats",
+         "non-object-flow", "string-formats", "profiles-key",
          "fractional-frequency", "string-amplitude", "bool-offset", "bool-sphere-radius",
          "string-biaxial-radius", "bool-samples", "string-sample", "string-samples",
          "samples-on-const", "empty-samples-on-cos", "spiky-phi0", "nan-phi0-samples",
@@ -714,7 +763,8 @@ def test_cli_strict_reversed_fig_a_claims_no_bound(tmp_path, capsys):
         json.dumps(
             {
                 "grid_n": 64,
-                "profiles": {
+                "preset": "inline",
+                "preset_params": {
                     "phi0": {"kind": "const", "offset": 1.0},
                     "a0": {**cos, "offset": 3.5},
                     "b0": {**cos, "offset": 2.5},
@@ -820,6 +870,44 @@ def test_cli_run_with_config(tmp_path):
     assert doc["config"]["flow"]["a_min_stop"] == 0.5
 
 
+_WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text()
+)
+_INLINE = {
+    "preset": "inline",
+    "preset_params": {
+        "phi0": {"kind": "sin", "amplitude": 0.3, "offset": 1.0},
+        "a0": {"kind": "cos", "amplitude": 1.0, "offset": 1.5},
+        "b0": {"kind": "cos", "amplitude": 1.0, "offset": 2.5},
+        "c0": {"kind": "cos", "amplitude": 1.0, "offset": 3.5},
+    },
+    "grid_n": 64,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, args",
+    [
+        *((w["config"], []) for w in _WORKLOADS.values()),
+        (_INLINE, []),
+        (_INLINE, ["--preset", "sphere", "--grid-n", "32", "--monitors", "ordering,cmax_bound"]),
+    ],
+    ids=[*_WORKLOADS, "inline", "inline-overridden"],
+)
+def test_cli_config_echo_reruns_the_run(tmp_path, capsys, cfg, args):
+    # the config in summary.json names what ran: given a fresh out_dir, it
+    # writes the same series.csv and prints the same lines
+    def run(config, name, *extra):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "out_dir": str(tmp_path / name)}))
+        assert main(["run", "--config", str(path), *extra]) == 0
+        return capsys.readouterr().out, (tmp_path / name / "series.csv").read_bytes()
+
+    first = run(cfg, "first", *args)
+    echo = json.loads((tmp_path / "first" / "summary.json").read_text())["config"]
+    assert run(echo, "again") == first
+
+
 def test_cli_format_subset(tmp_path, capsys):
     # every run writes both outputs; --format is not an option
     argv = ["run", "--preset", "sphere", "--grid-n", "32", "--out", str(tmp_path)]
@@ -851,7 +939,7 @@ def test_cli_summary_without_singularity_is_strict_json(tmp_path):
 def test_run_settings_inventory():
     # adding a setting, a config key or a run option means editing this test
     assert [f.name for f in fields(RunConfig)] == [
-        "preset", "preset_params", "profiles", "grid_n", "flow", "monitors_enabled", "out_dir"
+        "preset", "preset_params", "grid_n", "flow", "monitors_enabled", "out_dir"
     ]
     assert [f.name for f in fields(FlowConfig)] == [
         "cfl_safety", "a_min_stop", "t_max", "monitor_stride"
