@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
     traj, report = flow.evolve(preset.build(PeriodicGrid(cfg.grid_n)), cfg.flow)
     reports = monitors.run_monitors(traj, report, cfg.monitors_enabled)
     type1 = monitors.type1_classifier(traj, report)
-    lam = traj.series("ratio_max")[0].item()
+    lam = traj.samples["ratio_max"][0].item()
     consts = monitors.constants(lam) if lam >= 1.0 else None
 
     out_dir = Path(cfg.out_dir)
@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
     write_series(traj, out_dir / "series.csv")
     write_summary(traj, report, reports, type1, consts, asdict(cfg), out_dir / "summary.json")
 
-    t_final, a_min, c_max = (traj.series(name)[-1] for name in ("t", "a_min", "c_max"))
+    t_final, a_min, c_max = (traj.samples[-1][name] for name in ("t", "a_min", "c_max"))
     print(f"run: preset={preset.name} n={cfg.grid_n} stop={traj.stop_reason}")
     print(f"  t_final={t_final:.6g} a_min={a_min:.6g} c_max={c_max:.6g}")
     if report:
@@ -184,8 +184,8 @@ def _cmd_convergence(args) -> int:
     for cfl in (0.4, 0.2, 0.1):
         cfg = flow.FlowConfig(cfl_safety=cfl, a_min_stop=0.2)
         traj, _ = flow.evolve(sphere(2.0).build(grid), cfg)
-        ts = traj.ts
-        err = float(np.max(np.abs(traj.series("a_min") ** 2 - (4.0 - 4.0 * ts))))
+        ts, a_min = traj.samples["t"], traj.samples["a_min"]
+        err = float(np.max(np.abs(a_min**2 - (4.0 - 4.0 * ts))))
         errs.append(err)
         print(f"  cfl={cfl:.2f} max_err={err:.3e}")
     print(f"  measured orders: {_measured_orders(errs)}")

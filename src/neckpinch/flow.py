@@ -172,11 +172,11 @@ class Trajectory:
     snapshots holds the first state, which every trajectory has and whose
     grid and gauge are the run's, and, when the run advanced, the final one.
     samples holds the summaries, one record of SUMMARY_DTYPE per sample, as
-    one read-only recarray; samples[k].a_min reads one field of one sample.
-    series(name) and ts are read-only views of one field, not copies.
+    a read-only view of the 1-d array given: samples["a_min"] is a column,
+    samples[k] a record and samples[k]["a_min"] one value.
     """
 
-    samples: np.recarray
+    samples: np.ndarray
     snapshots: list[MetricState]
     stop_reason: str = ""
     run_stats: RunStats = dc_field(default_factory=RunStats)
@@ -187,15 +187,8 @@ class Trajectory:
             raise ValueError(f"expected 1-d SUMMARY_DTYPE samples, got {s.dtype} {s.shape}")
         if not self.snapshots:
             raise ValueError("a trajectory needs its initial state in snapshots")
-        self.samples = s.view(np.recarray)
+        self.samples = s.view()
         self.samples.setflags(write=False)
-
-    def series(self, name: str) -> np.ndarray:
-        return self.samples[name]
-
-    @property
-    def ts(self) -> np.ndarray:
-        return self.series("t")
 
 
 @dataclass(frozen=True)
@@ -628,8 +621,7 @@ def estimate_singular_time(traj: Trajectory) -> SingularityReport | None:
     fitted slope is non-negative, so that the series is not shrinking toward
     zero.
     """
-    ts = traj.ts
-    a_min = traj.series("a_min")
+    ts, a_min = traj.samples["t"], traj.samples["a_min"]
     window = _final_decade(a_min)
     if np.count_nonzero(window) < MIN_FIT_SAMPLES:
         return None

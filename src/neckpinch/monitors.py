@@ -140,7 +140,7 @@ def _first(traj: Trajectory, name: str) -> float:
     # A Python float, as the first sample's fields were: its callers square
     # it with float powers, and libm's pow and NumPy's squaring round about
     # 1 value in 1000 differently.
-    return traj.series(name)[0].item()
+    return traj.samples[name][0].item()
 
 
 def _worst(
@@ -150,23 +150,25 @@ def _worst(
 
     Scanned sample by sample and, within a sample, in column order: the first
     occurrence wins, as in a running strict minimum. Column j's grid index is
-    the series index_fields[j]; location is read `shift` samples after the
+    the field index_fields[j]; location is read `shift` samples after the
     margin's own sample (a drop between samples k and k+1 sits at k+1).
     """
     flat = np.stack(columns, axis=1).ravel()
     k = int(np.argmin(flat))
     sample, column = divmod(k, len(columns))
     sample += shift
-    where = (traj.ts[sample].item(), int(traj.series(index_fields[column])[sample]))
+    record = traj.samples[sample]
+    where = (record["t"].item(), int(record[index_fields[column]]))
     return flat[k].item(), where
 
 
 def _slope_margin(traj: Trajectory, y: np.ndarray, floor: float, index_field: str) -> Margin:
     """Margin of dy/dt >= floor over consecutive samples, located at the later
     sample of its interval; (inf, None) for a single sample."""
-    if traj.ts.size < 2:
+    ts = traj.samples["t"]
+    if ts.size < 2:
         return math.inf, None
-    slopes = np.diff(y) / np.diff(traj.ts)
+    slopes = np.diff(y) / np.diff(ts)
     return _worst(traj, [slopes - floor], [index_field], shift=1)
 
 
@@ -189,7 +191,7 @@ def ordering_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """a <= b <= c is preserved: the worst of min(b-a) and min(c-b) over the run."""
     if not _initially_ordered(traj):
         return _UNORDERED
-    columns = [traj.series("ord_ba_min"), traj.series("ord_cb_min")]
+    columns = [traj.samples["ord_ba_min"], traj.samples["ord_cb_min"]]
     return _report(traj, {"ordering": _worst(traj, columns, ["ord_ba_idx", "ord_cb_idx"])})
 
 
@@ -197,10 +199,10 @@ def eccentricity_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     """sup|b-c|/min(b,c) and sup|a-c|/min(a,c) are nonincreasing in time."""
     if not _initially_ordered(traj):
         return _UNORDERED
-    if traj.ts.size < 2:
+    if len(traj.samples) < 2:
         return _not_applicable("need at least two samples")
     attrs = ("ecc_bc", "ecc_ac")
-    drops = [col[:-1] - col[1:] for col in map(traj.series, attrs)]
+    drops = [traj.samples[attr][:-1] - traj.samples[attr][1:] for attr in attrs]
     worst = _worst(traj, drops, [f"{attr}_idx" for attr in attrs], shift=1)
     return _report(traj, {"drop": worst})
 
@@ -212,7 +214,7 @@ def ratio_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
         return _UNORDERED
     lam = _first(traj, "ratio_max")
     c0_sq = _first(traj, "c_max") ** 2
-    ratio = traj.series("ratio_max")
+    ts, ratio = traj.samples["t"], traj.samples["ratio_max"]
     # Float powers of Python floats, as libm rounds them (see _first). Past
     # lam ~ 26.7, e^(lam^2-1) overflows: the envelope is +inf.
     try:
@@ -221,7 +223,7 @@ def ratio_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
         growth = math.inf
     envelope = [
         growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
-        for t, r in zip((traj.ts - traj.ts[0]).tolist(), ratio.tolist())
+        for t, r in zip((ts - ts[0]).tolist(), ratio.tolist())
     ]
     margins = {
         "plain_margin": _worst(traj, [lam - ratio], ["ratio_max_idx"]),
@@ -238,8 +240,8 @@ def amin_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     if report is None:
         return _not_applicable("no singularity detected")
     T = report.t_estimate
-    ts = traj.ts
-    amin_sq = traj.series("a_min") ** 2
+    ts = traj.samples["t"]
+    amin_sq = traj.samples["a_min"] ** 2
     d_lower = _lower_bound_constant(traj)
     margins = {
         "upper_margin": _worst(traj, [4.0 * (T - ts) - amin_sq], ["a_min_idx"]),
@@ -257,8 +259,8 @@ def cmax_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     sample's t. The bound implies the stop time T <= t0 + c_max(0)^2 / 4."""
     if not _initially_ordered(traj):
         return _UNORDERED
-    ts = traj.ts - traj.ts[0]
-    cmax_sq = traj.series("c_max") ** 2
+    ts = traj.samples["t"] - traj.samples["t"][0]
+    cmax_sq = traj.samples["c_max"] ** 2
     c0_sq = cmax_sq[0].item()
     margins = {
         "bound_margin": _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"]),
@@ -280,7 +282,7 @@ def derivative_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     attrs = ("sup_ap", "sup_bp", "sup_cp")
     universal = (DERIV_BOUND_A, DERIV_BOUND_B, DERIV_BOUND_C)
     margins = [
-        max(bound, _first(traj, attr)) - traj.series(attr)
+        max(bound, _first(traj, attr)) - traj.samples[attr]
         for attr, bound in zip(attrs, universal)
     ]
     fields = [f"{attr}_idx" for attr in attrs]
@@ -292,7 +294,7 @@ def scalar_min_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     s0 = _first(traj, "s_min")
     if s0 < 0.0:
         return _not_applicable(f"initial min S = {s0:.4g} < 0")
-    return _report(traj, {"s_min": _worst(traj, [traj.series("s_min")], ["s_min_idx"])})
+    return _report(traj, {"s_min": _worst(traj, [traj.samples["s_min"]], ["s_min_idx"])})
 
 
 def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
@@ -307,9 +309,7 @@ def type1_classifier(traj: Trajectory, report: Fit) -> TypeIReport:
     if report is None:
         return TypeIReport(sup_tml_rm=math.nan)
     T = report.t_estimate
-    ts = traj.ts
-    a_min = traj.series("a_min")
-    rm_max = traj.series("rm_max")
+    ts, a_min, rm_max = (traj.samples[name] for name in ("t", "a_min", "rm_max"))
 
     before = ts < T
     y = (T - ts[before]) * rm_max[before]
@@ -351,10 +351,10 @@ def concavity_check(traj: Trajectory, report: Fit) -> MonitorReport:
     """
     if not _initially_ordered(traj):
         return _UNORDERED
-    if traj.ts.size < 20:
+    if len(traj.samples) < 20:
         return _not_applicable("need at least 20 samples")
-    ts = traj.ts
-    y = traj.series("a_min") ** 2
+    ts = traj.samples["t"]
+    y = traj.samples["a_min"] ** 2
     t_u = np.linspace(ts[0], ts[-1], CONCAVITY_POINTS)
     y_u = np.interp(t_u, ts, y)
     d2 = y_u[2:] - 2.0 * y_u[1:-1] + y_u[:-2]

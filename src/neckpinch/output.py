@@ -27,7 +27,7 @@ _ROWS_PER_WRITE = 64
 
 def write_table(path: str | Path, names: Sequence[str], table: np.ndarray) -> None:
     """CSV of the header names, then one row per row of table, a 2-D float
-    array or a record array; shortest round-trip float formatting.
+    array or a structured array; shortest round-trip float formatting.
 
     Streams _ROWS_PER_WRITE rows at a time, each value the repr of its Python
     float, so the text held in memory does not grow with the number of rows.
@@ -64,8 +64,8 @@ def write_summary(
         "t_estimate": report.t_estimate if report else None,
         "fit_residual": report.fit_residual if report else None,
         "fit_window": list(report.fit_window) if report else None,
-        "a_min_final": traj.series("a_min")[-1].item(),
-        "samples": traj.ts.size,
+        "a_min_final": traj.samples[-1]["a_min"].item(),
+        "samples": len(traj.samples),
         "run_stats": asdict(traj.run_stats),
         "monitors": {name: asdict(rep) for name, rep in monitor_reports.items()},
         "type1": asdict(type1) if type1 else None,

@@ -235,7 +235,7 @@ def _inline(profiles: dict) -> Preset:
         raise DataError(f"unknown profile entries: {sorted(unknown)}")
     missing = required - set(profiles)
     if missing:
-        raise DataError(f"profiles must define {sorted(missing)}")
+        raise DataError(f"preset_params of preset 'inline' must define {sorted(missing)}")
     built = {}
     for key, spec in profiles.items():
         if not isinstance(spec, dict):

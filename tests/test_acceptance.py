@@ -72,8 +72,8 @@ def mild_128():
 def test_criterion_1_shrinking_sphere_exactness(sphere_run_64):
     traj, report, elapsed = sphere_run_64
     assert traj.stop_reason == "a_min_reached"
-    ts = traj.ts
-    am2 = traj.series("a_min") ** 2
+    ts = traj.samples["t"]
+    am2 = traj.samples["a_min"] ** 2
     rel = np.abs(am2 - (4.0 - 4.0 * ts)) / (4.0 - 4.0 * ts)
     assert np.max(rel) <= 1e-6
     assert report is not None
@@ -123,11 +123,11 @@ def test_criterion_3_pde_ode_equivalence():
 
     state = MetricState(PeriodicGrid(32), 0.0, 1.0, (1.0, 2.0, 3.0))
     traj, _ = evolve(state, FlowConfig(cfl_safety=0.05, t_max=t_cut))
-    ts = traj.ts
+    ts = traj.samples["t"]
     ode = sol.sol(ts)
     worst = 0.0
     for series, row in (("a_min", 0), ("b_min", 1), ("c_max", 2)):
-        rel = np.abs(traj.series(series) - ode[row]) / ode[row]
+        rel = np.abs(traj.samples[series] - ode[row]) / ode[row]
         worst = max(worst, float(np.max(rel)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6
@@ -152,11 +152,11 @@ def test_criterion_4_theorem_bound_suite(fig_a_256):
         assert rep.passed is True, f"{name}: {rep.notes}"
 
     tol = tolerance(traj)
-    a0_sq = traj.samples[0].a_min ** 2
-    c0_sq = traj.samples[0].c_max ** 2
+    a0_sq = traj.samples[0]["a_min"] ** 2
+    c0_sq = traj.samples[0]["c_max"] ** 2
     assert report.t_estimate >= a0_sq / 4.0 - tol
     assert report.t_estimate <= c0_sq / 4.0 + tol
-    assert traj.samples[-1].t <= c0_sq / 4.0 + tol
+    assert traj.samples[-1]["t"] <= c0_sq / 4.0 + tol
     assert elapsed <= 300.0
     _report(
         4,
@@ -188,14 +188,14 @@ def test_criterion_5_type1_classification(fig_a_256, mild_128):
 def test_criterion_6_lower_bound_regime(mild_128):
     traj, report, _ = mild_128
     assert report is not None
-    lam = traj.samples[0].ratio_max
+    lam = traj.samples[0]["ratio_max"]
     assert lam == pytest.approx(1.2, abs=1e-12)
-    assert traj.samples[0].s_min >= 0.0
+    assert traj.samples[0]["s_min"] >= 0.0
 
     d_lower = constants(1.2)["d_lower"]
     tol = tolerance(traj)
-    ts = traj.ts
-    margin = traj.series("a_min") ** 2 - d_lower * (report.t_estimate - ts)
+    ts = traj.samples["t"]
+    margin = traj.samples["a_min"] ** 2 - d_lower * (report.t_estimate - ts)
     assert float(np.min(margin)) >= -tol
     _report(
         6,
@@ -215,7 +215,7 @@ def test_criterion_7_concavity_evidence(fig_a_256, fig_b_128, fig_c_128):
         # qualitative pinch shape: the concave arc ends at the threshold
         # (a_min may rise briefly first: at a deep neck the (b^2-c^2)^2
         # reaction term can exceed a^4, which concavity permits)
-        a_min = traj.series("a_min")
+        a_min = traj.samples["a_min"]
         assert a_min[-1] < 0.01 * a_min[0], label
     _report(
         7,

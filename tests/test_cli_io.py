@@ -284,7 +284,7 @@ def test_write_series_streams_rows(synthetic_trajectory, tmp_path):
         tracemalloc.stop()
     lines = path.read_text().splitlines()
     assert len(lines) == n + 1
-    assert lines[1].split(",")[0] == repr(traj.ts[0].item())
+    assert lines[1].split(",")[0] == repr(traj.samples["t"][0].item())
     assert path.stat().st_size > 3_000_000
     assert peak < 150_000
 
@@ -293,7 +293,7 @@ def test_write_summary_keys(sphere_outputs, tmp_path):
     _, traj, report = sphere_outputs
     reports = run_monitors(traj, report)
     type1 = type1_classifier(traj, report)
-    consts = constants(traj.samples[0].ratio_max)
+    consts = constants(traj.samples[0]["ratio_max"])
     path = tmp_path / "summary.json"
     write_summary(traj, report, reports, type1, consts, {"preset": "sphere"}, path)
     doc = json.loads(path.read_text())
@@ -583,6 +583,8 @@ _CONST = {"kind": "const", "offset": 1.0}
         # evolve's np.errstate: no RuntimeWarning comes before the error line
         ({"preset": "sphere", "grid_n": 32, "preset_params": {"r": 1e160}},
          "curvature is not finite everywhere"),
+        ({"grid_n": 32, "preset": "inline", "preset_params": {"phi0": _CONST, "a0": _CONST}},
+         "preset_params of preset 'inline' must define ['b0', 'c0']"),
     ],
     ids=["preset-params-on-fig-a", "nonpositive-profile", "samples-length", "negative-sphere",
          "nan-samples", "infinite-kappa", "fixed-dt-key", "nan-t-max",
@@ -596,7 +598,7 @@ _CONST = {"kind": "const", "offset": 1.0}
          "nyquist-sin", "aliased-cos", "number-preset-params", "list-preset-params",
          "unknown-sphere-param", "number-profiles", "number-profile-spec", "number-out-dir",
          "list-monitor", "huge-phi0", "tiny-phi0-1e-156", "tiny-phi0-1e-160",
-         "tiny-phi0-1e-200", "wavy-radii-tiny-phi0", "huge-sphere"],
+         "tiny-phi0-1e-200", "wavy-radii-tiny-phi0", "huge-sphere", "partial-inline"],
 )
 def test_cli_bad_data_config_is_one_line_error(one_line_error, cfg, message):
     _assert_run_config_is_one_line_error(one_line_error, cfg, message)
@@ -617,6 +619,14 @@ def test_cli_failed_run_removes_the_out_dir_it_made(tmp_path, one_line_error, ke
 def test_cli_unknown_preset_is_one_line_error(one_line_error, command):
     _, err = one_line_error([command, "--preset", "nope"], "unknown preset 'nope'")
     assert err == "error: unknown preset 'nope'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "curvature", "convergence"])
+def test_cli_inline_preset_without_params_is_one_line_error(one_line_error, command):
+    # --preset passes no parameters, so the inline preset names what it misses
+    message = "preset_params of preset 'inline' must define ['a0', 'b0', 'c0', 'phi0']"
+    _, err = one_line_error([command, "--preset", "inline"], message)
+    assert err == f"error: {message}\n"
 
 
 def test_cli_curvature_bad_grid_is_one_line_error(one_line_error):
@@ -994,174 +1004,120 @@ def test_cli_identical_runs_are_byte_identical(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
-# fig-a at n=64 with the default flow, 341 steps. Re-pinned when dt came to
-# follow the step's error estimate (485 steps before): T moved by +1.6e-8,
-# from 0.8532748369463122 to 0.8532748531460519.
-FIG_A_64_SERIES_SHA256 = "154363d3c781a18c6cd15e64f795984406821096460e5043540c9d24adb1d4af"
+# Every byte pin of a run: a name maps to its run document, the flags of
+# `run --config` and the sha256 of each artifact it pins, "series.csv" or
+# "verdict" (see _artifact_sha256). The benchmark's three workloads run their
+# own documents under --strict, as the benchmark does.
+_ALL_MONITORS_64 = {"grid_n": 64, "monitors_enabled": list(MONITORS)}
+PINNED_RUNS = {
+    # 341 steps, T = 0.8532748531460519
+    "fig-a": ({"preset": "fig-a", "grid_n": 64}, [], {
+        "series.csv": "154363d3c781a18c6cd15e64f795984406821096460e5043540c9d24adb1d4af",
+    }),
+    # 446 steps, T = 3.344492212579588
+    "fig-b": ({"preset": "fig-b", "grid_n": 64}, [], {
+        "series.csv": "227fb7920208bf62b229f8adff3c0ecb5807aa1054259d9782ef0610a28af964",
+    }),
+    # 304 steps, T = 0.4948411030272531
+    "fig-c": ({"preset": "fig-c", "grid_n": 64}, [], {
+        "series.csv": "19a50431505c076a6226f8fba26f1598d4ca4433fbbc91b6fcf53e1722da77b3",
+    }),
+    # 245 steps, T = 0.27955513730075465
+    "mild": ({"preset": "mild", "grid_n": 64}, [], {
+        "series.csv": "4fb883a462de08211eb608403cdfd82840599d88136b7731ab082a7e55fa7a8c",
+    }),
+    # a = 1, b = c = 2, z-constant: 253 steps, T = 0.6900864982989322
+    "biaxial": ({"preset": "biaxial", "grid_n": 64}, [], {
+        "series.csv": "c601556914cbdce193e9d34fa3728d35952b234e81a4702d84163adf1bcf990c",
+    }),
+    # fig-a at n = 256: 342 steps, T = 0.8533297286729775
+    "neck-fine": (_WORKLOADS["neck-fine"]["config"], ["--strict"], {
+        "series.csv": "d645a41701fbd728ce25df8e673807cac5288c4b840a2c2b72fd74517f59c584",
+    }),
+    # fig-b, a summary every 2nd step, all 11 monitors: 446 steps, T = 3.344492211981948
+    "two-neck-sampled": (_WORKLOADS["two-neck-sampled"]["config"], ["--strict"], {
+        "series.csv": "d9a2782f0e53584043da3c0b8f2bb6e812f443792458740be2c2570e5096782a",
+        "verdict": "96f40de2a9590643d55644e1c0c09e3d0264a3d7c89a9bb10ab276dc2e26f4d5",
+    }),
+    # the round sphere r = 2, cfl 0.05, stop 1e-2: 878 steps, T = 0.9999999999960654
+    "sphere-exact": (_WORKLOADS["sphere-exact"]["config"], ["--strict"], {
+        "series.csv": "672ca3e3520c62e119f5cf1f5a3f64f82fdd7f14728613de3a44ce4a1cfc4001",
+    }),
+    # max c/a = 1.2, theorem_constants set: 245 steps, T = 0.27955513730075465
+    "mild-verdict": ({"preset": "mild", **_ALL_MONITORS_64}, ["--strict"], {
+        "verdict": "54cfa5509f4d6a41ca94d09838e29661ce5605817de1d93692e20d3296748d1c",
+    }),
+    # lambda = 5, theorem_constants null: 341 steps, T = 0.8532748531460519
+    "fig-a-verdict": ({"preset": "fig-a", **_ALL_MONITORS_64}, ["--strict"], {
+        "verdict": "49ad15833af88dc60003620dc175e78e1db8374aa04cdec1855493dab1306be1",
+    }),
+}
 
-
-def test_cli_fig_a_series_byte_identical_to_pinned_hash(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"preset": "fig-a", "grid_n": 64, "out_dir": str(tmp_path / "out")})
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    series = (tmp_path / "out" / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == FIG_A_64_SERIES_SHA256
-
-
-# The other grid presets at n=64 with the default flow: fig-b 446 steps, T =
-# 3.344492212579588; fig-c 304 steps, T = 0.4948411030272531; mild 245
-# steps, T = 0.27955513730075465.
-PRESET_64_SERIES_SHA256 = {
-    "fig-b": "227fb7920208bf62b229f8adff3c0ecb5807aa1054259d9782ef0610a28af964",
-    "fig-c": "19a50431505c076a6226f8fba26f1598d4ca4433fbbc91b6fcf53e1722da77b3",
-    "mild": "4fb883a462de08211eb608403cdfd82840599d88136b7731ab082a7e55fa7a8c",
+# The byte pins of the commands that print or write a table: argv, the file
+# under --out (None: stdout) and its sha256.
+PINNED_TABLES = {
+    "presets": (
+        ["presets"], None, "cbbb1e07e892ee6bca13cce208ad9db1ffce9f861053e2c0bccd693f1e767ab1"
+    ),
+    "convergence-fig-a": (
+        ["convergence", "--preset", "fig-a"],
+        None,
+        "265233dd31a7049f034d31257c2f59eb42cc34fa0316d25ae7aceba9ffbd581c",
+    ),
+    "curvature-fig-b-128": (
+        ["curvature", "--preset", "fig-b", "--grid-n", "128"],
+        "curvature.csv",
+        "b9cde5c4f8f270444958b4d8cde845723f4dab21a5113052f45a44864aff69e7",
+    ),
 }
 
 
-@pytest.mark.parametrize("preset", sorted(PRESET_64_SERIES_SHA256))
-def test_cli_preset_series_byte_identical_to_pinned_hash(tmp_path, preset):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"preset": preset, "grid_n": 64, "out_dir": str(tmp_path / "out")})
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    series = (tmp_path / "out" / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == PRESET_64_SERIES_SHA256[preset]
-
-
-# `curvature --preset fig-b --grid-n 128 --out`: the z column and the
-# curvatures of fig-b at t = 0, each value the repr of its float.
-FIG_B_128_CURVATURE_SHA256 = "b9cde5c4f8f270444958b4d8cde845723f4dab21a5113052f45a44864aff69e7"
-
-
-def test_cli_curvature_table_byte_identical_to_pinned_hash(tmp_path):
-    argv = ["curvature", "--preset", "fig-b", "--grid-n", "128", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    table = (tmp_path / "curvature.csv").read_bytes()
-    assert hashlib.sha256(table).hexdigest() == FIG_B_128_CURVATURE_SHA256
-
-
-# The round sphere r=2 at n=64, cfl 0.05, stopped at a_min 1e-2: the
-# benchmark's sphere-exact case, 878 steps. Re-pinned with the error-
-# controlled step (fig-a above; 819 steps before): T moved from
-# 0.9999999999948874 to 0.9999999999960654, its error from 5.1e-12 to 3.9e-12.
-SPHERE_64_SERIES_SHA256 = "672ca3e3520c62e119f5cf1f5a3f64f82fdd7f14728613de3a44ce4a1cfc4001"
-
-
-# The biaxial preset (a = 1, b = c = 2) at n=64 with the default flow, the
-# second z-constant case, 253 steps. Re-pinned with the error-controlled step
-# (fig-a above; 260 steps before): T moved by -1.0e-10, from
-# 0.6900864983994862 to 0.6900864982989322.
-BIAXIAL_64_SERIES_SHA256 = "c601556914cbdce193e9d34fa3728d35952b234e81a4702d84163adf1bcf990c"
-
-
-# The benchmark's two-neck-sampled case (fig-b n=64, a summary every 2nd
-# step, all 11 monitors): the sha256 of its summary.json verdict block, the
-# monitors, type1 and theorem_constants objects as canonical JSON (sorted
-# keys, no whitespace). Re-pinned when theorem_constants became null from
-# lambda = 2 on (fig-b starts at lambda = 12); the monitors and type1 objects
-# alone hash to 3316598e...9c99dfc2 before and after.
-TWO_NECK_64_VERDICT_SHA256 = "96f40de2a9590643d55644e1c0c09e3d0264a3d7c89a9bb10ab276dc2e26f4d5"
-# Its series.csv.
-TWO_NECK_64_SERIES_SHA256 = "d9a2782f0e53584043da3c0b8f2bb6e812f443792458740be2c2570e5096782a"
-
-
-def _strict_run_verdict_sha256(tmp_path, **cfg) -> str:
-    """Run cfg at n=64 with all 11 monitors under --strict, which must exit 0,
-    and hash its summary.json verdict block: the monitors, type1 and
-    theorem_constants objects as canonical JSON (sorted keys, no whitespace)."""
-    out_dir = str(tmp_path / "out")
-    cfg = {"grid_n": 64, "monitors_enabled": list(MONITORS), "out_dir": out_dir, **cfg}
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
-    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+def _artifact_sha256(out_dir: Path, artifact: str) -> str:
+    """sha256 of a run's series.csv, or of its verdict: summary.json's
+    monitors, type1 and theorem_constants objects as canonical JSON (sorted
+    keys, no whitespace)."""
+    if artifact == "series.csv":
+        return hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
+    doc = json.loads((out_dir / "summary.json").read_text())
     verdict = {key: doc[key] for key in ("monitors", "type1", "theorem_constants")}
     canonical = json.dumps(verdict, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(canonical).hexdigest()
 
 
-def test_cli_two_neck_verdict_byte_identical_to_pinned_hash(tmp_path):
-    verdict = _strict_run_verdict_sha256(tmp_path, preset="fig-b", flow={"monitor_stride": 2})
-    assert verdict == TWO_NECK_64_VERDICT_SHA256
-    series = (tmp_path / "out" / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == TWO_NECK_64_SERIES_SHA256
+def _run_document(tmp_path, doc, flags=(), name="out") -> Path:
+    """Run doc through `run --config` with flags, which must exit 0, into
+    tmp_path / name, which it returns."""
+    out_dir = tmp_path / name
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps({**doc, "out_dir": str(out_dir)}))
+    assert main(["run", "--config", str(cfg_path), *flags]) == 0
+    return out_dir
 
 
-# The verdict block of two more runs at n=64, all 11 monitors, default flow:
-# mild, in the lower-bound regime (max c/a = 1.2, theorem_constants set),
-# and fig-a (theorem_constants null, lambda = 5).
-@pytest.mark.parametrize(
-    "preset, digest",
-    [
-        ("mild", "54cfa5509f4d6a41ca94d09838e29661ce5605817de1d93692e20d3296748d1c"),
-        ("fig-a", "49ad15833af88dc60003620dc175e78e1db8374aa04cdec1855493dab1306be1"),
-    ],
-)
-def test_cli_verdict_byte_identical_to_pinned_hash(tmp_path, preset, digest):
-    assert _strict_run_verdict_sha256(tmp_path, preset=preset) == digest
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_cli_run_byte_identical_to_pinned_hash(tmp_path, name):
+    doc, flags, digests = PINNED_RUNS[name]
+    out_dir = _run_document(tmp_path, doc, flags)
+    assert {artifact: _artifact_sha256(out_dir, artifact) for artifact in digests} == digests
 
 
-# The stdout of two commands that print tables: the preset list and the
-# refinement study of fig-a.
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["presets"], "cbbb1e07e892ee6bca13cce208ad9db1ffce9f861053e2c0bccd693f1e767ab1"),
-        (
-            ["convergence", "--preset", "fig-a"],
-            "265233dd31a7049f034d31257c2f59eb42cc34fa0316d25ae7aceba9ffbd581c",
-        ),
-    ],
-)
-def test_cli_stdout_byte_identical_to_pinned_hash(capsys, argv, digest):
-    assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("name", PINNED_TABLES)
+def test_cli_table_byte_identical_to_pinned_hash(tmp_path, capsys, name):
+    argv, artifact, digest = PINNED_TABLES[name]
+    if artifact is None:
+        assert main(argv) == 0
+        table = capsys.readouterr().out.encode()
+    else:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        table = (tmp_path / artifact).read_bytes()
+    assert hashlib.sha256(table).hexdigest() == digest
 
 
-# The benchmark's neck-fine case, fig-a at n=256 with the default flow: 342
-# steps, T = 0.8533297286729775.
-FIG_A_256_SERIES_SHA256 = "d645a41701fbd728ce25df8e673807cac5288c4b840a2c2b72fd74517f59c584"
-
-
-def test_cli_neck_fine_series_byte_identical_to_pinned_hash(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"preset": "fig-a", "grid_n": 256, "out_dir": str(tmp_path / "out")})
-    )
-    assert main(["run", "--config", str(cfg_path), "--strict"]) == 0
-    series = (tmp_path / "out" / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == FIG_A_256_SERIES_SHA256
-
-
-def test_cli_biaxial_series_byte_identical_to_pinned_hash(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps({"preset": "biaxial", "grid_n": 64, "out_dir": str(tmp_path / "out")})
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    series = (tmp_path / "out" / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == BIAXIAL_64_SERIES_SHA256
-
-
-def test_cli_sphere_series_byte_identical_to_pinned_hash(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        json.dumps(
-            {
-                "preset": "sphere",
-                "preset_params": {"r": 2.0},
-                "grid_n": 64,
-                "flow": {"cfl_safety": 0.05, "a_min_stop": 0.01},
-                "out_dir": str(tmp_path / "out"),
-            }
-        )
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 0
-    series = (tmp_path / "out" / "series.csv").read_bytes()
-    assert hashlib.sha256(series).hexdigest() == SPHERE_64_SERIES_SHA256
+def test_every_benchmark_workload_is_pinned():
+    # a workload of perfbench/workloads.json cannot go unpinned in tier-1
+    for name, workload in _WORKLOADS.items():
+        assert name in PINNED_RUNS
+        assert PINNED_RUNS[name][:2] == (workload["config"], ["--strict"])
 
 
 def test_cli_run_calls_no_lapack(tmp_path, monkeypatch):
@@ -1173,31 +1129,17 @@ def test_cli_run_calls_no_lapack(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "polyfit", lapack)
     for name in ("lstsq", "svd", "solve", "pinv"):
         monkeypatch.setattr(np.linalg, name, lapack)
-    configs = {
-        "fig-a": {"preset": "fig-a", "grid_n": 64, "monitors_enabled": list(MONITORS)},
-        "sphere": {
-            "preset": "sphere",
-            "preset_params": {"r": 2.0},
-            "grid_n": 64,
-            "flow": {"cfl_safety": 0.05, "a_min_stop": 0.01},
-        },
+    runs = {
+        "fig-a": {**PINNED_RUNS["fig-a"][0], "monitors_enabled": list(MONITORS)},
+        "sphere-exact": PINNED_RUNS["sphere-exact"][0],
     }
-    expected = {
-        "fig-a": (FIG_A_64_SERIES_SHA256, set(MONITORS)),
-        "sphere": (SPHERE_64_SERIES_SHA256, set(DEFAULT_MONITORS)),
-    }
-    for name, cfg in configs.items():
-        series_sha256, monitor_names = expected[name]
-        out = tmp_path / name
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps({**cfg, "out_dir": str(out)}))
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        series = (out / "series.csv").read_bytes()
-        assert hashlib.sha256(series).hexdigest() == series_sha256
-        doc = json.loads((out / "summary.json").read_text())
+    for name, cfg in runs.items():
+        out_dir = _run_document(tmp_path, cfg, name=name)
+        assert _artifact_sha256(out_dir, "series.csv") == PINNED_RUNS[name][2]["series.csv"]
+        doc = json.loads((out_dir / "summary.json").read_text())
         assert doc["t_estimate"] is not None
         assert doc["type1"]["classification"] == "TypeI"
-        assert set(doc["monitors"]) == monitor_names
+        assert set(doc["monitors"]) == set(cfg.get("monitors_enabled", DEFAULT_MONITORS))
 
 
 # NumPy routines that call BLAS or LAPACK, and np.einsum, which does when

@@ -141,7 +141,7 @@ def fig_a_64_run():
 
 def test_neck_stays_on_its_node_and_w_vanishes_there(fig_a_64_run):
     traj, n = fig_a_64_run, 64
-    assert np.all(traj.series("a_min_idx") == n // 2)
+    assert np.all(traj.samples["a_min_idx"] == n // 2)
     last = traj.snapshots[-1]
     w, _, _ = speed(last.phi, arclength_jet(last))
     assert abs(w[n // 2]) <= 1e-12 * np.max(np.abs(w))
@@ -247,7 +247,7 @@ def test_neck_resolution_is_the_final_neck_width_in_cells(fig_a_64_run):
     k = int(np.argmin(a))
     hand = a[k] / (last.phi * last.grid.dz)
     assert traj.run_stats.neck_resolution == pytest.approx(hand, rel=1e-14)
-    assert a[k] == traj.samples[-1].a_min
+    assert a[k] == traj.samples[-1]["a_min"]
 
 
 # --- stepping ----------------------------------------------------------------
@@ -469,7 +469,7 @@ def test_step_rule_on_the_sphere():
     st = sphere(2.0).build(PeriodicGrid(32))
     traj, _ = evolve(st, FlowConfig(cfl_safety=cfl, a_min_stop=0.01))
     # on the round sphere r = max |k1 / x| = 2 / a^2 before each step
-    a_min, dt = traj.series("a_min")[:-1], traj.series("dt")[1:]
+    a_min, dt = traj.samples["a_min"][:-1], traj.samples["dt"][1:]
     r = 2.0 / a_min**2
     cap = cfl / (4.0 * r)
     assert dt[0] == pytest.approx(cfl / (18.0 * r[0]), rel=1e-13)
@@ -489,7 +489,7 @@ def test_step_rule_is_invariant_under_parabolic_rescaling():
         for r in (2.0, 4.0)
     ]
     assert runs[0].run_stats.steps == runs[1].run_stats.steps
-    np.testing.assert_allclose(runs[1].series("dt"), 4.0 * runs[0].series("dt"), rtol=1e-12)
+    np.testing.assert_allclose(runs[1].samples["dt"], 4.0 * runs[0].samples["dt"], rtol=1e-12)
 
 
 def test_step_rule_halving_cfl_moves_t_within_the_time_budget():
@@ -575,7 +575,7 @@ def bits(sample):
 
 
 def column_bits(traj, name):
-    return traj.series(name).tobytes()
+    return traj.samples[name].tobytes()
 
 
 @functools.cache
@@ -682,14 +682,14 @@ def test_evolve_strided_blocks_keep_first_last_and_snapshots(monkeypatch, stop, 
         assert len(strided.samples) % summary_block(n) != 0
         assert steps % 3 != 0  # the last state is recorded although off the stride
         for name in SUMMARY_DTYPE.names:
-            column = every.series(name)
+            column = every.samples[name]
             expected = np.append(column[::3], column[-1:])
             assert column_bits(strided, name) == expected.tobytes()
         # the snapshots are the first state and the final one
         for traj in (every, strided):
             assert traj.snapshots[0] is st
-            assert [s.t for s in traj.snapshots] == [0.0, every.ts[-1].item()]
-            assert traj.snapshots[1].a.min() == traj.samples[-1].a_min
+            assert [s.t for s in traj.snapshots] == [0.0, every.samples["t"][-1].item()]
+            assert traj.snapshots[1].a.min() == traj.samples[-1]["a_min"]
 
 
 def test_evolve_above_n_1024_summarizes_one_state_a_call():
@@ -796,15 +796,15 @@ def test_evolve_strided_z_constant_run_to_t_max():
     traj, _ = evolve(st, FlowConfig(t_max=0.2, monitor_stride=3))
     assert traj.stop_reason == STOP_TMAX and traj.run_stats.steps % 3 != 0
     first, last = traj.samples[0], traj.samples[-1]
-    assert (first.t, first.dt, first.a_min, first.b_min, first.c_max) == (0.0, 0.0, 1.0, 1.5, 2.0)
-    assert last.tolist() == every.samples[-1].tolist() and last.t == 0.2
+    assert first[["t", "dt", "a_min", "b_min", "c_max"]].tolist() == (0.0, 0.0, 1.0, 1.5, 2.0)
+    assert last.tolist() == every.samples[-1].tolist() and last["t"] == 0.2
     assert len(traj.samples) == traj.run_stats.steps // 3 + 2
     # the final snapshot is the one point broadcast to the grid
     final = traj.snapshots[-1]
-    assert final.t == last.t
-    for row, value in zip((final.a, final.b, final.c), (last.a_min, last.b_min, last.c_max)):
-        assert row.shape == (64,) and np.all(row == value)
-    resummarized = summarize_state([last.t], [last.dt], arclength_jet(final)[np.newaxis])
+    assert final.t == last["t"]
+    for row, name in zip((final.a, final.b, final.c), ("a_min", "b_min", "c_max")):
+        assert row.shape == (64,) and np.all(row == last[name])
+    resummarized = summarize_state([last["t"]], [last["dt"]], arclength_jet(final)[np.newaxis])
     assert bits(resummarized[0].tolist()) == bits(last.tolist())
 
 
@@ -812,8 +812,8 @@ def test_evolve_sphere_tracks_exact_solution():
     st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, report = evolve(st, FlowConfig(cfl_safety=0.1, a_min_stop=0.05))
     assert traj.stop_reason == STOP_AMIN
-    ts = traj.ts
-    am2 = traj.series("a_min") ** 2
+    ts = traj.samples["t"]
+    am2 = traj.samples["a_min"] ** 2
     assert np.max(np.abs(am2 - (4.0 - 4.0 * ts)) / (4.0 - 4.0 * ts)) <= 1e-4
     assert report is not None and report.t_estimate == pytest.approx(1.0, abs=1e-6)
     # strictly decreasing and (weakly) concave sequence
@@ -826,8 +826,8 @@ def test_evolve_sphere_dt_convergence_order():
     for cfl in (0.4, 0.2, 0.1):
         st = MetricState(PeriodicGrid(64), 0.0, 1.0, (2.0, 2.0, 2.0))
         traj, _ = evolve(st, FlowConfig(cfl_safety=cfl, a_min_stop=0.05))
-        ts = traj.ts
-        errs.append(float(np.max(np.abs(traj.series("a_min") ** 2 - (4.0 - 4.0 * ts)))))
+        ts = traj.samples["t"]
+        errs.append(float(np.max(np.abs(traj.samples["a_min"] ** 2 - (4.0 - 4.0 * ts)))))
     for e0, e1 in zip(errs, errs[1:]):
         order = np.log2(e0 / e1)
         assert abs(order - 4.0) <= 0.5
@@ -849,18 +849,18 @@ def test_trajectory_times_strictly_increasing_and_finite():
     st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, _ = evolve(st, FlowConfig(a_min_stop=0.5))
     assert not traj.samples.flags.writeable
-    assert np.shares_memory(traj.ts, traj.samples)
-    assert np.all(np.diff(traj.ts) > 0.0)
+    assert np.shares_memory(traj.samples["t"], traj.samples)
+    assert np.all(np.diff(traj.samples["t"]) > 0.0)
     for name in ("a_min", "c_max", "s_min", "rm_max"):
-        assert np.all(np.isfinite(traj.series(name)))
+        assert np.all(np.isfinite(traj.samples[name]))
 
 
 def test_evolve_respects_t_max():
     st = MetricState(PeriodicGrid(32), 0.0, 1.0, (2.0, 2.0, 2.0))
     traj, report = evolve(st, FlowConfig(t_max=1e-6))
     assert traj.stop_reason == STOP_TMAX
-    assert traj.samples[-1].t == pytest.approx(1e-6, abs=1e-12)
-    assert traj.samples[-1].a_min == pytest.approx(2.0, abs=1e-5)
+    assert traj.samples[-1]["t"] == pytest.approx(1e-6, abs=1e-12)
+    assert traj.samples[-1]["a_min"] == pytest.approx(2.0, abs=1e-5)
     assert report is None  # nothing shrank, no fit possible
 
 
@@ -874,10 +874,10 @@ def test_evolve_halves_rejected_steps(monkeypatch):
             attempts = _reject_after(patch, 3, rejections=2, kernel=kernel)
             traj, _ = evolve(st, FlowConfig(a_min_stop=0.35))
         assert traj.stop_reason == STOP_AMIN
-        assert traj.samples[-1].a_min < 0.35
+        assert traj.samples[-1]["a_min"] < 0.35
         assert traj.run_stats.rejected == 2
         assert attempts[4:6] == [attempts[3] / 2.0, attempts[3] / 4.0]
-        assert traj.samples[4].dt == attempts[5]
+        assert traj.samples[4]["dt"] == attempts[5]
 
 
 def test_evolve_names_exhausted_halvings(monkeypatch):
@@ -961,7 +961,7 @@ def test_evolve_steps_a_stationary_state_to_t_max(monkeypatch):
             traj, _ = evolve(st, FlowConfig(t_max=5.0))
         assert traj.stop_reason == STOP_TMAX
         assert traj.run_stats.steps == 1
-        assert traj.ts.tolist() == [0.0, 5.0]
+        assert traj.samples["t"].tolist() == [0.0, 5.0]
 
 
 def test_trajectory_rows_and_columns():
@@ -972,22 +972,21 @@ def test_trajectory_rows_and_columns():
     initial = MetricState(grid, 0.0, 1.0, (1.0, 1.0, 1.0))
     traj = Trajectory(block, [initial])
     samples = traj.samples
-    assert isinstance(samples, np.recarray) and samples.dtype == SUMMARY_DTYPE
+    assert type(samples) is np.ndarray and samples.dtype == SUMMARY_DTYPE
     assert len(samples) == 3
     assert samples[-1].tolist() == block[2].tolist()
-    assert samples[-2].a_min == block[1]["a_min"]
-    np.testing.assert_array_equal(traj.series("sup_cp_idx"), block["sup_cp_idx"])
-    assert traj.series("a_min_idx").dtype == np.intp
-    # a series is a view of the samples, and neither can be written
-    assert np.shares_memory(traj.series("t"), samples)
-    assert np.shares_memory(traj.ts, samples)
+    assert samples[-2]["a_min"] == block[1]["a_min"]
+    np.testing.assert_array_equal(traj.samples["sup_cp_idx"], block["sup_cp_idx"])
+    assert traj.samples["a_min_idx"].dtype == np.intp
+    # a column is a view of the samples, and neither can be written
+    assert np.shares_memory(traj.samples["t"], samples)
     with pytest.raises(ValueError, match="read-only"):
-        traj.ts[0] = -1.0
+        traj.samples["t"][0] = -1.0
     with pytest.raises(ValueError, match="read-only"):
-        traj.series("a_min")[1] = -1.0
+        traj.samples["a_min"][1] = -1.0
     with pytest.raises(ValueError, match="read-only"):
-        samples[0].t = -1.0
-    assert traj.samples[0].t == 0.0
+        samples[0]["t"] = -1.0
+    assert traj.samples[0]["t"] == 0.0
     with pytest.raises(IndexError):
         traj.samples[3]
     with pytest.raises(ValueError, match="SUMMARY_DTYPE"):
@@ -1087,8 +1086,8 @@ def test_evolve_rejects_overflowed_or_underflowed_gauge(monkeypatch, log_lam, me
 def test_evolve_ordering_slack_on_neck_data():
     st = get_preset("fig-a").build(PeriodicGrid(64))
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
-    assert traj.series("ord_ba_min").min() >= -1e-8
-    assert traj.series("ord_cb_min").min() >= -1e-8
+    assert traj.samples["ord_ba_min"].min() >= -1e-8
+    assert traj.samples["ord_cb_min"].min() >= -1e-8
 
 
 def test_evolve_biaxial_closure_whole_run():
@@ -1097,7 +1096,7 @@ def test_evolve_biaxial_closure_whole_run():
     traj, _ = evolve(st, FlowConfig(t_max=0.05))
     assert traj.run_stats.steps > 0
     # ecc_bc is max |b - c| / min(b, c) of each recorded sample
-    assert traj.series("ecc_bc").max() <= 1e-10
+    assert traj.samples["ecc_bc"].max() <= 1e-10
 
 
 def test_ricci_flow_residual_shrinks_under_refinement():

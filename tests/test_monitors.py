@@ -125,7 +125,7 @@ def test_eccentricity_sphere_identically_zero(sphere_run):
 def test_eccentricity_biaxial_first_quantity_zero():
     st = biaxial(1.0, 1.5).build(PeriodicGrid(48))
     traj, _ = evolve(st, FlowConfig(t_max=0.02))
-    assert np.all(traj.series("ecc_bc") == 0.0)
+    assert np.all(traj.samples["ecc_bc"] == 0.0)
     assert eccentricity_monitor(traj, None).passed is True
 
 

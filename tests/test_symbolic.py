@@ -1,5 +1,5 @@
-"""Exact oracle for the flow's right-hand side, the sectional curvatures and
-the evolution of K_0i.
+"""Exact oracle for the flow's right-hand side, the sectional curvatures,
+|Rm|^2 and the evolution of K_0i.
 
 sympy derives the curvature of g = ds^2 + a^2 w1*w1 + b^2 w2*w2 + c^2 w3*w3
 from the Milnor frame alone: the orthonormal frame e0 = d/ds, e_i = E_i / x_i
@@ -25,6 +25,7 @@ q = -Ric(e0, e0).
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -175,6 +176,47 @@ def test_sectional_rows_are_the_frame_sectional_curvatures(seed):
     ric, ric_scale = ricci_diagonal()(*zj)
     scal = trace_invariants(got)[0]
     np.testing.assert_array_less(np.abs(scal - ric.sum(axis=0)), RTOL * ric_scale.sum(axis=0))
+
+
+@functools.cache
+def riemann_components():
+    """Evaluator of the components R(a, b, c, d), a < b and c < d, that are
+    not identically zero: 12 of the 36, the six R(a, b, a, b) = -K_ab and the
+    three mixed pairs R(0, i, j, k), each in both orders."""
+    riemann = derivation()
+    pairs = list(itertools.combinations(range(4), 2))
+    components = [sympy.cancel(to_jet(riemann(*ab, *cd))) for ab in pairs for cd in pairs]
+    nonzero = [r for r in components if r != 0]
+    assert len(nonzero) == 12
+    return evaluator(nonzero, JET2)
+
+
+def rm_norm_sq(zj):
+    """|Rm|^2 at the jet zj as trace_invariants normalizes it, half the full
+    contraction sum_abcd R_abcd^2: 2 sum over a < b, c < d of R(a, b, c, d)^2."""
+    return 2.0 * np.square(riemann_components()(*zj)[0]).sum(axis=0)
+
+
+def test_rm_norm_sq_is_the_full_contraction_where_the_log_derivatives_agree():
+    # x' = r x with one r for the three radii: the mixed components vanish,
+    # the curvature operator is diagonal on the frame 2-forms, and 2 sum K^2
+    # is the whole of |Rm|^2
+    zj = random_jet(6)
+    zj[1] = np.random.default_rng(6).uniform(-3.0, 3.0, zj.shape[-1]) * zj[0]
+    got = trace_invariants(sectional_rows(*zj)[0])[1]
+    np.testing.assert_allclose(got, rm_norm_sq(zj), rtol=RTOL)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND line 92: trace_invariants' 2 sum K^2 leaves out the "
+    "mixed (Codazzi) components R(e0, ei, ej, ek) where the log-derivatives differ",
+)
+def test_rm_norm_sq_is_the_full_contraction():
+    for seed in (2, 3):
+        zj = random_jet(seed)
+        got = trace_invariants(sectional_rows(*zj)[0])[1]
+        np.testing.assert_allclose(got, rm_norm_sq(zj), rtol=RTOL)
 
 
 @functools.cache
