@@ -83,9 +83,10 @@ def _resolve_config(args) -> RunConfig:
     if args.out:
         overrides["out_dir"] = args.out
     if args.monitors:
-        overrides["monitors_enabled"] = tuple(
-            m.strip() for m in args.monitors.split(",") if m.strip()
-        )
+        names = tuple(m.strip() for m in args.monitors.split(",") if m.strip())
+        if not names:
+            raise DataError(f"--monitors {args.monitors!r} names no monitor")
+        overrides["monitors_enabled"] = names
     return replace(cfg, **overrides)
 
 

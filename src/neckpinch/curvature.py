@@ -53,7 +53,9 @@ class CurvatureField(NamedTuple):
     Sectional curvatures k01..k23 span the frame 2-planes; khat12..khat23 are
     the intrinsic sectional curvatures of the SU(2) fiber; ric00..ric33 are
     the diagonal Ricci components in the arclength frame; scal and rm_norm_sq
-    are assembled from the sectional curvatures by their trace identities.
+    are assembled from the sectional curvatures by trace_invariants. scal is
+    the scalar curvature; rm_norm_sq = 2 sum K^2 is |Rm|^2 only where the
+    three log-derivatives x'/x agree (see trace_invariants).
     """
 
     k01: np.ndarray
@@ -96,10 +98,17 @@ def sectional_rows(
 
 
 def trace_invariants(k: np.ndarray) -> np.ndarray:
-    """(scal, |Rm|^2) stacked (2, ..., n) from the six sectional curvature rows
-    k, stacked (..., 6, n), by the trace identities scal = 2 sum K and
-    |Rm|^2 = 2 sum K^2. A K^2 beyond the float range is inf, without a
-    warning: the callers check finiteness and raise DataError."""
+    """(scal, 2 sum K^2) stacked (2, ..., n) from the six sectional curvature
+    rows k, stacked (..., 6, n).
+
+    scal = 2 sum K is the scalar curvature, an identity. 2 sum K^2 is |Rm|^2,
+    half the full contraction sum_abcd R_abcd^2, only where the three
+    log-derivatives x'/x agree: elsewhere the mixed components
+    M_i = R(e0, ei, ej, ek) are nonzero, and |Rm|^2 = 2 sum K^2 + 4 sum M_i^2
+    (CHANGES.md FOUND line 92; the strict xfail
+    test_rm_norm_sq_is_the_full_contraction of tests/test_symbolic.py). A K^2
+    beyond the float range is inf, without a warning: the callers check
+    finiteness and raise DataError."""
     with np.errstate(over="ignore"):
         return 2.0 * np.stack((k.sum(axis=-2), np.square(k).sum(axis=-2)))
 

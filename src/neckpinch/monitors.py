@@ -136,6 +136,14 @@ def _report(traj: Trajectory, margins: dict[str, Margin], notes: str = "") -> Mo
     return MonitorReport(worst >= -tol, worst, where, f"{notes}tol={tol:.3e}")
 
 
+def _past_first(name: str, margin: np.ndarray) -> str:
+    """The note `{name}_past_first=`, the smallest of a margin column over
+    samples 1 onward, or n/a for one sample: a bound anchored at the first
+    sample reads 0 there, whatever the run."""
+    value = "n/a" if margin.size < 2 else f"{margin[1:].min():.3e}"
+    return f"{name}_past_first={value} "
+
+
 def _first(traj: Trajectory, name: str) -> float:
     # A Python float, as the first sample's fields were: its callers square
     # it with float powers, and libm's pow and NumPy's squaring round about
@@ -225,11 +233,12 @@ def ratio_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
         growth * (1.0 - 4.0 * t / c0_sq) ** 2 + 1.0 - r**2
         for t, r in zip((ts - ts[0]).tolist(), ratio.tolist())
     ]
+    plain = lam - ratio
     margins = {
-        "plain_margin": _worst(traj, [lam - ratio], ["ratio_max_idx"]),
+        "plain_margin": _worst(traj, [plain], ["ratio_max_idx"]),
         "refined_margin": _worst(traj, [np.array(envelope)], ["ratio_max_idx"]),
     }
-    return _report(traj, margins, f"lam={lam:.6g} ")
+    return _report(traj, margins, f"lam={lam:.6g} {_past_first('plain_margin', plain)}")
 
 
 def amin_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
@@ -262,11 +271,12 @@ def cmax_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:
     ts = traj.samples["t"] - traj.samples["t"][0]
     cmax_sq = traj.samples["c_max"] ** 2
     c0_sq = cmax_sq[0].item()
+    bound = c0_sq - 4.0 * ts - cmax_sq
     margins = {
-        "bound_margin": _worst(traj, [c0_sq - 4.0 * ts - cmax_sq], ["c_max_idx"]),
+        "bound_margin": _worst(traj, [bound], ["c_max_idx"]),
         "slope_margin": _slope_margin(traj, -cmax_sq, 4.0, "c_max_idx"),
     }
-    return _report(traj, margins)
+    return _report(traj, margins, _past_first("bound_margin", bound))
 
 
 def derivative_bound_monitor(traj: Trajectory, report: Fit) -> MonitorReport:

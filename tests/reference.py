@@ -7,19 +7,17 @@
   uniform gauge, the reference for grid.arclength_jet;
 * the displayed closed form of the scalar curvature, against the package's
   trace assembly;
-* the frame-symbol path: the z-gauge frame symbols Sigma^gamma_{alpha beta}
-  and the full Riemann tensor assembled numerically from them, a third,
-  formula-free evaluation path;
 * the homogeneous ODE oracle, a scipy integration of the z-constant flow;
 * classical RK4, the oracle of the flow step where its diffusion symbol
   vanishes.
+
+The exact curvature reference, every Riemann component of the Milnor frame,
+is the sympy derivation of tests/test_symbolic.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -82,91 +80,6 @@ def scalar_curvature(state: MetricState) -> np.ndarray:
         + algebraic
     )
     return s
-
-
-# ---------------------------------------------------------------------------
-# Frame-symbol path
-
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in permutations(range(3)):
-    _EPS[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2.0
-
-
-def _levi_civita(i: int, j: int, k: int) -> float:
-    """eps_ijk for fiber indices in {1, 2, 3}."""
-    return float(_EPS[i - 1, j - 1, k - 1])
-
-
-@dataclass(frozen=True)
-class FrameSymbols:
-    """z-gauge frame symbols; sigma[alpha, beta, gamma, :] is Sigma^gamma_{alpha beta}."""
-
-    grid_n: int
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        if self.sigma.shape != (4, 4, 4, self.grid_n):
-            raise ValueError("sigma must have shape (4, 4, 4, n)")
-
-
-def _metric_diagonal(state: MetricState) -> np.ndarray:
-    """(g00, g11, g22, g33) = (phi^2, a^2, b^2, c^2) stacked (4, n), g00 a
-    constant row."""
-    return np.stack((np.full(state.grid.n, state.phi**2), state.a**2, state.b**2, state.c**2))
-
-
-def frame_symbol_oracle(state: MetricState) -> FrameSymbols:
-    """z-gauge frame symbols Sigma^gamma_{alpha beta} from the Koszul formula.
-
-    Nonzero entries: Sigma^0_00 = g^00 dz(g00)/2, Sigma^i_{i0} = Sigma^i_{0i}
-    = g^ii dz(gii)/2, Sigma^0_{ii} = -g^00 dz(gii)/2, and for distinct fiber
-    indices Sigma^k_{ij} = eps_ijk g^kk (g_ii - g_jj - g_kk). Everything with
-    exactly two zero indices vanishes.
-    """
-    check_resolvable(state.x)
-    n = state.grid.n
-    g = _metric_diagonal(state)
-    dg = dz_stencil(g, state.grid.dz)
-    sigma = np.zeros((4, 4, 4, n))
-    sigma[0, 0, 0] = 0.5 * dg[0] / g[0]
-    for i in (1, 2, 3):
-        sigma[i, 0, i] = 0.5 * dg[i] / g[i]
-        sigma[0, i, i] = sigma[i, 0, i]
-        sigma[i, i, 0] = -0.5 * dg[i] / g[0]
-    for i, j, k in permutations((1, 2, 3)):
-        sigma[i, j, k] = _levi_civita(i, j, k) * (g[i] - g[j] - g[k]) / g[k]
-    return FrameSymbols(grid_n=n, sigma=sigma)
-
-
-def riemann_tensor_from_frame_symbols(state: MetricState) -> np.ndarray:
-    """Full Rm_{alpha beta gamma delta} assembled numerically from frame symbols.
-
-    R(E_a, E_b) E_c = grad_a grad_b E_c - grad_b grad_a E_c - grad_[E_a,E_b] E_c
-    expanded through Sigma, with E_0 = d/dz acting on the z-dependent symbol
-    coefficients and the fiber brackets [E_i, E_j] = -2 eps_ijk E_k. Returns an
-    array of shape (4, 4, 4, 4, n). This is a third, formula-free evaluation
-    path used to arbitrate between the closed forms and the z-gauge oracle.
-    """
-    sigma = frame_symbol_oracle(state).sigma
-    n = state.grid.n
-    dsigma = dz_stencil(sigma, state.grid.dz)
-
-    # structure[alpha, beta, u] = C^u_{alpha beta} of the frame bracket
-    structure = np.zeros((4, 4, 4))
-    for i, j, k in permutations((1, 2, 3)):
-        structure[i, j, k] = -2.0 * _levi_civita(i, j, k)
-
-    # coef[a, b, c, d] is the E_d component of R(E_a, E_b) E_c; only E_0 = d/dz
-    # differentiates the z-dependent symbol coefficients.
-    coef = np.zeros((4, 4, 4, 4, n))
-    coef[0] += dsigma
-    coef[:, 0] -= dsigma
-    coef += np.einsum("bcun,audn->abcdn", sigma, sigma)
-    coef -= np.einsum("acun,budn->abcdn", sigma, sigma)
-    coef -= np.einsum("abu,ucdn->abcdn", structure, sigma)
-
-    g = _metric_diagonal(state)
-    return coef * g[np.newaxis, np.newaxis, np.newaxis, :, :]
 
 
 # ---------------------------------------------------------------------------

@@ -621,6 +621,26 @@ def test_cli_unknown_preset_is_one_line_error(one_line_error, command):
     assert err == "error: unknown preset 'nope'\n"
 
 
+@pytest.mark.parametrize("flag", [",", " , "])
+def test_cli_monitors_naming_no_monitor_is_one_line_error(one_line_error, flag):
+    # run --strict would otherwise check nothing and exit 0
+    _, err = one_line_error(["run", "--preset", "sphere", "--grid-n", "32", "--strict",
+                             "--monitors", flag], "names no monitor")
+    assert err == f"error: --monitors {flag!r} names no monitor\n"
+
+
+def test_cli_empty_monitors_flag_and_config_list_still_run(tmp_path):
+    # an empty --monitors means the defaults; a config's empty list runs none
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "sphere", "grid_n": 32, "monitors_enabled": []}))
+    for name, argv in [("flag", ["--preset", "sphere", "--grid-n", "32", "--monitors", ""]),
+                       ("config", ["--config", str(cfg)])]:
+        assert main(["run", *argv, "--out", str(tmp_path / name)]) == 0
+    ran = [json.loads((tmp_path / name / "summary.json").read_text())["monitors"]
+           for name in ("flag", "config")]
+    assert set(ran[0]) == set(DEFAULT_MONITORS) and ran[1] == {}
+
+
 @pytest.mark.parametrize("command", ["run", "curvature", "convergence"])
 def test_cli_inline_preset_without_params_is_one_line_error(one_line_error, command):
     # --preset passes no parameters, so the inline preset names what it misses
@@ -1037,7 +1057,7 @@ PINNED_RUNS = {
     # fig-b, a summary every 2nd step, all 11 monitors: 446 steps, T = 3.344492211981948
     "two-neck-sampled": (_WORKLOADS["two-neck-sampled"]["config"], ["--strict"], {
         "series.csv": "d9a2782f0e53584043da3c0b8f2bb6e812f443792458740be2c2570e5096782a",
-        "verdict": "96f40de2a9590643d55644e1c0c09e3d0264a3d7c89a9bb10ab276dc2e26f4d5",
+        "verdict": "9123f703820959faa32e70dc60a8986f76e3ce84951f645a61342b5631161917",
     }),
     # the round sphere r = 2, cfl 0.05, stop 1e-2: 878 steps, T = 0.9999999999960654
     "sphere-exact": (_WORKLOADS["sphere-exact"]["config"], ["--strict"], {
@@ -1045,11 +1065,11 @@ PINNED_RUNS = {
     }),
     # max c/a = 1.2, theorem_constants set: 245 steps, T = 0.27955513730075465
     "mild-verdict": ({"preset": "mild", **_ALL_MONITORS_64}, ["--strict"], {
-        "verdict": "54cfa5509f4d6a41ca94d09838e29661ce5605817de1d93692e20d3296748d1c",
+        "verdict": "a8572d5edd90b4959a538ff7f23d4420a3162fe52e3357716a65ad4454b6a2f6",
     }),
     # lambda = 5, theorem_constants null: 341 steps, T = 0.8532748531460519
     "fig-a-verdict": ({"preset": "fig-a", **_ALL_MONITORS_64}, ["--strict"], {
-        "verdict": "49ad15833af88dc60003620dc175e78e1db8374aa04cdec1855493dab1306be1",
+        "verdict": "946f75c0cadee9c3e1cee176d6f966d239a29f78a25ec82159a9ad056380a5df",
     }),
 }
 

@@ -12,13 +12,7 @@ from neckpinch.grid import (
 )
 from neckpinch.presets import get_preset
 
-from reference import (
-    _levi_civita,
-    _metric_diagonal,
-    frame_symbol_oracle,
-    riemann_tensor_from_frame_symbols,
-    scalar_curvature,
-)
+from reference import scalar_curvature
 
 
 def round_state(r=1.0, phi=1.0, n=32):
@@ -190,49 +184,6 @@ def test_scalar_curvature_agrees_with_trace_assembly():
     assert np.allclose(direct, traced, rtol=1e-12, atol=1e-12)
 
 
-# --- frame symbols -----------------------------------------------------------
-
-
-def test_frame_symbols_round_unit():
-    syms = frame_symbol_oracle(round_state(1.0))
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                expected = -_levi_civita(i, j, k) if len({i, j, k}) == 3 else 0.0
-                assert np.allclose(syms.sigma[i, j, k], expected, atol=1e-14)
-    # all derivative-driven symbols vanish on constant profiles
-    assert np.all(syms.sigma[0, 0, 0] == 0.0)
-    for i in (1, 2, 3):
-        assert np.all(syms.sigma[i, 0, i] == 0.0)
-        assert np.all(syms.sigma[i, i, 0] == 0.0)
-
-
-def test_frame_symbols_two_zero_indices_vanish():
-    syms = frame_symbol_oracle(wavy_state())
-    for i in (1, 2, 3):
-        assert np.all(syms.sigma[0, i, 0] == 0.0)  # Sigma^0_{0i}
-        assert np.all(syms.sigma[i, 0, 0] == 0.0)  # Sigma^0_{i0}
-        assert np.all(syms.sigma[0, 0, i] == 0.0)  # Sigma^i_{00}
-
-
-def test_frame_symbols_bracket_relation():
-    # Sigma^k_ij - Sigma^k_ji = -2 eps_ijk: the torsion-free statement for a
-    # frame with [E_i, E_j] = -2 eps_ijk E_k. (Not antisymmetry, which only
-    # holds when g_ii = g_jj.)
-    syms = frame_symbol_oracle(wavy_state())
-    from itertools import permutations
-
-    for i, j, k in permutations((1, 2, 3)):
-        diff = syms.sigma[i, j, k] - syms.sigma[j, i, k]
-        assert np.allclose(diff, -2.0 * _levi_civita(i, j, k), atol=1e-12)
-
-
-def test_frame_symbols_biaxial_round_value():
-    st = round_state(1.3)
-    syms = frame_symbol_oracle(st)
-    assert np.allclose(syms.sigma[2, 3, 1], -1.0, rtol=1e-14)
-
-
 # --- Riemann oracle ----------------------------------------------------------
 
 
@@ -259,43 +210,6 @@ def test_oracle_matches_closed_form_under_refinement():
         )
     for e0, e1 in zip(errs, errs[1:]):
         assert np.log2(e0 / e1) >= 3.5
-
-
-def test_full_frame_symbol_assembly_agrees():
-    st = wavy_state(128)
-    rm = riemann_tensor_from_frame_symbols(st)
-    g = _metric_diagonal(st)
-    cf = sectional_curvatures(st)
-    for (al, be), name in [
-        ((0, 1), "k01"),
-        ((0, 2), "k02"),
-        ((0, 3), "k03"),
-        ((1, 2), "k12"),
-        ((1, 3), "k13"),
-        ((2, 3), "k23"),
-    ]:
-        assembled = rm[be, al, al, be] / (g[al] * g[be])
-        assert np.max(np.abs(assembled - getattr(cf, name))) <= 2e-3
-
-
-def test_assembly_structural_zeros():
-    rm = riemann_tensor_from_frame_symbols(wavy_state())
-    assert np.all(rm[0, 0, 0, 0] == 0.0)
-    for i in (1, 2, 3):
-        assert np.all(rm[0, 0, 0, i] == 0.0)
-        for j in (1, 2, 3):
-            if i != j:
-                assert np.all(rm[i, 0, 0, j] == 0.0)  # Rm_i00j = 0
-                k = 6 - i - j
-                assert np.all(rm[i, j, j, k] == 0.0)  # Rm_ijjk = 0
-                assert np.all(rm[i, j, j, 0] == 0.0)  # Rm_ijj0 = 0
-
-
-def test_assembly_pair_symmetry():
-    st = wavy_state(128)
-    rm = riemann_tensor_from_frame_symbols(st)
-    for i in (1, 2, 3):
-        assert np.allclose(rm[0, i, i, 0], rm[i, 0, 0, i], atol=2e-3)
 
 
 def test_oracle_homogeneity():

@@ -284,7 +284,8 @@ def test_cmax_sphere_equality(sphere_run):
     rep = cmax_bound_monitor(traj, None)
     assert rep.passed is True
     assert abs(rep.worst_margin) <= 1e-6 or rep.worst_margin > 0
-    assert rep.notes.startswith("bound_margin=") and "slope_margin=" in rep.notes
+    assert rep.notes.startswith("bound_margin_past_first=") and " bound_margin=" in rep.notes
+    assert "slope_margin=" in rep.notes
 
 
 def test_cmax_detects_slow_decay():
@@ -315,7 +316,9 @@ def test_cmax_margins_count_time_from_the_first_sample():
     traj = make_trajectory(ts, 2.0 - ts, c_max=np.sqrt([16.0, 8.0, 4.0]))
     rep = cmax_bound_monitor(traj, None)
     assert rep.passed is True
-    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=4.000e+00 tol=")
+    assert rep.notes.startswith(
+        "bound_margin_past_first=4.000e+00 bound_margin=0.000e+00 slope_margin=4.000e+00 tol="
+    )
     assert rep.worst_margin == 0.0 and rep.worst_location == (-1.0, 0)
 
 
@@ -343,10 +346,23 @@ def test_round_sphere_started_late_passes_the_cmax_and_ratio_bounds():
         assert rep.worst_location[0] >= 0.5
 
 
+def test_ratio_and_cmax_note_their_smallest_margin_past_the_first_sample():
+    # both bounds are anchored at the first sample, so their worst margin
+    # reads 0 on every run; past it, fig-a keeps a positive margin
+    traj, report = evolve(get_preset("fig-a").build(PeriodicGrid(64)), FlowConfig())
+    reps = run_monitors(traj, report, ["ratio", "cmax_bound"])
+    for name, key in [("ratio", "plain_margin"), ("cmax_bound", "bound_margin")]:
+        notes = dict(token.split("=") for token in reps[name].notes.split())
+        assert reps[name].worst_margin == 0.0 and float(notes[key]) == 0.0
+        assert float(notes[f"{key}_past_first"]) > 0.0
+
+
 def test_cmax_single_sample_keeps_an_infinite_slope_margin():
     traj = make_trajectory([0.0], [2.0], c_max=3.0)
     rep = cmax_bound_monitor(traj, None)
-    assert rep.notes.startswith("bound_margin=0.000e+00 slope_margin=inf tol=")
+    assert rep.notes.startswith(
+        "bound_margin_past_first=n/a bound_margin=0.000e+00 slope_margin=inf tol="
+    )
     assert rep.worst_margin == 0.0 and rep.worst_location == (0.0, 0)
 
 

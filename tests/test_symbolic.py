@@ -1,5 +1,6 @@
-"""Exact oracle for the flow's right-hand side, the sectional curvatures,
-|Rm|^2 and the evolution of K_0i.
+"""Exact oracle for the flow's right-hand side, every Riemann component (the
+sectional curvatures and the mixed components), |Rm|^2 and the evolution of
+K_0i: the one exact curvature reference of the tests.
 
 sympy derives the curvature of g = ds^2 + a^2 w1*w1 + b^2 w2*w2 + c^2 w3*w3
 from the Milnor frame alone: the orthonormal frame e0 = d/ds, e_i = E_i / x_i
@@ -25,7 +26,6 @@ q = -Ric(e0, e0).
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 import pytest
@@ -178,17 +178,35 @@ def test_sectional_rows_are_the_frame_sectional_curvatures(seed):
     np.testing.assert_array_less(np.abs(scal - ric.sum(axis=0)), RTOL * ric_scale.sum(axis=0))
 
 
+#: The mixed pairs of planes ((0, i), (j, k)) whose components R(0, i, j, k)
+#: are not identically zero, in the order of M1, M2, M3.
+MIXED = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+
+
+@functools.cache
+def pair_components():
+    """The 36 components R(a, b, c, d), (a, b) and (c, d) planes of PLANES,
+    keyed by ((a, b), (c, d)), in JET and cancelled: 0 when identically zero."""
+    riemann = derivation()
+    return {(ab, cd): sympy.cancel(to_jet(riemann(*ab, *cd))) for ab in PLANES for cd in PLANES}
+
+
+def test_riemann_zero_pattern_and_pair_symmetry():
+    # exactly 12 of the 36 are not identically zero, the six R(ab, ab) = -K_ab
+    # and the three mixed pairs in both orders, and R(a, b, c, d) = R(c, d, a, b)
+    components = pair_components()
+    nonzero = {key for key, r in components.items() if r != 0}
+    mixed = {key for ab, cd in MIXED for key in ((ab, cd), (cd, ab))}
+    assert nonzero == {(ab, ab) for ab in PLANES} | mixed
+    for (ab, cd), r in components.items():
+        assert sympy.cancel(r - components[cd, ab]) == 0
+
+
 @functools.cache
 def riemann_components():
-    """Evaluator of the components R(a, b, c, d), a < b and c < d, that are
-    not identically zero: 12 of the 36, the six R(a, b, a, b) = -K_ab and the
-    three mixed pairs R(0, i, j, k), each in both orders."""
-    riemann = derivation()
-    pairs = list(itertools.combinations(range(4), 2))
-    components = [sympy.cancel(to_jet(riemann(*ab, *cd))) for ab in pairs for cd in pairs]
-    nonzero = [r for r in components if r != 0]
-    assert len(nonzero) == 12
-    return evaluator(nonzero, JET2)
+    """Evaluator of the components of pair_components() that are not
+    identically zero."""
+    return evaluator([r for r in pair_components().values() if r != 0], JET2)
 
 
 def rm_norm_sq(zj):
@@ -217,6 +235,33 @@ def test_rm_norm_sq_is_the_full_contraction():
         zj = random_jet(seed)
         got = trace_invariants(sectional_rows(*zj)[0])[1]
         np.testing.assert_allclose(got, rm_norm_sq(zj), rtol=RTOL)
+
+
+def mixed_closed_forms(x, xp):
+    """(M1, M2, M3) = (R(0, 1, 2, 3), R(0, 2, 1, 3), R(0, 3, 1, 2)) stacked (3, n)
+    in closed form, from the radii x = (a, b, c) and their primes, with the
+    log-derivatives r_x = x'/x."""
+    (a, b, c), (ra, rb, rc) = x, xp / x
+    a2, b2, c2, abc = a * a, b * b, c * c, a * b * c
+    return np.stack((
+        (a2 * (2.0 * ra - rb - rc) + (b2 - c2) * (rc - rb)) / abc,
+        (b2 * (ra - 2.0 * rb + rc) + (a2 - c2) * (ra - rc)) / abc,
+        -(c2 * (ra + rb - 2.0 * rc) + (a2 - b2) * (ra - rb)) / abc,
+    ))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_mixed_components_closed_forms(seed):
+    # and with them |Rm|^2 = 2 sum K^2 + 4 sum M_i^2 in trace_invariants'
+    # normalization, the full contraction that 2 sum K^2 alone falls short of
+    zj = random_jet(seed)
+    components = pair_components()
+    want, scale = evaluator([components[key] for key in MIXED], JET2)(*zj)
+    m = mixed_closed_forms(zj[0], zj[1])
+    np.testing.assert_array_less(np.abs(m - want), RTOL * scale)
+    k = sectional_rows(*zj)[0]
+    full = 2.0 * np.square(k).sum(axis=0) + 4.0 * np.square(m).sum(axis=0)
+    np.testing.assert_allclose(full, rm_norm_sq(zj), rtol=RTOL)
 
 
 @functools.cache
