@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 
 from neckpinch.curvature import riemann_oracle, sectional_curvatures, sectional_rows
 from neckpinch.flow import summarize_state
@@ -13,6 +14,7 @@ from neckpinch.grid import (
 from neckpinch.presets import get_preset
 
 from reference import scalar_curvature
+from test_symbolic import MIXED, PLANES, pair_components
 
 
 def round_state(r=1.0, phi=1.0, n=32):
@@ -210,6 +212,22 @@ def test_oracle_matches_closed_form_under_refinement():
         )
     for e0, e1 in zip(errs, errs[1:]):
         assert np.log2(e0 / e1) >= 3.5
+
+
+def test_assembly_structural_zeros():
+    # exactly 12 of the 36 pair components of the exact derivation are not
+    # identically zero: the six R(ab, ab) = -K_ab and the three mixed pairs
+    # R(0, i, j, k) in both orders; Rm_i00j, Rm_ijjk and Rm_ijj0 vanish
+    nonzero = {key for key, r in pair_components().items() if r != 0}
+    mixed = {key for ab, cd in MIXED for key in ((ab, cd), (cd, ab))}
+    assert nonzero == {(ab, ab) for ab in PLANES} | mixed
+
+
+def test_assembly_pair_symmetry():
+    # R(a, b, c, d) = R(c, d, a, b) exactly, for all 36 pair components
+    components = pair_components()
+    for (ab, cd), r in components.items():
+        assert sympy.cancel(r - components[cd, ab]) == 0
 
 
 def test_oracle_homogeneity():

@@ -191,17 +191,6 @@ def pair_components():
     return {(ab, cd): sympy.cancel(to_jet(riemann(*ab, *cd))) for ab in PLANES for cd in PLANES}
 
 
-def test_riemann_zero_pattern_and_pair_symmetry():
-    # exactly 12 of the 36 are not identically zero, the six R(ab, ab) = -K_ab
-    # and the three mixed pairs in both orders, and R(a, b, c, d) = R(c, d, a, b)
-    components = pair_components()
-    nonzero = {key for key, r in components.items() if r != 0}
-    mixed = {key for ab, cd in MIXED for key in ((ab, cd), (cd, ab))}
-    assert nonzero == {(ab, ab) for ab in PLANES} | mixed
-    for (ab, cd), r in components.items():
-        assert sympy.cancel(r - components[cd, ab]) == 0
-
-
 @functools.cache
 def riemann_components():
     """Evaluator of the components of pair_components() that are not
